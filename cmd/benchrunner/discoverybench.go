@@ -40,8 +40,8 @@ type discoveryReport struct {
 	// CoverSize and CoverChurn describe the largest configuration: final
 	// cover cardinality and total diff traffic (|added| + |removed|
 	// across all batches).
-	CoverSize  int           `json:"cover_size"`
-	CoverChurn int           `json:"cover_churn"`
+	CoverSize  int `json:"cover_size"`
+	CoverChurn int `json:"cover_churn"`
 	// Configs pins every (size, batch) combination's own speedup, cover
 	// identity, and repair-verifier counters — including the update-heavy
 	// configurations (small batches over sub-headline sizes) CI gates on.
@@ -56,8 +56,8 @@ type discoveryReport struct {
 
 // discoveryVerifierStats is one maintained run's repair-verifier
 // telemetry: the oracle's pruning rate over re-opened lattice nodes, the
-// multi-RHS wave kernel's traversal sharing, and the persistent repair
-// cache's cross-batch behaviour (counters are deltas over the replay, so
+// split of verified nodes between root refinement and partition walks, and
+// the persistent repair cache's cross-batch behaviour (counters are deltas over the replay, so
 // construction-time warmup is excluded).
 type discoveryVerifierStats struct {
 	// Scans and Skips split the repaired lattice nodes into verified vs
@@ -67,15 +67,11 @@ type discoveryVerifierStats struct {
 	OracleHitRate float64 `json:"oracle_hit_rate"`
 	// RefinedProbes is the subset of Scans answered by root refinement —
 	// BFS climb nodes decided from the demoted seed's tracked unsatisfied
-	// classes without touching the wave kernel.
+	// classes without a partition walk.
 	RefinedProbes int64 `json:"refined_probes"`
-	// KernelTraversals is the number of Π*_X partition walks the wave
-	// scheduler executed, KernelProbes the (LHS, RHS) verdicts those walks
-	// produced; KernelFanIn = probes / traversals is the number of
-	// per-pair walks each shared traversal replaced.
-	KernelTraversals int64   `json:"kernel_traversals"`
-	KernelProbes     int64   `json:"kernel_probes"`
-	KernelFanIn      float64 `json:"kernel_fan_in"`
+	// KernelTraversals is the number of Π*_X partition walks repair
+	// verification performed — the Scans root refinement did not answer.
+	KernelTraversals int64 `json:"kernel_traversals"`
 	// Cross-batch partition-cache effectiveness of the persistent repair
 	// substrate: hits answered from cache, misses recomputed, resident
 	// payload bytes at the end of the replay.
@@ -312,7 +308,7 @@ func runDiscoveryBench(ctx context.Context, stats *exec.Stats, path string, rows
 				}
 				scans0, skips0 := mt.Scans(), mt.Skips()
 				refines0 := mt.Refines()
-				trav0, probes0 := mt.KernelStats()
+				trav0, _ := mt.KernelStats()
 				cache0 := mt.RepairCache().Stats()
 				start := time.Now()
 				c, err := replayMaintained(ctx, mt, batches)
@@ -328,11 +324,8 @@ func runDiscoveryBench(ctx context.Context, stats *exec.Stats, path string, rows
 				if total := vs.Scans + vs.Skips; total > 0 {
 					vs.OracleHitRate = float64(vs.Skips) / float64(total)
 				}
-				trav, probes := mt.KernelStats()
-				vs.KernelTraversals, vs.KernelProbes = trav-trav0, probes-probes0
-				if vs.KernelTraversals > 0 {
-					vs.KernelFanIn = float64(vs.KernelProbes) / float64(vs.KernelTraversals)
-				}
+				trav, _ := mt.KernelStats()
+				vs.KernelTraversals = trav - trav0
 				cs := mt.RepairCache().Stats().Since(cache0)
 				vs.CacheHits, vs.CacheMisses = cs.Hits, cs.Misses
 				vs.CacheBytes = mt.RepairCache().Stats().Bytes

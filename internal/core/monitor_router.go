@@ -47,7 +47,7 @@ func shardOfKey(key []byte, nShards int) uint8 {
 // over dependencies race-free.
 func (m *Monitor) routeIndex(i int) {
 	d := m.sigma[i]
-	base := m.v.Partitions().GetOverlay(d.LHS)
+	base := m.v.Partitions().Get(d.LHS)
 	m.lhsCols[i] = d.LHS.Attrs()
 
 	for s := range m.shards {

@@ -289,17 +289,26 @@ func (v *Verifier) HoldsSyn(d OFD) bool {
 // partition-error comparison, which materializes Π*_{X∪A}; here the FD
 // test instead walks the classes of Π*_X checking that each agrees on
 // the dict-encoded consequent — the same cost as the product it avoids,
-// with no second partition built or cached. The lattice keeps HoldsSyn
-// (its level ordering reuses Π*_{X∪A} as a next-level node); callers
-// probing scattered nodes — the maintainer's repair regions — use this.
-func (v *Verifier) HoldsSynOnePass(d OFD) bool {
+// with no second partition built or cached. Covered consequents run the
+// per-class sense test over the same fetch. buf is caller-supplied scratch
+// for any partition products a cache miss needs (hot repair loops hold one
+// per worker; nil falls back to transient scratch). The lattice keeps
+// HoldsSyn (its level ordering reuses Π*_{X∪A} as a next-level node);
+// callers probing scattered nodes — the maintainer's repair regions — use
+// this.
+func (v *Verifier) HoldsSynOnePass(d OFD, buf *relation.ProductBuffer) bool {
 	if d.Trivial() {
 		return true
 	}
+	p := v.pc.GetWith(d.LHS, buf)
 	if v.covered[d.RHS].Load() {
-		return v.HoldsSyn(d)
+		for i := 0; i < p.NumClasses(); i++ {
+			if !v.classSatisfied(p.Class(i), d.RHS) {
+				return false
+			}
+		}
+		return true
 	}
-	p := v.pc.Get(d.LHS)
 	col := v.rel.Column(d.RHS)
 	for i := 0; i < p.NumClasses(); i++ {
 		class := p.Class(i)
@@ -311,70 +320,6 @@ func (v *Verifier) HoldsSynOnePass(d OFD) bool {
 		}
 	}
 	return true
-}
-
-// HoldsSynMulti verifies X →_syn A for every consequent in rhs with ONE
-// traversal of Π*_X, returning per-consequent verdicts in rhs order. Each
-// verdict is exactly HoldsSynOnePass(OFD{lhs, rhs[k]}) — trivial
-// consequents (lhs ∋ A) answer true without work, covered consequents run
-// the per-class sense test, uncovered ones the inline FD-equality walk —
-// but the partition is fetched and walked once for all of them instead of
-// once per (LHS, RHS) pair. A consequent drops out of the walk at its
-// first violating class (the early-exit the one-pass form has), so the
-// per-class cost shrinks as verdicts settle; the walk stops entirely once
-// every consequent is decided. This is the repair scheduler's wave
-// kernel: co-probing consequents share the dominant partition cost.
-func (v *Verifier) HoldsSynMulti(lhs relation.AttrSet, rhs []int) []bool {
-	return v.HoldsSynMultiBuf(lhs, rhs, nil)
-}
-
-// HoldsSynMultiBuf is HoldsSynMulti with a caller-supplied ProductBuffer
-// for any partition products a cache miss needs. Hot repair loops hold
-// one buffer per worker; a nil buf falls back to transient scratch.
-func (v *Verifier) HoldsSynMultiBuf(lhs relation.AttrSet, rhs []int, buf *relation.ProductBuffer) []bool {
-	out := make([]bool, len(rhs))
-	pending := make([]int, 0, len(rhs))
-	for k := range rhs {
-		out[k] = true
-		if !lhs.Has(rhs[k]) {
-			pending = append(pending, k)
-		}
-	}
-	if len(pending) == 0 {
-		return out
-	}
-	p := v.pc.GetWith(lhs, buf)
-	cols := make([]*relation.Col, len(rhs))
-	for _, k := range pending {
-		cols[k] = v.rel.Column(rhs[k])
-	}
-	for i := 0; i < p.NumClasses() && len(pending) > 0; i++ {
-		class := p.Class(i)
-		kept := pending[:0]
-		for _, k := range pending {
-			ok := false
-			if v.covered[rhs[k]].Load() {
-				ok = v.classSatisfied(class, rhs[k])
-			} else {
-				col := cols[k]
-				first := col.At(int(class[0]))
-				ok = true
-				for _, t := range class[1:] {
-					if col.At(int(t)) != first {
-						ok = false
-						break
-					}
-				}
-			}
-			if ok {
-				kept = append(kept, k)
-			} else {
-				out[k] = false
-			}
-		}
-		pending = kept
-	}
-	return out
 }
 
 // HoldsFD reports whether the traditional FD X → A holds (syntactic

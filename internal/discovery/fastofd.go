@@ -78,13 +78,6 @@ type Options struct {
 	// kept coherent by the caller's invalidation protocol (the Pipeline's
 	// ApplyBatch does this). Discover itself ignores this field.
 	Verifier *core.Verifier
-	// SerialRepair forces the maintainer's per-batch cover repair to
-	// handle flipped consequents one at a time instead of staging them as
-	// concurrent tasks on the wave scheduler. The repaired cover is
-	// byte-identical either way (every verdict is a pure function of the
-	// instance); the knob exists for equivalence tests and for profiling
-	// the cross-consequent win in isolation. Discover ignores this field.
-	SerialRepair bool
 	// RepairCacheBudget bounds the standalone maintainer's persistent
 	// repair partition cache in bytes: 0 selects DefaultRepairCacheBudget
 	// when the maintainer builds its own cache (a caller-supplied Cache

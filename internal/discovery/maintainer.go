@@ -109,11 +109,6 @@ type Maintainer struct {
 	// private one.
 	overlays *live.Overlays
 
-	// serialRepair forces the per-batch repair to handle flipped
-	// consequents one at a time (Options.SerialRepair); the default stages
-	// all of them as concurrent tasks on the wave scheduler.
-	serialRepair bool
-
 	all   relation.AttrSet
 	rhs   []*rhsState
 	flat  []batchTracker // all trackers, for batch fan-out
@@ -123,15 +118,12 @@ type Maintainer struct {
 	writes  []cellWrite
 	scans   int64 // cumulative full-candidate verifications
 	skips   int64 // cumulative oracle-answered nodes (not persisted)
-	// Multi-RHS kernel counters: traversals is the number of Π*_X walks
-	// the wave scheduler executed, probes the (LHS, RHS) verdicts those
-	// walks produced — probes/traversals is the kernel's fan-in.
-	waveTraversals int64
-	waveProbes     int64
 	// refines counts the subset of scans answered by root refinement —
 	// climb nodes decided from the demoted seed's tracked unsatisfied
-	// classes instead of a wave-kernel partition walk (not persisted).
+	// classes instead of a partition walk; walks counts the rest, one
+	// Π*_X walk each (neither is persisted).
 	refines int64
+	walks   int64
 
 	// needHydrate marks a snapshot-restored maintainer whose cover-tracker
 	// key indexes are still in frozen array form; the first mutating
@@ -210,12 +202,11 @@ func checkMaintainerOptions(opts Options) error {
 // and border state.
 func buildFromCover(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, initial core.Set, opts Options) (*Maintainer, error) {
 	mt := &Maintainer{
-		rel:          rel,
-		workers:      opts.Workers,
-		stats:        opts.Stats,
-		serialRepair: opts.SerialRepair,
-		all:          rel.Schema().All(),
-		rhs:          make([]*rhsState, rel.NumCols()),
+		rel:     rel,
+		workers: opts.Workers,
+		stats:   opts.Stats,
+		all:     rel.Schema().All(),
+		rhs:     make([]*rhsState, rel.NumCols()),
 	}
 	if opts.Verifier != nil {
 		// Pipeline mode: one partition-cache-backed verifier shared across
@@ -343,7 +334,7 @@ func (mt *Maintainer) buildBorder(ctx context.Context, pv *core.Verifier, rs *rh
 	err := exec.For(ctx, len(scanIdx), exec.Workers(mt.workers), func(_, k int) {
 		i := scanIdx[k]
 		d := core.OFD{LHS: space.Minus(rs.trans[i]), RHS: rs.rhs}
-		res := witnessScanParts(pv, d)
+		res := witnessScanParts(pv, d, nil)
 		if res.valid {
 			panic(fmt.Sprintf("discovery: border node %v is valid; cover for attribute %d is not a cover",
 				d.LHS.Format(mt.rel.Schema()), rs.rhs))
@@ -411,13 +402,12 @@ func (mt *Maintainer) Skips() int64 { return mt.skips }
 // partition walk. Telemetry only; not persisted in snapshots.
 func (mt *Maintainer) Refines() int64 { return mt.refines }
 
-// KernelStats returns the multi-RHS verification kernel's cumulative
-// counters: traversals is the number of Π*_X partition walks the wave
-// scheduler executed, probes the (LHS, RHS) verdicts those walks
-// produced. probes/traversals is the kernel's fan-in — the number of
-// per-pair traversals each walk replaced.
+// KernelStats returns the cumulative number of Π*_X partition walks
+// repair verification performed (scans not answered by root refinement)
+// as both values: every walk answers exactly one (LHS, RHS) probe, so the
+// probes-per-traversal fan-in is 1. Telemetry only; not persisted.
 func (mt *Maintainer) KernelStats() (traversals, probes int64) {
-	return mt.waveTraversals, mt.waveProbes
+	return mt.walks, mt.walks
 }
 
 // RepairCache returns the persistent partition cache repair verification
@@ -692,25 +682,28 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 		}
 		flips = append(flips, flip{rs: rs, survivors: survivors, demoted: demoted, demotedTrk: demotedTrk, triggered: triggered})
 	}
-	// Cross-consequent parallel repair: every flipped consequent's repairer
-	// runs as its own task (repairers are disjoint in state — private memo,
-	// private border nodes — and the partition cache is sharded), with all
-	// verification rendezvousing at the wave scheduler so co-probing
-	// consequents share one Π*_X traversal per antecedent set. Outcomes are
-	// staged per flip slot and committed in canonical RHS order below;
-	// since every verdict is a pure function of the instance, the result is
-	// byte-identical to a serial repair for any worker count and either
-	// scheduling mode.
+	// Cross-consequent parallel repair: flipped consequents fan out over
+	// the workers (repairers are disjoint in state — private memo, private
+	// border nodes, private ProductBuffers — and the partition cache is
+	// sharded), and each repairer verifies its own unknown nodes in
+	// parallel as well. Outcomes are staged per flip slot and committed in
+	// canonical RHS order below; since every verdict is a pure function of
+	// the instance, the result is byte-identical for any worker count.
+	w := exec.Workers(mt.workers)
 	staged := make([]stagedRHS, len(flips))
 	errs := make([]error, len(flips))
 	scansPer := make([]int, len(flips))
 	skipsPer := make([]int, len(flips))
 	refinedPer := make([]int, len(flips))
-	runOne := func(i int, wv *waveVerifier) {
+	bufs := make([][]relation.ProductBuffer, w) // one row per outer worker
+	err := exec.For(ctx, len(flips), w, func(ow, i int) {
+		if bufs[ow] == nil {
+			bufs[ow] = make([]relation.ProductBuffer, w)
+		}
 		f := flips[i]
 		r := &repairer{
 			mt:         mt,
-			wv:         wv,
+			bufs:       bufs[ow],
 			rhs:        f.rs.rhs,
 			space:      mt.all.Without(f.rs.rhs),
 			oldCover:   lhsSets(f.rs.cover),
@@ -725,27 +718,11 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 		newCover, err := r.run(ctx, f.triggered)
 		scansPer[i], skipsPer[i], refinedPer[i], errs[i] = r.scans, r.skips, r.refined, err
 		staged[i] = stagedRHS{rhs: f.rs.rhs, newCover: newCover, triggered: f.triggered}
-	}
-	if mt.serialRepair || len(flips) <= 1 {
-		for i := range flips {
-			wv := newWaveVerifier(ctx, pv, mt.workers, 1)
-			runOne(i, wv)
-			tr, pr := wv.kernelStats()
-			mt.waveTraversals += tr
-			mt.waveProbes += pr
-			if errs[i] != nil {
-				break
-			}
+	})
+	for i := range flips {
+		if err == nil {
+			err = errs[i]
 		}
-	} else {
-		wv := newWaveVerifier(ctx, pv, mt.workers, len(flips))
-		exec.Tasks(len(flips), func(i int) {
-			defer wv.finish()
-			runOne(i, wv)
-		})
-		tr, pr := wv.kernelStats()
-		mt.waveTraversals += tr
-		mt.waveProbes += pr
 	}
 	scans, skips, refined := 0, 0, 0
 	for i := range flips {
@@ -756,17 +733,16 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 	verifySpan.Items(scans)
 	verifySpan.Skipped(skips)
 	verifySpan.End()
-	for i := range flips {
-		if errs[i] != nil {
-			if rollback != nil {
-				rollback()
-			}
-			return Diff{}, errs[i]
+	if err != nil {
+		if rollback != nil {
+			rollback()
 		}
+		return Diff{}, err
 	}
 	mt.scans += int64(scans)
 	mt.skips += int64(skips)
 	mt.refines += int64(refined)
+	mt.walks += int64(scans - refined)
 	// Commit — uncancellable: the batch's writes are already in, every
 	// remaining effect is deterministic bookkeeping.
 	diffSpan := mt.stats.Span("maintain.diff")

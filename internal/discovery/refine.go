@@ -19,8 +19,8 @@ import (
 // The unsatisfied classes are exactly what the cover tracker already
 // maintains (a demotion IS unsat > 0), and in an update stream they are
 // the handful of classes the batch corrupted — the entire climb above a
-// demotion runs off a few hundred tuples of tracked state where the
-// wave kernel pays a partition product over all n rows.
+// demotion runs off a few hundred tuples of tracked state where a
+// partition walk pays a product over all n rows.
 //
 // Refinement is itself incremental along the climb: each verified node
 // memoizes its per-member group labels, and a child (its parent plus
@@ -31,8 +31,8 @@ import (
 //
 // Verdicts are byte-identical to HoldsSynOnePass: groups with one
 // distinct consequent value satisfy trivially (the FD fast path), and
-// multi-value groups run the same common-sense test the per-class
-// kernel runs (ValuesSatisfied degrades to syntactic equality on
+// multi-value groups run the same common-sense test HoldsSynOnePass
+// runs per class (ValuesSatisfied degrades to syntactic equality on
 // ontology-uncovered consequents in both). A refiner is private to its
 // repairer task; nothing here is safe for concurrent use.
 type rootRefiner struct {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/fastofd/fastofd/internal/core"
+	"github.com/fastofd/fastofd/internal/exec"
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
@@ -36,13 +38,13 @@ import (
 //     descent results is exactly the post-state minimal cover.
 type repairer struct {
 	mt         *Maintainer
-	wv         *waveVerifier // wave-batched partition-backed verification (post state)
+	bufs       []relation.ProductBuffer // one per verification worker, private to this repairer
 	rhs        int
 	space      relation.AttrSet   // all attributes minus rhs
 	oldCover   []relation.AttrSet // pre-batch cover antichain (canonical order)
 	survivors  []relation.AttrSet // old cover elements still valid
 	demoted    []relation.AttrSet // old cover elements now invalid
-	demotedTrk []*coverTracker    // trackers aligned with demoted; nil falls back to the wave
+	demotedTrk []*coverTracker    // trackers aligned with demoted; nil falls back to partition walks
 	touched    relation.AttrSet   // columns the batch updated
 	rhsTouched bool               // touched.Has(rhs), hoisted off the per-node oracle path
 	hasAppend  bool               // batch appended rows (demote-only signal)
@@ -90,16 +92,17 @@ func (r *repairer) oracleAnswer(x relation.AttrSet) (bool, bool) {
 }
 
 // resolve verifies the given nodes (deduplicated, sorted by the caller)
-// through the wave scheduler and memoizes the results. Verification goes
-// through the maintainer's partition-backed verifier — stripped-partition
+// in parallel and memoizes the results. Verification goes through the
+// maintainer's partition-backed verifier (post state) — stripped-partition
 // products answer a node in microseconds where a raw candidate scan pays
-// O(N·|X|), the cache shares subset partitions across the whole repair
-// pass (every consequent, every level, and across batches), and the wave
-// merges co-probing consequents onto one traversal per antecedent set.
-// Cancellation leaves the memo untouched for unfinished nodes; the caller
-// aborts the repair.
-func (r *repairer) resolve(_ context.Context, nodes []relation.AttrSet) error {
-	verdicts, err := r.wv.verify(r.rhs, nodes)
+// O(N·|X|), and the cache shares subset partitions across the whole repair
+// pass (every consequent, every level, and across batches). Cancellation
+// leaves the memo untouched; the caller aborts the repair.
+func (r *repairer) resolve(ctx context.Context, nodes []relation.AttrSet) error {
+	verdicts := make([]bool, len(nodes))
+	err := exec.For(ctx, len(nodes), len(r.bufs), func(w, i int) {
+		verdicts[i] = r.mt.pv.HoldsSynOnePass(core.OFD{LHS: nodes[i], RHS: r.rhs}, &r.bufs[w])
+	})
 	if err != nil {
 		return err
 	}
@@ -124,7 +127,7 @@ func (r *repairer) classify(ctx context.Context, nodes []relation.AttrSet) (map[
 // node that expanded it, and a node whose seed has a rootRefiner is
 // answered locally from tracked class state — the oracle still goes
 // first (its answers are free), and only refiner-less nodes fall through
-// to the wave kernel.
+// to a partition walk.
 func (r *repairer) classifySorted(ctx context.Context, nodes []relation.AttrSet, roots []int, parents []relation.AttrSet, refiners []*rootRefiner) (map[relation.AttrSet]bool, error) {
 	out := make(map[relation.AttrSet]bool, len(nodes))
 	var unknown []relation.AttrSet
@@ -159,11 +162,11 @@ func (r *repairer) classifySorted(ctx context.Context, nodes []relation.AttrSet,
 // Every frontier node carries the demoted seed it grew from: a climb node
 // Y necessarily contains its seed X₀, so when X₀'s cover tracker is
 // available Y verifies through a rootRefiner — splitting X₀'s few
-// unsatisfied classes by Y \ X₀ — instead of paying the wave kernel a
-// partition product over the whole relation. A node reachable from
-// several seeds is claimed by whichever expansion reaches it first in
-// canonical frontier order; any containing seed yields the same verdict,
-// so the choice affects cost only, never the result.
+// unsatisfied classes by Y \ X₀ — instead of paying a partition product
+// over the whole relation. A node reachable from several seeds is claimed
+// by whichever expansion reaches it first in canonical frontier order; any
+// containing seed yields the same verdict, so the choice affects cost
+// only, never the result.
 func (r *repairer) bfsUp(ctx context.Context) ([]relation.AttrSet, error) {
 	if len(r.demoted) == 0 {
 		return nil, nil
@@ -333,42 +336,38 @@ func (r *repairer) run(ctx context.Context, triggered []*witnessTracker) ([]rela
 	}
 	// Cheap partition-backed validity probe over every triggered node; only
 	// the still-invalid ones pay a full scan, which is what produces their
-	// next certificate anyway. Both rounds ride the wave scheduler, so
-	// consequents triggered by the same batch share each probed antecedent's
-	// traversal.
+	// next certificate anyway.
 	probeNodes := make([]relation.AttrSet, len(triggered))
 	for i, wt := range triggered {
 		probeNodes[i] = wt.d.LHS
 	}
-	nowValid, err := r.wv.verify(r.rhs, probeNodes)
-	if err != nil {
+	if err := r.resolve(ctx, probeNodes); err != nil {
 		return nil, err
 	}
-	r.scans += len(triggered)
-	var rescan []int
-	var rescanNodes []relation.AttrSet
-	for i, wt := range triggered {
-		r.memo[wt.d.LHS] = nowValid[i]
-		if !nowValid[i] {
-			rescan = append(rescan, i)
-			rescanNodes = append(rescanNodes, wt.d.LHS)
+	var rescan []*witnessTracker
+	for _, wt := range triggered {
+		if !r.memo[wt.d.LHS] {
+			rescan = append(rescan, wt)
 		}
 	}
-	wits, err := r.wv.witnessScan(r.rhs, rescanNodes)
+	wits := make([]scanResult, len(rescan))
+	err := exec.For(ctx, len(rescan), len(r.bufs), func(w, k int) {
+		wits[k] = witnessScanParts(r.mt.pv, rescan[k].d, &r.bufs[w])
+	})
 	if err != nil {
 		return nil, err
 	}
 	r.scans += len(rescan)
-	for k, i := range rescan {
+	for k, wt := range rescan {
 		if wits[k].valid {
-			panic(fmt.Sprintf("discovery: partition and scan verification disagree on %v", triggered[i].d))
+			panic(fmt.Sprintf("discovery: partition and scan verification disagree on %v", wt.d))
 		}
 		// Still invalid through some other class: pin that class as the
 		// next certificate (committed only if the batch lands).
-		triggered[i].stagePending(wits[k].witKey, wits[k].witSize, wits[k].witVals)
+		wt.stagePending(wits[k].witKey, wits[k].witSize, wits[k].witVals)
 	}
-	for i, wt := range triggered {
-		if !nowValid[i] {
+	for _, wt := range triggered {
+		if !r.memo[wt.d.LHS] {
 			continue
 		}
 		mins, err := r.descend(ctx, wt.d.LHS)

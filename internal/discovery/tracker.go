@@ -93,7 +93,7 @@ func newCoverTrackerParts(pv *core.Verifier, v *core.Verifier, d core.OFD) *cove
 		colSet: d.LHS.With(d.RHS),
 		ix:     newTrackerIndex(d),
 	}
-	p := pv.Partitions().GetOverlay(d.LHS)
+	p := pv.Partitions().Get(d.LHS)
 	n := rel.NumRows()
 	nc := p.NumClasses()
 	ix := ct.ix
@@ -479,10 +479,11 @@ type scanResult struct {
 // verifier's partition cache: the classes of Π*_X come from a (typically
 // cached) product instead of re-hashing every row. Partition classes are
 // ordered by smallest representative, so the first violating class found
-// is exactly the one scanCandidate pins, and the walk stops there.
-func witnessScanParts(pv *core.Verifier, d core.OFD) scanResult {
+// is exactly the one scanCandidate pins, and the walk stops there. buf is
+// the caller's per-worker scratch for cache-miss products (nil allowed).
+func witnessScanParts(pv *core.Verifier, d core.OFD, buf *relation.ProductBuffer) scanResult {
 	rel := pv.Relation()
-	p := pv.Partitions().GetOverlay(d.LHS)
+	p := pv.Partitions().GetWith(d.LHS, buf)
 	col := rel.Column(d.RHS)
 	res := scanResult{valid: true}
 	var vals []live.ValCount
@@ -507,54 +508,6 @@ func witnessScanParts(pv *core.Verifier, d core.OFD) scanResult {
 		return res
 	}
 	return res
-}
-
-// witnessScanMulti is witnessScanParts for several consequents over ONE
-// shared antecedent: a single partition fetch and class walk answers every
-// rhs, each result byte-identical to witnessScanParts(pv, OFD{lhs, rhs[k]})
-// — the same smallest-representative class order pins the same
-// deterministic certificate, and each consequent leaves the walk at its
-// first violating class. The batched repair scheduler routes triggered-
-// border rescans through this so co-probing consequents share the
-// partition traversal exactly as HoldsSynMulti shares it for validity.
-func witnessScanMulti(pv *core.Verifier, lhs relation.AttrSet, rhs []int, buf *relation.ProductBuffer) []scanResult {
-	rel := pv.Relation()
-	p := pv.Partitions().GetOverlayWith(lhs, buf)
-	lhsCols := lhs.Attrs()
-	out := make([]scanResult, len(rhs))
-	pending := make([]int, 0, len(rhs))
-	for k := range rhs {
-		out[k].valid = true
-		pending = append(pending, k)
-	}
-	var vals []live.ValCount
-	var scratch []relation.Value
-	for i := 0; i < p.NumClasses() && len(pending) > 0; i++ {
-		class := p.Class(i)
-		kept := pending[:0]
-		for _, k := range pending {
-			col := rel.Column(rhs[k])
-			vals = vals[:0]
-			for _, t := range class {
-				vals = live.Bump(vals, col.At(int(t)), 1)
-			}
-			if len(vals) <= 1 {
-				kept = append(kept, k)
-				continue
-			}
-			scratch = live.Distinct(vals, scratch)
-			if pv.ValuesSatisfied(rhs[k], scratch) {
-				kept = append(kept, k)
-				continue
-			}
-			out[k].valid = false
-			out[k].witKey = string(core.EncodeLHSKey(rel, lhsCols, int(class[0]), nil))
-			out[k].witSize = int32(len(class))
-			out[k].witVals = append([]live.ValCount(nil), vals...)
-		}
-		pending = kept
-	}
-	return out
 }
 
 // scanCandidate verifies X → A from scratch in one pass over the

@@ -80,7 +80,7 @@ func TestPartitionBackedBuildersMatchScan(t *testing.T) {
 				}
 
 				refScan := scanCandidate(rel, v, d, true)
-				gotScan := witnessScanParts(pv, d)
+				gotScan := witnessScanParts(pv, d, nil)
 				if gotScan.valid != refScan.valid {
 					t.Fatalf("trial %d %v: witness valid mismatch: parts %v, scan %v", trial, d, gotScan.valid, refScan.valid)
 				}

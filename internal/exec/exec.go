@@ -149,42 +149,6 @@ func For(ctx context.Context, n, workers int, fn func(worker, i int)) error {
 	return nil
 }
 
-// Tasks runs fn(i) for every i in [0, n) on one goroutine per task and
-// waits for all of them. Unlike For, which caps live goroutines at a
-// worker count and lets one goroutine claim many items, Tasks guarantees
-// every task is live concurrently — the primitive for peer tasks that
-// synchronize with each other mid-flight (the maintainer's repairers
-// rendezvous at a wave barrier; under For a blocked task would hold a
-// worker slot while an unclaimed peer it waits for never starts). n is
-// expected to be small (one task per flipped consequent); callers that
-// want bounded fan-out over large n use For.
-func Tasks(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if n == 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-}
-
-// parallelFor is the historical name of the work-stealing loop the engines
-// used before the substrate existed; it survives as the context-free inner
-// form so call sites that cannot be cancelled (and grep-based audits) have
-// one canonical home.
-func parallelFor(n, workers int, fn func(worker, i int)) {
-	_ = For(context.Background(), n, workers, fn)
-}
-
 // Pool binds a resolved worker count to an optional Stats registry. Engines
 // create one per run (pools are cheap — they hold no goroutines; workers
 // are spawned per For call and joined before it returns) and thread it

@@ -182,14 +182,6 @@ func TestForDeterministicSlots(t *testing.T) {
 	}
 }
 
-func TestParallelForLegacyShim(t *testing.T) {
-	var count atomic.Int32
-	parallelFor(25, 4, func(_, i int) { count.Add(1) })
-	if count.Load() != 25 {
-		t.Fatalf("visited %d of 25", count.Load())
-	}
-}
-
 // waitForGoroutines asserts the goroutine count settles back to (roughly)
 // the pre-call level, tolerating runtime background goroutines.
 func waitForGoroutines(t *testing.T, before int) {

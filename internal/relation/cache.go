@@ -521,7 +521,7 @@ func (pc *PartitionCache) GetWith(attrs AttrSet, buf *ProductBuffer) *Partition 
 		for _, i := range attrs.Minus(best).Attrs() {
 			l := pc.lutFor(i, buf)
 			p = buf.RefineByLUT(p, l.v, l.classes)
-			// Cache the intermediate too: chains across a repair wave
+			// Cache the intermediate too: chains across a repair level
 			// share ascending prefixes, so the next miss finds a longer
 			// drop-one subset and pays one refine instead of re-deriving
 			// the prefix. The budget bounds the extra residency.
@@ -557,23 +557,6 @@ func (pc *PartitionCache) lutFor(c int, buf *ProductBuffer) *colLUT {
 	l := &colLUT{rows: rows, classes: p.NumClasses(), v: v}
 	pc.luts[c].Store(l)
 	return l
-}
-
-// GetOverlay is the overlay-aware partition path: identical to Get, but
-// named for call sites whose correctness story is "serve the live overlay
-// when one is registered" — the maintainer's repair verifier and the
-// monitor's re-route both read partitions through it, so a batch that
-// already maintains a live overlay never pays a cold partition product
-// for the same attribute set.
-func (pc *PartitionCache) GetOverlay(attrs AttrSet) *Partition {
-	return pc.GetWith(attrs, nil)
-}
-
-// GetOverlayWith is GetOverlay with a caller-supplied ProductBuffer — the
-// overlay-aware analogue of GetWith for hot repair loops that hold
-// per-worker scratch.
-func (pc *PartitionCache) GetOverlayWith(attrs AttrSet, buf *ProductBuffer) *Partition {
-	return pc.GetWith(attrs, buf)
 }
 
 // InvalidateTouched evicts every cached partition whose attribute set
