@@ -8,6 +8,7 @@ import (
 	"os"
 	"time"
 
+	"github.com/fastofd/fastofd"
 	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/discovery"
 	"github.com/fastofd/fastofd/internal/exec"
@@ -48,7 +49,7 @@ type discoveryReport struct {
 	Configs []discoveryConfig `json:"configs"`
 	Results []benchResult     `json:"results"`
 	// Stats carries the maintain.build / maintain.dirty / maintain.verify
-	// / maintain.diff spans (and the baselines' discover.* spans)
+	// / maintain.commit spans (and the baselines' discover.* spans)
 	// accumulated across the runs; maintain.verify's skipped counter is
 	// the oracle's pruning rate.
 	Stats *exec.Stats `json:"stats"`
@@ -302,7 +303,7 @@ func runDiscoveryBench(ctx context.Context, stats *exec.Stats, path string, rows
 				opts := discovery.DefaultOptions()
 				opts.Workers = w
 				opts.Stats = stats
-				mt, err := discovery.NewMaintainerContext(ctx, ds.Rel.Clone(), ds.FullOnt, opts)
+				mt, err := fastofd.NewMaintainer(ctx, ds.Rel.Clone(), ds.FullOnt, opts)
 				if err != nil {
 					return partial(err)
 				}

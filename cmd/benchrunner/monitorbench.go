@@ -264,7 +264,7 @@ func runMonitorBench(ctx context.Context, stats *exec.Stats, path string, rows i
 					if err := exec.Interrupted(ctx, "monitorbench"); err != nil {
 						return partial(err)
 					}
-					m, err := core.NewMonitorSharded(ctx, ds.Rel.Clone(), ds.FullOnt, sigma, s, w, stats)
+					m, err := core.NewMonitor(ctx, ds.Rel.Clone(), ds.FullOnt, sigma, s, w, stats)
 					if err != nil {
 						return partial(err)
 					}

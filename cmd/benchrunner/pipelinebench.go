@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/fastofd/fastofd"
 	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/discovery"
 	"github.com/fastofd/fastofd/internal/exec"
@@ -130,7 +131,7 @@ func replaySeparate(ctx context.Context, ds *gen.Dataset, batches [][]monitorOp,
 	dopts := discovery.DefaultOptions()
 	dopts.Workers = workers
 	dopts.Stats = stats
-	mt, err := discovery.NewMaintainerContext(ctx, ds.Rel.Clone(), ds.FullOnt, dopts)
+	mt, err := fastofd.NewMaintainer(ctx, ds.Rel.Clone(), ds.FullOnt, dopts)
 	if err != nil {
 		return "", "", err
 	}
@@ -143,7 +144,7 @@ func replaySeparate(ctx context.Context, ds *gen.Dataset, batches [][]monitorOp,
 	if err != nil {
 		return "", "", err
 	}
-	m, err := core.NewMonitorLive(ctx, relD, ds.FullOnt, mt.Cover().Clone(), shards, workers, stats, core.NewVerifier(relD, ds.FullOnt, pcD))
+	m, err := core.NewMonitorLive(ctx, core.NewVerifier(relD, ds.FullOnt, pcD), mt.Cover().Clone(), shards, workers, stats)
 	if err != nil {
 		return "", "", err
 	}

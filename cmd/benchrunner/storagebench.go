@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"github.com/fastofd/fastofd"
 	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/discovery"
 	"github.com/fastofd/fastofd/internal/exec"
@@ -33,8 +34,8 @@ type storageReport struct {
 	// SnapshotBytes is the on-disk size of the saved state: relation
 	// blocks, ontology, cached partitions, monitor indexes, cover.
 	SnapshotBytes int64 `json:"snapshot_bytes"`
-	// ColdBuildNs is the restart cost without snapshots: NewMonitorSharded
-	// plus NewMaintainerContext (a full discovery) over the generated
+	// ColdBuildNs is the restart cost without snapshots: NewMonitor
+	// plus NewMaintainer (a full discovery) over the generated
 	// instance. SaveNs/ReopenNs are the snapshot path; ReopenSpeedup is
 	// the headline ColdBuildNs / ReopenNs.
 	ColdBuildNs   float64 `json:"cold_build_ns"`
@@ -188,7 +189,7 @@ func runStorageBench(ctx context.Context, stats *exec.Stats, path string, rows i
 	sigma := monitorSigma(ds)
 
 	start := time.Now()
-	m, err := core.NewMonitorSharded(ctx, ds.Rel, ds.FullOnt, sigma, 4, 0, stats)
+	m, err := core.NewMonitor(ctx, ds.Rel, ds.FullOnt, sigma, 4, 0, stats)
 	if err != nil {
 		return partial(err)
 	}
@@ -198,7 +199,7 @@ func runStorageBench(ctx context.Context, stats *exec.Stats, path string, rows i
 	dopts := discovery.DefaultOptions()
 	dopts.Stats = stats
 	start = time.Now()
-	mt, err := discovery.NewMaintainerContext(ctx, ds.Rel, ds.FullOnt, dopts)
+	mt, err := fastofd.NewMaintainer(ctx, ds.Rel, ds.FullOnt, dopts)
 	if err != nil {
 		return partial(err)
 	}

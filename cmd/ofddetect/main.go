@@ -167,7 +167,7 @@ func replayUpdates(ctx context.Context, rel *fastofd.Relation, ont *fastofd.Onto
 		return nil, err
 	}
 	defer f.Close()
-	m, err := fastofd.NewMonitorSharded(ctx, rel, ont, sigma, shards, workers, stats)
+	m, err := fastofd.NewMonitor(ctx, rel, ont, sigma, shards, workers, stats)
 	if err != nil {
 		return nil, err
 	}

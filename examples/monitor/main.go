@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := fastofd.NewMonitor(rel, ont, sigma)
+	m, err := fastofd.NewMonitor(context.Background(), rel, ont, sigma, 0, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

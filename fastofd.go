@@ -232,38 +232,20 @@ func DetectContext(ctx context.Context, rel *Relation, ont *Ontology, sigma Set,
 	return core.DetectContext(ctx, rel, ont, sigma, workers, stats)
 }
 
-// NewMonitor builds an incremental satisfaction monitor over the instance:
-// consequent-cell updates re-verify only the affected equivalence classes.
-func NewMonitor(rel *Relation, ont *Ontology, sigma Set) (*Monitor, error) {
-	return core.NewMonitor(rel, ont, sigma)
-}
-
-// NewMonitorContext is NewMonitor with cooperative cancellation of the
-// initial index build; a cancelled build returns nil plus the wrapped
-// context error.
-func NewMonitorContext(ctx context.Context, rel *Relation, ont *Ontology, sigma Set) (*Monitor, error) {
-	return core.NewMonitorContext(ctx, rel, ont, sigma)
-}
-
-// NewMonitorWorkers is NewMonitorContext with the index build — and the
-// monitor's subsequent ApplyBatch fan-out — spread over up to workers
-// goroutines (0 = all CPUs) and optional per-stage stats
-// ("monitor.build", "monitor.route", "monitor.apply", "monitor.merge"
-// spans). The LHS-key shard count is derived from the worker count; the
-// violation state is identical for every worker count.
-func NewMonitorWorkers(ctx context.Context, rel *Relation, ont *Ontology, sigma Set, workers int, stats *Stats) (*Monitor, error) {
-	return core.NewMonitorWorkers(ctx, rel, ont, sigma, workers, stats)
-}
-
-// NewMonitorSharded is NewMonitorWorkers with an explicit LHS-key shard
-// count: every equivalence class is routed to one of `shards` independent
-// shards (0 derives the count from workers), so ApplyBatch fans appends,
-// multiset maintenance, and re-verification out shard-locally with no
-// shared write state, and Report reads epoch-stamped snapshots
-// concurrently with ingestion. Reports are byte-identical for every shard
-// and worker count.
-func NewMonitorSharded(ctx context.Context, rel *Relation, ont *Ontology, sigma Set, shards, workers int, stats *Stats) (*Monitor, error) {
-	return core.NewMonitorSharded(ctx, rel, ont, sigma, shards, workers, stats)
+// NewMonitor builds an incremental satisfaction monitor over the
+// instance: consequent-cell updates re-verify only the affected
+// equivalence classes. Every equivalence class is routed to one of
+// `shards` independent LHS-key shards (0 derives the count from workers),
+// so ApplyBatch fans appends, multiset maintenance, and re-verification
+// out shard-locally with no shared write state, and Report reads
+// epoch-stamped snapshots concurrently with ingestion. The index build and
+// the batch fan-out use up to workers goroutines (0 = all CPUs); stats,
+// when non-nil, receives the "monitor.build", "monitor.route",
+// "monitor.apply", and "monitor.merge" spans. Reports are byte-identical
+// for every shard and worker count. A cancelled build returns nil plus the
+// wrapped context error.
+func NewMonitor(ctx context.Context, rel *Relation, ont *Ontology, sigma Set, shards, workers int, stats *Stats) (*Monitor, error) {
+	return core.NewMonitor(ctx, rel, ont, sigma, shards, workers, stats)
 }
 
 // DefaultDiscoveryOptions returns the paper's full FastOFD configuration
@@ -287,26 +269,23 @@ func DiscoverContext(ctx context.Context, rel *Relation, ont *Ontology, opts Dis
 // discovery for the initial cover, then keeps the complete minimal cover
 // live under the same cell-update batches and row appends the Monitor
 // consumes, emitting a CoverDiff per batch instead of re-running the
-// lattice. Supports exact synonym OFDs over the uncapped lattice (the
-// configuration the incremental soundness argument covers); other
-// DiscoveryOptions are rejected. The maintained cover is byte-identical
-// to Discover over the current instance for every worker count.
-func NewMaintainer(rel *Relation, ont *Ontology, opts DiscoveryOptions) (*Maintainer, error) {
-	return discovery.NewMaintainer(rel, ont, opts)
-}
-
-// NewMaintainerContext is NewMaintainer with cooperative cancellation of
-// the initial discovery and index build.
-func NewMaintainerContext(ctx context.Context, rel *Relation, ont *Ontology, opts DiscoveryOptions) (*Maintainer, error) {
-	return discovery.NewMaintainerContext(ctx, rel, ont, opts)
-}
-
-// NewMaintainerFromCover builds a maintainer around an already-known
-// minimal cover (for example a saved maintainer's Cover()), skipping the
-// initial discovery — the instant-restart path the Snapshot layer uses.
-// The cover must be the exact minimal synonym-OFD cover of the instance.
-func NewMaintainerFromCover(ctx context.Context, rel *Relation, ont *Ontology, cover Set, opts DiscoveryOptions) (*Maintainer, error) {
-	return discovery.NewMaintainerFromCover(ctx, rel, ont, cover, opts)
+// lattice. It runs on a live substrate of its own — a byte-budgeted
+// partition cache, live overlays, and a verifier, exactly the substrate a
+// Pipeline shares between its engines. Supports exact synonym OFDs over
+// the uncapped lattice (the configuration the incremental soundness
+// argument covers); other DiscoveryOptions are rejected. The maintained
+// cover is byte-identical to Discover over the current instance for every
+// worker count. A cancelled build returns nil plus the wrapped context
+// error.
+func NewMaintainer(ctx context.Context, rel *Relation, ont *Ontology, opts DiscoveryOptions) (*Maintainer, error) {
+	if err := discovery.CheckMaintainerOptions(opts); err != nil {
+		return nil, err
+	}
+	sub, err := core.NewSubstrate(ctx, rel, ont, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return discovery.NewMaintainer(ctx, sub, opts)
 }
 
 // Merged pipeline (discover → detect → repair on one shared index).
@@ -337,9 +316,10 @@ func NewPipeline(ctx context.Context, rel *Relation, ont *Ontology, opts Pipelin
 // Persistence (snapshots).
 type (
 	// SnapshotState is the content of one snapshot: the relation instance
-	// plus any engines built over it (partition cache, monitor,
-	// maintainer). All present components must share one relation and
-	// ontology.
+	// plus any engines built over it — either a Pipeline, which owns its
+	// monitor, maintainer, and shared cache, or any of a standalone
+	// partition cache, Monitor, and Maintainer. All present components
+	// must share one relation and ontology.
 	SnapshotState = snapshot.State
 	// SnapshotOptions configure OpenSnapshot (restore workers and stats).
 	SnapshotOptions = snapshot.Options

@@ -40,7 +40,7 @@ func TestDetectContextCancelled(t *testing.T) {
 	}
 }
 
-func TestNewMonitorContextCancelled(t *testing.T) {
+func TestNewMonitorCancelled(t *testing.T) {
 	rel, ont := table3(t)
 	sigma := Set{
 		MustParse(rel.Schema(), "CC -> CTRY"),
@@ -48,7 +48,7 @@ func TestNewMonitorContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m, err := NewMonitorContext(ctx, rel, ont, sigma)
+	m, err := NewMonitor(ctx, rel, ont, sigma, 0, 1, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -101,7 +101,7 @@ func monitorBatchFixture(t *testing.T, shards int) (m *Monitor, batch []CellUpda
 		MustParse(schema, "CC -> CTRY"),
 		MustParse(schema, "SYMP, DIAG -> MED"),
 	}
-	m, err := NewMonitorSharded(context.Background(), rel, ont, sigma, shards, 1, nil)
+	m, err := NewMonitor(context.Background(), rel, ont, sigma, shards, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

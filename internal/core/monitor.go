@@ -77,8 +77,7 @@ type Monitor struct {
 	keyBuf    []byte           // LHS-key encoding scratch (AppendRow)
 	vals      []relation.Value // distinct-value scratch for sequential paths
 	snapDirty []bool           // per-shard "snapshot stale" scratch
-	pending   map[int64]int    // batch cell→write dedup scratch
-	writes    []CellWrite      // batch effective-write scratch
+	log       WriteLog         // batch cell-write dedup scratch
 
 	// relaxed, set by NewMonitorLive, skips the global LHS∩RHS
 	// disjointness requirement across dependencies (a discovered cover
@@ -104,6 +103,44 @@ type CellWrite struct {
 type CellUpdate struct {
 	Row, Col int
 	Value    string
+}
+
+// WriteLog is the reusable scratch behind both engines' batch dedup.
+type WriteLog struct {
+	seen   map[int64]int // (row, col) → index into writes
+	writes []CellWrite
+}
+
+// Fold reduces a batch of updates to its effective writes: each value is
+// interned into rel's column dictionary, same-cell writes collapse to the
+// last one (keeping the pre-batch value as Old), and writes that leave a
+// cell at its current value are dropped. The writes come back in order of
+// each cell's first write, alias the log's buffer, and stay valid until
+// the next Fold. rel is not modified beyond interning.
+func (l *WriteLog) Fold(rel *relation.Relation, updates []CellUpdate) []CellWrite {
+	if l.seen == nil {
+		l.seen = make(map[int64]int, len(updates))
+	}
+	clear(l.seen)
+	l.writes = l.writes[:0]
+	for _, u := range updates {
+		id := rel.Dict(u.Col).Intern(u.Value)
+		key := int64(u.Row)<<32 | int64(u.Col)
+		if k, ok := l.seen[key]; ok {
+			l.writes[k].New = id
+			continue
+		}
+		l.seen[key] = len(l.writes)
+		l.writes = append(l.writes, CellWrite{u.Row, u.Col, rel.Value(u.Row, u.Col), id})
+	}
+	eff := l.writes[:0]
+	for _, wr := range l.writes {
+		if wr.New != wr.Old {
+			eff = append(eff, wr)
+		}
+	}
+	l.writes = eff
+	return eff
 }
 
 // class verification outcome; ordered so "worse" states are larger.
@@ -138,45 +175,28 @@ func resolveShards(shards, workers int) int {
 	return s
 }
 
-// NewMonitor builds a single-shard monitor over the instance and Σ,
-// computing the initial violation state.
-func NewMonitor(rel *relation.Relation, ont *ontology.Ontology, sigma Set) (*Monitor, error) {
-	return NewMonitorContext(context.Background(), rel, ont, sigma)
+// NewMonitor builds a monitor over the instance and Σ on a private
+// partition cache, computing the initial violation state. shards > 0 uses
+// that many LHS-key shards (clamped to 256), shards == 0 derives the
+// count from the worker count; more shards widen ApplyBatch's parallel
+// fan-out. The index build and ApplyBatch spread over up to workers
+// goroutines (0 = all CPUs), and stats, when non-nil, receives the
+// monitor's stage spans. Reports are byte-identical for every shard and
+// worker count. Σ must keep antecedents and consequents disjoint, so that
+// single-cell Update stays sound. A cancelled build returns a nil Monitor
+// — a partially indexed monitor would report wrong violation counts —
+// together with an error satisfying errors.Is(err, ctx.Err()).
+func NewMonitor(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, sigma Set, shards, workers int, stats *exec.Stats) (*Monitor, error) {
+	return buildMonitor(ctx, rel, ont, sigma, shards, workers, stats, nil)
 }
 
-// NewMonitorContext is NewMonitor with cooperative cancellation: the index
-// build stops between dependencies. A cancelled build returns a nil
-// Monitor — a partially indexed monitor would report wrong violation
-// counts — together with an error satisfying errors.Is(err, ctx.Err()).
-func NewMonitorContext(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, sigma Set) (*Monitor, error) {
-	return NewMonitorWorkers(ctx, rel, ont, sigma, 1, nil)
-}
-
-// NewMonitorWorkers is NewMonitorContext with the index build and
-// ApplyBatch fan-out spread over up to workers goroutines (0 = all CPUs)
-// and optional per-stage stats. The shard count is derived from the
-// worker count (see NewMonitorSharded for explicit control); the
-// violation state is identical for every worker and shard count.
-func NewMonitorWorkers(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, sigma Set, workers int, stats *exec.Stats) (*Monitor, error) {
-	return NewMonitorSharded(ctx, rel, ont, sigma, 0, workers, stats)
-}
-
-// NewMonitorSharded is NewMonitorWorkers with an explicit shard count:
-// shards > 0 uses that many LHS-key shards (clamped to 256), shards == 0
-// derives the count from the worker count. More shards widen ApplyBatch's
-// parallel fan-out; every shard count yields byte-identical reports.
-func NewMonitorSharded(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, sigma Set, shards, workers int, stats *exec.Stats) (*Monitor, error) {
-	return newMonitorBuild(ctx, rel, ont, sigma, shards, workers, stats, nil, false)
-}
-
-// newMonitorBuild is the shared constructor body. v, when non-nil, is an
-// existing partition-cache-backed verifier to share (the merged pipeline
-// runs maintainer, monitor, and repair verification off one verifier and
-// one cache); nil builds a private cache. relaxed skips the global LHS∩RHS
-// disjointness check — only the pipeline sets it, because a discovered
-// cover routinely chains dependencies (A→B, B→C), which standalone
-// monitoring rejects so single-cell Update stays sound.
-func newMonitorBuild(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, sigma Set, shards, workers int, stats *exec.Stats, v *Verifier, relaxed bool) (*Monitor, error) {
+// buildMonitor is the shared constructor body. v, when non-nil, is the
+// merged pipeline's partition-cache-backed verifier to share, and the
+// monitor is relaxed: a discovered cover routinely chains dependencies
+// (A→B, B→C), which standalone monitoring rejects. nil builds a private
+// cache and verifier.
+func buildMonitor(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, sigma Set, shards, workers int, stats *exec.Stats, v *Verifier) (*Monitor, error) {
+	relaxed := v != nil
 	var lhs, rhs relation.AttrSet
 	for _, d := range sigma {
 		lhs = lhs.Union(d.LHS)
@@ -362,32 +382,11 @@ func (m *Monitor) ApplyBatchContext(ctx context.Context, updates []CellUpdate) e
 	}
 	routeSpan := m.Stats.Span("monitor.route")
 	routeSpan.Items(len(updates))
-	// Last-write-wins cell dedup: one effective write per cell, keyed by
-	// (row, col), keeping the pre-batch value for rollback.
-	if m.pending == nil {
-		m.pending = make(map[int64]int, len(updates))
-	}
-	clear(m.pending)
-	m.writes = m.writes[:0]
-	for _, u := range updates {
-		id := m.rel.Dict(u.Col).Intern(u.Value)
-		key := int64(u.Row)<<32 | int64(u.Col)
-		if k, ok := m.pending[key]; ok {
-			m.writes[k].New = id
-			continue
-		}
-		m.pending[key] = len(m.writes)
-		m.writes = append(m.writes, CellWrite{u.Row, u.Col, m.rel.Value(u.Row, u.Col), id})
-	}
-	// Apply the effective writes and route their multiset deltas and dirty
-	// classes to the owning shards.
-	eff := 0
-	for _, wr := range m.writes {
-		if wr.New == wr.Old {
-			continue
-		}
-		m.writes[eff] = wr
-		eff++
+	// Last-write-wins cell dedup, keeping the pre-batch value for
+	// rollback; then apply the effective writes and route their multiset
+	// deltas and dirty classes to the owning shards.
+	writes := m.log.Fold(m.rel, updates)
+	for _, wr := range writes {
 		m.rel.SetValue(wr.Row, wr.Col, wr.New)
 		for _, i := range m.byRHS[wr.Col] {
 			ci := m.classOf[i][wr.Row]
@@ -399,7 +398,6 @@ func (m *Monitor) ApplyBatchContext(ctx context.Context, updates []CellUpdate) e
 			sh.dirty = append(sh.dirty, int64(i)<<32|int64(uint32(ci)))
 		}
 	}
-	m.writes = m.writes[:eff]
 	var active []int
 	for s, sh := range m.shards {
 		if len(sh.bumps) > 0 || len(sh.dirty) > 0 {
@@ -407,7 +405,7 @@ func (m *Monitor) ApplyBatchContext(ctx context.Context, updates []CellUpdate) e
 		}
 	}
 	routeSpan.End()
-	if eff == 0 {
+	if len(writes) == 0 {
 		return nil
 	}
 	rollback := func() {
@@ -415,8 +413,8 @@ func (m *Monitor) ApplyBatchContext(ctx context.Context, updates []CellUpdate) e
 		// been reversed shard-locally); only the cell writes need undoing.
 		// Interned strings stay in the dictionaries and memoized names
 		// tables, which is harmless — both are monotone.
-		for k := len(m.writes) - 1; k >= 0; k-- {
-			wr := m.writes[k]
+		for k := len(writes) - 1; k >= 0; k-- {
+			wr := writes[k]
 			m.rel.SetValue(wr.Row, wr.Col, wr.Old)
 		}
 		for _, s := range active {

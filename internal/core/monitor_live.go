@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/fastofd/fastofd/internal/exec"
-	"github.com/fastofd/fastofd/internal/ontology"
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
@@ -13,20 +12,21 @@ import (
 // shared verifier, live registration of dependencies as the discovered
 // cover drifts, and absorption of writes the co-located maintainer has
 // already validated, applied, and committed. Standalone monitoring keeps
-// its own entry points (NewMonitorSharded, Update, ApplyBatch, AppendRow);
+// its own entry points (NewMonitor, Update, ApplyBatch, AppendRow);
 // everything here reuses the same shard state and publish protocol, so
 // reports remain byte-identical to a fresh Detect either way.
 
 // NewMonitorLive builds a sharded monitor on an existing partition-cache-
 // backed verifier — the pipeline's single verifier shared with the
-// maintainer and the repair search — and relaxes the global LHS∩RHS
-// disjointness requirement across dependencies, which a discovered cover
-// routinely violates (chains like A→B, B→C). Single-cell Update stays
-// guarded: writes touching any monitored antecedent are still rejected,
-// because only AbsorbBatch knows how to re-route the affected
-// dependencies.
-func NewMonitorLive(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, sigma Set, shards, workers int, stats *exec.Stats, v *Verifier) (*Monitor, error) {
-	return newMonitorBuild(ctx, rel, ont, sigma, shards, workers, stats, v, true)
+// maintainer and the repair search — over the verifier's relation and
+// ontology. Shards, workers and stats are as for NewMonitor. It relaxes
+// the global LHS∩RHS disjointness requirement across dependencies, which
+// a discovered cover routinely violates (chains like A→B, B→C).
+// Single-cell Update stays guarded: writes touching any monitored
+// antecedent are still rejected, because only AbsorbBatch knows how to
+// re-route the affected dependencies.
+func NewMonitorLive(ctx context.Context, v *Verifier, sigma Set, shards, workers int, stats *exec.Stats) (*Monitor, error) {
+	return buildMonitor(ctx, v.Relation(), v.Ontology(), sigma, shards, workers, stats, v)
 }
 
 // Register adds dependency d to the monitored set and builds its live

@@ -18,7 +18,7 @@ func TestMonitorIncrementalMatchesFull(t *testing.T) {
 		MustParse(schema, "CC -> CTRY"),
 		MustParse(schema, "SYMP, DIAG -> MED"),
 	}
-	m, err := NewMonitor(rel, ont, sigma)
+	m, err := NewMonitor(context.Background(), rel, ont, sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestMonitorIncrementalMatchesFull(t *testing.T) {
 func TestMonitorRejectsAntecedentUpdates(t *testing.T) {
 	rel, ont := table1(t)
 	sigma := Set{MustParse(rel.Schema(), "CC -> CTRY")}
-	m, err := NewMonitor(rel, ont, sigma)
+	m, err := NewMonitor(context.Background(), rel, ont, sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestMonitorRejectsOverlappingSigma(t *testing.T) {
 		MustParse(rel.Schema(), "CC -> CTRY"),
 		MustParse(rel.Schema(), "CTRY -> MED"),
 	}
-	if _, err := NewMonitor(rel, ont, sigma); err == nil {
+	if _, err := NewMonitor(context.Background(), rel, ont, sigma, 0, 1, nil); err == nil {
 		t.Fatal("overlapping Σ must be rejected")
 	}
 }
@@ -81,7 +81,7 @@ func TestMonitorViolationBookkeeping(t *testing.T) {
 	rel, ont := table1(t)
 	schema := rel.Schema()
 	sigma := Set{MustParse(schema, "SYMP, DIAG -> MED")}
-	m, err := NewMonitor(rel, ont, sigma)
+	m, err := NewMonitor(context.Background(), rel, ont, sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestMonitorUpdateNoOp(t *testing.T) {
 	rel, ont := table1(t)
 	schema := rel.Schema()
 	sigma := Set{MustParse(schema, "SYMP, DIAG -> MED")}
-	m, err := NewMonitor(rel, ont, sigma)
+	m, err := NewMonitor(context.Background(), rel, ont, sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestMonitorAppendRow(t *testing.T) {
 		MustParse(schema, "CC -> CTRY"),
 		MustParse(schema, "SYMP, DIAG -> MED"),
 	}
-	m, err := NewMonitor(rel, ont, sigma)
+	m, err := NewMonitor(context.Background(), rel, ont, sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestMonitorApplyBatchDedupsAndMatches(t *testing.T) {
 				MustParse(schema, "CC -> CTRY"),
 				MustParse(schema, "SYMP, DIAG -> MED"),
 			}
-			m, err := NewMonitor(rel, ont, sigma)
+			m, err := NewMonitor(context.Background(), rel, ont, sigma, 0, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -318,7 +318,7 @@ func TestMonitorStreamEquivalence(t *testing.T) {
 			MustParse(schema, "P -> Y"),
 			MustParse(schema, "P, Q -> Z"),
 		}
-		m, err := NewMonitorSharded(context.Background(), rel, ont, sigma, c.shards, c.workers, nil)
+		m, err := NewMonitor(context.Background(), rel, ont, sigma, c.shards, c.workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +390,7 @@ func TestVerifierNamesTableExtendsOnIntern(t *testing.T) {
 	rel, ont := table1(t)
 	schema := rel.Schema()
 	sigma := Set{MustParse(schema, "SYMP, DIAG -> MED")}
-	m, err := NewMonitor(rel, ont, sigma)
+	m, err := NewMonitor(context.Background(), rel, ont, sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -276,7 +276,7 @@ func decodeCounts(r *wire.Reader) [][]live.ValCount {
 // one). Violation records are re-materialized shard-parallel — they are
 // deterministic functions of the restored multisets and overlays — so the
 // first Report is byte-identical to the saved monitor's. workers and stats
-// configure the restored monitor exactly as NewMonitorSharded's parameters
+// configure the restored monitor exactly as NewMonitor's parameters
 // would.
 func DecodeMonitor(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology, pc *relation.PartitionCache, workers int, stats *exec.Stats) (*Monitor, error) {
 	if pc == nil {

@@ -74,7 +74,7 @@ func TestDescendFrontierRegression(t *testing.T) {
 	batchSize := n / 1000
 	appends := batchSize / 20
 	batches := replayStream(ds, 4, batchSize, appends, 7)
-	mt, err := NewMaintainer(ds.Rel.Clone(), ds.FullOnt, DefaultOptions())
+	mt, err := newMaintainer(ds.Rel.Clone(), ds.FullOnt, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,29 +62,6 @@ type Options struct {
 	// into (per-level build/verify spans, cache hit rates, notes). When
 	// nil, Discover creates a private registry, exposed as Result.Stats.
 	Stats *exec.Stats
-	// Cache, when non-nil, is a pre-warmed partition cache over the same
-	// relation for maintainer construction to verify against instead of
-	// building a fresh one. This is the snapshot-restore path: the cache
-	// restored alongside the relation is snapshot-consistent with it, so
-	// its partitions (and any the build adds) stay valid until the first
-	// mutation. Discover itself ignores this field — a discovery run
-	// drives its own level-by-level cache eviction.
-	Cache *relation.PartitionCache
-	// Verifier, when non-nil, is the pipeline's shared partition-cache-
-	// backed verifier: the maintainer adopts it for both tracker
-	// verification and the per-batch verify phase instead of building its
-	// own, so the monitor, the maintainer, and the repair search all
-	// consult one set of live partitions. Implies the verifier's cache is
-	// kept coherent by the caller's invalidation protocol (the Pipeline's
-	// ApplyBatch does this). Discover itself ignores this field.
-	Verifier *core.Verifier
-	// RepairCacheBudget bounds the standalone maintainer's persistent
-	// repair partition cache in bytes: 0 selects DefaultRepairCacheBudget
-	// when the maintainer builds its own cache (a caller-supplied Cache
-	// keeps its configured budget), negative disables the bound, positive
-	// values are applied as given. Ignored in pipeline mode, where the
-	// shared cache's budget governs. Discover ignores this field.
-	RepairCacheBudget int64
 }
 
 // Mode selects which ontological relationship candidate dependencies use.
@@ -247,13 +224,13 @@ func (d *discoverer) run(ctx context.Context) error {
 		stat.Elapsed = buildTime + time.Since(lvlStart)
 		d.result.Levels = append(d.result.Levels, stat)
 		buildStart = time.Now()
-		buildSpan := d.pool.Stats().Span("discover.build")
-		buildSpan.Workers(d.pool.Size())
+		nextSpan := d.pool.Stats().Span("discover.next_level")
+		nextSpan.Workers(d.pool.Size())
 		next, err := d.nextLevel(ctx, level)
 		if next != nil {
-			buildSpan.Items(len(next))
+			nextSpan.Items(len(next))
 		}
-		buildSpan.End()
+		nextSpan.End()
 		if err != nil {
 			return err
 		}

@@ -8,17 +8,9 @@ import (
 	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/exec"
 	"github.com/fastofd/fastofd/internal/fd"
-	"github.com/fastofd/fastofd/internal/live"
 	"github.com/fastofd/fastofd/internal/ontology"
 	"github.com/fastofd/fastofd/internal/relation"
 )
-
-// DefaultRepairCacheBudget is the byte budget a standalone maintainer
-// puts on its persistent repair partition cache when Options leaves
-// RepairCacheBudget zero and supplies no cache of its own. Generous
-// enough that update streams over mid-size instances never evict, small
-// enough that a long-lived maintainer cannot grow without bound.
-const DefaultRepairCacheBudget int64 = 256 << 20
 
 // Diff is one batch's change to the maintained minimal cover: the OFDs
 // that entered and left it, each sorted in canonical core.Set order.
@@ -88,36 +80,27 @@ func (rs *rhsState) coverSets() []relation.AttrSet {
 // approximate support breaks upward closure, and a depth cap makes the
 // border ill-defined.
 type Maintainer struct {
-	rel     *relation.Relation
-	v       *core.Verifier
 	workers int
 	stats   *exec.Stats
 
-	// pv is the persistent partition-cache-backed verifier repair
-	// verification runs on: in pipeline mode (Options.Verifier) the one
-	// shared with the monitor, standalone the byte-budgeted substrate
-	// buildFromCover installs. Either way its cache is reused across
-	// batches instead of being rebuilt per batch, with staleness handled
-	// by InvalidateTouched on updates and the cache's row stamps on
-	// appends. Always non-nil after construction or restore; standalone,
-	// pv == v (one names table, one cache).
-	pv *core.Verifier
-	// overlays is the live overlay registry over pv's cache: updates mark
-	// intersecting overlays stale, appends route into them, and cover
-	// churn adjusts their reference counts. The pipeline installs its
-	// shared registry via SetOverlays; standalone construction installs a
-	// private one.
-	overlays *live.Overlays
+	// sub is the live substrate both tracker maintenance and repair
+	// verification run on (the pipeline's shared one, or a standalone
+	// maintainer's own). Its cache is reused across batches instead of
+	// being rebuilt per batch, with staleness handled by invalidateTouched
+	// on updates and the cache's row stamps on appends; its overlay
+	// registry is kept consistent too (staleness on updates, routing on
+	// appends, refcounts on cover churn).
+	sub *core.Substrate
 
 	all   relation.AttrSet
 	rhs   []*rhsState
 	flat  []batchTracker // all trackers, for batch fan-out
 	epoch uint64
 
-	pending map[int64]int // (row,col) → writes index, batch scratch
-	writes  []cellWrite
-	scans   int64 // cumulative full-candidate verifications
-	skips   int64 // cumulative oracle-answered nodes (not persisted)
+	log    core.WriteLog // batch dedup scratch
+	writes []cellWrite   // the last batch's effective writes
+	scans  int64         // cumulative full-candidate verifications
+	skips  int64         // cumulative oracle-answered nodes (not persisted)
 	// refines counts the subset of scans answered by root refinement —
 	// climb nodes decided from the demoted seed's tracked unsatisfied
 	// classes instead of a partition walk; walks counts the rest, one
@@ -147,44 +130,68 @@ func (mt *Maintainer) hydrate() {
 	mt.needHydrate = false
 }
 
-// NewMaintainer builds a maintainer, running a fresh discovery for the
-// initial cover. See NewMaintainerContext.
-func NewMaintainer(rel *relation.Relation, ont *ontology.Ontology, opts Options) (*Maintainer, error) {
-	return NewMaintainerContext(context.Background(), rel, ont, opts)
-}
-
-// NewMaintainerContext builds a maintainer with cooperative cancellation
-// of the initial discovery and index build. A cancelled build returns a
-// nil maintainer and an error satisfying errors.Is(err, ctx.Err()).
-func NewMaintainerContext(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, opts Options) (*Maintainer, error) {
-	if err := checkMaintainerOptions(opts); err != nil {
+// NewMaintainer builds a maintainer over sub, running a fresh discovery
+// for the initial cover, and acquires sub's overlay references for every
+// cover element and every single column. A cancelled build returns a nil
+// maintainer and an error satisfying errors.Is(err, ctx.Err()).
+func NewMaintainer(ctx context.Context, sub *core.Substrate, opts Options) (*Maintainer, error) {
+	if err := CheckMaintainerOptions(opts); err != nil {
 		return nil, err
 	}
-	res, err := DiscoverContext(ctx, rel, ont, opts)
+	rel := sub.Relation()
+	res, err := DiscoverContext(ctx, rel, sub.Verifier().Ontology(), opts)
 	if err != nil {
 		return nil, err
 	}
-	return buildFromCover(ctx, rel, ont, res.OFDs, opts)
-}
-
-// NewMaintainerFromCover builds a maintainer around an already-known
-// minimal cover — the snapshot-restore path — skipping the initial
-// discovery entirely. The cover must be the exact minimal synonym-OFD
-// cover of the instance (a saved maintainer's Cover() qualifies; the
-// border build panics on a non-cover, exactly as a corrupted live
-// maintainer would). Tracker and border state is deterministic given the
-// instance and the cover, so the rebuilt maintainer's Cover() and diffs
-// are byte-identical to the saved one's.
-func NewMaintainerFromCover(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, cover core.Set, opts Options) (*Maintainer, error) {
-	if err := checkMaintainerOptions(opts); err != nil {
+	mt := &Maintainer{
+		sub:     sub,
+		workers: opts.Workers,
+		stats:   opts.Stats,
+		all:     rel.Schema().All(),
+		rhs:     make([]*rhsState, rel.NumCols()),
+	}
+	w := exec.Workers(opts.Workers)
+	span := mt.stats.Span("maintain.build")
+	span.Workers(w)
+	defer span.End()
+	for c := 0; c < rel.NumCols(); c++ {
+		mt.rhs[c] = &rhsState{rhs: c}
+	}
+	cover := res.OFDs
+	// Full class trackers for every cover element, built in parallel (each
+	// tracker is self-contained) against the substrate's verifier — cover
+	// and border antecedents overlap heavily, so cached subset products
+	// compound across the whole build and stay warm for the first batch's
+	// repair pass.
+	trackers := make([]*coverTracker, len(cover))
+	err = exec.For(ctx, len(cover), w, func(_, i int) {
+		trackers[i] = newCoverTrackerParts(mt.sub.Verifier(), cover[i])
+	})
+	if err != nil {
 		return nil, err
 	}
-	return buildFromCover(ctx, rel, ont, cover, opts)
+	span.Items(len(cover))
+	for i, d := range cover {
+		mt.rhs[d.RHS].cover = append(mt.rhs[d.RHS].cover, trackers[i])
+	}
+	for _, rs := range mt.rhs {
+		sortCoverTrackers(rs.cover)
+		rs.trans = fd.MinimalHittingSets(lhsSets(rs.cover))
+		if err := mt.buildBorder(ctx, rs, nil); err != nil {
+			return nil, err
+		}
+		span.Items(len(rs.border))
+	}
+	mt.acquireOverlays()
+	mt.rebuildFlat()
+	return mt, nil
 }
 
-// checkMaintainerOptions rejects configurations the incremental argument
-// is not sound for (see the Maintainer doc comment).
-func checkMaintainerOptions(opts Options) error {
+// CheckMaintainerOptions rejects configurations the incremental argument
+// is not sound for (see the Maintainer doc comment). NewMaintainer runs
+// it first; callers that build a substrate for the maintainer run it
+// before that build, so a rejected configuration costs nothing.
+func CheckMaintainerOptions(opts Options) error {
 	if opts.Mode != ModeSynonym {
 		return fmt.Errorf("discovery: maintainer supports synonym OFDs only")
 	}
@@ -197,99 +204,19 @@ func checkMaintainerOptions(opts Options) error {
 	return nil
 }
 
-// buildFromCover is the shared tail of maintainer construction: given the
-// minimal cover (freshly discovered or restored), build the full tracker
-// and border state.
-func buildFromCover(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, initial core.Set, opts Options) (*Maintainer, error) {
-	mt := &Maintainer{
-		rel:     rel,
-		workers: opts.Workers,
-		stats:   opts.Stats,
-		all:     rel.Schema().All(),
-		rhs:     make([]*rhsState, rel.NumCols()),
-	}
-	if opts.Verifier != nil {
-		// Pipeline mode: one partition-cache-backed verifier shared across
-		// the maintainer, the monitor, and the repair search — one names
-		// table, one cache, no per-batch verifier rebuilds.
-		mt.v = opts.Verifier
-		mt.pv = opts.Verifier
-	} else {
-		// Standalone mode mirrors the pipeline's substrate instead of
-		// rebuilding it per batch: one long-lived byte-budgeted partition
-		// cache (opts.Cache when the caller restored a snapshot-consistent
-		// one) with a live overlay registry installed as its miss provider,
-		// and one verifier on top serving both tracker maintenance and
-		// repair verification. Quiet columns' partitions now survive across
-		// batches — invalidateTouched evicts exactly the rewritten sets, row
-		// stamps age out pre-append entries, and the budget's cost-model
-		// eviction bounds residency.
-		bpc := opts.Cache
-		if bpc == nil {
-			bpc = relation.NewPartitionCacheParallel(rel, opts.Workers)
-			if opts.RepairCacheBudget == 0 {
-				bpc.SetBudget(DefaultRepairCacheBudget)
-			}
-		}
-		switch {
-		case opts.RepairCacheBudget > 0:
-			bpc.SetBudget(opts.RepairCacheBudget)
-		case opts.RepairCacheBudget < 0:
-			bpc.SetBudget(0)
-		}
-		reg := live.NewOverlays(rel, bpc)
-		bpc.SetOverlayProvider(reg)
-		v := core.NewVerifier(rel, ont, bpc)
-		mt.v, mt.pv, mt.overlays = v, v, reg
-	}
-	w := exec.Workers(opts.Workers)
-	span := mt.stats.Span("maintain.build")
-	span.Workers(w)
-	defer span.End()
-	for c := 0; c < rel.NumCols(); c++ {
-		mt.rhs[c] = &rhsState{rhs: c}
-	}
-	cover := initial.Clone()
-	cover.Sort()
-	// Full class trackers for every cover element, built in parallel (each
-	// tracker is self-contained) against the persistent partition-backed
-	// verifier — cover and border antecedents overlap heavily, so cached
-	// subset products compound across the whole build and stay warm for
-	// the first batch's repair pass.
-	pv := mt.pv
-	trackers := make([]*coverTracker, len(cover))
-	err := exec.For(ctx, len(cover), w, func(_, i int) {
-		trackers[i] = newCoverTrackerParts(pv, mt.v, cover[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	span.Items(len(cover))
-	for i, d := range cover {
-		mt.rhs[d.RHS].cover = append(mt.rhs[d.RHS].cover, trackers[i])
-	}
+// acquireOverlays references the overlays the maintainer keeps consulting:
+// one per cover element and one per single column, so appends key-route
+// into them instead of forcing partition rebuilds.
+func (mt *Maintainer) acquireOverlays() {
+	reg := mt.sub.Overlays()
 	for _, rs := range mt.rhs {
-		sortCoverTrackers(rs.cover)
-		rs.trans = fd.MinimalHittingSets(lhsSets(rs.cover))
-		if err := mt.buildBorder(ctx, pv, rs, nil); err != nil {
-			return nil, err
-		}
-		span.Items(len(rs.border))
-	}
-	if opts.Verifier == nil {
-		// Reference the overlays the standalone maintainer keeps consulting
-		// (the pipeline acquires these itself for its registry): one per
-		// cover element and one per single column, so appends key-route into
-		// them instead of forcing partition rebuilds.
-		for _, d := range cover {
-			mt.overlays.Acquire(d.LHS)
-		}
-		for c := 0; c < rel.NumCols(); c++ {
-			mt.overlays.Acquire(relation.EmptySet.With(c))
+		for _, ct := range rs.cover {
+			reg.Acquire(ct.d.LHS)
 		}
 	}
-	mt.rebuildFlat()
-	return mt, nil
+	for c := 0; c < mt.sub.Relation().NumCols(); c++ {
+		reg.Acquire(relation.EmptySet.With(c))
+	}
 }
 
 // sortCoverTrackers orders trackers canonically (length, then bit
@@ -319,7 +246,7 @@ func lhsSets(cover []*coverTracker) []relation.AttrSet {
 // cover element, so its complement contains none — and the defensive
 // check turns a violated invariant into a panic rather than silent
 // cover corruption.
-func (mt *Maintainer) buildBorder(ctx context.Context, pv *core.Verifier, rs *rhsState, keep map[relation.AttrSet]*witnessTracker) error {
+func (mt *Maintainer) buildBorder(ctx context.Context, rs *rhsState, keep map[relation.AttrSet]*witnessTracker) error {
 	space := mt.all.Without(rs.rhs)
 	rs.border = make([]*witnessTracker, len(rs.trans))
 	var scanIdx []int
@@ -334,10 +261,10 @@ func (mt *Maintainer) buildBorder(ctx context.Context, pv *core.Verifier, rs *rh
 	err := exec.For(ctx, len(scanIdx), exec.Workers(mt.workers), func(_, k int) {
 		i := scanIdx[k]
 		d := core.OFD{LHS: space.Minus(rs.trans[i]), RHS: rs.rhs}
-		res := witnessScanParts(pv, d, nil)
+		res := witnessScanParts(mt.sub.Verifier(), d, nil)
 		if res.valid {
 			panic(fmt.Sprintf("discovery: border node %v is valid; cover for attribute %d is not a cover",
-				d.LHS.Format(mt.rel.Schema()), rs.rhs))
+				d.LHS.Format(mt.sub.Relation().Schema()), rs.rhs))
 		}
 		rs.border[i] = newWitnessTracker(d, res.witKey, res.witSize, res.witVals)
 	})
@@ -374,13 +301,13 @@ func (mt *Maintainer) Cover() core.Set {
 func (mt *Maintainer) Epoch() uint64 { return mt.epoch }
 
 // NumRows returns the maintained relation's current row count.
-func (mt *Maintainer) NumRows() int { return mt.rel.NumRows() }
+func (mt *Maintainer) NumRows() int { return mt.sub.Relation().NumRows() }
 
 // Relation returns the maintained relation.
-func (mt *Maintainer) Relation() *relation.Relation { return mt.rel }
+func (mt *Maintainer) Relation() *relation.Relation { return mt.sub.Relation() }
 
 // Ontology returns the maintainer's ontology.
-func (mt *Maintainer) Ontology() *ontology.Ontology { return mt.v.Ontology() }
+func (mt *Maintainer) Ontology() *ontology.Ontology { return mt.sub.Verifier().Ontology() }
 
 // Scans returns the cumulative number of full candidate verifications the
 // maintainer has performed since construction (the work a fresh discovery
@@ -410,14 +337,16 @@ func (mt *Maintainer) KernelStats() (traversals, probes int64) {
 	return mt.walks, mt.walks
 }
 
-// RepairCache returns the persistent partition cache repair verification
-// runs on (the pipeline's shared cache, or the standalone maintainer's
-// private budgeted one). Callers snapshot it alongside the maintainer so
-// a reopened maintainer starts warm, and read Stats() for cross-batch
-// hit/miss/byte counters.
+// RepairCache returns the substrate's partition cache, which repair
+// verification reuses across batches. Callers snapshot it alongside the
+// maintainer so a reopened maintainer starts warm, and read Stats() for
+// cross-batch hit/miss/byte counters.
 func (mt *Maintainer) RepairCache() *relation.PartitionCache {
-	return mt.pv.Partitions()
+	return mt.sub.Cache()
 }
+
+// Substrate returns the live substrate the maintainer runs on.
+func (mt *Maintainer) Substrate() *core.Substrate { return mt.sub }
 
 // ApplyBatch applies a batch of cell updates and returns the cover diff.
 // See ApplyBatchContext.
@@ -435,8 +364,9 @@ func (mt *Maintainer) ApplyBatch(updates []core.CellUpdate) (Diff, error) {
 // cell's current value are dropped, and an all-no-op batch returns an
 // empty diff at the current epoch without touching any state.
 func (mt *Maintainer) ApplyBatchContext(ctx context.Context, updates []core.CellUpdate) (Diff, error) {
+	rel, v := mt.sub.Relation(), mt.sub.Verifier()
 	for _, u := range updates {
-		if u.Row < 0 || u.Row >= mt.rel.NumRows() || u.Col < 0 || u.Col >= mt.rel.NumCols() {
+		if u.Row < 0 || u.Row >= rel.NumRows() || u.Col < 0 || u.Col >= rel.NumCols() {
 			return Diff{}, fmt.Errorf("discovery: cell (%d,%d) out of range", u.Row, u.Col)
 		}
 	}
@@ -449,35 +379,14 @@ func (mt *Maintainer) ApplyBatchContext(ctx context.Context, updates []core.Cell
 	dirtySpan.Workers(w)
 	// Last-write-wins dedup to one effective write per cell, keeping the
 	// pre-batch value for rollback.
-	if mt.pending == nil {
-		mt.pending = make(map[int64]int, len(updates))
-	}
-	clear(mt.pending)
-	mt.writes = mt.writes[:0]
-	for _, u := range updates {
-		id := mt.rel.Dict(u.Col).Intern(u.Value)
-		key := int64(u.Row)<<32 | int64(u.Col)
-		if k, ok := mt.pending[key]; ok {
-			mt.writes[k].New = id
-			continue
-		}
-		mt.pending[key] = len(mt.writes)
-		mt.writes = append(mt.writes, cellWrite{Row: u.Row, Col: u.Col, Old: mt.rel.Value(u.Row, u.Col), New: id})
-	}
-	eff := 0
-	var touched relation.AttrSet
-	for _, wr := range mt.writes {
-		if wr.New == wr.Old {
-			continue
-		}
-		mt.writes[eff] = wr
-		eff++
-		touched = touched.With(wr.Col)
-	}
-	mt.writes = mt.writes[:eff]
-	if eff == 0 {
+	mt.writes = mt.log.Fold(rel, updates)
+	if len(mt.writes) == 0 {
 		dirtySpan.End()
 		return Diff{Epoch: mt.epoch}, nil
+	}
+	var touched relation.AttrSet
+	for _, wr := range mt.writes {
+		touched = touched.With(wr.Col)
 	}
 	sort.Slice(mt.writes, func(i, j int) bool {
 		if mt.writes[i].Row != mt.writes[j].Row {
@@ -491,12 +400,12 @@ func (mt *Maintainer) ApplyBatchContext(ctx context.Context, updates []core.Cell
 	// require per-tracker undo logs; cancellation lands on the boundaries
 	// around it instead.
 	for _, wr := range mt.writes {
-		mt.rel.SetValue(wr.Row, wr.Col, wr.New)
+		rel.SetValue(wr.Row, wr.Col, wr.New)
 	}
 	mt.invalidateTouched(touched)
 	active := mt.activeTrackers(touched)
 	_ = exec.For(context.Background(), len(active), w, func(_, i int) {
-		active[i].applyWrites(mt.rel, mt.v, mt.writes)
+		active[i].applyWrites(rel, v, mt.writes)
 	})
 	dirtySpan.End()
 	rollback := func() {
@@ -510,11 +419,11 @@ func (mt *Maintainer) ApplyBatchContext(ctx context.Context, updates []core.Cell
 		// exists.
 		inv := make([]cellWrite, len(mt.writes))
 		for k, wr := range mt.writes {
-			mt.rel.SetValue(wr.Row, wr.Col, wr.Old)
+			rel.SetValue(wr.Row, wr.Col, wr.Old)
 			inv[k] = cellWrite{Row: wr.Row, Col: wr.Col, Old: wr.New, New: wr.Old}
 		}
 		_ = exec.For(context.Background(), len(active), w, func(_, i int) {
-			active[i].applyWrites(mt.rel, mt.v, inv)
+			active[i].applyWrites(rel, v, inv)
 		})
 		mt.invalidateTouched(touched)
 		mt.clearPendings()
@@ -532,19 +441,9 @@ func (mt *Maintainer) ApplyBatchContext(ctx context.Context, updates []core.Cell
 // intersecting overlays. Everything untouched survives to the next
 // batch's repair pass.
 func (mt *Maintainer) invalidateTouched(touched relation.AttrSet) {
-	if mt.pv != nil {
-		mt.pv.Partitions().InvalidateTouched(touched)
-	}
-	if mt.overlays != nil {
-		mt.overlays.InvalidateTouched(touched)
-	}
+	mt.sub.Cache().InvalidateTouched(touched)
+	mt.sub.Overlays().InvalidateTouched(touched)
 }
-
-// SetOverlays connects the pipeline's live overlay registry: the
-// maintainer keeps it consistent across batches (staleness on updates,
-// routing on appends, refcounts on cover churn). Call once, right after
-// construction, before any batch.
-func (mt *Maintainer) SetOverlays(reg *live.Overlays) { mt.overlays = reg }
 
 // LastWrites returns the effective (deduplicated, no-op-free) cell writes
 // of the most recent successfully applied batch, sorted by (row, col) —
@@ -588,9 +487,10 @@ func (mt *Maintainer) AppendRow(row []string) (Diff, error) {
 // for the whole batch instead of once per row, and the resulting cover
 // is identical to appending the rows one at a time.
 func (mt *Maintainer) AppendRows(rows [][]string) (Diff, error) {
+	rel, v := mt.sub.Relation(), mt.sub.Verifier()
 	for _, row := range rows {
-		if len(row) != mt.rel.NumCols() {
-			return Diff{}, fmt.Errorf("discovery: append of %d cells into %d attributes", len(row), mt.rel.NumCols())
+		if len(row) != rel.NumCols() {
+			return Diff{}, fmt.Errorf("discovery: append of %d cells into %d attributes", len(row), rel.NumCols())
 		}
 	}
 	if len(rows) == 0 {
@@ -603,28 +503,24 @@ func (mt *Maintainer) AppendRows(rows [][]string) (Diff, error) {
 	dirtySpan.Items(len(rows))
 	w := exec.Workers(mt.workers)
 	dirtySpan.Workers(w)
-	t0 := int32(mt.rel.NumRows())
+	t0 := int32(rel.NumRows())
 	for _, row := range rows {
-		mt.rel.AppendRow(row)
+		rel.AppendRow(row)
 	}
-	end := int32(mt.rel.NumRows())
-	if mt.pv != nil {
-		// Every resident cache entry now trails the relation's row count.
-		// Lookup already refuses them; dropping them outright keeps dead
-		// partitions from holding the byte budget hostage across batches.
-		mt.pv.Partitions().InvalidateStale()
-	}
+	end := int32(rel.NumRows())
+	// Every resident cache entry now trails the relation's row count.
+	// Lookup already refuses them; dropping them outright keeps dead
+	// partitions from holding the byte budget hostage across batches.
+	mt.sub.Cache().InvalidateStale()
 	_ = exec.For(context.Background(), len(mt.flat), w, func(_, i int) {
 		for t := t0; t < end; t++ {
-			mt.flat[i].appendRow(mt.rel, mt.v, t)
+			mt.flat[i].appendRow(rel, v, t)
 		}
 	})
-	if mt.overlays != nil {
-		// Live overlays absorb the rows by key routing, so the verify
-		// phase's (and the monitor's) partition lookups materialize them
-		// instead of recomputing products over the grown relation.
-		mt.overlays.RouteAppends(int(t0), int(end))
-	}
+	// Live overlays absorb the rows by key routing, so the verify phase's
+	// (and the monitor's) partition lookups materialize them instead of
+	// recomputing products over the grown relation.
+	mt.sub.Overlays().RouteAppends(int(t0), int(end))
 	mt.writes = mt.writes[:0] // appends produce no write log
 	dirtySpan.End()
 	return mt.verifyAndCommit(context.Background(), relation.EmptySet, true, nil)
@@ -645,13 +541,11 @@ type stagedRHS struct {
 func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.AttrSet, hasAppend bool, rollback func()) (Diff, error) {
 	verifySpan := mt.stats.Span("maintain.verify")
 	verifySpan.Workers(exec.Workers(mt.workers))
-	// Repair verification runs on the maintainer's persistent partition-
-	// backed verifier over the post-batch instance — the pipeline's shared
-	// one, or the standalone substrate buildFromCover installed. Its cache
-	// stays valid across batches because invalidateTouched evicted the
-	// rewritten sets and row stamps age out pre-append entries, so only the
-	// touched slice of the partition lattice is repaid per batch.
-	pv := mt.pv
+	// Repair verification runs on the substrate's verifier over the
+	// post-batch instance. Its cache stays valid across batches because
+	// invalidateTouched evicted the rewritten sets and row stamps age out
+	// pre-append entries, so only the touched slice of the partition
+	// lattice is repaid per batch.
 	type flip struct {
 		rs         *rhsState
 		survivors  []relation.AttrSet
@@ -673,7 +567,7 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 		}
 		var triggered []*witnessTracker
 		for _, wt := range rs.border {
-			if !wt.violating(mt.v) {
+			if !wt.violating(mt.sub.Verifier()) {
 				triggered = append(triggered, wt)
 			}
 		}
@@ -745,8 +639,8 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 	mt.walks += int64(scans - refined)
 	// Commit — uncancellable: the batch's writes are already in, every
 	// remaining effect is deterministic bookkeeping.
-	diffSpan := mt.stats.Span("maintain.diff")
-	defer diffSpan.End()
+	commitSpan := mt.stats.Span("maintain.commit")
+	defer commitSpan.End()
 	var diff Diff
 	for _, st := range staged {
 		rs := mt.rhs[st.rhs]
@@ -760,15 +654,11 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 		}
 		for _, x := range added {
 			diff.Added = append(diff.Added, core.OFD{LHS: x, RHS: st.rhs})
-			if mt.overlays != nil {
-				mt.overlays.Acquire(x)
-			}
+			mt.sub.Overlays().Acquire(x)
 		}
 		for _, x := range removed {
 			diff.Removed = append(diff.Removed, core.OFD{LHS: x, RHS: st.rhs})
-			if mt.overlays != nil {
-				mt.overlays.Release(x)
-			}
+			mt.sub.Overlays().Release(x)
 		}
 		// New cover tracker list: surviving elements keep their state, new
 		// elements are built fresh in parallel.
@@ -788,7 +678,7 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 		newCover := st.newCover
 		_ = exec.For(context.Background(), len(buildIdx), exec.Workers(mt.workers), func(_, k int) {
 			i := buildIdx[k]
-			next[i] = newCoverTrackerParts(pv, mt.v, core.OFD{LHS: newCover[i], RHS: st.rhs})
+			next[i] = newCoverTrackerParts(mt.sub.Verifier(), core.OFD{LHS: newCover[i], RHS: st.rhs})
 		})
 		rs.cover = next
 		// Transversals: pure additions extend incrementally (one Berge
@@ -809,8 +699,8 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 		// Uncancellable by the same commit contract; exec.For on a
 		// background context cannot fail, and buildBorder's only error
 		// path is context cancellation.
-		_ = mt.buildBorder(context.Background(), pv, rs, keep)
-		diffSpan.Items(len(added) + len(removed))
+		_ = mt.buildBorder(context.Background(), rs, keep)
+		commitSpan.Items(len(added) + len(removed))
 	}
 	if len(diff.Added) > 0 || len(diff.Removed) > 0 {
 		mt.rebuildFlat()

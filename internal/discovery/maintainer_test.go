@@ -13,6 +13,15 @@ import (
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
+// newMaintainer builds a standalone maintainer on a substrate of its own.
+func newMaintainer(rel *relation.Relation, ont *ontology.Ontology, opts Options) (*Maintainer, error) {
+	sub, err := core.NewSubstrate(context.Background(), rel, ont, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return NewMaintainer(context.Background(), sub, opts)
+}
+
 // streamOp is one step of a synthetic update stream: a batch of cell
 // updates, an appended row, or both.
 type streamOp struct {
@@ -91,7 +100,7 @@ func TestMaintainerMatchesFreshDiscover(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Workers = w
 			var err error
-			mts[k], err = NewMaintainer(rel.Clone(), ont, opts)
+			mts[k], err = newMaintainer(rel.Clone(), ont, opts)
 			if err != nil {
 				t.Fatalf("trial %d: NewMaintainer(workers=%d): %v", trial, w, err)
 			}
@@ -106,10 +115,10 @@ func TestMaintainerMatchesFreshDiscover(t *testing.T) {
 					first, firstDiff = got, diff
 					opts := DefaultOptions()
 					opts.Workers = workerSweep[k]
-					want := Discover(mt.rel, ont, opts).OFDs
+					want := Discover(mt.Relation(), ont, opts).OFDs
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("trial %d batch %d: maintained cover diverged from fresh discovery\n got: %v\nwant: %v\nrows: %v",
-							trial, b, got, want, mt.rel.Rows())
+							trial, b, got, want, mt.Relation().Rows())
 					}
 					continue
 				}
@@ -138,7 +147,7 @@ func TestMaintainerOnGeneratedWorkload(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Workers = 2
-	mt, err := NewMaintainer(sub.Clone(), ds.FullOnt, opts)
+	mt, err := newMaintainer(sub.Clone(), ds.FullOnt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +170,7 @@ func TestMaintainerOnGeneratedWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := mt.Cover()
-		want := Discover(mt.rel, ds.FullOnt, DefaultOptions()).OFDs
+		want := Discover(mt.Relation(), ds.FullOnt, DefaultOptions()).OFDs
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("batch %d: cover diverged\n got: %v\nwant: %v", b, got, want)
 		}
@@ -176,11 +185,11 @@ func TestMaintainerAppendRowsBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 10; trial++ {
 		rel, ont := randomInstance(rng)
-		batched, err := NewMaintainer(rel.Clone(), ont, DefaultOptions())
+		batched, err := newMaintainer(rel.Clone(), ont, DefaultOptions())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		single, err := NewMaintainer(rel.Clone(), ont, DefaultOptions())
+		single, err := newMaintainer(rel.Clone(), ont, DefaultOptions())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -204,7 +213,7 @@ func TestMaintainerAppendRowsBatchEquivalence(t *testing.T) {
 		if want := single.Cover(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: batched append cover differs from row-at-a-time\n got: %v\nwant: %v", trial, got, want)
 		}
-		if want := Discover(batched.rel, ont, DefaultOptions()).OFDs; !reflect.DeepEqual(got, want) {
+		if want := Discover(batched.Relation(), ont, DefaultOptions()).OFDs; !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: batched append cover diverged from fresh discovery\n got: %v\nwant: %v", trial, got, want)
 		}
 	}
@@ -220,7 +229,7 @@ func TestMaintainerRejectsUnsupportedOptions(t *testing.T) {
 		{MaxLevel: 3},
 	}
 	for _, opts := range bad {
-		if _, err := NewMaintainer(rel, ont, opts); err == nil {
+		if _, err := newMaintainer(rel, ont, opts); err == nil {
 			t.Errorf("NewMaintainer accepted unsupported options %+v", opts)
 		}
 	}
@@ -237,11 +246,11 @@ func TestMaintainerCancellationRollsBack(t *testing.T) {
 		rel, ont := randomInstance(rng)
 		opts := DefaultOptions()
 		opts.Workers = 2
-		mt, err := NewMaintainer(rel.Clone(), ont, opts)
+		mt, err := newMaintainer(rel.Clone(), ont, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream := randomStream(rng, mt.rel, 4, 4)
+		stream := randomStream(rng, mt.Relation(), 4, 4)
 		for b, op := range stream {
 			// A batch whose writes all restate current values returns
 			// before the cancellation point (no state to roll back); the
@@ -252,7 +261,7 @@ func TestMaintainerCancellationRollsBack(t *testing.T) {
 			}
 			effective := false
 			for cell, val := range final {
-				if mt.rel.String(cell[0], cell[1]) != val {
+				if mt.Relation().String(cell[0], cell[1]) != val {
 					effective = true
 					break
 				}
@@ -262,7 +271,7 @@ func TestMaintainerCancellationRollsBack(t *testing.T) {
 			}
 			coverBefore := mt.Cover()
 			epochBefore := mt.Epoch()
-			rowsBefore := mt.rel.Rows()
+			rowsBefore := mt.Relation().Rows()
 			cancelled, cancel := context.WithCancel(context.Background())
 			cancel()
 			if _, err := mt.ApplyBatchContext(cancelled, op.updates); err == nil {
@@ -274,7 +283,7 @@ func TestMaintainerCancellationRollsBack(t *testing.T) {
 			if mt.Epoch() != epochBefore {
 				t.Fatalf("trial %d batch %d: epoch advanced across rollback", trial, b)
 			}
-			if got := mt.rel.Rows(); !reflect.DeepEqual(got, rowsBefore) {
+			if got := mt.Relation().Rows(); !reflect.DeepEqual(got, rowsBefore) {
 				t.Fatalf("trial %d batch %d: relation changed across rollback", trial, b)
 			}
 			// Now land the same batch for real and re-verify equivalence:
@@ -282,10 +291,10 @@ func TestMaintainerCancellationRollsBack(t *testing.T) {
 			// a divergence here or on a later batch.
 			applyOp(t, mt, op)
 			got := mt.Cover()
-			want := Discover(mt.rel, ont, DefaultOptions()).OFDs
+			want := Discover(mt.Relation(), ont, DefaultOptions()).OFDs
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d batch %d: post-rollback cover diverged\n got: %v\nwant: %v\nrows: %v",
-					trial, b, got, want, mt.rel.Rows())
+					trial, b, got, want, mt.Relation().Rows())
 			}
 		}
 	}
@@ -306,7 +315,7 @@ func TestMaintainerInvalidationReopensPrunedSupersets(t *testing.T) {
 		t.Fatal(err)
 	}
 	ont := ontology.New() // empty ontology: synonym OFDs degenerate to FDs
-	mt, err := NewMaintainer(rel, ont, DefaultOptions())
+	mt, err := newMaintainer(rel, ont, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +337,7 @@ func TestMaintainerInvalidationReopensPrunedSupersets(t *testing.T) {
 		t.Fatalf("diff did not re-open pruned superset AB->C: %+v", diff)
 	}
 	got := mt.Cover()
-	want := Discover(mt.rel, ont, DefaultOptions()).OFDs
+	want := Discover(mt.Relation(), ont, DefaultOptions()).OFDs
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("cover diverged after flip\n got: %v\nwant: %v", got, want)
 	}
@@ -349,7 +358,7 @@ func TestMaintainerPromotionDescendsToMinimal(t *testing.T) {
 		t.Fatal(err)
 	}
 	ont := ontology.New()
-	mt, err := NewMaintainer(rel, ont, DefaultOptions())
+	mt, err := newMaintainer(rel, ont, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +376,7 @@ func TestMaintainerPromotionDescendsToMinimal(t *testing.T) {
 		t.Fatalf("promotion did not surface minimal A->C: %+v", diff)
 	}
 	got := mt.Cover()
-	want := Discover(mt.rel, ont, DefaultOptions()).OFDs
+	want := Discover(mt.Relation(), ont, DefaultOptions()).OFDs
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("cover diverged after promotion\n got: %v\nwant: %v", got, want)
 	}
@@ -377,7 +386,7 @@ func TestMaintainerPromotionDescendsToMinimal(t *testing.T) {
 // and no-op batches (empty, or rewriting current values) advance nothing.
 func TestMaintainerEpochAndEmptyBatches(t *testing.T) {
 	rel, ont := randomInstance(rand.New(rand.NewSource(8)))
-	mt, err := NewMaintainer(rel.Clone(), ont, DefaultOptions())
+	mt, err := newMaintainer(rel.Clone(), ont, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,5 +405,52 @@ func TestMaintainerEpochAndEmptyBatches(t *testing.T) {
 	}
 	if _, err := mt.ApplyBatch([]core.CellUpdate{{Row: -1, Col: 0, Value: "x"}}); err == nil {
 		t.Fatal("out-of-range update accepted")
+	}
+}
+
+// TestMaintainerLastWritesDedup: a batch with repeated cells and
+// value-preserving writes leaves LastWrites holding one last-write-wins
+// entry per changed cell, with no no-ops, sorted by (row, col).
+func TestMaintainerLastWritesDedup(t *testing.T) {
+	schema := relation.MustSchema("A", "B", "C")
+	rel, err := relation.FromRows(schema, [][]string{
+		{"a1", "b1", "c1"},
+		{"a1", "b2", "c1"},
+		{"a2", "b1", "c3"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mt, err := newMaintainer(rel, ontology.New(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := func(r, c int) relation.Value { return rel.Value(r, c) }
+	want := []core.CellWrite{
+		{Row: 0, Col: 2, Old: old(0, 2)},
+		{Row: 2, Col: 0, Old: old(2, 0)},
+		{Row: 2, Col: 1, Old: old(2, 1)},
+	}
+	batch := []core.CellUpdate{
+		{Row: 2, Col: 1, Value: "b9"},
+		{Row: 1, Col: 0, Value: "a1"}, // current value: no-op
+		{Row: 2, Col: 0, Value: "a7"},
+		{Row: 0, Col: 2, Value: "c8"},
+		{Row: 1, Col: 1, Value: "b5"},
+		{Row: 2, Col: 1, Value: "b1"}, // back to the current value: no-op
+		{Row: 2, Col: 1, Value: "b6"}, // last write wins
+		{Row: 1, Col: 1, Value: "b2"}, // back to the current value: no-op
+	}
+	if _, err := mt.ApplyBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	for k := range want {
+		want[k].New = rel.Value(want[k].Row, want[k].Col)
+	}
+	if s := rel.String(2, 1); s != "b6" {
+		t.Fatalf("cell (2,1) = %q after the batch, want the last write b6", s)
+	}
+	if got := mt.LastWrites(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("LastWrites = %+v, want %+v", got, want)
 	}
 }

@@ -29,7 +29,7 @@ func TestMaintainerSerialParallelRepairEquivalence(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Workers = workers
 			var err error
-			mts[k], err = NewMaintainer(rel.Clone(), ont, opts)
+			mts[k], err = newMaintainer(rel.Clone(), ont, opts)
 			if err != nil {
 				t.Fatalf("trial %d: NewMaintainer(Workers=%d): %v", trial, workers, err)
 			}
@@ -42,7 +42,7 @@ func TestMaintainerSerialParallelRepairEquivalence(t *testing.T) {
 				got := mt.Cover()
 				if k == 0 {
 					first, firstDiff = got, diff
-					want := Discover(mt.rel, ont, DefaultOptions()).OFDs
+					want := Discover(mt.Relation(), ont, DefaultOptions()).OFDs
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("trial %d batch %d: serial cover diverged from fresh discovery\n got: %v\nwant: %v",
 							trial, b, got, want)
@@ -74,11 +74,11 @@ func TestMaintainerMidRepairCancellation(t *testing.T) {
 		rel, ont := randomInstance(rng)
 		opts := DefaultOptions()
 		opts.Workers = 2
-		mt, err := NewMaintainer(rel.Clone(), ont, opts)
+		mt, err := newMaintainer(rel.Clone(), ont, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stream := randomStream(rng, mt.rel, 4, 4)
+		stream := randomStream(rng, mt.Relation(), 4, 4)
 		polls := []int{1, 2, 3, 5, 8}
 		for b, op := range stream {
 			if len(op.updates) == 0 {
@@ -86,7 +86,7 @@ func TestMaintainerMidRepairCancellation(t *testing.T) {
 			}
 			coverBefore := mt.Cover()
 			epochBefore := mt.Epoch()
-			rowsBefore := mt.rel.Rows()
+			rowsBefore := mt.Relation().Rows()
 			before := runtime.NumGoroutine()
 			_, err := mt.ApplyBatchContext(newCancelAfterPolls(polls[b%len(polls)]), op.updates)
 			if err != nil {
@@ -100,12 +100,12 @@ func TestMaintainerMidRepairCancellation(t *testing.T) {
 				if mt.Epoch() != epochBefore {
 					t.Fatalf("trial %d batch %d: epoch advanced across cancelled repair", trial, b)
 				}
-				if got := mt.rel.Rows(); !reflect.DeepEqual(got, rowsBefore) {
+				if got := mt.Relation().Rows(); !reflect.DeepEqual(got, rowsBefore) {
 					t.Fatalf("trial %d batch %d: relation changed across cancelled repair", trial, b)
 				}
 				// Post-cancel Discover identity: the restored instance still
 				// yields exactly the maintained cover.
-				if want := Discover(mt.rel, ont, DefaultOptions()).OFDs; !reflect.DeepEqual(coverBefore, want) {
+				if want := Discover(mt.Relation(), ont, DefaultOptions()).OFDs; !reflect.DeepEqual(coverBefore, want) {
 					t.Fatalf("trial %d batch %d: post-cancel discovery diverged\n got: %v\nwant: %v",
 						trial, b, coverBefore, want)
 				}
@@ -116,7 +116,7 @@ func TestMaintainerMidRepairCancellation(t *testing.T) {
 			// a later batch.
 			applyOp(t, mt, op)
 			got := mt.Cover()
-			want := Discover(mt.rel, ont, DefaultOptions()).OFDs
+			want := Discover(mt.Relation(), ont, DefaultOptions()).OFDs
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d batch %d: post-cancellation cover diverged\n got: %v\nwant: %v",
 					trial, b, got, want)

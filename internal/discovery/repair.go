@@ -101,7 +101,7 @@ func (r *repairer) oracleAnswer(x relation.AttrSet) (bool, bool) {
 func (r *repairer) resolve(ctx context.Context, nodes []relation.AttrSet) error {
 	verdicts := make([]bool, len(nodes))
 	err := exec.For(ctx, len(nodes), len(r.bufs), func(w, i int) {
-		verdicts[i] = r.mt.pv.HoldsSynOnePass(core.OFD{LHS: nodes[i], RHS: r.rhs}, &r.bufs[w])
+		verdicts[i] = r.mt.sub.Verifier().HoldsSynOnePass(core.OFD{LHS: nodes[i], RHS: r.rhs}, &r.bufs[w])
 	})
 	if err != nil {
 		return err
@@ -174,7 +174,7 @@ func (r *repairer) bfsUp(ctx context.Context) ([]relation.AttrSet, error) {
 	refiners := make([]*rootRefiner, len(r.demoted))
 	for i, ct := range r.demotedTrk {
 		if ct != nil {
-			refiners[i] = newRootRefiner(r.mt.v, ct)
+			refiners[i] = newRootRefiner(r.mt.sub.Verifier(), ct)
 		}
 	}
 	frontier := append([]relation.AttrSet(nil), r.demoted...)
@@ -352,7 +352,7 @@ func (r *repairer) run(ctx context.Context, triggered []*witnessTracker) ([]rela
 	}
 	wits := make([]scanResult, len(rescan))
 	err := exec.For(ctx, len(rescan), len(r.bufs), func(w, k int) {
-		wits[k] = witnessScanParts(r.mt.pv, rescan[k].d, &r.bufs[w])
+		wits[k] = witnessScanParts(r.mt.sub.Verifier(), rescan[k].d, &r.bufs[w])
 	})
 	if err != nil {
 		return nil, err

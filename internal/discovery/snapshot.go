@@ -16,10 +16,10 @@ import (
 // per-row class assignments, class sizes, consequent multisets, and
 // satisfaction flags, plus every negative-border node's pinned violating
 // class — so reopening skips both the discovery lattice walk and the
-// per-cover-element tracker construction a NewMaintainerFromCover rebuild
-// pays. The transversal list is not stored: border node i is the
-// complement of transversal i by construction, so decode derives one from
-// the other and the pair can never disagree.
+// per-cover-element tracker construction NewMaintainer pays. The
+// transversal list is not stored: border node i is the complement of
+// transversal i by construction, so decode derives one from the other and
+// the pair can never disagree.
 //
 // The encoding splits verifier-first: AppendMaintainer writes the
 // verifier's tables then the body, while the pipeline section writes one
@@ -35,7 +35,7 @@ import (
 // AppendMaintainer encodes mt, verifier tables first, then the body.
 // Must not run concurrently with mutations.
 func AppendMaintainer(w *wire.Writer, mt *Maintainer) {
-	core.AppendVerifier(w, mt.v)
+	core.AppendVerifier(w, mt.sub.Verifier())
 	AppendMaintainerBody(w, mt)
 }
 
@@ -160,48 +160,29 @@ func decodeVCList(r *wire.Reader) ([]live.ValCount, error) {
 
 // DecodeMaintainer rebuilds a standalone maintainer over rel/ont from a
 // snapshot written by AppendMaintainer: verifier tables first, then the
-// body. The restored maintainer gets the same persistent repair substrate
-// construction installs — a byte-budgeted partition cache (pc when the
-// caller restored a snapshot-consistent one, so the first batch's repair
-// starts warm; a fresh default-budget cache otherwise) with a live
-// overlay registry as its miss provider, referenced for every restored
-// cover element and single column.
+// body. The restored maintainer runs on a substrate decoded over those
+// tables (core.DecodeSubstrate) and pc — the caller's restored cache, so
+// the first batch's repair starts warm, or a fresh default-budget one when
+// nil.
 func DecodeMaintainer(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology, pc *relation.PartitionCache, workers int, stats *exec.Stats) (*Maintainer, error) {
-	if pc == nil {
-		pc = relation.NewPartitionCache(rel)
-		pc.SetBudget(DefaultRepairCacheBudget)
-	}
-	reg := live.NewOverlays(rel, pc)
-	pc.SetOverlayProvider(reg)
-	v, err := core.DecodeVerifier(r, rel, ont, pc)
+	sub, err := core.DecodeSubstrate(r, rel, ont, pc)
 	if err != nil {
 		return nil, err
 	}
-	mt, err := DecodeMaintainerBody(r, rel, v, workers, stats)
-	if err != nil {
-		return nil, err
-	}
-	mt.overlays = reg
-	for _, rs := range mt.rhs {
-		for _, ct := range rs.cover {
-			reg.Acquire(ct.d.LHS)
-		}
-	}
-	for c := 0; c < rel.NumCols(); c++ {
-		reg.Acquire(relation.EmptySet.With(c))
-	}
-	return mt, nil
+	return DecodeMaintainerBody(r, sub, workers, stats)
 }
 
-// DecodeMaintainerBody rebuilds a maintainer over rel and an already-
-// decoded verifier from a body written by AppendMaintainerBody — the
-// pipeline decodes one shared verifier and hands it to both engine body
+// DecodeMaintainerBody rebuilds a maintainer over an already-decoded
+// substrate from a body written by AppendMaintainerBody — the pipeline
+// decodes one shared substrate and hands its verifier to both engine body
 // decoders. No discovery, tracker construction, or candidate scan runs:
 // the restored state is byte-for-byte the saved trackers, so Cover() and
-// all subsequent diffs are identical to the saved maintainer's. workers
-// and stats configure the restored maintainer exactly as the
-// construction-time parameters would.
-func DecodeMaintainerBody(r *wire.Reader, rel *relation.Relation, v *core.Verifier, workers int, stats *exec.Stats) (*Maintainer, error) {
+// all subsequent diffs are identical to the saved maintainer's. Like
+// NewMaintainer, it acquires sub's overlay references for every cover
+// element and every single column. workers and stats configure the
+// restored maintainer exactly as the construction-time options would.
+func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stats *exec.Stats) (*Maintainer, error) {
+	rel := sub.Relation()
 	span := stats.Span("maintain.restore")
 	defer span.End()
 	epoch := r.Uvarint()
@@ -214,14 +195,7 @@ func DecodeMaintainerBody(r *wire.Reader, rel *relation.Relation, v *core.Verifi
 		return nil, fmt.Errorf("discovery: snapshot maintainer has %d columns, relation has %d", nCols, rel.NumCols())
 	}
 	mt := &Maintainer{
-		rel: rel,
-		v:   v,
-		// The decoded verifier is partition-cache-backed (the pipeline's
-		// shared one, or DecodeMaintainer's standalone substrate), so
-		// repair verification reuses it across batches exactly like a
-		// constructed maintainer — and invalidateTouched keeps the cache
-		// coherent from the first restored batch on.
-		pv:          v,
+		sub:         sub,
 		workers:     workers,
 		stats:       stats,
 		all:         rel.Schema().All(),
@@ -311,6 +285,7 @@ func DecodeMaintainerBody(r *wire.Reader, rel *relation.Relation, v *core.Verifi
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
+	mt.acquireOverlays()
 	mt.rebuildFlat()
 	return mt, nil
 }

@@ -85,15 +85,15 @@ func newTrackerIndex(d core.OFD) *live.ClassIndex {
 // scratch build pays for every row. Class ids follow partition order
 // instead of second-occurrence order — internal numbering only, invisible
 // outside the tracker.
-func newCoverTrackerParts(pv *core.Verifier, v *core.Verifier, d core.OFD) *coverTracker {
-	rel := pv.Relation()
+func newCoverTrackerParts(v *core.Verifier, d core.OFD) *coverTracker {
+	rel := v.Relation()
 	ct := &coverTracker{
 		d:      d,
 		cols:   d.LHS.Attrs(),
 		colSet: d.LHS.With(d.RHS),
 		ix:     newTrackerIndex(d),
 	}
-	p := pv.Partitions().Get(d.LHS)
+	p := v.Partitions().Get(d.LHS)
 	n := rel.NumRows()
 	nc := p.NumClasses()
 	ix := ct.ix

@@ -43,7 +43,7 @@ func TestPartitionBackedBuildersMatchScan(t *testing.T) {
 				d := core.OFD{LHS: lhs, RHS: rhs}
 
 				ref := newCoverTracker(rel, v, d)
-				got := newCoverTrackerParts(pv, v, d)
+				got := newCoverTrackerParts(pv, d)
 				if got.valid() != ref.valid() {
 					t.Fatalf("trial %d %v: parts valid=%v, scan valid=%v", trial, d, got.valid(), ref.valid())
 				}

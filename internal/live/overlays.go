@@ -21,10 +21,11 @@ import (
 // fresh computation (canonical class order), which the substrate tests
 // assert.
 //
-// References come from the pipeline's consumers: each monitored OFD and
-// each live cover element holds one reference on its antecedent set (plus
-// one per single column, so appends never force full single-partition
-// rebuilds). Release drops the entry at refcount zero.
+// References come from the engines on the substrate (core.Substrate),
+// each acquiring what it consults: each live cover element and each
+// monitored OFD holds one reference on its antecedent set (plus one per
+// single column, so appends never force full single-partition rebuilds).
+// Release drops the entry at refcount zero.
 //
 // Mutations (Acquire, Release, RouteAppends, InvalidateTouched) are
 // single-writer, like the engines; LiveOverlay, Offer, and OverlayBytes

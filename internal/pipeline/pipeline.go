@@ -43,15 +43,15 @@ type Options struct {
 	// returns. Requires Sigma == nil.
 	FollowCover bool
 	// Shards is the monitor's shard count (0 auto-sizes from Workers,
-	// exactly as core.NewMonitorSharded).
+	// exactly as core.NewMonitor).
 	Shards int
 	// Workers parallelizes both engines on the shared exec substrate.
 	Workers int
 	// Stats, when non-nil, receives both engines' stage stats.
 	Stats *exec.Stats
 	// Discovery configures the initial cover discovery and the maintainer
-	// (Workers/Stats/Cache/Verifier are overridden by the pipeline's
-	// shared substrate). Zero value means discovery.DefaultOptions().
+	// (Workers and Stats are overridden by the pipeline's). Nil means
+	// discovery.DefaultOptions().
 	Discovery *discovery.Options
 }
 
@@ -71,21 +71,18 @@ type BatchResult struct {
 
 // Pipeline is the merged engine pair over one shared substrate.
 type Pipeline struct {
-	rel *relation.Relation
-	pc  *relation.PartitionCache
-	reg *live.Overlays
-	v   *core.Verifier
+	sub *core.Substrate
 	mt  *discovery.Maintainer
 	m   *core.Monitor
 
 	followCover bool
 }
 
-// New builds the merged pipeline: one partition cache with the live
-// overlay registry installed as its provider, one verifier on top, the
-// maintainer (running the initial discovery) and the monitor both wired
-// to that verifier, and overlay references acquired for every monitored
-// antecedent, every cover element, and every single column.
+// New builds the merged pipeline: one substrate (core.NewSubstrate), the
+// maintainer (running the initial discovery) on it, and the monitor on
+// the substrate's verifier. The maintainer references the overlays of
+// every cover element and every single column; the pipeline adds one
+// reference per monitored antecedent, which the monitor re-routes on.
 func New(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, opts Options) (*Pipeline, error) {
 	if opts.FollowCover && opts.Sigma != nil {
 		return nil, fmt.Errorf("pipeline: FollowCover requires Sigma == nil (the cover is the monitored set)")
@@ -96,47 +93,36 @@ func New(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, op
 	}
 	dopts.Workers = opts.Workers
 	dopts.Stats = opts.Stats
+	if err := discovery.CheckMaintainerOptions(dopts); err != nil {
+		return nil, err
+	}
 
-	pc, err := relation.NewPartitionCacheContext(ctx, rel, opts.Workers)
+	sub, err := core.NewSubstrate(ctx, rel, ont, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
-	reg := live.NewOverlays(rel, pc)
-	pc.SetOverlayProvider(reg)
-	v := core.NewVerifier(rel, ont, pc)
-	dopts.Cache = pc
-	dopts.Verifier = v
-
-	mt, err := discovery.NewMaintainerContext(ctx, rel, ont, dopts)
+	mt, err := discovery.NewMaintainer(ctx, sub, dopts)
 	if err != nil {
 		return nil, err
 	}
-	mt.SetOverlays(reg)
-
 	sigma := opts.Sigma
 	if sigma == nil {
 		sigma = mt.Cover()
 	}
-	m, err := core.NewMonitorLive(ctx, rel, ont, sigma, opts.Shards, opts.Workers, opts.Stats, v)
+	m, err := core.NewMonitorLive(ctx, sub.Verifier(), sigma, opts.Shards, opts.Workers, opts.Stats)
 	if err != nil {
 		return nil, err
 	}
+	return newPipeline(sub, mt, m, opts.FollowCover), nil
+}
 
-	// Reference the live overlays the engines will keep consulting: one
-	// per cover element (tracker rebuilds on cover churn), one per
-	// monitored antecedent (re-routing), and one per single column
-	// (appends extend every single-column partition, and nearly every
-	// product starts from one).
-	for _, d := range mt.Cover() {
-		reg.Acquire(d.LHS)
+// newPipeline assembles a built or decoded engine pair and acquires the
+// monitor's overlay references: one per monitored antecedent.
+func newPipeline(sub *core.Substrate, mt *discovery.Maintainer, m *core.Monitor, followCover bool) *Pipeline {
+	for _, d := range m.Sigma() {
+		sub.Overlays().Acquire(d.LHS)
 	}
-	for _, d := range sigma {
-		reg.Acquire(d.LHS)
-	}
-	for c := 0; c < rel.NumCols(); c++ {
-		reg.Acquire(relation.EmptySet.With(c))
-	}
-	return &Pipeline{rel: rel, pc: pc, reg: reg, v: v, mt: mt, m: m, followCover: opts.FollowCover}, nil
+	return &Pipeline{sub: sub, mt: mt, m: m, followCover: followCover}
 }
 
 // ApplyBatch runs one update batch through the merged pipeline:
@@ -178,7 +164,7 @@ func (p *Pipeline) ApplyBatch(ctx context.Context, updates []core.CellUpdate) (B
 // monitor joins them under every dependency and publishes one epoch.
 func (p *Pipeline) AppendRows(rows [][]string) (BatchResult, error) {
 	start := time.Now()
-	t0 := p.rel.NumRows()
+	t0 := p.sub.Relation().NumRows()
 	diff, err := p.mt.AppendRows(rows)
 	if err != nil {
 		return BatchResult{}, err
@@ -209,10 +195,10 @@ func (p *Pipeline) followDiff(diff discovery.Diff) error {
 		if err := p.m.Unregister(d); err != nil {
 			return fmt.Errorf("pipeline: cover follow: %w", err)
 		}
-		p.reg.Release(d.LHS)
+		p.sub.Overlays().Release(d.LHS)
 	}
 	for _, d := range diff.Added {
-		p.reg.Acquire(d.LHS)
+		p.sub.Overlays().Acquire(d.LHS)
 		if err := p.m.Register(d); err != nil {
 			return fmt.Errorf("pipeline: cover follow: %w", err)
 		}
@@ -232,13 +218,13 @@ func (p *Pipeline) Monitor() *core.Monitor { return p.m }
 func (p *Pipeline) Maintainer() *discovery.Maintainer { return p.mt }
 
 // Verifier returns the shared verifier all three roles consult.
-func (p *Pipeline) Verifier() *core.Verifier { return p.v }
+func (p *Pipeline) Verifier() *core.Verifier { return p.sub.Verifier() }
 
 // Overlays returns the shared live overlay registry.
-func (p *Pipeline) Overlays() *live.Overlays { return p.reg }
+func (p *Pipeline) Overlays() *live.Overlays { return p.sub.Overlays() }
 
 // Relation returns the shared relation.
-func (p *Pipeline) Relation() *relation.Relation { return p.rel }
+func (p *Pipeline) Relation() *relation.Relation { return p.sub.Relation() }
 
 // Cover returns the maintained minimal cover (a fresh copy).
 func (p *Pipeline) Cover() core.Set { return p.mt.Cover() }
@@ -248,4 +234,4 @@ func (p *Pipeline) Report() *core.Report { return p.m.Report() }
 
 // CacheStats reports the shared partition cache's counters, including
 // overlay-resident bytes.
-func (p *Pipeline) CacheStats() relation.CacheStats { return p.pc.Stats() }
+func (p *Pipeline) CacheStats() relation.CacheStats { return p.sub.Cache().Stats() }

@@ -6,7 +6,6 @@ import (
 	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/discovery"
 	"github.com/fastofd/fastofd/internal/exec"
-	"github.com/fastofd/fastofd/internal/live"
 	"github.com/fastofd/fastofd/internal/ontology"
 	"github.com/fastofd/fastofd/internal/relation"
 	"github.com/fastofd/fastofd/internal/wire"
@@ -32,19 +31,18 @@ func Append(w *wire.Writer, p *Pipeline) {
 	} else {
 		w.Uvarint(0)
 	}
-	core.AppendVerifier(w, p.v)
+	core.AppendVerifier(w, p.sub.Verifier())
 	core.AppendMonitorBody(w, p.m)
 	discovery.AppendMaintainerBody(w, p.mt)
 }
 
 // Decode rebuilds a pipeline over rel/ont from a payload written by
 // Append. pc, when non-nil, is the restored shared partition cache
-// (snapshot-consistent with rel); nil starts an empty one. One verifier
-// is decoded and handed to both engine bodies, the overlay registry is
-// reinstalled as the cache's provider with every reference re-acquired
-// (entries start stale and rebuild on first use), and the restored
-// pipeline's reports, cover, and subsequent batches are byte-identical
-// to the saved one's.
+// (snapshot-consistent with rel); nil starts an empty one. The substrate
+// is decoded once (core.DecodeSubstrate) and both engine bodies run on
+// its verifier; every overlay reference is re-acquired (entries start
+// stale and rebuild on first use), and the restored pipeline's reports,
+// cover, and subsequent batches are byte-identical to the saved one's.
 func Decode(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology, pc *relation.PartitionCache, workers int, stats *exec.Stats) (*Pipeline, error) {
 	follow := r.Uvarint()
 	if r.Err() != nil {
@@ -53,37 +51,22 @@ func Decode(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology, pc *
 	if follow > 1 {
 		return nil, fmt.Errorf("pipeline: snapshot follow-cover flag %d", follow)
 	}
-	if pc == nil {
-		pc = relation.NewPartitionCache(rel)
-	}
-	reg := live.NewOverlays(rel, pc)
-	pc.SetOverlayProvider(reg)
-	v, err := core.DecodeVerifier(r, rel, ont, pc)
+	sub, err := core.DecodeSubstrate(r, rel, ont, pc)
 	if err != nil {
 		return nil, err
 	}
-	m, err := core.DecodeMonitorBody(r, rel, v, workers, stats)
+	m, err := core.DecodeMonitorBody(r, rel, sub.Verifier(), workers, stats)
 	if err != nil {
 		return nil, err
 	}
 	m.Relax()
-	mt, err := discovery.DecodeMaintainerBody(r, rel, v, workers, stats)
+	mt, err := discovery.DecodeMaintainerBody(r, sub, workers, stats)
 	if err != nil {
 		return nil, err
 	}
-	mt.SetOverlays(reg)
-	for _, d := range mt.Cover() {
-		reg.Acquire(d.LHS)
-	}
-	for _, d := range m.Sigma() {
-		reg.Acquire(d.LHS)
-	}
-	for c := 0; c < rel.NumCols(); c++ {
-		reg.Acquire(relation.EmptySet.With(c))
-	}
-	return &Pipeline{rel: rel, pc: pc, reg: reg, v: v, mt: mt, m: m, followCover: follow == 1}, nil
+	return newPipeline(sub, mt, m, follow == 1), nil
 }
 
 // Cache returns the shared partition cache (the snapshot layer encodes it
 // alongside the pipeline so a reopened pipeline starts warm).
-func (p *Pipeline) Cache() *relation.PartitionCache { return p.pc }
+func (p *Pipeline) Cache() *relation.PartitionCache { return p.sub.Cache() }

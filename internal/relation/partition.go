@@ -501,4 +501,3 @@ func (buf *ProductBuffer) RefineByLUT(p *Partition, lut []int32, lutClasses int)
 	out.Offsets[nc] = w
 	return out
 }
-

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -16,7 +17,11 @@ import (
 func newTestMaintainer(ds *gen.Dataset) (*discovery.Maintainer, error) {
 	opts := discovery.DefaultOptions()
 	opts.Workers = 2
-	return discovery.NewMaintainer(ds.Rel, ds.Ont, opts)
+	sub, err := core.NewSubstrate(context.Background(), ds.Rel, ds.Ont, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return discovery.NewMaintainer(context.Background(), sub, opts)
 }
 
 // reportJSON canonicalizes a report for byte-identity comparison.
@@ -98,9 +103,9 @@ func TestCacheRoundTrip(t *testing.T) {
 
 func TestMonitorReportIdentity(t *testing.T) {
 	ds := gen.Clinical(1000, 3)
-	m, err := core.NewMonitorSharded(t.Context(), ds.Rel, ds.Ont, ds.Sigma, 4, 2, nil)
+	m, err := core.NewMonitor(t.Context(), ds.Rel, ds.Ont, ds.Sigma, 4, 2, nil)
 	if err != nil {
-		t.Fatalf("NewMonitorSharded: %v", err)
+		t.Fatalf("NewMonitor: %v", err)
 	}
 	// Mutate before saving so overlays, multisets, and epoch are non-trivial.
 	appendRows := ds.CleanRel.Rows()[:50]
@@ -170,9 +175,9 @@ func TestMonitorSecondSaveRoundTrip(t *testing.T) {
 	// re-encode as-is, and the third generation must still report
 	// identically.
 	ds := gen.Clinical(400, 4)
-	m, err := core.NewMonitorSharded(t.Context(), ds.Rel, ds.Ont, ds.Sigma, 2, 1, nil)
+	m, err := core.NewMonitor(t.Context(), ds.Rel, ds.Ont, ds.Sigma, 2, 1, nil)
 	if err != nil {
-		t.Fatalf("NewMonitorSharded: %v", err)
+		t.Fatalf("NewMonitor: %v", err)
 	}
 	want := reportJSON(t, m.Report())
 	gen2 := saveOpen(t, &State{Monitor: m}, Options{})
@@ -282,9 +287,9 @@ func TestCombinedStateSharing(t *testing.T) {
 	// Monitor + maintainer + cache in one snapshot share one relation and
 	// ontology after reopen.
 	ds := gen.Clinical(300, 6)
-	m, err := core.NewMonitorSharded(t.Context(), ds.Rel, ds.Ont, ds.Sigma, 2, 1, nil)
+	m, err := core.NewMonitor(t.Context(), ds.Rel, ds.Ont, ds.Sigma, 2, 1, nil)
 	if err != nil {
-		t.Fatalf("NewMonitorSharded: %v", err)
+		t.Fatalf("NewMonitor: %v", err)
 	}
 	got := saveOpen(t, &State{Monitor: m, Cache: m.Partitions()}, Options{})
 	if got.Monitor.Relation() != got.Relation {
@@ -301,7 +306,7 @@ func TestCombinedStateSharing(t *testing.T) {
 func TestSaveRejectsMismatchedComponents(t *testing.T) {
 	ds1 := gen.Clinical(50, 7)
 	ds2 := gen.Clinical(50, 8)
-	m, err := core.NewMonitor(ds2.Rel, ds2.Ont, ds2.Sigma)
+	m, err := core.NewMonitor(t.Context(), ds2.Rel, ds2.Ont, ds2.Sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatalf("NewMonitor: %v", err)
 	}

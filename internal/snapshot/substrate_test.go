@@ -1,0 +1,79 @@
+package snapshot
+
+import (
+	"testing"
+
+	"github.com/fastofd/fastofd/internal/core"
+	"github.com/fastofd/fastofd/internal/gen"
+	"github.com/fastofd/fastofd/internal/live"
+	"github.com/fastofd/fastofd/internal/relation"
+)
+
+// wantRefs derives the overlay reference counts the ownership rule
+// prescribes: the maintainer holds one per cover element and one per
+// single column, and a pipeline adds one per monitored antecedent.
+func wantRefs(cover, monitored core.Set, nCols int) map[relation.AttrSet]int {
+	want := make(map[relation.AttrSet]int)
+	for _, d := range cover {
+		want[d.LHS]++
+	}
+	for _, d := range monitored {
+		want[d.LHS]++
+	}
+	for c := 0; c < nCols; c++ {
+		want[relation.EmptySet.With(c)]++
+	}
+	return want
+}
+
+func checkRefs(t *testing.T, state string, reg *live.Overlays, want map[relation.AttrSet]int) {
+	t.Helper()
+	for x, n := range want {
+		if got := reg.Refs(x); got != n {
+			t.Errorf("%s: Refs(%v) = %d, want %d", state, x, got, n)
+		}
+	}
+}
+
+func checkBudget(t *testing.T, state string, pc *relation.PartitionCache) {
+	t.Helper()
+	if got := pc.Budget(); got != core.DefaultCacheBudget {
+		t.Errorf("%s: cache budget %d, want %d", state, got, core.DefaultCacheBudget)
+	}
+}
+
+// TestSubstrateOwnership pins the one substrate both engines run on: a
+// standalone maintainer and a pipeline, built and reopened, hold exactly
+// the overlay references the ownership rule prescribes, and their caches
+// carry DefaultCacheBudget. A restored cache keeps its saved budget.
+func TestSubstrateOwnership(t *testing.T) {
+	ds := gen.Clinical(200, 5)
+	mt, err := newTestMaintainer(ds)
+	if err != nil {
+		t.Fatalf("NewMaintainer: %v", err)
+	}
+	nCols := ds.Rel.NumCols()
+	want := wantRefs(mt.Cover(), nil, nCols)
+	checkRefs(t, "built maintainer", mt.Substrate().Overlays(), want)
+	checkBudget(t, "built maintainer", mt.RepairCache())
+	got := saveOpen(t, &State{Maintainer: mt, Cache: mt.RepairCache()}, Options{Workers: 2})
+	checkRefs(t, "reopened maintainer", got.Maintainer.Substrate().Overlays(), want)
+	checkBudget(t, "reopened maintainer", got.Maintainer.RepairCache())
+
+	p, batch, _ := newTestPipeline(t, 3)
+	if _, err := p.ApplyBatch(t.Context(), batch()); err != nil {
+		t.Fatalf("ApplyBatch: %v", err)
+	}
+	want = wantRefs(p.Cover(), p.Monitor().Sigma(), p.Relation().NumCols())
+	checkRefs(t, "built pipeline", p.Overlays(), want)
+	checkBudget(t, "built pipeline", p.Cache())
+	got = saveOpen(t, &State{Pipeline: p}, Options{Workers: 2})
+	checkRefs(t, "reopened pipeline", got.Pipeline.Overlays(), want)
+	checkBudget(t, "reopened pipeline", got.Pipeline.Cache())
+
+	got.Pipeline.Cache().SetBudget(1 << 20)
+	got = saveOpen(t, &State{Pipeline: got.Pipeline}, Options{})
+	if b := got.Pipeline.Cache().Budget(); b != 1<<20 {
+		t.Fatalf("restored cache budget %d, want the saved %d", b, 1<<20)
+	}
+}
