@@ -310,7 +310,7 @@ func runDiscoveryBench(ctx context.Context, stats *exec.Stats, path string, rows
 				scans0, skips0 := mt.Scans(), mt.Skips()
 				refines0 := mt.Refines()
 				trav0, _ := mt.KernelStats()
-				cache0 := mt.RepairCache().Stats()
+				cache0 := mt.Substrate().Cache().Stats()
 				start := time.Now()
 				c, err := replayMaintained(ctx, mt, batches)
 				if err != nil {
@@ -327,9 +327,9 @@ func runDiscoveryBench(ctx context.Context, stats *exec.Stats, path string, rows
 				}
 				trav, _ := mt.KernelStats()
 				vs.KernelTraversals = trav - trav0
-				cs := mt.RepairCache().Stats().Since(cache0)
+				cs := mt.Substrate().Cache().Stats().Since(cache0)
 				vs.CacheHits, vs.CacheMisses = cs.Hits, cs.Misses
-				vs.CacheBytes = mt.RepairCache().Stats().Bytes
+				vs.CacheBytes = mt.Substrate().Cache().Stats().Bytes
 				vs.CacheEvictions = cs.Evictions
 				churn = c
 				cov, err := json.Marshal(mt.Cover())

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/fastofd/fastofd"
@@ -13,7 +12,6 @@ import (
 	"github.com/fastofd/fastofd/internal/exec"
 	"github.com/fastofd/fastofd/internal/gen"
 	"github.com/fastofd/fastofd/internal/pipeline"
-	"github.com/fastofd/fastofd/internal/relation"
 )
 
 // pipelineReport is the machine-readable output of -pipelinebench: the
@@ -65,68 +63,53 @@ func replayMerged(ctx context.Context, ds *gen.Dataset, batches [][]monitorOp, s
 	if err != nil {
 		return "", "", err
 	}
+	if err := replayPipeline(ctx, p, batches); err != nil {
+		return "", "", err
+	}
+	return pipelineJSON(p)
+}
+
+// replayPipeline replays the stream through p: each batch's updates in
+// one ApplyBatch, then its appended tuples in one AppendRows.
+func replayPipeline(ctx context.Context, p *pipeline.Pipeline, batches [][]monitorOp) error {
 	for _, ops := range batches {
 		updates, appends := splitBatch(ops)
 		if _, err := p.ApplyBatch(ctx, updates); err != nil {
-			return "", "", err
+			return err
 		}
 		if len(appends) > 0 {
 			if _, err := p.AppendRows(appends); err != nil {
-				return "", "", err
+				return err
 			}
 		}
 	}
-	rep, err := json.Marshal(p.Report())
-	if err != nil {
-		return "", "", err
-	}
-	cov, err := json.Marshal(p.Cover())
-	if err != nil {
-		return "", "", err
-	}
-	return string(rep), string(cov), nil
+	return nil
 }
 
-// applyToRelation applies the updates to rel and returns the effective
-// deduplicated write log sorted by (row, col) — the same shape the
-// maintainer's LastWrites exposes, which is what the monitor's absorb
-// path consumes (its ApplyBatch guards antecedent columns, but a
-// discovered cover makes nearly every column an antecedent).
-func applyToRelation(rel *relation.Relation, updates []core.CellUpdate) []core.CellWrite {
-	type cell struct{ r, c int }
-	eff := make(map[cell]core.CellWrite, len(updates))
-	for _, u := range updates {
-		k := cell{u.Row, u.Col}
-		old := rel.Value(u.Row, u.Col)
-		rel.SetString(u.Row, u.Col, u.Value)
-		if w, seen := eff[k]; seen {
-			w.New = rel.Value(u.Row, u.Col)
-			eff[k] = w
-			continue
-		}
-		eff[k] = core.CellWrite{Row: u.Row, Col: u.Col, Old: old, New: rel.Value(u.Row, u.Col)}
+// pipelineJSON returns p's report and cover as canonical JSON.
+func pipelineJSON(p *pipeline.Pipeline) (reportJSON, coverJSON string, err error) {
+	return engineJSON(p.Report(), p.Cover())
+}
+
+// engineJSON marshals a report and a cover as canonical JSON.
+func engineJSON(rep *core.Report, cover core.Set) (reportJSON, coverJSON string, err error) {
+	r, err := json.Marshal(rep)
+	if err != nil {
+		return "", "", err
 	}
-	writes := make([]core.CellWrite, 0, len(eff))
-	for _, w := range eff {
-		if w.Old != w.New {
-			writes = append(writes, w)
-		}
+	c, err := json.Marshal(cover)
+	if err != nil {
+		return "", "", err
 	}
-	sort.Slice(writes, func(a, b int) bool {
-		if writes[a].Row != writes[b].Row {
-			return writes[a].Row < writes[b].Row
-		}
-		return writes[a].Col < writes[b].Col
-	})
-	return writes
+	return string(r), string(c), nil
 }
 
 // replaySeparate builds the pre-merge engine pair — a maintainer and a
-// monitor, each on its own clone with its own partition cache — and
-// replays the same stream through both. The monitor watches the initial
-// cover (the same set the merged pipeline monitors when Sigma is nil), so
-// the two sides do identical semantic work: maintain the cover AND detect
-// against the initial cover.
+// monitor, each on its own clone with its own substrate — and replays the
+// same stream through both. The monitor watches the initial cover (the
+// same set the merged pipeline monitors when Sigma is nil), so the two
+// sides do identical semantic work: maintain the cover AND detect against
+// the initial cover.
 func replaySeparate(ctx context.Context, ds *gen.Dataset, batches [][]monitorOp, shards, workers int, stats *exec.Stats) (reportJSON, coverJSON string, err error) {
 	dopts := discovery.DefaultOptions()
 	dopts.Workers = workers
@@ -135,16 +118,7 @@ func replaySeparate(ctx context.Context, ds *gen.Dataset, batches [][]monitorOp,
 	if err != nil {
 		return "", "", err
 	}
-	// The monitor gets its own clone, cache, and verifier — the pre-merge
-	// shape. A discovered cover routinely chains dependencies (A→B, B→C),
-	// so the relaxed live constructor is the one that accepts it; here it
-	// runs on a private substrate instead of the pipeline's shared one.
-	relD := ds.Rel.Clone()
-	pcD, err := relation.NewPartitionCacheContext(ctx, relD, workers)
-	if err != nil {
-		return "", "", err
-	}
-	m, err := core.NewMonitorLive(ctx, core.NewVerifier(relD, ds.FullOnt, pcD), mt.Cover().Clone(), shards, workers, stats)
+	m, err := fastofd.NewMonitor(ctx, ds.Rel.Clone(), ds.FullOnt, mt.Cover(), shards, workers, stats)
 	if err != nil {
 		return "", "", err
 	}
@@ -153,27 +127,19 @@ func replaySeparate(ctx context.Context, ds *gen.Dataset, batches [][]monitorOp,
 		if _, err := mt.ApplyBatchContext(ctx, updates); err != nil {
 			return "", "", err
 		}
-		m.AbsorbBatch(applyToRelation(relD, updates))
+		if err := m.ApplyBatchContext(ctx, updates); err != nil {
+			return "", "", err
+		}
 		if len(appends) > 0 {
 			if _, err := mt.AppendRows(appends); err != nil {
 				return "", "", err
 			}
-			t0 := relD.NumRows()
-			for _, row := range appends {
-				relD.AppendRow(row)
+			if err := m.AppendRows(appends); err != nil {
+				return "", "", err
 			}
-			m.AbsorbAppends(t0)
 		}
 	}
-	rep, err := json.Marshal(m.Report())
-	if err != nil {
-		return "", "", err
-	}
-	cov, err := json.Marshal(mt.Cover())
-	if err != nil {
-		return "", "", err
-	}
-	return string(rep), string(cov), nil
+	return engineJSON(m.Report(), mt.Cover())
 }
 
 // runPipelineBench measures the merged pipeline against the separate

@@ -2,18 +2,15 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"time"
 
-	"github.com/fastofd/fastofd"
-	"github.com/fastofd/fastofd/internal/core"
-	"github.com/fastofd/fastofd/internal/discovery"
 	"github.com/fastofd/fastofd/internal/exec"
 	"github.com/fastofd/fastofd/internal/gen"
+	"github.com/fastofd/fastofd/internal/pipeline"
 	"github.com/fastofd/fastofd/internal/relation"
 	"github.com/fastofd/fastofd/internal/snapshot"
 )
@@ -24,28 +21,28 @@ import (
 const sweepCapRows = 100_000
 
 // storageReport is the machine-readable output of -storagebench: the
-// instant-restart headline (cold Monitor + Maintainer build vs snapshot
-// reopen, with byte-identity of the first post-reopen Report and cover)
+// instant-restart headline (cold pipeline build vs snapshot reopen, with
+// byte-identity of the first post-reopen Report and cover)
 // and the byte-budgeted partition-cache sweep (cost-model vs level-sweep
 // eviction at several budgets over one deterministic access trace).
 type storageReport struct {
 	benchEnv
 	Rows int `json:"rows"`
-	// SnapshotBytes is the on-disk size of the saved state: relation
+	// SnapshotBytes is the on-disk size of the saved pipeline: relation
 	// blocks, ontology, cached partitions, monitor indexes, cover.
 	SnapshotBytes int64 `json:"snapshot_bytes"`
-	// ColdBuildNs is the restart cost without snapshots: NewMonitor
-	// plus NewMaintainer (a full discovery) over the generated
-	// instance. SaveNs/ReopenNs are the snapshot path; ReopenSpeedup is
-	// the headline ColdBuildNs / ReopenNs.
+	// ColdBuildNs is the restart cost without snapshots: pipeline.New (a
+	// full discovery plus the monitor build) over the generated instance.
+	// SaveNs/ReopenNs are the snapshot path; ReopenSpeedup is the headline
+	// ColdBuildNs / ReopenNs.
 	ColdBuildNs   float64 `json:"cold_build_ns"`
 	SaveNs        float64 `json:"save_ns"`
 	ReopenNs      float64 `json:"reopen_ns"`
 	ReopenSpeedup float64 `json:"reopen_speedup"`
-	// SnapshotIdentical records that the reopened monitor's first Report
-	// and the reopened maintainer's cover were byte-identical (as JSON) to
-	// the live ones, and that replaying one identical update stream on the
-	// live and reopened monitors kept the reports byte-identical.
+	// SnapshotIdentical records that the reopened pipeline's first Report
+	// and cover were byte-identical (as JSON) to the live ones, and that
+	// replaying one identical update stream on the live and reopened
+	// pipelines kept both byte-identical.
 	SnapshotIdentical bool `json:"snapshot_identical"`
 	// SweepRows is the instance size of the eviction sweep (rows capped at
 	// sweepCapRows); Sweep holds one row per (budget, policy) pair over the
@@ -59,7 +56,7 @@ type storageReport struct {
 	BudgetRespected  bool          `json:"budget_respected"`
 	CostModelNoWorse bool          `json:"cost_model_no_worse"`
 	Results          []benchResult `json:"results"`
-	// Cache aggregates the monitor partition-cache counters of the restart
+	// Cache aggregates the pipeline partition-cache counters of the restart
 	// experiment (the sweep caches are reported per-row in Sweep).
 	Cache cacheTotals `json:"cache"`
 	// Stats carries the monitor.build / maintain.build / discovery spans
@@ -164,9 +161,9 @@ func replayTrace(rel *relation.Relation, trace []relation.AttrSet, budget int64,
 }
 
 // runStorageBench measures the storage tier and writes BENCH_storage.json:
-// a cold Monitor+Maintainer build vs snapshot Save/Open at rows tuples
-// (asserting byte-identical reports and cover, and identical evolution
-// under one replayed update stream), then the eviction-policy sweep at
+// a cold pipeline build vs snapshot Save/Open at rows tuples (asserting
+// byte-identical reports and cover, and identical evolution under one
+// replayed update stream), then the eviction-policy sweep at
 // several byte budgets. smoke shrinks the trace and budget grid for CI. A
 // cancelled ctx stops between stages; the rows measured so far are still
 // written before the error returns.
@@ -186,32 +183,18 @@ func runStorageBench(ctx context.Context, stats *exec.Stats, path string, rows i
 
 	// --- Instant restart: cold build vs snapshot reopen -----------------
 	ds := gen.Clinical(rows, 1)
-	sigma := monitorSigma(ds)
 
 	start := time.Now()
-	m, err := core.NewMonitor(ctx, ds.Rel, ds.FullOnt, sigma, 4, 0, stats)
+	p, err := pipeline.New(ctx, ds.Rel, ds.FullOnt, pipeline.Options{
+		Sigma: monitorSigma(ds), Shards: 4, Stats: stats,
+	})
 	if err != nil {
 		return partial(err)
 	}
-	monitorNs := float64(time.Since(start).Nanoseconds())
-	addRow("cold-monitor-build", monitorNs)
+	report.ColdBuildNs = float64(time.Since(start).Nanoseconds())
+	addRow("cold-pipeline-build", report.ColdBuildNs)
 
-	dopts := discovery.DefaultOptions()
-	dopts.Stats = stats
-	start = time.Now()
-	mt, err := fastofd.NewMaintainer(ctx, ds.Rel, ds.FullOnt, dopts)
-	if err != nil {
-		return partial(err)
-	}
-	maintainerNs := float64(time.Since(start).Nanoseconds())
-	addRow("cold-maintainer-build", maintainerNs)
-	report.ColdBuildNs = monitorNs + maintainerNs
-
-	liveReport, err := json.Marshal(m.Report())
-	if err != nil {
-		return partial(err)
-	}
-	liveCover, err := json.Marshal(mt.Cover())
+	liveReport, liveCover, err := pipelineJSON(p)
 	if err != nil {
 		return partial(err)
 	}
@@ -222,9 +205,8 @@ func runStorageBench(ctx context.Context, stats *exec.Stats, path string, rows i
 	}
 	defer os.RemoveAll(dir)
 	snapPath := filepath.Join(dir, "state.snapshot")
-	st := &snapshot.State{Relation: ds.Rel, Ontology: ds.FullOnt, Cache: m.Partitions(), Monitor: m, Maintainer: mt}
 	start = time.Now()
-	if err := snapshot.Save(snapPath, st); err != nil {
+	if err := snapshot.Save(snapPath, &snapshot.State{Pipeline: p}); err != nil {
 		return partial(err)
 	}
 	report.SaveNs = float64(time.Since(start).Nanoseconds())
@@ -244,27 +226,21 @@ func runStorageBench(ctx context.Context, stats *exec.Stats, path string, rows i
 
 	// First post-reopen report and cover must be byte-identical to the
 	// live ones.
-	reReport, err := json.Marshal(re.Monitor.Report())
+	reReport, reCover, err := pipelineJSON(re.Pipeline)
 	if err != nil {
 		return partial(err)
 	}
-	reCover, err := json.Marshal(re.Maintainer.Cover())
-	if err != nil {
-		return partial(err)
-	}
-	if string(reReport) != string(liveReport) {
+	if reReport != liveReport {
 		report.SnapshotIdentical = false
-		fmt.Fprintln(os.Stderr, "storagebench: reopened monitor report differs from live report")
+		fmt.Fprintln(os.Stderr, "storagebench: reopened pipeline report differs from live report")
 	}
-	if string(reCover) != string(liveCover) {
+	if reCover != liveCover {
 		report.SnapshotIdentical = false
-		fmt.Fprintln(os.Stderr, "storagebench: reopened maintainer cover differs from live cover")
+		fmt.Fprintln(os.Stderr, "storagebench: reopened pipeline cover differs from live cover")
 	}
 
-	// The reopened monitor must also evolve identically: replay one
-	// identical update stream on both instances and compare again. (The
-	// maintainers are not touched past this point — the stream mutates the
-	// shared relations through the monitors.)
+	// The reopened pipeline must also evolve identically: replay one
+	// identical update stream through both and compare again.
 	evolveBatch := rows / 100
 	if evolveBatch > 500 {
 		evolveBatch = 500
@@ -272,29 +248,29 @@ func runStorageBench(ctx context.Context, stats *exec.Stats, path string, rows i
 	if evolveBatch < 10 {
 		evolveBatch = 10
 	}
+	sigma := p.Monitor().Sigma()
 	stream := monitorStream(ds, sigma, 1, evolveBatch, 20, 7)
-	reDS := &gen.Dataset{Rel: re.Relation}
-	reStream := monitorStream(reDS, sigma, 1, evolveBatch, 20, 7)
-	if err := replayIncremental(ctx, m, stream); err != nil {
+	reStream := monitorStream(&gen.Dataset{Rel: re.Relation}, sigma, 1, evolveBatch, 20, 7)
+	if err := replayPipeline(ctx, p, stream); err != nil {
 		return partial(err)
 	}
-	if err := replayIncremental(ctx, re.Monitor, reStream); err != nil {
+	if err := replayPipeline(ctx, re.Pipeline, reStream); err != nil {
 		return partial(err)
 	}
-	liveEvolved, err := json.Marshal(m.Report())
+	liveReport, liveCover, err = pipelineJSON(p)
 	if err != nil {
 		return partial(err)
 	}
-	reEvolved, err := json.Marshal(re.Monitor.Report())
+	reReport, reCover, err = pipelineJSON(re.Pipeline)
 	if err != nil {
 		return partial(err)
 	}
-	if string(liveEvolved) != string(reEvolved) || m.Epoch() != re.Monitor.Epoch() {
+	if reReport != liveReport || reCover != liveCover || p.Monitor().Epoch() != re.Pipeline.Monitor().Epoch() {
 		report.SnapshotIdentical = false
-		fmt.Fprintln(os.Stderr, "storagebench: post-reopen evolution diverged between live and reopened monitors")
+		fmt.Fprintln(os.Stderr, "storagebench: post-reopen evolution diverged between live and reopened pipelines")
 	}
-	report.Cache.add(m.Partitions().Stats())
-	report.Cache.add(re.Cache.Stats())
+	report.Cache.add(p.CacheStats())
+	report.Cache.add(re.Pipeline.CacheStats())
 
 	if err := exec.Interrupted(ctx, "storagebench"); err != nil {
 		return partial(err)

@@ -233,19 +233,28 @@ func DetectContext(ctx context.Context, rel *Relation, ont *Ontology, sigma Set,
 }
 
 // NewMonitor builds an incremental satisfaction monitor over the
-// instance: consequent-cell updates re-verify only the affected
-// equivalence classes. Every equivalence class is routed to one of
-// `shards` independent LHS-key shards (0 derives the count from workers),
-// so ApplyBatch fans appends, multiset maintenance, and re-verification
-// out shard-locally with no shared write state, and Report reads
-// epoch-stamped snapshots concurrently with ingestion. The index build and
-// the batch fan-out use up to workers goroutines (0 = all CPUs); stats,
-// when non-nil, receives the "monitor.build", "monitor.route",
-// "monitor.apply", and "monitor.merge" spans. Reports are byte-identical
-// for every shard and worker count. A cancelled build returns nil plus the
-// wrapped context error.
+// instance: cell updates and appended tuples re-verify only the affected
+// equivalence classes. Any Σ is accepted, chained dependencies (A→B, B→C)
+// included, and updates may touch any cell — a write to a monitored
+// antecedent re-routes that dependency. The monitor runs on a live
+// substrate of its own — a byte-budgeted partition cache, live overlays,
+// and a verifier, exactly the substrate a Pipeline shares between its
+// engines. Every equivalence class is routed to one of `shards`
+// independent LHS-key shards (0 derives the count from workers), so
+// ApplyBatch fans multiset maintenance and re-verification out
+// shard-locally with no shared write state, and Report reads epoch-stamped
+// snapshots concurrently with ingestion. The index build and the batch
+// fan-out use up to workers goroutines (0 = all CPUs); stats, when
+// non-nil, receives the "monitor.build", "monitor.route", "monitor.apply",
+// and "monitor.merge" spans. Reports are byte-identical for every shard
+// and worker count. A cancelled build returns nil plus the wrapped context
+// error.
 func NewMonitor(ctx context.Context, rel *Relation, ont *Ontology, sigma Set, shards, workers int, stats *Stats) (*Monitor, error) {
-	return core.NewMonitor(ctx, rel, ont, sigma, shards, workers, stats)
+	sub, err := core.NewSubstrate(ctx, rel, ont, workers)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewMonitor(ctx, sub, sigma, shards, workers, stats)
 }
 
 // DefaultDiscoveryOptions returns the paper's full FastOFD configuration
@@ -317,9 +326,9 @@ func NewPipeline(ctx context.Context, rel *Relation, ont *Ontology, opts Pipelin
 type (
 	// SnapshotState is the content of one snapshot: the relation instance
 	// plus any engines built over it — either a Pipeline, which owns its
-	// monitor, maintainer, and shared cache, or any of a standalone
-	// partition cache, Monitor, and Maintainer. All present components
-	// must share one relation and ontology.
+	// monitor, maintainer, and shared cache, or a standalone partition
+	// cache plus at most one standalone Monitor or Maintainer. All present
+	// components must share one relation and ontology.
 	SnapshotState = snapshot.State
 	// SnapshotOptions configure OpenSnapshot (restore workers and stats).
 	SnapshotOptions = snapshot.Options

@@ -48,7 +48,7 @@ func TestNewMonitorCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m, err := NewMonitor(ctx, rel, ont, sigma, 0, 1, nil)
+	m, err := NewMonitor(ctx, testSubstrate(t, rel, ont), sigma, 0, 1, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -101,7 +101,7 @@ func monitorBatchFixture(t *testing.T, shards int) (m *Monitor, batch []CellUpda
 		MustParse(schema, "CC -> CTRY"),
 		MustParse(schema, "SYMP, DIAG -> MED"),
 	}
-	m, err := NewMonitor(context.Background(), rel, ont, sigma, shards, 1, nil)
+	m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), sigma, shards, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,49 +5,23 @@ import (
 	"fmt"
 
 	"github.com/fastofd/fastofd/internal/exec"
-	"github.com/fastofd/fastofd/internal/relation"
 )
 
-// This file is the merged pipeline's monitor surface: construction over a
-// shared verifier, live registration of dependencies as the discovered
-// cover drifts, and absorption of writes the co-located maintainer has
-// already validated, applied, and committed. Standalone monitoring keeps
-// its own entry points (NewMonitor, Update, ApplyBatch, AppendRow);
-// everything here reuses the same shard state and publish protocol, so
+// This file is the monitor's live surface: registration of dependencies
+// as a followed cover drifts, and absorption of the batches and appends
+// the substrate has already applied. Every mutation — the monitor's own
+// ApplyBatch and AppendRows, and the merged pipeline's — ends here, so
 // reports remain byte-identical to a fresh Detect either way.
-
-// NewMonitorLive builds a sharded monitor on an existing partition-cache-
-// backed verifier — the pipeline's single verifier shared with the
-// maintainer and the repair search — over the verifier's relation and
-// ontology. Shards, workers and stats are as for NewMonitor. It relaxes
-// the global LHS∩RHS disjointness requirement across dependencies, which
-// a discovered cover routinely violates (chains like A→B, B→C).
-// Single-cell Update stays guarded: writes touching any monitored
-// antecedent are still rejected, because only AbsorbBatch knows how to
-// re-route the affected dependencies.
-func NewMonitorLive(ctx context.Context, v *Verifier, sigma Set, shards, workers int, stats *exec.Stats) (*Monitor, error) {
-	return buildMonitor(ctx, v.Relation(), v.Ontology(), sigma, shards, workers, stats, v)
-}
 
 // Register adds dependency d to the monitored set and builds its live
 // index state: routing, shard overlays, multisets, and violation records,
-// exactly as construction would have. The new dependency's violations
-// appear in the next published epoch. On a non-relaxed monitor the
-// combined set must keep antecedents and consequents disjoint.
+// exactly as construction would have, plus an overlay reference on its
+// antecedent. The new dependency's violations appear in the next
+// published epoch.
 func (m *Monitor) Register(d OFD) error {
 	for _, e := range m.sigma {
 		if e.LHS == d.LHS && e.RHS == d.RHS {
 			return fmt.Errorf("core: dependency already monitored")
-		}
-	}
-	if !m.relaxed {
-		var rhs relation.AttrSet
-		for _, e := range m.sigma {
-			rhs = rhs.With(e.RHS)
-		}
-		rhs = rhs.With(d.RHS)
-		if inter := m.lhsAttrs.Union(d.LHS).Intersect(rhs); !inter.IsEmpty() {
-			return fmt.Errorf("core: monitor requires disjoint antecedents and consequents; %s overlaps", inter.Format(m.rel.Schema()))
 		}
 	}
 	i := len(m.sigma)
@@ -61,8 +35,8 @@ func (m *Monitor) Register(d OFD) error {
 		sh.viol = append(sh.viol, nil)
 		sh.fdOnly = append(sh.fdOnly, nil)
 	}
-	m.lhsAttrs = m.lhsAttrs.Union(d.LHS)
 	m.routeIndex(i)
+	m.sub.Overlays().Acquire(d.LHS)
 	w := exec.Workers(m.Workers)
 	_ = exec.For(context.Background(), m.nShards, w, func(_, s int) {
 		m.shards[s].buildStateOFD(m, i)
@@ -73,8 +47,9 @@ func (m *Monitor) Register(d OFD) error {
 }
 
 // Unregister removes dependency d from the monitored set, dropping its
-// index state and violation records. Epochs already published keep
-// reporting it (snapshots are immutable); the next epoch no longer does.
+// index state, violation records and overlay reference. Epochs already
+// published keep reporting it (snapshots are immutable); the next epoch
+// no longer does.
 func (m *Monitor) Unregister(d OFD) error {
 	at := -1
 	for i, e := range m.sigma {
@@ -96,55 +71,35 @@ func (m *Monitor) Unregister(d OFD) error {
 	for i, e := range m.sigma {
 		m.byRHS[e.RHS] = append(m.byRHS[e.RHS], int32(i))
 	}
-	m.lhsAttrs = 0
-	for _, e := range m.sigma {
-		m.lhsAttrs = m.lhsAttrs.Union(e.LHS)
-	}
 	for _, sh := range m.shards {
 		sh.idx = append(sh.idx[:at], sh.idx[at+1:]...)
 		sh.viol = append(sh.viol[:at], sh.viol[at+1:]...)
 		sh.fdOnly = append(sh.fdOnly[:at], sh.fdOnly[at+1:]...)
 		sh.rebuildSnap()
 	}
+	m.sub.Overlays().Release(d.LHS)
 	m.publish()
 	return nil
 }
 
-// AbsorbBatch folds a batch of already-applied cell writes into the
-// monitor's live state: the maintainer validated, deduplicated, applied,
-// and committed them (writes carry the pre-batch values), so absorption
-// cannot fail and is not cancellable — the pipeline's atomicity boundary
-// is the maintainer's verify, before this call. Dependencies whose
-// antecedents were touched are re-routed wholesale (their class structure
-// changed); the rest absorb the consequent deltas exactly as
-// ApplyBatch's apply stage would, and one epoch is published.
-func (m *Monitor) AbsorbBatch(writes []CellWrite) {
-	m.absorbBatch(writes, true)
-}
-
-// AbsorbBatchPrewarmed is AbsorbBatch for a monitor sharing its partition
-// cache with the engine that applied the writes: the writer already
-// evicted every rewritten attribute set at apply time, so all resident
-// entries describe the post-batch instance — including any the writer's
-// own verification re-warmed — and evicting them again would recompute
-// partitions that are already current. The merged pipeline calls this;
-// a monitor on a private cache must use AbsorbBatch, whose eviction is
-// what keeps its pre-batch entries from being served.
-func (m *Monitor) AbsorbBatchPrewarmed(writes []CellWrite) {
-	m.absorbBatch(writes, false)
-}
-
-func (m *Monitor) absorbBatch(writes []CellWrite, invalidate bool) {
+// AbsorbBatch folds the substrate's current write log into the monitor's
+// live state and publishes one epoch. The substrate already validated,
+// applied and evicted the batch (Substrate.Apply), so every resident cache
+// entry describes the post-batch instance and absorption cannot fail; it
+// is not cancellable — the batch's cancellation point lies before this
+// call. Dependencies whose antecedents were touched are re-routed
+// wholesale (their class structure changed); the rest absorb their
+// consequent deltas shard-parallel, each dirty class re-verified once. An
+// empty log is a no-op.
+func (m *Monitor) AbsorbBatch() {
+	writes := m.sub.Writes()
 	if len(writes) == 0 {
 		return
 	}
-	if m.needHydrate {
-		m.hydrateIndexes()
-	}
-	var touched relation.AttrSet
-	for _, wr := range writes {
-		touched = touched.With(wr.Col)
-	}
+	routeSpan := m.Stats.Span("monitor.route")
+	routeSpan.Items(len(writes))
+	w := exec.Workers(m.Workers)
+	touched := Touched(writes)
 	var reroute []int
 	rerouted := make([]bool, len(m.sigma))
 	for i, d := range m.sigma {
@@ -153,15 +108,7 @@ func (m *Monitor) absorbBatch(writes []CellWrite, invalidate bool) {
 			reroute = append(reroute, i)
 		}
 	}
-	w := exec.Workers(m.Workers)
 	if len(reroute) > 0 {
-		// The cached base partitions of touched attribute sets are stale;
-		// evict them so the fresh routing computes over current values
-		// (skipped on a shared, already-invalidated cache — see
-		// AbsorbBatchPrewarmed).
-		if invalidate {
-			m.v.Partitions().InvalidateTouched(touched)
-		}
 		_ = exec.For(context.Background(), len(reroute), w, func(_, k int) {
 			m.routeIndex(reroute[k])
 		})
@@ -169,10 +116,11 @@ func (m *Monitor) absorbBatch(writes []CellWrite, invalidate bool) {
 			for _, i := range reroute {
 				m.shards[s].buildStateOFD(m, i)
 			}
-			m.shards[s].rebuildSnap()
+			m.snapDirty[s] = true
 		})
 	}
-	// Route the consequent deltas of untouched-antecedent dependencies.
+	// Route the consequent deltas of untouched-antecedent dependencies to
+	// the shards owning their classes.
 	for _, wr := range writes {
 		for _, i := range m.byRHS[wr.Col] {
 			if rerouted[i] {
@@ -189,23 +137,34 @@ func (m *Monitor) absorbBatch(writes []CellWrite, invalidate bool) {
 	}
 	var active []int
 	for s, sh := range m.shards {
-		if len(sh.bumps) > 0 || len(sh.dirty) > 0 {
+		if len(sh.dirty) > 0 {
 			active = append(active, s)
 		}
 	}
-	if len(active) > 0 {
-		_ = exec.For(context.Background(), len(active), w, func(_, k int) {
-			sh := m.shards[active[k]]
-			sh.applyBatch(m)
-			sh.commitBatch()
-		})
-	}
-	m.publish()
+	routeSpan.End()
+
+	applySpan := m.Stats.Span("monitor.apply")
+	applySpan.Workers(w)
+	applySpan.Shards(len(active))
+	_ = exec.For(context.Background(), len(active), w, func(_, k int) {
+		s := active[k]
+		n, changed := m.shards[s].applyBatch(m)
+		applySpan.Items(n)
+		if changed {
+			m.snapDirty[s] = true
+		}
+	})
+	applySpan.End()
+
+	mergeSpan := m.Stats.Span("monitor.merge")
+	mergeSpan.Workers(w)
+	mergeSpan.Shards(m.publishDirty())
+	mergeSpan.End()
 }
 
-// AbsorbAppends joins rows [t0, NumRows()) — already appended to the
-// relation by the co-located maintainer — under every dependency and
-// publishes one epoch for the whole batch.
+// AbsorbAppends joins rows [t0, NumRows()) — already appended through the
+// substrate — under every dependency and publishes one epoch for the
+// whole batch.
 func (m *Monitor) AbsorbAppends(t0 int) {
 	end := m.rel.NumRows()
 	if t0 >= end {
@@ -217,16 +176,5 @@ func (m *Monitor) AbsorbAppends(t0 int) {
 	for t := t0; t < end; t++ {
 		m.absorbRow(int32(t))
 	}
-	m.refreshSnaps()
-	m.publish()
+	m.publishDirty()
 }
-
-// Verifier returns the monitor's verifier (shared across the pipeline's
-// engines when built with NewMonitorLive).
-func (m *Monitor) Verifier() *Verifier { return m.v }
-
-// Relax waives the global LHS∩RHS disjointness requirement for future
-// Register calls, matching NewMonitorLive-built monitors — the pipeline
-// restore path calls it on a freshly decoded monitor. Single-cell Update
-// stays guarded regardless.
-func (m *Monitor) Relax() { m.relaxed = true }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
+
+	"github.com/fastofd/fastofd/internal/exec"
 )
 
 // epochRetention is how many published epochs stay readable through
@@ -56,16 +59,22 @@ func (sh *monitorShard) rebuildSnap() {
 	sh.snap = snap
 }
 
-// refreshSnaps rebuilds the snapshots of shards the current operation
-// marked stale (sequential paths; batch commit rebuilds inside the
-// parallel merge stage).
-func (m *Monitor) refreshSnaps() {
+// publishDirty rebuilds the snapshots of the shards the current operation
+// marked stale — shard-local, so over up to Workers goroutines — and
+// publishes the next epoch. Returns the number of rebuilt shards.
+func (m *Monitor) publishDirty() int {
+	var stale []int
 	for s, dirty := range m.snapDirty {
 		if dirty {
-			m.shards[s].rebuildSnap()
+			stale = append(stale, s)
 			m.snapDirty[s] = false
 		}
 	}
+	_ = exec.For(context.Background(), len(stale), exec.Workers(m.Workers), func(_, k int) {
+		m.shards[stale[k]].rebuildSnap()
+	})
+	m.publish()
+	return len(stale)
 }
 
 // publishInit publishes epoch 0, the state right after construction.

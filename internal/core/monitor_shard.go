@@ -11,9 +11,9 @@ import (
 // every OFD, a live.ClassIndex bundling the partition overlay over the
 // base classes routed here, the LHS-key index of those classes and lone
 // rows, and the consequent-value multisets — plus the violation maps with
-// their eagerly materialized records. Shards share no mutable state, so
-// ApplyBatch's apply and merge stages mutate all active shards in
-// parallel without locks.
+// their eagerly materialized records. Shards share no mutable state, so a
+// batch's apply and merge stages mutate all active shards in parallel
+// without locks.
 type monitorShard struct {
 	// idx[i] = sigma[i]'s live class index for the classes this shard
 	// owns: Part is the overlay over the shared PartitionCache base (a
@@ -33,14 +33,11 @@ type monitorShard struct {
 
 	reverified int // classes re-verified since construction
 
-	// Batch scratch, valid between route and commit/rollback of one
-	// ApplyBatch call.
-	bumps      []shardBump
-	dirty      []int64 // (ofd<<32 | class) keys, deduped in applyBatch
-	states     []uint8
-	stagedViol []*Violation
-	stagedFD   [][]int32
-	vals       []relation.Value // distinct-value scratch
+	// Batch scratch, filled by the monitor's route stage and drained by
+	// applyBatch.
+	bumps []shardBump
+	dirty []int64          // (ofd<<32 | class) keys, deduped in applyBatch
+	vals  []relation.Value // distinct-value scratch
 }
 
 // shardBump is one routed multiset delta: under OFD ofd, local class
@@ -147,9 +144,8 @@ func (sh *monitorShard) commitClass(i int, ci int32, state uint8, v *Violation, 
 	return wasViol || wasFD || state != classOK
 }
 
-// reverifyOne re-verifies one class on the sequential Update/AppendRow
-// path and commits the outcome, reporting whether the violation maps
-// changed.
+// reverifyOne re-verifies one class and commits the outcome, reporting
+// whether the violation maps changed.
 func (sh *monitorShard) reverifyOne(m *Monitor, i int, ci int32) bool {
 	st := sh.classState(m, i, int(ci))
 	v, fd := sh.materialize(m, i, ci, st)
@@ -158,61 +154,23 @@ func (sh *monitorShard) reverifyOne(m *Monitor, i int, ci int32) bool {
 }
 
 // applyBatch runs one shard's apply stage: replay the routed multiset
-// deltas, dedup the dirty classes, and re-verify each into staged state
-// and materialized records. Nothing observable changes until commitBatch
-// — rollbackBatch reverses the deltas and discards the staging.
-func (sh *monitorShard) applyBatch(m *Monitor) {
+// deltas, dedup the dirty classes, and re-verify and commit each once.
+// Returns the number of re-verified classes and whether the violation
+// maps changed (the shard's snapshot is then stale). Leaves the batch
+// scratch empty.
+func (sh *monitorShard) applyBatch(m *Monitor) (n int, changed bool) {
 	for _, b := range sh.bumps {
 		sh.idx[b.ofd].BumpVal(b.class, b.from, b.to)
 	}
 	slices.Sort(sh.dirty)
 	sh.dirty = slices.Compact(sh.dirty)
-	sh.states = sh.states[:0]
-	sh.stagedViol = sh.stagedViol[:0]
-	sh.stagedFD = sh.stagedFD[:0]
 	for _, key := range sh.dirty {
-		i, ci := int(key>>32), int32(key)
-		st := sh.classState(m, i, int(ci))
-		v, fd := sh.materialize(m, i, ci, st)
-		sh.states = append(sh.states, st)
-		sh.stagedViol = append(sh.stagedViol, v)
-		sh.stagedFD = append(sh.stagedFD, fd)
-	}
-}
-
-// rollbackBatch reverses applyBatch's multiset deltas (in reverse routing
-// order) and discards the staged state, restoring the shard exactly to
-// its pre-batch state — the violation maps were never touched.
-func (sh *monitorShard) rollbackBatch() {
-	for k := len(sh.bumps) - 1; k >= 0; k-- {
-		b := sh.bumps[k]
-		sh.idx[b.ofd].UnbumpVal(b.class, b.from, b.to)
-	}
-	sh.clearBatch()
-}
-
-// commitBatch installs the staged class states and records, counts the
-// re-verifications, and rebuilds the shard snapshot if anything changed.
-func (sh *monitorShard) commitBatch() {
-	changed := false
-	for k, key := range sh.dirty {
-		i, ci := int(key>>32), int32(key)
-		if sh.commitClass(i, ci, sh.states[k], sh.stagedViol[k], sh.stagedFD[k]) {
+		if sh.reverifyOne(m, int(key>>32), int32(key)) {
 			changed = true
 		}
 	}
-	sh.reverified += len(sh.dirty)
-	if changed {
-		sh.rebuildSnap()
-	}
-	sh.clearBatch()
-}
-
-// clearBatch resets the batch scratch (keeping capacity).
-func (sh *monitorShard) clearBatch() {
+	n = len(sh.dirty)
 	sh.bumps = sh.bumps[:0]
 	sh.dirty = sh.dirty[:0]
-	sh.states = sh.states[:0]
-	sh.stagedViol = sh.stagedViol[:0]
-	sh.stagedFD = sh.stagedFD[:0]
+	return n, changed
 }

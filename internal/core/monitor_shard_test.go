@@ -85,7 +85,7 @@ func TestMonitorSingletonPromotedAcrossShards(t *testing.T) {
 				MustParse(schema, "CC -> CTRY"),
 				MustParse(schema, "SYMP, DIAG -> MED"),
 			}
-			m, err := NewMonitor(context.Background(), rel, ont, sigma, shards, 2, nil)
+			m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), sigma, shards, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +161,7 @@ func TestMonitorReportAtEpochs(t *testing.T) {
 	rel, ont := table1(t)
 	schema := rel.Schema()
 	sigma := Set{MustParse(schema, "SYMP, DIAG -> MED")}
-	m, err := NewMonitor(context.Background(), rel, ont, sigma, 4, 2, nil)
+	m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), sigma, 4, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestMonitorConcurrentReport(t *testing.T) {
 		MustParse(schema, "P -> Y"),
 		MustParse(schema, "P, Q -> Z"),
 	}
-	m, err := NewMonitor(context.Background(), rel, ont, sigma, 8, 0, nil)
+	m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), sigma, 8, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

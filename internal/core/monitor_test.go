@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -11,6 +12,17 @@ import (
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
+// testSubstrate builds a fresh substrate over rel and ont for a test
+// monitor.
+func testSubstrate(t *testing.T, rel *relation.Relation, ont *ontology.Ontology) *Substrate {
+	t.Helper()
+	sub, err := NewSubstrate(context.Background(), rel, ont, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub
+}
+
 func TestMonitorIncrementalMatchesFull(t *testing.T) {
 	rel, ont := table1(t)
 	schema := rel.Schema()
@@ -18,7 +30,7 @@ func TestMonitorIncrementalMatchesFull(t *testing.T) {
 		MustParse(schema, "CC -> CTRY"),
 		MustParse(schema, "SYMP, DIAG -> MED"),
 	}
-	m, err := NewMonitor(context.Background(), rel, ont, sigma, 0, 1, nil)
+	m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,32 +60,73 @@ func TestMonitorIncrementalMatchesFull(t *testing.T) {
 	}
 }
 
-func TestMonitorRejectsAntecedentUpdates(t *testing.T) {
+func TestMonitorRejectsOutOfRangeUpdates(t *testing.T) {
 	rel, ont := table1(t)
 	sigma := Set{MustParse(rel.Schema(), "CC -> CTRY")}
-	m, err := NewMonitor(context.Background(), rel, ont, sigma, 0, 1, nil)
+	m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := m.Update(0, rel.Schema().MustIndex("CC"), "CA"); err == nil {
-		t.Fatal("antecedent update must be rejected")
 	}
 	if _, err := m.Update(999, 0, "x"); err == nil {
 		t.Fatal("out-of-range update must be rejected")
 	}
-	if err := m.ApplyBatch([]CellUpdate{{Row: 0, Col: rel.Schema().MustIndex("CC"), Value: "CA"}}); err == nil {
-		t.Fatal("batched antecedent update must be rejected")
-	}
 }
 
-func TestMonitorRejectsOverlappingSigma(t *testing.T) {
-	rel, ont := table1(t)
-	sigma := Set{
-		MustParse(rel.Schema(), "CC -> CTRY"),
-		MustParse(rel.Schema(), "CTRY -> MED"),
+// TestMonitorChainedSigmaWritePath drives a standalone monitor over a
+// chained Σ (CTRY is both a consequent and an antecedent) through batches
+// that write antecedents and consequents, appends, and a batch cancelled
+// after its writes: after every op the report must equal a fresh Detect,
+// for shards ∈ {1, 4} × workers ∈ {1, 2}.
+func TestMonitorChainedSigmaWritePath(t *testing.T) {
+	type op struct {
+		name    string
+		batch   []CellUpdate
+		appends [][]string
+		cancel  bool
 	}
-	if _, err := NewMonitor(context.Background(), rel, ont, sigma, 0, 1, nil); err == nil {
-		t.Fatal("overlapping Σ must be rejected")
+	ops := []op{
+		{name: "consequent", batch: []CellUpdate{{Row: 7, Col: 5, Value: "unknown-drug"}, {Row: 0, Col: 1, Value: "America"}}},
+		{name: "antecedent", batch: []CellUpdate{{Row: 3, Col: 0, Value: "US"}, {Row: 9, Col: 1, Value: "Atlantis"}}},
+		{name: "cancelled", batch: []CellUpdate{{Row: 1, Col: 0, Value: "CA"}, {Row: 2, Col: 5, Value: "aspirin"}}, cancel: true},
+		{name: "append", appends: [][]string{
+			{"CA", "Canada", "fever", "CT", "flu", "ibuprofen"},
+			{"FR", "France", "fever", "CT", "flu", "doliprane"},
+		}},
+		{name: "mixed", batch: []CellUpdate{{Row: 11, Col: 1, Value: "India"}, {Row: 12, Col: 0, Value: "FR"}, {Row: 12, Col: 0, Value: "CA"}, {Row: 4, Col: 5, Value: "tylenol"}}},
+	}
+	for _, shards := range []int{1, 4} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+				rel, ont := table1(t)
+				schema := rel.Schema()
+				sigma := Set{MustParse(schema, "CC -> CTRY"), MustParse(schema, "CTRY -> MED")}
+				m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), sigma, shards, workers, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, o := range ops {
+					if o.appends != nil {
+						if err := m.AppendRows(o.appends); err != nil {
+							t.Fatalf("%s: %v", o.name, err)
+						}
+					} else {
+						var ctx context.Context = context.Background()
+						if o.cancel {
+							ctx = newCancelOnPoll(1)
+						}
+						err := m.ApplyBatchContext(ctx, o.batch)
+						if o.cancel != errors.Is(err, context.Canceled) || (!o.cancel && err != nil) {
+							t.Fatalf("%s: err = %v", o.name, err)
+						}
+					}
+					got, _ := json.Marshal(m.Report())
+					want, _ := json.Marshal(Detect(rel, ont, sigma))
+					if string(got) != string(want) {
+						t.Fatalf("%s: report diverged from Detect\n got %s\nwant %s", o.name, got, want)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -81,7 +134,7 @@ func TestMonitorViolationBookkeeping(t *testing.T) {
 	rel, ont := table1(t)
 	schema := rel.Schema()
 	sigma := Set{MustParse(schema, "SYMP, DIAG -> MED")}
-	m, err := NewMonitor(context.Background(), rel, ont, sigma, 0, 1, nil)
+	m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +165,7 @@ func TestMonitorUpdateNoOp(t *testing.T) {
 	rel, ont := table1(t)
 	schema := rel.Schema()
 	sigma := Set{MustParse(schema, "SYMP, DIAG -> MED")}
-	m, err := NewMonitor(context.Background(), rel, ont, sigma, 0, 1, nil)
+	m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +207,7 @@ func TestMonitorAppendRow(t *testing.T) {
 		MustParse(schema, "CC -> CTRY"),
 		MustParse(schema, "SYMP, DIAG -> MED"),
 	}
-	m, err := NewMonitor(context.Background(), rel, ont, sigma, 0, 1, nil)
+	m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +276,7 @@ func TestMonitorApplyBatchDedupsAndMatches(t *testing.T) {
 				MustParse(schema, "CC -> CTRY"),
 				MustParse(schema, "SYMP, DIAG -> MED"),
 			}
-			m, err := NewMonitor(context.Background(), rel, ont, sigma, 0, 1, nil)
+			m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), sigma, 0, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -318,7 +371,7 @@ func TestMonitorStreamEquivalence(t *testing.T) {
 			MustParse(schema, "P -> Y"),
 			MustParse(schema, "P, Q -> Z"),
 		}
-		m, err := NewMonitor(context.Background(), rel, ont, sigma, c.shards, c.workers, nil)
+		m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), sigma, c.shards, c.workers, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +443,7 @@ func TestVerifierNamesTableExtendsOnIntern(t *testing.T) {
 	rel, ont := table1(t)
 	schema := rel.Schema()
 	sigma := Set{MustParse(schema, "SYMP, DIAG -> MED")}
-	m, err := NewMonitor(context.Background(), rel, ont, sigma, 0, 1, nil)
+	m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), sigma, 0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,26 +272,26 @@ func decodeCounts(r *wire.Reader) [][]live.ValCount {
 }
 
 // DecodeMonitor rebuilds a monitor over rel/ont from a snapshot written by
-// AppendMonitor, sharing pc as its partition cache (nil creates a private
-// one). Violation records are re-materialized shard-parallel — they are
-// deterministic functions of the restored multisets and overlays — so the
-// first Report is byte-identical to the saved monitor's. workers and stats
-// configure the restored monitor exactly as NewMonitor's parameters
-// would.
+// AppendMonitor, on a substrate decoded over the snapshot's verifier
+// tables (DecodeSubstrate) and pc — a restored cache, or nil for a fresh
+// default-budget one. Violation records are re-materialized shard-parallel
+// — they are deterministic functions of the restored multisets and
+// overlays — so the first Report is byte-identical to the saved monitor's.
+// workers and stats configure the restored monitor exactly as NewMonitor's
+// parameters would.
 func DecodeMonitor(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology, pc *relation.PartitionCache, workers int, stats *exec.Stats) (*Monitor, error) {
-	if pc == nil {
-		pc = relation.NewPartitionCache(rel)
-	}
-	v, err := decodeVerifier(r, rel, ont, pc)
+	sub, err := DecodeSubstrate(r, rel, ont, pc)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeMonitorBody(r, rel, v, workers, stats)
+	return DecodeMonitorBody(r, sub, workers, stats)
 }
 
-// DecodeMonitorBody rebuilds a monitor from a body written by
-// AppendMonitorBody over an already-decoded (typically shared) verifier.
-func DecodeMonitorBody(r *wire.Reader, rel *relation.Relation, v *Verifier, workers int, stats *exec.Stats) (*Monitor, error) {
+// DecodeMonitorBody rebuilds a monitor over an already-decoded (typically
+// shared) substrate from a body written by AppendMonitorBody. Like
+// NewMonitor, it acquires one overlay reference per monitored antecedent.
+func DecodeMonitorBody(r *wire.Reader, sub *Substrate, workers int, stats *exec.Stats) (*Monitor, error) {
+	rel := sub.Relation()
 	sigma := DecodeSet(r)
 	nShards := r.Int()
 	epoch := r.Uvarint()
@@ -307,34 +307,14 @@ func DecodeMonitorBody(r *wire.Reader, rel *relation.Relation, v *Verifier, work
 	span.Shards(nShards)
 	span.Items(len(sigma))
 	defer span.End()
-	var lhs relation.AttrSet
 	for _, d := range sigma {
-		lhs = lhs.Union(d.LHS)
-	}
-	m := &Monitor{
-		rel:         rel,
-		v:           v,
-		sigma:       sigma,
-		Workers:     workers,
-		Stats:       stats,
-		nShards:     nShards,
-		shards:      make([]*monitorShard, nShards),
-		lhsCols:     make([][]int, len(sigma)),
-		byRHS:       make([][]int32, rel.NumCols()),
-		classOf:     make([][]int32, len(sigma)),
-		rowShard:    make([][]uint8, len(sigma)),
-		lhsAttrs:    lhs,
-		snapDirty:   make([]bool, nShards),
-		epoch:       epoch,
-		needHydrate: true,
-	}
-	for i, d := range sigma {
 		if d.RHS < 0 || d.RHS >= rel.NumCols() {
 			return nil, fmt.Errorf("core: snapshot OFD consequent %d out of range", d.RHS)
 		}
-		m.lhsCols[i] = d.LHS.Attrs()
-		m.byRHS[d.RHS] = append(m.byRHS[d.RHS], int32(i))
 	}
+	m := newMonitor(sub, sigma, nShards, workers, stats)
+	m.epoch = epoch
+	m.needHydrate = true
 	bases := make([]*relation.Partition, len(sigma))
 	for i := range sigma {
 		m.classOf[i] = r.Int32s()
@@ -406,6 +386,7 @@ func DecodeMonitorBody(r *wire.Reader, rel *relation.Relation, v *Verifier, work
 		return nil, err
 	}
 	m.publishInit()
+	m.acquireOverlays()
 	if m.epoch > 0 {
 		// Keep the epoch counter continuous with the saved process: the
 		// restored state is republished as the saved epoch, so ReportAt of
@@ -439,7 +420,7 @@ func (sh *monitorShard) restoreRecords(m *Monitor) {
 }
 
 // hydrateIndexes materializes the LHS-key maps from their frozen snapshot
-// form — called once, by the first AppendRow after a restore (the only
+// form — called once, by the first append after a restore (the only
 // operation that consults them). One shared string conversion per index
 // keeps hydration to a map-insert pass: the map keys slice into that
 // backing, so the whole index costs the map plus one slab allocation.
@@ -459,10 +440,6 @@ func (m *Monitor) Relation() *relation.Relation { return m.rel }
 
 // Ontology returns the monitor's ontology.
 func (m *Monitor) Ontology() *ontology.Ontology { return m.v.Ontology() }
-
-// Partitions returns the partition cache behind the monitor's base
-// partitions (snapshot encode hook; also shared with co-located engines).
-func (m *Monitor) Partitions() *relation.PartitionCache { return m.v.Partitions() }
 
 // Sigma returns the monitored dependency set (a fresh copy).
 func (m *Monitor) Sigma() Set { return m.sigma.Clone() }

@@ -85,11 +85,10 @@ type Maintainer struct {
 
 	// sub is the live substrate both tracker maintenance and repair
 	// verification run on (the pipeline's shared one, or a standalone
-	// maintainer's own). Its cache is reused across batches instead of
-	// being rebuilt per batch, with staleness handled by invalidateTouched
-	// on updates and the cache's row stamps on appends; its overlay
-	// registry is kept consistent too (staleness on updates, routing on
-	// appends, refcounts on cover churn).
+	// maintainer's own). It applies every batch and append and keeps its
+	// cache and overlay registry consistent with them, so the cache is
+	// reused across batches instead of being rebuilt per batch; the
+	// maintainer adjusts only the overlay refcounts on cover churn.
 	sub *core.Substrate
 
 	all   relation.AttrSet
@@ -97,10 +96,8 @@ type Maintainer struct {
 	flat  []batchTracker // all trackers, for batch fan-out
 	epoch uint64
 
-	log    core.WriteLog // batch dedup scratch
-	writes []cellWrite   // the last batch's effective writes
-	scans  int64         // cumulative full-candidate verifications
-	skips  int64         // cumulative oracle-answered nodes (not persisted)
+	scans int64 // cumulative full-candidate verifications
+	skips int64 // cumulative oracle-answered nodes (not persisted)
 	// refines counts the subset of scans answered by root refinement —
 	// climb nodes decided from the demoted seed's tracked unsatisfied
 	// classes instead of a partition walk; walks counts the rest, one
@@ -337,14 +334,6 @@ func (mt *Maintainer) KernelStats() (traversals, probes int64) {
 	return mt.walks, mt.walks
 }
 
-// RepairCache returns the substrate's partition cache, which repair
-// verification reuses across batches. Callers snapshot it alongside the
-// maintainer so a reopened maintainer starts warm, and read Stats() for
-// cross-batch hit/miss/byte counters.
-func (mt *Maintainer) RepairCache() *relation.PartitionCache {
-	return mt.sub.Cache()
-}
-
 // Substrate returns the live substrate the maintainer runs on.
 func (mt *Maintainer) Substrate() *core.Substrate { return mt.sub }
 
@@ -356,20 +345,15 @@ func (mt *Maintainer) ApplyBatch(updates []core.CellUpdate) (Diff, error) {
 
 // ApplyBatchContext applies a batch of cell updates, re-verifies exactly
 // the lattice region the batch dirtied, and returns the cover diff. The
-// batch is atomic: a cancelled context rolls the relation and all tracker
-// state back to the pre-batch snapshot and returns an error satisfying
-// errors.Is(err, ctx.Err()) with a zero Diff. Unlike the monitor, updates
-// may touch any attribute — the maintainer has no antecedent/consequent
-// split to protect. Same-cell writes dedup to the last value; writes of a
-// cell's current value are dropped, and an all-no-op batch returns an
-// empty diff at the current epoch without touching any state.
+// substrate validates, folds and applies the batch (core.Substrate.Apply:
+// same-cell writes dedup to the last value, writes of a cell's current
+// value are dropped); an all-no-op batch returns an empty diff at the
+// current epoch without touching any state. Updates may touch any
+// attribute. The batch is atomic: a cancelled context undoes the writes
+// (core.Substrate.Undo), rolls all tracker state back to the pre-batch
+// snapshot and returns an error satisfying errors.Is(err, ctx.Err())
+// with a zero Diff.
 func (mt *Maintainer) ApplyBatchContext(ctx context.Context, updates []core.CellUpdate) (Diff, error) {
-	rel, v := mt.sub.Relation(), mt.sub.Verifier()
-	for _, u := range updates {
-		if u.Row < 0 || u.Row >= rel.NumRows() || u.Col < 0 || u.Col >= rel.NumCols() {
-			return Diff{}, fmt.Errorf("discovery: cell (%d,%d) out of range", u.Row, u.Col)
-		}
-	}
 	if mt.needHydrate {
 		mt.hydrate()
 	}
@@ -377,55 +361,39 @@ func (mt *Maintainer) ApplyBatchContext(ctx context.Context, updates []core.Cell
 	dirtySpan.Items(len(updates))
 	w := exec.Workers(mt.workers)
 	dirtySpan.Workers(w)
-	// Last-write-wins dedup to one effective write per cell, keeping the
-	// pre-batch value for rollback.
-	mt.writes = mt.log.Fold(rel, updates)
-	if len(mt.writes) == 0 {
+	if err := mt.sub.Apply(updates); err != nil {
+		dirtySpan.End()
+		return Diff{}, err
+	}
+	writes := mt.sub.Writes()
+	if len(writes) == 0 {
 		dirtySpan.End()
 		return Diff{Epoch: mt.epoch}, nil
 	}
-	var touched relation.AttrSet
-	for _, wr := range mt.writes {
-		touched = touched.With(wr.Col)
-	}
-	sort.Slice(mt.writes, func(i, j int) bool {
-		if mt.writes[i].Row != mt.writes[j].Row {
-			return mt.writes[i].Row < mt.writes[j].Row
-		}
-		return mt.writes[i].Col < mt.writes[j].Col
-	})
-	// Move the relation to the target state, then fold the write log into
-	// every tracker the batch can affect. The fan-out is uncancellable —
-	// it is O(touched rows) per tracker and leaving it half-applied would
-	// require per-tracker undo logs; cancellation lands on the boundaries
-	// around it instead.
-	for _, wr := range mt.writes {
-		rel.SetValue(wr.Row, wr.Col, wr.New)
-	}
-	mt.invalidateTouched(touched)
+	rel, v := mt.sub.Relation(), mt.sub.Verifier()
+	// Fold the write log into every tracker the batch can affect. The
+	// fan-out is uncancellable — it is O(touched rows) per tracker and
+	// leaving it half-applied would require per-tracker undo logs;
+	// cancellation lands on the boundaries around it instead.
+	touched := core.Touched(writes)
 	active := mt.activeTrackers(touched)
 	_ = exec.For(context.Background(), len(active), w, func(_, i int) {
-		active[i].applyWrites(rel, v, mt.writes)
+		active[i].applyWrites(rel, v, writes)
 	})
 	dirtySpan.End()
 	rollback := func() {
-		// Revert the relation to the source state, then replay the
-		// inverted log through the same trackers: applyWrites transitions
-		// are symmetric, so tracker state is restored exactly (interned
-		// values linger in dictionaries and names tables — both monotone,
-		// harmless). Staged witness certificates are discarded. Shared
-		// cache entries computed over the target state during the verify
-		// phase are evicted again — they describe a state that no longer
-		// exists.
-		inv := make([]cellWrite, len(mt.writes))
-		for k, wr := range mt.writes {
-			rel.SetValue(wr.Row, wr.Col, wr.Old)
+		// Undo the writes, then replay the inverted log through the same
+		// trackers: applyWrites transitions are symmetric, so tracker
+		// state is restored exactly. Staged witness certificates are
+		// discarded.
+		inv := make([]cellWrite, len(writes))
+		for k, wr := range writes {
 			inv[k] = cellWrite{Row: wr.Row, Col: wr.Col, Old: wr.New, New: wr.Old}
 		}
+		mt.sub.Undo()
 		_ = exec.For(context.Background(), len(active), w, func(_, i int) {
 			active[i].applyWrites(rel, v, inv)
 		})
-		mt.invalidateTouched(touched)
 		mt.clearPendings()
 	}
 	if err := exec.Interrupted(ctx, "maintain.dirty"); err != nil {
@@ -435,21 +403,11 @@ func (mt *Maintainer) ApplyBatchContext(ctx context.Context, updates []core.Cell
 	return mt.verifyAndCommit(ctx, touched, false, rollback)
 }
 
-// invalidateTouched evicts shared-state descriptions of attribute sets a
-// batch rewrote: the persistent repair cache's entries (row stamps only
-// catch appends, not in-place updates) and the live overlay registry's
-// intersecting overlays. Everything untouched survives to the next
-// batch's repair pass.
-func (mt *Maintainer) invalidateTouched(touched relation.AttrSet) {
-	mt.sub.Cache().InvalidateTouched(touched)
-	mt.sub.Overlays().InvalidateTouched(touched)
-}
-
 // LastWrites returns the effective (deduplicated, no-op-free) cell writes
-// of the most recent successfully applied batch, sorted by (row, col) —
-// the log the pipeline feeds to the monitor's AbsorbBatch. Valid until the
-// next batch; empty after appends or an all-no-op batch.
-func (mt *Maintainer) LastWrites() []core.CellWrite { return mt.writes }
+// of the most recent batch, sorted by (row, col) — the substrate's write
+// log, which the pipeline's monitor absorbs. Valid until the next batch;
+// empty after appends, an all-no-op batch or a cancelled batch.
+func (mt *Maintainer) LastWrites() []core.CellWrite { return mt.sub.Writes() }
 
 // activeTrackers filters the fan-out list to trackers whose scope a
 // batch's touched columns intersect.
@@ -488,10 +446,9 @@ func (mt *Maintainer) AppendRow(row []string) (Diff, error) {
 // is identical to appending the rows one at a time.
 func (mt *Maintainer) AppendRows(rows [][]string) (Diff, error) {
 	rel, v := mt.sub.Relation(), mt.sub.Verifier()
-	for _, row := range rows {
-		if len(row) != rel.NumCols() {
-			return Diff{}, fmt.Errorf("discovery: append of %d cells into %d attributes", len(row), rel.NumCols())
-		}
+	t0 := int32(rel.NumRows())
+	if err := mt.sub.Append(rows); err != nil {
+		return Diff{}, err
 	}
 	if len(rows) == 0 {
 		return Diff{Epoch: mt.epoch}, nil
@@ -503,25 +460,12 @@ func (mt *Maintainer) AppendRows(rows [][]string) (Diff, error) {
 	dirtySpan.Items(len(rows))
 	w := exec.Workers(mt.workers)
 	dirtySpan.Workers(w)
-	t0 := int32(rel.NumRows())
-	for _, row := range rows {
-		rel.AppendRow(row)
-	}
 	end := int32(rel.NumRows())
-	// Every resident cache entry now trails the relation's row count.
-	// Lookup already refuses them; dropping them outright keeps dead
-	// partitions from holding the byte budget hostage across batches.
-	mt.sub.Cache().InvalidateStale()
 	_ = exec.For(context.Background(), len(mt.flat), w, func(_, i int) {
 		for t := t0; t < end; t++ {
 			mt.flat[i].appendRow(rel, v, t)
 		}
 	})
-	// Live overlays absorb the rows by key routing, so the verify phase's
-	// (and the monitor's) partition lookups materialize them instead of
-	// recomputing products over the grown relation.
-	mt.sub.Overlays().RouteAppends(int(t0), int(end))
-	mt.writes = mt.writes[:0] // appends produce no write log
 	dirtySpan.End()
 	return mt.verifyAndCommit(context.Background(), relation.EmptySet, true, nil)
 }
@@ -543,7 +487,7 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 	verifySpan.Workers(exec.Workers(mt.workers))
 	// Repair verification runs on the substrate's verifier over the
 	// post-batch instance. Its cache stays valid across batches because
-	// invalidateTouched evicted the rewritten sets and row stamps age out
+	// the substrate evicted the rewritten sets and row stamps age out
 	// pre-append entries, so only the touched slice of the partition
 	// lattice is repaid per batch.
 	type flip struct {

@@ -140,14 +140,9 @@ func (ix *ClassIndex) JoinKey(rel *relation.Relation, key []byte, t int32) (ci, 
 }
 
 // BumpVal replaces one occurrence of from with to in class ci's multiset
-// — the consequent-write delta. Undone exactly by UnbumpVal.
+// — the consequent-write delta. BumpVal(ci, to, from) undoes it exactly.
 func (ix *ClassIndex) BumpVal(ci int32, from, to relation.Value) {
 	ix.Counts[ci] = Bump(Bump(ix.Counts[ci], from, -1), to, 1)
-}
-
-// UnbumpVal reverses BumpVal(ci, from, to).
-func (ix *ClassIndex) UnbumpVal(ci int32, from, to relation.Value) {
-	ix.BumpVal(ci, to, from)
 }
 
 // Leave removes one row whose consequent is a from class ci (antecedent

@@ -139,7 +139,7 @@ func TestClassIndexJoinCases(t *testing.T) {
 
 // TestClassIndexTrackerOps drives the maintainer shape (no Part, tracked
 // sizes): birth allocates sequential class ids, Leave shrinks, and
-// BumpVal/UnbumpVal are exact inverses.
+// BumpVal(ci, to, from) exactly undoes BumpVal(ci, from, to).
 func TestClassIndexTrackerOps(t *testing.T) {
 	rel := testRel(t, []string{"X", "A"}, [][]string{
 		{"k1", "v1"}, {"k1", "v2"}, {"k2", "v3"}, {"k2", "v3"},
@@ -157,9 +157,9 @@ func TestClassIndexTrackerOps(t *testing.T) {
 	if reflect.DeepEqual(ix.Counts[0], before) {
 		t.Fatal("BumpVal must change the multiset")
 	}
-	ix.UnbumpVal(0, rel.Value(1, 1), rel.Value(0, 1))
+	ix.BumpVal(0, rel.Value(0, 1), rel.Value(1, 1))
 	if !reflect.DeepEqual(ix.Counts[0], before) {
-		t.Fatalf("UnbumpVal not inverse: %v vs %v", ix.Counts[0], before)
+		t.Fatalf("inverse BumpVal does not restore: %v vs %v", ix.Counts[0], before)
 	}
 	if sz := ix.Leave(1, rel.Value(2, 1)); sz != 1 {
 		t.Fatalf("Leave size = %d, want 1", sz)

@@ -3,13 +3,13 @@
 // (discovery.Maintainer) — onto one shared live-index substrate: one
 // relation, one verifier, one partition cache, and one reference-counted
 // overlay registry serve maintenance, detection, and repair verification
-// together. A single ApplyBatch validates and applies a batch through the
-// maintainer's atomic protocol, hands the effective write log to the
-// monitor verbatim, and (optionally) keeps the monitored set following
-// the discovered cover as it drifts — so the merged pipeline answers
-// "what does this batch do to the dependencies AND to their violations"
-// from one pass over the shared index instead of two engines' private
-// copies of the same partitions.
+// together. A single ApplyBatch has the substrate validate and apply a
+// batch inside the maintainer's atomic protocol, lets the monitor absorb
+// the substrate's write log verbatim, and (optionally) keeps the
+// monitored set following the discovered cover as it drifts — so the
+// merged pipeline answers "what does this batch do to the dependencies
+// AND to their violations" from one pass over the shared index instead of
+// two engines' private copies of the same partitions.
 //
 // Everything observable is byte-identical to running the engines
 // separately: the maintained cover matches a fresh Discover and the
@@ -80,9 +80,9 @@ type Pipeline struct {
 
 // New builds the merged pipeline: one substrate (core.NewSubstrate), the
 // maintainer (running the initial discovery) on it, and the monitor on
-// the substrate's verifier. The maintainer references the overlays of
-// every cover element and every single column; the pipeline adds one
-// reference per monitored antecedent, which the monitor re-routes on.
+// the same substrate. Each engine acquires the overlay references it
+// consults: the maintainer one per cover element and one per single
+// column, the monitor one per monitored antecedent.
 func New(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, opts Options) (*Pipeline, error) {
 	if opts.FollowCover && opts.Sigma != nil {
 		return nil, fmt.Errorf("pipeline: FollowCover requires Sigma == nil (the cover is the monitored set)")
@@ -109,28 +109,19 @@ func New(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, op
 	if sigma == nil {
 		sigma = mt.Cover()
 	}
-	m, err := core.NewMonitorLive(ctx, sub.Verifier(), sigma, opts.Shards, opts.Workers, opts.Stats)
+	m, err := core.NewMonitor(ctx, sub, sigma, opts.Shards, opts.Workers, opts.Stats)
 	if err != nil {
 		return nil, err
 	}
-	return newPipeline(sub, mt, m, opts.FollowCover), nil
-}
-
-// newPipeline assembles a built or decoded engine pair and acquires the
-// monitor's overlay references: one per monitored antecedent.
-func newPipeline(sub *core.Substrate, mt *discovery.Maintainer, m *core.Monitor, followCover bool) *Pipeline {
-	for _, d := range m.Sigma() {
-		sub.Overlays().Acquire(d.LHS)
-	}
-	return &Pipeline{sub: sub, mt: mt, m: m, followCover: followCover}
+	return &Pipeline{sub: sub, mt: mt, m: m, followCover: opts.FollowCover}, nil
 }
 
 // ApplyBatch runs one update batch through the merged pipeline:
 //
-//  1. The maintainer validates, deduplicates, applies, and repair-verifies
-//     the batch atomically (a cancelled batch rolls everything back and
-//     leaves both engines at the pre-batch state).
-//  2. The monitor absorbs the committed effective write log — the same
+//  1. The maintainer has the substrate validate, deduplicate and apply
+//     the batch, then repair-verifies it atomically (a cancelled batch is
+//     undone and leaves both engines at the pre-batch state).
+//  2. The monitor absorbs the substrate's write log — the same
 //     deduplicated cells, verbatim — and publishes one epoch.
 //  3. With FollowCover, the cover diff registers/unregisters monitored
 //     dependencies so the monitored set tracks the cover.
@@ -145,7 +136,7 @@ func (p *Pipeline) ApplyBatch(ctx context.Context, updates []core.CellUpdate) (B
 		return BatchResult{}, err
 	}
 	maintainDone := time.Now()
-	p.m.AbsorbBatchPrewarmed(p.mt.LastWrites())
+	p.m.AbsorbBatch()
 	if err := p.followDiff(diff); err != nil {
 		return BatchResult{}, err
 	}
@@ -159,9 +150,10 @@ func (p *Pipeline) ApplyBatch(ctx context.Context, updates []core.CellUpdate) (B
 }
 
 // AppendRows appends a batch of tuples through the merged pipeline: the
-// maintainer appends and repairs (appends only demote, so this is
-// uncancellable-fast), the live overlays route the new rows, and the
-// monitor joins them under every dependency and publishes one epoch.
+// maintainer has the substrate append the rows (the live overlays route
+// them) and repairs (appends only demote, so this is uncancellable-fast),
+// and the monitor joins them under every dependency and publishes one
+// epoch.
 func (p *Pipeline) AppendRows(rows [][]string) (BatchResult, error) {
 	start := time.Now()
 	t0 := p.sub.Relation().NumRows()
@@ -184,9 +176,8 @@ func (p *Pipeline) AppendRows(rows [][]string) (BatchResult, error) {
 }
 
 // followDiff applies a cover diff to the monitored set (FollowCover
-// mode): removed dependencies unregister, added ones acquire their
-// overlay reference and register. The maintainer's commit already
-// adjusted the cover-side references; these are the monitor's.
+// mode): removed dependencies unregister and added ones register, each
+// moving the monitor's overlay reference with it.
 func (p *Pipeline) followDiff(diff discovery.Diff) error {
 	if !p.followCover || diff.Empty() {
 		return nil
@@ -195,10 +186,8 @@ func (p *Pipeline) followDiff(diff discovery.Diff) error {
 		if err := p.m.Unregister(d); err != nil {
 			return fmt.Errorf("pipeline: cover follow: %w", err)
 		}
-		p.sub.Overlays().Release(d.LHS)
 	}
 	for _, d := range diff.Added {
-		p.sub.Overlays().Acquire(d.LHS)
 		if err := p.m.Register(d); err != nil {
 			return fmt.Errorf("pipeline: cover follow: %w", err)
 		}

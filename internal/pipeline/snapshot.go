@@ -40,7 +40,7 @@ func Append(w *wire.Writer, p *Pipeline) {
 // Append. pc, when non-nil, is the restored shared partition cache
 // (snapshot-consistent with rel); nil starts an empty one. The substrate
 // is decoded once (core.DecodeSubstrate) and both engine bodies run on
-// its verifier; every overlay reference is re-acquired (entries start
+// it; each body decoder re-acquires its overlay references (entries start
 // stale and rebuild on first use), and the restored pipeline's reports,
 // cover, and subsequent batches are byte-identical to the saved one's.
 func Decode(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology, pc *relation.PartitionCache, workers int, stats *exec.Stats) (*Pipeline, error) {
@@ -55,16 +55,15 @@ func Decode(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology, pc *
 	if err != nil {
 		return nil, err
 	}
-	m, err := core.DecodeMonitorBody(r, rel, sub.Verifier(), workers, stats)
+	m, err := core.DecodeMonitorBody(r, sub, workers, stats)
 	if err != nil {
 		return nil, err
 	}
-	m.Relax()
 	mt, err := discovery.DecodeMaintainerBody(r, sub, workers, stats)
 	if err != nil {
 		return nil, err
 	}
-	return newPipeline(sub, mt, m, follow == 1), nil
+	return &Pipeline{sub: sub, mt: mt, m: m, followCover: follow == 1}, nil
 }
 
 // Cache returns the shared partition cache (the snapshot layer encodes it

@@ -70,8 +70,10 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // State is what a snapshot holds. Relation is mandatory; everything else
 // is optional and nil when absent. All present components must be built
 // over the same Relation (and Ontology) pointer — Save enforces it, and
-// Open restores the sharing: the reopened monitor, maintainer, and cache
-// all reference the one restored relation.
+// Open restores the sharing: the reopened engine and cache reference the
+// one restored relation. A state holds at most one standalone engine
+// (Monitor or Maintainer): two engines writing one relation are a
+// Pipeline.
 type State struct {
 	Relation   *relation.Relation
 	Ontology   *ontology.Ontology
@@ -97,29 +99,34 @@ type Options struct {
 }
 
 // resolve returns the relation and ontology the state's components share,
-// or an error when they disagree — a snapshot has one instance.
+// read through each engine's substrate, or an error when they disagree — a
+// snapshot has one instance.
 func (st *State) resolve() (*relation.Relation, *ontology.Ontology, error) {
 	rel, ont := st.Relation, st.Ontology
-	for _, c := range []struct {
+	type component struct {
 		name string
-		rel  *relation.Relation
-		ont  *ontology.Ontology
-	}{
-		{secMonitor, relOf(st.Monitor), ontOf(st.Monitor)},
-		{secMaintainer, relOfMt(st.Maintainer), ontOfMt(st.Maintainer)},
-		{secPipeline, relOfP(st.Pipeline), ontOfP(st.Pipeline)},
-	} {
-		if c.rel == nil {
-			continue
-		}
+		sub  *core.Substrate
+	}
+	var comps []component
+	if st.Monitor != nil {
+		comps = append(comps, component{secMonitor, st.Monitor.Substrate()})
+	}
+	if st.Maintainer != nil {
+		comps = append(comps, component{secMaintainer, st.Maintainer.Substrate()})
+	}
+	if st.Pipeline != nil {
+		comps = append(comps, component{secPipeline, st.Pipeline.Maintainer().Substrate()})
+	}
+	for _, c := range comps {
+		cRel, cOnt := c.sub.Relation(), c.sub.Verifier().Ontology()
 		if rel == nil {
-			rel = c.rel
-		} else if rel != c.rel {
+			rel = cRel
+		} else if rel != cRel {
 			return nil, nil, fmt.Errorf("snapshot: %s is built over a different relation than the state", c.name)
 		}
 		if ont == nil {
-			ont = c.ont
-		} else if c.ont != nil && ont != c.ont {
+			ont = cOnt
+		} else if cOnt != nil && ont != cOnt {
 			return nil, nil, fmt.Errorf("snapshot: %s is built over a different ontology than the state", c.name)
 		}
 	}
@@ -127,48 +134,6 @@ func (st *State) resolve() (*relation.Relation, *ontology.Ontology, error) {
 		return nil, nil, fmt.Errorf("snapshot: state holds no relation")
 	}
 	return rel, ont, nil
-}
-
-func relOf(m *core.Monitor) *relation.Relation {
-	if m == nil {
-		return nil
-	}
-	return m.Relation()
-}
-
-func ontOf(m *core.Monitor) *ontology.Ontology {
-	if m == nil {
-		return nil
-	}
-	return m.Ontology()
-}
-
-func relOfMt(mt *discovery.Maintainer) *relation.Relation {
-	if mt == nil {
-		return nil
-	}
-	return mt.Relation()
-}
-
-func relOfP(p *pipeline.Pipeline) *relation.Relation {
-	if p == nil {
-		return nil
-	}
-	return p.Relation()
-}
-
-func ontOfP(p *pipeline.Pipeline) *ontology.Ontology {
-	if p == nil {
-		return nil
-	}
-	return p.Monitor().Ontology()
-}
-
-func ontOfMt(mt *discovery.Maintainer) *ontology.Ontology {
-	if mt == nil {
-		return nil
-	}
-	return mt.Ontology()
 }
 
 // Encode serializes the state to a snapshot image (the file contents).
@@ -183,6 +148,11 @@ func Encode(st *State) ([]byte, error) {
 	}
 	if st.Pipeline != nil && (st.Monitor != nil || st.Maintainer != nil || st.Cache != nil) {
 		return nil, fmt.Errorf("snapshot: a pipeline state owns its engines and cache; leave Monitor, Maintainer, and Cache nil")
+	}
+	if st.Monitor != nil && st.Maintainer != nil {
+		// Each standalone engine decodes its own substrate; two of them
+		// would install two overlay registries on one restored cache.
+		return nil, fmt.Errorf("snapshot: a state holds at most one standalone engine; two engines writing one relation are a Pipeline")
 	}
 	type section struct {
 		name    string
@@ -360,6 +330,9 @@ func Decode(img []byte, opts Options) (*State, error) {
 		case secMaintainer:
 			if st.Relation == nil || st.Ontology == nil {
 				return nil, fmt.Errorf("snapshot: maintainer section requires relation and ontology sections")
+			}
+			if st.Monitor != nil {
+				return nil, fmt.Errorf("snapshot: monitor and maintainer sections in one file; two engines writing one relation are a pipeline")
 			}
 			mt, err := discovery.DecodeMaintainer(sr, st.Relation, st.Ontology, st.Cache, opts.Workers, opts.Stats)
 			if err != nil {

@@ -24,6 +24,16 @@ func newTestMaintainer(ds *gen.Dataset) (*discovery.Maintainer, error) {
 	return discovery.NewMaintainer(context.Background(), sub, opts)
 }
 
+// newTestMonitor builds a standalone monitor over ds.Sigma on a fresh
+// substrate.
+func newTestMonitor(ds *gen.Dataset, shards, workers int) (*core.Monitor, error) {
+	sub, err := core.NewSubstrate(context.Background(), ds.Rel, ds.Ont, workers)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewMonitor(context.Background(), sub, ds.Sigma, shards, workers, nil)
+}
+
 // reportJSON canonicalizes a report for byte-identity comparison.
 func reportJSON(t *testing.T, rep *core.Report) string {
 	t.Helper()
@@ -103,7 +113,7 @@ func TestCacheRoundTrip(t *testing.T) {
 
 func TestMonitorReportIdentity(t *testing.T) {
 	ds := gen.Clinical(1000, 3)
-	m, err := core.NewMonitor(t.Context(), ds.Rel, ds.Ont, ds.Sigma, 4, 2, nil)
+	m, err := newTestMonitor(ds, 4, 2)
 	if err != nil {
 		t.Fatalf("NewMonitor: %v", err)
 	}
@@ -175,7 +185,7 @@ func TestMonitorSecondSaveRoundTrip(t *testing.T) {
 	// re-encode as-is, and the third generation must still report
 	// identically.
 	ds := gen.Clinical(400, 4)
-	m, err := core.NewMonitor(t.Context(), ds.Rel, ds.Ont, ds.Sigma, 2, 1, nil)
+	m, err := newTestMonitor(ds, 2, 1)
 	if err != nil {
 		t.Fatalf("NewMonitor: %v", err)
 	}
@@ -287,15 +297,15 @@ func TestCombinedStateSharing(t *testing.T) {
 	// Monitor + maintainer + cache in one snapshot share one relation and
 	// ontology after reopen.
 	ds := gen.Clinical(300, 6)
-	m, err := core.NewMonitor(t.Context(), ds.Rel, ds.Ont, ds.Sigma, 2, 1, nil)
+	m, err := newTestMonitor(ds, 2, 1)
 	if err != nil {
 		t.Fatalf("NewMonitor: %v", err)
 	}
-	got := saveOpen(t, &State{Monitor: m, Cache: m.Partitions()}, Options{})
+	got := saveOpen(t, &State{Monitor: m, Cache: m.Substrate().Cache()}, Options{})
 	if got.Monitor.Relation() != got.Relation {
 		t.Fatal("restored monitor does not share the restored relation")
 	}
-	if got.Monitor.Partitions() != got.Cache {
+	if got.Monitor.Substrate().Cache() != got.Cache {
 		t.Fatal("restored monitor does not share the restored cache")
 	}
 	if got.Ontology == nil {
@@ -306,7 +316,7 @@ func TestCombinedStateSharing(t *testing.T) {
 func TestSaveRejectsMismatchedComponents(t *testing.T) {
 	ds1 := gen.Clinical(50, 7)
 	ds2 := gen.Clinical(50, 8)
-	m, err := core.NewMonitor(t.Context(), ds2.Rel, ds2.Ont, ds2.Sigma, 0, 1, nil)
+	m, err := newTestMonitor(ds2, 0, 1)
 	if err != nil {
 		t.Fatalf("NewMonitor: %v", err)
 	}

@@ -42,23 +42,42 @@ func checkBudget(t *testing.T, state string, pc *relation.PartitionCache) {
 	}
 }
 
-// TestSubstrateOwnership pins the one substrate both engines run on: a
-// standalone maintainer and a pipeline, built and reopened, hold exactly
-// the overlay references the ownership rule prescribes, and their caches
-// carry DefaultCacheBudget. A restored cache keeps its saved budget.
+// TestSubstrateOwnership pins the one substrate every engine runs on: a
+// standalone monitor, a standalone maintainer and a pipeline, built and
+// reopened, hold exactly the overlay references the ownership rule
+// prescribes, and their caches carry DefaultCacheBudget. A restored cache
+// keeps its saved budget, and a state holding two standalone engines is
+// rejected.
 func TestSubstrateOwnership(t *testing.T) {
 	ds := gen.Clinical(200, 5)
+	m, err := newTestMonitor(ds, 2, 2)
+	if err != nil {
+		t.Fatalf("NewMonitor: %v", err)
+	}
+	monitored := make(map[relation.AttrSet]int)
+	for _, d := range m.Sigma() {
+		monitored[d.LHS]++
+	}
+	checkRefs(t, "built monitor", m.Substrate().Overlays(), monitored)
+	checkBudget(t, "built monitor", m.Substrate().Cache())
+	got := saveOpen(t, &State{Monitor: m}, Options{Workers: 2})
+	checkRefs(t, "reopened monitor", got.Monitor.Substrate().Overlays(), monitored)
+	checkBudget(t, "reopened monitor", got.Monitor.Substrate().Cache())
+
 	mt, err := newTestMaintainer(ds)
 	if err != nil {
 		t.Fatalf("NewMaintainer: %v", err)
 	}
+	if _, err := Encode(&State{Monitor: m, Maintainer: mt}); err == nil {
+		t.Fatal("Encode accepted a standalone monitor and a standalone maintainer in one state")
+	}
 	nCols := ds.Rel.NumCols()
 	want := wantRefs(mt.Cover(), nil, nCols)
 	checkRefs(t, "built maintainer", mt.Substrate().Overlays(), want)
-	checkBudget(t, "built maintainer", mt.RepairCache())
-	got := saveOpen(t, &State{Maintainer: mt, Cache: mt.RepairCache()}, Options{Workers: 2})
+	checkBudget(t, "built maintainer", mt.Substrate().Cache())
+	got = saveOpen(t, &State{Maintainer: mt, Cache: mt.Substrate().Cache()}, Options{Workers: 2})
 	checkRefs(t, "reopened maintainer", got.Maintainer.Substrate().Overlays(), want)
-	checkBudget(t, "reopened maintainer", got.Maintainer.RepairCache())
+	checkBudget(t, "reopened maintainer", got.Maintainer.Substrate().Cache())
 
 	p, batch, _ := newTestPipeline(t, 3)
 	if _, err := p.ApplyBatch(t.Context(), batch()); err != nil {
