@@ -15,16 +15,16 @@ import (
 	"github.com/fastofd/fastofd/internal/snapshot"
 )
 
-// sweepCapRows caps the eviction-policy sweep size: partition Gets are
-// linear in the row count, so beyond this the sweep dominates the bench
-// wall clock while the budget/policy behaviour it measures is unchanged.
+// sweepCapRows caps the eviction sweep size: partition Gets are linear in
+// the row count, so beyond this the sweep dominates the bench wall clock
+// while the budget behaviour it measures is unchanged.
 const sweepCapRows = 100_000
 
 // storageReport is the machine-readable output of -storagebench: the
 // instant-restart headline (cold pipeline build vs snapshot reopen, with
 // byte-identity of the first post-reopen Report and cover)
-// and the byte-budgeted partition-cache sweep (cost-model vs level-sweep
-// eviction at several budgets over one deterministic access trace).
+// and the byte-budgeted partition-cache sweep (cost-model eviction at
+// several budgets over one deterministic access trace).
 type storageReport struct {
 	benchEnv
 	Rows int `json:"rows"`
@@ -45,17 +45,15 @@ type storageReport struct {
 	// pipelines kept both byte-identical.
 	SnapshotIdentical bool `json:"snapshot_identical"`
 	// SweepRows is the instance size of the eviction sweep (rows capped at
-	// sweepCapRows); Sweep holds one row per (budget, policy) pair over the
-	// shared deterministic trace.
+	// sweepCapRows); Sweep holds one row per budget over the shared
+	// deterministic trace.
 	SweepRows int        `json:"sweep_rows"`
 	Sweep     []sweepRow `json:"sweep"`
 	// BudgetRespected records that every budgeted configuration kept the
 	// cache payload within budget + one in-flight partition after every
-	// Get. CostModelNoWorse records that at every budget the cost-model
-	// policy's hit rate was at least the level-sweep baseline's.
-	BudgetRespected  bool          `json:"budget_respected"`
-	CostModelNoWorse bool          `json:"cost_model_no_worse"`
-	Results          []benchResult `json:"results"`
+	// Get.
+	BudgetRespected bool          `json:"budget_respected"`
+	Results         []benchResult `json:"results"`
 	// Cache aggregates the pipeline partition-cache counters of the restart
 	// experiment (the sweep caches are reported per-row in Sweep).
 	Cache cacheTotals `json:"cache"`
@@ -64,13 +62,12 @@ type storageReport struct {
 	Stats *exec.Stats `json:"stats"`
 }
 
-// sweepRow is one (budget, policy) cell of the eviction sweep. Hits and
-// Misses are top-level trace outcomes — whether each requested set
-// answered from cache — so the rate compares policies fairly regardless
-// of how deep their miss-path rebuilds recurse; Evictions is the
-// trace-only delta (CacheStats.Since from the post-warmup snapshot).
+// sweepRow is one budget of the eviction sweep. Hits and Misses are
+// top-level trace outcomes — whether each requested set answered from
+// cache — regardless of how deep the miss-path rebuilds recurse;
+// Evictions is the trace-only delta (CacheStats.Since from the
+// post-warmup snapshot).
 type sweepRow struct {
-	Policy      string  `json:"policy"`
 	BudgetBytes int64   `json:"budget_bytes"`
 	BudgetFrac  float64 `json:"budget_frac"` // of the unbounded trace footprint
 	Hits        uint64  `json:"hits"`
@@ -88,7 +85,7 @@ type sweepRow struct {
 // eviction sweep replays: a small hot set of multi-attribute sets
 // dominates (~70% of accesses, skewed), the rest are colder uniform
 // draws over levels 1–3. The same seed always yields the same trace, so
-// policy comparisons are exact.
+// budgets compare exactly.
 func storageTrace(cols, ops int, seed int64) []relation.AttrSet {
 	rng := rand.New(rand.NewSource(seed))
 	randomSet := func(k int) relation.AttrSet {
@@ -116,7 +113,7 @@ func storageTrace(cols, ops int, seed int64) []relation.AttrSet {
 
 // traceRun is one replayed trace's outcome: top-level hit/miss counts
 // (per trace op — recursive subset rebuilds inside a miss are excluded,
-// so the rate is comparable across policies with different rebuild
+// so the rate is comparable across budgets with different rebuild
 // depths), the trace-only counter deltas, the observed post-Get payload
 // peak, and the wall time.
 type traceRun struct {
@@ -127,11 +124,10 @@ type traceRun struct {
 }
 
 // replayTrace replays the trace against a fresh cache configured with the
-// given budget and policy. A zero budget leaves the cache unbounded (the
+// given budget. A zero budget leaves the cache unbounded (the
 // footprint-reference run).
-func replayTrace(rel *relation.Relation, trace []relation.AttrSet, budget int64, policy relation.EvictionPolicy) traceRun {
+func replayTrace(rel *relation.Relation, trace []relation.AttrSet, budget int64) traceRun {
 	pc := relation.NewPartitionCacheParallel(rel, 0)
-	pc.SetPolicy(policy)
 	if budget > 0 {
 		pc.SetBudget(budget)
 	}
@@ -163,8 +159,8 @@ func replayTrace(rel *relation.Relation, trace []relation.AttrSet, budget int64,
 // runStorageBench measures the storage tier and writes BENCH_storage.json:
 // a cold pipeline build vs snapshot Save/Open at rows tuples (asserting
 // byte-identical reports and cover, and identical evolution under one
-// replayed update stream), then the eviction-policy sweep at
-// several byte budgets. smoke shrinks the trace and budget grid for CI. A
+// replayed update stream), then the eviction sweep at several byte
+// budgets. smoke shrinks the trace and budget grid for CI. A
 // cancelled ctx stops between stages; the rows measured so far are still
 // written before the error returns.
 func runStorageBench(ctx context.Context, stats *exec.Stats, path string, rows int, smoke bool) error {
@@ -173,7 +169,6 @@ func runStorageBench(ctx context.Context, stats *exec.Stats, path string, rows i
 		Rows:              rows,
 		SnapshotIdentical: true,
 		BudgetRespected:   true,
-		CostModelNoWorse:  true,
 		Stats:             stats,
 	}
 	partial := partialWriter(path, &report, &report.Results, 30)
@@ -276,7 +271,7 @@ func runStorageBench(ctx context.Context, stats *exec.Stats, path string, rows i
 		return partial(err)
 	}
 
-	// --- Eviction-policy sweep ------------------------------------------
+	// --- Eviction sweep -------------------------------------------------
 	sweepRows := rows
 	if sweepRows > sweepCapRows {
 		sweepRows = sweepCapRows
@@ -297,7 +292,7 @@ func runStorageBench(ctx context.Context, stats *exec.Stats, path string, rows i
 	// Unbounded reference run: its steady-state footprint anchors the
 	// budget fractions, and its largest single partition is the allowed
 	// one-in-flight overshoot.
-	ref := replayTrace(sds.Rel, trace, 0, relation.EvictCostModel)
+	ref := replayTrace(sds.Rel, trace, 0)
 	addRow("sweep-unbounded", ref.ns)
 	var maxEntry int64
 	{
@@ -311,13 +306,6 @@ func runStorageBench(ctx context.Context, stats *exec.Stats, path string, rows i
 		}
 	}
 
-	policies := []struct {
-		name string
-		p    relation.EvictionPolicy
-	}{
-		{"cost-model", relation.EvictCostModel},
-		{"level-sweep", relation.EvictLevelSweep},
-	}
 	for _, frac := range fracs {
 		if err := exec.Interrupted(ctx, "storagebench"); err != nil {
 			return partial(err)
@@ -326,38 +314,28 @@ func runStorageBench(ctx context.Context, stats *exec.Stats, path string, rows i
 		if budget < maxEntry {
 			budget = maxEntry
 		}
-		var rates [2]float64
-		for pi, pol := range policies {
-			run := replayTrace(sds.Rel, trace, budget, pol.p)
-			rate := 0.0
-			if run.hits+run.misses > 0 {
-				rate = float64(run.hits) / float64(run.hits+run.misses)
-			}
-			rates[pi] = rate
-			within := run.peak <= budget+maxEntry
-			if !within {
-				report.BudgetRespected = false
-				fmt.Fprintf(os.Stderr, "storagebench: %s at %d bytes peaked at %d (> budget + %d)\n",
-					pol.name, budget, run.peak, maxEntry)
-			}
-			report.Sweep = append(report.Sweep, sweepRow{
-				Policy:       pol.name,
-				BudgetBytes:  budget,
-				BudgetFrac:   frac,
-				Hits:         run.hits,
-				Misses:       run.misses,
-				HitRate:      rate,
-				Evictions:    run.delta.Evictions,
-				PeakBytes:    run.peak,
-				WithinBudget: within,
-			})
-			addRow(fmt.Sprintf("sweep-%s-b%02.0f", pol.name, frac*100), run.ns)
+		run := replayTrace(sds.Rel, trace, budget)
+		rate := 0.0
+		if run.hits+run.misses > 0 {
+			rate = float64(run.hits) / float64(run.hits+run.misses)
 		}
-		if rates[0] < rates[1] {
-			report.CostModelNoWorse = false
-			fmt.Fprintf(os.Stderr, "storagebench: cost-model hit rate %.3f below level-sweep %.3f at %d bytes\n",
-				rates[0], rates[1], budget)
+		within := run.peak <= budget+maxEntry
+		if !within {
+			report.BudgetRespected = false
+			fmt.Fprintf(os.Stderr, "storagebench: budget %d bytes peaked at %d (> budget + %d)\n",
+				budget, run.peak, maxEntry)
 		}
+		report.Sweep = append(report.Sweep, sweepRow{
+			BudgetBytes:  budget,
+			BudgetFrac:   frac,
+			Hits:         run.hits,
+			Misses:       run.misses,
+			HitRate:      rate,
+			Evictions:    run.delta.Evictions,
+			PeakBytes:    run.peak,
+			WithinBudget: within,
+		})
+		addRow(fmt.Sprintf("sweep-b%02.0f", frac*100), run.ns)
 	}
 
 	if err := writeBenchReport(path, report, report.Results, 30); err != nil {
@@ -365,8 +343,8 @@ func runStorageBench(ctx context.Context, stats *exec.Stats, path string, rows i
 	}
 	fmt.Printf("snapshot reopen: %.1fx faster than cold build (%.0fms vs %.0fms, %d rows, %d snapshot bytes)\n",
 		report.ReopenSpeedup, report.ReopenNs/1e6, report.ColdBuildNs/1e6, rows, report.SnapshotBytes)
-	fmt.Printf("snapshot identical: %v; budget respected: %v; cost-model no worse: %v\n",
-		report.SnapshotIdentical, report.BudgetRespected, report.CostModelNoWorse)
+	fmt.Printf("snapshot identical: %v; budget respected: %v\n",
+		report.SnapshotIdentical, report.BudgetRespected)
 	fmt.Printf("wrote %s\n", path)
 	return exec.Interrupted(ctx, "storagebench")
 }

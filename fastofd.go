@@ -324,21 +324,20 @@ func NewPipeline(ctx context.Context, rel *Relation, ont *Ontology, opts Pipelin
 
 // Persistence (snapshots).
 type (
-	// SnapshotState is the content of one snapshot: the relation instance
-	// plus any engines built over it — either a Pipeline, which owns its
-	// monitor, maintainer, and shared cache, or a standalone partition
-	// cache plus at most one standalone Monitor or Maintainer. All present
-	// components must share one relation and ontology.
+	// SnapshotState is the content of one snapshot: a relation instance,
+	// its ontology, and at most one Pipeline, which owns its monitor,
+	// maintainer, and shared cache. A Relation or Ontology given next to a
+	// Pipeline must be the pipeline's own.
 	SnapshotState = snapshot.State
 	// SnapshotOptions configure OpenSnapshot (restore workers and stats).
 	SnapshotOptions = snapshot.Options
 )
 
-// SaveSnapshot atomically writes the state to a single versioned,
-// checksummed snapshot file. Reopening with OpenSnapshot restores the
-// relation, cache, monitor, and maintainer without recomputing their
-// indexes: the monitor's first Report and the maintainer's Cover are
-// byte-identical to the saved ones.
+// SaveSnapshot atomically and durably writes the state to a single
+// versioned, checksummed snapshot file. Reopening with OpenSnapshot
+// restores the relation and the pipeline — its cache, monitor, and
+// maintainer — without recomputing their indexes: the first Report and
+// Cover are byte-identical to the saved ones.
 func SaveSnapshot(path string, st *SnapshotState) error { return snapshot.Save(path, st) }
 
 // OpenSnapshot reads a snapshot file written by SaveSnapshot. Reopen cost

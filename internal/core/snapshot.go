@@ -13,13 +13,14 @@ import (
 	"github.com/fastofd/fastofd/internal/wire"
 )
 
-// This file is the monitor's side of the snapshot format. A monitor
-// snapshot captures exactly the state a rebuild would recompute from the
-// instance — Σ, the per-OFD routing tables, each shard's overlay of the
-// frozen base partitions, LHS-key indexes, consequent multisets, and the
-// verifier's memoized names tables — so reopening costs bulk array reads
-// plus one multiset pass per class to re-materialize violation records,
-// instead of partition construction and LHS-key hashing over every tuple.
+// This file is the monitor's side of the snapshot format, plus the
+// verifier tables AppendSubstrate writes. A monitor body captures exactly
+// the state a rebuild would recompute from the instance — Σ, the per-OFD
+// routing tables, each shard's overlay of the frozen base partitions,
+// LHS-key indexes and consequent multisets — so reopening costs bulk array
+// reads plus one multiset pass per class to re-materialize violation
+// records, instead of partition construction and LHS-key hashing over
+// every tuple.
 //
 // Two deliberately lazy pieces keep reopen latency proportional to the
 // flagged state rather than the instance:
@@ -123,18 +124,6 @@ func decodeVerifier(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontolo
 	return v, r.Err()
 }
 
-// AppendVerifier encodes v's memoized names tables and coverage flags in
-// the monitor's sparse verifier encoding; the maintainer snapshot reuses
-// it so a restored maintainer skips per-value ontology resolution too.
-func AppendVerifier(w *wire.Writer, v *Verifier) { appendVerifierTables(w, v) }
-
-// DecodeVerifier rebuilds a verifier written by AppendVerifier over
-// rel/ont, backed by pc (nil gives the unbacked, mutation-safe shape the
-// maintainer keeps long-lived).
-func DecodeVerifier(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology, pc *relation.PartitionCache) (*Verifier, error) {
-	return decodeVerifier(r, rel, ont, pc)
-}
-
 // AppendLHSIndex encodes one LHS-key index (encoded fixed-width key →
 // class id or lone-row entry) as concatenated key-sorted keys plus
 // parallel values — the shared frozen form of monitor shard indexes and
@@ -143,16 +132,9 @@ func AppendLHSIndex(w *wire.Writer, idx map[string]int32, width int) {
 	appendLHSIndex(w, idx, width)
 }
 
-// AppendMonitor encodes m: the verifier tables first, then the monitor
-// body. Must not run concurrently with mutations.
-func AppendMonitor(w *wire.Writer, m *Monitor) {
-	appendVerifierTables(w, m.v)
-	AppendMonitorBody(w, m)
-}
-
-// AppendMonitorBody encodes everything of m except the verifier tables —
-// the pipeline snapshot writes one shared verifier section for both
-// engines and then each engine's body. Restored-and-not-yet-hydrated
+// AppendMonitorBody encodes everything of m except its substrate — the
+// pipeline snapshot writes the shared substrate once (AppendSubstrate) and
+// then each engine's body. Restored-and-not-yet-hydrated
 // index state re-encodes from its frozen form directly, so save → open →
 // save round-trips without ever building the maps.
 func AppendMonitorBody(w *wire.Writer, m *Monitor) {
@@ -271,25 +253,13 @@ func decodeCounts(r *wire.Reader) [][]live.ValCount {
 	return counts
 }
 
-// DecodeMonitor rebuilds a monitor over rel/ont from a snapshot written by
-// AppendMonitor, on a substrate decoded over the snapshot's verifier
-// tables (DecodeSubstrate) and pc — a restored cache, or nil for a fresh
-// default-budget one. Violation records are re-materialized shard-parallel
-// — they are deterministic functions of the restored multisets and
-// overlays — so the first Report is byte-identical to the saved monitor's.
-// workers and stats configure the restored monitor exactly as NewMonitor's
-// parameters would.
-func DecodeMonitor(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology, pc *relation.PartitionCache, workers int, stats *exec.Stats) (*Monitor, error) {
-	sub, err := DecodeSubstrate(r, rel, ont, pc)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeMonitorBody(r, sub, workers, stats)
-}
-
-// DecodeMonitorBody rebuilds a monitor over an already-decoded (typically
-// shared) substrate from a body written by AppendMonitorBody. Like
-// NewMonitor, it acquires one overlay reference per monitored antecedent.
+// DecodeMonitorBody rebuilds a monitor over an already-decoded substrate
+// (DecodeSubstrate) from a body written by AppendMonitorBody. Violation
+// records are re-materialized shard-parallel — they are deterministic
+// functions of the restored multisets and overlays — so the first Report
+// is byte-identical to the saved monitor's. Like NewMonitor, it acquires
+// one overlay reference per monitored antecedent; workers and stats
+// configure the restored monitor exactly as NewMonitor's parameters would.
 func DecodeMonitorBody(r *wire.Reader, sub *Substrate, workers int, stats *exec.Stats) (*Monitor, error) {
 	rel := sub.Relation()
 	sigma := DecodeSet(r)

@@ -11,12 +11,6 @@ import (
 	"github.com/fastofd/fastofd/internal/wire"
 )
 
-// DefaultCacheBudget is the byte budget NewSubstrate arms on the partition
-// cache it builds. Generous enough that update streams over mid-size
-// instances never evict, small enough that a long-lived engine cannot grow
-// without bound.
-const DefaultCacheBudget int64 = 256 << 20
-
 // CellUpdate is one cell write of a batched update: set cell (Row, Col) to
 // Value.
 type CellUpdate struct {
@@ -68,28 +62,38 @@ type Substrate struct {
 
 // NewSubstrate builds the substrate over rel and ont: a fresh partition
 // cache (single-column partitions spread over up to workers goroutines)
-// bounded by DefaultCacheBudget. A cancelled build returns an error
-// satisfying errors.Is(err, ctx.Err()).
+// bounded by relation.DefaultCacheBudget. A cancelled build returns an
+// error satisfying errors.Is(err, ctx.Err()).
 func NewSubstrate(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, workers int) (*Substrate, error) {
 	pc, err := relation.NewPartitionCacheContext(ctx, rel, workers)
 	if err != nil {
 		return nil, err
 	}
-	pc.SetBudget(DefaultCacheBudget)
+	pc.SetBudget(relation.DefaultCacheBudget)
 	return newSubstrate(NewVerifier(rel, ont, pc)), nil
 }
 
-// DecodeSubstrate is NewSubstrate over the verifier tables AppendVerifier
-// wrote, skipping per-value ontology resolution. pc, when non-nil, is a
-// restored cache snapshot-consistent with rel and keeps its saved budget;
-// nil starts an empty cache bounded by DefaultCacheBudget. No overlay
-// reference is taken (the engine decoders re-acquire theirs).
-func DecodeSubstrate(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology, pc *relation.PartitionCache) (*Substrate, error) {
-	if pc == nil {
-		pc = relation.NewPartitionCache(rel)
-		pc.SetBudget(DefaultCacheBudget)
+// AppendSubstrate encodes sub as one unit: the partition cache's entries,
+// then the verifier's memoized names tables. The overlay registry is not
+// written — the engine decoders re-acquire their references and overlays
+// rebuild from the restored cache on first use. Must not run concurrently
+// with mutations.
+func AppendSubstrate(w *wire.Writer, sub *Substrate) {
+	sub.Cache().AppendTo(w)
+	appendVerifierTables(w, sub.v)
+}
+
+// DecodeSubstrate is NewSubstrate over a payload AppendSubstrate wrote: the
+// restored cache (bounded by relation.DefaultCacheBudget, like a built
+// one) and the verifier tables, skipping partition construction and
+// per-value ontology resolution. No overlay reference is taken (the engine
+// decoders re-acquire theirs).
+func DecodeSubstrate(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology) (*Substrate, error) {
+	pc, err := relation.DecodePartitionCache(r, rel)
+	if err != nil {
+		return nil, err
 	}
-	v, err := DecodeVerifier(r, rel, ont, pc)
+	v, err := decodeVerifier(r, rel, ont, pc)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/exec"
 	"github.com/fastofd/fastofd/internal/live"
-	"github.com/fastofd/fastofd/internal/ontology"
 	"github.com/fastofd/fastofd/internal/relation"
 	"github.com/fastofd/fastofd/internal/wire"
 )
@@ -21,27 +20,18 @@ import (
 // transversal i by construction, so decode derives one from the other and
 // the pair can never disagree.
 //
-// The encoding splits verifier-first: AppendMaintainer writes the
-// verifier's tables then the body, while the pipeline section writes one
-// shared verifier up front and only the engine bodies after it — the two
-// engines' snapshots no longer duplicate the names tables or the
-// partition cache contents.
+// Only the body is written here: the pipeline section writes the shared
+// substrate (partition cache and verifier tables) once, up front, and the
+// monitor and maintainer bodies after it.
 //
 // Cover-tracker LHS-key indexes restore in frozen key/value array form
 // and hydrate into hash maps only when the maintainer mutates again,
 // exactly like the monitor's shard indexes — a restored maintainer that
 // only answers Cover() never builds a map.
 
-// AppendMaintainer encodes mt, verifier tables first, then the body.
-// Must not run concurrently with mutations.
-func AppendMaintainer(w *wire.Writer, mt *Maintainer) {
-	core.AppendVerifier(w, mt.sub.Verifier())
-	AppendMaintainerBody(w, mt)
-}
-
-// AppendMaintainerBody encodes the maintainer's engine state without the
-// verifier tables — the pipeline section shares one verifier across both
-// engine bodies. Restored-and-not-yet-hydrated tracker indexes re-encode
+// AppendMaintainerBody encodes the maintainer's engine state without its
+// substrate, which the pipeline section writes once for both engine
+// bodies. Restored-and-not-yet-hydrated tracker indexes re-encode
 // from their frozen form directly, so save → open → save round-trips
 // without ever building the maps.
 func AppendMaintainerBody(w *wire.Writer, mt *Maintainer) {
@@ -158,26 +148,13 @@ func decodeVCList(r *wire.Reader) ([]live.ValCount, error) {
 	return pairs, nil
 }
 
-// DecodeMaintainer rebuilds a standalone maintainer over rel/ont from a
-// snapshot written by AppendMaintainer: verifier tables first, then the
-// body. The restored maintainer runs on a substrate decoded over those
-// tables (core.DecodeSubstrate) and pc — the caller's restored cache, so
-// the first batch's repair starts warm, or a fresh default-budget one when
-// nil.
-func DecodeMaintainer(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology, pc *relation.PartitionCache, workers int, stats *exec.Stats) (*Maintainer, error) {
-	sub, err := core.DecodeSubstrate(r, rel, ont, pc)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeMaintainerBody(r, sub, workers, stats)
-}
-
 // DecodeMaintainerBody rebuilds a maintainer over an already-decoded
-// substrate from a body written by AppendMaintainerBody — the pipeline
-// decodes one shared substrate and hands its verifier to both engine body
-// decoders. No discovery, tracker construction, or candidate scan runs:
-// the restored state is byte-for-byte the saved trackers, so Cover() and
-// all subsequent diffs are identical to the saved maintainer's. Like
+// substrate (core.DecodeSubstrate) from a body written by
+// AppendMaintainerBody — the pipeline decodes one shared substrate and
+// hands it to both engine body decoders. No discovery, tracker
+// construction, or candidate scan runs: the restored state is
+// byte-for-byte the saved trackers, so Cover() and all subsequent diffs
+// are identical to the saved maintainer's. Like
 // NewMaintainer, it acquires sub's overlay references for every cover
 // element and every single column. workers and stats configure the
 // restored maintainer exactly as the construction-time options would.

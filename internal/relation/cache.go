@@ -49,24 +49,6 @@ type cacheShard struct {
 	levels map[int][]AttrSet
 }
 
-// EvictionPolicy selects how a budgeted cache sheds entries when it
-// exceeds its byte budget.
-type EvictionPolicy int32
-
-const (
-	// EvictCostModel scores every entry by bytes × coldness ÷ (rebuild
-	// cost × hit frequency) — the greedy-dual-size-frequency family — and
-	// evicts the highest scores first: large, long-unused, rarely-hit
-	// partitions that are cheap to recompute go before small, hot,
-	// expensive ones. This is the default for budgeted caches.
-	EvictCostModel EvictionPolicy = iota
-	// EvictLevelSweep is the blind baseline: sweep whole lattice levels
-	// (lowest multi-attribute level first, single columns last) until the
-	// cache fits, ignoring per-entry heat and size — the policy the
-	// pre-budget Evict(k) call sites approximated.
-	EvictLevelSweep
-)
-
 // PartitionCache memoizes stripped partitions by attribute set, computing
 // single columns directly and larger sets via Product of cached parts.
 //
@@ -79,9 +61,9 @@ const (
 //
 // Memory is bounded two ways: lattice traversals still drive the two-level
 // Evict sweeps, and SetBudget arms a global byte budget enforced on every
-// insert — when the payload exceeds it, the eviction policy (cost-model by
-// default) sheds entries until the cache fits again, leaving at most the
-// one in-flight partition over budget. Both are observable through Stats.
+// insert — when the payload exceeds it, the cost model sheds entries until
+// the cache fits again, leaving at most the one in-flight partition over
+// budget. Both are observable through Stats.
 type PartitionCache struct {
 	r         *Relation
 	shards    [cacheShardCount]cacheShard
@@ -91,7 +73,6 @@ type PartitionCache struct {
 	peakBytes atomic.Int64
 	evictions atomic.Uint64
 	budget    atomic.Int64  // 0 = unbounded
-	policy    atomic.Int32  // EvictionPolicy
 	clock     atomic.Uint64 // logical time: ticks once per lookup
 	evictMu   sync.Mutex    // serializes budget enforcement passes
 	// provider, when set, serves misses on attribute sets with a live
@@ -237,14 +218,6 @@ func (pc *PartitionCache) SetBudget(bytes int64) {
 // Budget returns the configured byte budget (0 = unbounded).
 func (pc *PartitionCache) Budget() int64 { return pc.budget.Load() }
 
-// SetPolicy selects the budget-eviction policy. The default is
-// EvictCostModel; EvictLevelSweep exists as the blind baseline the
-// storage benchmarks compare against.
-func (pc *PartitionCache) SetPolicy(p EvictionPolicy) { pc.policy.Store(int32(p)) }
-
-// Policy returns the configured budget-eviction policy.
-func (pc *PartitionCache) Policy() EvictionPolicy { return EvictionPolicy(pc.policy.Load()) }
-
 // lookup returns the cached partition for attrs, if present and current,
 // stamping the entry's recency and hit counters. An entry stored before
 // an append (its row stamp trails the relation) is reported as a miss —
@@ -356,7 +329,11 @@ type evictCandidate struct {
 }
 
 // enforceBudget sheds entries until the payload fits the budget again,
-// protecting the just-inserted set. One pass runs at a time (evictMu);
+// protecting the just-inserted set. The cost model scores every entry by
+// bytes × coldness ÷ (rebuild cost × hit frequency) — the
+// greedy-dual-size-frequency family — and evicts the highest scores first:
+// large, long-unused, rarely-hit partitions that are cheap to recompute go
+// before small, hot, expensive ones. One pass runs at a time (evictMu);
 // concurrent inserts that find the budget exceeded either run the next
 // pass or are covered by the one in flight. The scan takes each shard's
 // read lock briefly, scores outside any lock, then evicts per shard under
@@ -382,10 +359,6 @@ func (pc *PartitionCache) enforceBudget(protect AttrSet) {
 	// them again — so shed those before touching anything live.
 	pc.invalidateStaleLocked()
 	if pc.bytes.Load() <= budget {
-		return
-	}
-	if EvictionPolicy(pc.policy.Load()) == EvictLevelSweep {
-		pc.levelSweep(budget, protect)
 		return
 	}
 	// Evict past the line by a 1/16 slack: each enforcement pass scans and
@@ -418,44 +391,6 @@ func (pc *PartitionCache) enforceBudget(protect AttrSet) {
 		c.shard.mu.Lock()
 		pc.evictLocked(c.shard, c.attrs)
 		c.shard.mu.Unlock()
-	}
-}
-
-// levelSweep is the blind baseline policy: drop whole lattice levels —
-// lowest multi-attribute level first, single columns only as a last
-// resort — until the cache fits.
-func (pc *PartitionCache) levelSweep(budget int64, protect AttrSet) {
-	maxLevel := 0
-	for i := range pc.shards {
-		s := &pc.shards[i]
-		s.mu.RLock()
-		for k := range s.levels {
-			if k > maxLevel {
-				maxLevel = k
-			}
-		}
-		s.mu.RUnlock()
-	}
-	order := make([]int, 0, maxLevel+1)
-	for k := 2; k <= maxLevel; k++ {
-		order = append(order, k)
-	}
-	order = append(order, 1, 0)
-	for _, k := range order {
-		if pc.bytes.Load() <= budget {
-			return
-		}
-		for i := range pc.shards {
-			s := &pc.shards[i]
-			s.mu.Lock()
-			for _, a := range append([]AttrSet(nil), s.levels[k]...) {
-				if a == protect {
-					continue
-				}
-				pc.evictLocked(s, a)
-			}
-			s.mu.Unlock()
-		}
 	}
 }
 

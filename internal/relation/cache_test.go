@@ -112,40 +112,37 @@ func maxEntryBytes(rel *Relation, sets []AttrSet) int64 {
 }
 
 func TestCacheBudgetEnforced(t *testing.T) {
-	for _, pol := range []EvictionPolicy{EvictCostModel, EvictLevelSweep} {
-		rng := rand.New(rand.NewSource(3))
-		rel := randRelation(t, rng, 500, 5, 3)
-		cols := rel.NumCols()
-		var sets []AttrSet
-		for i := 0; i < 40; i++ {
-			attrs := Single(rng.Intn(cols))
-			for k := rng.Intn(3); k > 0; k-- {
-				attrs = attrs.With(rng.Intn(cols))
-			}
-			sets = append(sets, attrs)
+	rng := rand.New(rand.NewSource(3))
+	rel := randRelation(t, rng, 500, 5, 3)
+	cols := rel.NumCols()
+	var sets []AttrSet
+	for i := 0; i < 40; i++ {
+		attrs := Single(rng.Intn(cols))
+		for k := rng.Intn(3); k > 0; k-- {
+			attrs = attrs.With(rng.Intn(cols))
 		}
-		maxEntry := maxEntryBytes(rel, sets)
-
-		pc := NewPartitionCache(rel)
-		pc.SetPolicy(pol)
-		budget := 3 * maxEntry / 2
-		pc.SetBudget(budget)
-		if pc.Budget() != budget || pc.Policy() != pol {
-			t.Fatalf("config not retained: budget %d policy %d", pc.Budget(), pc.Policy())
-		}
-		var buf ProductBuffer
-		for i, attrs := range sets {
-			pc.GetWith(attrs, &buf)
-			if b := pc.Stats().Bytes; b > budget+maxEntry {
-				t.Fatalf("policy %d: after Get %d payload %d exceeds budget %d + max entry %d",
-					pol, i, b, budget, maxEntry)
-			}
-		}
-		if ev := pc.Stats().Evictions; ev == 0 {
-			t.Fatalf("policy %d: budget sweep never evicted (budget %d)", pol, budget)
-		}
-		evictAll(t, pc, cols)
+		sets = append(sets, attrs)
 	}
+	maxEntry := maxEntryBytes(rel, sets)
+
+	pc := NewPartitionCache(rel)
+	budget := 3 * maxEntry / 2
+	pc.SetBudget(budget)
+	if pc.Budget() != budget {
+		t.Fatalf("config not retained: budget %d", pc.Budget())
+	}
+	var buf ProductBuffer
+	for i, attrs := range sets {
+		pc.GetWith(attrs, &buf)
+		if b := pc.Stats().Bytes; b > budget+maxEntry {
+			t.Fatalf("after Get %d payload %d exceeds budget %d + max entry %d",
+				i, b, budget, maxEntry)
+		}
+	}
+	if ev := pc.Stats().Evictions; ev == 0 {
+		t.Fatalf("budget sweep never evicted (budget %d)", budget)
+	}
+	evictAll(t, pc, cols)
 }
 
 // TestCacheBudgetConcurrent runs budgeted traffic from many goroutines:
@@ -231,30 +228,5 @@ func TestEvictCostModelKeepsHotEntries(t *testing.T) {
 	pc.Get(hot)
 	if pc.Stats().Misses != misses {
 		t.Fatalf("cost model evicted the hot entry over the cold one")
-	}
-}
-
-// TestEvictLevelSweepOrder checks the baseline sweeps multi-attribute
-// levels before single columns.
-func TestEvictLevelSweepOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	rel := randRelation(t, rng, 400, 4, 3)
-	pc := NewPartitionCache(rel)
-	pc.SetPolicy(EvictLevelSweep)
-	singlesBytes := pc.Stats().Bytes
-	pair := Single(0).With(1)
-	pc.Get(pair)
-	// A budget that fits the singles but not the pair must shed the pair
-	// and keep every single column.
-	pc.SetBudget(pc.Stats().Bytes - 1)
-	misses := pc.Stats().Misses
-	for c := 0; c < rel.NumCols(); c++ {
-		pc.Get(Single(c))
-	}
-	if m := pc.Stats().Misses; m != misses {
-		t.Fatalf("level sweep evicted %d single columns before the level-2 entry", m-misses)
-	}
-	if b := pc.Stats().Bytes; b != singlesBytes {
-		t.Fatalf("level-2 entry not shed: %d bytes, want the %d of the singles", b, singlesBytes)
 	}
 }

@@ -104,21 +104,23 @@ func DecodePartition(r *wire.Reader) *Partition {
 	}
 }
 
-// AppendTo encodes the cache's configuration and current entries, sorted
-// by attribute set so the encoding is deterministic. Counters (hits,
-// misses, evictions, peak) are runtime telemetry and are not persisted.
+// DefaultCacheBudget is the byte budget every live engine's partition
+// cache carries: core.NewSubstrate arms it on the cache it builds, and
+// DecodePartitionCache on the cache it restores. Generous enough that
+// update streams over mid-size instances never evict, small enough that a
+// long-lived engine cannot grow without bound.
+const DefaultCacheBudget int64 = 256 << 20
+
+// AppendTo encodes the cache's current entries, sorted by attribute set so
+// the encoding is deterministic. Counters (hits, misses, evictions, peak)
+// are runtime telemetry and are not persisted; neither is the budget,
+// which is always DefaultCacheBudget on restore.
 // Row-stale entries (stored before an append, resident but never served)
 // are skipped: the decoder stamps every restored entry with the restored
 // relation's row count, so persisting a stale partition would launder it
 // into a servable one covering fewer rows than the relation has.
 // Not safe to call concurrently with cache mutation.
 func (pc *PartitionCache) AppendTo(w *wire.Writer) {
-	budget := pc.budget.Load()
-	if budget < 0 {
-		budget = 0
-	}
-	w.Uvarint(uint64(budget))
-	w.Uvarint(uint64(pc.policy.Load()))
 	type entry struct {
 		attrs AttrSet
 		p     *Partition
@@ -145,18 +147,18 @@ func (pc *PartitionCache) AppendTo(w *wire.Writer) {
 }
 
 // DecodePartitionCache decodes a cache written by AppendTo, rebinding it
-// to rel. Cached partitions alias the reader's buffer; no single-column
-// partitions are recomputed — entries absent from the snapshot (evicted
-// before the save) rebuild on first Get exactly as they would have in the
-// saved process.
+// to rel. DefaultCacheBudget is armed before the entries are inserted, so
+// the restored cache enforces the same bound the saved one did. Cached
+// partitions alias the reader's buffer; no single-column partitions are
+// recomputed — entries absent from the snapshot (evicted before the save)
+// rebuild on first Get exactly as they would have in the saved process.
 func DecodePartitionCache(r *wire.Reader, rel *Relation) (*PartitionCache, error) {
 	pc := &PartitionCache{r: rel, luts: make([]atomic.Pointer[colLUT], rel.NumCols())}
 	for i := range pc.shards {
 		pc.shards[i].m = make(map[AttrSet]*cacheEntry)
 		pc.shards[i].levels = make(map[int][]AttrSet)
 	}
-	pc.budget.Store(int64(r.Uvarint()))
-	pc.policy.Store(int32(r.Uvarint()))
+	pc.budget.Store(DefaultCacheBudget)
 	n := r.Int()
 	for k := 0; k < n; k++ {
 		attrs := AttrSet(r.Uvarint())

@@ -1,19 +1,24 @@
 // Package snapshot is the single-file persistence layer: it serializes a
-// relation instance together with the engines built over it — the
-// partition cache, the incremental violation monitor, and the discovery
-// maintainer's full tracker and border state — into one versioned,
-// checksummed file, and reopens it without recomputing what the file
-// already knows.
+// relation instance, its ontology, and at most one merged pipeline — the
+// violation monitor, the discovery maintainer's full tracker and border
+// state, and the live substrate they share (partition cache and verifier
+// tables) — into one versioned, checksummed file, and reopens it without
+// recomputing what the file already knows.
 //
 // The format is a sectioned container:
 //
 //	magic (8 bytes) | version (uint32) | section count (uint32)
 //	per section: name | crc32c of payload | payload (4-byte aligned)
 //
-// Sections are independent: each carries its own CRC-32 (Castagnoli)
-// checksum, and unknown section names are skipped, so older readers open
-// newer files that only add sections. The version guards layout changes
-// inside the known sections.
+// Version 3 writes at most three sections, in this order: relation,
+// ontology, pipeline. Each carries its own CRC-32 (Castagnoli) checksum.
+// Decode rejects a known section that repeats or arrives out of order, and
+// skips unknown names, so older readers open newer files that only add
+// sections. The version guards layout changes inside the known sections.
+//
+// Save and Encode share one streamed writer: each section is encoded into
+// a reused buffer and written out before the next is built, so a save
+// holds one section's payload at a time rather than the whole image.
 //
 // Open reads the whole file into one buffer and decodes zero-copy where
 // the wire layer allows: restored column blocks, partition arrays, and
@@ -24,19 +29,20 @@
 // never copied, dictionaries hydrate their maps lazily, and the monitor's
 // LHS-key indexes stay in frozen array form until the first append.
 //
-// Save writes to a temp file in the destination directory and renames it
-// into place, so a crashed save never corrupts an existing snapshot.
+// Save writes to a temp file in the destination directory, syncs it,
+// renames it into place and syncs the directory, so a crashed save never
+// corrupts an existing snapshot.
 package snapshot
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 
-	"github.com/fastofd/fastofd/internal/core"
-	"github.com/fastofd/fastofd/internal/discovery"
 	"github.com/fastofd/fastofd/internal/exec"
 	"github.com/fastofd/fastofd/internal/ontology"
 	"github.com/fastofd/fastofd/internal/pipeline"
@@ -49,41 +55,35 @@ const (
 	magic = uint64(0x50414e5344464f46)
 	// Version is the current format version. Bumped on any layout change
 	// inside a section; Open rejects other versions outright rather than
-	// guessing. Version 2: engine sections split verifier-first, and the
-	// pipeline section stores one shared verifier for both engine bodies.
-	Version = uint32(2)
+	// guessing. Version 3: the pipeline section carries the substrate's
+	// cache, and a pipeline is the only engine a snapshot holds.
+	Version = uint32(3)
 )
 
-// Section names. Order in the file is fixed (dependencies decode first);
-// unknown names are skipped for forward compatibility.
+// Section names, in file order (dependencies decode first); unknown names
+// are skipped for forward compatibility.
 const (
-	secRelation   = "relation"
-	secOntology   = "ontology"
-	secCache      = "cache"
-	secMonitor    = "monitor"
-	secMaintainer = "maintainer"
-	secPipeline   = "pipeline"
+	secRelation = "relation"
+	secOntology = "ontology"
+	secPipeline = "pipeline"
 )
+
+// sectionRank orders the known sections: Decode requires strictly rising
+// ranks, so a repeated or out-of-order section is rejected.
+var sectionRank = map[string]int{secRelation: 1, secOntology: 2, secPipeline: 3}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// State is what a snapshot holds. Relation is mandatory; everything else
-// is optional and nil when absent. All present components must be built
-// over the same Relation (and Ontology) pointer — Save enforces it, and
-// Open restores the sharing: the reopened engine and cache reference the
-// one restored relation. A state holds at most one standalone engine
-// (Monitor or Maintainer): two engines writing one relation are a
-// Pipeline.
+// State is what a snapshot holds. Save needs a Relation or a Pipeline;
+// the Ontology is optional without a pipeline. A Pipeline owns its
+// monitor, maintainer and substrate, and a Relation or Ontology given next
+// to it must be the pipeline's own — Save enforces it, and Open restores
+// the sharing: the reopened pipeline runs over the one restored relation.
 type State struct {
-	Relation   *relation.Relation
-	Ontology   *ontology.Ontology
-	Cache      *relation.PartitionCache
-	Monitor    *core.Monitor
-	Maintainer *discovery.Maintainer
-	// Pipeline is the merged engine pair over one shared substrate. It
-	// owns its monitor, maintainer, and cache: a state with Pipeline set
-	// must leave Monitor, Maintainer, and Cache nil (Save enforces it),
-	// and its snapshot stores the shared verifier and cache exactly once.
+	Relation *relation.Relation
+	Ontology *ontology.Ontology
+	// Pipeline is the merged engine pair over one shared substrate; its
+	// snapshot stores the shared cache and verifier exactly once.
 	Pipeline *pipeline.Pipeline
 }
 
@@ -98,36 +98,19 @@ type Options struct {
 	Stats *exec.Stats
 }
 
-// resolve returns the relation and ontology the state's components share,
-// read through each engine's substrate, or an error when they disagree — a
-// snapshot has one instance.
+// resolve returns the relation and ontology the snapshot holds: the
+// pipeline's own when there is one — a Relation or Ontology given next to
+// it must be the same pointer, since a snapshot has one instance.
 func (st *State) resolve() (*relation.Relation, *ontology.Ontology, error) {
 	rel, ont := st.Relation, st.Ontology
-	type component struct {
-		name string
-		sub  *core.Substrate
-	}
-	var comps []component
-	if st.Monitor != nil {
-		comps = append(comps, component{secMonitor, st.Monitor.Substrate()})
-	}
-	if st.Maintainer != nil {
-		comps = append(comps, component{secMaintainer, st.Maintainer.Substrate()})
-	}
-	if st.Pipeline != nil {
-		comps = append(comps, component{secPipeline, st.Pipeline.Maintainer().Substrate()})
-	}
-	for _, c := range comps {
-		cRel, cOnt := c.sub.Relation(), c.sub.Verifier().Ontology()
-		if rel == nil {
-			rel = cRel
-		} else if rel != cRel {
-			return nil, nil, fmt.Errorf("snapshot: %s is built over a different relation than the state", c.name)
+	if p := st.Pipeline; p != nil {
+		pRel, pOnt := p.Relation(), p.Verifier().Ontology()
+		if (rel != nil && rel != pRel) || (ont != nil && ont != pOnt) {
+			return nil, nil, fmt.Errorf("snapshot: the pipeline is built over a different relation or ontology than the state")
 		}
+		rel, ont = pRel, pOnt
 		if ont == nil {
-			ont = cOnt
-		} else if cOnt != nil && ont != cOnt {
-			return nil, nil, fmt.Errorf("snapshot: %s is built over a different ontology than the state", c.name)
+			return nil, nil, fmt.Errorf("snapshot: a pipeline section requires an ontology")
 		}
 	}
 	if rel == nil {
@@ -136,124 +119,128 @@ func (st *State) resolve() (*relation.Relation, *ontology.Ontology, error) {
 	return rel, ont, nil
 }
 
-// Encode serializes the state to a snapshot image (the file contents).
-// Most callers want Save.
-func Encode(st *State) ([]byte, error) {
+// write streams the snapshot image of st to out. Each section's payload
+// is encoded into one reused buffer, then its framing and payload are
+// written; the absolute offset is tracked so the payload padding equals
+// what AlignedBlob would write into one in-memory image.
+func write(out io.Writer, st *State) error {
 	rel, ont, err := st.resolve()
 	if err != nil {
-		return nil, err
-	}
-	if (st.Monitor != nil || st.Maintainer != nil || st.Pipeline != nil) && ont == nil {
-		return nil, fmt.Errorf("snapshot: monitor/maintainer/pipeline sections require an ontology")
-	}
-	if st.Pipeline != nil && (st.Monitor != nil || st.Maintainer != nil || st.Cache != nil) {
-		return nil, fmt.Errorf("snapshot: a pipeline state owns its engines and cache; leave Monitor, Maintainer, and Cache nil")
-	}
-	if st.Monitor != nil && st.Maintainer != nil {
-		// Each standalone engine decodes its own substrate; two of them
-		// would install two overlay registries on one restored cache.
-		return nil, fmt.Errorf("snapshot: a state holds at most one standalone engine; two engines writing one relation are a Pipeline")
+		return err
 	}
 	type section struct {
-		name    string
-		payload []byte
+		name   string
+		encode func(w *wire.Writer) error
 	}
-	var sections []section
-	add := func(name string, encode func(w *wire.Writer) error) error {
-		var w wire.Writer
-		if err := encode(&w); err != nil {
-			return err
-		}
-		sections = append(sections, section{name, w.Bytes()})
-		return nil
-	}
-	_ = add(secRelation, func(w *wire.Writer) error {
+	sections := []section{{secRelation, func(w *wire.Writer) error {
 		relation.AppendRelation(w, rel)
 		return nil
-	})
+	}}}
 	if ont != nil {
-		if err := add(secOntology, func(w *wire.Writer) error {
+		sections = append(sections, section{secOntology, func(w *wire.Writer) error {
 			var buf bytes.Buffer
 			if err := ontology.WriteJSON(&buf, ont); err != nil {
 				return err
 			}
 			w.Blob(buf.Bytes())
 			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	// A pipeline snapshot stores the shared cache as the ordinary cache
-	// section — decode restores it first and hands it to the pipeline, so
-	// the reopened pipeline starts warm without a second copy.
-	cache := st.Cache
-	if cache == nil && st.Pipeline != nil {
-		cache = st.Pipeline.Cache()
-	}
-	if cache != nil {
-		_ = add(secCache, func(w *wire.Writer) error {
-			cache.AppendTo(w)
-			return nil
-		})
-	}
-	if st.Monitor != nil {
-		_ = add(secMonitor, func(w *wire.Writer) error {
-			core.AppendMonitor(w, st.Monitor)
-			return nil
-		})
-	}
-	if st.Maintainer != nil {
-		_ = add(secMaintainer, func(w *wire.Writer) error {
-			discovery.AppendMaintainer(w, st.Maintainer)
-			return nil
-		})
+		}})
 	}
 	if st.Pipeline != nil {
-		_ = add(secPipeline, func(w *wire.Writer) error {
+		sections = append(sections, section{secPipeline, func(w *wire.Writer) error {
 			pipeline.Append(w, st.Pipeline)
 			return nil
-		})
+		}})
 	}
-	var w wire.Writer
-	w.Uint64(magic)
-	w.Uint32(Version)
-	w.Uint32(uint32(len(sections)))
-	for _, s := range sections {
-		w.String(s.name)
-		w.Uint32(crc32.Checksum(s.payload, castagnoli))
-		w.AlignedBlob(s.payload)
-	}
-	return w.Bytes(), nil
-}
-
-// Save atomically writes the state to path: the image lands in a temp
-// file in the same directory and is renamed into place, so a crash mid-
-// save leaves any previous snapshot intact.
-func Save(path string, st *State) error {
-	img, err := Encode(st)
-	if err != nil {
+	off := 0
+	emit := func(b []byte) error {
+		n, err := out.Write(b)
+		off += n
 		return err
 	}
+	var frame, payload wire.Writer
+	frame.Uint64(magic)
+	frame.Uint32(Version)
+	frame.Uint32(uint32(len(sections)))
+	if err := emit(frame.Bytes()); err != nil {
+		return err
+	}
+	for _, s := range sections {
+		payload.Reset()
+		if err := s.encode(&payload); err != nil {
+			return err
+		}
+		p := payload.Bytes()
+		frame.Reset()
+		frame.String(s.name)
+		frame.Uint32(crc32.Checksum(p, castagnoli))
+		frame.AlignedBlobHeader(len(p), off)
+		if err := emit(frame.Bytes()); err != nil {
+			return err
+		}
+		if err := emit(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Encode serializes the state to a snapshot image (the file contents).
+// Most callers want Save, which streams the same bytes to disk.
+func Encode(st *State) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := write(&buf, st); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// Save atomically and durably writes the state to path: the image streams
+// into a temp file in the same directory, which is synced and renamed into
+// place before the directory itself is synced, so a crash mid-save leaves
+// any previous snapshot intact and a returned nil means the new one is on
+// disk.
+func Save(path string, st *State) (err error) {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, ".snapshot-*.tmp")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	if _, err := f.Write(img); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
+	bw := bufio.NewWriter(f)
+	if err := write(bw, st); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
 		return err
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return err
 	}
-	return nil
+	return syncDir(dir)
+}
+
+// syncDir flushes a directory's entries, making a rename inside it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Decode reconstructs a state from a snapshot image. The image must stay
@@ -261,6 +248,10 @@ func Save(path string, st *State) error {
 // column blocks, partitions, and overlay deltas alias it (they keep it
 // reachable via the garbage collector; "unmodified" is the caller's
 // contract and holds trivially for a private buffer).
+//
+// Sections decode as they are read, so the header's section count — which
+// no checksum covers — allocates nothing: a count past the image's end
+// fails as a truncated section table.
 func Decode(img []byte, opts Options) (*State, error) {
 	r := wire.NewReader(img)
 	if m := r.Uint64(); r.Err() != nil || m != magic {
@@ -272,13 +263,13 @@ func Decode(img []byte, opts Options) (*State, error) {
 		}
 		return nil, fmt.Errorf("snapshot: version %d not supported (want %d)", v, Version)
 	}
-	count := int(r.Uint32())
-	type section struct {
-		name    string
-		payload []byte
+	count := r.Uint32()
+	if r.Err() != nil {
+		return nil, fmt.Errorf("snapshot: truncated header")
 	}
-	sections := make([]section, 0, count)
-	for k := 0; k < count; k++ {
+	st := &State{}
+	last := 0
+	for k := uint32(0); k < count; k++ {
 		name := r.String()
 		sum := r.Uint32()
 		payload := r.AlignedBlob()
@@ -288,12 +279,16 @@ func Decode(img []byte, opts Options) (*State, error) {
 		if got := crc32.Checksum(payload, castagnoli); got != sum {
 			return nil, fmt.Errorf("snapshot: section %q checksum mismatch (file %08x, computed %08x)", name, sum, got)
 		}
-		sections = append(sections, section{name, payload})
-	}
-	st := &State{}
-	for _, s := range sections {
-		sr := wire.NewReader(s.payload)
-		switch s.name {
+		rank, known := sectionRank[name]
+		if !known {
+			continue // a newer writer added it; skip
+		}
+		if rank <= last {
+			return nil, fmt.Errorf("snapshot: section %q repeated or out of order", name)
+		}
+		last = rank
+		sr := wire.NewReader(payload)
+		switch name {
 		case secRelation:
 			rel, err := relation.DecodeRelation(sr)
 			if err != nil {
@@ -309,50 +304,15 @@ func Decode(img []byte, opts Options) (*State, error) {
 				return nil, fmt.Errorf("snapshot: ontology: %w", err)
 			}
 			st.Ontology = ont
-		case secCache:
-			if st.Relation == nil {
-				return nil, fmt.Errorf("snapshot: cache section precedes relation")
-			}
-			pc, err := relation.DecodePartitionCache(sr, st.Relation)
-			if err != nil {
-				return nil, fmt.Errorf("snapshot: cache: %w", err)
-			}
-			st.Cache = pc
-		case secMonitor:
-			if st.Relation == nil || st.Ontology == nil {
-				return nil, fmt.Errorf("snapshot: monitor section requires relation and ontology sections")
-			}
-			m, err := core.DecodeMonitor(sr, st.Relation, st.Ontology, st.Cache, opts.Workers, opts.Stats)
-			if err != nil {
-				return nil, fmt.Errorf("snapshot: monitor: %w", err)
-			}
-			st.Monitor = m
-		case secMaintainer:
-			if st.Relation == nil || st.Ontology == nil {
-				return nil, fmt.Errorf("snapshot: maintainer section requires relation and ontology sections")
-			}
-			if st.Monitor != nil {
-				return nil, fmt.Errorf("snapshot: monitor and maintainer sections in one file; two engines writing one relation are a pipeline")
-			}
-			mt, err := discovery.DecodeMaintainer(sr, st.Relation, st.Ontology, st.Cache, opts.Workers, opts.Stats)
-			if err != nil {
-				return nil, fmt.Errorf("snapshot: maintainer: %w", err)
-			}
-			st.Maintainer = mt
 		case secPipeline:
 			if st.Relation == nil || st.Ontology == nil {
 				return nil, fmt.Errorf("snapshot: pipeline section requires relation and ontology sections")
 			}
-			p, err := pipeline.Decode(sr, st.Relation, st.Ontology, st.Cache, opts.Workers, opts.Stats)
+			p, err := pipeline.Decode(sr, st.Relation, st.Ontology, opts.Workers, opts.Stats)
 			if err != nil {
 				return nil, fmt.Errorf("snapshot: pipeline: %w", err)
 			}
 			st.Pipeline = p
-			// The cache belongs to the pipeline in this shape; the State
-			// field mirrors the ownership rule Save enforces.
-			st.Cache = nil
-		default:
-			// Unknown section: a newer writer added it; skip.
 		}
 	}
 	if st.Relation == nil {

@@ -1,19 +1,26 @@
 package snapshot
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/discovery"
 	"github.com/fastofd/fastofd/internal/gen"
 	"github.com/fastofd/fastofd/internal/relation"
+	"github.com/fastofd/fastofd/internal/wire"
 )
 
+// newTestMaintainer builds a standalone maintainer over ds on a fresh
+// substrate.
 func newTestMaintainer(ds *gen.Dataset) (*discovery.Maintainer, error) {
 	opts := discovery.DefaultOptions()
 	opts.Workers = 2
@@ -82,247 +89,105 @@ func TestRelationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCacheRoundTrip pins the substrate's cache inside the pipeline
+// section: after the round trip the restored cache holds the saved entries
+// and bytes, and every partition matches the saved one.
 func TestCacheRoundTrip(t *testing.T) {
 	ds := gen.Clinical(300, 2)
-	pc := relation.NewPartitionCache(ds.Rel)
+	p := newDatasetPipeline(t, ds, ds.Sigma, 2, 1)
+	pc := p.Cache()
 	for _, d := range ds.Sigma {
 		pc.Get(d.LHS)
 		pc.Get(d.LHS.With(d.RHS))
 	}
-	pc.SetBudget(1 << 20)
-	pc.SetPolicy(relation.EvictLevelSweep)
 	before := pc.Stats()
 
-	got := saveOpen(t, &State{Relation: ds.Rel, Cache: pc}, Options{})
-	after := got.Cache.Stats()
+	got := saveOpen(t, &State{Pipeline: p}, Options{})
+	rp := got.Pipeline
+	after := rp.Cache().Stats()
 	if after.Entries != before.Entries || after.Bytes != before.Bytes {
 		t.Fatalf("cache shape changed: got %d entries / %d bytes, want %d / %d",
 			after.Entries, after.Bytes, before.Entries, before.Bytes)
 	}
-	if got.Cache.Budget() != 1<<20 || got.Cache.Policy() != relation.EvictLevelSweep {
-		t.Fatalf("cache config lost: budget %d policy %d", got.Cache.Budget(), got.Cache.Policy())
-	}
 	for _, d := range ds.Sigma {
-		want := pc.Get(d.LHS)
-		have := got.Cache.Get(d.LHS)
-		if want.NumClasses() != have.NumClasses() || want.N != have.N {
-			t.Fatalf("partition %v differs after restore", d.LHS)
+		for _, x := range []relation.AttrSet{d.LHS, d.LHS.With(d.RHS)} {
+			want, have := pc.Get(x), rp.Cache().Get(x)
+			if want.NumClasses() != have.NumClasses() || want.N != have.N ||
+				!reflect.DeepEqual(want.Tuples, have.Tuples) || !reflect.DeepEqual(want.Offsets, have.Offsets) {
+				t.Fatalf("partition %v differs after restore", x)
+			}
 		}
 	}
 }
 
-func TestMonitorReportIdentity(t *testing.T) {
-	ds := gen.Clinical(1000, 3)
-	m, err := newTestMonitor(ds, 4, 2)
-	if err != nil {
-		t.Fatalf("NewMonitor: %v", err)
-	}
-	// Mutate before saving so overlays, multisets, and epoch are non-trivial.
-	appendRows := ds.CleanRel.Rows()[:50]
-	for _, row := range appendRows {
-		if _, err := m.AppendRow(row); err != nil {
-			t.Fatalf("AppendRow: %v", err)
-		}
-	}
-	var batch []core.CellUpdate
-	for r := 0; r < 40; r++ {
-		batch = append(batch, core.CellUpdate{Row: r, Col: ds.Sigma[0].RHS, Value: ds.Rel.String(r+1, ds.Sigma[0].RHS)})
-	}
-	if err := m.ApplyBatch(batch); err != nil {
-		t.Fatalf("ApplyBatch: %v", err)
-	}
-	want := reportJSON(t, m.Report())
-	wantEpoch := m.Epoch()
-
-	got := saveOpen(t, &State{Monitor: m}, Options{Workers: 2})
-	if got.Monitor == nil {
-		t.Fatal("no monitor restored")
-	}
-	if e := got.Monitor.Epoch(); e != wantEpoch {
-		t.Fatalf("epoch: got %d want %d", e, wantEpoch)
-	}
-	if have := reportJSON(t, got.Monitor.Report()); have != want {
-		t.Fatalf("restored report differs:\n got %s\nwant %s", have, want)
-	}
-
-	// Detect over the restored relation must agree with the restored
-	// monitor — the report is ground truth, not just self-consistent.
-	det := core.Detect(got.Relation, got.Monitor.Ontology(), ds.Sigma)
-	if have := reportJSON(t, det); have != want {
-		t.Fatalf("Detect on restored instance differs from report:\n got %s\nwant %s", have, want)
-	}
-
-	// Both monitors must evolve identically after the restore: appends
-	// exercise frozen-index hydration, updates the multiset paths.
-	extra := ds.CleanRel.Rows()[50:80]
-	for _, row := range extra {
-		if _, err := m.AppendRow(row); err != nil {
-			t.Fatalf("AppendRow(live): %v", err)
-		}
-		if _, err := got.Monitor.AppendRow(row); err != nil {
-			t.Fatalf("AppendRow(restored): %v", err)
-		}
-	}
-	for r := 0; r < 30; r++ {
-		val := ds.Rel.String((r+7)%ds.Rel.NumRows(), ds.Sigma[0].RHS)
-		if _, err := m.Update(r, ds.Sigma[0].RHS, val); err != nil {
-			t.Fatalf("Update(live): %v", err)
-		}
-		if _, err := got.Monitor.Update(r, ds.Sigma[0].RHS, val); err != nil {
-			t.Fatalf("Update(restored): %v", err)
-		}
-	}
-	if a, b := reportJSON(t, m.Report()), reportJSON(t, got.Monitor.Report()); a != b {
-		t.Fatalf("post-restore evolution diverged:\nlive     %s\nrestored %s", a, b)
-	}
-	if m.Epoch() != got.Monitor.Epoch() {
-		t.Fatalf("post-restore epochs diverged: %d vs %d", m.Epoch(), got.Monitor.Epoch())
-	}
-}
-
-func TestMonitorSecondSaveRoundTrip(t *testing.T) {
-	// Save → open → save again without appending: the frozen indexes must
-	// re-encode as-is, and the third generation must still report
-	// identically.
-	ds := gen.Clinical(400, 4)
-	m, err := newTestMonitor(ds, 2, 1)
-	if err != nil {
-		t.Fatalf("NewMonitor: %v", err)
-	}
-	want := reportJSON(t, m.Report())
-	gen2 := saveOpen(t, &State{Monitor: m}, Options{})
-	gen3 := saveOpen(t, &State{Monitor: gen2.Monitor}, Options{})
-	if have := reportJSON(t, gen3.Monitor.Report()); have != want {
-		t.Fatalf("third-generation report differs:\n got %s\nwant %s", have, want)
-	}
-	// And it can still append (hydrating from the re-encoded frozen form).
-	if _, err := gen3.Monitor.AppendRow(ds.Rel.Row(0)); err != nil {
-		t.Fatalf("AppendRow on gen3: %v", err)
-	}
-}
-
-func TestMaintainerCoverIdentity(t *testing.T) {
-	ds := gen.Clinical(200, 5)
-	mt, err := newTestMaintainer(ds)
-	if err != nil {
-		t.Fatalf("NewMaintainer: %v", err)
-	}
-	want := mt.Cover()
-
-	got := saveOpen(t, &State{Maintainer: mt}, Options{Workers: 2})
-	if got.Maintainer == nil {
-		t.Fatal("no maintainer restored")
-	}
-	have := got.Maintainer.Cover()
-	if fmt.Sprint(have) != fmt.Sprint(want) {
-		t.Fatalf("restored cover differs:\n got %v\nwant %v", have, want)
-	}
-
-	// The restore must be a state copy, not a rebuild: no candidate has
-	// been re-verified beyond what the saved maintainer had done.
-	if got.Maintainer.Scans() != mt.Scans() {
-		t.Fatalf("restore scanned candidates: got %d want %d", got.Maintainer.Scans(), mt.Scans())
-	}
-	if got.Maintainer.Epoch() != mt.Epoch() {
-		t.Fatalf("epoch: got %d want %d", got.Maintainer.Epoch(), mt.Epoch())
-	}
-
-	// Both maintainers must emit identical diffs for the same append
-	// (exercising frozen-index hydration on the restored one).
-	row := ds.Rel.Row(0)
-	d1, err1 := mt.AppendRow(row)
-	d2, err2 := got.Maintainer.AppendRow(row)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("AppendRow: %v / %v", err1, err2)
-	}
-	if fmt.Sprint(d1.Added) != fmt.Sprint(d2.Added) || fmt.Sprint(d1.Removed) != fmt.Sprint(d2.Removed) {
-		t.Fatalf("post-restore diffs diverged: %v vs %v", d1, d2)
-	}
-	// And for the same update batch, including one that dirties antecedent
-	// columns (key-group moves through the hydrated index).
-	var batch []core.CellUpdate
-	for r := 0; r < 30; r++ {
-		for c := 0; c < ds.Rel.NumCols(); c++ {
-			batch = append(batch, core.CellUpdate{Row: r, Col: c, Value: ds.Rel.String((r+3)%ds.Rel.NumRows(), c)})
-		}
-	}
-	b1, err1 := mt.ApplyBatch(batch)
-	b2, err2 := got.Maintainer.ApplyBatch(batch)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("ApplyBatch: %v / %v", err1, err2)
-	}
-	if fmt.Sprint(b1.Added) != fmt.Sprint(b2.Added) || fmt.Sprint(b1.Removed) != fmt.Sprint(b2.Removed) {
-		t.Fatalf("post-restore batch diffs diverged: %v vs %v", b1, b2)
-	}
-	if fmt.Sprint(mt.Cover()) != fmt.Sprint(got.Maintainer.Cover()) {
-		t.Fatalf("post-restore covers diverged")
-	}
-	// Ground truth: the evolved restored cover equals a fresh discovery
-	// over the evolved restored instance.
-	res := discovery.Discover(got.Relation, got.Maintainer.Ontology(), discovery.DefaultOptions())
-	if fmt.Sprint(got.Maintainer.Cover()) != fmt.Sprint(res.OFDs) {
-		t.Fatalf("restored maintainer cover diverged from fresh discovery:\n got %v\nwant %v",
-			got.Maintainer.Cover(), res.OFDs)
-	}
-}
-
-func TestMaintainerSecondSaveRoundTrip(t *testing.T) {
-	// Save → open → save again without mutating: the frozen tracker indexes
-	// must re-encode as-is and the images must be byte-identical, and the
-	// third generation must still maintain correctly.
-	ds := gen.Clinical(200, 11)
-	mt, err := newTestMaintainer(ds)
-	if err != nil {
-		t.Fatalf("NewMaintainer: %v", err)
-	}
-	want := fmt.Sprint(mt.Cover())
-	gen2 := saveOpen(t, &State{Maintainer: mt}, Options{})
-	img2, err := Encode(&State{Maintainer: gen2.Maintainer})
-	if err != nil {
-		t.Fatalf("Encode gen2: %v", err)
-	}
-	gen3, err := Decode(img2, Options{})
-	if err != nil {
-		t.Fatalf("Decode gen3: %v", err)
-	}
-	if have := fmt.Sprint(gen3.Maintainer.Cover()); have != want {
-		t.Fatalf("third-generation cover differs:\n got %s\nwant %s", have, want)
-	}
-	if _, err := gen3.Maintainer.AppendRow(ds.Rel.Row(0)); err != nil {
-		t.Fatalf("AppendRow on gen3: %v", err)
-	}
-}
-
+// TestCombinedStateSharing checks that a reopened pipeline's monitor and
+// maintainer share one substrate, and through it the restored relation,
+// cache and ontology.
 func TestCombinedStateSharing(t *testing.T) {
-	// Monitor + maintainer + cache in one snapshot share one relation and
-	// ontology after reopen.
 	ds := gen.Clinical(300, 6)
-	m, err := newTestMonitor(ds, 2, 1)
-	if err != nil {
-		t.Fatalf("NewMonitor: %v", err)
+	p := newDatasetPipeline(t, ds, ds.Sigma, 2, 1)
+	got := saveOpen(t, &State{Pipeline: p}, Options{})
+	rp := got.Pipeline
+	if rp.Relation() != got.Relation || rp.Monitor().Relation() != got.Relation || rp.Maintainer().Substrate().Relation() != got.Relation {
+		t.Fatal("restored engines do not share the restored relation")
 	}
-	got := saveOpen(t, &State{Monitor: m, Cache: m.Substrate().Cache()}, Options{})
-	if got.Monitor.Relation() != got.Relation {
-		t.Fatal("restored monitor does not share the restored relation")
+	if rp.Monitor().Substrate() != rp.Maintainer().Substrate() {
+		t.Fatal("restored engines do not share one substrate")
 	}
-	if got.Monitor.Substrate().Cache() != got.Cache {
+	if rp.Monitor().Substrate().Cache() != rp.Cache() {
 		t.Fatal("restored monitor does not share the restored cache")
 	}
-	if got.Ontology == nil {
-		t.Fatal("ontology not restored")
+	if got.Ontology == nil || rp.Monitor().Ontology() != got.Ontology {
+		t.Fatal("restored engines do not share the restored ontology")
 	}
 }
 
 func TestSaveRejectsMismatchedComponents(t *testing.T) {
 	ds1 := gen.Clinical(50, 7)
 	ds2 := gen.Clinical(50, 8)
-	m, err := newTestMonitor(ds2, 0, 1)
-	if err != nil {
-		t.Fatalf("NewMonitor: %v", err)
+	p := newDatasetPipeline(t, ds2, ds2.Sigma, 0, 1)
+	if err := Save(filepath.Join(t.TempDir(), "x.snap"), &State{Relation: ds1.Rel, Pipeline: p}); err == nil {
+		t.Fatal("Save accepted a pipeline over a different relation")
 	}
-	if err := Save(filepath.Join(t.TempDir(), "x.snap"), &State{Relation: ds1.Rel, Monitor: m}); err == nil {
-		t.Fatal("Save accepted a monitor over a different relation")
+}
+
+// section is one framed section of a snapshot image.
+type section struct {
+	name    string
+	payload []byte
+}
+
+// splitSections parses an image's section table.
+func splitSections(t *testing.T, img []byte) []section {
+	t.Helper()
+	r := wire.NewReader(img)
+	r.Uint64() // magic
+	r.Uint32() // version
+	n := int(r.Uint32())
+	var out []section
+	for k := 0; k < n; k++ {
+		name := r.String()
+		r.Uint32()
+		out = append(out, section{name, r.AlignedBlob()})
 	}
+	if r.Err() != nil {
+		t.Fatalf("section table: %v", r.Err())
+	}
+	return out
+}
+
+// joinSections frames sections into a CRC-valid image.
+func joinSections(secs ...section) []byte {
+	var w wire.Writer
+	w.Uint64(magic)
+	w.Uint32(Version)
+	w.Uint32(uint32(len(secs)))
+	for _, s := range secs {
+		w.String(s.name)
+		w.Uint32(crc32.Checksum(s.payload, castagnoli))
+		w.AlignedBlob(s.payload)
+	}
+	return w.Bytes()
 }
 
 func TestCorruptionDetected(t *testing.T) {
@@ -368,6 +233,95 @@ func TestCorruptionDetected(t *testing.T) {
 			t.Fatal("empty image not detected")
 		}
 	})
+	// The header's section count is not checksummed: a count past the
+	// image's end must fail closed, not allocate for it.
+	for _, count := range []uint32{0xffffffff, 1 << 31} {
+		t.Run(fmt.Sprintf("section count %#x", count), func(t *testing.T) {
+			var w wire.Writer
+			w.Uint64(magic)
+			w.Uint32(Version)
+			w.Uint32(count)
+			if _, err := Decode(w.Bytes(), Options{}); err == nil {
+				t.Fatal("header-only image with a huge section count decoded")
+			}
+			bad := append([]byte(nil), img...)
+			binary.LittleEndian.PutUint32(bad[12:], count)
+			if _, err := Decode(bad, Options{}); err == nil {
+				t.Fatal("section count past the image's end not detected")
+			}
+		})
+	}
+
+	// CRC-valid images whose known sections repeat or arrive out of order
+	// are rejected; unknown sections are skipped.
+	p, batch, _ := newTestPipeline(t, 9)
+	if _, err := p.ApplyBatch(context.Background(), batch()); err != nil {
+		t.Fatalf("ApplyBatch: %v", err)
+	}
+	pimg, err := Encode(&State{Pipeline: p})
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	secs := splitSections(t, pimg)
+	rel, ont, pipe := secs[0], secs[1], secs[2]
+	unknown := section{"from-the-future", []byte("payload")}
+	for _, tc := range []struct {
+		name string
+		secs []section
+		ok   bool
+	}{
+		{"in order", []section{rel, ont, pipe}, true},
+		{"unknown section skipped", []section{rel, unknown, ont, pipe, unknown}, true},
+		{"relation after pipeline", []section{rel, ont, pipe, rel}, false},
+		{"repeated relation", []section{rel, rel, ont, pipe}, false},
+		{"repeated ontology", []section{rel, ont, ont, pipe}, false},
+		{"repeated pipeline", []section{rel, ont, pipe, pipe}, false},
+		{"ontology before relation", []section{ont, rel, pipe}, false},
+		{"pipeline before ontology", []section{rel, pipe, ont}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Decode(joinSections(tc.secs...), Options{})
+			if tc.ok && err != nil {
+				t.Fatalf("decode failed: %v", err)
+			}
+			if !tc.ok && err == nil {
+				t.Fatal("decode accepted the section order")
+			}
+		})
+	}
+}
+
+// TestSaveMatchesEncode pins the streamed writer: the file Save writes is
+// byte-identical to Encode's image, section padding included, for a
+// relation-only state and for a mutated pipeline.
+func TestSaveMatchesEncode(t *testing.T) {
+	p, batch, appendRow := newTestPipeline(t, 13)
+	if _, err := p.ApplyBatch(context.Background(), batch()); err != nil {
+		t.Fatalf("ApplyBatch: %v", err)
+	}
+	if _, err := p.AppendRows([][]string{appendRow()}); err != nil {
+		t.Fatalf("AppendRows: %v", err)
+	}
+	for name, st := range map[string]*State{
+		"relation": {Relation: gen.Clinical(70, 12).Rel},
+		"pipeline": {Pipeline: p},
+	} {
+		img, err := Encode(st)
+		if err != nil {
+			t.Fatalf("%s: Encode: %v", name, err)
+		}
+		path := filepath.Join(t.TempDir(), "state.snap")
+		if err := Save(path, st); err != nil {
+			t.Fatalf("%s: Save: %v", name, err)
+		}
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: ReadFile: %v", name, err)
+		}
+		if !bytes.Equal(file, img) {
+			t.Fatalf("%s: saved file (%d bytes) differs from Encode's image (%d bytes)", name, len(file), len(img))
+		}
+	}
 }
 
 func TestSaveIsAtomic(t *testing.T) {

@@ -114,10 +114,24 @@ func (w *Writer) Int32s(xs []int32) {
 // so their own aligned bulk reads stay aligned relative to the outer
 // buffer (and therefore to memory).
 func (w *Writer) AlignedBlob(b []byte) {
-	w.Uvarint(uint64(len(b)))
-	w.align4()
+	w.AlignedBlobHeader(len(b), 0)
 	w.buf = append(w.buf, b...)
 }
+
+// AlignedBlobHeader appends what AlignedBlob writes ahead of an n-byte
+// payload — the length prefix and the padding — for a buffer that lands
+// at offset base of a larger stream. It is the streamed form of
+// AlignedBlob: the caller writes this buffer and then the payload itself
+// straight to the stream, and the bytes equal one AlignedBlob at base.
+func (w *Writer) AlignedBlobHeader(n, base int) {
+	w.Uvarint(uint64(n))
+	for (base+len(w.buf))%4 != 0 {
+		w.buf = append(w.buf, 0)
+	}
+}
+
+// Reset empties the writer and keeps its buffer for the next encoding.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
 
 // Uint8s appends a length-prefixed []uint8.
 func (w *Writer) Uint8s(xs []uint8) {

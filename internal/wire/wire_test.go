@@ -226,3 +226,28 @@ func TestAlignedBlobNesting(t *testing.T) {
 		t.Fatal("nested payload lost alignment")
 	}
 }
+
+// TestAlignedBlobHeaderStreams: a header written for a stream offset,
+// followed by the payload, must equal AlignedBlob at that offset — for
+// every residue of the offset mod 4 and payloads of odd length.
+func TestAlignedBlobHeaderStreams(t *testing.T) {
+	payload := []byte("nested")
+	for base := 0; base < 8; base++ {
+		var whole Writer
+		for i := 0; i < base; i++ {
+			whole.Bool(false)
+		}
+		whole.AlignedBlob(payload)
+
+		var hdr Writer
+		hdr.AlignedBlobHeader(len(payload), base)
+		streamed := append(append(append([]byte(nil), whole.Bytes()[:base]...), hdr.Bytes()...), payload...)
+		if string(streamed) != string(whole.Bytes()) {
+			t.Fatalf("base %d: streamed % x, want % x", base, streamed, whole.Bytes())
+		}
+		hdr.Reset()
+		if hdr.Len() != 0 {
+			t.Fatalf("Reset left %d bytes", hdr.Len())
+		}
+	}
+}
