@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/fastofd/fastofd/internal/live"
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
@@ -114,8 +115,8 @@ func FuzzLHSKey(f *testing.F) {
 		rel.SetValue(1, 0, relation.Value(b0))
 		rel.SetValue(1, 1, relation.Value(b1))
 		cols := []int{0, 1}
-		ka := string(EncodeLHSKey(rel, cols, 0, nil))
-		kb := string(EncodeLHSKey(rel, cols, 1, nil))
+		ka := string(live.EncodeKey(rel, cols, 0, nil))
+		kb := string(live.EncodeKey(rel, cols, 1, nil))
 		equal := a0 == b0 && a1 == b1
 		if (ka == kb) != equal {
 			t.Fatalf("injectivity broken: (%d,%d) vs (%d,%d) keys %x vs %x", a0, a1, b0, b1, ka, kb)
@@ -124,7 +125,7 @@ func FuzzLHSKey(f *testing.F) {
 			t.Fatalf("key not fixed-width: %d bytes", len(ka))
 		}
 		// Re-encoding is deterministic and buffer-reuse-safe.
-		if again := string(EncodeLHSKey(rel, cols, 0, make([]byte, 3))); again != ka {
+		if again := string(live.EncodeKey(rel, cols, 0, make([]byte, 3))); again != ka {
 			t.Fatalf("re-encode differs: %x vs %x", again, ka)
 		}
 	})

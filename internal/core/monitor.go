@@ -15,18 +15,20 @@ import (
 // rebuilding partitions or re-verifying untouched classes.
 //
 // The monitor runs on a Substrate, which owns every write: ApplyBatch and
-// AppendRows have the substrate apply the batch and then absorb its write
-// log, and the merged pipeline absorbs the log of the batch its maintainer
-// applied. Any Σ is accepted — a discovered cover routinely chains
+// AppendRows have the substrate apply the batch and then Absorb it, and
+// the merged pipeline absorbs the batch its maintainer applied. Cell
+// writes and appended rows are one kind of batch — AppendRow is a batch
+// of one. Any Σ is accepted — a discovered cover routinely chains
 // dependencies (A→B, B→C) — and any cell may be written.
 //
 // The state is sharded by LHS-key hash: for each OFD, every equivalence
 // class (and lone row) is routed to one of NumShards() independent shards,
 // each owning its own relation.PartitionOverlay view of the cached base
 // partition, LHS-key index, consequent-value multisets, and violation
-// maps. Absorbing a batch partitions its consequent writes by (OFD, shard)
-// and fans the multiset maintenance and re-verification out over exec.For
-// with no shared write state — the three stages are observable as
+// maps. Absorbing a batch joins its appended rows and routes its
+// consequent writes by (OFD, shard), then fans the multiset maintenance
+// and the re-verification of each dirty class out over exec.For with no
+// shared write state — the three stages are observable as
 // monitor.route / monitor.apply / monitor.merge spans. A dependency whose
 // antecedent the batch rewrote is re-routed wholesale instead, so between
 // such writes a tuple's shard per OFD is fixed and routing is a table
@@ -71,6 +73,10 @@ type Monitor struct {
 	// sigma[i]. Fixed until a write to the antecedent re-routes sigma[i].
 	rowShard [][]uint8
 
+	// absorbed is the number of rows Absorb has joined (the length of the
+	// classOf/rowShard tables, kept apart so an empty Σ counts too).
+	absorbed int
+
 	epoch   uint64
 	history historyPtr
 
@@ -79,7 +85,7 @@ type Monitor struct {
 	// (no other operation consults the indexes).
 	needHydrate bool
 
-	keyBuf    []byte // LHS-key encoding scratch (appends)
+	keyBuf    []byte // LHS-key encoding scratch (joins)
 	snapDirty []bool // per-shard "snapshot stale" scratch
 }
 
@@ -176,6 +182,7 @@ func newMonitor(sub *Substrate, sigma Set, nShards, workers int, stats *exec.Sta
 		byRHS:     make([][]int32, rel.NumCols()),
 		classOf:   make([][]int32, len(sigma)),
 		rowShard:  make([][]uint8, len(sigma)),
+		absorbed:  rel.NumRows(),
 		snapDirty: make([]bool, nShards),
 	}
 	for i, d := range sigma {
@@ -213,29 +220,28 @@ func (m *Monitor) AppendRow(row []string) (int, error) {
 }
 
 // AppendRows appends tuples (strings in schema order) through the
-// substrate and joins each to its equivalence class under every OFD via
-// the owning shard's LHS-key index — O(|X|) per dependency, no partition
-// rebuild. A tuple whose antecedent key matches a formerly-singleton row
-// births a new two-tuple class in that shard's overlay; a fresh key
-// records a new singleton. Only the joined classes are re-verified, and
-// one epoch is published. A row of the wrong width rejects the batch
-// before anything is appended.
+// substrate and absorbs them as one batch (Absorb): each tuple joins its
+// equivalence class under every OFD via the owning shard's LHS-key index
+// — O(|X|) per dependency, no partition rebuild. A tuple whose antecedent
+// key matches a formerly-singleton row births a new two-tuple class in
+// that shard's overlay; a fresh key records a new singleton. Every joined
+// class is re-verified once for the whole batch, and one epoch is
+// published. A row of the wrong width rejects the batch before anything
+// is appended.
 func (m *Monitor) AppendRows(rows [][]string) error {
-	t0 := m.rel.NumRows()
 	if err := m.sub.Append(rows); err != nil {
 		return err
 	}
-	m.AbsorbAppends(t0)
+	m.Absorb()
 	return nil
 }
 
-// absorbRow joins already-appended row t to its equivalence class under
-// every OFD via the owning shard's live class index, re-verifying only the
-// joined classes and marking their shards' snapshots dirty. AbsorbAppends
-// publishes once per batch.
-func (m *Monitor) absorbRow(t int32) {
+// joinRow joins already-appended row t to its equivalence class under
+// every OFD via the owning shard's live class index and marks the joined
+// class dirty in that shard; the apply stage re-verifies it.
+func (m *Monitor) joinRow(t int32) {
 	for i := range m.sigma {
-		m.keyBuf = EncodeLHSKey(m.rel, m.lhsCols[i], int(t), m.keyBuf)
+		m.keyBuf = live.EncodeKey(m.rel, m.lhsCols[i], int(t), m.keyBuf)
 		s := shardOfKey(m.keyBuf, m.nShards)
 		sh := m.shards[s]
 		m.rowShard[i] = append(m.rowShard[i], s)
@@ -248,9 +254,7 @@ func (m *Monitor) absorbRow(t int32) {
 			m.classOf[i][partner] = ci
 		}
 		m.classOf[i] = append(m.classOf[i], ci)
-		if sh.reverifyOne(m, i, ci) {
-			m.snapDirty[s] = true
-		}
+		sh.dirty = append(sh.dirty, int64(i)<<32|int64(uint32(ci)))
 	}
 }
 
@@ -262,7 +266,7 @@ func (m *Monitor) ApplyBatch(updates []CellUpdate) error {
 
 // ApplyBatchContext has the substrate validate, fold and apply the
 // updates (Substrate.Apply), then absorbs the effective write log
-// (AbsorbBatch) and publishes one epoch. The result is byte-identical for
+// (Absorb) and publishes one epoch. The result is byte-identical for
 // every worker and shard count. Updates that rewrite a cell's current
 // value are skipped and dirty no classes; an all-no-op batch publishes
 // nothing.
@@ -282,7 +286,7 @@ func (m *Monitor) ApplyBatchContext(ctx context.Context, updates []CellUpdate) e
 		m.sub.Undo()
 		return err
 	}
-	m.AbsorbBatch()
+	m.Absorb()
 	return nil
 }
 

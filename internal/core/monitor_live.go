@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the monitor's live surface: registration of dependencies
-// as a followed cover drifts, and absorption of the batches and appends
+// as a followed cover drifts, and absorption of the writes and appends
 // the substrate has already applied. Every mutation — the monitor's own
 // ApplyBatch and AppendRows, and the merged pipeline's — ends here, so
 // reports remain byte-identical to a fresh Detect either way.
@@ -82,23 +82,42 @@ func (m *Monitor) Unregister(d OFD) error {
 	return nil
 }
 
-// AbsorbBatch folds the substrate's current write log into the monitor's
-// live state and publishes one epoch. The substrate already validated,
-// applied and evicted the batch (Substrate.Apply), so every resident cache
-// entry describes the post-batch instance and absorption cannot fail; it
-// is not cancellable — the batch's cancellation point lies before this
-// call. Dependencies whose antecedents were touched are re-routed
-// wholesale (their class structure changed); the rest absorb their
-// consequent deltas shard-parallel, each dirty class re-verified once. An
-// empty log is a no-op.
-func (m *Monitor) AbsorbBatch() {
+// Absorb folds everything the substrate changed since the monitor last
+// absorbed into its live state and publishes one epoch. Its inputs are
+// the rows appended since then (Substrate.Append) and the current write
+// log (Substrate.Writes); Append clears the log, so one call sees new rows
+// or writes, never both. Both run through the same three stages:
+//
+//   - monitor.route: every new row joins its class under every dependency
+//     in ascending row order, and the joined class is marked dirty in its
+//     shard. Dependencies whose antecedents the writes touched are
+//     re-routed wholesale (their class structure changed); consequent
+//     writes of the rest route to the shards owning their classes.
+//   - monitor.apply: each active shard replays its multiset deltas and
+//     re-verifies every dirty class once, shard-parallel.
+//   - monitor.merge: the stale shard snapshots are rebuilt and one epoch
+//     is published.
+//
+// The substrate already validated and applied the batch, so every
+// resident cache entry describes the post-batch instance and absorption
+// cannot fail; it is not cancellable — the batch's cancellation point lies
+// before this call. Nothing new is a no-op that publishes nothing.
+func (m *Monitor) Absorb() {
 	writes := m.sub.Writes()
-	if len(writes) == 0 {
+	t0, end := m.absorbed, m.rel.NumRows()
+	if t0 == end && len(writes) == 0 {
 		return
 	}
+	m.absorbed = end
 	routeSpan := m.Stats.Span("monitor.route")
-	routeSpan.Items(len(writes))
+	routeSpan.Items(end - t0 + len(writes))
 	w := exec.Workers(m.Workers)
+	if t0 < end && m.needHydrate {
+		m.hydrateIndexes()
+	}
+	for t := t0; t < end; t++ {
+		m.joinRow(int32(t))
+	}
 	touched := Touched(writes)
 	var reroute []int
 	rerouted := make([]bool, len(m.sigma))
@@ -160,21 +179,4 @@ func (m *Monitor) AbsorbBatch() {
 	mergeSpan.Workers(w)
 	mergeSpan.Shards(m.publishDirty())
 	mergeSpan.End()
-}
-
-// AbsorbAppends joins rows [t0, NumRows()) — already appended through the
-// substrate — under every dependency and publishes one epoch for the
-// whole batch.
-func (m *Monitor) AbsorbAppends(t0 int) {
-	end := m.rel.NumRows()
-	if t0 >= end {
-		return
-	}
-	if m.needHydrate {
-		m.hydrateIndexes()
-	}
-	for t := t0; t < end; t++ {
-		m.absorbRow(int32(t))
-	}
-	m.publishDirty()
 }

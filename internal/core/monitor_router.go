@@ -5,20 +5,6 @@ import (
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
-// EncodeLHSKey appends the dict-encoded antecedent value tuple of row t
-// (projected on cols) to buf[:0] and returns it. Each attribute
-// contributes exactly 4 little-endian bytes, so keys over the same
-// attribute list are fixed-width and therefore prefix-free: two rows
-// encode equal iff their antecedent value ids are equal attribute by
-// attribute (dictionaries make equal strings id-equal). The injectivity
-// property test and fuzz target pin this down. The encoding itself lives
-// in the shared live-index substrate (live.EncodeKey) — this wrapper
-// remains the core-level name both engines' callers use, and the
-// cross-engine property test asserts the two stay byte-identical.
-func EncodeLHSKey(rel *relation.Relation, cols []int, t int, buf []byte) []byte {
-	return live.EncodeKey(rel, cols, t, buf)
-}
-
 // shardOfKey hashes an encoded LHS key to its owning shard: FNV-1a over
 // the key bytes, finished with an avalanche mix so dictionary ids that
 // differ only in low bits still spread across shards.
@@ -67,7 +53,7 @@ func (m *Monitor) routeIndex(i int) {
 	var buf []byte
 	for ci := 0; ci < base.NumClasses(); ci++ {
 		class := base.Class(ci)
-		buf = EncodeLHSKey(m.rel, m.lhsCols[i], int(class[0]), buf)
+		buf = live.EncodeKey(m.rel, m.lhsCols[i], int(class[0]), buf)
 		s := shardOfKey(buf, m.nShards)
 		local := int32(len(owned[s]))
 		owned[s] = append(owned[s], int32(ci))
@@ -88,7 +74,7 @@ func (m *Monitor) routeIndex(i int) {
 		if classOf[t] >= 0 {
 			continue
 		}
-		buf = EncodeLHSKey(m.rel, m.lhsCols[i], t, buf)
+		buf = live.EncodeKey(m.rel, m.lhsCols[i], t, buf)
 		s := shardOfKey(buf, m.nShards)
 		m.shards[s].idx[i].Keys[string(buf)] = live.LoneRow(int32(t))
 		rowShard[t] = s

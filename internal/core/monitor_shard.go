@@ -144,15 +144,6 @@ func (sh *monitorShard) commitClass(i int, ci int32, state uint8, v *Violation, 
 	return wasViol || wasFD || state != classOK
 }
 
-// reverifyOne re-verifies one class and commits the outcome, reporting
-// whether the violation maps changed.
-func (sh *monitorShard) reverifyOne(m *Monitor, i int, ci int32) bool {
-	st := sh.classState(m, i, int(ci))
-	v, fd := sh.materialize(m, i, ci, st)
-	sh.reverified++
-	return sh.commitClass(i, ci, st, v, fd)
-}
-
 // applyBatch runs one shard's apply stage: replay the routed multiset
 // deltas, dedup the dirty classes, and re-verify and commit each once.
 // Returns the number of re-verified classes and whether the violation
@@ -165,11 +156,15 @@ func (sh *monitorShard) applyBatch(m *Monitor) (n int, changed bool) {
 	slices.Sort(sh.dirty)
 	sh.dirty = slices.Compact(sh.dirty)
 	for _, key := range sh.dirty {
-		if sh.reverifyOne(m, int(key>>32), int32(key)) {
+		i, ci := int(key>>32), int32(key)
+		st := sh.classState(m, i, int(ci))
+		v, fd := sh.materialize(m, i, ci, st)
+		if sh.commitClass(i, ci, st, v, fd) {
 			changed = true
 		}
 	}
 	n = len(sh.dirty)
+	sh.reverified += n
 	sh.bumps = sh.bumps[:0]
 	sh.dirty = sh.dirty[:0]
 	return n, changed

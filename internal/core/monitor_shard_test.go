@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/fastofd/fastofd/internal/live"
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
@@ -34,8 +35,8 @@ func TestLHSKeyEncodingInjective(t *testing.T) {
 		t.Helper()
 		set(0, a)
 		set(1, b)
-		ka := string(EncodeLHSKey(rel, cols, 0, nil))
-		kb := string(EncodeLHSKey(rel, cols, 1, nil))
+		ka := string(live.EncodeKey(rel, cols, 0, nil))
+		kb := string(live.EncodeKey(rel, cols, 1, nil))
 		if (ka == kb) != (a == b) {
 			t.Fatalf("injectivity broken: %v vs %v, keys %x vs %x", a, b, ka, kb)
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/fastofd/fastofd/internal/ontology"
@@ -264,6 +265,84 @@ func TestMonitorAppendRow(t *testing.T) {
 	}
 }
 
+// TestMonitorAppendBatchVerifiesOnce: one AppendRows batch re-verifies
+// each class its rows joined exactly once, however many of its rows join
+// it, and publishes one epoch. The batch holds rows joining one existing
+// class, rows sharing a fresh key (lone, then a birth, then a join inside
+// the batch), and a row birthing a class with a pre-batch lone partner.
+// The expected count is derived from the final instance: the distinct
+// (OFD, antecedent key) pairs of the appended rows whose class has at
+// least two tuples.
+func TestMonitorAppendBatchVerifiesOnce(t *testing.T) {
+	rows := [][]string{
+		// Three rows joining the existing US and headache/hypertension
+		// classes.
+		{"US", "USA", "headache", "CT", "hypertension", "cartia"},
+		{"US", "America", "headache", "MRI", "hypertension", "tiazac"},
+		{"US", "USA", "headache", "CT", "hypertension", "unknown-drug"},
+		// A fresh key (FR, fever/flu): lone, birth, join.
+		{"FR", "France", "fever", "CT", "flu", "doliprane"},
+		{"FR", "Francia", "fever", "CT", "flu", "doliprane"},
+		{"FR", "France", "fever", "CT", "flu", "aspirin"},
+		// Births with the pre-batch lone rows 2 (CA) and 6 (chest
+		// pain/hypertension).
+		{"CA", "Kanada", "chest pain", "X-ray", "hypertension", "morphine"},
+	}
+	for _, shards := range []int{1, 4, 16} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			rel, ont := table1(t)
+			schema := rel.Schema()
+			sigma := Set{
+				MustParse(schema, "CC -> CTRY"),
+				MustParse(schema, "SYMP, DIAG -> MED"),
+			}
+			m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), sigma, shards, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t0, epoch, before := rel.NumRows(), m.Epoch(), m.Reverified()
+			if err := m.AppendRows(rows); err != nil {
+				t.Fatal(err)
+			}
+			key := func(d OFD, r int) string {
+				var parts []string
+				for _, c := range d.LHS.Attrs() {
+					parts = append(parts, rel.String(r, c))
+				}
+				return strings.Join(parts, "\x00")
+			}
+			dirty := 0
+			for _, d := range sigma {
+				size := make(map[string]int)
+				for r := 0; r < rel.NumRows(); r++ {
+					size[key(d, r)]++
+				}
+				seen := make(map[string]bool)
+				for r := t0; r < rel.NumRows(); r++ {
+					if k := key(d, r); size[k] >= 2 && !seen[k] {
+						seen[k] = true
+						dirty++
+					}
+				}
+			}
+			if dirty != 6 {
+				t.Fatalf("fixture has %d dirty (OFD, class) pairs, want 6", dirty)
+			}
+			if got := m.Reverified() - before; got != dirty {
+				t.Fatalf("append batch re-verified %d classes, want %d (one per dirty class)", got, dirty)
+			}
+			if got := m.Epoch() - epoch; got != 1 {
+				t.Fatalf("append batch published %d epochs, want 1", got)
+			}
+			got, _ := json.Marshal(m.Report())
+			want, _ := json.Marshal(Detect(rel, ont, sigma))
+			if string(got) != string(want) {
+				t.Fatalf("report diverged from Detect\n got %s\nwant %s", got, want)
+			}
+		})
+	}
+}
+
 // TestMonitorApplyBatchDedupsAndMatches: a batch touching one class many
 // times re-verifies it once, and the resulting state matches a fresh
 // Detect for every worker count.
@@ -332,7 +411,8 @@ func monitorStreamOntology() (*ontology.Ontology, []string, []string) {
 }
 
 // TestMonitorStreamEquivalence is the equivalence property test: a seeded
-// random stream of appends, single updates, and batched updates must leave
+// random stream of single appends, append batches, single updates, and
+// batched updates must leave
 // the monitor's violation state byte-identical to a fresh Detect on the
 // final instance, for every combination of shards ∈ {1, 4, 16} and
 // Workers ∈ {1, 2, 0}; all combinations must also agree with each other.
@@ -389,7 +469,7 @@ func TestMonitorStreamEquivalence(t *testing.T) {
 			return CellUpdate{Row: rng.Intn(m.NumRows()), Col: col, Value: pool[rng.Intn(len(pool))]}
 		}
 		for step := 0; step < 250; step++ {
-			switch k := rng.Intn(10); {
+			switch k := rng.Intn(12); {
 			case k < 3: // append
 				if _, err := m.AppendRow(newRow(rng)); err != nil {
 					t.Fatal(err)
@@ -399,12 +479,25 @@ func TestMonitorStreamEquivalence(t *testing.T) {
 				if _, err := m.Update(u.Row, u.Col, u.Value); err != nil {
 					t.Fatal(err)
 				}
-			default: // batch
+			case k < 10: // batch
 				batch := make([]CellUpdate, 0, 12)
 				for j := 0; j < 4+rng.Intn(9); j++ {
 					batch = append(batch, randUpdate())
 				}
 				if err := m.ApplyBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+			default: // append batch: 2–8 rows over the small key pools,
+				// about half of them on one of two antecedents new to this
+				// batch, so classes are born and joined inside it
+				rows := make([][]string, 2+rng.Intn(7))
+				for j := range rows {
+					rows[j] = newRow(rng)
+					if rng.Intn(2) == 0 {
+						rows[j][0] = fmt.Sprintf("p%d-%d", step, rng.Intn(2))
+					}
+				}
+				if err := m.AppendRows(rows); err != nil {
 					t.Fatal(err)
 				}
 			}

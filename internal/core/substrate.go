@@ -194,7 +194,9 @@ func (s *Substrate) Undo() {
 // byte budget hostage — and the live overlays absorb the rows by key
 // routing, so later partition lookups materialize them instead of
 // recomputing products over the grown relation. The write log is cleared:
-// appends rewrite no cell.
+// appends rewrite no cell. The engines pick the rows up by count — the
+// monitor's Absorb joins every row past the last one it absorbed, as one
+// batch.
 func (s *Substrate) Append(rows [][]string) error {
 	rel := s.v.Relation()
 	for _, row := range rows {

@@ -1,11 +1,9 @@
 package discovery
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
-	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/live"
 	"github.com/fastofd/fastofd/internal/relation"
 )
@@ -42,27 +40,23 @@ func keyRel(t testing.TB, data []byte) *relation.Relation {
 	return rel
 }
 
-// checkKeyEquiv asserts the three key encoders agree on every row of rel
+// checkKeyEquiv asserts the two key encoders agree on every row of rel
 // projected on cols, and that key equality coincides with value-id tuple
 // equality (injectivity of the fixed-width encoding).
 func checkKeyEquiv(t testing.TB, rel *relation.Relation, cols []int) {
 	t.Helper()
 	ct := &coverTracker{cols: cols}
-	var coreBuf, liveBuf []byte
+	var buf []byte
 	keys := make([]string, rel.NumRows())
 	for r := 0; r < rel.NumRows(); r++ {
-		coreBuf = core.EncodeLHSKey(rel, cols, r, coreBuf)
-		liveBuf = live.EncodeKey(rel, cols, r, liveBuf)
-		if !bytes.Equal(coreBuf, liveBuf) {
-			t.Fatalf("row %d cols %v: core key %v != live key %v", r, cols, coreBuf, liveBuf)
+		buf = live.EncodeKey(rel, cols, r, buf)
+		if sk := ct.sourceKey(rel, nil, r); sk != string(buf) {
+			t.Fatalf("row %d cols %v: tracker key %v != live key %v", r, cols, []byte(sk), buf)
 		}
-		if sk := ct.sourceKey(rel, nil, r); sk != string(coreBuf) {
-			t.Fatalf("row %d cols %v: tracker key %v != core key %v", r, cols, []byte(sk), coreBuf)
+		if len(buf) != 4*len(cols) {
+			t.Fatalf("row %d cols %v: key width %d, want %d", r, cols, len(buf), 4*len(cols))
 		}
-		if len(coreBuf) != 4*len(cols) {
-			t.Fatalf("row %d cols %v: key width %d, want %d", r, cols, len(coreBuf), 4*len(cols))
-		}
-		keys[r] = string(coreBuf)
+		keys[r] = string(buf)
 	}
 	for a := 0; a < rel.NumRows(); a++ {
 		for b := a + 1; b < rel.NumRows(); b++ {
@@ -81,10 +75,10 @@ func checkKeyEquiv(t testing.TB, rel *relation.Relation, cols []int) {
 }
 
 // TestKeyEncodingCrossEngine pins the shared key-encoding contract across
-// all three engines: core.EncodeLHSKey (monitor shard routing), the
-// live.EncodeKey it delegates to (class indexes, overlay routers), and the
-// tracker's sourceKey with an empty write segment. Any drift would
-// silently desynchronize the merged pipeline's shared indexes.
+// the engines: live.EncodeKey (monitor shard routing, class indexes,
+// overlay routers) and the tracker's sourceKey with an empty write
+// segment. Any drift would silently desynchronize the merged pipeline's
+// shared indexes.
 func TestKeyEncodingCrossEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 40; trial++ {
@@ -133,7 +127,7 @@ func TestSourceKeySubstitutesOldValues(t *testing.T) {
 	}
 	// A write on a column outside cols must not affect the key.
 	segOther := []cellWrite{{Row: 0, Col: 1, Old: rel.Value(1, 1), New: rel.Value(0, 1)}}
-	if k := ct.sourceKey(rel, segOther, 0); k != string(core.EncodeLHSKey(rel, cols, 0, nil)) {
+	if k := ct.sourceKey(rel, segOther, 0); k != string(live.EncodeKey(rel, cols, 0, nil)) {
 		t.Fatalf("write outside cols changed the key: %v", []byte(k))
 	}
 }

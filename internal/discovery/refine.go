@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"github.com/fastofd/fastofd/internal/core"
+	"github.com/fastofd/fastofd/internal/live"
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
@@ -98,7 +99,7 @@ func (rf *rootRefiner) holds(y, parent relation.AttrSet) bool {
 	lab := make([]int32, len(rf.members))
 	ngroups := int32(0)
 	for i, t := range rf.members {
-		rf.keyBuf = core.EncodeLHSKey(rel, cols, int(t), rf.keyBuf)
+		rf.keyBuf = live.EncodeKey(rel, cols, int(t), rf.keyBuf)
 		pl := plab[i]
 		rf.keyBuf = append(rf.keyBuf, byte(pl), byte(pl>>8), byte(pl>>16), byte(pl>>24))
 		g, ok := rf.groups[string(rf.keyBuf)]

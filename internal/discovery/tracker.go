@@ -109,7 +109,7 @@ func newCoverTrackerParts(v *core.Verifier, d core.OFD) *coverTracker {
 	covered := make([]bool, n)
 	for i := 0; i < nc; i++ {
 		class := p.Class(i)
-		ct.keyBuf = core.EncodeLHSKey(rel, ct.cols, int(class[0]), ct.keyBuf)
+		ct.keyBuf = live.EncodeKey(rel, ct.cols, int(class[0]), ct.keyBuf)
 		ix.Keys[string(ct.keyBuf)] = int32(i)
 		ix.Sizes[i] = int32(len(class))
 		vals := make([]live.ValCount, 0, 2)
@@ -126,7 +126,7 @@ func newCoverTrackerParts(v *core.Verifier, d core.OFD) *coverTracker {
 		if covered[t] {
 			continue
 		}
-		ct.keyBuf = core.EncodeLHSKey(rel, ct.cols, t, ct.keyBuf)
+		ct.keyBuf = live.EncodeKey(rel, ct.cols, t, ct.keyBuf)
 		ix.Keys[string(ct.keyBuf)] = live.LoneRow(int32(t))
 	}
 	for ci := range ix.Sizes {
@@ -261,7 +261,7 @@ func (ct *coverTracker) applyWrites(rel *relation.Relation, v *core.Verifier, wr
 	// All reads are target-state (the relation), so ordering within the
 	// phase only affects internal ids, never class contents.
 	for _, t32 := range ct.floating {
-		ct.keyBuf = core.EncodeLHSKey(rel, ct.cols, int(t32), ct.keyBuf)
+		ct.keyBuf = live.EncodeKey(rel, ct.cols, int(t32), ct.keyBuf)
 		ci, partner, kind := ix.JoinKey(rel, ct.keyBuf, t32)
 		switch kind {
 		case live.JoinLone:
@@ -434,7 +434,7 @@ func (wt *witnessTracker) applyWrites(rel *relation.Relation, v *core.Verifier, 
 			return
 		}
 		srcIn := wt.sourceInClass(rel, seg, t)
-		wt.keyBuf = core.EncodeLHSKey(rel, wt.cols, t, wt.keyBuf)
+		wt.keyBuf = live.EncodeKey(rel, wt.cols, t, wt.keyBuf)
 		tgtIn := string(wt.keyBuf) == wt.key
 		preA := rel.Value(t, wt.d.RHS)
 		if hadA {
@@ -456,7 +456,7 @@ func (wt *witnessTracker) applyWrites(rel *relation.Relation, v *core.Verifier, 
 }
 
 func (wt *witnessTracker) appendRow(rel *relation.Relation, v *core.Verifier, t int32) {
-	wt.keyBuf = core.EncodeLHSKey(rel, wt.cols, int(t), wt.keyBuf)
+	wt.keyBuf = live.EncodeKey(rel, wt.cols, int(t), wt.keyBuf)
 	if string(wt.keyBuf) != wt.key {
 		return
 	}
@@ -502,7 +502,7 @@ func witnessScanParts(pv *core.Verifier, d core.OFD, buf *relation.ProductBuffer
 			continue
 		}
 		res.valid = false
-		res.witKey = string(core.EncodeLHSKey(rel, d.LHS.Attrs(), int(class[0]), nil))
+		res.witKey = string(live.EncodeKey(rel, d.LHS.Attrs(), int(class[0]), nil))
 		res.witSize = int32(len(class))
 		res.witVals = append([]live.ValCount(nil), vals...)
 		return res
@@ -532,7 +532,7 @@ func scanCandidate(rel *relation.Relation, v *core.Verifier, d core.OFD, needWit
 	n := rel.NumRows()
 	var buf []byte
 	for t := 0; t < n; t++ {
-		buf = core.EncodeLHSKey(rel, cols, t, buf)
+		buf = live.EncodeKey(rel, cols, t, buf)
 		g := groups[string(buf)]
 		if g == nil {
 			g = &grp{rep: int32(t)}

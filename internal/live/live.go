@@ -67,9 +67,11 @@ func LoneRow(t int32) int32 { return -(t + 2) }
 // contributes exactly 4 little-endian bytes, so keys over the same
 // attribute list are fixed-width and therefore prefix-free: two rows
 // encode equal iff their antecedent value ids are equal attribute by
-// attribute (dictionaries make equal strings id-equal). The cross-engine
-// key property test and fuzz target pin this down against
-// core.EncodeLHSKey and the tracker's source-key encoding.
+// attribute (dictionaries make equal strings id-equal). It is the one
+// key encoder of every engine: the monitor's shard routing, the class
+// indexes, the overlay routers and the cover trackers. The injectivity
+// property test and fuzz targets pin it down, and the cross-engine key
+// test checks the tracker's source-key encoding against it.
 func EncodeKey(rel *relation.Relation, cols []int, t int, buf []byte) []byte {
 	buf = buf[:0]
 	for _, c := range cols {

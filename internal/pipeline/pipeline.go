@@ -130,48 +130,37 @@ func New(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, op
 // commits, the remaining steps are deterministic bookkeeping and run
 // uncancellable.
 func (p *Pipeline) ApplyBatch(ctx context.Context, updates []core.CellUpdate) (BatchResult, error) {
-	start := time.Now()
-	diff, err := p.mt.ApplyBatchContext(ctx, updates)
-	if err != nil {
-		return BatchResult{}, err
-	}
-	maintainDone := time.Now()
-	p.m.AbsorbBatch()
-	if err := p.followDiff(diff); err != nil {
-		return BatchResult{}, err
-	}
-	end := time.Now()
-	return BatchResult{
-		Diff:          diff,
-		Epoch:         p.m.Epoch(),
-		MaintainNanos: maintainDone.Sub(start).Nanoseconds(),
-		DetectNanos:   end.Sub(maintainDone).Nanoseconds(),
-	}, nil
+	return p.run(func() (discovery.Diff, error) { return p.mt.ApplyBatchContext(ctx, updates) })
 }
 
 // AppendRows appends a batch of tuples through the merged pipeline: the
 // maintainer has the substrate append the rows (the live overlays route
-// them) and repairs (appends only demote, so this is uncancellable-fast),
-// and the monitor joins them under every dependency and publishes one
-// epoch.
+// them) and repairs (appends only demote, so this is uncancellable-fast).
+// The monitor then absorbs the rows as one batch, exactly like a batch of
+// cell writes, and steps 2 and 3 of ApplyBatch follow.
 func (p *Pipeline) AppendRows(rows [][]string) (BatchResult, error) {
+	return p.run(func() (discovery.Diff, error) { return p.mt.AppendRows(rows) })
+}
+
+// run is the shared body of ApplyBatch and AppendRows: maintain runs the
+// batch through the maintainer, then the monitor absorbs whatever the
+// substrate changed (core.Monitor.Absorb) and the cover diff is followed.
+func (p *Pipeline) run(maintain func() (discovery.Diff, error)) (BatchResult, error) {
 	start := time.Now()
-	t0 := p.sub.Relation().NumRows()
-	diff, err := p.mt.AppendRows(rows)
+	diff, err := maintain()
 	if err != nil {
 		return BatchResult{}, err
 	}
 	maintainDone := time.Now()
-	p.m.AbsorbAppends(t0)
+	p.m.Absorb()
 	if err := p.followDiff(diff); err != nil {
 		return BatchResult{}, err
 	}
-	end := time.Now()
 	return BatchResult{
 		Diff:          diff,
 		Epoch:         p.m.Epoch(),
 		MaintainNanos: maintainDone.Sub(start).Nanoseconds(),
-		DetectNanos:   end.Sub(maintainDone).Nanoseconds(),
+		DetectNanos:   time.Since(maintainDone).Nanoseconds(),
 	}, nil
 }
 
