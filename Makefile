@@ -52,7 +52,7 @@ storagebench:
 	$(GO) run ./cmd/benchrunner -storagebench BENCH_storage.json -rows 1000000
 
 # Merged-pipeline benchmark report (BENCH_pipeline.json): the one-index
-# discover→detect pipeline (shared cache, verifier, live overlay registry)
+# discover→detect pipeline (shared cache and verifier)
 # vs the separate monitor+maintainer pair on identical Clinical streams,
 # with byte-identity gates on both the report and the cover.
 pipelinebench:

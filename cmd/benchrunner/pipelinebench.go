@@ -15,8 +15,8 @@ import (
 )
 
 // pipelineReport is the machine-readable output of -pipelinebench: the
-// merged discover→detect pipeline (one shared cache, verifier, and live
-// overlay registry under both engines) against the separate engines (a
+// merged discover→detect pipeline (one shared cache and verifier under
+// both engines) against the separate engines (a
 // maintainer and a monitor each on their own relation clone with their own
 // cache) replaying identical seeded Clinical streams.
 type pipelineReport struct {

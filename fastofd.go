@@ -237,12 +237,12 @@ func DetectContext(ctx context.Context, rel *Relation, ont *Ontology, sigma Set,
 // equivalence classes. Any Σ is accepted, chained dependencies (A→B, B→C)
 // included, and updates may touch any cell — a write to a monitored
 // antecedent re-routes that dependency. The monitor runs on a live
-// substrate of its own — a byte-budgeted partition cache, live overlays,
-// and a verifier, exactly the substrate a Pipeline shares between its
-// engines. Every equivalence class is routed to one of `shards`
-// independent LHS-key shards (0 derives the count from workers), so
-// ApplyBatch fans multiset maintenance and re-verification out
-// shard-locally with no shared write state, and Report reads epoch-stamped
+// substrate of its own — a byte-budgeted partition cache and a verifier,
+// exactly the substrate a Pipeline shares between its engines. Every
+// equivalence class is routed to one of `shards` independent LHS-key
+// shards (0 derives the count from workers), so ApplyBatch fans multiset
+// maintenance and re-verification out shard-locally with no shared write
+// state, and Report reads epoch-stamped
 // snapshots concurrently with ingestion. The index build and the batch
 // fan-out use up to workers goroutines (0 = all CPUs); stats, when
 // non-nil, receives the "monitor.build", "monitor.route", "monitor.apply",
@@ -279,8 +279,8 @@ func DiscoverContext(ctx context.Context, rel *Relation, ont *Ontology, opts Dis
 // live under the same cell-update batches and row appends the Monitor
 // consumes, emitting a CoverDiff per batch instead of re-running the
 // lattice. It runs on a live substrate of its own — a byte-budgeted
-// partition cache, live overlays, and a verifier, exactly the substrate a
-// Pipeline shares between its engines. Supports exact synonym OFDs over
+// partition cache and a verifier, exactly the substrate a Pipeline shares
+// between its engines. Supports exact synonym OFDs over
 // the uncapped lattice (the configuration the incremental soundness
 // argument covers); other DiscoveryOptions are rejected. The maintained
 // cover is byte-identical to Discover over the current instance for every
@@ -300,9 +300,9 @@ func NewMaintainer(ctx context.Context, rel *Relation, ont *Ontology, opts Disco
 // Merged pipeline (discover → detect → repair on one shared index).
 type (
 	// Pipeline runs the Maintainer and the Monitor on one shared live-index
-	// substrate: one relation, one verifier, one partition cache, and one
-	// overlay registry serve cover maintenance, violation detection, and
-	// repair verification together. A single ApplyBatch feeds all three.
+	// substrate: one relation, one verifier, and one partition cache serve
+	// cover maintenance, violation detection, and repair verification
+	// together. A single ApplyBatch feeds all three.
 	Pipeline = pipeline.Pipeline
 	// PipelineOptions configure NewPipeline.
 	PipelineOptions = pipeline.Options

@@ -127,8 +127,7 @@ func resolveShards(shards, workers int) int {
 // widen a batch's parallel fan-out. The index build and every batch spread
 // over up to workers goroutines (0 = all CPUs), and stats, when non-nil,
 // receives the monitor's stage spans. Reports are byte-identical for every
-// shard and worker count. The monitor acquires one overlay reference per
-// monitored antecedent. A cancelled build returns a nil Monitor — a
+// shard and worker count. A cancelled build returns a nil Monitor — a
 // partially indexed monitor would report wrong violation counts — together
 // with an error satisfying errors.Is(err, ctx.Err()).
 func NewMonitor(ctx context.Context, sub *Substrate, sigma Set, shards, workers int, stats *exec.Stats) (*Monitor, error) {
@@ -159,7 +158,6 @@ func NewMonitor(ctx context.Context, sub *Substrate, sigma Set, shards, workers 
 		return nil, err
 	}
 	m.publishInit()
-	m.acquireOverlays()
 	st := m.v.Partitions().Stats()
 	span.Cache(st.Hits, st.Misses)
 	return m, nil
@@ -190,16 +188,6 @@ func newMonitor(sub *Substrate, sigma Set, nShards, workers int, stats *exec.Sta
 		m.byRHS[d.RHS] = append(m.byRHS[d.RHS], int32(i))
 	}
 	return m
-}
-
-// acquireOverlays takes the monitor's overlay references: one per
-// monitored antecedent, so appends key-route into the partitions a
-// re-route reads. Called after routing, so the build's own partition
-// lookups do not count as overlay demand.
-func (m *Monitor) acquireOverlays() {
-	for _, d := range m.sigma {
-		m.sub.Overlays().Acquire(d.LHS)
-	}
 }
 
 // Update writes value into cell (row, col) as a batch of one, reporting

@@ -15,9 +15,8 @@ import (
 
 // Register adds dependency d to the monitored set and builds its live
 // index state: routing, shard overlays, multisets, and violation records,
-// exactly as construction would have, plus an overlay reference on its
-// antecedent. The new dependency's violations appear in the next
-// published epoch.
+// exactly as construction would have. The new dependency's violations
+// appear in the next published epoch.
 func (m *Monitor) Register(d OFD) error {
 	for _, e := range m.sigma {
 		if e.LHS == d.LHS && e.RHS == d.RHS {
@@ -36,7 +35,6 @@ func (m *Monitor) Register(d OFD) error {
 		sh.fdOnly = append(sh.fdOnly, nil)
 	}
 	m.routeIndex(i)
-	m.sub.Overlays().Acquire(d.LHS)
 	w := exec.Workers(m.Workers)
 	_ = exec.For(context.Background(), m.nShards, w, func(_, s int) {
 		m.shards[s].buildStateOFD(m, i)
@@ -47,7 +45,7 @@ func (m *Monitor) Register(d OFD) error {
 }
 
 // Unregister removes dependency d from the monitored set, dropping its
-// index state, violation records and overlay reference. Epochs already
+// index state and violation records. Epochs already
 // published keep reporting it (snapshots are immutable); the next epoch
 // no longer does.
 func (m *Monitor) Unregister(d OFD) error {
@@ -77,7 +75,6 @@ func (m *Monitor) Unregister(d OFD) error {
 		sh.fdOnly = append(sh.fdOnly[:at], sh.fdOnly[at+1:]...)
 		sh.rebuildSnap()
 	}
-	m.sub.Overlays().Release(d.LHS)
 	m.publish()
 	return nil
 }

@@ -257,9 +257,8 @@ func decodeCounts(r *wire.Reader) [][]live.ValCount {
 // (DecodeSubstrate) from a body written by AppendMonitorBody. Violation
 // records are re-materialized shard-parallel — they are deterministic
 // functions of the restored multisets and overlays — so the first Report
-// is byte-identical to the saved monitor's. Like NewMonitor, it acquires
-// one overlay reference per monitored antecedent; workers and stats
-// configure the restored monitor exactly as NewMonitor's parameters would.
+// is byte-identical to the saved monitor's. workers and stats configure
+// the restored monitor exactly as NewMonitor's parameters would.
 func DecodeMonitorBody(r *wire.Reader, sub *Substrate, workers int, stats *exec.Stats) (*Monitor, error) {
 	rel := sub.Relation()
 	sigma := DecodeSet(r)
@@ -356,7 +355,6 @@ func DecodeMonitorBody(r *wire.Reader, sub *Substrate, workers int, stats *exec.
 		return nil, err
 	}
 	m.publishInit()
-	m.acquireOverlays()
 	if m.epoch > 0 {
 		// Keep the epoch counter continuous with the saved process: the
 		// restored state is republished as the saved epoch, so ReportAt of

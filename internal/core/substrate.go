@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/fastofd/fastofd/internal/live"
 	"github.com/fastofd/fastofd/internal/ontology"
 	"github.com/fastofd/fastofd/internal/relation"
 	"github.com/fastofd/fastofd/internal/wire"
@@ -36,23 +35,17 @@ func Touched(writes []CellWrite) relation.AttrSet {
 }
 
 // Substrate is the live index the incremental engines answer from: one
-// relation, one partition cache with the live overlay registry installed
-// as its miss provider, and one verifier over both. Both engines run on
-// one — the merged pipeline hands the same one to its monitor and its
-// maintainer — so maintenance, detection and repair verification share
-// every partition.
+// relation, one partition cache and one verifier over both. Both engines
+// run on one — the merged pipeline hands the same one to its monitor and
+// its maintainer — so maintenance, detection and repair verification
+// share every partition.
 //
 // The substrate is the only code that writes the relation: Apply and Undo
-// for cell writes, Append for new tuples. Each keeps the cache and the
-// overlay registry consistent with the relation, and the engines absorb
-// the write log Apply leaves in Writes.
-//
-// Overlay references follow one rule: each engine acquires what it
-// consults. The maintainer holds one per cover element and one per single
-// column; the monitor holds one per monitored antecedent.
+// for cell writes, Append for new tuples. Each keeps the cache consistent
+// with the relation, and the engines absorb the write log Apply leaves in
+// Writes.
 type Substrate struct {
-	reg *live.Overlays
-	v   *Verifier
+	v *Verifier
 
 	// seen maps (row, col) to the cell's index in writes while Apply
 	// folds a batch; writes is the current batch's effective write log.
@@ -70,13 +63,11 @@ func NewSubstrate(ctx context.Context, rel *relation.Relation, ont *ontology.Ont
 		return nil, err
 	}
 	pc.SetBudget(relation.DefaultCacheBudget)
-	return newSubstrate(NewVerifier(rel, ont, pc)), nil
+	return &Substrate{v: NewVerifier(rel, ont, pc)}, nil
 }
 
 // AppendSubstrate encodes sub as one unit: the partition cache's entries,
-// then the verifier's memoized names tables. The overlay registry is not
-// written — the engine decoders re-acquire their references and overlays
-// rebuild from the restored cache on first use. Must not run concurrently
+// then the verifier's memoized names tables. Must not run concurrently
 // with mutations.
 func AppendSubstrate(w *wire.Writer, sub *Substrate) {
 	sub.Cache().AppendTo(w)
@@ -86,8 +77,7 @@ func AppendSubstrate(w *wire.Writer, sub *Substrate) {
 // DecodeSubstrate is NewSubstrate over a payload AppendSubstrate wrote: the
 // restored cache (bounded by relation.DefaultCacheBudget, like a built
 // one) and the verifier tables, skipping partition construction and
-// per-value ontology resolution. No overlay reference is taken (the engine
-// decoders re-acquire theirs).
+// per-value ontology resolution.
 func DecodeSubstrate(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology) (*Substrate, error) {
 	pc, err := relation.DecodePartitionCache(r, rel)
 	if err != nil {
@@ -97,15 +87,7 @@ func DecodeSubstrate(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontol
 	if err != nil {
 		return nil, err
 	}
-	return newSubstrate(v), nil
-}
-
-// newSubstrate installs an empty overlay registry as the miss provider of
-// v's cache and wraps both.
-func newSubstrate(v *Verifier) *Substrate {
-	reg := live.NewOverlays(v.Relation(), v.Partitions())
-	v.Partitions().SetOverlayProvider(reg)
-	return &Substrate{reg: reg, v: v}
+	return &Substrate{v: v}, nil
 }
 
 // Relation returns the shared relation.
@@ -113,9 +95,6 @@ func (s *Substrate) Relation() *relation.Relation { return s.v.Relation() }
 
 // Cache returns the shared partition cache.
 func (s *Substrate) Cache() *relation.PartitionCache { return s.v.Partitions() }
-
-// Overlays returns the live overlay registry serving the cache's misses.
-func (s *Substrate) Overlays() *live.Overlays { return s.reg }
 
 // Verifier returns the verifier over the shared cache.
 func (s *Substrate) Verifier() *Verifier { return s.v }
@@ -125,8 +104,8 @@ func (s *Substrate) Verifier() *Verifier { return s.v }
 // its effective writes — each value interned, same-cell writes collapsed
 // to the last one (keeping the pre-batch value as Old), writes of a
 // cell's current value dropped — sorted by (row, col). The writes land in
-// the relation, and the cache entries and overlays of every attribute set
-// they touch are evicted: row stamps catch appends, not in-place updates.
+// the relation, and the cache entries of every attribute set they touch
+// are evicted: row stamps catch appends, not in-place updates.
 // Writes returns the log until the next Apply, Undo or Append.
 func (s *Substrate) Apply(updates []CellUpdate) error {
 	rel := s.v.Relation()
@@ -191,12 +170,11 @@ func (s *Substrate) Undo() {
 // Append appends tuples (strings in schema order) after checking every
 // row's width. The cache then drops the entries that now trail the row
 // count — lookups already refuse them, but dead partitions would hold the
-// byte budget hostage — and the live overlays absorb the rows by key
-// routing, so later partition lookups materialize them instead of
-// recomputing products over the grown relation. The write log is cleared:
-// appends rewrite no cell. The engines pick the rows up by count — the
-// monitor's Absorb joins every row past the last one it absorbed, as one
-// batch.
+// byte budget hostage — and the next lookup of a dropped set rebuilds it
+// over the grown relation. This is the one way appended rows reach cached
+// partitions. The write log is cleared: appends rewrite no cell. The
+// engines pick the rows up by count — the monitor's Absorb joins every
+// row past the last one it absorbed, as one batch.
 func (s *Substrate) Append(rows [][]string) error {
 	rel := s.v.Relation()
 	for _, row := range rows {
@@ -208,12 +186,10 @@ func (s *Substrate) Append(rows [][]string) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	t0 := rel.NumRows()
 	for _, row := range rows {
 		rel.AppendRow(row)
 	}
 	s.v.Partitions().InvalidateStale()
-	s.reg.RouteAppends(t0, rel.NumRows())
 	return nil
 }
 
@@ -223,9 +199,8 @@ func (s *Substrate) Append(rows [][]string) error {
 // Undo or Append.
 func (s *Substrate) Writes() []CellWrite { return s.writes }
 
-// evict drops the cache entries and overlays of every attribute set
-// intersecting touched. Everything untouched survives.
+// evict drops the cache entries of every attribute set intersecting
+// touched. Everything untouched survives.
 func (s *Substrate) evict(touched relation.AttrSet) {
 	s.v.Partitions().InvalidateTouched(touched)
-	s.reg.InvalidateTouched(touched)
 }

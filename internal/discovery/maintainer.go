@@ -86,9 +86,8 @@ type Maintainer struct {
 	// sub is the live substrate both tracker maintenance and repair
 	// verification run on (the pipeline's shared one, or a standalone
 	// maintainer's own). It applies every batch and append and keeps its
-	// cache and overlay registry consistent with them, so the cache is
-	// reused across batches instead of being rebuilt per batch; the
-	// maintainer adjusts only the overlay refcounts on cover churn.
+	// cache consistent with them, so the cache is reused across batches
+	// instead of being rebuilt per batch.
 	sub *core.Substrate
 
 	all   relation.AttrSet
@@ -128,9 +127,8 @@ func (mt *Maintainer) hydrate() {
 }
 
 // NewMaintainer builds a maintainer over sub, running a fresh discovery
-// for the initial cover, and acquires sub's overlay references for every
-// cover element and every single column. A cancelled build returns a nil
-// maintainer and an error satisfying errors.Is(err, ctx.Err()).
+// for the initial cover. A cancelled build returns a nil maintainer and an
+// error satisfying errors.Is(err, ctx.Err()).
 func NewMaintainer(ctx context.Context, sub *core.Substrate, opts Options) (*Maintainer, error) {
 	if err := CheckMaintainerOptions(opts); err != nil {
 		return nil, err
@@ -179,7 +177,6 @@ func NewMaintainer(ctx context.Context, sub *core.Substrate, opts Options) (*Mai
 		}
 		span.Items(len(rs.border))
 	}
-	mt.acquireOverlays()
 	mt.rebuildFlat()
 	return mt, nil
 }
@@ -199,21 +196,6 @@ func CheckMaintainerOptions(opts Options) error {
 		return fmt.Errorf("discovery: maintainer requires an uncapped lattice (MaxLevel 0), got %d", opts.MaxLevel)
 	}
 	return nil
-}
-
-// acquireOverlays references the overlays the maintainer keeps consulting:
-// one per cover element and one per single column, so appends key-route
-// into them instead of forcing partition rebuilds.
-func (mt *Maintainer) acquireOverlays() {
-	reg := mt.sub.Overlays()
-	for _, rs := range mt.rhs {
-		for _, ct := range rs.cover {
-			reg.Acquire(ct.d.LHS)
-		}
-	}
-	for c := 0; c < mt.sub.Relation().NumCols(); c++ {
-		reg.Acquire(relation.EmptySet.With(c))
-	}
 }
 
 // sortCoverTrackers orders trackers canonically (length, then bit
@@ -598,11 +580,9 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 		}
 		for _, x := range added {
 			diff.Added = append(diff.Added, core.OFD{LHS: x, RHS: st.rhs})
-			mt.sub.Overlays().Acquire(x)
 		}
 		for _, x := range removed {
 			diff.Removed = append(diff.Removed, core.OFD{LHS: x, RHS: st.rhs})
-			mt.sub.Overlays().Release(x)
 		}
 		// New cover tracker list: surviving elements keep their state, new
 		// elements are built fresh in parallel.

@@ -154,10 +154,8 @@ func decodeVCList(r *wire.Reader) ([]live.ValCount, error) {
 // hands it to both engine body decoders. No discovery, tracker
 // construction, or candidate scan runs: the restored state is
 // byte-for-byte the saved trackers, so Cover() and all subsequent diffs
-// are identical to the saved maintainer's. Like
-// NewMaintainer, it acquires sub's overlay references for every cover
-// element and every single column. workers and stats configure the
-// restored maintainer exactly as the construction-time options would.
+// are identical to the saved maintainer's. workers and stats configure
+// the restored maintainer exactly as the construction-time options would.
 func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stats *exec.Stats) (*Maintainer, error) {
 	rel := sub.Relation()
 	span := stats.Span("maintain.restore")
@@ -262,7 +260,6 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	mt.acquireOverlays()
 	mt.rebuildFlat()
 	return mt, nil
 }

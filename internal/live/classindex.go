@@ -27,8 +27,7 @@ const (
 // The monitor's shards use one ClassIndex per (shard, OFD) with Part set
 // (class ids are overlay class ids) and sizes untracked; the maintainer's
 // cover trackers use one per cover element with Part nil, TrackSizes on,
-// and their own row→class array alongside. The Overlays registry uses a
-// keys-only form (RHS < 0): no multisets, just routing.
+// and their own row→class array alongside.
 //
 // All mutating operations are undo-symmetric: every state change is either
 // a Bump (inverted by the opposite Bump), a Join (whose Lone/Birth cases
@@ -39,8 +38,7 @@ type ClassIndex struct {
 	// Cols is the antecedent column list, ascending; keys are encoded over
 	// it with EncodeKey (4 bytes per column, fixed width).
 	Cols []int
-	// RHS is the consequent column whose values the multisets count, or -1
-	// for a keys-only index (no multisets maintained).
+	// RHS is the consequent column whose values the multisets count.
 	RHS int
 	// Keys maps the encoded antecedent value tuple to the class holding
 	// it: values >= 0 are class ids, values <= -2 encode a lone row as
@@ -73,7 +71,7 @@ type ClassIndex struct {
 }
 
 // NewClassIndex builds an empty index over the given antecedent columns
-// and consequent. rhs < 0 selects the keys-only form.
+// and consequent.
 func NewClassIndex(cols []int, rhs int) *ClassIndex {
 	return &ClassIndex{Cols: cols, RHS: rhs, Keys: make(map[string]int32)}
 }
@@ -116,11 +114,9 @@ func (ix *ClassIndex) JoinKey(rel *relation.Relation, key []byte, t int32) (ci, 
 			nc = int32(len(ix.Counts))
 		}
 		ix.Keys[string(key)] = nc
-		if ix.RHS >= 0 {
-			col := rel.Column(ix.RHS)
-			pairs := Bump(Bump(make([]ValCount, 0, 2), col.At(int(r)), 1), col.At(int(t)), 1)
-			ix.Counts = append(ix.Counts, pairs)
-		}
+		col := rel.Column(ix.RHS)
+		pairs := Bump(Bump(make([]ValCount, 0, 2), col.At(int(r)), 1), col.At(int(t)), 1)
+		ix.Counts = append(ix.Counts, pairs)
 		if ix.TrackSizes {
 			ix.Sizes = append(ix.Sizes, 2)
 		}
@@ -129,9 +125,7 @@ func (ix *ClassIndex) JoinKey(rel *relation.Relation, key []byte, t int32) (ci, 
 		if ix.Part != nil {
 			ix.Part.Add(int(enc), t)
 		}
-		if ix.RHS >= 0 {
-			ix.Counts[enc] = Bump(ix.Counts[enc], rel.Value(int(t), ix.RHS), 1)
-		}
+		ix.Counts[enc] = Bump(ix.Counts[enc], rel.Value(int(t), ix.RHS), 1)
 		if ix.TrackSizes {
 			ix.Sizes[enc]++
 		}

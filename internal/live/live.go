@@ -6,13 +6,11 @@
 // linear-probed slices, and a relation.PartitionOverlay absorbing
 // appended tuples. Before this package each engine carried its own copy
 // of that machinery (monitor_shard.go's valCount/bump/loneRow,
-// tracker.go's vc/bumpVC/lone); ClassIndex owns it once, and Overlays is
-// the reference-counted registry of live partition overlays that the
-// PartitionCache consults instead of recomputing partition products.
+// tracker.go's vc/bumpVC/lone); ClassIndex owns it once.
 //
 // Everything here is single-writer, like the engines built on it:
-// mutating one ClassIndex (or the registry) from two goroutines at once
-// is a caller bug. Concurrent readers between mutations are fine.
+// mutating one ClassIndex from two goroutines at once is a caller bug.
+// Concurrent readers between mutations are fine.
 package live
 
 import (
@@ -69,7 +67,7 @@ func LoneRow(t int32) int32 { return -(t + 2) }
 // encode equal iff their antecedent value ids are equal attribute by
 // attribute (dictionaries make equal strings id-equal). It is the one
 // key encoder of every engine: the monitor's shard routing, the class
-// indexes, the overlay routers and the cover trackers. The injectivity
+// indexes and the cover trackers. The injectivity
 // property test and fuzz targets pin it down, and the cross-engine key
 // test checks the tracker's source-key encoding against it.
 func EncodeKey(rel *relation.Relation, cols []int, t int, buf []byte) []byte {

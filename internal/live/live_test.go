@@ -101,7 +101,7 @@ func TestClassIndexJoinCases(t *testing.T) {
 	// Start from an overlay over an empty base: every class is born
 	// through the index.
 	empty := &relation.Partition{N: rel.NumRows(), Stripped: true}
-	ov := relation.NewPartitionOverlay(empty)
+	ov := relation.NewPartitionOverlayShard(empty, nil)
 	ix := NewClassIndex([]int{0}, 1)
 	ix.Part = ov
 
@@ -196,187 +196,5 @@ func TestClassIndexFrozenRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ix.Keys, want) {
 		t.Fatalf("hydrated keys = %v, want %v", ix.Keys, want)
-	}
-}
-
-// TestOverlaysRegistry covers the refcount lifecycle, invalidation, and
-// the LiveOverlay guards (stale entries and entries lagging the
-// relation's row count are never served).
-func TestOverlaysRegistry(t *testing.T) {
-	rel := testRel(t, []string{"X", "Y"}, [][]string{
-		{"a", "1"}, {"a", "1"}, {"b", "2"}, {"b", "1"},
-	})
-	pc := relation.NewPartitionCache(rel)
-	os := NewOverlays(rel, pc)
-	pc.SetOverlayProvider(os)
-	x := relation.EmptySet.With(0)
-	xy := x.With(1)
-
-	os.Acquire(x)
-	os.Acquire(x)
-	os.Acquire(xy)
-	if os.Refs(x) != 2 || os.Refs(xy) != 1 {
-		t.Fatalf("refs = %d/%d", os.Refs(x), os.Refs(xy))
-	}
-	// Entries start stale: nothing served yet.
-	if os.LiveOverlay(x) != nil {
-		t.Fatal("stale entry must not be served")
-	}
-	if os.OverlayBytes() != 0 {
-		t.Fatalf("empty registry bytes = %d", os.OverlayBytes())
-	}
-	// Rebuilds are demand-driven: a set nobody consulted stays stale.
-	os.RouteAppends(rel.NumRows(), rel.NumRows())
-	if os.LiveOverlay(xy) != nil {
-		t.Fatal("unconsulted entry must not be built")
-	}
-	// The LiveOverlay misses above registered demand for x and xy; the
-	// next RouteAppends builds both fresh over the current rows.
-	os.RouteAppends(rel.NumRows(), rel.NumRows())
-	if os.LiveOverlay(x) == nil || os.LiveOverlay(xy) == nil {
-		t.Fatal("demanded entries must be built and served")
-	}
-	// An appended row the registry has not routed yet blocks serving.
-	rel.AppendRow([]string{"a", "1"})
-	if os.LiveOverlay(x) != nil {
-		t.Fatal("entry lagging the relation's rows must not be served")
-	}
-	os.RouteAppends(rel.NumRows()-1, rel.NumRows())
-	ovx := os.LiveOverlay(x)
-	if ovx == nil {
-		t.Fatal("routed entry must be served again")
-	}
-	got := ovx.Materialize(rel.NumRows())
-	want := relation.PartitionOf(rel, x).Strip()
-	if !reflect.DeepEqual(got.Tuples, want.Tuples) || !reflect.DeepEqual(got.Offsets, want.Offsets) {
-		t.Fatalf("materialized %v %v, want %v %v", got.Tuples, got.Offsets, want.Tuples, want.Offsets)
-	}
-	if os.OverlayBytes() <= 0 {
-		t.Fatal("routed registry must report resident delta bytes")
-	}
-	// Invalidation by touched attribute drops intersecting entries only.
-	os.InvalidateTouched(relation.EmptySet.With(1))
-	if os.LiveOverlay(xy) != nil {
-		t.Fatal("touched entry must go stale")
-	}
-	if os.LiveOverlay(x) == nil {
-		t.Fatal("untouched entry must stay fresh")
-	}
-	// Release to zero drops the entry.
-	os.Release(xy)
-	if os.Refs(xy) != 0 {
-		t.Fatalf("released refs = %d", os.Refs(xy))
-	}
-	os.Release(x)
-	if os.Refs(x) != 1 {
-		t.Fatalf("x refs = %d, want 1", os.Refs(x))
-	}
-}
-
-// TestOverlaysRouteAppendsRebuildOrder is the regression test for the
-// append-ordering hazard: a stale entry's rebuild reads partitions
-// through the cache, whose product path serves other registered sets'
-// live overlays — those must already have routed the appended rows, or
-// the rebuild caches a partition missing them. The two-phase RouteAppends
-// (fresh entries route first, stale entries rebuild second) plus the
-// per-entry row stamp make the rebuilt partitions correct regardless of
-// registry iteration order.
-func TestOverlaysRouteAppendsRebuildOrder(t *testing.T) {
-	rel := testRel(t, []string{"X", "Y"}, [][]string{
-		{"a", "1"}, {"a", "1"}, {"b", "2"}, {"b", "2"},
-	})
-	pc := relation.NewPartitionCache(rel)
-	os := NewOverlays(rel, pc)
-	pc.SetOverlayProvider(os)
-	x := relation.EmptySet.With(0)
-	y := relation.EmptySet.With(1)
-	xy := x.With(1)
-	os.Acquire(x)
-	os.Acquire(y)
-	os.Acquire(xy)
-	for _, attrs := range []relation.AttrSet{x, y, xy} {
-		os.LiveOverlay(attrs) // register demand
-	}
-	os.RouteAppends(rel.NumRows(), rel.NumRows()) // build all fresh
-
-	// An update touching Y invalidates {Y} and {X,Y} but leaves {X} fresh;
-	// then a row is appended. The {X,Y} rebuild during RouteAppends must
-	// see an {X} overlay that already covers the new row.
-	os.InvalidateTouched(y)
-	pc.InvalidateTouched(y)
-	os.LiveOverlay(y) // demand entitles the stale entries to a rebuild
-	os.LiveOverlay(xy)
-	t0 := rel.NumRows()
-	rel.AppendRow([]string{"a", "2"})
-	os.RouteAppends(t0, rel.NumRows())
-
-	for _, attrs := range []relation.AttrSet{x, y, xy} {
-		ov := os.LiveOverlay(attrs)
-		if ov == nil {
-			t.Fatalf("entry %v not fresh after RouteAppends", attrs)
-		}
-		got := ov.Materialize(rel.NumRows())
-		want := relation.PartitionOf(rel, attrs).Strip()
-		if !reflect.DeepEqual(got.Tuples, want.Tuples) || !reflect.DeepEqual(got.Offsets, want.Offsets) {
-			t.Fatalf("overlay %v materializes %v %v, want %v %v", attrs, got.Tuples, got.Offsets, want.Tuples, want.Offsets)
-		}
-		served := pc.Get(attrs)
-		if !reflect.DeepEqual(served.Tuples, want.Tuples) || !reflect.DeepEqual(served.Offsets, want.Offsets) {
-			t.Fatalf("cache serves %v %v for %v, want %v %v", served.Tuples, served.Offsets, attrs, want.Tuples, want.Offsets)
-		}
-	}
-}
-
-// TestOverlaysAdoptedBasePromotes pins the adoption path: when the cache
-// computes a partition for a stale registered set (a real demand miss),
-// Offer hands it to the registry, and the next RouteAppends promotes it
-// into a live overlay with one key pass — covering rows appended after
-// the adoption — instead of recomputing the partition. The promoted
-// overlay must materialize byte-identically to a fresh computation.
-func TestOverlaysAdoptedBasePromotes(t *testing.T) {
-	rel := testRel(t, []string{"X", "Y"}, [][]string{
-		{"a", "1"}, {"a", "2"}, {"b", "1"}, {"c", "2"}, {"b", "1"},
-	})
-	pc := relation.NewPartitionCache(rel)
-	os := NewOverlays(rel, pc)
-	pc.SetOverlayProvider(os)
-	xy := relation.EmptySet.With(0).With(1)
-	os.Acquire(xy)
-
-	// A cache miss on the stale registered set: LiveOverlay declines,
-	// the cache computes the partition, and Offer adopts it.
-	pc.Get(xy)
-	os.mu.Lock()
-	adopted := os.m[xy].base != nil
-	os.mu.Unlock()
-	if !adopted {
-		t.Fatal("computed partition for a stale registered set must be adopted")
-	}
-
-	// Rows appended after adoption are key-routed during promotion.
-	rel.AppendRow([]string{"a", "2"})
-	rel.AppendRow([]string{"d", "9"})
-	os.RouteAppends(rel.NumRows()-2, rel.NumRows())
-	ov := os.LiveOverlay(xy)
-	if ov == nil {
-		t.Fatal("adopted entry must be promoted by RouteAppends")
-	}
-	got := ov.Materialize(rel.NumRows())
-	want := relation.PartitionOf(rel, xy).Strip()
-	if !reflect.DeepEqual(got.Tuples, want.Tuples) || !reflect.DeepEqual(got.Offsets, want.Offsets) {
-		t.Fatalf("promoted overlay differs from fresh\n got: %v %v\nwant: %v %v",
-			got.Tuples, got.Offsets, want.Tuples, want.Offsets)
-	}
-
-	// An update touching the set's columns drops the adopted base along
-	// with the overlay — a rebuilt base over restored values could
-	// otherwise serve pre-update classes.
-	pc.Get(xy) // re-warm so the next invalidation has something to drop
-	os.InvalidateTouched(relation.EmptySet.With(1))
-	os.mu.Lock()
-	cleared := os.m[xy].base == nil
-	os.mu.Unlock()
-	if !cleared {
-		t.Fatal("invalidation must drop the adopted base")
 	}
 }

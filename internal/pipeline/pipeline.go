@@ -1,9 +1,8 @@
 // Package pipeline merges the two incremental engines — the violation
 // monitor (core.Monitor) and the minimal-cover maintainer
 // (discovery.Maintainer) — onto one shared live-index substrate: one
-// relation, one verifier, one partition cache, and one reference-counted
-// overlay registry serve maintenance, detection, and repair verification
-// together. A single ApplyBatch has the substrate validate and apply a
+// relation, one verifier, and one partition cache serve maintenance,
+// detection, and repair verification together. A single ApplyBatch has the substrate validate and apply a
 // batch inside the maintainer's atomic protocol, lets the monitor absorb
 // the substrate's write log verbatim, and (optionally) keeps the
 // monitored set following the discovered cover as it drifts — so the
@@ -26,7 +25,6 @@ import (
 	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/discovery"
 	"github.com/fastofd/fastofd/internal/exec"
-	"github.com/fastofd/fastofd/internal/live"
 	"github.com/fastofd/fastofd/internal/ontology"
 	"github.com/fastofd/fastofd/internal/relation"
 )
@@ -80,9 +78,7 @@ type Pipeline struct {
 
 // New builds the merged pipeline: one substrate (core.NewSubstrate), the
 // maintainer (running the initial discovery) on it, and the monitor on
-// the same substrate. Each engine acquires the overlay references it
-// consults: the maintainer one per cover element and one per single
-// column, the monitor one per monitored antecedent.
+// the same substrate.
 func New(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, opts Options) (*Pipeline, error) {
 	if opts.FollowCover && opts.Sigma != nil {
 		return nil, fmt.Errorf("pipeline: FollowCover requires Sigma == nil (the cover is the monitored set)")
@@ -134,8 +130,8 @@ func (p *Pipeline) ApplyBatch(ctx context.Context, updates []core.CellUpdate) (B
 }
 
 // AppendRows appends a batch of tuples through the merged pipeline: the
-// maintainer has the substrate append the rows (the live overlays route
-// them) and repairs (appends only demote, so this is uncancellable-fast).
+// maintainer has the substrate append the rows (row-stale cache entries
+// are dropped) and repairs (appends only demote, so this is uncancellable-fast).
 // The monitor then absorbs the rows as one batch, exactly like a batch of
 // cell writes, and steps 2 and 3 of ApplyBatch follow.
 func (p *Pipeline) AppendRows(rows [][]string) (BatchResult, error) {
@@ -165,8 +161,7 @@ func (p *Pipeline) run(maintain func() (discovery.Diff, error)) (BatchResult, er
 }
 
 // followDiff applies a cover diff to the monitored set (FollowCover
-// mode): removed dependencies unregister and added ones register, each
-// moving the monitor's overlay reference with it.
+// mode): removed dependencies unregister and added ones register.
 func (p *Pipeline) followDiff(diff discovery.Diff) error {
 	if !p.followCover || diff.Empty() {
 		return nil
@@ -198,9 +193,6 @@ func (p *Pipeline) Maintainer() *discovery.Maintainer { return p.mt }
 // Verifier returns the shared verifier all three roles consult.
 func (p *Pipeline) Verifier() *core.Verifier { return p.sub.Verifier() }
 
-// Overlays returns the shared live overlay registry.
-func (p *Pipeline) Overlays() *live.Overlays { return p.sub.Overlays() }
-
 // Relation returns the shared relation.
 func (p *Pipeline) Relation() *relation.Relation { return p.sub.Relation() }
 
@@ -210,6 +202,5 @@ func (p *Pipeline) Cover() core.Set { return p.mt.Cover() }
 // Report returns the monitor's latest published report.
 func (p *Pipeline) Report() *core.Report { return p.m.Report() }
 
-// CacheStats reports the shared partition cache's counters, including
-// overlay-resident bytes.
+// CacheStats reports the shared partition cache's counters.
 func (p *Pipeline) CacheStats() relation.CacheStats { return p.sub.Cache().Stats() }

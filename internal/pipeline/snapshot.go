@@ -17,10 +17,6 @@ import (
 // neither of which carries its own substrate copy. A decoded pipeline
 // provably shares one cache and one verifier: both engines point at the
 // same substrate by construction, not by deduplication.
-//
-// The live overlay registry is not serialized: overlay entries restore
-// stale and rebuild from the restored partition cache on the first append
-// batch, which is byte-identical to what the saved registry held.
 
 // Append encodes the pipeline. Must not run concurrently with mutations.
 func Append(w *wire.Writer, p *Pipeline) {
@@ -36,10 +32,9 @@ func Append(w *wire.Writer, p *Pipeline) {
 
 // Decode rebuilds a pipeline over rel/ont from a payload written by
 // Append. The substrate is decoded once (core.DecodeSubstrate), warm with
-// the saved cache entries, and both engine bodies run on it; each body
-// decoder re-acquires its overlay references (entries start stale and
-// rebuild on first use), and the restored pipeline's reports, cover, and
-// subsequent batches are byte-identical to the saved one's.
+// the saved cache entries, and both engine bodies run on it; the restored
+// pipeline's reports, cover, and subsequent batches are byte-identical to
+// the saved one's.
 func Decode(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology, workers int, stats *exec.Stats) (*Pipeline, error) {
 	follow := r.Uvarint()
 	if r.Err() != nil {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,83 +11,54 @@ import (
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
-// TestOverlaySubstrateConsistency is the shared-substrate invariant
-// check: after every batch stage, every registered overlay that reports
-// fresh materializes byte-identical to a fresh partition computation, and
-// the shared cache serves a correct partition for EVERY attribute set in
-// the lattice (products over materialized overlays included). This is the
-// test that pins the RouteAppends ordering contract (fresh entries route
-// before stale ones rebuild) and the per-entry row stamp.
-func TestOverlaySubstrateConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 12; trial++ {
-		rel, ont := randomInstance(rng)
-		sigma := discovery.Discover(rel, ont, discovery.DefaultOptions()).OFDs
-		if len(sigma) == 0 {
-			continue
-		}
-		p, err := New(context.Background(), rel.Clone(), ont, Options{
-			Sigma: sigma.Clone(), Shards: 4, Workers: 1,
-		})
-		if err != nil {
-			t.Fatalf("trial %d: New: %v", trial, err)
-		}
-		check := func(b int, stage string) {
-			n := p.Relation().NumRows()
-			// Every registered overlay that reports fresh must materialize
-			// byte-identical to a fresh computation.
-			seen := map[relation.AttrSet]bool{}
-			var sets []relation.AttrSet
-			for _, d := range append(p.Cover(), sigma...) {
-				if !seen[d.LHS] {
-					seen[d.LHS] = true
-					sets = append(sets, d.LHS)
-				}
-			}
-			for c := 0; c < p.Relation().NumCols(); c++ {
-				s := relation.EmptySet.With(c)
-				if !seen[s] {
-					seen[s] = true
-					sets = append(sets, s)
-				}
-			}
-			for _, attrs := range sets {
-				ov := p.Overlays().LiveOverlay(attrs)
-				if ov == nil {
+// TestSubstrateCacheConsistency is the shared-substrate invariant check:
+// after every batch stage — updates, then appends — the shared cache
+// serves a partition byte-identical to a fresh computation for EVERY
+// attribute set in the lattice. Updates reach the cache by eviction of
+// the touched sets, appends by the row stamp and InvalidateStale; a
+// stale entry surviving either shows up here.
+func TestSubstrateCacheConsistency(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(3))
+			for trial := 0; trial < 12; trial++ {
+				rel, ont := randomInstance(rng)
+				sigma := discovery.Discover(rel, ont, discovery.DefaultOptions()).OFDs
+				if len(sigma) == 0 {
 					continue
 				}
-				got := ov.Materialize(n)
-				want := relation.PartitionOf(p.Relation(), attrs).Strip()
-				if !reflect.DeepEqual(got.Tuples, want.Tuples) || !reflect.DeepEqual(got.Offsets, want.Offsets) {
-					t.Fatalf("trial %d batch %d %s: overlay for %v materializes wrong\n got: %v %v\nwant: %v %v\nrows: %v",
-						trial, b, stage, attrs, got.Tuples, got.Offsets, want.Tuples, want.Offsets, p.Relation().Rows())
+				p, err := New(context.Background(), rel.Clone(), ont, Options{
+					Sigma: sigma.Clone(), Shards: 4, Workers: workers,
+				})
+				if err != nil {
+					t.Fatalf("trial %d: New: %v", trial, err)
+				}
+				check := func(b int, stage string) {
+					nc := p.Relation().NumCols()
+					pc := p.Verifier().Partitions()
+					for s := relation.AttrSet(1); s < relation.AttrSet(uint64(1)<<uint(nc)); s++ {
+						got := pc.Get(s)
+						want := relation.PartitionOf(p.Relation(), s).Strip()
+						if !reflect.DeepEqual(got.Tuples, want.Tuples) || !reflect.DeepEqual(got.Offsets, want.Offsets) {
+							t.Fatalf("trial %d batch %d %s: cache serves wrong partition for %v\n got: %v %v\nwant: %v %v\nrows: %v",
+								trial, b, stage, s, got.Tuples, got.Offsets, want.Tuples, want.Offsets, p.Relation().Rows())
+						}
+					}
+				}
+				check(-1, "init")
+				for b, op := range randomStream(rng, p.Relation(), 4, 6) {
+					if _, err := p.ApplyBatch(context.Background(), op.updates); err != nil {
+						t.Fatalf("trial %d batch %d: ApplyBatch: %v", trial, b, err)
+					}
+					check(b, "post-updates")
+					if len(op.appends) > 0 {
+						if _, err := p.AppendRows(op.appends); err != nil {
+							t.Fatalf("trial %d batch %d: AppendRows: %v", trial, b, err)
+						}
+						check(b, "post-appends")
+					}
 				}
 			}
-			// Every partition the shared cache serves must match a fresh
-			// computation, for every attribute set in the lattice.
-			nc := p.Relation().NumCols()
-			pc := p.Verifier().Partitions()
-			for s := relation.AttrSet(1); s < relation.AttrSet(uint64(1)<<uint(nc)); s++ {
-				got := pc.Get(s)
-				want := relation.PartitionOf(p.Relation(), s).Strip()
-				if !reflect.DeepEqual(got.Tuples, want.Tuples) || !reflect.DeepEqual(got.Offsets, want.Offsets) {
-					t.Fatalf("trial %d batch %d %s: cache serves wrong partition for %v\n got: %v %v\nwant: %v %v\nrows: %v",
-						trial, b, stage, s, got.Tuples, got.Offsets, want.Tuples, want.Offsets, p.Relation().Rows())
-				}
-			}
-		}
-		check(-1, "init")
-		for b, op := range randomStream(rng, p.Relation(), 4, 6) {
-			if _, err := p.ApplyBatch(context.Background(), op.updates); err != nil {
-				t.Fatalf("trial %d batch %d: ApplyBatch: %v", trial, b, err)
-			}
-			check(b, "post-updates")
-			if len(op.appends) > 0 {
-				if _, err := p.AppendRows(op.appends); err != nil {
-					t.Fatalf("trial %d batch %d: AppendRows: %v", trial, b, err)
-				}
-				check(b, "post-appends")
-			}
-		}
+		})
 	}
 }

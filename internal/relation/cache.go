@@ -75,10 +75,6 @@ type PartitionCache struct {
 	budget    atomic.Int64  // 0 = unbounded
 	clock     atomic.Uint64 // logical time: ticks once per lookup
 	evictMu   sync.Mutex    // serializes budget enforcement passes
-	// provider, when set, serves misses on attribute sets with a live
-	// partition overlay (the merged pipeline's registry) instead of a
-	// partition product; its resident bytes count against the budget.
-	provider OverlayProvider
 	// luts holds one lazily built row→class vector per column, the probe
 	// side of RefineByLUT — the derivation chain in GetWith refines by
 	// these instead of multiplying by ~n-payload single-column
@@ -89,28 +85,6 @@ type PartitionCache struct {
 	luts []atomic.Pointer[colLUT]
 }
 
-// OverlayProvider serves live partition overlays to a cache. The merged
-// pipeline's live.Overlays registry implements it: registered attribute
-// sets whose overlay is current return it from LiveOverlay (nil
-// otherwise — unregistered, or stale after an update touched the set),
-// and OverlayBytes reports the overlays' resident delta bytes so the
-// cache's byte budget accounts for them. Offer runs the other direction:
-// every partition the cache stores is offered to the provider, so a
-// stale registered set whose partition the cache just computed on a real
-// demand miss can adopt it as its next overlay base instead of paying a
-// second computation when it rebuilds. Offer must be cheap and safe to
-// call concurrently (the cache's miss path fans out).
-type OverlayProvider interface {
-	LiveOverlay(attrs AttrSet) *PartitionOverlay
-	OverlayBytes() int64
-	Offer(attrs AttrSet, p *Partition)
-}
-
-// SetOverlayProvider installs (or, with nil, removes) the overlay
-// provider. Not synchronized with cache traffic: install it before the
-// cache is shared across goroutines.
-func (pc *PartitionCache) SetOverlayProvider(p OverlayProvider) { pc.provider = p }
-
 // CacheStats is a snapshot of cache effectiveness and footprint counters.
 type CacheStats struct {
 	Hits      uint64 // lookups answered from the cache
@@ -120,10 +94,10 @@ type CacheStats struct {
 	PeakBytes int64  // high-water payload bytes since construction
 	Evictions uint64 // entries dropped (Evict sweeps + budget enforcement)
 	Budget    int64  // configured byte budget (0 = unbounded)
-	// OverlayBytes is the delta payload resident in the installed overlay
-	// provider's live overlays (0 without a provider). Charged against
-	// Budget by enforcement, so long-lived overlays can't silently push
-	// the process past the byte budget.
+	// OverlayBytes is always 0. The cache no longer serves live partition
+	// overlays (appended rows reach cached entries only through the row
+	// stamp and InvalidateStale); the field stays because the benchmark
+	// harness still reports it as relation.overlay_mb.
 	OverlayBytes int64
 }
 
@@ -135,14 +109,13 @@ type CacheStats struct {
 // call site.
 func (s CacheStats) Since(prev CacheStats) CacheStats {
 	return CacheStats{
-		Hits:         s.Hits - prev.Hits,
-		Misses:       s.Misses - prev.Misses,
-		Entries:      s.Entries - prev.Entries,
-		Bytes:        s.Bytes - prev.Bytes,
-		PeakBytes:    s.PeakBytes,
-		Evictions:    s.Evictions - prev.Evictions,
-		Budget:       s.Budget,
-		OverlayBytes: s.OverlayBytes,
+		Hits:      s.Hits - prev.Hits,
+		Misses:    s.Misses - prev.Misses,
+		Entries:   s.Entries - prev.Entries,
+		Bytes:     s.Bytes - prev.Bytes,
+		PeakBytes: s.PeakBytes,
+		Evictions: s.Evictions - prev.Evictions,
+		Budget:    s.Budget,
 	}
 }
 
@@ -268,21 +241,9 @@ func (pc *PartitionCache) store(attrs AttrSet, p *Partition) {
 			break
 		}
 	}
-	if b := pc.budget.Load(); b > 0 && total+pc.overlayBytes() > b {
+	if b := pc.budget.Load(); b > 0 && total > b {
 		pc.enforceBudget(attrs)
 	}
-	if prov := pc.provider; prov != nil {
-		prov.Offer(attrs, p)
-	}
-}
-
-// overlayBytes reports the provider's resident overlay payload (0 without
-// a provider) — the budget share live overlays consume.
-func (pc *PartitionCache) overlayBytes() int64 {
-	if prov := pc.provider; prov != nil {
-		return prov.OverlayBytes()
-	}
-	return 0
 }
 
 // evictLocked removes attrs from shard s (whose write lock the caller
@@ -346,12 +307,6 @@ func (pc *PartitionCache) enforceBudget(protect AttrSet) {
 	if budget <= 0 {
 		return
 	}
-	// Live overlays share the byte budget: the cache may only keep what
-	// the overlays leave of it.
-	budget -= pc.overlayBytes()
-	if budget < 0 {
-		budget = 0
-	}
 	if pc.bytes.Load() <= budget {
 		return
 	}
@@ -413,15 +368,6 @@ func (pc *PartitionCache) GetWith(attrs AttrSet, buf *ProductBuffer) *Partition 
 		return p
 	}
 	pc.misses.Add(1)
-	if prov := pc.provider; prov != nil {
-		// A registered live overlay answers the miss in class order — its
-		// materialized form is byte-identical to the computed partition.
-		if ov := prov.LiveOverlay(attrs); ov != nil {
-			p := ov.Materialize(pc.r.NumRows())
-			pc.store(attrs, p)
-			return p
-		}
-	}
 	if buf == nil {
 		buf = &ProductBuffer{}
 	}
@@ -583,13 +529,12 @@ func (pc *PartitionCache) Evict(k int) {
 // internally consistent enough for monitoring and tests.
 func (pc *PartitionCache) Stats() CacheStats {
 	st := CacheStats{
-		Hits:         pc.hits.Load(),
-		Misses:       pc.misses.Load(),
-		Bytes:        pc.bytes.Load(),
-		PeakBytes:    pc.peakBytes.Load(),
-		Evictions:    pc.evictions.Load(),
-		Budget:       pc.budget.Load(),
-		OverlayBytes: pc.overlayBytes(),
+		Hits:      pc.hits.Load(),
+		Misses:    pc.misses.Load(),
+		Bytes:     pc.bytes.Load(),
+		PeakBytes: pc.peakBytes.Load(),
+		Evictions: pc.evictions.Load(),
+		Budget:    pc.budget.Load(),
 	}
 	for i := range pc.shards {
 		s := &pc.shards[i]

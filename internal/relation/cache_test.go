@@ -230,3 +230,30 @@ func TestEvictCostModelKeepsHotEntries(t *testing.T) {
 		t.Fatalf("cost model evicted the hot entry over the cold one")
 	}
 }
+
+// TestCacheInvalidateTouchedCount pins InvalidateTouched's return value:
+// exactly the number of resident entries intersecting the touched set.
+func TestCacheInvalidateTouchedCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	rel := randRelation(t, rng, 100, 4, 3)
+	pc := NewPartitionCache(rel) // pre-warms 4 single columns
+	pc.Get(Single(0).With(1))
+	pc.Get(Single(2).With(3))
+	pc.Get(Single(0).With(2).With(3))
+	if n := pc.InvalidateTouched(EmptySet); n != 0 {
+		t.Fatalf("empty touched dropped %d", n)
+	}
+	// Touching column 3 intersects {3}, {2,3}, {0,2,3}.
+	if n := pc.InvalidateTouched(Single(3)); n != 3 {
+		t.Fatalf("touched {3} dropped %d, want 3", n)
+	}
+	// Already dropped: a second invalidation finds nothing.
+	if n := pc.InvalidateTouched(Single(3)); n != 0 {
+		t.Fatalf("repeat invalidation dropped %d, want 0", n)
+	}
+	// The untouched entries survived.
+	st := pc.Stats()
+	if st.Entries != 4 { // {0}, {1}, {2}, {0,1}
+		t.Fatalf("entries after invalidation = %d, want 4", st.Entries)
+	}
+}

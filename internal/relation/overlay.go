@@ -1,7 +1,5 @@
 package relation
 
-import "sort"
-
 // PartitionOverlay extends a base flat Partition with growable per-class
 // delta lists, so appended tuples join their equivalence classes without
 // copying (or invalidating) the base partition's flat arrays. It is the
@@ -23,23 +21,12 @@ type PartitionOverlay struct {
 	// deltas[ci] holds the tuples added to class ci after the base was
 	// built; for ci >= nBase the slice is the whole class.
 	deltas [][]int32
-	// baseMap, when non-nil, maps local class ids to base class ids: the
-	// overlay covers only the listed subset of base classes (the sharded
-	// monitor's per-shard view of one PartitionCache base). nil means the
-	// identity mapping over every base class.
+	// baseMap maps local class ids to base class ids: the overlay covers
+	// only the listed subset of base classes (the sharded monitor's
+	// per-shard view of one PartitionCache base).
 	baseMap []int32
 	// added counts the tuples added across all classes (monitoring).
 	added int
-}
-
-// NewPartitionOverlay wraps base (which must not be mutated afterwards;
-// overlays assume the flat arrays are frozen).
-func NewPartitionOverlay(base *Partition) *PartitionOverlay {
-	return &PartitionOverlay{
-		base:   base,
-		nBase:  base.NumClasses(),
-		deltas: make([][]int32, base.NumClasses()),
-	}
 }
 
 // NewPartitionOverlayShard wraps base restricted to the given base class
@@ -59,10 +46,7 @@ func NewPartitionOverlayShard(base *Partition, baseClasses []int32) *PartitionOv
 
 // baseClass returns the base tuple view behind local class ci (< nBase).
 func (o *PartitionOverlay) baseClass(ci int) []int32 {
-	if o.baseMap != nil {
-		return o.base.Class(int(o.baseMap[ci]))
-	}
-	return o.base.Class(ci)
+	return o.base.Class(int(o.baseMap[ci]))
 }
 
 // Base returns the frozen base partition.
@@ -121,63 +105,6 @@ func (o *PartitionOverlay) View(ci int, scratch *[]int32) []int32 {
 	s = append(s, d...)
 	*scratch = s
 	return s
-}
-
-// Bytes returns the overlay's resident delta payload: the per-class
-// delta tuples plus the shard base-class mapping, 4 bytes each. The base
-// partition is the PartitionCache's memory and is accounted there; this
-// is what the overlay itself pins, which CacheStats reports as
-// OverlayBytes and budget enforcement charges against the byte budget.
-func (o *PartitionOverlay) Bytes() int64 {
-	return int64(4 * (o.added + len(o.baseMap)))
-}
-
-// first returns the smallest tuple id of class ci (classes hold tuples in
-// ascending order, so it is the first element).
-func (o *PartitionOverlay) first(ci int) int32 {
-	if ci < o.nBase {
-		return o.baseClass(ci)[0]
-	}
-	return o.deltas[ci][0]
-}
-
-// Materialize flattens the overlay into a stripped Partition over a
-// relation of n rows, in the canonical form partition computation
-// produces: classes ordered by their smallest tuple id, tuples ascending
-// within each class, singletons absent (overlay-born classes hold at
-// least two tuples and stripped base classes at least two, so no class
-// here is a singleton). As long as the overlay was built from the
-// canonical base partition of its attribute set and has absorbed exactly
-// the relation's appended rows, the result is byte-identical to computing
-// the partition from scratch — the property that lets a PartitionCache
-// serve a registered live overlay in place of a partition product.
-func (o *PartitionOverlay) Materialize(n int) *Partition {
-	total := o.NumClasses()
-	if total == 0 {
-		// Canonical empty stripped form: nil slices, exactly like Strip.
-		return &Partition{N: n, Stripped: true}
-	}
-	order := make([]int32, total)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	// Base classes are already ascending by representative; overlay-born
-	// classes (whose representatives are formerly lone rows) interleave
-	// anywhere, so sort the whole order.
-	sort.Slice(order, func(a, b int) bool { return o.first(int(order[a])) < o.first(int(order[b])) })
-	size := 0
-	for ci := 0; ci < total; ci++ {
-		size += o.Len(ci)
-	}
-	tuples := make([]int32, 0, size)
-	offsets := make([]int32, 0, total+1)
-	offsets = append(offsets, 0)
-	var scratch []int32
-	for _, ci := range order {
-		tuples = append(tuples, o.View(int(ci), &scratch)...)
-		offsets = append(offsets, int32(len(tuples)))
-	}
-	return &Partition{Tuples: tuples, Offsets: offsets, N: n, Stripped: true}
 }
 
 // StableView returns class ci's tuple ids in ascending order as a slice

@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// identityOverlay wraps base as a shard overlay that owns every base
+// class, local id k denoting base class k.
+func identityOverlay(base *Partition) *PartitionOverlay {
+	all := make([]int32, base.NumClasses())
+	for k := range all {
+		all[k] = int32(k)
+	}
+	return NewPartitionOverlayShard(base, all)
+}
+
 func TestPartitionOverlayViewsAndGrowth(t *testing.T) {
 	rel, err := FromRows(MustSchema("A", "B"), [][]string{
 		{"x", "1"}, {"x", "2"}, {"y", "3"}, {"y", "4"}, {"z", "5"},
@@ -13,7 +23,7 @@ func TestPartitionOverlayViewsAndGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := SingleColumnPartition(rel, 0).Strip() // classes {0,1}, {2,3}; z stripped
-	o := NewPartitionOverlay(base)
+	o := identityOverlay(base)
 	if o.NumClasses() != 2 || o.BaseClasses() != 2 {
 		t.Fatalf("classes = %d base = %d, want 2/2", o.NumClasses(), o.BaseClasses())
 	}
@@ -70,7 +80,7 @@ func TestPartitionOverlayScratchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := SingleColumnPartition(rel, 0).Strip()
-	o := NewPartitionOverlay(base)
+	o := identityOverlay(base)
 	o.Add(0, 9)
 	o.Add(1, 11)
 	var scratch []int32
@@ -138,7 +148,7 @@ func TestPartitionOverlayStableView(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := SingleColumnPartition(rel, 0).Strip()
-	o := NewPartitionOverlay(base)
+	o := identityOverlay(base)
 
 	// Pure base class: aliasing the frozen base is fine.
 	pure := o.StableView(0)
@@ -171,9 +181,8 @@ func TestPartitionOverlayStableView(t *testing.T) {
 }
 
 // TestPartitionOverlayShardEmpty pins the degenerate shard: a shard that
-// owns no base classes starts with zero classes, materializes to the
-// canonical empty stripped form, and still accepts overlay-born classes
-// (ids starting at 0).
+// owns no base classes starts with zero classes and still accepts
+// overlay-born classes (ids starting at 0).
 func TestPartitionOverlayShardEmpty(t *testing.T) {
 	rel, err := FromRows(MustSchema("A"), [][]string{
 		{"x"}, {"x"}, {"y"}, {"y"},
@@ -186,10 +195,6 @@ func TestPartitionOverlayShardEmpty(t *testing.T) {
 	if o.NumClasses() != 0 || o.BaseClasses() != 0 || o.Added() != 0 {
 		t.Fatalf("empty shard: classes=%d base=%d added=%d", o.NumClasses(), o.BaseClasses(), o.Added())
 	}
-	p := o.Materialize(rel.NumRows())
-	if p.N != rel.NumRows() || !p.Stripped || p.Tuples != nil || p.Offsets != nil {
-		t.Fatalf("empty materialize = %+v, want canonical empty stripped form", p)
-	}
 	// Overlay-born-only: every class lives in the deltas.
 	ci := o.AddClass(1, 3)
 	if ci != 0 || o.NumClasses() != 1 {
@@ -201,63 +206,5 @@ func TestPartitionOverlayShardEmpty(t *testing.T) {
 	}
 	if got := o.StableView(ci); !reflect.DeepEqual(got, []int32{1, 3}) {
 		t.Fatalf("born stable view = %v", got)
-	}
-}
-
-// TestPartitionOverlayMaterialize pins the canonical flattened form:
-// classes ordered by smallest tuple id (base and overlay-born classes
-// interleaved), tuples ascending within each class, offsets starting at 0.
-func TestPartitionOverlayMaterialize(t *testing.T) {
-	rel, err := FromRows(MustSchema("A"), [][]string{
-		{"x"}, {"q"}, {"x"}, {"y"}, {"y"}, {"z"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := SingleColumnPartition(rel, 0).Strip() // {0,2}, {3,4}
-	o := NewPartitionOverlay(base)
-	// A class born from formerly lone rows 1 and 5: its representative (1)
-	// sorts between neither base class and the front — before {3,4} and
-	// after {0,2}.
-	o.AddClass(1, 5)
-	o.Add(1, 6) // grow base class {3,4}
-	p := o.Materialize(7)
-	wantTuples := []int32{0, 2, 1, 5, 3, 4, 6}
-	wantOffsets := []int32{0, 2, 4, 7}
-	if !reflect.DeepEqual(p.Tuples, wantTuples) || !reflect.DeepEqual(p.Offsets, wantOffsets) {
-		t.Fatalf("materialize = %v %v, want %v %v", p.Tuples, p.Offsets, wantTuples, wantOffsets)
-	}
-	if p.N != 7 || !p.Stripped {
-		t.Fatalf("materialize meta = %+v", p)
-	}
-}
-
-// TestPartitionOverlayBytes pins the resident-delta accounting the cache
-// budget charges: 4 bytes per added tuple plus 4 per shard base-class
-// mapping entry; the frozen base costs nothing here.
-func TestPartitionOverlayBytes(t *testing.T) {
-	rel, err := FromRows(MustSchema("A"), [][]string{
-		{"x"}, {"x"}, {"y"}, {"y"}, {"z"}, {"z"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := SingleColumnPartition(rel, 0).Strip()
-	plain := NewPartitionOverlay(base)
-	if plain.Bytes() != 0 {
-		t.Fatalf("fresh overlay bytes = %d, want 0", plain.Bytes())
-	}
-	plain.Add(0, 6)
-	plain.AddClass(7, 8)
-	if plain.Bytes() != 4*3 {
-		t.Fatalf("overlay bytes = %d, want %d", plain.Bytes(), 4*3)
-	}
-	shard := NewPartitionOverlayShard(base, []int32{0, 2})
-	if shard.Bytes() != 4*2 {
-		t.Fatalf("shard bytes = %d, want %d (base map)", shard.Bytes(), 4*2)
-	}
-	shard.Add(1, 9)
-	if shard.Bytes() != 4*3 {
-		t.Fatalf("shard bytes after add = %d, want %d", shard.Bytes(), 4*3)
 	}
 }

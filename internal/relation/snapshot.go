@@ -182,8 +182,8 @@ func DecodePartitionCache(r *wire.Reader, rel *Relation) (*PartitionCache, error
 // callers must not mutate the slice).
 func (o *PartitionOverlay) Delta(ci int) []int32 { return o.deltas[ci] }
 
-// BaseMap returns the overlay's base-class mapping (nil = identity over
-// every base class). Snapshot encode hook; callers must not mutate it.
+// BaseMap returns the overlay's base-class mapping. Snapshot encode hook;
+// callers must not mutate it.
 func (o *PartitionOverlay) BaseMap() []int32 { return o.baseMap }
 
 // RestoreOverlayShard rebuilds an overlay from its serialized parts: the
