@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench repairbench fdbench monitorbench discoverybench storagebench pipelinebench experiments examples fmt vet lint smoke clean
+.PHONY: all build test race bench repairbench fdbench monitorbench discoverybench storagebench pipelinebench perfbench experiments examples fmt vet lint smoke clean
 
 all: build test
 
@@ -57,6 +57,14 @@ storagebench:
 # with byte-identity gates on both the report and the cover.
 pipelinebench:
 	$(GO) run ./cmd/benchrunner -pipelinebench BENCH_pipeline.json -rows 50000 -cpus 1,0
+
+# One end-to-end benchmark run (perfbench/run.sh) on one workload; with
+# TRACE=1 it reports the per-layer work counters (partition walks, scans,
+# cache misses) next to the end-to-end metrics.
+WORKLOAD ?= churn-12k
+TRACE ?= 1
+perfbench:
+	bash perfbench/run.sh --workload $(WORKLOAD) --seed 1 --seconds 2 --trace $(TRACE)
 
 # Paper-style experiment tables with accuracy metrics.
 experiments:

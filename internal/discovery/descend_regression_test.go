@@ -60,11 +60,12 @@ func replayStream(ds *gen.Dataset, nBatches, batchSize, appendsPerBatch int, see
 	return batches
 }
 
-// TestDescendFrontierRegression replays a 25k-row clinical stream whose third
-// batch used to corrupt the descend frontier (next aliased frontier's backing
-// array), dropping valid minima and tripping the buildBorder soundness panic.
-// The maintainer's own border check is the assertion; no fresh rediscovery is
-// needed.
+// TestDescendFrontierRegression replays a 25k-row clinical stream of
+// corrupting and reverting batches with appends. A promotion repair that
+// drops a valid minimum leaves a valid node on the rebuilt border, which
+// trips the buildBorder soundness panic; the maintainer's own border check
+// is the assertion, so no fresh rediscovery is needed. The stream's third
+// batch is the one that once caught a descent losing minima.
 func TestDescendFrontierRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("25k-row replay; skipped with -short")

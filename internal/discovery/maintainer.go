@@ -39,10 +39,11 @@ type rhsState struct {
 	trans  []relation.AttrSet
 }
 
-func (rs *rhsState) coverSets() []relation.AttrSet {
-	out := make([]relation.AttrSet, len(rs.cover))
-	for i, ct := range rs.cover {
-		out[i] = ct.d.LHS
+// borderSets returns the negative border's antecedents, aligned with rs.trans.
+func (rs *rhsState) borderSets() []relation.AttrSet {
+	out := make([]relation.AttrSet, len(rs.border))
+	for i, wt := range rs.border {
+		out[i] = wt.d.LHS
 	}
 	return out
 }
@@ -65,9 +66,10 @@ func (rs *rhsState) coverSets() []relation.AttrSet {
 //     whose certificate broke.
 //
 // Every flip re-opens a bounded repair region (repairer) rather than the
-// lattice: BFS up from demotions through the invalidated region, descent
-// down from promotions through the newly valid one, both answering most
-// nodes from the old cover plus the batch's touched-column set.
+// lattice: BFS up from demotions through the invalidated region, and a
+// climb inside each promoted border node from the minimal transversals
+// that the still-invalid border leaves open, both answering most nodes
+// from the old cover plus the batch's touched-column set.
 //
 // Batches are atomic: a cancelled batch rolls the relation and every
 // tracker back to the pre-batch state and leaves the cover untouched.
@@ -421,7 +423,7 @@ func (mt *Maintainer) AppendRow(row []string) (Diff, error) {
 // returns the combined cover diff. Appends only demote — growing an
 // equivalence class grows its distinct consequent set, and sense
 // satisfiability is antitone in it — so the repair runs without border
-// rescans or promotion descents, and the whole operation is
+// rescans or promotion climbs, and the whole operation is
 // uncancellable-fast (no rollback surface). Batching matters: the repair
 // pass — and any cover-tracker and border rebuilds it causes — runs once
 // for the whole batch instead of once per row, and the resulting cover
@@ -527,6 +529,7 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 			rhs:        f.rs.rhs,
 			space:      mt.all.Without(f.rs.rhs),
 			oldCover:   lhsSets(f.rs.cover),
+			border:     f.rs.borderSets(),
 			survivors:  f.survivors,
 			demoted:    f.demoted,
 			demotedTrk: f.demotedTrk,

@@ -2,7 +2,6 @@ package discovery
 
 import (
 	"github.com/fastofd/fastofd/internal/core"
-	"github.com/fastofd/fastofd/internal/live"
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
@@ -26,9 +25,11 @@ import (
 // Refinement is itself incremental along the climb: each verified node
 // memoizes its per-member group labels, and a child (its parent plus
 // one attribute) regroups by the parent's label plus that one column's
-// value — O(|members|) per node regardless of climb height, instead of
-// re-encoding every column of Y \ X₀. A parent answered by the oracle
-// has no labels; its children fall back to grouping from the root.
+// code, packed into one uint64 map key — O(|members|) per node regardless
+// of climb height, with no string keys. A parent answered by the oracle
+// has no labels; its children fall back to the root and regroup once per
+// column of Y \ X₀, each pass taking the previous pass's labels as its
+// parent labels (grouping by a label and k codes is k one-column steps).
 //
 // Verdicts are byte-identical to HoldsSynOnePass: groups with one
 // distinct consequent value satisfy trivially (the FD fast path), and
@@ -43,8 +44,7 @@ type rootRefiner struct {
 	members []int32                      // rows of X₀'s unsatisfied classes, class-major
 	labels  map[relation.AttrSet][]int32 // node → group label per member (root holds the base)
 
-	keyBuf []byte
-	groups map[string]int32
+	packed map[uint64]int32   // regroup: (parent label, code) → group, reused
 	vals   [][]relation.Value // distinct consequent values per group, reused
 }
 
@@ -87,33 +87,23 @@ func (rf *rootRefiner) holds(y, parent relation.AttrSet) bool {
 	if !ok {
 		parent, plab = rf.root, rf.labels[rf.root]
 	}
-	cols := y.Minus(parent).Attrs()
 	rel := rf.v.Relation()
-	col := rel.Column(rf.rhs)
-	if rf.groups == nil {
-		rf.groups = make(map[string]int32, 16)
-	}
-	for k := range rf.groups {
-		delete(rf.groups, k)
-	}
 	lab := make([]int32, len(rf.members))
-	ngroups := int32(0)
+	var ngroups int32
+	for _, c := range y.Minus(parent).Attrs() {
+		ngroups = rf.regroupPacked(rel.Column(c), plab, lab)
+		plab = lab
+	}
+	rf.labels[y] = lab
+	for len(rf.vals) < int(ngroups) {
+		rf.vals = append(rf.vals, nil)
+	}
+	for g := range rf.vals[:ngroups] {
+		rf.vals[g] = rf.vals[g][:0]
+	}
+	col := rel.Column(rf.rhs)
 	for i, t := range rf.members {
-		rf.keyBuf = live.EncodeKey(rel, cols, int(t), rf.keyBuf)
-		pl := plab[i]
-		rf.keyBuf = append(rf.keyBuf, byte(pl), byte(pl>>8), byte(pl>>16), byte(pl>>24))
-		g, ok := rf.groups[string(rf.keyBuf)]
-		if !ok {
-			g = ngroups
-			ngroups++
-			if int(g) == len(rf.vals) {
-				rf.vals = append(rf.vals, nil)
-			}
-			rf.vals[g] = rf.vals[g][:0]
-			rf.groups[string(rf.keyBuf)] = g
-		}
-		lab[i] = g
-		val := col.At(int(t))
+		g, val := lab[i], col.At(int(t))
 		dup := false
 		for _, seen := range rf.vals[g] {
 			if seen == val {
@@ -125,11 +115,32 @@ func (rf *rootRefiner) holds(y, parent relation.AttrSet) bool {
 			rf.vals[g] = append(rf.vals[g], val)
 		}
 	}
-	rf.labels[y] = lab
 	for g := int32(0); g < ngroups; g++ {
 		if len(rf.vals[g]) > 1 && !rf.v.ValuesSatisfied(rf.rhs, rf.vals[g]) {
 			return false
 		}
 	}
 	return true
+}
+
+// regroupPacked labels each member by (parent label, code in col), packing
+// the pair into one uint64 key, and returns the group count. It reads
+// plab[i] before it writes lab[i], so plab and lab may be the same slice.
+func (rf *rootRefiner) regroupPacked(col *relation.Col, plab, lab []int32) int32 {
+	if rf.packed == nil {
+		rf.packed = make(map[uint64]int32, 16)
+	}
+	clear(rf.packed)
+	ngroups := int32(0)
+	for i, t := range rf.members {
+		key := uint64(uint32(plab[i]))<<32 | uint64(uint32(col.At(int(t))))
+		g, ok := rf.packed[key]
+		if !ok {
+			g = ngroups
+			ngroups++
+			rf.packed[key] = g
+		}
+		lab[i] = g
+	}
+	return ngroups
 }

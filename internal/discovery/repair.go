@@ -7,18 +7,20 @@ import (
 
 	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/exec"
+	"github.com/fastofd/fastofd/internal/fd"
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
 // repairer computes one consequent attribute's post-batch minimal cover
 // from the flip signals: a joint upward BFS over the invalidated region
-// above demoted cover elements, and a downward level-wise descent through
-// the newly valid region below promoted border nodes. Both searches
-// consult a memoized post-state validity oracle that answers most nodes
-// without verification — this is the incremental C⁺(X) repair: an
-// invalidation re-opens exactly the supersets the BFS reaches (the nodes
-// Opt-2 had pruned under the demoted element), and a validation re-prunes
-// by the final antichain step plus the ⊇-survivor short-circuit.
+// above demoted cover elements, and, inside each promoted border node, an
+// upward climb from the lowest nodes that can be valid to its minimal
+// valid subsets. Both searches consult a memoized post-state validity
+// oracle that answers most nodes without verification — this is the
+// incremental C⁺(X) repair: an invalidation re-opens exactly the supersets
+// the BFS reaches (the nodes Opt-2 had pruned under the demoted element),
+// and a validation re-prunes by the final antichain step plus the
+// ⊇-survivor short-circuit.
 //
 // Correctness rests on the monotonicity of exact synonym OFDs (refining
 // an equivalence partition preserves per-class satisfaction, so validity
@@ -33,15 +35,19 @@ import (
 //     the seed are invalid), or a subset of a maximal invalid node W
 //     whose certificate necessarily broke (W ⊇ a now-valid node is
 //     itself valid, and validity requires its pinned violating class to
-//     have become satisfied), in which case the descent from W finds it;
+//     have become satisfied); it then lies under no border node that is
+//     still invalid, so it contains a minimal transversal of
+//     {W \ B : B still invalid}, and the climb from those transversals
+//     finds it;
 //   - therefore the minimal antichain of survivors ∪ BFS boundary ∪
-//     descent results is exactly the post-state minimal cover.
+//     climb results is exactly the post-state minimal cover.
 type repairer struct {
 	mt         *Maintainer
 	bufs       []relation.ProductBuffer // one per verification worker, private to this repairer
 	rhs        int
 	space      relation.AttrSet   // all attributes minus rhs
 	oldCover   []relation.AttrSet // pre-batch cover antichain (canonical order)
+	border     []relation.AttrSet // pre-batch negative border (maximal invalid nodes)
 	survivors  []relation.AttrSet // old cover elements still valid
 	demoted    []relation.AttrSet // old cover elements now invalid
 	demotedTrk []*coverTracker    // trackers aligned with demoted; nil falls back to partition walks
@@ -66,18 +72,10 @@ func (r *repairer) oracleAnswer(x relation.AttrSet) (bool, bool) {
 	if val, ok := r.memo[x]; ok {
 		return val, true
 	}
-	for _, s := range r.survivors {
-		if s.SubsetOf(x) {
-			return true, true
-		}
+	if hasSubsetIn(x, r.survivors) {
+		return true, true
 	}
-	preValid := false
-	for _, y := range r.oldCover {
-		if y.SubsetOf(x) {
-			preValid = true
-			break
-		}
-	}
+	preValid := hasSubsetIn(x, r.oldCover)
 	updDirty := r.rhsTouched || !r.touched.Intersect(x).IsEmpty()
 	if preValid {
 		if !r.hasAppend && !updDirty {
@@ -246,14 +244,28 @@ func (s *setsRootsSort) Swap(i, j int) {
 	s.parents[i], s.parents[j] = s.parents[j], s.parents[i]
 }
 
-// descend explores the valid region below the promoted node w level by
-// level, returning its minimal valid subsets: valid nodes none of whose
-// direct subsets are valid. w itself must already be known valid.
-func (r *repairer) descend(ctx context.Context, w relation.AttrSet) ([]relation.AttrSet, error) {
+// descend returns the minimal valid subsets of the promoted node w (w
+// itself must already be known valid). stillInvalid holds the negative
+// border nodes that stay invalid after the batch; every subset of one is
+// invalid, so a valid X ⊆ w meets w \ B for each of them — X is a
+// transversal of {w \ B}, and every minimal valid subset of w contains a
+// minimal transversal. The climb starts at those transversals and goes up
+// one cardinality level at a time inside w: valid nodes are recorded,
+// invalid ones grow by one attribute of w, and nodes above a recorded valid
+// node are never verified. Every node strictly between a transversal and
+// the minimal valid node above it is invalid, so the climb reaches every
+// minimum without walking the valid region above them. With no
+// still-invalid border node the only minimal transversal is ∅.
+//
+// The climb pays for the invalid nodes between the transversals and the
+// minima, where a top-down walk pays for the valid nodes between the
+// minima and w. It wins while the minima sit low in w; when w is its own
+// only minimum and no border node stays invalid it verifies all
+// 2^|w| − 1 proper subsets of w against a top-down walk's |w| children
+// (TestDescendWalkCountMinimaNearW).
+func (r *repairer) descend(ctx context.Context, w relation.AttrSet, stillInvalid []relation.AttrSet) ([]relation.AttrSet, error) {
 	// Floor check first: if even the empty antecedent holds (a near-constant
-	// consequent), ∅ is the unique minimal valid node — upward closure makes
-	// everything below w valid, and the level-wise walk would visit all of
-	// it just to discover that.
+	// consequent), ∅ is the unique minimal valid node.
 	floor, err := r.classify(ctx, []relation.AttrSet{relation.EmptySet})
 	if err != nil {
 		return nil, err
@@ -261,53 +273,57 @@ func (r *repairer) descend(ctx context.Context, w relation.AttrSet) ([]relation.
 	if floor[relation.EmptySet] {
 		return []relation.AttrSet{relation.EmptySet}, nil
 	}
-	frontier := []relation.AttrSet{w}
-	visited := map[relation.AttrSet]bool{w: true}
+	edges := make([]relation.AttrSet, len(stillInvalid))
+	for i, b := range stillInvalid {
+		edges[i] = w.Minus(b)
+	}
+	levels := make([][]relation.AttrSet, w.Len()+1)
+	visited := make(map[relation.AttrSet]bool)
+	for _, t := range fd.MinimalHittingSets(edges) {
+		visited[t] = true
+		levels[t.Len()] = append(levels[t.Len()], t)
+	}
 	var minimal []relation.AttrSet
-	for len(frontier) > 0 {
-		seen := make(map[relation.AttrSet]bool, 2*len(frontier))
-		var children []relation.AttrSet
-		for _, x := range frontier {
-			for _, a := range x.Attrs() {
-				p := x.Without(a)
-				if !seen[p] {
-					seen[p] = true
-					children = append(children, p)
-				}
+	for l := range levels {
+		var pending []relation.AttrSet
+		for _, x := range levels[l] {
+			if !hasSubsetIn(x, minimal) {
+				pending = append(pending, x)
 			}
 		}
-		verdicts, err := r.classify(ctx, children)
+		verdicts, err := r.classify(ctx, pending)
 		if err != nil {
 			return nil, err
 		}
-		// A fresh slice each level: next must not alias frontier's backing
-		// array, because a node can contribute several valid children and
-		// overrun the not-yet-read part of the frontier mid-range.
-		next := make([]relation.AttrSet, 0, len(frontier))
-		for _, x := range frontier {
-			hasValidChild := false
-			for _, a := range x.Attrs() {
-				p := x.Without(a)
-				if verdicts[p] {
-					hasValidChild = true
-					if !visited[p] {
-						visited[p] = true
-						next = append(next, p)
-					}
+		for _, x := range pending {
+			if verdicts[x] {
+				minimal = append(minimal, x)
+				continue
+			}
+			for _, a := range w.Minus(x).Attrs() {
+				if c := x.With(a); !visited[c] {
+					visited[c] = true
+					levels[l+1] = append(levels[l+1], c)
 				}
 			}
-			if !hasValidChild {
-				minimal = append(minimal, x)
-			}
 		}
-		frontier = next
 	}
 	return minimal, nil
 }
 
+// hasSubsetIn reports whether some element of sets is a subset of x.
+func hasSubsetIn(x relation.AttrSet, sets []relation.AttrSet) bool {
+	for _, s := range sets {
+		if s.SubsetOf(x) {
+			return true
+		}
+	}
+	return false
+}
+
 // run performs the full repair for one consequent: re-probe triggered
 // border nodes (staging fresh certificates on the still-invalid ones,
-// descending from the promoted ones), BFS up from the demotions, and
+// climbing inside the promoted ones), BFS up from the demotions, and
 // reduce. It returns the post-state minimal cover in canonical order.
 func (r *repairer) run(ctx context.Context, triggered []*witnessTracker) ([]relation.AttrSet, error) {
 	for _, s := range r.survivors {
@@ -366,11 +382,21 @@ func (r *repairer) run(ctx context.Context, triggered []*witnessTracker) ([]rela
 		// next certificate (committed only if the batch lands).
 		wt.stagePending(wits[k].witKey, wits[k].witSize, wits[k].witVals)
 	}
+	// The border nodes still invalid after the batch: every untriggered one
+	// (its pinned class still violates) and every triggered one the probe
+	// found invalid. Only probed border nodes are in the memo, and an
+	// unprobed one is untriggered, so "not memoized valid" selects both.
+	var stillInvalid []relation.AttrSet
+	for _, b := range r.border {
+		if !r.memo[b] {
+			stillInvalid = append(stillInvalid, b)
+		}
+	}
 	for _, wt := range triggered {
 		if !r.memo[wt.d.LHS] {
 			continue
 		}
-		mins, err := r.descend(ctx, wt.d.LHS)
+		mins, err := r.descend(ctx, wt.d.LHS, stillInvalid)
 		if err != nil {
 			return nil, err
 		}
@@ -390,14 +416,7 @@ func minimalAntichain(sets []relation.AttrSet) []relation.AttrSet {
 	relation.SortSets(sets)
 	out := sets[:0]
 	for _, s := range sets {
-		keep := true
-		for _, m := range out {
-			if m == s || m.SubsetOf(s) {
-				keep = false
-				break
-			}
-		}
-		if keep {
+		if !hasSubsetIn(s, out) {
 			out = append(out, s)
 		}
 	}
