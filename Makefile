@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench repairbench fdbench monitorbench discoverybench storagebench pipelinebench perfbench experiments examples fmt vet lint smoke clean
+.PHONY: all build test race bench repairbench fdbench perfbench experiments examples fmt vet lint smoke clean
 
 all: build test
 
@@ -29,34 +29,6 @@ repairbench:
 # all seven baselines plus agree-set engine-vs-baseline micro-benchmarks.
 fdbench:
 	$(GO) run ./cmd/benchrunner -fdbench BENCH_fd.json -discrows 4000
-
-# Incremental-monitor benchmark report (BENCH_monitor.json): batched
-# violation maintenance vs full Detect rebuilds across Clinical sizes up to
-# 1M rows, sweeping shard (-shards) and worker (-cpus) counts, with a
-# byte-identical-report check and a partition-cache stats block.
-monitorbench:
-	$(GO) run ./cmd/benchrunner -monitorbench BENCH_monitor.json -rows 1000000 -shards 4,16 -cpus 1,0
-
-# Incremental-discovery benchmark report (BENCH_discovery.json): live
-# minimal-cover maintenance vs fresh per-batch FastOFD re-runs across
-# Clinical sizes up to 50k rows, sweeping worker (-cpus) counts, with a
-# byte-identical-cover check and the maintain.* stage-stats block.
-discoverybench:
-	$(GO) run ./cmd/benchrunner -discoverybench BENCH_discovery.json -rows 50000 -cpus 1,0
-
-# Storage-tier benchmark report (BENCH_storage.json): snapshot reopen vs
-# cold monitor+maintainer rebuild at up to 1M rows (with byte-identity
-# gates on reports and cover, before and after replaying an update
-# stream), plus the byte-budgeted cache's eviction-policy sweep.
-storagebench:
-	$(GO) run ./cmd/benchrunner -storagebench BENCH_storage.json -rows 1000000
-
-# Merged-pipeline benchmark report (BENCH_pipeline.json): the one-index
-# discover→detect pipeline (shared cache and verifier)
-# vs the separate monitor+maintainer pair on identical Clinical streams,
-# with byte-identity gates on both the report and the cover.
-pipelinebench:
-	$(GO) run ./cmd/benchrunner -pipelinebench BENCH_pipeline.json -rows 50000 -cpus 1,0
 
 # One end-to-end benchmark run (perfbench/run.sh) on one workload; with
 # TRACE=1 it reports the per-layer work counters (partition walks, scans,

@@ -16,12 +16,13 @@
 // experiment loop stops between experiments, the bench modes write their
 // report with the rows measured so far, a per-stage execution table goes to
 // stderr, and the process exits with status 3. The -partitionbench,
-// -repairbench, -fdbench, -monitorbench and -discoverybench reports embed
-// the per-stage span registry as a "stats" block, so CI artifacts carry
-// stage-level timings alongside the benchmark rows; -monitorbench
-// additionally sweeps monitor shard and worker counts (-shards, -cpus) and
-// reports a partition-cache block, and -discoverybench sweeps maintainer
-// worker counts (-cpus) against fresh per-batch FastOFD re-runs.
+// -repairbench and -fdbench reports embed the per-stage span registry as a
+// "stats" block, so CI artifacts carry stage-level timings alongside the
+// benchmark rows.
+//
+// The live engines (monitor, cover maintainer, merged pipeline, snapshots)
+// are measured by the perfbench module, not here; their identity gates are
+// tests of the root package.
 package main
 
 import (
@@ -38,18 +39,12 @@ import (
 func main() {
 	var (
 		expFlag   = flag.String("exp", "all", "experiments to run: 'all' or comma list with ranges, e.g. 1,3,6-8")
-		rows      = flag.Int("rows", 4000, "base tuple count for repair experiments and -monitorbench")
+		rows      = flag.Int("rows", 4000, "base tuple count for repair experiments and -repairbench")
 		discRows  = flag.Int("discrows", 4000, "base tuple count for discovery experiments")
 		seeds     = flag.Int("seeds", 3, "seeds to average accuracy metrics over")
 		partBench = flag.String("partitionbench", "", "run the partition-engine micro-benchmarks and write JSON results to this path (e.g. BENCH_partition.json), then exit")
 		repBench  = flag.String("repairbench", "", "run the repair-engine benchmarks and write JSON results to this path (e.g. BENCH_repair.json), then exit")
 		fdBench   = flag.String("fdbench", "", "run the FD-discovery benchmarks (Exp-1 curve + agree-set micro-benches) and write JSON results to this path (e.g. BENCH_fd.json), then exit")
-		monBench  = flag.String("monitorbench", "", "run the incremental-monitor benchmarks (batched maintenance vs full Detect rebuilds) and write JSON results to this path (e.g. BENCH_monitor.json), then exit")
-		discBench = flag.String("discoverybench", "", "run the incremental-discovery benchmarks (live cover maintenance vs fresh FastOFD re-runs) and write JSON results to this path (e.g. BENCH_discovery.json), then exit")
-		storBench = flag.String("storagebench", "", "run the storage-tier benchmarks (snapshot reopen vs cold rebuild, byte-budgeted cache eviction sweep) and write JSON results to this path (e.g. BENCH_storage.json), then exit")
-		pipeBench = flag.String("pipelinebench", "", "run the merged-pipeline benchmarks (one shared live-index substrate vs separate monitor+maintainer) and write JSON results to this path (e.g. BENCH_pipeline.json), then exit")
-		monShards = flag.String("shards", "4", "comma list of monitor shard counts to sweep in -monitorbench (1 is always included; 0 = derive from workers)")
-		monCpus   = flag.String("cpus", "1,0", "comma list of monitor worker counts to sweep in -monitorbench (0 = all CPUs)")
 		smoke     = flag.Bool("benchsmoke", false, "single-iteration benchmark mode for CI smoke runs")
 		timeout   = flag.Duration("timeout", 0, "abort after this duration, keeping partial results (0 = no timeout)")
 	)
@@ -78,38 +73,6 @@ func main() {
 	}
 	if *fdBench != "" {
 		finish(runFDBench(ctx, stageStats, *fdBench, *discRows, *smoke))
-		return
-	}
-	if *monBench != "" {
-		shardList, err := parseIntList(*monShards)
-		if err != nil {
-			finish(fmt.Errorf("-shards: %w", err))
-		}
-		cpuList, err := parseIntList(*monCpus)
-		if err != nil {
-			finish(fmt.Errorf("-cpus: %w", err))
-		}
-		finish(runMonitorBench(ctx, stageStats, *monBench, *rows, shardList, cpuList, *smoke))
-		return
-	}
-	if *storBench != "" {
-		finish(runStorageBench(ctx, stageStats, *storBench, *rows, *smoke))
-		return
-	}
-	if *pipeBench != "" {
-		cpuList, err := parseIntList(*monCpus)
-		if err != nil {
-			finish(fmt.Errorf("-cpus: %w", err))
-		}
-		finish(runPipelineBench(ctx, stageStats, *pipeBench, *rows, cpuList, *smoke))
-		return
-	}
-	if *discBench != "" {
-		cpuList, err := parseIntList(*monCpus)
-		if err != nil {
-			finish(fmt.Errorf("-cpus: %w", err))
-		}
-		finish(runDiscoveryBench(ctx, stageStats, *discBench, *rows, cpuList, *smoke))
 		return
 	}
 
@@ -200,21 +163,4 @@ func normalizeExp(n int) int {
 		return 10
 	}
 	return n
-}
-
-// parseIntList parses a comma list of ints, e.g. "1,4,16".
-func parseIntList(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad int %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

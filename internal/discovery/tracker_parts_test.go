@@ -30,7 +30,7 @@ func TestPartitionBackedBuildersMatchScan(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		rel, ont := randomInstance(rng)
 		v := core.NewVerifier(rel, ont, nil)
-		pv := core.NewVerifier(rel, ont, relation.NewPartitionCacheParallel(rel, 1))
+		pv := core.NewVerifier(rel, ont, relation.NewPartitionCache(rel))
 		n := rel.NumCols()
 		all := relation.AttrSet(uint64(1)<<uint(n) - 1)
 		for rhs := 0; rhs < n; rhs++ {

@@ -139,18 +139,13 @@ func (pc *PartitionCache) shardOf(a AttrSet) *cacheShard {
 // NewPartitionCache creates a cache over r and precomputes all
 // single-attribute stripped partitions.
 func NewPartitionCache(r *Relation) *PartitionCache {
-	return NewPartitionCacheParallel(r, 1)
-}
-
-// NewPartitionCacheParallel is NewPartitionCache with the single-attribute
-// partition construction spread over up to workers goroutines (on the
-// shared exec substrate rather than a private pool).
-func NewPartitionCacheParallel(r *Relation, workers int) *PartitionCache {
-	pc, _ := NewPartitionCacheContext(context.Background(), r, workers)
+	pc, _ := NewPartitionCacheContext(context.Background(), r, 1)
 	return pc
 }
 
-// NewPartitionCacheContext is NewPartitionCacheParallel with cooperative
+// NewPartitionCacheContext is NewPartitionCache with the single-attribute
+// partition construction spread over up to workers goroutines (on the
+// shared exec substrate rather than a private pool) and with cooperative
 // cancellation: a cancelled context stops the single-column builds between
 // columns and returns the wrapped context error. The cache returned on
 // cancellation is still safe to use — columns not yet built are simply not

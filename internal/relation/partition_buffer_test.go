@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -247,7 +248,10 @@ func TestProductCanonicalOrder(t *testing.T) {
 func TestPartitionCacheConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	rel := randRelation(t, rng, 200, 5, 3)
-	pc := NewPartitionCacheParallel(rel, 4)
+	pc, err := NewPartitionCacheContext(context.Background(), rel, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sets := make([]AttrSet, 0, 24)
 	for a := 0; a < 5; a++ {
 		for b := a; b < 5; b++ {
