@@ -28,17 +28,18 @@ func shardOfKey(key []byte, nShards int) uint8 {
 // their shards: every base class (keyed by its representative's
 // antecedent values) and every singleton row is hashed to a shard, which
 // records it in its LHS-key index and receives a mapped overlay view of
-// the shared base partition. Iteration i writes only index-i slots of the
-// per-shard slices and maps, so the monitor build fans routeIndex out
-// over dependencies race-free.
+// the shared base partition. All keys of the dependency are appended to
+// one blob, which becomes one string whose substrings are the map keys,
+// and each shard's map is made at its key count, so the build allocates
+// no string per key and never grows a map. Iteration i writes only
+// index-i slots of the per-shard slices and maps, so the monitor build
+// fans routeIndex out over dependencies race-free.
 func (m *Monitor) routeIndex(i int) {
 	d := m.sigma[i]
 	base := m.v.Partitions().Get(d.LHS)
-	m.lhsCols[i] = d.LHS.Attrs()
-
-	for s := range m.shards {
-		m.shards[s].idx[i] = live.NewClassIndex(m.lhsCols[i], d.RHS)
-	}
+	cols := d.LHS.Attrs()
+	m.lhsCols[i] = cols
+	width := 4 * len(cols)
 
 	n := m.rel.NumRows()
 	classOf := make([]int32, n)
@@ -46,40 +47,53 @@ func (m *Monitor) routeIndex(i int) {
 		classOf[t] = -1
 	}
 	rowShard := make([]uint8, n)
+	nc := base.NumClasses()
+	nkeys := nc + n - base.Size()
+	blob := make([]byte, 0, nkeys*width)
+	keyShard := make([]uint8, 0, nkeys)
+	keyVal := make([]int32, 0, nkeys)
+	perShard := make([]int, m.nShards)
+	key := func(t int) uint8 {
+		blob = live.AppendKey(blob, m.rel, cols, t)
+		s := shardOfKey(blob[len(blob)-width:], m.nShards)
+		keyShard = append(keyShard, s)
+		perShard[s]++
+		return s
+	}
 
 	// Route base classes: ascending base order per shard keeps local ids
 	// canonical (first-appearance order within the shard).
 	owned := make([][]int32, m.nShards)
-	var buf []byte
-	for ci := 0; ci < base.NumClasses(); ci++ {
+	for ci := 0; ci < nc; ci++ {
 		class := base.Class(ci)
-		buf = live.EncodeKey(m.rel, m.lhsCols[i], int(class[0]), buf)
-		s := shardOfKey(buf, m.nShards)
+		s := key(int(class[0]))
 		local := int32(len(owned[s]))
 		owned[s] = append(owned[s], int32(ci))
-		m.shards[s].idx[i].Keys[string(buf)] = local
+		keyVal = append(keyVal, local)
 		for _, t := range class {
 			classOf[t] = local
 			rowShard[t] = s
 		}
 	}
-	for s := range m.shards {
-		m.shards[s].idx[i].Part = relation.NewPartitionOverlayShard(base, owned[s])
-	}
-
 	// Route singleton rows: one lone-row index entry each. Two singletons
 	// can never share a key — they would be one class — so entries never
 	// clash.
 	for t := 0; t < n; t++ {
-		if classOf[t] >= 0 {
-			continue
+		if classOf[t] < 0 {
+			rowShard[t] = key(t)
+			keyVal = append(keyVal, live.LoneRow(int32(t)))
 		}
-		buf = live.EncodeKey(m.rel, m.lhsCols[i], t, buf)
-		s := shardOfKey(buf, m.nShards)
-		m.shards[s].idx[i].Keys[string(buf)] = live.LoneRow(int32(t))
-		rowShard[t] = s
 	}
 
+	for s, sh := range m.shards {
+		ix := &live.ClassIndex{Cols: cols, RHS: d.RHS, Keys: make(map[string]int32, perShard[s])}
+		ix.Part = relation.NewPartitionOverlayShard(base, owned[s])
+		sh.idx[i] = ix
+	}
+	keys := string(blob)
+	for k, s := range keyShard {
+		m.shards[s].idx[i].Keys[keys[k*width:(k+1)*width]] = keyVal[k]
+	}
 	m.classOf[i] = classOf
 	m.rowShard[i] = rowShard
 }

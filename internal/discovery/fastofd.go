@@ -125,6 +125,10 @@ type discoverer struct {
 	// prodBufs are per-worker product buffers, retained across lattice
 	// levels so probe arrays are allocated once per worker, not per level.
 	prodBufs []relation.ProductBuffer
+	// levelBuilt, when set, runs after each nextLevel, when the cache
+	// holds the most lattice levels it ever holds at once; the resident
+	// level test reads the cache there.
+	levelBuilt func(*relation.PartitionCache)
 }
 
 // Discover runs FastOFD over the relation and ontology and returns the
@@ -143,6 +147,11 @@ func Discover(rel *relation.Relation, ont *ontology.Ontology, opts Options) *Res
 // together with an error wrapping the context error. For an uncancelled
 // run the result is byte-identical to Discover's for any worker count.
 func DiscoverContext(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, opts Options) (*Result, error) {
+	return discover(ctx, rel, ont, opts, nil)
+}
+
+// discover is DiscoverContext with the discoverer's levelBuilt hook.
+func discover(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, opts Options, levelBuilt func(*relation.PartitionCache)) (*Result, error) {
 	start := time.Now()
 	stats := opts.Stats
 	if stats == nil {
@@ -158,13 +167,14 @@ func DiscoverContext(ctx context.Context, rel *relation.Relation, ont *ontology.
 	buildSpan.Items(rel.NumCols())
 	buildSpan.End()
 	d := &discoverer{
-		rel:      rel,
-		verifier: core.NewVerifier(rel, ont, pc),
-		opts:     opts,
-		pool:     pool,
-		all:      rel.Schema().All(),
-		kappa:    opts.MinSupport,
-		result:   &Result{Stats: stats},
+		rel:        rel,
+		verifier:   core.NewVerifier(rel, ont, pc),
+		opts:       opts,
+		pool:       pool,
+		all:        rel.Schema().All(),
+		kappa:      opts.MinSupport,
+		result:     &Result{Stats: stats},
+		levelBuilt: levelBuilt,
 	}
 	if d.kappa <= 0 || d.kappa > 1 {
 		d.kappa = 1
@@ -223,6 +233,14 @@ func (d *discoverer) run(ctx context.Context) error {
 		// calculateNextLevel) plus verifying its candidates.
 		stat.Elapsed = buildTime + time.Since(lvlStart)
 		d.result.Levels = append(d.result.Levels, stat)
+		// Level l's verification was the last reader of level l−1's
+		// partitions: nextLevel multiplies level l's, and level l+1
+		// verifies against levels l and l+1. Dropping l−1 here, before
+		// the products, keeps two lattice levels resident at the peak,
+		// not three (singles stay: they are the cache's rebuild base).
+		if l-1 >= 2 {
+			pc.Evict(l - 1)
+		}
 		buildStart = time.Now()
 		nextSpan := d.pool.Stats().Span("discover.next_level")
 		nextSpan.Workers(d.pool.Size())
@@ -234,13 +252,11 @@ func (d *discoverer) run(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
+		if d.levelBuilt != nil {
+			d.levelBuilt(pc)
+		}
 		level = next
 		buildTime = time.Since(buildStart)
-		// Level l+1 verification only touches partitions of sizes l and
-		// l+1; drop older levels (keep singles, the cache's rebuild base).
-		if l-1 >= 2 {
-			pc.Evict(l - 1)
-		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -342,6 +343,42 @@ func TestInheritanceDiscoveryFindsFamilyOFDs(t *testing.T) {
 				t.Errorf("family OFD %s implied by SYNONYM discovery (%s)",
 					d.Format(ds.CleanRel.Schema()), f.Format(ds.CleanRel.Schema()))
 			}
+		}
+	}
+}
+
+// TestDiscoveryHoldsTwoLevels pins the discoverer's resident lattice.
+// When nextLevel has built level l+1 — the traversal's memory peak — the
+// partition cache may hold lattice levels l and l+1 beside the single
+// columns and ∅, and no third level: level l−1 was dropped once level l
+// was verified. The run's output must still be Discover's.
+func TestDiscoveryHoldsTwoLevels(t *testing.T) {
+	ds := gen.Clinical(2000, 7)
+	for _, workers := range []int{1, 2} {
+		opts := DefaultOptions()
+		opts.Workers = workers
+		peak, built := 0, 0
+		res, err := discover(context.Background(), ds.Rel, ds.FullOnt, opts, func(pc *relation.PartitionCache) {
+			built++
+			resident := 0
+			for _, k := range pc.Levels() {
+				if k >= 2 {
+					resident++
+				}
+			}
+			peak = max(peak, resident)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if built < 4 {
+			t.Fatalf("workers=%d: only %d levels built; the instance is too shallow to pin the peak", workers, built)
+		}
+		if peak != 2 {
+			t.Errorf("workers=%d: %d lattice levels resident at the peak, want 2", workers, peak)
+		}
+		if want := Discover(ds.Rel, ds.FullOnt, DefaultOptions()).OFDs; !reflect.DeepEqual(res.OFDs, want) {
+			t.Errorf("workers=%d: %d OFDs, Discover finds %d", workers, len(res.OFDs), len(want))
 		}
 	}
 }

@@ -82,9 +82,10 @@ func newTrackerIndex(d core.OFD) *live.ClassIndex {
 // from a partition-backed verifier over the current instance: the classes
 // of Π*_X arrive from a (typically cached) product, so only one key per
 // class plus each singleton row pays the encode-and-hash that the from-
-// scratch build pays for every row. Class ids follow partition order
-// instead of second-occurrence order — internal numbering only, invisible
-// outside the tracker.
+// scratch build pays for every row. The keys are appended to one blob and
+// interned with ClassIndex.InternKeys, so no key allocates a string of
+// its own. Class ids follow partition order instead of second-occurrence
+// order — internal numbering only, invisible outside the tracker.
 func newCoverTrackerParts(v *core.Verifier, d core.OFD) *coverTracker {
 	rel := v.Relation()
 	ct := &coverTracker{
@@ -97,7 +98,9 @@ func newCoverTrackerParts(v *core.Verifier, d core.OFD) *coverTracker {
 	n := rel.NumRows()
 	nc := p.NumClasses()
 	ix := ct.ix
-	ix.Keys = make(map[string]int32, nc+(n-p.Size())+1)
+	nkeys := nc + n - p.Size()
+	blob := make([]byte, 0, nkeys*ix.Width())
+	keyVals := make([]int32, 0, nkeys)
 	ct.rowClass = make([]int32, n)
 	for t := range ct.rowClass {
 		ct.rowClass[t] = -1
@@ -106,29 +109,37 @@ func newCoverTrackerParts(v *core.Verifier, d core.OFD) *coverTracker {
 	ix.Sizes = make([]int32, nc)
 	ix.Counts = make([][]live.ValCount, nc)
 	ct.sat = make([]bool, nc)
-	covered := make([]bool, n)
+	// The multisets are counted in one scratch and packed back to back
+	// into one array; each class's slice is capped at its own pairs, so a
+	// later Bump that adds a value reallocates that class alone.
+	var scratch, pairs []live.ValCount
+	ends := make([]int, nc)
 	for i := 0; i < nc; i++ {
 		class := p.Class(i)
-		ct.keyBuf = live.EncodeKey(rel, ct.cols, int(class[0]), ct.keyBuf)
-		ix.Keys[string(ct.keyBuf)] = int32(i)
+		blob = live.AppendKey(blob, rel, ct.cols, int(class[0]))
+		keyVals = append(keyVals, int32(i))
 		ix.Sizes[i] = int32(len(class))
-		vals := make([]live.ValCount, 0, 2)
+		scratch = scratch[:0]
 		for _, t := range class {
 			ct.rowClass[t] = int32(i)
-			covered[t] = true
-			vals = live.Bump(vals, col.At(int(t)), 1)
+			scratch = live.Bump(scratch, col.At(int(t)), 1)
 		}
-		ix.Counts[i] = vals
+		pairs = append(pairs, scratch...)
+		ends[i] = len(pairs)
+	}
+	for i, lo := 0, 0; i < nc; i++ {
+		ix.Counts[i] = pairs[lo:ends[i]:ends[i]]
+		lo = ends[i]
 	}
 	// Rows outside every stripped class are singleton keys: lone entries
 	// with no class state, and no two of them can collide on a key.
 	for t := 0; t < n; t++ {
-		if covered[t] {
-			continue
+		if ct.rowClass[t] < 0 {
+			blob = live.AppendKey(blob, rel, ct.cols, t)
+			keyVals = append(keyVals, live.LoneRow(int32(t)))
 		}
-		ct.keyBuf = live.EncodeKey(rel, ct.cols, t, ct.keyBuf)
-		ix.Keys[string(ct.keyBuf)] = live.LoneRow(int32(t))
 	}
+	ix.InternKeys(blob, keyVals)
 	for ci := range ix.Sizes {
 		ct.sat[ci] = ct.classSatisfied(v, int32(ci))
 		if !ct.sat[ci] {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/fastofd/fastofd/internal/core"
+	"github.com/fastofd/fastofd/internal/gen"
 	"github.com/fastofd/fastofd/internal/live"
 	"github.com/fastofd/fastofd/internal/relation"
 )
@@ -100,6 +101,39 @@ func TestPartitionBackedBuildersMatchScan(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestCoverTrackerPartsAllocsFlat pins the tracker build's allocations:
+// every key is a substring of one interned blob and the consequent
+// multisets share one array, so quadrupling the rows adds far fewer
+// allocations than rows. What still grows is the key map's own storage
+// (Go's maps allocate one table per 1,024 slots) and the scratch the
+// multisets are counted in; a string per key, or a multiset slice per
+// class, would add one allocation per added key or class. The
+// dependencies are Clinical's planted Σ plus one per column with that
+// column alone as antecedent, from a handful of keys to one per row.
+func TestCoverTrackerPartsAllocsFlat(t *testing.T) {
+	const small, large = 2000, 8000
+	allocs := map[int][]float64{}
+	var sigma core.Set
+	for _, n := range []int{small, large} {
+		ds := gen.Clinical(n, 7)
+		v := core.NewVerifier(ds.Rel, ds.FullOnt, relation.NewPartitionCache(ds.Rel))
+		sigma = append(core.Set(nil), ds.Sigma...)
+		nc := ds.Rel.NumCols()
+		for c := 0; c < nc; c++ {
+			sigma = append(sigma, core.OFD{LHS: relation.Single(c), RHS: (c + 1) % nc})
+		}
+		for _, d := range sigma {
+			newCoverTrackerParts(v, d) // warm the partition cache
+			allocs[n] = append(allocs[n], testing.AllocsPerRun(5, func() { newCoverTrackerParts(v, d) }))
+		}
+	}
+	for i, d := range sigma {
+		if grew := allocs[large][i] - allocs[small][i]; grew > (large-small)/64 {
+			t.Errorf("%v: newCoverTrackerParts allocations %v at %d rows → %v at %d rows", d, allocs[small][i], small, allocs[large][i], large)
 		}
 	}
 }

@@ -162,12 +162,19 @@ func (ix *ClassIndex) SetFrozen(keys []byte, vals []int32) {
 	ix.Keys = nil
 }
 
-// Hydrate materializes the key map from the frozen arrays. The blob is
-// converted to a string once so every map key is a shared substring — one
-// allocation for the whole index, same as the build path's interning.
+// Hydrate materializes the key map from the frozen arrays through
+// InternKeys, as the index builds do.
 func (ix *ClassIndex) Hydrate() {
+	ix.InternKeys(ix.FrozenKeys, ix.FrozenVals)
+	ix.FrozenKeys, ix.FrozenVals = nil, nil
+}
+
+// InternKeys replaces the key map with one made at len(vals) entries:
+// blob is the concatenation of the fixed-width keys and vals their
+// parallel encoded values. The blob is converted to a string once, so
+// every map key is a shared substring — one allocation for all keys.
+func (ix *ClassIndex) InternKeys(blob []byte, vals []int32) {
 	width := ix.Width()
-	vals := ix.FrozenVals
 	idx := make(map[string]int32, len(vals))
 	if width == 0 {
 		// Empty antecedent: at most one key (the empty string).
@@ -175,11 +182,10 @@ func (ix *ClassIndex) Hydrate() {
 			idx[""] = vals[0]
 		}
 	} else {
-		blob := string(ix.FrozenKeys)
+		keys := string(blob)
 		for k, v := range vals {
-			idx[blob[k*width:(k+1)*width]] = v
+			idx[keys[k*width:(k+1)*width]] = v
 		}
 	}
 	ix.Keys = idx
-	ix.FrozenKeys, ix.FrozenVals = nil, nil
 }

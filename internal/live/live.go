@@ -14,6 +14,8 @@
 package live
 
 import (
+	"encoding/binary"
+
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
@@ -60,21 +62,26 @@ func Distinct(pairs []ValCount, scratch []relation.Value) []relation.Value {
 // is -enc-2.
 func LoneRow(t int32) int32 { return -(t + 2) }
 
-// EncodeKey appends the dict-encoded antecedent value tuple of row t
-// (projected on cols) to buf[:0] and returns it. Each attribute
-// contributes exactly 4 little-endian bytes, so keys over the same
-// attribute list are fixed-width and therefore prefix-free: two rows
+// AppendKey appends the dict-encoded antecedent value tuple of row t
+// (projected on cols) to buf and returns the extended buffer. Each
+// attribute contributes exactly 4 little-endian bytes, so keys over the
+// same attribute list are fixed-width and therefore prefix-free: two rows
 // encode equal iff their antecedent value ids are equal attribute by
-// attribute (dictionaries make equal strings id-equal). It is the one
-// key encoder of every engine: the monitor's shard routing, the class
-// indexes and the cover trackers. The injectivity
-// property test and fuzz targets pin it down, and the cross-engine key
-// test checks the tracker's source-key encoding against it.
-func EncodeKey(rel *relation.Relation, cols []int, t int, buf []byte) []byte {
-	buf = buf[:0]
+// attribute (dictionaries make equal strings id-equal). It is the one key
+// encoder of every engine: the monitor's shard routing, the class indexes
+// and the cover trackers. Index builds append every key of a dependency
+// into one blob and convert it to a string once, so the map keys are
+// substrings of one allocation. The injectivity property test and fuzz
+// targets pin it down, and the cross-engine key test checks the tracker's
+// source-key encoding against it.
+func AppendKey(buf []byte, rel *relation.Relation, cols []int, t int) []byte {
 	for _, c := range cols {
-		v := rel.Value(t, c)
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(rel.Value(t, c)))
 	}
 	return buf
+}
+
+// EncodeKey is AppendKey into buf[:0]: row t's key alone, reusing buf.
+func EncodeKey(rel *relation.Relation, cols []int, t int, buf []byte) []byte {
+	return AppendKey(buf[:0], rel, cols, t)
 }

@@ -519,6 +519,26 @@ func (pc *PartitionCache) Evict(k int) {
 	}
 }
 
+// Levels returns the attribute-set sizes with at least one resident
+// entry, ascending — how many lattice levels a traversal holds at once.
+func (pc *PartitionCache) Levels() []int {
+	seen := make(map[int]bool)
+	for i := range pc.shards {
+		s := &pc.shards[i]
+		s.mu.RLock()
+		for a := range s.m {
+			seen[a.Len()] = true
+		}
+		s.mu.RUnlock()
+	}
+	levels := make([]int, 0, len(seen))
+	for k := range seen {
+		levels = append(levels, k)
+	}
+	sort.Ints(levels)
+	return levels
+}
+
 // Stats returns a snapshot of the cache counters. Counters are updated
 // atomically, so a snapshot taken while other goroutines use the cache is
 // internally consistent enough for monitoring and tests.
