@@ -25,14 +25,16 @@ import (
 // class (and lone row) is routed to one of NumShards() independent shards,
 // each owning its own relation.PartitionOverlay view of the cached base
 // partition, LHS-key index, consequent-value multisets, and violation
-// maps. Absorbing a batch joins its appended rows and routes its
-// consequent writes by (OFD, shard), then fans the multiset maintenance
-// and the re-verification of each dirty class out over exec.For with no
-// shared write state — the three stages are observable as
-// monitor.route / monitor.apply / monitor.merge spans. A dependency whose
-// antecedent the batch rewrote is re-routed wholesale instead, so between
-// such writes a tuple's shard per OFD is fixed and routing is a table
-// lookup.
+// maps. Absorbing a batch joins its appended rows, routes its consequent
+// writes by (OFD, shard), and routes each row whose antecedent it rewrote
+// as a move: the row leaves its old class (or lone key) in the shard that
+// owns its old key and joins its new key in the shard that owns that one,
+// so a tuple's shard per OFD follows its current key and routing is a
+// table lookup. The multiset maintenance, the moves and the
+// re-verification of each dirty class then fan out over exec.For with no
+// shared write state — the three stages are observable as monitor.route /
+// monitor.apply / monitor.merge spans. A batch costs what it touched, not
+// the instance: no write rebuilds a dependency's index.
 //
 // Violation state is published as epoch-stamped immutable snapshots:
 // every mutating operation materializes the affected classes' Violation
@@ -70,7 +72,8 @@ type Monitor struct {
 	// singleton class.
 	classOf [][]int32
 	// rowShard[i][t] = shard owning tuple t's antecedent key under
-	// sigma[i]. Fixed until a write to the antecedent re-routes sigma[i].
+	// sigma[i]; a write to the antecedent moves the tuple to the shard of
+	// its new key.
 	rowShard [][]uint8
 
 	// absorbed is the number of rows Absorb has joined (the length of the
@@ -81,11 +84,11 @@ type Monitor struct {
 	history historyPtr
 
 	// needHydrate marks a snapshot-restored monitor whose LHS-key index
-	// maps are still in frozen array form; the first append hydrates them
-	// (no other operation consults the indexes).
+	// maps are still in frozen array form; the first append or antecedent
+	// write hydrates them (no other operation consults the indexes).
 	needHydrate bool
 
-	keyBuf    []byte // LHS-key encoding scratch (joins)
+	keyBuf    []byte // LHS-key encoding scratch (joins and moves)
 	snapDirty []bool // per-shard "snapshot stale" scratch
 }
 
@@ -242,7 +245,7 @@ func (m *Monitor) joinRow(t int32) {
 			m.classOf[i][partner] = ci
 		}
 		m.classOf[i] = append(m.classOf[i], ci)
-		sh.dirty = append(sh.dirty, int64(i)<<32|int64(uint32(ci)))
+		sh.dirty = append(sh.dirty, dirtyKey(int32(i), ci))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/fastofd/fastofd/internal/exec"
+	"github.com/fastofd/fastofd/internal/live"
 )
 
 // This file is the monitor's live surface: registration of dependencies
@@ -87,16 +88,18 @@ func (m *Monitor) Unregister(d OFD) error {
 //
 //   - monitor.route: every new row joins its class under every dependency
 //     in ascending row order, and the joined class is marked dirty in its
-//     shard. Dependencies whose antecedents the writes touched are
-//     re-routed wholesale (their class structure changed); consequent
-//     writes of the rest route to the shards owning their classes.
-//   - monitor.apply: each active shard replays its multiset deltas and
-//     re-verifies every dirty class once, shard-parallel.
+//     shard. A written row whose antecedent under a dependency changed is
+//     routed as a move: a leave to the shard owning its source-state key
+//     and a join to the shard owning its target-state key. Consequent
+//     writes of rows that stay in their class route to the shards owning
+//     those classes.
+//   - monitor.apply: each active shard runs its leaves, then its joins,
+//     then its multiset deltas, and re-verifies every dirty class once,
+//     shard-parallel.
 //   - monitor.merge: the stale shard snapshots are rebuilt and one epoch
 //     is published.
 //
-// The substrate already validated and applied the batch, so every
-// resident cache entry describes the post-batch instance and absorption
+// The substrate already validated and applied the batch, so absorption
 // cannot fail; it is not cancellable — the batch's cancellation point lies
 // before this call. Nothing new is a no-op that publishes nothing.
 func (m *Monitor) Absorb() {
@@ -109,51 +112,30 @@ func (m *Monitor) Absorb() {
 	routeSpan := m.Stats.Span("monitor.route")
 	routeSpan.Items(end - t0 + len(writes))
 	w := exec.Workers(m.Workers)
-	if t0 < end && m.needHydrate {
+	moved := m.routeMoves(writes)
+	if m.needHydrate && (t0 < end || moved) {
 		m.hydrateIndexes()
 	}
 	for t := t0; t < end; t++ {
 		m.joinRow(int32(t))
 	}
-	touched := Touched(writes)
-	var reroute []int
-	rerouted := make([]bool, len(m.sigma))
-	for i, d := range m.sigma {
-		if !d.LHS.Intersect(touched).IsEmpty() {
-			rerouted[i] = true
-			reroute = append(reroute, i)
-		}
-	}
-	if len(reroute) > 0 {
-		_ = exec.For(context.Background(), len(reroute), w, func(_, k int) {
-			m.routeIndex(reroute[k])
-		})
-		_ = exec.For(context.Background(), m.nShards, w, func(_, s int) {
-			for _, i := range reroute {
-				m.shards[s].buildStateOFD(m, i)
-			}
-			m.snapDirty[s] = true
-		})
-	}
-	// Route the consequent deltas of untouched-antecedent dependencies to
-	// the shards owning their classes.
+	// Route the consequent deltas of rows that stay in their classes; a
+	// moved row's class is -1 until its join lands, and its join counts
+	// its new consequent.
 	for _, wr := range writes {
 		for _, i := range m.byRHS[wr.Col] {
-			if rerouted[i] {
-				continue
-			}
 			ci := m.classOf[i][wr.Row]
 			if ci < 0 {
 				continue
 			}
 			sh := m.shards[m.rowShard[i][wr.Row]]
 			sh.bumps = append(sh.bumps, shardBump{ofd: i, class: ci, from: wr.Old, to: wr.New})
-			sh.dirty = append(sh.dirty, int64(i)<<32|int64(uint32(ci)))
+			sh.dirty = append(sh.dirty, dirtyKey(i, ci))
 		}
 	}
 	var active []int
 	for s, sh := range m.shards {
-		if len(sh.dirty) > 0 {
+		if len(sh.dirty) > 0 || len(sh.leaves) > 0 || len(sh.joins) > 0 {
 			active = append(active, s)
 		}
 	}
@@ -176,4 +158,55 @@ func (m *Monitor) Absorb() {
 	mergeSpan.Workers(w)
 	mergeSpan.Shards(m.publishDirty())
 	mergeSpan.End()
+}
+
+// routeMoves routes the write log's antecedent moves. For every
+// dependency whose antecedent a written row changed, the row's leave goes
+// to the shard owning its source-state key, with its pre-batch class (or
+// -1 for a lone row), its pre-batch consequent and that key, built from
+// the log's Old values. Its join goes to the shard owning its
+// target-state key. The row's routing entry then names the new shard and
+// no class until the join lands. Reports whether any row moved.
+func (m *Monitor) routeMoves(writes []CellWrite) bool {
+	touched := Touched(writes)
+	moved := false
+	for i, d := range m.sigma {
+		if d.LHS.Intersect(touched).IsEmpty() {
+			continue
+		}
+		i32, cols := int32(i), m.lhsCols[i]
+		for lo := 0; lo < len(writes); {
+			t := writes[lo].Row
+			hi := lo + 1
+			for hi < len(writes) && writes[hi].Row == t {
+				hi++
+			}
+			seg := writes[lo:hi]
+			lo = hi
+			xChanged, preA := false, m.rel.Value(t, d.RHS)
+			for _, wr := range seg {
+				if d.LHS.Has(wr.Col) {
+					xChanged = true
+				}
+				if wr.Col == d.RHS {
+					preA = wr.Old
+				}
+			}
+			if !xChanged {
+				continue
+			}
+			moved = true
+			from := m.shards[m.rowShard[i][t]]
+			from.leaves = append(from.leaves, shardMove{ofd: i32, row: int32(t), class: m.classOf[i][t], preA: preA, key: int32(len(from.moveKeys))})
+			from.moveKeys = AppendSourceKey(from.moveKeys, m.rel, cols, seg, t)
+			m.keyBuf = live.EncodeKey(m.rel, cols, t, m.keyBuf)
+			s := shardOfKey(m.keyBuf, m.nShards)
+			to := m.shards[s]
+			to.joins = append(to.joins, shardMove{ofd: i32, row: int32(t), key: int32(len(to.moveKeys))})
+			to.moveKeys = append(to.moveKeys, m.keyBuf...)
+			m.rowShard[i][t] = s
+			m.classOf[i][t] = -1
+		}
+	}
+	return moved
 }

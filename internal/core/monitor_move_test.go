@@ -1,0 +1,307 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"testing"
+
+	"github.com/fastofd/fastofd/internal/live"
+	"github.com/fastofd/fastofd/internal/ontology"
+	"github.com/fastofd/fastofd/internal/relation"
+	"github.com/fastofd/fastofd/internal/wire"
+)
+
+// moveStep is one monitor input of the antecedent-move tests: rows to
+// append when rows is non-nil, a batch of cell updates otherwise, and a
+// snapshot round trip of the substrate and monitor first when reopen is
+// set.
+type moveStep struct {
+	ups    []CellUpdate
+	rows   [][]string
+	reopen bool
+}
+
+// moveSchema is the antecedent-move tests' schema: X → A, X,Y → B and
+// A → B form a chained Σ in which A is both a consequent and an
+// antecedent.
+var moveSchema = relation.MustSchema("X", "Y", "A", "B")
+
+func moveSigma() Set {
+	return Set{
+		MustParse(moveSchema, "X -> A"),
+		MustParse(moveSchema, "X, Y -> B"),
+		MustParse(moveSchema, "A -> B"),
+	}
+}
+
+// reopenMonitor round-trips the monitor and its substrate through the
+// snapshot encoding a pipeline section carries and returns the restored
+// monitor over the same relation.
+func reopenMonitor(t *testing.T, m *Monitor, workers int) *Monitor {
+	t.Helper()
+	var w wire.Writer
+	AppendSubstrate(&w, m.sub)
+	AppendMonitorBody(&w, m)
+	r := wire.NewReader(append([]byte(nil), w.Bytes()...))
+	sub, err := DecodeSubstrate(r, m.rel, m.v.Ontology())
+	if err != nil {
+		t.Fatalf("DecodeSubstrate: %v", err)
+	}
+	back, err := DecodeMonitorBody(r, sub, workers, nil)
+	if err != nil {
+		t.Fatalf("DecodeMonitorBody: %v", err)
+	}
+	return back
+}
+
+// checkMonitorState asserts the monitor's report is byte-identical to a
+// fresh Detect and that its tables are mutually consistent: the restore
+// checks, every class member routed to its shard and class, and the key
+// maps, whose every entry must hash to its shard and encode its class's
+// first member (or its lone row), one entry per non-empty class and lone
+// row.
+func checkMonitorState(t *testing.T, label string, m *Monitor) {
+	t.Helper()
+	got, err := json.Marshal(m.Report())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(Detect(m.rel, m.v.Ontology(), m.sigma))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: report diverged from Detect\n got %s\nwant %s", label, got, want)
+	}
+	for i := range m.sigma {
+		if err := m.checkRestored(i); err != nil {
+			t.Fatalf("%s: %v: %v", label, m.sigma[i], err)
+		}
+		for s, sh := range m.shards {
+			var scratch []int32
+			for ci := 0; ci < sh.idx[i].Part.NumClasses(); ci++ {
+				for _, r := range sh.idx[i].Part.View(ci, &scratch) {
+					if int(m.rowShard[i][r]) != s || m.classOf[i][r] != int32(ci) {
+						t.Fatalf("%s: %v shard %d class %d lists row %d, routed to shard %d class %d", label, m.sigma[i], s, ci, r, m.rowShard[i][r], m.classOf[i][r])
+					}
+				}
+			}
+		}
+		checkKeyMaps(t, label, m, i)
+	}
+}
+
+// checkKeyMaps checks dependency i's key maps against the relation.
+func checkKeyMaps(t *testing.T, label string, m *Monitor, i int) {
+	t.Helper()
+	for s, sh := range m.shards {
+		ix := sh.idx[i]
+		entries := map[string]int32{}
+		if ix.NeedsHydrate() {
+			w := ix.Width()
+			for k, v := range ix.FrozenVals {
+				entries[string(ix.FrozenKeys[k*w:(k+1)*w])] = v
+			}
+		} else {
+			entries = ix.Keys
+		}
+		want := 0
+		for ci := 0; ci < ix.Part.NumClasses(); ci++ {
+			if ix.Part.Len(ci) > 0 {
+				want++
+			}
+		}
+		for t, ci := range m.classOf[i] {
+			if ci < 0 && int(m.rowShard[i][t]) == s {
+				want++
+			}
+		}
+		if len(entries) != want {
+			t.Fatalf("%s: %v shard %d holds %d keys for %d non-empty classes and lone rows", label, m.sigma[i], s, len(entries), want)
+		}
+		var scratch []int32
+		for k, v := range entries {
+			row := -v - 2
+			if v >= 0 {
+				row = ix.Part.View(int(v), &scratch)[0]
+			}
+			if enc := string(live.EncodeKey(m.rel, m.lhsCols[i], int(row), nil)); enc != k {
+				t.Fatalf("%s: %v shard %d key %x names entry %d whose row %d encodes %x", label, m.sigma[i], s, k, v, row, enc)
+			}
+			if got := shardOfKey([]byte(k), m.nShards); int(got) != s {
+				t.Fatalf("%s: %v key %x held by shard %d hashes to %d", label, m.sigma[i], k, s, got)
+			}
+		}
+	}
+}
+
+// runMoveSteps replays steps on a fresh monitor over rows for every
+// shards ∈ {1, 4} × workers ∈ {1, 2} and checks the monitor after every
+// step.
+func runMoveSteps(t *testing.T, ont *ontology.Ontology, rows [][]string, steps []moveStep) {
+	t.Helper()
+	for _, shards := range []int{1, 4} {
+		for _, workers := range []int{1, 2} {
+			rel, err := relation.FromRows(moveSchema, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), moveSigma(), shards, workers, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("shards=%d workers=%d", shards, workers)
+			checkMonitorState(t, label+" initial", m)
+			for k, st := range steps {
+				if st.reopen {
+					m = reopenMonitor(t, m, workers)
+				}
+				if st.rows != nil {
+					err = m.AppendRows(st.rows)
+				} else {
+					err = m.ApplyBatch(st.ups)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkMonitorState(t, fmt.Sprintf("%s step %d", label, k), m)
+			}
+		}
+	}
+}
+
+// TestMonitorAntecedentMovesMatchDetect is the differential gate of the
+// monitor's in-place antecedent moves: every batch below rewrites
+// antecedent cells, and after each one the report must equal a fresh
+// Detect and the monitor's tables must agree with each other, for every
+// shard and worker count.
+func TestMonitorAntecedentMovesMatchDetect(t *testing.T) {
+	ont, _, _ := monitorStreamOntology()
+	// Under X: class x0 = {0,1,2}, class x1 = {3,4}, class x4 = {7,8};
+	// rows 5 (x2) and 6 (x3) are lone.
+	rows := [][]string{
+		{"x0", "y0", "y0-a", "z0-a"},
+		{"x0", "y0", "y0-b", "z0-b"},
+		{"x0", "y1", "junk-y1", "z0-a"},
+		{"x1", "y0", "y1-a", "z1-a"},
+		{"x1", "y1", "y1-b", "z1-b"},
+		{"x2", "y0", "y2-a", "z2-a"},
+		{"x3", "y1", "y3-a", "junk-z1"},
+		{"x4", "y0", "y4-a", "z4-a"},
+		{"x4", "y0", "y4-b", "z4-b"},
+	}
+	X, Y, A, B := 0, 1, 2, 3
+	row := func(x, y, a, b string) []string { return []string{x, y, a, b} }
+	cases := []struct {
+		name  string
+		steps []moveStep
+	}{
+		{"two rows swap antecedent values", []moveStep{
+			{ups: []CellUpdate{{0, X, "x1"}, {3, X, "x0"}}},
+			{ups: []CellUpdate{{1, A, "y4-a"}, {7, A, "y0-b"}}},
+			{ups: []CellUpdate{{0, X, "x0"}, {3, X, "x1"}}},
+		}},
+		{"a lone row joins a class and a member becomes lone", []moveStep{
+			{ups: []CellUpdate{{5, X, "x0"}, {4, X, "x9"}}},
+			{ups: []CellUpdate{{6, X, "x9"}}}, // the new lone row gains a partner
+			{ups: []CellUpdate{{6, X, "x3"}, {3, X, "x8"}}},
+		}},
+		{"a class empties and is later refilled", []moveStep{
+			{ups: []CellUpdate{{7, X, "x0"}, {8, X, "x1"}}},
+			{ups: []CellUpdate{{2, X, "x4"}}},
+			{ups: []CellUpdate{{6, X, "x4"}, {5, X, "x4"}}},
+			{ups: []CellUpdate{{7, X, "x4"}, {2, X, "x0"}, {5, X, "x2"}}},
+		}},
+		{"one row has its antecedent and consequent written at once", []moveStep{
+			{ups: []CellUpdate{{1, X, "x1"}, {1, A, "junk-y2"}}},
+			{ups: []CellUpdate{{4, Y, "y0"}, {4, B, "z0-a"}, {4, A, "y0-a"}}},
+			{ups: []CellUpdate{{0, A, "y3-a"}, {0, B, "junk-z2"}}},
+		}},
+		{"appends land in classes that moves edited", []moveStep{
+			{ups: []CellUpdate{{0, X, "x2"}, {8, X, "x1"}}},
+			{rows: [][]string{row("x0", "y0", "y0-c", "z0-a"), row("x2", "y0", "y2-b", "z2-b"), row("x1", "y0", "junk-y2", "z1-a")}},
+			{ups: []CellUpdate{{9, X, "x4"}, {1, X, "x2"}}},
+			{rows: [][]string{row("x4", "y0", "y4-a", "z4-a"), row("x0", "y1", "y0-a", "z0-b")}},
+		}},
+		{"a reopened monitor absorbs antecedent moves", []moveStep{
+			{ups: []CellUpdate{{0, X, "x1"}, {7, X, "x2"}}},
+			{ups: []CellUpdate{{3, X, "x4"}, {5, X, "x0"}, {2, A, "y2-a"}}, reopen: true},
+			{ups: []CellUpdate{{8, X, "x7"}, {4, Y, "y0"}}, reopen: true},
+			{rows: [][]string{row("x7", "y0", "y4-b", "z4-b")}, reopen: true},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			runMoveSteps(t, ont, rows, tc.steps)
+		})
+	}
+}
+
+// FuzzMonitorBatches decodes fuzz bytes into a short program of
+// antecedent writes, consequent writes and appends over a 40-row relation
+// with a chained Σ, runs it on monitors with 1 and 3 shards, and checks
+// after every batch that the report equals a fresh Detect and the
+// monitor's tables agree with each other. Each op takes three bytes: the
+// op and column, a row, and a value.
+func FuzzMonitorBatches(f *testing.F) {
+	ont, yPool, zPool := monitorStreamOntology()
+	pools := [][]string{
+		{"x0", "x1", "x2", "x3", "x4", "x5", "x6", "x7"},
+		{"y0", "y1", "y2"},
+		yPool,
+		zPool,
+	}
+	rows := make([][]string, 40)
+	for r := range rows {
+		rows[r] = []string{pools[0][r%5], pools[1][r%2], pools[2][(r*7)%len(pools[2])], pools[3][(r*3)%len(pools[3])]}
+	}
+	f.Add([]byte{0x00, 1, 6, 0x00, 2, 1, 0xf0})                                   // antecedent moves, one batch
+	f.Add([]byte{0x00, 1, 5, 0x02, 1, 4, 0xf0, 0x01, 3, 1, 0x03, 3, 2, 0xf0})     // X and A of one row, then Y and B
+	f.Add([]byte{0x00, 0, 7, 0x00, 5, 7, 0xf0, 0x80, 9, 7, 0xf0, 0x00, 0, 0})     // a fresh key gains a partner, then an append joins it
+	f.Add([]byte{0x00, 0, 3, 0x00, 10, 3, 0x00, 20, 3, 0x00, 30, 3, 0x02, 15, 1}) // a class empties
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 96 {
+			prog = prog[:96]
+		}
+		for _, shards := range []int{1, 3} {
+			rel, err := relation.FromRows(moveSchema, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), moveSigma(), shards, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var batch []CellUpdate
+			flush := func(k int) {
+				if err := m.ApplyBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+				batch = batch[:0]
+				checkMonitorState(t, fmt.Sprintf("shards=%d op %d", shards, k), m)
+			}
+			for k := 0; k+2 < len(prog); k += 3 {
+				op, r, v := prog[k], int(prog[k+1]), int(prog[k+2])
+				switch {
+				case op >= 0xf0: // end the batch
+					flush(k)
+				case op >= 0x80: // append one row
+					row := make([]string, len(pools))
+					for c, pool := range pools {
+						row[c] = pool[(v+c*r)%len(pool)]
+					}
+					if err := m.AppendRows([][]string{row}); err != nil {
+						t.Fatal(err)
+					}
+					checkMonitorState(t, fmt.Sprintf("shards=%d op %d", shards, k), m)
+				default: // write one cell
+					c := int(op) % len(pools)
+					batch = append(batch, CellUpdate{Row: r % m.NumRows(), Col: c, Value: pools[c][v%len(pools[c])]})
+				}
+			}
+			flush(len(prog))
+		}
+	})
+}

@@ -25,15 +25,16 @@ func shardOfKey(key []byte, nShards int) uint8 {
 }
 
 // routeIndex routes dependency i's equivalence classes and lone rows to
-// their shards: every base class (keyed by its representative's
-// antecedent values) and every singleton row is hashed to a shard, which
-// records it in its LHS-key index and receives a mapped overlay view of
-// the shared base partition. All keys of the dependency are appended to
-// one blob, which becomes one string whose substrings are the map keys,
-// and each shard's map is made at its key count, so the build allocates
-// no string per key and never grows a map. Iteration i writes only
-// index-i slots of the per-shard slices and maps, so the monitor build
-// fans routeIndex out over dependencies race-free.
+// their shards when the dependency enters the monitor (NewMonitor,
+// Register; writes move rows in place instead): every base class (keyed
+// by its representative's antecedent values) and every singleton row is
+// hashed to a shard, which records it in its LHS-key index and receives a
+// mapped overlay view of the shared base partition. All keys of the
+// dependency are appended to one blob, which becomes one string whose
+// substrings are the map keys, and each shard's map is made at its key
+// count, so the build allocates no string per key and never grows a map.
+// Iteration i writes only index-i slots of the per-shard slices and maps,
+// so the monitor build fans routeIndex out over dependencies race-free.
 func (m *Monitor) routeIndex(i int) {
 	d := m.sigma[i]
 	base := m.v.Partitions().Get(d.LHS)

@@ -34,10 +34,16 @@ type monitorShard struct {
 	reverified int // classes re-verified since construction
 
 	// Batch scratch, filled by the monitor's route stage and drained by
-	// applyBatch.
-	bumps []shardBump
-	dirty []int64          // (ofd<<32 | class) keys, deduped in applyBatch
-	vals  []relation.Value // distinct-value scratch
+	// applyBatch. A row whose antecedent the batch rewrote leaves the
+	// shard owning its source-state key and joins the shard owning its
+	// target-state key; moveKeys holds the moves' encoded keys back to
+	// back.
+	leaves   []shardMove
+	joins    []shardMove
+	moveKeys []byte
+	bumps    []shardBump
+	dirty    []int64          // (ofd<<32 | class) keys, deduped in applyBatch
+	vals     []relation.Value // distinct-value scratch
 }
 
 // shardBump is one routed multiset delta: under OFD ofd, local class
@@ -46,6 +52,21 @@ type shardBump struct {
 	ofd, class int32
 	from, to   relation.Value
 }
+
+// shardMove is one routed antecedent move of row under OFD ofd. A leave
+// takes the row out of local class class, whose multiset loses the row's
+// pre-batch consequent preA, or deletes its lone-row key when class is
+// -1. A join enters the row through its target-state key. key is the
+// offset of the move's encoded key in the shard's moveKeys: the
+// source-state key for a leave, the target-state key for a join.
+type shardMove struct {
+	ofd, row, class int32
+	preA            relation.Value
+	key             int32
+}
+
+// dirtyKey packs (OFD, local class) into one sortable dirty-list entry.
+func dirtyKey(i, ci int32) int64 { return int64(i)<<32 | int64(uint32(ci)) }
 
 func newMonitorShard(nOFDs int) *monitorShard {
 	return &monitorShard{
@@ -144,12 +165,37 @@ func (sh *monitorShard) commitClass(i int, ci int32, state uint8, v *Violation, 
 	return wasViol || wasFD || state != classOK
 }
 
-// applyBatch runs one shard's apply stage: replay the routed multiset
-// deltas, dedup the dirty classes, and re-verify and commit each once.
-// Returns the number of re-verified classes and whether the violation
-// maps changed (the shard's snapshot is then stale). Leaves the batch
-// scratch empty.
+// applyBatch runs one shard's apply stage: the routed leaves, then the
+// joins, then the multiset deltas; then it dedups the dirty classes and
+// re-verifies and commits each once. A class that a leave empties gives
+// up its key, so the key maps hold live keys only. Every key a move
+// names hashes to this shard, so a leave and a later join through the
+// same key meet here in order, and the shard writes the monitor's
+// classOf entries of the rows it joins alone. Returns the number of
+// re-verified classes and whether the violation maps changed (the
+// shard's snapshot is then stale). Leaves the batch scratch empty.
 func (sh *monitorShard) applyBatch(m *Monitor) (n int, changed bool) {
+	for _, mv := range sh.leaves {
+		ix := sh.idx[mv.ofd]
+		if mv.class >= 0 {
+			sh.dirty = append(sh.dirty, dirtyKey(mv.ofd, mv.class))
+			if ix.Leave(mv.class, mv.row, mv.preA) > 0 {
+				continue
+			}
+		}
+		delete(ix.Keys, string(sh.moveKey(m, mv)))
+	}
+	for _, mv := range sh.joins {
+		ci, partner, kind := sh.idx[mv.ofd].JoinKey(m.rel, sh.moveKey(m, mv), mv.row)
+		switch kind {
+		case live.JoinLone:
+			continue
+		case live.JoinBirth:
+			m.classOf[mv.ofd][partner] = ci
+		}
+		m.classOf[mv.ofd][mv.row] = ci
+		sh.dirty = append(sh.dirty, dirtyKey(mv.ofd, ci))
+	}
 	for _, b := range sh.bumps {
 		sh.idx[b.ofd].BumpVal(b.class, b.from, b.to)
 	}
@@ -165,7 +211,15 @@ func (sh *monitorShard) applyBatch(m *Monitor) (n int, changed bool) {
 	}
 	n = len(sh.dirty)
 	sh.reverified += n
+	sh.leaves = sh.leaves[:0]
+	sh.joins = sh.joins[:0]
+	sh.moveKeys = sh.moveKeys[:0]
 	sh.bumps = sh.bumps[:0]
 	sh.dirty = sh.dirty[:0]
 	return n, changed
+}
+
+// moveKey returns move mv's encoded key.
+func (sh *monitorShard) moveKey(m *Monitor, mv shardMove) []byte {
+	return sh.moveKeys[mv.key : int(mv.key)+4*len(m.lhsCols[mv.ofd])]
 }

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"github.com/fastofd/fastofd/internal/core"
@@ -57,10 +58,105 @@ func TestRouteIndexAllocsFlat(t *testing.T) {
 	}
 }
 
-// BenchmarkMonitorReroute times the monitor's wholesale re-route of every
-// dependency of a discovered cover — the rebuild an antecedent write
-// triggers — on a warm partition cache over a generated Clinical
-// instance. Profile it with
+// TestAntecedentWriteAllocsFlat is the regression gate against a per-row
+// rebuild on antecedent writes: a one-cell write to any column and its
+// revert move the row between keys in place, so quadrupling the rows adds
+// fewer than one allocation per 64 added rows. What may still grow is
+// the explained record of a violating class the move dirties (its value
+// lists and maps grow with the class) and the shard snapshot's record
+// lists; re-routing a dependency allocates per class.
+func TestAntecedentWriteAllocsFlat(t *testing.T) {
+	const small, large = 2000, 8000
+	for _, shards := range []int{1, 4} {
+		allocs := map[int][]float64{}
+		var nc int
+		for _, n := range []int{small, large} {
+			ds := gen.Clinical(n, 7)
+			nc = ds.Rel.NumCols()
+			sub, err := core.NewSubstrate(context.Background(), ds.Rel, ds.FullOnt, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := core.NewMonitor(context.Background(), sub, routeSigma(ds), shards, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const r = 17
+			for c := 0; c < nc; c++ {
+				was, now := ds.Rel.String(r, c), ds.Rel.String(r+1, c)
+				if was == now {
+					now = "a value no row holds"
+				}
+				allocs[n] = append(allocs[n], testing.AllocsPerRun(5, func() {
+					if err := m.ApplyBatch([]core.CellUpdate{{Row: r, Col: c, Value: now}}); err != nil {
+						t.Fatal(err)
+					}
+					if err := m.ApplyBatch([]core.CellUpdate{{Row: r, Col: c, Value: was}}); err != nil {
+						t.Fatal(err)
+					}
+				}))
+			}
+		}
+		for c := 0; c < nc; c++ {
+			if grew := allocs[large][c] - allocs[small][c]; grew > (large-small)/64 {
+				t.Errorf("shards=%d column %d: a write and its revert allocate %v at %d rows → %v at %d rows", shards, c, allocs[small][c], small, allocs[large][c], large)
+			}
+		}
+	}
+}
+
+// BenchmarkMonitorAntecedentBatch times a 30-write antecedent batch and
+// its revert on a warm monitor over the discovered cover of a generated
+// 12.5K-row Clinical instance: every write copies another row's value
+// into a column some cover element's antecedent holds, so each moves its
+// row between keys under every dependency over that column. Profile it
+// with
+//
+//	go test -run '^$' -bench MonitorAntecedentBatch -cpuprofile cpu.out ./internal/core
+func BenchmarkMonitorAntecedentBatch(b *testing.B) {
+	ds := gen.Clinical(12500, 1)
+	rel := ds.Rel
+	cover := discovery.Discover(rel, ds.FullOnt, discovery.DefaultOptions()).OFDs
+	sub, err := core.NewSubstrate(context.Background(), rel, ds.FullOnt, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := core.NewMonitor(context.Background(), sub, cover, 2, 1, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var lhs relation.AttrSet
+	for _, d := range cover {
+		lhs = lhs.Union(d.LHS)
+	}
+	cols := lhs.Attrs()
+	rng := rand.New(rand.NewSource(1))
+	var batch, revert []core.CellUpdate
+	for len(batch) < 30 {
+		r, c := rng.Intn(rel.NumRows()), cols[rng.Intn(len(cols))]
+		was, now := rel.String(r, c), rel.String(rng.Intn(rel.NumRows()), c)
+		if was == now {
+			continue
+		}
+		batch = append(batch, core.CellUpdate{Row: r, Col: c, Value: now})
+		revert = append(revert, core.CellUpdate{Row: r, Col: c, Value: was})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		if err := m.ApplyBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.ApplyBatch(revert); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMonitorReroute times the monitor's re-route of every
+// dependency of a discovered cover — the build Register runs for a
+// dependency it adds — on a warm partition cache over a generated
+// Clinical instance. Profile it with
 //
 //	go test -run '^$' -bench MonitorReroute -cpuprofile cpu.out ./internal/core
 func BenchmarkMonitorReroute(b *testing.B) {

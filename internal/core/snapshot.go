@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -26,8 +27,9 @@ import (
 // flagged state rather than the instance:
 //
 //   - LHS-key index maps are restored in frozen key/value array form and
-//     hydrated into hash maps only if the monitor appends again (Report,
-//     Update, and ApplyBatch never consult them).
+//     hydrated into hash maps only when a batch first appends a row or
+//     writes an antecedent cell (Report and consequent-only batches never
+//     consult them).
 //   - Dictionary string→id maps hydrate on first intern (relation side).
 
 // AppendSet encodes Σ.
@@ -320,8 +322,12 @@ func DecodeMonitorBody(r *wire.Reader, sub *Substrate, workers int, stats *exec.
 				}
 				deltas[ci] = d
 			}
+			part, err := relation.RestoreOverlayShard(bases[i], baseMap, deltas)
+			if err != nil {
+				return nil, err
+			}
 			ix := live.NewClassIndex(m.lhsCols[i], sigma[i].RHS)
-			ix.Part = relation.RestoreOverlayShard(bases[i], baseMap, deltas)
+			ix.Part = part
 			count := r.Int()
 			width := r.Int()
 			keys, vals := r.Blob(), r.Int32s()
@@ -346,6 +352,13 @@ func DecodeMonitorBody(r *wire.Reader, sub *Substrate, workers int, stats *exec.
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
+	errs := make([]error, len(sigma))
+	_ = exec.For(context.Background(), len(sigma), w, func(_, i int) {
+		errs[i] = m.checkRestored(i)
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
 	// Re-materialize the violation records shard-parallel: the maintained
 	// multiset answers OK/FD-only/violating per class without a tuple scan,
 	// and only flagged classes pay explain().
@@ -363,6 +376,74 @@ func DecodeMonitorBody(r *wire.Reader, sub *Substrate, workers int, stats *exec.
 		m.history.Store(&hist)
 	}
 	return m, nil
+}
+
+// checkRestored fails closed on restored tables of dependency i that no
+// monitor can run on, before anything reads them: every row's shard is a
+// shard and its class is -1 or a class of that shard; every class lists
+// strictly ascending row ids, and the classes together list as many rows
+// as the routing puts in classes; every multiset holds values of the
+// consequent's dictionary with positive counts summing to its class's
+// size; and every key names a class of its shard or a row. Each check
+// reads its arrays in order. That a listed row's routing names its own
+// shard and class goes unchecked: a wrong one costs correctness, not
+// safety, and checking it reads the routing tables at random once per
+// listed row, which on a 50K-row reopen cost more than the other checks
+// together.
+func (m *Monitor) checkRestored(i int) error {
+	n := int32(m.rel.NumRows())
+	classOf, rowShard := m.classOf[i], m.rowShard[i]
+	ncs := make([]int32, m.nShards)
+	for s, sh := range m.shards {
+		ncs[s] = int32(sh.idx[i].Part.NumClasses())
+	}
+	members := 0
+	for t, ci := range classOf {
+		s := int(rowShard[t])
+		if s >= len(ncs) || ci < -1 || ci >= ncs[s] {
+			return fmt.Errorf("core: snapshot routes row %d to shard %d, class %d", t, s, ci)
+		}
+		if ci >= 0 {
+			members++
+		}
+	}
+	dictSize := relation.Value(m.rel.Dict(m.sigma[i].RHS).Size())
+	for s, sh := range m.shards {
+		ix := sh.idx[i]
+		nc := ncs[s]
+		for ci := int32(0); ci < nc; ci++ {
+			size := 0
+			for _, p := range ix.Counts[ci] {
+				if p.N <= 0 || p.Val < relation.NullValue || p.Val >= dictSize {
+					return fmt.Errorf("core: snapshot multiset of class %d holds value %d ×%d", ci, p.Val, p.N)
+				}
+				size += int(p.N)
+			}
+			b, d := ix.Part.Parts(int(ci))
+			if size != len(b)+len(d) {
+				return fmt.Errorf("core: snapshot multiset of class %d counts %d of %d rows", ci, size, len(b)+len(d))
+			}
+			members -= size
+			prev := int32(-1)
+			for _, part := range [2][]int32{b, d} {
+				for _, t := range part {
+					if t <= prev || t >= n {
+						return fmt.Errorf("core: snapshot class %d of shard %d is not ascending row ids below %d", ci, s, n)
+					}
+					prev = t
+				}
+			}
+		}
+		for _, v := range ix.FrozenVals {
+			if v >= nc || v == -1 || -v-2 >= n {
+				return fmt.Errorf("core: snapshot key of shard %d names entry %d: no class and no row", s, v)
+			}
+		}
+	}
+	if members != 0 {
+		return fmt.Errorf("core: snapshot routing puts %d more rows in classes than the classes list", members)
+	}
+	return nil
 }
 
 // restoreRecords rebuilds the shard's violation and FD-only maps from the
@@ -388,10 +469,11 @@ func (sh *monitorShard) restoreRecords(m *Monitor) {
 }
 
 // hydrateIndexes materializes the LHS-key maps from their frozen snapshot
-// form — called once, by the first append after a restore (the only
-// operation that consults them). One shared string conversion per index
-// keeps hydration to a map-insert pass: the map keys slice into that
-// backing, so the whole index costs the map plus one slab allocation.
+// form — called once, by the first append or antecedent write after a
+// restore (the only operations that consult them). One shared string
+// conversion per index keeps hydration to a map-insert pass: the map keys
+// slice into that backing, so the whole index costs the map plus one slab
+// allocation.
 func (m *Monitor) hydrateIndexes() {
 	_ = exec.For(context.Background(), m.nShards, exec.Workers(m.Workers), func(_, s int) {
 		for _, ix := range m.shards[s].idx {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -32,6 +33,25 @@ func Touched(writes []CellWrite) relation.AttrSet {
 		touched = touched.With(wr.Col)
 	}
 	return touched
+}
+
+// AppendSourceKey appends row t's antecedent key over cols in the batch's
+// source state to buf, in live.AppendKey's encoding: a cell the row's
+// write-log segment seg wrote reads its logged Old value, any other cell
+// the relation, which holds the target state and agrees with the source
+// state on unwritten cells.
+func AppendSourceKey(buf []byte, rel *relation.Relation, cols []int, seg []CellWrite, t int) []byte {
+	for _, c := range cols {
+		val := rel.Value(t, c)
+		for _, wr := range seg {
+			if wr.Col == c {
+				val = wr.Old
+				break
+			}
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(val))
+	}
+	return buf
 }
 
 // Substrate is the live index the incremental engines answer from: one

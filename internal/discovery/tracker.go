@@ -58,7 +58,7 @@ type coverTracker struct {
 
 	// ix owns the key index (≥ 0 class id; ≤ −2 lone row −(t+2)), the
 	// per-class sizes, and the consequent multisets. No overlay: trackers
-	// shrink classes on antecedent writes, which overlays cannot express.
+	// need class sizes, not member lists.
 	ix       *live.ClassIndex
 	rowClass []int32 // ≥ 0 class id; −1 lone (or floating mid-batch)
 	sat      []bool
@@ -203,20 +203,9 @@ func (ct *coverTracker) classSatisfied(v *core.Verifier, ci int32) bool {
 }
 
 // sourceKey encodes row t's antecedent projection in the batch's source
-// state: written cells read their logged old value, untouched cells the
-// (target-state) relation, which coincides with the source state for them.
+// state (core.AppendSourceKey).
 func (ct *coverTracker) sourceKey(rel *relation.Relation, seg []cellWrite, t int) string {
-	ct.keyBuf = ct.keyBuf[:0]
-	for _, c := range ct.cols {
-		val := rel.Value(t, c)
-		for _, wr := range seg {
-			if wr.Col == c {
-				val = wr.Old
-				break
-			}
-		}
-		ct.keyBuf = append(ct.keyBuf, byte(val), byte(val>>8), byte(val>>16), byte(val>>24))
-	}
+	ct.keyBuf = core.AppendSourceKey(ct.keyBuf[:0], rel, ct.cols, seg, t)
 	return string(ct.keyBuf)
 }
 
@@ -259,7 +248,7 @@ func (ct *coverTracker) applyWrites(rel *relation.Relation, v *core.Verifier, wr
 			preA = aOld
 		}
 		if ci := ct.rowClass[t]; ci >= 0 {
-			ix.Leave(ci, preA)
+			ix.Leave(ci, int32(t), preA)
 			ct.dirty = append(ct.dirty, ci)
 			ct.rowClass[t] = -1
 		} else {

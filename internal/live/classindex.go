@@ -29,11 +29,15 @@ const (
 // cover trackers use one per cover element with Part nil, TrackSizes on,
 // and their own row→class array alongside.
 //
-// All mutating operations are undo-symmetric: every state change is either
-// a Bump (inverted by the opposite Bump), a Join (whose Lone/Birth cases
-// the batch protocols only take on appends, which are never rolled back),
-// or a Leave (inverted by re-Join through the same key) — so both engines'
-// atomic-batch rollback contracts survive the extraction unchanged.
+// Both engines move a row whose antecedent was written the same way: it
+// Leaves its source-state class (or its lone-row key is deleted), then
+// Joins through its target-state key, which may take any of the three
+// Join cases. Classes therefore grow and shrink. The maintainer rolls a
+// batch back by running the inverted write log through the same moves: a
+// Bump is inverted by the opposite Bump, a Leave by a re-Join through the
+// row's old key, and a class born along the way lingers at size zero. The
+// monitor is never rolled back (a cancelled batch is undone before it is
+// absorbed), so it also deletes the key of a class that empties.
 type ClassIndex struct {
 	// Cols is the antecedent column list, ascending; keys are encoded over
 	// it with EncodeKey (4 bytes per column, fixed width).
@@ -50,14 +54,13 @@ type ClassIndex struct {
 	// re-verification O(distinct values) — independent of class size.
 	Counts [][]ValCount
 	// Sizes[ci] is the number of rows in class ci, maintained only when
-	// TrackSizes is set (trackers shrink classes on antecedent writes; the
-	// monitor's classes only grow and sizes live in the overlay).
+	// TrackSizes is set (the monitor's sizes live in the overlay).
 	Sizes []int32
 	// TrackSizes enables Sizes maintenance.
 	TrackSizes bool
 	// Part, when non-nil, is the partition overlay recording class
-	// membership; Join births and grows its classes, and class ids equal
-	// overlay class ids.
+	// membership; Join births and grows its classes, Leave shrinks them,
+	// and class ids equal overlay class ids.
 	Part *relation.PartitionOverlay
 
 	// FrozenKeys/FrozenVals hold the key index in serialized array form on
@@ -91,8 +94,8 @@ func (ix *ClassIndex) EncodeRow(rel *relation.Relation, t int) []byte {
 // a lone row, a lone-row key births a two-tuple class with the promoted
 // partner, and a class key joins the existing class. Returns the class id
 // (-1 for JoinLone), the promoted partner row (JoinBirth only, else -1),
-// and the case taken. Rows must join in ascending id order per class —
-// appends always do.
+// and the case taken. Rows may join in any order; the overlay keeps each
+// class ascending.
 func (ix *ClassIndex) Join(rel *relation.Relation, t int32) (ci, partner int32, kind JoinKind) {
 	return ix.JoinKey(rel, ix.EncodeRow(rel, int(t)), t)
 }
@@ -109,7 +112,7 @@ func (ix *ClassIndex) JoinKey(rel *relation.Relation, key []byte, t int32) (ci, 
 		r := -enc - 2
 		var nc int32
 		if ix.Part != nil {
-			nc = int32(ix.Part.AddClass(r, t))
+			nc = int32(ix.Part.AddClass(min(r, t), max(r, t)))
 		} else {
 			nc = int32(len(ix.Counts))
 		}
@@ -139,15 +142,18 @@ func (ix *ClassIndex) BumpVal(ci int32, from, to relation.Value) {
 	ix.Counts[ci] = Bump(Bump(ix.Counts[ci], from, -1), to, 1)
 }
 
-// Leave removes one row whose consequent is a from class ci (antecedent
-// rewrites pull rows out of their old class). Requires TrackSizes;
-// returns the class's remaining size. The inverse is a re-Join through
-// the row's new key, which the tracker protocols perform in their join
-// phase.
-func (ix *ClassIndex) Leave(ci int32, a relation.Value) int32 {
-	ix.Sizes[ci]--
+// Leave removes row t, whose pre-batch consequent is a, from class ci
+// (antecedent rewrites pull rows out of their old class) and returns the
+// class's remaining size: from Sizes when TrackSizes is set, else from
+// the overlay, which loses the row. The inverse is a re-Join through the
+// row's old key.
+func (ix *ClassIndex) Leave(ci, t int32, a relation.Value) int32 {
 	ix.Counts[ci] = Bump(ix.Counts[ci], a, -1)
-	return ix.Sizes[ci]
+	if ix.TrackSizes {
+		ix.Sizes[ci]--
+		return ix.Sizes[ci]
+	}
+	return int32(ix.Part.Remove(int(ci), t))
 }
 
 // NeedsHydrate reports whether the index is still in frozen array form.

@@ -161,7 +161,7 @@ func TestClassIndexTrackerOps(t *testing.T) {
 	if !reflect.DeepEqual(ix.Counts[0], before) {
 		t.Fatalf("inverse BumpVal does not restore: %v vs %v", ix.Counts[0], before)
 	}
-	if sz := ix.Leave(1, rel.Value(2, 1)); sz != 1 {
+	if sz := ix.Leave(1, 2, rel.Value(2, 1)); sz != 1 {
 		t.Fatalf("Leave size = %d, want 1", sz)
 	}
 	if !reflect.DeepEqual(ix.Counts[1], []ValCount{{rel.Value(2, 1), 1}}) {

@@ -64,9 +64,6 @@ func TestPartitionOverlayViewsAndGrowth(t *testing.T) {
 	if o.Len(ci) != 3 {
 		t.Fatalf("Len(%d) = %d, want 3", ci, o.Len(ci))
 	}
-	if o.Added() != 5 {
-		t.Fatalf("Added = %d, want 5", o.Added())
-	}
 	if o.Base() != base {
 		t.Fatal("Base must return the wrapped partition")
 	}
@@ -192,8 +189,8 @@ func TestPartitionOverlayShardEmpty(t *testing.T) {
 	}
 	base := SingleColumnPartition(rel, 0).Strip()
 	o := NewPartitionOverlayShard(base, nil)
-	if o.NumClasses() != 0 || o.BaseClasses() != 0 || o.Added() != 0 {
-		t.Fatalf("empty shard: classes=%d base=%d added=%d", o.NumClasses(), o.BaseClasses(), o.Added())
+	if o.NumClasses() != 0 || o.BaseClasses() != 0 {
+		t.Fatalf("empty shard: classes=%d base=%d", o.NumClasses(), o.BaseClasses())
 	}
 	// Overlay-born-only: every class lives in the deltas.
 	ci := o.AddClass(1, 3)
@@ -206,5 +203,72 @@ func TestPartitionOverlayShardEmpty(t *testing.T) {
 	}
 	if got := o.StableView(ci); !reflect.DeepEqual(got, []int32{1, 3}) {
 		t.Fatalf("born stable view = %v", got)
+	}
+}
+
+// TestPartitionOverlayMidIDEdits pins the edits antecedent moves make:
+// a tuple that joins below a class's largest id or leaves it detaches a
+// base class once (its base-map entry becomes Detached) and is inserted
+// or deleted in place, every class stays ascending, stable views taken
+// before an edit keep their contents, and a class can empty and refill.
+func TestPartitionOverlayMidIDEdits(t *testing.T) {
+	rel, err := FromRows(MustSchema("A"), [][]string{
+		{"x"}, {"y"}, {"x"}, {"y"}, {"x"}, {"z"}, {"z"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := SingleColumnPartition(rel, 0).Strip() // {0,2,4}, {1,3}, {5,6}
+	o := identityOverlay(base)
+	var scratch []int32
+	view := func(ci int) []int32 { return append([]int32(nil), o.View(ci, &scratch)...) }
+
+	pure := o.StableView(0)
+	o.Add(0, 9) // past the largest id: the append path keeps the base
+	if b, _ := o.Parts(0); b == nil || o.BaseMap()[0] == Detached {
+		t.Fatal("an append must not detach a base class")
+	}
+	before := o.StableView(0)
+	o.Add(0, 3) // mid-id: detaches and inserts
+	if got := view(0); !reflect.DeepEqual(got, []int32{0, 2, 3, 4, 9}) {
+		t.Fatalf("after a mid-id add: %v", got)
+	}
+	if b, _ := o.Parts(0); b != nil || o.BaseMap()[0] != Detached {
+		t.Fatal("a mid-id add must detach the base class")
+	}
+	if n := o.Remove(0, 2); n != 4 || !reflect.DeepEqual(view(0), []int32{0, 3, 4, 9}) {
+		t.Fatalf("after removing 2: len %d, %v", n, view(0))
+	}
+	if !reflect.DeepEqual(pure, []int32{0, 2, 4}) || !reflect.DeepEqual(before, []int32{0, 2, 4, 9}) {
+		t.Fatalf("stable views changed under edits: %v, %v", pure, before)
+	}
+
+	// Removing from an undetached base class detaches it; the class can
+	// empty, keep its id, and take tuples again.
+	if n := o.Remove(1, 3); n != 1 || o.BaseMap()[1] != Detached {
+		t.Fatalf("remove from a base class: len %d, base map %v", n, o.BaseMap())
+	}
+	if n := o.Remove(1, 1); n != 0 || o.Len(1) != 0 || o.NumClasses() != 3 {
+		t.Fatalf("emptied class: len %d, classes %d", o.Len(1), o.NumClasses())
+	}
+	o.Add(1, 8)
+	o.Add(1, 6)
+	if got := view(1); !reflect.DeepEqual(got, []int32{6, 8}) {
+		t.Fatalf("refilled class: %v", got)
+	}
+
+	// Overlay-born classes take mid-id edits the same way, and a tuple
+	// that is not in the class is left alone.
+	ci := o.AddClass(4, 7)
+	o.Add(ci, 5)
+	o.Add(ci, 1)
+	if n := o.Remove(ci, 6); n != 4 {
+		t.Fatalf("removing an absent tuple changed the class: len %d", n)
+	}
+	if got := view(ci); !reflect.DeepEqual(got, []int32{1, 4, 5, 7}) {
+		t.Fatalf("born class: %v", got)
+	}
+	if got := view(2); !reflect.DeepEqual(got, []int32{5, 6}) {
+		t.Fatalf("untouched base class: %v", got)
 	}
 }

@@ -178,27 +178,42 @@ func DecodePartitionCache(r *wire.Reader, rel *Relation) (*PartitionCache, error
 	return pc, r.Err()
 }
 
-// Delta returns class ci's overlay-added tuples (snapshot encode hook;
-// callers must not mutate the slice).
+// Delta returns class ci's overlay tuples: the appended ones of a base
+// class, the whole class of a detached or overlay-born one (snapshot
+// encode hook; callers must not mutate the slice).
 func (o *PartitionOverlay) Delta(ci int) []int32 { return o.deltas[ci] }
 
-// BaseMap returns the overlay's base-class mapping. Snapshot encode hook;
-// callers must not mutate it.
+// BaseMap returns the overlay's base-class mapping, Detached entries
+// included. Snapshot encode hook; callers must not mutate it.
 func (o *PartitionOverlay) BaseMap() []int32 { return o.baseMap }
 
 // RestoreOverlayShard rebuilds an overlay from its serialized parts: the
 // shared frozen base, the shard's base-class mapping, and the per-class
 // delta lists (len(deltas) ≥ len(baseMap); classes at or past the mapping
-// are overlay-born). The slices are retained, not copied.
-func RestoreOverlayShard(base *Partition, baseMap []int32, deltas [][]int32) *PartitionOverlay {
-	o := &PartitionOverlay{
+// are overlay-born). The slices are retained, not copied. It fails
+// closed on a mapping entry that is neither a non-empty base class nor
+// Detached; the caller checks the classes' tuples (Parts), which it
+// walks anyway.
+func RestoreOverlayShard(base *Partition, baseMap []int32, deltas [][]int32) (*PartitionOverlay, error) {
+	if len(deltas) < len(baseMap) {
+		return nil, fmt.Errorf("relation: snapshot overlay has %d classes for %d base classes", len(deltas), len(baseMap))
+	}
+	nb := base.NumClasses()
+	for _, b := range baseMap {
+		if b == Detached {
+			continue
+		}
+		if b < 0 || int(b) >= nb {
+			return nil, fmt.Errorf("relation: snapshot overlay maps base class %d of %d", b, nb)
+		}
+		if lo, hi := base.Offsets[b], base.Offsets[b+1]; lo < 0 || hi <= lo || int(hi) > len(base.Tuples) {
+			return nil, fmt.Errorf("relation: snapshot base class %d spans [%d, %d) of %d tuples", b, lo, hi, len(base.Tuples))
+		}
+	}
+	return &PartitionOverlay{
 		base:    base,
 		nBase:   len(baseMap),
 		deltas:  deltas,
 		baseMap: baseMap,
-	}
-	for _, d := range deltas {
-		o.added += len(d)
-	}
-	return o
+	}, nil
 }

@@ -289,7 +289,7 @@ func TestMaintainerSecondSaveRoundTrip(t *testing.T) {
 	checkFresh(t, "third-generation", gen3, nil)
 }
 
-// TestPipelineSnapshotSections pins the Version 3 layout: a pipeline
+// TestPipelineSnapshotSections pins the section layout: a pipeline
 // snapshot holds exactly one relation, one ontology and one pipeline
 // section, in that order.
 func TestPipelineSnapshotSections(t *testing.T) {

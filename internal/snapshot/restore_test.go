@@ -1,0 +1,271 @@
+package snapshot
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"github.com/fastofd/fastofd/internal/core"
+	"github.com/fastofd/fastofd/internal/pipeline"
+	"github.com/fastofd/fastofd/internal/relation"
+	"github.com/fastofd/fastofd/internal/wire"
+)
+
+// monitorFields are the monitor body's arrays inside a pipeline section
+// payload, decoded as views of that payload: writing an element rewrites
+// the payload in place, leaving every length and offset as it was.
+type monitorFields struct {
+	shards   int
+	classOf  [][]int32 // per OFD
+	rowShard [][]uint8 // per OFD
+	// Per shard, per OFD.
+	baseMap   [][][]int32
+	deltas    [][][][]int32
+	keyVals   [][][]int32
+	countVals [][][]int32
+	countNs   [][][]int32
+}
+
+// walkMonitorBody decodes the monitor body of pipeline payload, which
+// p encoded, in the layout core.AppendMonitorBody writes.
+func walkMonitorBody(t *testing.T, payload []byte, p *pipeline.Pipeline) *monitorFields {
+	t.Helper()
+	r := wire.NewReader(payload)
+	r.Uvarint() // follow-cover flag
+	if _, err := core.DecodeSubstrate(r, p.Relation(), p.Verifier().Ontology()); err != nil {
+		t.Fatalf("substrate: %v", err)
+	}
+	sigma := core.DecodeSet(r)
+	f := &monitorFields{shards: r.Int()}
+	r.Uvarint() // epoch
+	for range sigma {
+		f.classOf = append(f.classOf, r.Int32s())
+		f.rowShard = append(f.rowShard, r.Uint8s())
+		relation.DecodePartition(r)
+	}
+	for s := 0; s < f.shards; s++ {
+		f.baseMap = append(f.baseMap, nil)
+		f.deltas = append(f.deltas, nil)
+		f.keyVals = append(f.keyVals, nil)
+		f.countVals = append(f.countVals, nil)
+		f.countNs = append(f.countNs, nil)
+		for range sigma {
+			f.baseMap[s] = append(f.baseMap[s], r.Int32s())
+			r.Int() // classes
+			var ds [][]int32
+			for k, n := 0, r.Int(); k < n; k++ {
+				r.Int() // class id
+				ds = append(ds, r.Int32s())
+			}
+			f.deltas[s] = append(f.deltas[s], ds)
+			r.Int() // key count
+			r.Int() // key width
+			r.Blob()
+			f.keyVals[s] = append(f.keyVals[s], r.Int32s())
+			r.Int32s() // pairs per class
+			f.countVals[s] = append(f.countVals[s], r.Int32s())
+			f.countNs[s] = append(f.countNs[s], r.Int32s())
+		}
+	}
+	if r.Err() != nil {
+		t.Fatalf("monitor body: %v", r.Err())
+	}
+	return f
+}
+
+// find returns the first (shard, OFD) slot whose array pick selects as
+// non-empty, and that array.
+func find[E any](t *testing.T, f *monitorFields, pick func(s, i int) []E) []E {
+	t.Helper()
+	for s := 0; s < f.shards; s++ {
+		for i := range f.classOf {
+			if xs := pick(s, i); len(xs) > 0 {
+				return xs
+			}
+		}
+	}
+	t.Fatal("no array of the requested kind in the monitor body")
+	return nil
+}
+
+// TestOpenRejectsCorruptMonitorBody re-encodes a saved pipeline with one
+// monitor field corrupted at a time, keeping every checksum valid, and
+// asserts Open fails with an error instead of panicking or restoring a
+// monitor that later batches would index out of range.
+func TestOpenRejectsCorruptMonitorBody(t *testing.T) {
+	p, batch, appendRow := newTestPipeline(t, 23)
+	rel := p.Relation()
+	// Appends fill deltas, and rewriting every column of some rows moves
+	// them between antecedent classes, which detaches base classes.
+	if _, err := p.AppendRows([][]string{appendRow(), appendRow(), appendRow()}); err != nil {
+		t.Fatalf("AppendRows: %v", err)
+	}
+	for _, st := range []step{dirtyRows(rel, 6, 11), {ups: batch()}} {
+		if _, err := st.apply(p); err != nil {
+			t.Fatalf("batch: %v", err)
+		}
+	}
+	img, err := Encode(&State{Pipeline: p})
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	secs := splitSections(t, img)
+	n := int32(rel.NumRows())
+
+	cases := []struct {
+		name    string
+		corrupt func(f *monitorFields)
+	}{
+		{"pristine", func(*monitorFields) {}},
+		{"base-map entry past the base", func(f *monitorFields) {
+			find(t, f, func(s, i int) []int32 { return f.baseMap[s][i] })[0] = 1 << 30
+		}},
+		{"negative base-map entry", func(f *monitorFields) {
+			find(t, f, func(s, i int) []int32 { return f.baseMap[s][i] })[0] = -7
+		}},
+		{"detached base-map entry", func(f *monitorFields) {
+			bm := find(t, f, func(s, i int) []int32 {
+				for k, b := range f.baseMap[s][i] {
+					if b != relation.Detached {
+						return f.baseMap[s][i][k:]
+					}
+				}
+				return nil
+			})
+			bm[0] = relation.Detached // its class loses its base members
+		}},
+		{"overlay tuple past the rows", func(f *monitorFields) {
+			d := find(t, f, func(s, i int) []int32 {
+				if len(f.deltas[s][i]) > 0 {
+					return f.deltas[s][i][0]
+				}
+				return nil
+			})
+			d[len(d)-1] = n + 5
+		}},
+		{"negative overlay tuple", func(f *monitorFields) {
+			find(t, f, func(s, i int) []int32 {
+				if len(f.deltas[s][i]) > 0 {
+					return f.deltas[s][i][0]
+				}
+				return nil
+			})[0] = -3
+		}},
+		{"overlay class out of order", func(f *monitorFields) {
+			d := find(t, f, func(s, i int) []int32 {
+				for _, d := range f.deltas[s][i] {
+					if len(d) >= 2 {
+						return d
+					}
+				}
+				return nil
+			})
+			d[0], d[1] = d[1], d[0]
+		}},
+		{"row shard past the shard count", func(f *monitorFields) {
+			f.rowShard[0][0] = uint8(f.shards)
+		}},
+		{"class id below -1", func(f *monitorFields) {
+			f.classOf[0][0] = -5
+		}},
+		{"class id past the shard's classes", func(f *monitorFields) {
+			f.classOf[0][0] = 1 << 20
+		}},
+		{"class member routed to no class", func(f *monitorFields) {
+			for t, ci := range f.classOf[0] {
+				if ci >= 0 {
+					f.classOf[0][t] = -1
+					return
+				}
+			}
+		}},
+		{"lone row given a class", func(f *monitorFields) {
+			for t, ci := range f.classOf[0] {
+				if ci < 0 {
+					f.classOf[0][t] = 0
+					return
+				}
+			}
+		}},
+		{"multiset count above the class size", func(f *monitorFields) {
+			find(t, f, func(s, i int) []int32 { return f.countNs[s][i] })[0]++
+		}},
+		{"multiset count zero", func(f *monitorFields) {
+			find(t, f, func(s, i int) []int32 { return f.countNs[s][i] })[0] = 0
+		}},
+		{"multiset value past the dictionary", func(f *monitorFields) {
+			find(t, f, func(s, i int) []int32 { return f.countVals[s][i] })[0] = 1 << 29
+		}},
+		{"key naming a missing class", func(f *monitorFields) {
+			find(t, f, func(s, i int) []int32 { return f.keyVals[s][i] })[0] = 1 << 29
+		}},
+		{"key naming a missing lone row", func(f *monitorFields) {
+			find(t, f, func(s, i int) []int32 { return f.keyVals[s][i] })[0] = -(n + 9)
+		}},
+	}
+	dir := t.TempDir()
+	for k, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			payload := append([]byte(nil), secs[2].payload...)
+			f := walkMonitorBody(t, payload, p)
+			if tc.name == "pristine" && !slices.Contains(slices.Concat(slices.Concat(f.baseMap...)...), relation.Detached) {
+				t.Fatal("the saved monitor holds no detached class")
+			}
+			tc.corrupt(f)
+			if (tc.name == "pristine") != bytes.Equal(payload, secs[2].payload) {
+				t.Fatal("the corruption did not land in the payload")
+			}
+			path := filepath.Join(dir, fmt.Sprintf("case%d.snap", k))
+			if err := os.WriteFile(path, joinSections(secs[0], secs[1], section{secs[2].name, payload}), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var st *State
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("Open panicked: %v", r)
+					}
+				}()
+				st, err = Open(path, Options{})
+			}()
+			if tc.name == "pristine" {
+				if err != nil {
+					t.Fatalf("pristine re-encode failed to open: %v", err)
+				}
+				if got, want := reportJSON(t, st.Pipeline.Report()), reportJSON(t, p.Report()); got != want {
+					t.Fatalf("pristine re-encode reports differently\n got %s\nwant %s", got, want)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("Open accepted the corrupted monitor body")
+			}
+		})
+	}
+}
+
+// TestReopenedPipelineAbsorbsAntecedentMoves saves a pipeline whose
+// monitor has detached classes, reopens it, and runs antecedent batches
+// first (their moves hydrate the frozen key maps), then an append: after
+// each step the report equals a fresh Detect of the monitored set.
+func TestReopenedPipelineAbsorbsAntecedentMoves(t *testing.T) {
+	p, batch, appendRow := newTestPipeline(t, 29)
+	rel := p.Relation()
+	if _, err := dirtyRows(rel, 8, 5).apply(p); err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	rp := saveOpen(t, &State{Pipeline: p}, Options{Workers: 2}).Pipeline
+	rel = rp.Relation()
+	for k, st := range []step{dirtyRows(rel, 12, 17), {ups: batch()}, dirtyRows(rel, 4, 40), {rows: [][]string{appendRow(), appendRow()}}} {
+		if _, err := st.apply(rp); err != nil {
+			t.Fatalf("step %d: %v", k, err)
+		}
+		sigma := rp.Monitor().Sigma()
+		if got, want := reportJSON(t, rp.Report()), reportJSON(t, core.Detect(rel, rp.Monitor().Ontology(), sigma)); got != want {
+			t.Fatalf("step %d: reopened pipeline's report diverged from Detect\n got %s\nwant %s", k, got, want)
+		}
+	}
+}

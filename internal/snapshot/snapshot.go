@@ -10,7 +10,7 @@
 //	magic (8 bytes) | version (uint32) | section count (uint32)
 //	per section: name | crc32c of payload | payload (4-byte aligned)
 //
-// Version 3 writes at most three sections, in this order: relation,
+// Version 4 writes at most three sections, in this order: relation,
 // ontology, pipeline. Each carries its own CRC-32 (Castagnoli) checksum.
 // Decode rejects a known section that repeats or arrives out of order, and
 // skips unknown names, so older readers open newer files that only add
@@ -27,7 +27,8 @@
 // through those views). Reopen latency therefore scales with the flagged
 // violation state, not the instance: the bulk of a large snapshot is
 // never copied, dictionaries hydrate their maps lazily, and the monitor's
-// LHS-key indexes stay in frozen array form until the first append.
+// LHS-key indexes stay in frozen array form until the first append or
+// antecedent write.
 //
 // Save writes to a temp file in the destination directory, syncs it,
 // renames it into place and syncs the directory, so a crashed save never
@@ -54,10 +55,16 @@ const (
 	// magic identifies a snapshot file ("FOFDSNAP", little-endian).
 	magic = uint64(0x50414e5344464f46)
 	// Version is the current format version. Bumped on any layout change
-	// inside a section; Open rejects other versions outright rather than
-	// guessing. Version 3: the pipeline section carries the substrate's
-	// cache, and a pipeline is the only engine a snapshot holds.
-	Version = uint32(3)
+	// inside a section; Open rejects versions outside [minVersion, Version]
+	// outright rather than guessing. Version 3: the pipeline section
+	// carries the substrate's cache, and a pipeline is the only engine a
+	// snapshot holds. Version 4: a monitor overlay's base-class mapping
+	// may hold relation.Detached entries (a class that rows joined or left
+	// mid-id), which a version-3 reader would misread.
+	Version = uint32(4)
+	// minVersion is the oldest version Open reads. A version-3 file is a
+	// version-4 file without Detached entries, so it decodes unchanged.
+	minVersion = uint32(3)
 )
 
 // Section names, in file order (dependencies decode first); unknown names
@@ -257,11 +264,11 @@ func Decode(img []byte, opts Options) (*State, error) {
 	if m := r.Uint64(); r.Err() != nil || m != magic {
 		return nil, fmt.Errorf("snapshot: not a snapshot file (bad magic)")
 	}
-	if v := r.Uint32(); v != Version {
+	if v := r.Uint32(); v < minVersion || v > Version {
 		if r.Err() != nil {
 			return nil, fmt.Errorf("snapshot: truncated header")
 		}
-		return nil, fmt.Errorf("snapshot: version %d not supported (want %d)", v, Version)
+		return nil, fmt.Errorf("snapshot: version %d not supported (want %d to %d)", v, minVersion, Version)
 	}
 	count := r.Uint32()
 	if r.Err() != nil {
