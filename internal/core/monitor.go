@@ -23,18 +23,18 @@ import (
 //
 // The state is sharded by LHS-key hash: for each OFD, every equivalence
 // class (and lone row) is routed to one of NumShards() independent shards,
-// each owning its own relation.PartitionOverlay view of the cached base
-// partition, LHS-key index, consequent-value multisets, and violation
-// maps. Absorbing a batch joins its appended rows, routes its consequent
-// writes by (OFD, shard), and routes each row whose antecedent it rewrote
-// as a move: the row leaves its old class (or lone key) in the shard that
-// owns its old key and joins its new key in the shard that owns that one,
-// so a tuple's shard per OFD follows its current key and routing is a
-// table lookup. The multiset maintenance, the moves and the
-// re-verification of each dirty class then fan out over exec.For with no
-// shared write state — the three stages are observable as monitor.route /
-// monitor.apply / monitor.merge spans. A batch costs what it touched, not
-// the instance: no write rebuilds a dependency's index.
+// each owning its classes' copy-on-write member lists, LHS-key index,
+// consequent-value multisets, and violation maps. Absorbing a batch joins
+// its appended rows, routes its consequent writes by (OFD, shard), and
+// routes each row whose antecedent it rewrote as a move: the row leaves
+// its old class (or lone key) in the shard that owns its old key and joins
+// its new key in the shard that owns that one, so a tuple's shard per OFD
+// follows its current key and routing is a table lookup. The multiset
+// maintenance, the moves and the re-verification of each dirty class then
+// fan out over exec.For with no shared write state — the three stages are
+// observable as monitor.route / monitor.apply / monitor.merge spans. A
+// batch costs what it touched, not the instance: no write rebuilds a
+// dependency's index.
 //
 // Violation state is published as epoch-stamped immutable snapshots:
 // every mutating operation materializes the affected classes' Violation
@@ -215,10 +215,9 @@ func (m *Monitor) AppendRow(row []string) (int, error) {
 // equivalence class under every OFD via the owning shard's LHS-key index
 // — O(|X|) per dependency, no partition rebuild. A tuple whose antecedent
 // key matches a formerly-singleton row births a new two-tuple class in
-// that shard's overlay; a fresh key records a new singleton. Every joined
-// class is re-verified once for the whole batch, and one epoch is
-// published. A row of the wrong width rejects the batch before anything
-// is appended.
+// that shard; a fresh key records a new singleton. Every joined class is
+// re-verified once for the whole batch, and one epoch is published. A row
+// of the wrong width rejects the batch before anything is appended.
 func (m *Monitor) AppendRows(rows [][]string) error {
 	if err := m.sub.Append(rows); err != nil {
 		return err
@@ -327,7 +326,7 @@ func (m *Monitor) ViolatingClasses() map[int][][]int {
 	for _, sh := range m.shards {
 		for i := range sh.viol {
 			for ci := range sh.viol[i] {
-				class := sh.idx[i].Part.StableView(int(ci))
+				class := sh.idx[i].Members[ci]
 				tuples := make([]int, len(class))
 				for j, t := range class {
 					tuples[j] = int(t)

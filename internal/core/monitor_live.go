@@ -15,7 +15,7 @@ import (
 // reports remain byte-identical to a fresh Detect either way.
 
 // Register adds dependency d to the monitored set and builds its live
-// index state: routing, shard overlays, multisets, and violation records,
+// index state: routing, member lists, multisets, and violation records,
 // exactly as construction would have. The new dependency's violations
 // appear in the next published epoch.
 func (m *Monitor) Register(d OFD) error {

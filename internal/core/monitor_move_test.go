@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/fastofd/fastofd/internal/live"
@@ -80,9 +81,8 @@ func checkMonitorState(t *testing.T, label string, m *Monitor) {
 			t.Fatalf("%s: %v: %v", label, m.sigma[i], err)
 		}
 		for s, sh := range m.shards {
-			var scratch []int32
-			for ci := 0; ci < sh.idx[i].Part.NumClasses(); ci++ {
-				for _, r := range sh.idx[i].Part.View(ci, &scratch) {
+			for ci, class := range sh.idx[i].Members {
+				for _, r := range class {
 					if int(m.rowShard[i][r]) != s || m.classOf[i][r] != int32(ci) {
 						t.Fatalf("%s: %v shard %d class %d lists row %d, routed to shard %d class %d", label, m.sigma[i], s, ci, r, m.rowShard[i][r], m.classOf[i][r])
 					}
@@ -108,8 +108,8 @@ func checkKeyMaps(t *testing.T, label string, m *Monitor, i int) {
 			entries = ix.Keys
 		}
 		want := 0
-		for ci := 0; ci < ix.Part.NumClasses(); ci++ {
-			if ix.Part.Len(ci) > 0 {
+		for _, class := range ix.Members {
+			if len(class) > 0 {
 				want++
 			}
 		}
@@ -121,11 +121,10 @@ func checkKeyMaps(t *testing.T, label string, m *Monitor, i int) {
 		if len(entries) != want {
 			t.Fatalf("%s: %v shard %d holds %d keys for %d non-empty classes and lone rows", label, m.sigma[i], s, len(entries), want)
 		}
-		var scratch []int32
 		for k, v := range entries {
 			row := -v - 2
 			if v >= 0 {
-				row = ix.Part.View(int(v), &scratch)[0]
+				row = ix.Members[v][0]
 			}
 			if enc := string(live.EncodeKey(m.rel, m.lhsCols[i], int(row), nil)); enc != k {
 				t.Fatalf("%s: %v shard %d key %x names entry %d whose row %d encodes %x", label, m.sigma[i], s, k, v, row, enc)
@@ -244,7 +243,12 @@ func TestMonitorAntecedentMovesMatchDetect(t *testing.T) {
 // with a chained Σ, runs it on monitors with 1 and 3 shards, and checks
 // after every batch that the report equals a fresh Detect and the
 // monitor's tables agree with each other. Each op takes three bytes: the
-// op and column, a row, and a value.
+// op and column, a row, and a value. A round-trip op swaps the monitor for
+// one decoded from its encoding. The decoded member lists are views of
+// that encoding, back to back, so they must read the same after every
+// later batch: a list whose append wrote in place would overwrite its
+// neighbour. (The routing tables are views too, and batches rewrite them
+// in place by design.)
 func FuzzMonitorBatches(f *testing.F) {
 	ont, yPool, zPool := monitorStreamOntology()
 	pools := [][]string{
@@ -261,6 +265,10 @@ func FuzzMonitorBatches(f *testing.F) {
 	f.Add([]byte{0x00, 1, 5, 0x02, 1, 4, 0xf0, 0x01, 3, 1, 0x03, 3, 2, 0xf0})     // X and A of one row, then Y and B
 	f.Add([]byte{0x00, 0, 7, 0x00, 5, 7, 0xf0, 0x80, 9, 7, 0xf0, 0x00, 0, 0})     // a fresh key gains a partner, then an append joins it
 	f.Add([]byte{0x00, 0, 3, 0x00, 10, 3, 0x00, 20, 3, 0x00, 30, 3, 0x02, 15, 1}) // a class empties
+
+	// Round trips before an append, and between a batch of moves and the
+	// next append and move.
+	f.Add([]byte{0xe0, 0, 0, 0x80, 0, 0, 0x00, 2, 6, 0xf0, 0x80, 1, 5, 0xe0, 0, 0, 0x00, 8, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 96 {
 			prog = prog[:96]
@@ -275,6 +283,9 @@ func FuzzMonitorBatches(f *testing.F) {
 				t.Fatal(err)
 			}
 			var batch []CellUpdate
+			// decoded holds every member list a round trip decoded, as
+			// the view of the encoding and a copy of its rows.
+			var decoded [][2][]int32
 			flush := func(k int) {
 				if err := m.ApplyBatch(batch); err != nil {
 					t.Fatal(err)
@@ -287,6 +298,20 @@ func FuzzMonitorBatches(f *testing.F) {
 				switch {
 				case op >= 0xf0: // end the batch
 					flush(k)
+				case op >= 0xe0: // round-trip the monitor body
+					var w wire.Writer
+					AppendMonitorBody(&w, m)
+					if m, err = DecodeMonitorBody(wire.NewReader(w.Bytes()), m.sub, 2, nil); err != nil {
+						t.Fatalf("shards=%d op %d: DecodeMonitorBody: %v", shards, k, err)
+					}
+					for _, sh := range m.shards {
+						for _, ix := range sh.idx {
+							for _, l := range ix.Members {
+								decoded = append(decoded, [2][]int32{l, slices.Clone(l)})
+							}
+						}
+					}
+					checkMonitorState(t, fmt.Sprintf("shards=%d op %d", shards, k), m)
 				case op >= 0x80: // append one row
 					row := make([]string, len(pools))
 					for c, pool := range pools {
@@ -302,6 +327,11 @@ func FuzzMonitorBatches(f *testing.F) {
 				}
 			}
 			flush(len(prog))
+			for _, d := range decoded {
+				if !slices.Equal(d[0], d[1]) {
+					t.Fatalf("shards=%d: later batches rewrote a decoded member list %v into %v", shards, d[1], d[0])
+				}
+			}
 		}
 	})
 }

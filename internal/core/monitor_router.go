@@ -2,7 +2,6 @@ package core
 
 import (
 	"github.com/fastofd/fastofd/internal/live"
-	"github.com/fastofd/fastofd/internal/relation"
 )
 
 // shardOfKey hashes an encoded LHS key to its owning shard: FNV-1a over
@@ -28,8 +27,9 @@ func shardOfKey(key []byte, nShards int) uint8 {
 // their shards when the dependency enters the monitor (NewMonitor,
 // Register; writes move rows in place instead): every base class (keyed
 // by its representative's antecedent values) and every singleton row is
-// hashed to a shard, which records it in its LHS-key index and receives a
-// mapped overlay view of the shared base partition. All keys of the
+// hashed to a shard, which records it in its LHS-key index. A shard's
+// member list of a class is the cached base partition's class itself,
+// which the list's copy-on-write rule never writes. All keys of the
 // dependency are appended to one blob, which becomes one string whose
 // substrings are the map keys, and each shard's map is made at its key
 // count, so the build allocates no string per key and never grows a map.
@@ -64,12 +64,15 @@ func (m *Monitor) routeIndex(i int) {
 
 	// Route base classes: ascending base order per shard keeps local ids
 	// canonical (first-appearance order within the shard).
-	owned := make([][]int32, m.nShards)
+	members := make([][][]int32, m.nShards)
+	for s := range members {
+		members[s] = [][]int32{} // non-nil: a nil Members tracks sizes instead
+	}
 	for ci := 0; ci < nc; ci++ {
 		class := base.Class(ci)
 		s := key(int(class[0]))
-		local := int32(len(owned[s]))
-		owned[s] = append(owned[s], int32(ci))
+		local := int32(len(members[s]))
+		members[s] = append(members[s], class)
 		keyVal = append(keyVal, local)
 		for _, t := range class {
 			classOf[t] = local
@@ -87,9 +90,7 @@ func (m *Monitor) routeIndex(i int) {
 	}
 
 	for s, sh := range m.shards {
-		ix := &live.ClassIndex{Cols: cols, RHS: d.RHS, Keys: make(map[string]int32, perShard[s])}
-		ix.Part = relation.NewPartitionOverlayShard(base, owned[s])
-		sh.idx[i] = ix
+		sh.idx[i] = &live.ClassIndex{Cols: cols, RHS: d.RHS, Keys: make(map[string]int32, perShard[s]), Members: members[s]}
 	}
 	keys := string(blob)
 	for k, s := range keyShard {

@@ -8,21 +8,20 @@ import (
 )
 
 // monitorShard owns one LHS-key hash slice of the monitor's state: for
-// every OFD, a live.ClassIndex bundling the partition overlay over the
-// base classes routed here, the LHS-key index of those classes and lone
-// rows, and the consequent-value multisets — plus the violation maps with
-// their eagerly materialized records. Shards share no mutable state, so a
-// batch's apply and merge stages mutate all active shards in parallel
-// without locks.
+// every OFD, a live.ClassIndex bundling the member lists of the classes
+// routed here, the LHS-key index of those classes and lone rows, and the
+// consequent-value multisets — plus the violation maps with their eagerly
+// materialized records. Shards share no mutable state, so a batch's apply
+// and merge stages mutate all active shards in parallel without locks.
 type monitorShard struct {
 	// idx[i] = sigma[i]'s live class index for the classes this shard
-	// owns: Part is the overlay over the shared PartitionCache base (a
-	// mapped view plus append deltas), Keys the dict-encoded LHS-key map,
-	// Counts the consequent-value multisets.
+	// owns: Members the copy-on-write member lists (a base class's list
+	// starts as its shared PartitionCache class), Keys the dict-encoded
+	// LHS-key map, Counts the consequent-value multisets.
 	idx []*live.ClassIndex
 	// viol[i][c] holds the materialized Violation record of currently
-	// violating local class c; fdOnly[i][c] holds the stable tuple list of
-	// a class a plain FD would flag that the ontology clears. Records are
+	// violating local class c; fdOnly[i][c] holds the member list of a
+	// class a plain FD would flag that the ontology clears. Records are
 	// immutable once stored — snapshots alias them.
 	viol   []map[int32]*Violation
 	fdOnly []map[int32][]int32
@@ -77,7 +76,7 @@ func newMonitorShard(nOFDs int) *monitorShard {
 }
 
 // buildState computes the shard's multisets, initial class states, and
-// materialized violation records from the routed overlays. Fully
+// materialized violation records from the routed member lists. Fully
 // shard-local, so the monitor build fans it out over shards.
 func (sh *monitorShard) buildState(m *Monitor) {
 	for i := range m.sigma {
@@ -87,17 +86,15 @@ func (sh *monitorShard) buildState(m *Monitor) {
 }
 
 // buildStateOFD rebuilds dependency i's multisets and violation maps from
-// its routed overlay (buildState over one OFD; Register reuses it for the
-// OFD it adds).
+// its routed member lists (buildState over one OFD; Register reuses it
+// for the OFD it adds).
 func (sh *monitorShard) buildStateOFD(m *Monitor, i int) {
 	ix := sh.idx[i]
-	part := ix.Part
 	col := m.rel.Column(m.sigma[i].RHS)
-	counts := make([][]live.ValCount, part.NumClasses())
-	var scratch []int32
+	counts := make([][]live.ValCount, len(ix.Members))
 	for ci := range counts {
 		pairs := make([]live.ValCount, 0, 4)
-		for _, t := range part.View(ci, &scratch) {
+		for _, t := range ix.Members[ci] {
 			pairs = live.Bump(pairs, col.At(int(t)), 1)
 		}
 		counts[ci] = pairs
@@ -134,16 +131,16 @@ func (sh *monitorShard) classState(m *Monitor, i, ci int) uint8 {
 }
 
 // materialize builds the immutable record for a non-OK class: the
-// explained Violation for a violating class, or the stable tuple list for
-// an FD-only class. StableView guarantees the tuple slices stay valid
-// under later overlay growth, so snapshots can alias them.
+// explained Violation for a violating class, or the member list for an
+// FD-only class. Member lists are copy-on-write, so later edits never
+// change the list and snapshots can alias it.
 func (sh *monitorShard) materialize(m *Monitor, i int, ci int32, state uint8) (*Violation, []int32) {
 	switch state {
 	case classViolating:
-		rec := explain(m.rel, m.v.Ontology(), m.sigma[i], sh.idx[i].Part.StableView(int(ci)))
+		rec := explain(m.rel, m.v.Ontology(), m.sigma[i], sh.idx[i].Members[ci])
 		return &rec, nil
 	case classFDOnly:
-		return nil, sh.idx[i].Part.StableView(int(ci))
+		return nil, sh.idx[i].Members[ci]
 	}
 	return nil, nil
 }

@@ -157,7 +157,10 @@ func TestMonitorSingletonPromotedAcrossShards(t *testing.T) {
 // TestMonitorReportAtEpochs pins the epoch snapshot semantics: every
 // mutation publishes a new epoch, ReportAt replays any retained epoch
 // byte-identically, and epochs evicted from the retention window (or
-// never published) are errors.
+// never published) are errors. The steps append to a class and move rows
+// into and out of classes at every position after their lists were
+// published, so an edit that writes a published member list in place (or
+// the cached partition behind it) changes an earlier epoch's replay.
 func TestMonitorReportAtEpochs(t *testing.T) {
 	rel, ont := table1(t)
 	schema := rel.Schema()
@@ -195,6 +198,37 @@ func TestMonitorReportAtEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap()
+	// Classes: {0,1,2} and {3,4,5} FD-only, {7,8,9,10} violating; rows 6
+	// and 11 lone. Row 12 joins the first FD-only class, whose list
+	// neighbours the second one in the cached partition.
+	if _, err := m.AppendRow([]string{"US", "USA", "joint pain", "CT", "osteoarthritis", "naproxen"}); err != nil {
+		t.Fatal(err)
+	}
+	snap()
+	symp, diag := schema.MustIndex("SYMP"), schema.MustIndex("DIAG")
+	// Row 4 leaves the middle of {3,4,5} and enters the violating class
+	// ahead of its members; row 5 enters the middle of {0,1,2,12}, whose
+	// list the append grew with room to spare.
+	if err := m.ApplyBatch([]CellUpdate{
+		{Row: 4, Col: symp, Value: "headache"}, {Row: 4, Col: diag, Value: "hypertension"},
+		{Row: 5, Col: symp, Value: "joint pain"}, {Row: 5, Col: diag, Value: "osteoarthritis"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	snap()
+	// Row 8 leaves the middle of the violating class and births a class
+	// with lone row 6.
+	if err := m.ApplyBatch([]CellUpdate{{Row: 8, Col: symp, Value: "chest pain"}}); err != nil {
+		t.Fatal(err)
+	}
+	snap()
+	if _, err := m.AppendRow([]string{"US", "USA", "headache", "CT", "hypertension", "tiazac"}); err != nil {
+		t.Fatal(err)
+	}
+	snap()
+	if want, _ := json.Marshal(Detect(rel, ont, sigma)); history[m.Epoch()] != string(want) {
+		t.Fatalf("final report diverged from Detect\n got %s\nwant %s", history[m.Epoch()], want)
+	}
 
 	for epoch, want := range history {
 		rep, err := m.ReportAt(epoch)

@@ -17,11 +17,10 @@ import (
 // This file is the monitor's side of the snapshot format, plus the
 // verifier tables AppendSubstrate writes. A monitor body captures exactly
 // the state a rebuild would recompute from the instance — Σ, the per-OFD
-// routing tables, each shard's overlay of the frozen base partitions,
-// LHS-key indexes and consequent multisets — so reopening costs bulk array
-// reads plus one multiset pass per class to re-materialize violation
-// records, instead of partition construction and LHS-key hashing over
-// every tuple.
+// routing tables, each shard's class member lists, LHS-key indexes and
+// consequent multisets — so reopening costs bulk array reads plus one
+// multiset pass per class to re-materialize violation records, instead of
+// partition construction and LHS-key hashing over every tuple.
 //
 // Two deliberately lazy pieces keep reopen latency proportional to the
 // flagged state rather than the instance:
@@ -136,9 +135,11 @@ func AppendLHSIndex(w *wire.Writer, idx map[string]int32, width int) {
 
 // AppendMonitorBody encodes everything of m except its substrate — the
 // pipeline snapshot writes the shared substrate once (AppendSubstrate) and
-// then each engine's body. Restored-and-not-yet-hydrated
-// index state re-encodes from its frozen form directly, so save → open →
-// save round-trips without ever building the maps.
+// then each engine's body. Each (shard, OFD) writes its classes' lengths
+// and then their member lists back to back as one array, so every class
+// is written once. Restored-and-not-yet-hydrated index state re-encodes
+// from its frozen form directly, so save → open → save round-trips
+// without ever building the maps.
 func AppendMonitorBody(w *wire.Writer, m *Monitor) {
 	AppendSet(w, m.sigma)
 	w.Int(m.nShards)
@@ -146,32 +147,18 @@ func AppendMonitorBody(w *wire.Writer, m *Monitor) {
 	for i := range m.sigma {
 		w.Int32s(m.classOf[i])
 		w.Uint8s(m.rowShard[i])
-		// All shards hold mapped views of one shared base partition per
-		// OFD; the overlay's base is the build-time snapshot (appended rows
-		// live in the deltas), so it is serialized as-is, never recomputed.
-		relation.AppendPartition(w, m.shards[0].idx[i].Part.Base())
 	}
+	var lens, flat []int32
 	for _, sh := range m.shards {
 		for i := range m.sigma {
 			ix := sh.idx[i]
-			ov := ix.Part
-			w.Int32s(ov.BaseMap())
-			// Deltas are sparse: most classes never see an append.
-			total := ov.NumClasses()
-			w.Int(total)
-			nonEmpty := 0
-			for ci := 0; ci < total; ci++ {
-				if len(ov.Delta(ci)) > 0 {
-					nonEmpty++
-				}
+			lens, flat = lens[:0], flat[:0]
+			for _, l := range ix.Members {
+				lens = append(lens, int32(len(l)))
+				flat = append(flat, l...)
 			}
-			w.Int(nonEmpty)
-			for ci := 0; ci < total; ci++ {
-				if d := ov.Delta(ci); len(d) > 0 {
-					w.Int(ci)
-					w.Int32s(d)
-				}
-			}
+			w.Int32s(lens)
+			w.Int32s(flat)
 			if ix.NeedsHydrate() {
 				w.Int(len(ix.FrozenVals))
 				w.Int(ix.Width())
@@ -258,9 +245,9 @@ func decodeCounts(r *wire.Reader) [][]live.ValCount {
 // DecodeMonitorBody rebuilds a monitor over an already-decoded substrate
 // (DecodeSubstrate) from a body written by AppendMonitorBody. Violation
 // records are re-materialized shard-parallel — they are deterministic
-// functions of the restored multisets and overlays — so the first Report
-// is byte-identical to the saved monitor's. workers and stats configure
-// the restored monitor exactly as NewMonitor's parameters would.
+// functions of the restored multisets and member lists — so the first
+// Report is byte-identical to the saved monitor's. workers and stats
+// configure the restored monitor exactly as NewMonitor's parameters would.
 func DecodeMonitorBody(r *wire.Reader, sub *Substrate, workers int, stats *exec.Stats) (*Monitor, error) {
 	rel := sub.Relation()
 	sigma := DecodeSet(r)
@@ -286,11 +273,9 @@ func DecodeMonitorBody(r *wire.Reader, sub *Substrate, workers int, stats *exec.
 	m := newMonitor(sub, sigma, nShards, workers, stats)
 	m.epoch = epoch
 	m.needHydrate = true
-	bases := make([]*relation.Partition, len(sigma))
 	for i := range sigma {
 		m.classOf[i] = r.Int32s()
 		m.rowShard[i] = r.Uint8s()
-		bases[i] = relation.DecodePartition(r)
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
@@ -301,33 +286,12 @@ func DecodeMonitorBody(r *wire.Reader, sub *Substrate, workers int, stats *exec.
 	for s := range m.shards {
 		sh := newMonitorShard(len(sigma))
 		for i := range sigma {
-			baseMap := r.Int32s()
-			total := r.Int()
-			nonEmpty := r.Int()
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			if total < len(baseMap) || nonEmpty > total {
-				return nil, fmt.Errorf("core: snapshot overlay class counts inconsistent (%d classes, %d base, %d non-empty deltas)", total, len(baseMap), nonEmpty)
-			}
-			deltas := make([][]int32, total)
-			for k := 0; k < nonEmpty; k++ {
-				ci := r.Int()
-				d := r.Int32s()
-				if r.Err() != nil {
-					return nil, r.Err()
-				}
-				if ci < 0 || ci >= total {
-					return nil, fmt.Errorf("core: snapshot overlay delta class %d out of range", ci)
-				}
-				deltas[ci] = d
-			}
-			part, err := relation.RestoreOverlayShard(bases[i], baseMap, deltas)
+			members, err := decodeMembers(r)
 			if err != nil {
 				return nil, err
 			}
 			ix := live.NewClassIndex(m.lhsCols[i], sigma[i].RHS)
-			ix.Part = part
+			ix.Members = members
 			count := r.Int()
 			width := r.Int()
 			keys, vals := r.Blob(), r.Int32s()
@@ -339,11 +303,11 @@ func DecodeMonitorBody(r *wire.Reader, sub *Substrate, workers int, stats *exec.
 			}
 			ix.SetFrozen(keys, vals) // hydrated on first append
 			ix.Counts = decodeCounts(r)
-			if ix.Counts == nil || len(ix.Counts) != total {
+			if ix.Counts == nil || len(ix.Counts) != len(members) {
 				if r.Err() != nil {
 					return nil, r.Err()
 				}
-				return nil, fmt.Errorf("core: snapshot multisets inconsistent with overlay classes")
+				return nil, fmt.Errorf("core: snapshot multisets inconsistent with the classes")
 			}
 			sh.idx[i] = ix
 		}
@@ -395,7 +359,7 @@ func (m *Monitor) checkRestored(i int) error {
 	classOf, rowShard := m.classOf[i], m.rowShard[i]
 	ncs := make([]int32, m.nShards)
 	for s, sh := range m.shards {
-		ncs[s] = int32(sh.idx[i].Part.NumClasses())
+		ncs[s] = int32(len(sh.idx[i].Members))
 	}
 	members := 0
 	for t, ci := range classOf {
@@ -419,19 +383,17 @@ func (m *Monitor) checkRestored(i int) error {
 				}
 				size += int(p.N)
 			}
-			b, d := ix.Part.Parts(int(ci))
-			if size != len(b)+len(d) {
-				return fmt.Errorf("core: snapshot multiset of class %d counts %d of %d rows", ci, size, len(b)+len(d))
+			class := ix.Members[ci]
+			if size != len(class) {
+				return fmt.Errorf("core: snapshot multiset of class %d counts %d of %d rows", ci, size, len(class))
 			}
 			members -= size
 			prev := int32(-1)
-			for _, part := range [2][]int32{b, d} {
-				for _, t := range part {
-					if t <= prev || t >= n {
-						return fmt.Errorf("core: snapshot class %d of shard %d is not ascending row ids below %d", ci, s, n)
-					}
-					prev = t
+			for _, t := range class {
+				if t <= prev || t >= n {
+					return fmt.Errorf("core: snapshot class %d of shard %d is not ascending row ids below %d", ci, s, n)
 				}
+				prev = t
 			}
 		}
 		for _, v := range ix.FrozenVals {
@@ -444,6 +406,34 @@ func (m *Monitor) checkRestored(i int) error {
 		return fmt.Errorf("core: snapshot routing puts %d more rows in classes than the classes list", members)
 	}
 	return nil
+}
+
+// decodeMembers reads one (shard, OFD)'s member lists, written by
+// AppendMonitorBody as class lengths plus one flat row array, and slices
+// the array into the lists without copying. Each list's capacity ends at
+// its class, so the first append copies it instead of writing into the
+// next class or the snapshot buffer. The result is non-nil even with no
+// classes (a nil Members selects size tracking).
+func decodeMembers(r *wire.Reader) ([][]int32, error) {
+	lens := r.Int32s()
+	flat := r.Int32s()
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	members := make([][]int32, len(lens))
+	pos := 0
+	for ci, l := range lens {
+		n := int(l)
+		if n < 0 || n > len(flat)-pos {
+			return nil, fmt.Errorf("core: snapshot class %d has length %d with %d listed rows left", ci, n, len(flat)-pos)
+		}
+		members[ci] = flat[pos : pos+n : pos+n]
+		pos += n
+	}
+	if pos != len(flat) {
+		return nil, fmt.Errorf("core: snapshot classes list %d of %d rows", pos, len(flat))
+	}
+	return members, nil
 }
 
 // restoreRecords rebuilds the shard's violation and FD-only maps from the

@@ -193,7 +193,7 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 				d:      d,
 				cols:   lhs.Attrs(),
 				colSet: lhs.With(c),
-				ix:     newTrackerIndex(d),
+				ix:     live.NewClassIndex(d.LHS.Attrs(), d.RHS),
 			}
 			count := r.Int()
 			width := r.Int()

@@ -57,8 +57,8 @@ type coverTracker struct {
 	colSet relation.AttrSet // X ∪ {A}
 
 	// ix owns the key index (≥ 0 class id; ≤ −2 lone row −(t+2)), the
-	// per-class sizes, and the consequent multisets. No overlay: trackers
-	// need class sizes, not member lists.
+	// per-class sizes, and the consequent multisets. Members stays nil:
+	// trackers need class sizes, not member lists.
 	ix       *live.ClassIndex
 	rowClass []int32 // ≥ 0 class id; −1 lone (or floating mid-batch)
 	sat      []bool
@@ -68,14 +68,6 @@ type coverTracker struct {
 	floating []int32 // rows between the leave and join phases
 	keyBuf   []byte
 	valBuf   []relation.Value
-}
-
-// newTrackerIndex builds the tracker's empty class index: sizes tracked,
-// no overlay.
-func newTrackerIndex(d core.OFD) *live.ClassIndex {
-	ix := live.NewClassIndex(d.LHS.Attrs(), d.RHS)
-	ix.TrackSizes = true
-	return ix
 }
 
 // newCoverTrackerParts builds the same tracker state as newCoverTracker
@@ -92,7 +84,7 @@ func newCoverTrackerParts(v *core.Verifier, d core.OFD) *coverTracker {
 		d:      d,
 		cols:   d.LHS.Attrs(),
 		colSet: d.LHS.With(d.RHS),
-		ix:     newTrackerIndex(d),
+		ix:     live.NewClassIndex(d.LHS.Attrs(), d.RHS),
 	}
 	p := v.Partitions().Get(d.LHS)
 	n := rel.NumRows()
@@ -154,7 +146,7 @@ func newCoverTracker(rel *relation.Relation, v *core.Verifier, d core.OFD) *cove
 		d:      d,
 		cols:   d.LHS.Attrs(),
 		colSet: d.LHS.With(d.RHS),
-		ix:     newTrackerIndex(d),
+		ix:     live.NewClassIndex(d.LHS.Attrs(), d.RHS),
 	}
 	n := rel.NumRows()
 	ct.ix.Keys = make(map[string]int32, n/2+1)

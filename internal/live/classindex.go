@@ -1,6 +1,8 @@
 package live
 
 import (
+	"slices"
+
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
@@ -20,14 +22,13 @@ const (
 
 // ClassIndex is one live equivalence-class index over a fixed antecedent
 // column list: the dict-encoded LHS-key map (class ids >= 0, lone rows as
-// LoneRow(t) <= -2), the per-class consequent value multisets, optional
-// per-class sizes, and an optional partition overlay that records class
-// membership for certificate materialization.
+// LoneRow(t) <= -2), the per-class consequent value multisets, and either
+// per-class sizes or per-class member lists.
 //
-// The monitor's shards use one ClassIndex per (shard, OFD) with Part set
-// (class ids are overlay class ids) and sizes untracked; the maintainer's
-// cover trackers use one per cover element with Part nil, TrackSizes on,
-// and their own row→class array alongside.
+// The monitor's shards use one ClassIndex per (shard, OFD) with Members
+// set: certificates name a class's rows, so each class keeps them. The
+// maintainer's cover trackers use one per cover element with Members nil,
+// which selects Sizes, and their own row→class array alongside.
 //
 // Both engines move a row whose antecedent was written the same way: it
 // Leaves its source-state class (or its lone-row key is deleted), then
@@ -53,15 +54,18 @@ type ClassIndex struct {
 	// (value, multiplicity) pairs. Maintained on every write, it makes
 	// re-verification O(distinct values) — independent of class size.
 	Counts [][]ValCount
-	// Sizes[ci] is the number of rows in class ci, maintained only when
-	// TrackSizes is set (the monitor's sizes live in the overlay).
+	// Sizes[ci] is the number of rows in class ci, maintained when
+	// Members is nil.
 	Sizes []int32
-	// TrackSizes enables Sizes maintenance.
-	TrackSizes bool
-	// Part, when non-nil, is the partition overlay recording class
-	// membership; Join births and grows its classes, Leave shrinks them,
-	// and class ids equal overlay class ids.
-	Part *relation.PartitionOverlay
+	// Members[ci], when Members is non-nil, lists class ci's rows in
+	// ascending order; Join births and grows classes, Leave shrinks them.
+	// A list is copy-on-write, so a caller may keep one it read and it
+	// never changes: a row past the last id is appended, in place only
+	// past the list's length, and any other insert or any remove builds a
+	// new slice. A list supplied from elsewhere (a cached partition's
+	// class, a snapshot buffer) must have cap == len, so that its first
+	// append copies too.
+	Members [][]int32
 
 	// FrozenKeys/FrozenVals hold the key index in serialized array form on
 	// a snapshot-restored index (sorted fixed-width key blob plus parallel
@@ -94,8 +98,8 @@ func (ix *ClassIndex) EncodeRow(rel *relation.Relation, t int) []byte {
 // a lone row, a lone-row key births a two-tuple class with the promoted
 // partner, and a class key joins the existing class. Returns the class id
 // (-1 for JoinLone), the promoted partner row (JoinBirth only, else -1),
-// and the case taken. Rows may join in any order; the overlay keeps each
-// class ascending.
+// and the case taken. Rows may join in any order; member lists stay
+// ascending.
 func (ix *ClassIndex) Join(rel *relation.Relation, t int32) (ci, partner int32, kind JoinKind) {
 	return ix.JoinKey(rel, ix.EncodeRow(rel, int(t)), t)
 }
@@ -110,30 +114,39 @@ func (ix *ClassIndex) JoinKey(rel *relation.Relation, key []byte, t int32) (ci, 
 		return -1, -1, JoinLone
 	case enc <= -2: // lone row: birth a two-tuple class
 		r := -enc - 2
-		var nc int32
-		if ix.Part != nil {
-			nc = int32(ix.Part.AddClass(min(r, t), max(r, t)))
-		} else {
-			nc = int32(len(ix.Counts))
-		}
+		nc := int32(len(ix.Counts))
 		ix.Keys[string(key)] = nc
 		col := rel.Column(ix.RHS)
 		pairs := Bump(Bump(make([]ValCount, 0, 2), col.At(int(r)), 1), col.At(int(t)), 1)
 		ix.Counts = append(ix.Counts, pairs)
-		if ix.TrackSizes {
+		if ix.Members != nil {
+			ix.Members = append(ix.Members, []int32{min(r, t), max(r, t)})
+		} else {
 			ix.Sizes = append(ix.Sizes, 2)
 		}
 		return nc, r, JoinBirth
 	default: // existing class
-		if ix.Part != nil {
-			ix.Part.Add(int(enc), t)
-		}
 		ix.Counts[enc] = Bump(ix.Counts[enc], rel.Value(int(t), ix.RHS), 1)
-		if ix.TrackSizes {
+		if ix.Members != nil {
+			ix.addMember(enc, t)
+		} else {
 			ix.Sizes[enc]++
 		}
 		return enc, -1, JoinExisting
 	}
+}
+
+// addMember joins row t to class ci's member list, keeping it ascending:
+// a row past the last id is appended, any other is inserted into a new
+// slice.
+func (ix *ClassIndex) addMember(ci, t int32) {
+	l := ix.Members[ci]
+	if len(l) == 0 || t > l[len(l)-1] {
+		ix.Members[ci] = append(l, t)
+		return
+	}
+	k, _ := slices.BinarySearch(l, t)
+	ix.Members[ci] = slices.Concat(l[:k], []int32{t}, l[k:])
 }
 
 // BumpVal replaces one occurrence of from with to in class ci's multiset
@@ -144,16 +157,20 @@ func (ix *ClassIndex) BumpVal(ci int32, from, to relation.Value) {
 
 // Leave removes row t, whose pre-batch consequent is a, from class ci
 // (antecedent rewrites pull rows out of their old class) and returns the
-// class's remaining size: from Sizes when TrackSizes is set, else from
-// the overlay, which loses the row. The inverse is a re-Join through the
-// row's old key.
+// class's remaining size: from Sizes when Members is nil, else from the
+// member list, which loses the row into a new slice. The inverse is a
+// re-Join through the row's old key.
 func (ix *ClassIndex) Leave(ci, t int32, a relation.Value) int32 {
 	ix.Counts[ci] = Bump(ix.Counts[ci], a, -1)
-	if ix.TrackSizes {
+	if ix.Members == nil {
 		ix.Sizes[ci]--
 		return ix.Sizes[ci]
 	}
-	return int32(ix.Part.Remove(int(ci), t))
+	l := ix.Members[ci]
+	if k, found := slices.BinarySearch(l, t); found {
+		ix.Members[ci] = slices.Concat(l[:k], l[k+1:])
+	}
+	return int32(len(ix.Members[ci]))
 }
 
 // NeedsHydrate reports whether the index is still in frozen array form.

@@ -3,10 +3,9 @@
 // maintain the same three structures over the same relation — a
 // dict-encoded LHS-key hash index with lone (singleton) rows folded into
 // the id space, per-class consequent value multisets kept as small
-// linear-probed slices, and a relation.PartitionOverlay absorbing
-// appended tuples. Before this package each engine carried its own copy
-// of that machinery (monitor_shard.go's valCount/bump/loneRow,
-// tracker.go's vc/bumpVC/lone); ClassIndex owns it once.
+// linear-probed slices, and per-class sizes or, for the monitor, per-class
+// copy-on-write member lists. ClassIndex owns that machinery once for
+// both engines.
 //
 // Everything here is single-writer, like the engines built on it:
 // mutating one ClassIndex from two goroutines at once is a caller bug.

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -92,18 +93,15 @@ func TestEncodeKeyFixedWidth(t *testing.T) {
 }
 
 // TestClassIndexJoinCases drives the three JoinKey cases on the monitor
-// shape (Part overlay, consequent multisets, no sizes) and checks every
-// side effect: key map transitions, overlay class membership, multisets.
+// shape (member lists, consequent multisets, no sizes) and checks every
+// side effect: key map transitions, class membership, multisets.
 func TestClassIndexJoinCases(t *testing.T) {
 	rel := testRel(t, []string{"X", "A"}, [][]string{
 		{"k1", "v1"}, {"k1", "v2"}, {"k2", "v1"}, {"k1", "v1"},
 	})
-	// Start from an overlay over an empty base: every class is born
-	// through the index.
-	empty := &relation.Partition{N: rel.NumRows(), Stripped: true}
-	ov := relation.NewPartitionOverlayShard(empty, nil)
+	// Start with no classes: every class is born through the index.
 	ix := NewClassIndex([]int{0}, 1)
-	ix.Part = ov
+	ix.Members = [][]int32{}
 
 	ci, partner, kind := ix.Join(rel, 0)
 	if kind != JoinLone || ci != -1 || partner != -1 {
@@ -114,7 +112,7 @@ func TestClassIndexJoinCases(t *testing.T) {
 		t.Fatalf("row 1: got (%d,%d,%v), want birth with partner 0", ci, partner, kind)
 	}
 	born := ci
-	if got := ov.StableView(int(born)); !reflect.DeepEqual(got, []int32{0, 1}) {
+	if got := ix.Members[born]; !reflect.DeepEqual(got, []int32{0, 1}) {
 		t.Fatalf("born class = %v", got)
 	}
 	if !reflect.DeepEqual(ix.Counts[born], []ValCount{{rel.Value(0, 1), 1}, {rel.Value(1, 1), 1}}) {
@@ -129,23 +127,97 @@ func TestClassIndexJoinCases(t *testing.T) {
 	if kind != JoinExisting || ci != born || partner != -1 {
 		t.Fatalf("row 3: got (%d,%d,%v), want existing class %d", ci, partner, kind, born)
 	}
-	if got := ov.StableView(int(born)); !reflect.DeepEqual(got, []int32{0, 1, 3}) {
+	if got := ix.Members[born]; !reflect.DeepEqual(got, []int32{0, 1, 3}) {
 		t.Fatalf("grown class = %v", got)
 	}
 	if !reflect.DeepEqual(ix.Counts[born], []ValCount{{rel.Value(0, 1), 2}, {rel.Value(1, 1), 1}}) {
 		t.Fatalf("grown multiset = %v", ix.Counts[born])
 	}
+	if len(ix.Sizes) != 0 {
+		t.Fatalf("member-list index tracked sizes %v", ix.Sizes)
+	}
 }
 
-// TestClassIndexTrackerOps drives the maintainer shape (no Part, tracked
-// sizes): birth allocates sequential class ids, Leave shrinks, and
-// BumpVal(ci, to, from) exactly undoes BumpVal(ci, from, to).
+// TestClassIndexMembersCopyOnWrite pins the member lists' rules: every
+// class stays ascending whichever row joins or leaves, Leave reports the
+// list's length, and a list read before an edit never changes — not a
+// class a partition supplied with cap == len, not a list grown by
+// appends, not one edited in the middle.
+func TestClassIndexMembersCopyOnWrite(t *testing.T) {
+	rows := make([][]string, 12)
+	for r := range rows {
+		rows[r] = []string{"k", fmt.Sprint("v", r%3)}
+	}
+	rel := testRel(t, []string{"X", "A"}, rows)
+	// Two classes back to back in one flat array, as a cached partition
+	// holds them.
+	p := &relation.Partition{Tuples: []int32{2, 5, 8, 1, 4}, Offsets: []int32{0, 3, 5}, N: rel.NumRows(), Stripped: true}
+	ix := NewClassIndex([]int{0}, 1)
+	ix.Members = [][]int32{p.Class(0), p.Class(1)}
+	for ci, class := range ix.Members {
+		ix.Counts = append(ix.Counts, nil)
+		for _, r := range class {
+			ix.Counts[ci] = Bump(ix.Counts[ci], rel.Value(int(r), 1), 1)
+		}
+	}
+	key := string(ix.EncodeRow(rel, 0))
+	ix.Keys[key] = 0
+
+	type read struct {
+		list, want []int32
+	}
+	var reads []read
+	keep := func() {
+		l := ix.Members[0]
+		reads = append(reads, read{l, append([]int32(nil), l...)})
+	}
+	step := func(label string, want []int32) {
+		t.Helper()
+		if got := ix.Members[0]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: class = %v, want %v", label, got, want)
+		}
+		for k, r := range reads {
+			if !reflect.DeepEqual(r.list, r.want) {
+				t.Fatalf("%s: list read before edit %d changed to %v, was %v", label, k, r.list, r.want)
+			}
+		}
+		if !reflect.DeepEqual(p.Tuples, []int32{2, 5, 8, 1, 4}) {
+			t.Fatalf("%s: the partition's flat array changed to %v", label, p.Tuples)
+		}
+		keep()
+	}
+	keep()
+	ix.JoinKey(rel, []byte(key), 9) // first append copies the clipped class
+	step("append past a partition class", []int32{2, 5, 8, 9})
+	ix.JoinKey(rel, []byte(key), 11) // appends in place past the length
+	step("append in place", []int32{2, 5, 8, 9, 11})
+	ix.JoinKey(rel, []byte(key), 3)
+	step("insert in the middle", []int32{2, 3, 5, 8, 9, 11})
+	ix.JoinKey(rel, []byte(key), 0)
+	step("insert at the front", []int32{0, 2, 3, 5, 8, 9, 11})
+	if n := ix.Leave(0, 11, rel.Value(11, 1)); n != 6 {
+		t.Fatalf("Leave of the last row left %d rows, want 6", n)
+	}
+	step("remove the last row", []int32{0, 2, 3, 5, 8, 9})
+	ix.JoinKey(rel, []byte(key), 10)
+	step("append after a remove", []int32{0, 2, 3, 5, 8, 9, 10})
+	if n := ix.Leave(0, 5, rel.Value(5, 1)); n != 6 {
+		t.Fatalf("Leave of a middle row left %d rows, want 6", n)
+	}
+	step("remove in the middle", []int32{0, 2, 3, 8, 9, 10})
+	if !reflect.DeepEqual(ix.Members[1], []int32{1, 4}) {
+		t.Fatalf("the neighbouring class changed to %v", ix.Members[1])
+	}
+}
+
+// TestClassIndexTrackerOps drives the maintainer shape (Members nil, so
+// sizes are tracked): birth allocates sequential class ids, Leave
+// shrinks, and BumpVal(ci, to, from) exactly undoes BumpVal(ci, from, to).
 func TestClassIndexTrackerOps(t *testing.T) {
 	rel := testRel(t, []string{"X", "A"}, [][]string{
 		{"k1", "v1"}, {"k1", "v2"}, {"k2", "v3"}, {"k2", "v3"},
 	})
 	ix := NewClassIndex([]int{0}, 1)
-	ix.TrackSizes = true
 	for tt := int32(0); tt < 4; tt++ {
 		ix.Join(rel, tt)
 	}
@@ -174,7 +246,6 @@ func TestClassIndexFrozenRoundTrip(t *testing.T) {
 		{"a", "1", "p"}, {"a", "1", "q"}, {"b", "2", "p"}, {"c", "1", "r"},
 	})
 	ix := NewClassIndex([]int{0, 1}, 2)
-	ix.TrackSizes = true
 	for tt := int32(0); tt < 4; tt++ {
 		ix.Join(rel, tt)
 	}

@@ -6,10 +6,8 @@ package relation
 // is full its backing array never moves or changes length again — which
 // buys three things the flat layout could not give:
 //
-//   - Appends never reallocate previously written codes, so column views
-//     captured before an append (partition overlays, StableView snapshots,
-//     the monitor's materialized violation records) stay valid without
-//     copying.
+//   - Appends never reallocate previously written codes, so a column
+//     view captured before an append stays valid without copying.
 //   - Snapshots serialize and restore columns as bulk fixed-size block
 //     copies with no re-interning and no growth-path waste.
 //   - Memory accounting is exact: a column's footprint is a block count,

@@ -34,8 +34,7 @@ func TestColSealedBlockStableUnderAppend(t *testing.T) {
 	}
 	sealed := c.Block(0)
 	// A view captured at the seal must stay valid (same backing array,
-	// same values) through arbitrary later appends — the overlay/StableView
-	// contract.
+	// same values) through arbitrary later appends.
 	for i := 0; i < 3*BlockSize; i++ {
 		c.Append(Value(-1))
 	}

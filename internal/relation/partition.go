@@ -35,9 +35,11 @@ func (p *Partition) NumClasses() int {
 }
 
 // Class returns the tuple ids of class i as a view into the flat array;
-// callers must not modify it.
+// callers must not modify it. The view's capacity ends at the class, so
+// appending to it copies instead of writing into the next class.
 func (p *Partition) Class(i int) []int32 {
-	return p.Tuples[p.Offsets[i]:p.Offsets[i+1]]
+	lo, hi := p.Offsets[i], p.Offsets[i+1]
+	return p.Tuples[lo:hi:hi]
 }
 
 // ClassInts materializes class i as []int.

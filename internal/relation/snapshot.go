@@ -11,16 +11,15 @@ import (
 
 // This file is the relation substrate's side of the snapshot format:
 // encode/decode of relations (schema + dictionaries + column block
-// chains), partitions, partition caches, and partition overlays. The
-// encoding is private to the repo's snapshot sections — stability across
-// versions is handled by the section header in internal/snapshot, not
-// here.
+// chains), partitions and partition caches. The encoding is private to
+// the repo's snapshot sections — stability across versions is handled by
+// the section header in internal/snapshot, not here.
 //
-// Decoding is zero-copy where it matters: column blocks, partition arrays,
-// and overlay deltas alias the reader's buffer (see the wire package for
-// the lifetime and mutation contract), and dictionary domains decode as
-// slices of one shared string slab with the string→id maps hydrated only
-// if the relation is written to again.
+// Decoding is zero-copy where it matters: column blocks and partition
+// arrays alias the reader's buffer (see the wire package for the lifetime
+// and mutation contract), and dictionary domains decode as slices of one
+// shared string slab with the string→id maps hydrated only if the
+// relation is written to again.
 
 // AppendRelation encodes r.
 func AppendRelation(w *wire.Writer, r *Relation) {
@@ -176,44 +175,4 @@ func DecodePartitionCache(r *wire.Reader, rel *Relation) (*PartitionCache, error
 	pc.evictions.Store(0)
 	pc.peakBytes.Store(pc.bytes.Load())
 	return pc, r.Err()
-}
-
-// Delta returns class ci's overlay tuples: the appended ones of a base
-// class, the whole class of a detached or overlay-born one (snapshot
-// encode hook; callers must not mutate the slice).
-func (o *PartitionOverlay) Delta(ci int) []int32 { return o.deltas[ci] }
-
-// BaseMap returns the overlay's base-class mapping, Detached entries
-// included. Snapshot encode hook; callers must not mutate it.
-func (o *PartitionOverlay) BaseMap() []int32 { return o.baseMap }
-
-// RestoreOverlayShard rebuilds an overlay from its serialized parts: the
-// shared frozen base, the shard's base-class mapping, and the per-class
-// delta lists (len(deltas) ≥ len(baseMap); classes at or past the mapping
-// are overlay-born). The slices are retained, not copied. It fails
-// closed on a mapping entry that is neither a non-empty base class nor
-// Detached; the caller checks the classes' tuples (Parts), which it
-// walks anyway.
-func RestoreOverlayShard(base *Partition, baseMap []int32, deltas [][]int32) (*PartitionOverlay, error) {
-	if len(deltas) < len(baseMap) {
-		return nil, fmt.Errorf("relation: snapshot overlay has %d classes for %d base classes", len(deltas), len(baseMap))
-	}
-	nb := base.NumClasses()
-	for _, b := range baseMap {
-		if b == Detached {
-			continue
-		}
-		if b < 0 || int(b) >= nb {
-			return nil, fmt.Errorf("relation: snapshot overlay maps base class %d of %d", b, nb)
-		}
-		if lo, hi := base.Offsets[b], base.Offsets[b+1]; lo < 0 || hi <= lo || int(hi) > len(base.Tuples) {
-			return nil, fmt.Errorf("relation: snapshot base class %d spans [%d, %d) of %d tuples", b, lo, hi, len(base.Tuples))
-		}
-	}
-	return &PartitionOverlay{
-		base:    base,
-		nBase:   len(baseMap),
-		deltas:  deltas,
-		baseMap: baseMap,
-	}, nil
 }

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/pipeline"
-	"github.com/fastofd/fastofd/internal/relation"
 	"github.com/fastofd/fastofd/internal/wire"
 )
 
@@ -22,8 +20,8 @@ type monitorFields struct {
 	classOf  [][]int32 // per OFD
 	rowShard [][]uint8 // per OFD
 	// Per shard, per OFD.
-	baseMap   [][][]int32
-	deltas    [][][][]int32
+	lens      [][][]int32
+	rows      [][][]int32
 	keyVals   [][][]int32
 	countVals [][][]int32
 	countNs   [][][]int32
@@ -44,23 +42,16 @@ func walkMonitorBody(t *testing.T, payload []byte, p *pipeline.Pipeline) *monito
 	for range sigma {
 		f.classOf = append(f.classOf, r.Int32s())
 		f.rowShard = append(f.rowShard, r.Uint8s())
-		relation.DecodePartition(r)
 	}
 	for s := 0; s < f.shards; s++ {
-		f.baseMap = append(f.baseMap, nil)
-		f.deltas = append(f.deltas, nil)
+		f.lens = append(f.lens, nil)
+		f.rows = append(f.rows, nil)
 		f.keyVals = append(f.keyVals, nil)
 		f.countVals = append(f.countVals, nil)
 		f.countNs = append(f.countNs, nil)
 		for range sigma {
-			f.baseMap[s] = append(f.baseMap[s], r.Int32s())
-			r.Int() // classes
-			var ds [][]int32
-			for k, n := 0, r.Int(); k < n; k++ {
-				r.Int() // class id
-				ds = append(ds, r.Int32s())
-			}
-			f.deltas[s] = append(f.deltas[s], ds)
+			f.lens[s] = append(f.lens[s], r.Int32s())
+			f.rows[s] = append(f.rows[s], r.Int32s())
 			r.Int() // key count
 			r.Int() // key width
 			r.Blob()
@@ -98,8 +89,8 @@ func find[E any](t *testing.T, f *monitorFields, pick func(s, i int) []E) []E {
 func TestOpenRejectsCorruptMonitorBody(t *testing.T) {
 	p, batch, appendRow := newTestPipeline(t, 23)
 	rel := p.Relation()
-	// Appends fill deltas, and rewriting every column of some rows moves
-	// them between antecedent classes, which detaches base classes.
+	// Appends grow classes, and rewriting every column of some rows moves
+	// them between antecedent classes.
 	if _, err := p.AppendRows([][]string{appendRow(), appendRow(), appendRow()}); err != nil {
 		t.Fatalf("AppendRows: %v", err)
 	}
@@ -114,56 +105,59 @@ func TestOpenRejectsCorruptMonitorBody(t *testing.T) {
 	}
 	secs := splitSections(t, img)
 	n := int32(rel.NumRows())
+	// class returns the member list of a class of at least two rows.
+	class := func(f *monitorFields) []int32 {
+		return find(t, f, func(s, i int) []int32 {
+			pos := int32(0)
+			for _, l := range f.lens[s][i] {
+				if l >= 2 {
+					return f.rows[s][i][pos : pos+l]
+				}
+				pos += l
+			}
+			return nil
+		})
+	}
+	// length returns the lengths array from the first non-empty class on.
+	length := func(f *monitorFields) []int32 {
+		return find(t, f, func(s, i int) []int32 {
+			for k, l := range f.lens[s][i] {
+				if l > 0 {
+					return f.lens[s][i][k:]
+				}
+			}
+			return nil
+		})
+	}
 
 	cases := []struct {
 		name    string
 		corrupt func(f *monitorFields)
 	}{
 		{"pristine", func(*monitorFields) {}},
-		{"base-map entry past the base", func(f *monitorFields) {
-			find(t, f, func(s, i int) []int32 { return f.baseMap[s][i] })[0] = 1 << 30
+		{"class length overrunning the rows", func(f *monitorFields) {
+			length(f)[0]++
 		}},
-		{"negative base-map entry", func(f *monitorFields) {
-			find(t, f, func(s, i int) []int32 { return f.baseMap[s][i] })[0] = -7
+		{"class length underrunning the rows", func(f *monitorFields) {
+			length(f)[0]--
 		}},
-		{"detached base-map entry", func(f *monitorFields) {
-			bm := find(t, f, func(s, i int) []int32 {
-				for k, b := range f.baseMap[s][i] {
-					if b != relation.Detached {
-						return f.baseMap[s][i][k:]
-					}
-				}
-				return nil
-			})
-			bm[0] = relation.Detached // its class loses its base members
+		{"negative class length", func(f *monitorFields) {
+			length(f)[0] = -1
 		}},
 		{"overlay tuple past the rows", func(f *monitorFields) {
-			d := find(t, f, func(s, i int) []int32 {
-				if len(f.deltas[s][i]) > 0 {
-					return f.deltas[s][i][0]
-				}
-				return nil
-			})
-			d[len(d)-1] = n + 5
+			c := class(f)
+			c[len(c)-1] = n + 5
+		}},
+		{"class row equal to the row count", func(f *monitorFields) {
+			c := class(f)
+			c[len(c)-1] = n
 		}},
 		{"negative overlay tuple", func(f *monitorFields) {
-			find(t, f, func(s, i int) []int32 {
-				if len(f.deltas[s][i]) > 0 {
-					return f.deltas[s][i][0]
-				}
-				return nil
-			})[0] = -3
+			class(f)[0] = -3
 		}},
 		{"overlay class out of order", func(f *monitorFields) {
-			d := find(t, f, func(s, i int) []int32 {
-				for _, d := range f.deltas[s][i] {
-					if len(d) >= 2 {
-						return d
-					}
-				}
-				return nil
-			})
-			d[0], d[1] = d[1], d[0]
+			c := class(f)
+			c[0], c[1] = c[1], c[0]
 		}},
 		{"row shard past the shard count", func(f *monitorFields) {
 			f.rowShard[0][0] = uint8(f.shards)
@@ -210,11 +204,7 @@ func TestOpenRejectsCorruptMonitorBody(t *testing.T) {
 	for k, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			payload := append([]byte(nil), secs[2].payload...)
-			f := walkMonitorBody(t, payload, p)
-			if tc.name == "pristine" && !slices.Contains(slices.Concat(slices.Concat(f.baseMap...)...), relation.Detached) {
-				t.Fatal("the saved monitor holds no detached class")
-			}
-			tc.corrupt(f)
+			tc.corrupt(walkMonitorBody(t, payload, p))
 			if (tc.name == "pristine") != bytes.Equal(payload, secs[2].payload) {
 				t.Fatal("the corruption did not land in the payload")
 			}
@@ -248,7 +238,7 @@ func TestOpenRejectsCorruptMonitorBody(t *testing.T) {
 }
 
 // TestReopenedPipelineAbsorbsAntecedentMoves saves a pipeline whose
-// monitor has detached classes, reopens it, and runs antecedent batches
+// monitor has moved rows between classes, reopens it, and runs antecedent batches
 // first (their moves hydrate the frozen key maps), then an append: after
 // each step the report equals a fresh Detect of the monitored set.
 func TestReopenedPipelineAbsorbsAntecedentMoves(t *testing.T) {

@@ -221,11 +221,15 @@ func TestCorruptionDetected(t *testing.T) {
 			t.Fatal("bad magic not detected")
 		}
 	})
+	// A future version, and version 4, whose monitor body had another
+	// layout.
 	t.Run("future version", func(t *testing.T) {
-		bad := append([]byte(nil), img...)
-		bad[8] = 0xee // version field (LE uint32 right after the magic)
-		if _, err := Decode(bad, Options{}); err == nil {
-			t.Fatal("unsupported version not detected")
+		for _, v := range []byte{0xee, 4} {
+			bad := append([]byte(nil), img...)
+			bad[8] = v // version field (LE uint32 right after the magic)
+			if _, err := Decode(bad, Options{}); err == nil {
+				t.Fatalf("unsupported version %d not detected", v)
+			}
 		}
 	})
 	t.Run("empty file", func(t *testing.T) {
