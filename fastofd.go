@@ -342,7 +342,8 @@ func SaveSnapshot(path string, st *SnapshotState) error { return snapshot.Save(p
 
 // OpenSnapshot reads a snapshot file written by SaveSnapshot. Reopen cost
 // scales with the flagged violation state, not the instance: bulk arrays
-// decode as zero-copy views and index maps hydrate lazily on first write.
+// decode as zero-copy views, and the engines' key maps, which snapshots do
+// not store, are rebuilt on the first append or antecedent write.
 func OpenSnapshot(path string, opts SnapshotOptions) (*SnapshotState, error) {
 	return snapshot.Open(path, opts)
 }

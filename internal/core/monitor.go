@@ -83,10 +83,10 @@ type Monitor struct {
 	epoch   uint64
 	history historyPtr
 
-	// needHydrate marks a snapshot-restored monitor whose LHS-key index
-	// maps are still in frozen array form; the first append or antecedent
-	// write hydrates them (no other operation consults the indexes).
-	needHydrate bool
+	// needKeys marks a snapshot-restored monitor whose LHS-key maps are
+	// not built yet; the first append or antecedent write rebuilds them
+	// (restoreKeys; no other operation consults the maps).
+	needKeys bool
 
 	keyBuf    []byte // LHS-key encoding scratch (joins and moves)
 	snapDirty []bool // per-shard "snapshot stale" scratch

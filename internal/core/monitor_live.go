@@ -6,6 +6,7 @@ import (
 
 	"github.com/fastofd/fastofd/internal/exec"
 	"github.com/fastofd/fastofd/internal/live"
+	"github.com/fastofd/fastofd/internal/relation"
 )
 
 // This file is the monitor's live surface: registration of dependencies
@@ -112,10 +113,11 @@ func (m *Monitor) Absorb() {
 	routeSpan := m.Stats.Span("monitor.route")
 	routeSpan.Items(end - t0 + len(writes))
 	w := exec.Workers(m.Workers)
-	moved := m.routeMoves(writes)
-	if m.needHydrate && (t0 < end || moved) {
-		m.hydrateIndexes()
+	touched := Touched(writes)
+	if m.needKeys && (t0 < end || m.movesRows(touched)) {
+		m.restoreKeys(writes)
 	}
+	m.routeMoves(writes, touched)
 	for t := t0; t < end; t++ {
 		m.joinRow(int32(t))
 	}
@@ -160,16 +162,56 @@ func (m *Monitor) Absorb() {
 	mergeSpan.End()
 }
 
+// movesRows reports whether writes to the columns touched move a row
+// under some dependency.
+func (m *Monitor) movesRows(touched relation.AttrSet) bool {
+	for _, d := range m.sigma {
+		if !d.LHS.Intersect(touched).IsEmpty() {
+			return true
+		}
+	}
+	return false
+}
+
+// restoreKeys rebuilds the key maps of every dependency restored without
+// them (DecodeMonitorBody saves none) from its routing tables
+// (live.IndexKeys). Absorb runs it before routeMoves rewrites the tables,
+// which then still describe the batch's source state. The relation
+// already holds the writes, so a written row's key is encoded from the
+// log's Old values (AppendSourceKey), found by a cursor: the log and
+// IndexKeys's requests both ascend by row.
+func (m *Monitor) restoreKeys(writes []CellWrite) {
+	_ = exec.For(context.Background(), len(m.sigma), exec.Workers(m.Workers), func(_, i int) {
+		if m.shards[0].idx[i].Keys != nil {
+			return // registered after the restore
+		}
+		idx := make([]*live.ClassIndex, m.nShards)
+		for s, sh := range m.shards {
+			idx[s] = sh.idx[i]
+		}
+		cols, lo := m.lhsCols[i], 0
+		live.IndexKeys(idx, m.classOf[i], m.rowShard[i], func(blob []byte, t int) []byte {
+			for lo < len(writes) && writes[lo].Row < t {
+				lo++
+			}
+			hi := lo
+			for hi < len(writes) && writes[hi].Row == t {
+				hi++
+			}
+			return AppendSourceKey(blob, m.rel, cols, writes[lo:hi], t)
+		})
+	})
+	m.needKeys = false
+}
+
 // routeMoves routes the write log's antecedent moves. For every
 // dependency whose antecedent a written row changed, the row's leave goes
 // to the shard owning its source-state key, with its pre-batch class (or
 // -1 for a lone row), its pre-batch consequent and that key, built from
 // the log's Old values. Its join goes to the shard owning its
 // target-state key. The row's routing entry then names the new shard and
-// no class until the join lands. Reports whether any row moved.
-func (m *Monitor) routeMoves(writes []CellWrite) bool {
-	touched := Touched(writes)
-	moved := false
+// no class until the join lands. touched is Touched(writes).
+func (m *Monitor) routeMoves(writes []CellWrite, touched relation.AttrSet) {
 	for i, d := range m.sigma {
 		if d.LHS.Intersect(touched).IsEmpty() {
 			continue
@@ -195,7 +237,6 @@ func (m *Monitor) routeMoves(writes []CellWrite) bool {
 			if !xChanged {
 				continue
 			}
-			moved = true
 			from := m.shards[m.rowShard[i][t]]
 			from.leaves = append(from.leaves, shardMove{ofd: i32, row: int32(t), class: m.classOf[i][t], preA: preA, key: int32(len(from.moveKeys))})
 			from.moveKeys = AppendSourceKey(from.moveKeys, m.rel, cols, seg, t)
@@ -208,5 +249,4 @@ func (m *Monitor) routeMoves(writes []CellWrite) bool {
 			m.classOf[i][t] = -1
 		}
 	}
-	return moved
 }

@@ -30,9 +30,8 @@ func shardOfKey(key []byte, nShards int) uint8 {
 // hashed to a shard, which records it in its LHS-key index. A shard's
 // member list of a class is the cached base partition's class itself,
 // which the list's copy-on-write rule never writes. All keys of the
-// dependency are appended to one blob, which becomes one string whose
-// substrings are the map keys, and each shard's map is made at its key
-// count, so the build allocates no string per key and never grows a map.
+// dependency go through one live.KeyBuild, so the build allocates no
+// string per key and never grows a map.
 // Iteration i writes only index-i slots of the per-shard slices and maps,
 // so the monitor build fans routeIndex out over dependencies race-free.
 func (m *Monitor) routeIndex(i int) {
@@ -49,17 +48,10 @@ func (m *Monitor) routeIndex(i int) {
 	}
 	rowShard := make([]uint8, n)
 	nc := base.NumClasses()
-	nkeys := nc + n - base.Size()
-	blob := make([]byte, 0, nkeys*width)
-	keyShard := make([]uint8, 0, nkeys)
-	keyVal := make([]int32, 0, nkeys)
-	perShard := make([]int, m.nShards)
+	kb := live.NewKeyBuild(width, nc+n-base.Size(), m.nShards)
 	key := func(t int) uint8 {
-		blob = live.AppendKey(blob, m.rel, cols, t)
-		s := shardOfKey(blob[len(blob)-width:], m.nShards)
-		keyShard = append(keyShard, s)
-		perShard[s]++
-		return s
+		kb.Blob = live.AppendKey(kb.Blob, m.rel, cols, t)
+		return shardOfKey(kb.Blob[len(kb.Blob)-width:], m.nShards)
 	}
 
 	// Route base classes: ascending base order per shard keeps local ids
@@ -73,7 +65,7 @@ func (m *Monitor) routeIndex(i int) {
 		s := key(int(class[0]))
 		local := int32(len(members[s]))
 		members[s] = append(members[s], class)
-		keyVal = append(keyVal, local)
+		kb.Add(local, s)
 		for _, t := range class {
 			classOf[t] = local
 			rowShard[t] = s
@@ -85,17 +77,16 @@ func (m *Monitor) routeIndex(i int) {
 	for t := 0; t < n; t++ {
 		if classOf[t] < 0 {
 			rowShard[t] = key(t)
-			keyVal = append(keyVal, live.LoneRow(int32(t)))
+			kb.Add(live.LoneRow(int32(t)), rowShard[t])
 		}
 	}
 
+	idx := make([]*live.ClassIndex, m.nShards)
 	for s, sh := range m.shards {
-		sh.idx[i] = &live.ClassIndex{Cols: cols, RHS: d.RHS, Keys: make(map[string]int32, perShard[s]), Members: members[s]}
+		idx[s] = &live.ClassIndex{Cols: cols, RHS: d.RHS, Members: members[s]}
+		sh.idx[i] = idx[s]
 	}
-	keys := string(blob)
-	for k, s := range keyShard {
-		m.shards[s].idx[i].Keys[keys[k*width:(k+1)*width]] = keyVal[k]
-	}
+	kb.Intern(idx)
 	m.classOf[i] = classOf
 	m.rowShard[i] = rowShard
 }

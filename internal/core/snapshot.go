@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"github.com/fastofd/fastofd/internal/exec"
@@ -15,20 +14,20 @@ import (
 )
 
 // This file is the monitor's side of the snapshot format, plus the
-// verifier tables AppendSubstrate writes. A monitor body captures exactly
-// the state a rebuild would recompute from the instance — Σ, the per-OFD
-// routing tables, each shard's class member lists, LHS-key indexes and
-// consequent multisets — so reopening costs bulk array reads plus one
-// multiset pass per class to re-materialize violation records, instead of
-// partition construction and LHS-key hashing over every tuple.
+// verifier tables AppendSubstrate writes. A monitor body captures the
+// state a rebuild would recompute from the instance — Σ, the per-OFD
+// routing tables, each shard's class member lists and consequent
+// multisets — so reopening costs bulk array reads plus one multiset pass
+// per class to re-materialize violation records, instead of partition
+// construction and LHS-key hashing over every tuple.
 //
 // Two deliberately lazy pieces keep reopen latency proportional to the
 // flagged state rather than the instance:
 //
-//   - LHS-key index maps are restored in frozen key/value array form and
-//     hydrated into hash maps only when a batch first appends a row or
-//     writes an antecedent cell (Report and consequent-only batches never
-//     consult them).
+//   - LHS-key maps are not saved: they hold nothing the routing tables
+//     and the relation lack. Absorb rebuilds them (Monitor.restoreKeys)
+//     when a batch first appends a row or writes an antecedent cell;
+//     Report and consequent-only batches never consult them.
 //   - Dictionary string→id maps hydrate on first intern (relation side).
 
 // AppendSet encodes Σ.
@@ -125,21 +124,12 @@ func decodeVerifier(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontolo
 	return v, r.Err()
 }
 
-// AppendLHSIndex encodes one LHS-key index (encoded fixed-width key →
-// class id or lone-row entry) as concatenated key-sorted keys plus
-// parallel values — the shared frozen form of monitor shard indexes and
-// maintainer cover-tracker indexes.
-func AppendLHSIndex(w *wire.Writer, idx map[string]int32, width int) {
-	appendLHSIndex(w, idx, width)
-}
-
 // AppendMonitorBody encodes everything of m except its substrate — the
 // pipeline snapshot writes the shared substrate once (AppendSubstrate) and
 // then each engine's body. Each (shard, OFD) writes its classes' lengths
 // and then their member lists back to back as one array, so every class
-// is written once. Restored-and-not-yet-hydrated index state re-encodes
-// from its frozen form directly, so save → open → save round-trips
-// without ever building the maps.
+// is written once. No key map is written, so save → open → save
+// round-trips without ever building one.
 func AppendMonitorBody(w *wire.Writer, m *Monitor) {
 	AppendSet(w, m.sigma)
 	w.Int(m.nShards)
@@ -159,37 +149,9 @@ func AppendMonitorBody(w *wire.Writer, m *Monitor) {
 			}
 			w.Int32s(lens)
 			w.Int32s(flat)
-			if ix.NeedsHydrate() {
-				w.Int(len(ix.FrozenVals))
-				w.Int(ix.Width())
-				w.Blob(ix.FrozenKeys)
-				w.Int32s(ix.FrozenVals)
-			} else {
-				appendLHSIndex(w, ix.Keys, ix.Width())
-			}
 			appendCounts(w, ix.Counts)
 		}
 	}
-}
-
-// appendLHSIndex encodes one LHS-key index as concatenated fixed-width
-// keys plus parallel values, key-sorted so the encoding is deterministic.
-func appendLHSIndex(w *wire.Writer, idx map[string]int32, width int) {
-	w.Int(len(idx))
-	w.Int(width)
-	ordered := make([]string, 0, len(idx))
-	for k := range idx {
-		ordered = append(ordered, k)
-	}
-	sort.Strings(ordered)
-	keys := make([]byte, 0, len(idx)*width)
-	vals := make([]int32, 0, len(idx))
-	for _, k := range ordered {
-		keys = append(keys, k...)
-		vals = append(vals, idx[k])
-	}
-	w.Blob(keys)
-	w.Int32s(vals)
 }
 
 // appendCounts encodes one OFD's per-class consequent multisets as three
@@ -248,6 +210,12 @@ func decodeCounts(r *wire.Reader) [][]live.ValCount {
 // functions of the restored multisets and member lists — so the first
 // Report is byte-identical to the saved monitor's. workers and stats
 // configure the restored monitor exactly as NewMonitor's parameters would.
+// The key maps stay nil until a batch needs them (Monitor.restoreKeys).
+//
+// The restored monitor takes ownership of the bytes r reads: the routing
+// tables and member lists are views of them, and later antecedent moves
+// rewrite the routing tables in place, so the caller must neither reuse
+// nor modify them.
 func DecodeMonitorBody(r *wire.Reader, sub *Substrate, workers int, stats *exec.Stats) (*Monitor, error) {
 	rel := sub.Relation()
 	sigma := DecodeSet(r)
@@ -272,7 +240,7 @@ func DecodeMonitorBody(r *wire.Reader, sub *Substrate, workers int, stats *exec.
 	}
 	m := newMonitor(sub, sigma, nShards, workers, stats)
 	m.epoch = epoch
-	m.needHydrate = true
+	m.needKeys = true
 	for i := range sigma {
 		m.classOf[i] = r.Int32s()
 		m.rowShard[i] = r.Uint8s()
@@ -290,18 +258,7 @@ func DecodeMonitorBody(r *wire.Reader, sub *Substrate, workers int, stats *exec.
 			if err != nil {
 				return nil, err
 			}
-			ix := live.NewClassIndex(m.lhsCols[i], sigma[i].RHS)
-			ix.Members = members
-			count := r.Int()
-			width := r.Int()
-			keys, vals := r.Blob(), r.Int32s()
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			if width != ix.Width() || len(vals) != count || len(keys) != count*width {
-				return nil, fmt.Errorf("core: snapshot LHS index shape mismatch (count %d, width %d)", count, width)
-			}
-			ix.SetFrozen(keys, vals) // hydrated on first append
+			ix := &live.ClassIndex{Cols: m.lhsCols[i], RHS: sigma[i].RHS, Members: members}
 			ix.Counts = decodeCounts(r)
 			if ix.Counts == nil || len(ix.Counts) != len(members) {
 				if r.Err() != nil {
@@ -348,8 +305,7 @@ func DecodeMonitorBody(r *wire.Reader, sub *Substrate, workers int, stats *exec.
 // strictly ascending row ids, and the classes together list as many rows
 // as the routing puts in classes; every multiset holds values of the
 // consequent's dictionary with positive counts summing to its class's
-// size; and every key names a class of its shard or a row. Each check
-// reads its arrays in order. That a listed row's routing names its own
+// size. Each check reads its arrays in order. That a listed row's routing names its own
 // shard and class goes unchecked: a wrong one costs correctness, not
 // safety, and checking it reads the routing tables at random once per
 // listed row, which on a 50K-row reopen cost more than the other checks
@@ -394,11 +350,6 @@ func (m *Monitor) checkRestored(i int) error {
 					return fmt.Errorf("core: snapshot class %d of shard %d is not ascending row ids below %d", ci, s, n)
 				}
 				prev = t
-			}
-		}
-		for _, v := range ix.FrozenVals {
-			if v >= nc || v == -1 || -v-2 >= n {
-				return fmt.Errorf("core: snapshot key of shard %d names entry %d: no class and no row", s, v)
 			}
 		}
 	}
@@ -456,23 +407,6 @@ func (sh *monitorShard) restoreRecords(m *Monitor) {
 		}
 	}
 	sh.rebuildSnap()
-}
-
-// hydrateIndexes materializes the LHS-key maps from their frozen snapshot
-// form — called once, by the first append or antecedent write after a
-// restore (the only operations that consult them). One shared string
-// conversion per index keeps hydration to a map-insert pass: the map keys
-// slice into that backing, so the whole index costs the map plus one slab
-// allocation.
-func (m *Monitor) hydrateIndexes() {
-	_ = exec.For(context.Background(), m.nShards, exec.Workers(m.Workers), func(_, s int) {
-		for _, ix := range m.shards[s].idx {
-			if ix.NeedsHydrate() {
-				ix.Hydrate()
-			}
-		}
-	})
-	m.needHydrate = false
 }
 
 // Relation returns the monitored relation.

@@ -106,26 +106,29 @@ type Maintainer struct {
 	refines int64
 	walks   int64
 
-	// needHydrate marks a snapshot-restored maintainer whose cover-tracker
-	// key indexes are still in frozen array form; the first mutating
-	// operation hydrates them (Cover and Epoch never consult them).
-	needHydrate bool
+	// needKeys marks a snapshot-restored maintainer whose cover trackers'
+	// key maps are not built yet; the first mutating operation rebuilds
+	// them (restoreKeys; Cover and Epoch never consult them).
+	needKeys bool
 }
 
-// hydrate materializes every cover tracker's LHS-key map from its frozen
-// snapshot form — called once, by the first batch or append after a
-// restore (the only operations that consult the maps).
-func (mt *Maintainer) hydrate() {
-	span := mt.stats.Span("maintain.hydrate")
+// restoreKeys builds the key map of every cover tracker restored without
+// one (DecodeMaintainerBody saves none) from its rowClass and the
+// relation, which must hold the state rowClass describes: ApplyBatchContext
+// runs it before the substrate applies the batch, AppendRows after the
+// append, which leaves the rows rowClass covers as they were.
+func (mt *Maintainer) restoreKeys() {
+	span := mt.stats.Span("maintain.keys")
 	w := exec.Workers(mt.workers)
 	span.Workers(w)
 	defer span.End()
+	rel := mt.sub.Relation()
 	_ = exec.For(context.Background(), len(mt.flat), w, func(_, i int) {
-		if ct, ok := mt.flat[i].(*coverTracker); ok {
-			ct.hydrate()
+		if ct, ok := mt.flat[i].(*coverTracker); ok && ct.ix.Keys == nil {
+			ct.buildKeys(rel)
 		}
 	})
-	mt.needHydrate = false
+	mt.needKeys = false
 }
 
 // NewMaintainer builds a maintainer over sub, running a fresh discovery
@@ -252,8 +255,11 @@ func (mt *Maintainer) buildBorder(ctx context.Context, rs *rhsState, keep map[re
 	return err
 }
 
-// rebuildFlat regenerates the batch fan-out list over all trackers.
+// rebuildFlat regenerates the batch fan-out list over all trackers. The
+// old entries are cleared first, so no slot past the new length pins a
+// tracker the cover or border has replaced.
 func (mt *Maintainer) rebuildFlat() {
+	clear(mt.flat)
 	mt.flat = mt.flat[:0]
 	for _, rs := range mt.rhs {
 		for _, ct := range rs.cover {
@@ -338,8 +344,8 @@ func (mt *Maintainer) ApplyBatch(updates []core.CellUpdate) (Diff, error) {
 // snapshot and returns an error satisfying errors.Is(err, ctx.Err())
 // with a zero Diff.
 func (mt *Maintainer) ApplyBatchContext(ctx context.Context, updates []core.CellUpdate) (Diff, error) {
-	if mt.needHydrate {
-		mt.hydrate()
+	if mt.needKeys {
+		mt.restoreKeys()
 	}
 	dirtySpan := mt.stats.Span("maintain.dirty")
 	dirtySpan.Items(len(updates))
@@ -437,8 +443,8 @@ func (mt *Maintainer) AppendRows(rows [][]string) (Diff, error) {
 	if len(rows) == 0 {
 		return Diff{Epoch: mt.epoch}, nil
 	}
-	if mt.needHydrate {
-		mt.hydrate()
+	if mt.needKeys {
+		mt.restoreKeys()
 	}
 	dirtySpan := mt.stats.Span("maintain.dirty")
 	dirtySpan.Items(len(rows))

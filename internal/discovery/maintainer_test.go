@@ -454,3 +454,60 @@ func TestMaintainerLastWritesDedup(t *testing.T) {
 		t.Fatalf("LastWrites = %+v, want %+v", got, want)
 	}
 }
+
+// TestMaintainerFlatPinsNoReplacedTrackers drives corrupt/revert batch
+// pairs through a maintainer: each pair rewrites 20 cells on two columns
+// and then restores them, so the cover grows and shrinks back. After
+// every batch the fan-out list's backing array must be nil past its
+// length, or a slot there would keep a tracker the cover or border
+// replaced (and its key map) reachable for the maintainer's lifetime.
+func TestMaintainerFlatPinsNoReplacedTrackers(t *testing.T) {
+	ds := gen.Generate(gen.Config{Rows: 120, Seed: 9, Preset: "clinical"})
+	sub, err := ds.Rel.ProjectColumns([]int{1, 2, 3, 4, 5, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Workers = 2
+	mt, err := newMaintainer(sub, ds.FullOnt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := mt.Relation()
+	rng := rand.New(rand.NewSource(3))
+	shrank := 0
+	check := func(label string, before int) {
+		t.Helper()
+		if len(mt.flat) < before {
+			shrank++
+		}
+		for k, tr := range mt.flat[len(mt.flat):cap(mt.flat)] {
+			if tr != nil {
+				t.Fatalf("%s: fan-out slot %d past the length %d still holds a %T", label, len(mt.flat)+k, len(mt.flat), tr)
+			}
+		}
+	}
+	for pair := 0; pair < 12; pair++ {
+		var corrupt, revert []core.CellUpdate
+		cols := rng.Perm(rel.NumCols())[:2]
+		for _, r := range rng.Perm(rel.NumRows())[:10] {
+			for _, c := range cols {
+				corrupt = append(corrupt, core.CellUpdate{Row: r, Col: c, Value: rel.String(rng.Intn(rel.NumRows()), c)})
+				revert = append(revert, core.CellUpdate{Row: r, Col: c, Value: rel.String(r, c)})
+			}
+		}
+		for k, batch := range [][]core.CellUpdate{corrupt, revert} {
+			before := len(mt.flat)
+			if _, err := mt.ApplyBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("pair %d batch %d", pair, k), before)
+		}
+	}
+	if shrank == 0 {
+		t.Fatal("no batch shrank the fan-out list; the test exercises nothing")
+	}
+	if got, want := mt.Cover(), Discover(rel, ds.FullOnt, DefaultOptions()).OFDs; !reflect.DeepEqual(got, want) {
+		t.Fatalf("cover after the reverts diverged from fresh discovery\n got: %v\nwant: %v", got, want)
+	}
+}

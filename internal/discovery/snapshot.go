@@ -24,16 +24,16 @@ import (
 // substrate (partition cache and verifier tables) once, up front, and the
 // monitor and maintainer bodies after it.
 //
-// Cover-tracker LHS-key indexes restore in frozen key/value array form
-// and hydrate into hash maps only when the maintainer mutates again,
-// exactly like the monitor's shard indexes — a restored maintainer that
-// only answers Cover() never builds a map.
+// Cover-tracker LHS-key maps are not saved: each is derivable from the
+// tracker's rowClass and the relation. The maintainer rebuilds them when
+// it mutates again (Maintainer.restoreKeys), exactly like the monitor's
+// shard maps, so a restored maintainer that only answers Cover() never
+// builds a map.
 
 // AppendMaintainerBody encodes the maintainer's engine state without its
 // substrate, which the pipeline section writes once for both engine
-// bodies. Restored-and-not-yet-hydrated tracker indexes re-encode
-// from their frozen form directly, so save → open → save round-trips
-// without ever building the maps.
+// bodies. No key map is written, so save → open → save round-trips
+// without ever building one.
 func AppendMaintainerBody(w *wire.Writer, mt *Maintainer) {
 	w.Uvarint(mt.epoch)
 	w.Uvarint(uint64(mt.scans))
@@ -42,18 +42,9 @@ func AppendMaintainerBody(w *wire.Writer, mt *Maintainer) {
 		w.Int(len(rs.cover))
 		for _, ct := range rs.cover {
 			w.Uvarint(uint64(ct.d.LHS))
-			ix := ct.ix
-			if ix.NeedsHydrate() {
-				w.Int(len(ix.FrozenVals))
-				w.Int(ix.Width())
-				w.Blob(ix.FrozenKeys)
-				w.Int32s(ix.FrozenVals)
-			} else {
-				core.AppendLHSIndex(w, ix.Keys, ix.Width())
-			}
 			w.Int32s(ct.rowClass)
-			w.Int32s(ix.Sizes)
-			appendVCTable(w, ix.Counts)
+			w.Int32s(ct.ix.Sizes)
+			appendVCTable(w, ct.ix.Counts)
 			sat := make([]uint8, len(ct.sat))
 			for ci, s := range ct.sat {
 				if s {
@@ -156,6 +147,9 @@ func decodeVCList(r *wire.Reader) ([]live.ValCount, error) {
 // byte-for-byte the saved trackers, so Cover() and all subsequent diffs
 // are identical to the saved maintainer's. workers and stats configure
 // the restored maintainer exactly as the construction-time options would.
+// The trackers' key maps stay nil until a batch needs them
+// (Maintainer.restoreKeys), so decode fails closed on every row→class
+// entry that rebuild would index by.
 func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stats *exec.Stats) (*Maintainer, error) {
 	rel := sub.Relation()
 	span := stats.Span("maintain.restore")
@@ -170,14 +164,14 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 		return nil, fmt.Errorf("discovery: snapshot maintainer has %d columns, relation has %d", nCols, rel.NumCols())
 	}
 	mt := &Maintainer{
-		sub:         sub,
-		workers:     workers,
-		stats:       stats,
-		all:         rel.Schema().All(),
-		rhs:         make([]*rhsState, nCols),
-		epoch:       epoch,
-		scans:       int64(scans),
-		needHydrate: true,
+		sub:      sub,
+		workers:  workers,
+		stats:    stats,
+		all:      rel.Schema().All(),
+		rhs:      make([]*rhsState, nCols),
+		epoch:    epoch,
+		scans:    int64(scans),
+		needKeys: true,
 	}
 	nRows := rel.NumRows()
 	for c := 0; c < nCols; c++ {
@@ -193,12 +187,8 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 				d:      d,
 				cols:   lhs.Attrs(),
 				colSet: lhs.With(c),
-				ix:     live.NewClassIndex(d.LHS.Attrs(), d.RHS),
+				ix:     &live.ClassIndex{Cols: lhs.Attrs(), RHS: c},
 			}
-			count := r.Int()
-			width := r.Int()
-			keys := r.Blob()
-			vals := r.Int32s()
 			ct.rowClass = r.Int32s()
 			ct.ix.Sizes = r.Int32s()
 			ct.ix.Counts = decodeVCTable(r)
@@ -206,19 +196,15 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 			if r.Err() != nil {
 				return nil, r.Err()
 			}
-			if width != ct.ix.Width() {
-				return nil, fmt.Errorf("discovery: snapshot tracker key width %d for %d antecedent columns", width, len(ct.cols))
-			}
-			if len(vals) != count || len(keys) != count*width {
-				return nil, fmt.Errorf("discovery: snapshot tracker index shape mismatch (count %d, width %d)", count, width)
-			}
 			if len(ct.rowClass) != nRows {
 				return nil, fmt.Errorf("discovery: snapshot tracker sized for %d rows, relation has %d", len(ct.rowClass), nRows)
 			}
 			if ct.ix.Counts == nil || len(ct.ix.Counts) != len(ct.ix.Sizes) || len(satBytes) != len(ct.ix.Sizes) {
 				return nil, fmt.Errorf("discovery: snapshot tracker class state inconsistent")
 			}
-			ct.ix.SetFrozen(keys, vals)
+			if err := checkRowClass(ct.rowClass, ct.ix.Sizes); err != nil {
+				return nil, err
+			}
 			ct.sat = make([]bool, len(satBytes))
 			for ci, b := range satBytes {
 				ct.sat[ci] = b != 0
@@ -262,4 +248,25 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 	}
 	mt.rebuildFlat()
 	return mt, nil
+}
+
+// checkRowClass fails closed on a restored tracker's row→class table in
+// one sequential pass: every entry is -1 or a class id below
+// len(sizes), and every class holds exactly sizes[ci] rows.
+func checkRowClass(rowClass, sizes []int32) error {
+	counts := make([]int32, len(sizes))
+	for t, ci := range rowClass {
+		if ci < -1 || int(ci) >= len(sizes) {
+			return fmt.Errorf("discovery: snapshot tracker puts row %d in class %d of %d", t, ci, len(sizes))
+		}
+		if ci >= 0 {
+			counts[ci]++
+		}
+	}
+	for ci, n := range counts {
+		if n != sizes[ci] {
+			return fmt.Errorf("discovery: snapshot tracker class %d holds %d rows, its size is %d", ci, n, sizes[ci])
+		}
+	}
+	return nil
 }

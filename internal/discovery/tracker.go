@@ -74,25 +74,22 @@ type coverTracker struct {
 // from a partition-backed verifier over the current instance: the classes
 // of Π*_X arrive from a (typically cached) product, so only one key per
 // class plus each singleton row pays the encode-and-hash that the from-
-// scratch build pays for every row. The keys are appended to one blob and
-// interned with ClassIndex.InternKeys, so no key allocates a string of
-// its own. Class ids follow partition order instead of second-occurrence
-// order — internal numbering only, invisible outside the tracker.
+// scratch build pays for every row. The keys are built from the row→class
+// table by buildKeys, the pass a snapshot-restored tracker runs too.
+// Class ids follow partition order instead of second-occurrence order —
+// internal numbering only, invisible outside the tracker.
 func newCoverTrackerParts(v *core.Verifier, d core.OFD) *coverTracker {
 	rel := v.Relation()
 	ct := &coverTracker{
 		d:      d,
 		cols:   d.LHS.Attrs(),
 		colSet: d.LHS.With(d.RHS),
-		ix:     live.NewClassIndex(d.LHS.Attrs(), d.RHS),
+		ix:     &live.ClassIndex{Cols: d.LHS.Attrs(), RHS: d.RHS},
 	}
 	p := v.Partitions().Get(d.LHS)
 	n := rel.NumRows()
 	nc := p.NumClasses()
 	ix := ct.ix
-	nkeys := nc + n - p.Size()
-	blob := make([]byte, 0, nkeys*ix.Width())
-	keyVals := make([]int32, 0, nkeys)
 	ct.rowClass = make([]int32, n)
 	for t := range ct.rowClass {
 		ct.rowClass[t] = -1
@@ -108,8 +105,6 @@ func newCoverTrackerParts(v *core.Verifier, d core.OFD) *coverTracker {
 	ends := make([]int, nc)
 	for i := 0; i < nc; i++ {
 		class := p.Class(i)
-		blob = live.AppendKey(blob, rel, ct.cols, int(class[0]))
-		keyVals = append(keyVals, int32(i))
 		ix.Sizes[i] = int32(len(class))
 		scratch = scratch[:0]
 		for _, t := range class {
@@ -123,15 +118,9 @@ func newCoverTrackerParts(v *core.Verifier, d core.OFD) *coverTracker {
 		ix.Counts[i] = pairs[lo:ends[i]:ends[i]]
 		lo = ends[i]
 	}
-	// Rows outside every stripped class are singleton keys: lone entries
-	// with no class state, and no two of them can collide on a key.
-	for t := 0; t < n; t++ {
-		if ct.rowClass[t] < 0 {
-			blob = live.AppendKey(blob, rel, ct.cols, t)
-			keyVals = append(keyVals, live.LoneRow(int32(t)))
-		}
-	}
-	ix.InternKeys(blob, keyVals)
+	// Rows outside every stripped class become lone entries with no class
+	// state; no two of them can share a key.
+	ct.buildKeys(rel)
 	for ci := range ix.Sizes {
 		ct.sat[ci] = ct.classSatisfied(v, int32(ci))
 		if !ct.sat[ci] {
@@ -175,12 +164,13 @@ func newCoverTracker(rel *relation.Relation, v *core.Verifier, d core.OFD) *cove
 
 func (ct *coverTracker) scope() relation.AttrSet { return ct.colSet }
 
-// hydrate builds the live key index from the frozen snapshot form. No-op
-// on live-built (or already hydrated) trackers.
-func (ct *coverTracker) hydrate() {
-	if ct.ix.NeedsHydrate() {
-		ct.ix.Hydrate()
-	}
+// buildKeys builds the key map from rowClass (live.IndexKeys): one key
+// per class that holds a row, one per lone row. rel must hold the state
+// rowClass describes for its rows.
+func (ct *coverTracker) buildKeys(rel *relation.Relation) {
+	live.IndexKeys([]*live.ClassIndex{ct.ix}, ct.rowClass, nil, func(blob []byte, t int) []byte {
+		return live.AppendKey(blob, rel, ct.cols, t)
+	})
 }
 
 // valid reports the tracked candidate's current validity.

@@ -47,8 +47,9 @@ type ClassIndex struct {
 	RHS int
 	// Keys maps the encoded antecedent value tuple to the class holding
 	// it: values >= 0 are class ids, values <= -2 encode a lone row as
-	// LoneRow(t). Keys absent from the map have never been seen. Nil when
-	// the index is in frozen (snapshot-restored) form — see Hydrate.
+	// LoneRow(t). Keys absent from the map have never been seen. Nil on a
+	// snapshot-restored index: snapshots save no keys, and the owning
+	// engine rebuilds them with IndexKeys before its first lookup.
 	Keys map[string]int32
 	// Counts[ci] is the multiset of consequent values of class ci, as
 	// (value, multiplicity) pairs. Maintained on every write, it makes
@@ -66,13 +67,6 @@ type ClassIndex struct {
 	// class, a snapshot buffer) must have cap == len, so that its first
 	// append copies too.
 	Members [][]int32
-
-	// FrozenKeys/FrozenVals hold the key index in serialized array form on
-	// a snapshot-restored index (sorted fixed-width key blob plus parallel
-	// encoded values); Keys is nil until Hydrate materializes the map. The
-	// freeze is an array-of-entries copy, not a different contract.
-	FrozenKeys []byte
-	FrozenVals []int32
 
 	keyBuf []byte
 }
@@ -173,42 +167,87 @@ func (ix *ClassIndex) Leave(ci, t int32, a relation.Value) int32 {
 	return int32(len(ix.Members[ci]))
 }
 
-// NeedsHydrate reports whether the index is still in frozen array form.
-func (ix *ClassIndex) NeedsHydrate() bool { return ix.Keys == nil }
-
-// SetFrozen puts the index into frozen array form (snapshot restore):
-// keys is the concatenated fixed-width key blob, vals the parallel
-// encoded values. The map form is dropped; Hydrate rebuilds it before the
-// first key lookup.
-func (ix *ClassIndex) SetFrozen(keys []byte, vals []int32) {
-	ix.FrozenKeys, ix.FrozenVals = keys, vals
-	ix.Keys = nil
+// KeyBuild fills the key maps of one antecedent's indexes (a dependency's
+// shards, or a tracker's one index) from one blob: a caller appends each
+// key to Blob and Adds its entry, and Intern converts the blob to a
+// string once and fills each map, made at its final size, with
+// substrings of it — no string per key, no map growth.
+type KeyBuild struct {
+	Blob     []byte // the keys back to back, Width bytes each
+	vals     []int32
+	dest     []uint8
+	perIndex []int
 }
 
-// Hydrate materializes the key map from the frozen arrays through
-// InternKeys, as the index builds do.
-func (ix *ClassIndex) Hydrate() {
-	ix.InternKeys(ix.FrozenKeys, ix.FrozenVals)
-	ix.FrozenKeys, ix.FrozenVals = nil, nil
+// NewKeyBuild starts a build of about nkeys keys of the given width into
+// nIndexes indexes.
+func NewKeyBuild(width, nkeys, nIndexes int) *KeyBuild {
+	return &KeyBuild{
+		Blob:     make([]byte, 0, nkeys*width),
+		vals:     make([]int32, 0, nkeys),
+		dest:     make([]uint8, 0, nkeys),
+		perIndex: make([]int, nIndexes),
+	}
 }
 
-// InternKeys replaces the key map with one made at len(vals) entries:
-// blob is the concatenation of the fixed-width keys and vals their
-// parallel encoded values. The blob is converted to a string once, so
-// every map key is a shared substring — one allocation for all keys.
-func (ix *ClassIndex) InternKeys(blob []byte, vals []int32) {
-	width := ix.Width()
-	idx := make(map[string]int32, len(vals))
-	if width == 0 {
-		// Empty antecedent: at most one key (the empty string).
-		if len(vals) > 0 {
-			idx[""] = vals[0]
-		}
-	} else {
-		keys := string(blob)
-		for k, v := range vals {
-			idx[keys[k*width:(k+1)*width]] = v
+// Add records the key last appended to Blob with entry v (a class id, or
+// LoneRow) for index dest.
+func (kb *KeyBuild) Add(v int32, dest uint8) {
+	kb.vals = append(kb.vals, v)
+	kb.dest = append(kb.dest, dest)
+	kb.perIndex[dest]++
+}
+
+// Intern replaces the key map of every idx[k] with the keys added for
+// index k. The indexes share one antecedent, so one width.
+func (kb *KeyBuild) Intern(idx []*ClassIndex) {
+	for k, ix := range idx {
+		ix.Keys = make(map[string]int32, kb.perIndex[k])
+	}
+	width := idx[0].Width()
+	keys := string(kb.Blob)
+	for k, v := range kb.vals {
+		idx[kb.dest[k]].Keys[keys[k*width:(k+1)*width]] = v
+	}
+}
+
+// IndexKeys builds the key maps of one antecedent's indexes from a
+// row→class table: row t is in class classOf[t] (below its index's
+// len(Counts)) of index shardOf[t] (0 when shardOf is nil), or lone when
+// classOf[t] is -1. Each class is keyed by its first row, each lone row
+// by itself; appendKey appends row t's key to blob, called in ascending
+// row order. A class no row names, such as a tracker class a rollback
+// emptied, gets no key: a size-zero class is a non-class, so a later row
+// with its key births a new class instead of refilling it, which changes
+// internal ids only.
+func IndexKeys(idx []*ClassIndex, classOf []int32, shardOf []uint8, appendKey func(blob []byte, t int) []byte) {
+	seen := make([][]bool, len(idx))
+	nkeys := 0
+	for k, ix := range idx {
+		seen[k] = make([]bool, len(ix.Counts))
+		nkeys += len(ix.Counts)
+	}
+	for _, ci := range classOf {
+		if ci < 0 {
+			nkeys++
 		}
 	}
-	ix.Keys = idx
+	kb := NewKeyBuild(idx[0].Width(), nkeys, len(idx))
+	for t, ci := range classOf {
+		var s uint8
+		if shardOf != nil {
+			s = shardOf[t]
+		}
+		v := LoneRow(int32(t))
+		if ci >= 0 {
+			if seen[s][ci] {
+				continue
+			}
+			seen[s][ci] = true
+			v = ci
+		}
+		kb.Blob = appendKey(kb.Blob, t)
+		kb.Add(v, s)
+	}
+	kb.Intern(idx)
 }

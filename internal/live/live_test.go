@@ -241,31 +241,68 @@ func TestClassIndexTrackerOps(t *testing.T) {
 	}
 }
 
-func TestClassIndexFrozenRoundTrip(t *testing.T) {
+// TestIndexKeysFromRowClasses rebuilds a joined index's key map from its
+// row→class table, once as one index and once split over two shards,
+// and checks that a class emptied by Leave gets no key.
+func TestIndexKeysFromRowClasses(t *testing.T) {
 	rel := testRel(t, []string{"X", "Y", "A"}, [][]string{
-		{"a", "1", "p"}, {"a", "1", "q"}, {"b", "2", "p"}, {"c", "1", "r"},
+		{"a", "1", "p"}, {"a", "1", "q"}, {"b", "2", "p"}, {"c", "1", "r"}, {"c", "1", "s"}, {"a", "1", "p"},
 	})
 	ix := NewClassIndex([]int{0, 1}, 2)
-	for tt := int32(0); tt < 4; tt++ {
-		ix.Join(rel, tt)
+	rowClass := make([]int32, rel.NumRows())
+	for tt := range rowClass {
+		ci, partner, _ := ix.Join(rel, int32(tt))
+		rowClass[tt] = ci
+		if partner >= 0 {
+			rowClass[partner] = ci
+		}
 	}
-	want := make(map[string]int32, len(ix.Keys))
-	var blob []byte
-	var vals []int32
+	// Rows 3 and 4 move out of class (c,1) to fresh keys, the way a
+	// tracker moves them: the emptied class keeps its key, which a
+	// rebuild drops.
+	emptied := rowClass[3]
+	for k, tt := range []int32{3, 4} {
+		ix.Leave(rowClass[tt], tt, rel.Value(int(tt), 2))
+		rel.SetString(int(tt), 0, fmt.Sprintf("moved%d", k))
+		rowClass[tt], _, _ = ix.Join(rel, tt)
+	}
+	want := map[string]int32{}
 	for k, v := range ix.Keys {
-		want[k] = v
-		blob = append(blob, k...)
-		vals = append(vals, v)
+		if v != emptied {
+			want[k] = v
+		}
 	}
-	ix.SetFrozen(blob, vals)
-	if !ix.NeedsHydrate() {
-		t.Fatal("frozen index must report NeedsHydrate")
+	if len(want) != len(ix.Keys)-1 {
+		t.Fatalf("keys %v hold no key of the emptied class %d", ix.Keys, emptied)
 	}
-	ix.Hydrate()
-	if ix.NeedsHydrate() || ix.FrozenKeys != nil || ix.FrozenVals != nil {
-		t.Fatal("hydrate must drop the frozen arrays")
+	appendKey := func(blob []byte, tt int) []byte { return AppendKey(blob, rel, ix.Cols, tt) }
+
+	back := &ClassIndex{Cols: ix.Cols, RHS: ix.RHS, Counts: ix.Counts}
+	IndexKeys([]*ClassIndex{back}, rowClass, nil, appendKey)
+	if !reflect.DeepEqual(back.Keys, want) {
+		t.Fatalf("rebuilt keys = %v, want %v", back.Keys, want)
 	}
-	if !reflect.DeepEqual(ix.Keys, want) {
-		t.Fatalf("hydrated keys = %v, want %v", ix.Keys, want)
+
+	// Two shards: lone rows go to shard 1, classes to shard 0.
+	shardOf := make([]uint8, len(rowClass))
+	for tt, ci := range rowClass {
+		if ci < 0 {
+			shardOf[tt] = 1
+		}
+	}
+	s0 := &ClassIndex{Cols: ix.Cols, RHS: ix.RHS, Counts: ix.Counts}
+	s1 := &ClassIndex{Cols: ix.Cols, RHS: ix.RHS}
+	IndexKeys([]*ClassIndex{s0, s1}, rowClass, shardOf, appendKey)
+	for k, v := range want {
+		got, ok := s0.Keys[k]
+		if v < 0 {
+			got, ok = s1.Keys[k]
+		}
+		if !ok || got != v {
+			t.Fatalf("sharded rebuild: key %x → %d (present %v), want %d", k, got, ok, v)
+		}
+	}
+	if len(s0.Keys)+len(s1.Keys) != len(want) {
+		t.Fatalf("sharded rebuild holds %d+%d keys, want %d", len(s0.Keys), len(s1.Keys), len(want))
 	}
 }

@@ -52,17 +52,6 @@ func (p *Partition) ClassInts(i int) []int {
 	return out
 }
 
-// ClassViews returns every class as a view into the flat array — the
-// zero-copy form for callers that index classes repeatedly (e.g. the
-// incremental monitor). Callers must not modify the views.
-func (p *Partition) ClassViews() [][]int32 {
-	out := make([][]int32, p.NumClasses())
-	for i := range out {
-		out[i] = p.Class(i)
-	}
-	return out
-}
-
 // ClassesAsInts materializes every class as []int — a convenience for
 // tests and cold paths; hot paths should iterate Class(i) views.
 func (p *Partition) ClassesAsInts() [][]int {

@@ -102,7 +102,7 @@ func dirtyRows(rel *relation.Relation, n, shift int) step {
 // byte-identical report, cover and epochs, without scanning a single
 // candidate; Detect and Discover on the restored instance agree with it;
 // and the live and restored pipelines co-evolve byte-identically under
-// appends (which hydrate the frozen indexes) and antecedent-dirtying
+// appends (which rebuild the key maps) and antecedent-dirtying
 // batches, ending equal to fresh engines over the final instance.
 func TestPipelineRoundTrip(t *testing.T) {
 	cases := []struct {
@@ -225,8 +225,8 @@ func checkFresh(t *testing.T, state string, p *pipeline.Pipeline, sigma core.Set
 }
 
 // secondSave saves p, reopens it, re-encodes the restored pipeline and
-// decodes that image again without mutating in between. The frozen monitor
-// and tracker indexes re-encode as-is, so the generation-2 and
+// decodes that image again without mutating in between. Neither engine
+// builds or writes a key map in between, so the generation-2 and
 // generation-3 images must be byte-identical; it returns generation 3.
 func secondSave(t *testing.T, p *pipeline.Pipeline) *pipeline.Pipeline {
 	t.Helper()
@@ -251,8 +251,8 @@ func secondSave(t *testing.T, p *pipeline.Pipeline) *pipeline.Pipeline {
 
 // TestMonitorSecondSaveRoundTrip saves a pipeline pinned to a dependency
 // set twice without appending: the third generation reports identically
-// at the same monitor epoch and can still append, hydrating from the
-// re-encoded frozen form.
+// at the same monitor epoch and can still append, rebuilding its key maps
+// from the twice-saved routing tables.
 func TestMonitorSecondSaveRoundTrip(t *testing.T) {
 	ds := gen.Clinical(400, 4)
 	p := newDatasetPipeline(t, ds, ds.Sigma, 2, 1)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/fastofd/fastofd/internal/core"
@@ -22,14 +23,20 @@ type monitorFields struct {
 	// Per shard, per OFD.
 	lens      [][][]int32
 	rows      [][][]int32
-	keyVals   [][][]int32
 	countVals [][][]int32
 	countNs   [][][]int32
 }
 
-// walkMonitorBody decodes the monitor body of pipeline payload, which
-// p encoded, in the layout core.AppendMonitorBody writes.
-func walkMonitorBody(t *testing.T, payload []byte, p *pipeline.Pipeline) *monitorFields {
+// trackerFields are one cover tracker's arrays inside a maintainer body,
+// decoded as views of the payload like monitorFields.
+type trackerFields struct {
+	rowClass, sizes []int32
+}
+
+// walkBodies decodes the engine bodies of pipeline payload, which p
+// encoded, in the layouts core.AppendMonitorBody and
+// discovery.AppendMaintainerBody write.
+func walkBodies(t *testing.T, payload []byte, p *pipeline.Pipeline) (*monitorFields, []trackerFields) {
 	t.Helper()
 	r := wire.NewReader(payload)
 	r.Uvarint() // follow-cover flag
@@ -46,25 +53,41 @@ func walkMonitorBody(t *testing.T, payload []byte, p *pipeline.Pipeline) *monito
 	for s := 0; s < f.shards; s++ {
 		f.lens = append(f.lens, nil)
 		f.rows = append(f.rows, nil)
-		f.keyVals = append(f.keyVals, nil)
 		f.countVals = append(f.countVals, nil)
 		f.countNs = append(f.countNs, nil)
 		for range sigma {
 			f.lens[s] = append(f.lens[s], r.Int32s())
 			f.rows[s] = append(f.rows[s], r.Int32s())
-			r.Int() // key count
-			r.Int() // key width
-			r.Blob()
-			f.keyVals[s] = append(f.keyVals[s], r.Int32s())
 			r.Int32s() // pairs per class
 			f.countVals[s] = append(f.countVals[s], r.Int32s())
 			f.countNs[s] = append(f.countNs[s], r.Int32s())
 		}
 	}
-	if r.Err() != nil {
-		t.Fatalf("monitor body: %v", r.Err())
+	r.Uvarint() // maintainer epoch
+	r.Uvarint() // scans
+	var trackers []trackerFields
+	for c := r.Int(); c > 0 && r.Err() == nil; c-- {
+		for k := r.Int(); k > 0 && r.Err() == nil; k-- {
+			r.Uvarint() // antecedent
+			tf := trackerFields{rowClass: r.Int32s(), sizes: r.Int32s()}
+			trackers = append(trackers, tf)
+			r.Int32s() // pairs per class
+			r.Int32s() // values
+			r.Int32s() // multiplicities
+			r.Uint8s() // satisfied flags
+		}
+		for k := r.Int(); k > 0 && r.Err() == nil; k-- {
+			r.Uvarint() // antecedent
+			r.Blob()    // witness key
+			r.Int()     // size
+			r.Int32s()  // values
+			r.Int32s()  // multiplicities
+		}
 	}
-	return f
+	if r.Err() != nil {
+		t.Fatalf("engine bodies: %v", r.Err())
+	}
+	return f, trackers
 }
 
 // find returns the first (shard, OFD) slot whose array pick selects as
@@ -87,24 +110,8 @@ func find[E any](t *testing.T, f *monitorFields, pick func(s, i int) []E) []E {
 // asserts Open fails with an error instead of panicking or restoring a
 // monitor that later batches would index out of range.
 func TestOpenRejectsCorruptMonitorBody(t *testing.T) {
-	p, batch, appendRow := newTestPipeline(t, 23)
-	rel := p.Relation()
-	// Appends grow classes, and rewriting every column of some rows moves
-	// them between antecedent classes.
-	if _, err := p.AppendRows([][]string{appendRow(), appendRow(), appendRow()}); err != nil {
-		t.Fatalf("AppendRows: %v", err)
-	}
-	for _, st := range []step{dirtyRows(rel, 6, 11), {ups: batch()}} {
-		if _, err := st.apply(p); err != nil {
-			t.Fatalf("batch: %v", err)
-		}
-	}
-	img, err := Encode(&State{Pipeline: p})
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	secs := splitSections(t, img)
-	n := int32(rel.NumRows())
+	p, secs := savedPipeline(t)
+	n := int32(p.Relation().NumRows())
 	// class returns the member list of a class of at least two rows.
 	class := func(f *monitorFields) []int32 {
 		return find(t, f, func(s, i int) []int32 {
@@ -193,54 +200,136 @@ func TestOpenRejectsCorruptMonitorBody(t *testing.T) {
 		{"multiset value past the dictionary", func(f *monitorFields) {
 			find(t, f, func(s, i int) []int32 { return f.countVals[s][i] })[0] = 1 << 29
 		}},
-		{"key naming a missing class", func(f *monitorFields) {
-			find(t, f, func(s, i int) []int32 { return f.keyVals[s][i] })[0] = 1 << 29
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			openCorrupted(t, p, secs, tc.name == "pristine", func(payload []byte) {
+				f, _ := walkBodies(t, payload, p)
+				tc.corrupt(f)
+			})
+		})
+	}
+}
+
+// savedPipeline returns a pipeline whose appends grew classes and whose
+// batches moved rows between antecedent classes, and its encoded
+// sections.
+func savedPipeline(t *testing.T) (*pipeline.Pipeline, []section) {
+	t.Helper()
+	p, batch, appendRow := newTestPipeline(t, 23)
+	rel := p.Relation()
+	// Appends grow classes, and rewriting every column of some rows moves
+	// them between antecedent classes.
+	if _, err := p.AppendRows([][]string{appendRow(), appendRow(), appendRow()}); err != nil {
+		t.Fatalf("AppendRows: %v", err)
+	}
+	for _, st := range []step{dirtyRows(rel, 6, 11), {ups: batch()}} {
+		if _, err := st.apply(p); err != nil {
+			t.Fatalf("batch: %v", err)
+		}
+	}
+	img, err := Encode(&State{Pipeline: p})
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	return p, splitSections(t, img)
+}
+
+// openCorrupted writes p's sections with corrupt applied to a copy of the
+// pipeline payload and opens the file. A pristine copy must open and
+// report as p does; any other must fail with an error, not a panic.
+func openCorrupted(t *testing.T, p *pipeline.Pipeline, secs []section, pristine bool, corrupt func(payload []byte)) {
+	t.Helper()
+	payload := append([]byte(nil), secs[2].payload...)
+	corrupt(payload)
+	if pristine != bytes.Equal(payload, secs[2].payload) {
+		t.Fatal("the corruption did not land in the payload")
+	}
+	path := filepath.Join(t.TempDir(), "case.snap")
+	if err := os.WriteFile(path, joinSections(secs[0], secs[1], section{secs[2].name, payload}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var st *State
+	var err error
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("Open panicked: %v", r)
+			}
+		}()
+		st, err = Open(path, Options{})
+	}()
+	if pristine {
+		if err != nil {
+			t.Fatalf("pristine re-encode failed to open: %v", err)
+		}
+		if got, want := reportJSON(t, st.Pipeline.Report()), reportJSON(t, p.Report()); got != want {
+			t.Fatalf("pristine re-encode reports differently\n got %s\nwant %s", got, want)
+		}
+		if got, want := fmt.Sprint(st.Pipeline.Cover()), fmt.Sprint(p.Cover()); got != want {
+			t.Fatalf("pristine re-encode holds another cover\n got %s\nwant %s", got, want)
+		}
+		return
+	}
+	if err == nil {
+		t.Fatal("Open accepted the corrupted engine body")
+	}
+}
+
+// TestOpenRejectsCorruptMaintainerBody re-encodes a saved pipeline with
+// one cover tracker's row→class table corrupted at a time, keeping every
+// checksum valid, and asserts Open fails with an error: the key maps are
+// rebuilt from that table on the first batch, which must never index a
+// class out of range or key a class whose size disagrees with its rows.
+func TestOpenRejectsCorruptMaintainerBody(t *testing.T) {
+	p, secs := savedPipeline(t)
+	// tracker returns the first tracker with a class and a lone row.
+	tracker := func(trackers []trackerFields) trackerFields {
+		for _, tf := range trackers {
+			if len(tf.sizes) > 0 && slices.Contains(tf.rowClass, -1) {
+				return tf
+			}
+		}
+		t.Fatal("no tracker with a class and a lone row")
+		return trackerFields{}
+	}
+	cases := []struct {
+		name    string
+		corrupt func(tf trackerFields)
+	}{
+		{"pristine", func(trackerFields) {}},
+		{"row class past the classes", func(tf trackerFields) {
+			tf.rowClass[0] = int32(len(tf.sizes))
 		}},
-		{"key naming a missing lone row", func(f *monitorFields) {
-			find(t, f, func(s, i int) []int32 { return f.keyVals[s][i] })[0] = -(n + 9)
+		{"row class below -1", func(tf trackerFields) {
+			tf.rowClass[0] = -2
+		}},
+		{"lone row counted into a class", func(tf trackerFields) {
+			tf.rowClass[slices.Index(tf.rowClass, -1)] = 0
+		}},
+		{"class member made lone", func(tf trackerFields) {
+			tf.rowClass[slices.Index(tf.rowClass, 0)] = -1
+		}},
+		{"class size above its rows", func(tf trackerFields) {
+			tf.sizes[0]++
 		}},
 	}
-	dir := t.TempDir()
-	for k, tc := range cases {
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			payload := append([]byte(nil), secs[2].payload...)
-			tc.corrupt(walkMonitorBody(t, payload, p))
-			if (tc.name == "pristine") != bytes.Equal(payload, secs[2].payload) {
-				t.Fatal("the corruption did not land in the payload")
-			}
-			path := filepath.Join(dir, fmt.Sprintf("case%d.snap", k))
-			if err := os.WriteFile(path, joinSections(secs[0], secs[1], section{secs[2].name, payload}), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			var st *State
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Fatalf("Open panicked: %v", r)
-					}
-				}()
-				st, err = Open(path, Options{})
-			}()
-			if tc.name == "pristine" {
-				if err != nil {
-					t.Fatalf("pristine re-encode failed to open: %v", err)
-				}
-				if got, want := reportJSON(t, st.Pipeline.Report()), reportJSON(t, p.Report()); got != want {
-					t.Fatalf("pristine re-encode reports differently\n got %s\nwant %s", got, want)
-				}
-				return
-			}
-			if err == nil {
-				t.Fatal("Open accepted the corrupted monitor body")
-			}
+			openCorrupted(t, p, secs, tc.name == "pristine", func(payload []byte) {
+				_, trackers := walkBodies(t, payload, p)
+				tc.corrupt(tracker(trackers))
+			})
 		})
 	}
 }
 
 // TestReopenedPipelineAbsorbsAntecedentMoves saves a pipeline whose
-// monitor has moved rows between classes, reopens it, and runs antecedent batches
-// first (their moves hydrate the frozen key maps), then an append: after
-// each step the report equals a fresh Detect of the monitored set.
+// monitor has moved rows between classes, reopens it, and runs antecedent
+// batches first (the first one rebuilds both engines' key maps from the
+// saved row→class tables, the monitor's from the batch's source state),
+// then an append: after each step the report equals a fresh Detect of the
+// monitored set and the cover a fresh Discover.
 func TestReopenedPipelineAbsorbsAntecedentMoves(t *testing.T) {
 	p, batch, appendRow := newTestPipeline(t, 29)
 	rel := p.Relation()
@@ -257,5 +346,6 @@ func TestReopenedPipelineAbsorbsAntecedentMoves(t *testing.T) {
 		if got, want := reportJSON(t, rp.Report()), reportJSON(t, core.Detect(rel, rp.Monitor().Ontology(), sigma)); got != want {
 			t.Fatalf("step %d: reopened pipeline's report diverged from Detect\n got %s\nwant %s", k, got, want)
 		}
+		checkFresh(t, fmt.Sprintf("step %d", k), rp, nil)
 	}
 }

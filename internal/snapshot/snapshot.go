@@ -10,7 +10,7 @@
 //	magic (8 bytes) | version (uint32) | section count (uint32)
 //	per section: name | crc32c of payload | payload (4-byte aligned)
 //
-// Version 5 writes at most three sections, in this order: relation,
+// Version 6 writes at most three sections, in this order: relation,
 // ontology, pipeline. Each carries its own CRC-32 (Castagnoli) checksum.
 // Decode rejects a known section that repeats or arrives out of order, and
 // skips unknown names, so older readers open newer files that only add
@@ -22,13 +22,14 @@
 //
 // Open reads the whole file into one buffer and decodes zero-copy where
 // the wire layer allows: restored column blocks, partition arrays, and
-// the monitor's class member lists are views into that buffer (see
-// internal/wire for the aliasing contract — the State keeps the buffer
-// reachable implicitly through those views). Reopen latency therefore
-// scales with the flagged violation state, not the instance: the bulk of
-// a large snapshot is never copied, dictionaries hydrate their maps
-// lazily, and the monitor's LHS-key indexes stay in frozen array form
-// until the first append or antecedent write.
+// the monitor's routing tables and class member lists are views into that
+// buffer (see internal/wire for the aliasing contract — the State keeps
+// the buffer reachable implicitly through those views). Reopen latency
+// therefore scales with the flagged violation state, not the instance:
+// the bulk of a large snapshot is never copied, dictionaries hydrate their
+// maps lazily, and no LHS-key map is stored at all — both engines rebuild
+// theirs from the saved row→class tables on the first append or
+// antecedent write.
 //
 // Save writes to a temp file in the destination directory, syncs it,
 // renames it into place and syncs the directory, so a crashed save never
@@ -56,13 +57,12 @@ const (
 	magic = uint64(0x50414e5344464f46)
 	// Version is the current format version. Bumped on any layout change
 	// inside a section; Open rejects versions outside [minVersion, Version]
-	// outright rather than guessing. Version 5: the monitor body writes
-	// each class's member list once, as class lengths plus one flat row
-	// array per (shard, OFD), in place of base partitions, base-class
-	// maps and deltas.
-	Version = uint32(5)
+	// outright rather than guessing. Version 6: neither engine body
+	// writes its LHS-key indexes; they are rebuilt from the row→class
+	// tables (version 5 wrote them next to those tables).
+	Version = uint32(6)
 	// minVersion is the oldest version Open reads.
-	minVersion = uint32(5)
+	minVersion = uint32(6)
 )
 
 // Section names, in file order (dependencies decode first); unknown names
@@ -248,11 +248,13 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// Decode reconstructs a state from a snapshot image. The image must stay
-// reachable and unmodified for the life of the returned state — decoded
-// column blocks, partitions, and class member lists alias it (they keep
-// it reachable via the garbage collector; "unmodified" is the caller's
-// contract and holds trivially for a private buffer).
+// Decode reconstructs a state from a snapshot image, and the returned
+// state takes ownership of img. Decoded column blocks, partitions, the
+// monitor's routing tables and its class member lists alias it (keeping
+// it reachable via the garbage collector), and the state writes through
+// those views: cell writes rewrite the column blocks and antecedent moves
+// the routing tables, in place. The caller must therefore neither reuse
+// nor modify img; Open passes a private buffer.
 //
 // Sections decode as they are read, so the header's section count — which
 // no checksum covers — allocates nothing: a count past the image's end

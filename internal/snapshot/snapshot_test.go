@@ -221,10 +221,10 @@ func TestCorruptionDetected(t *testing.T) {
 			t.Fatal("bad magic not detected")
 		}
 	})
-	// A future version, and version 4, whose monitor body had another
-	// layout.
+	// A future version, version 4, whose monitor body had another layout,
+	// and version 5, whose engine bodies carried key indexes.
 	t.Run("future version", func(t *testing.T) {
-		for _, v := range []byte{0xee, 4} {
+		for _, v := range []byte{0xee, 4, 5} {
 			bad := append([]byte(nil), img...)
 			bad[8] = v // version field (LE uint32 right after the magic)
 			if _, err := Decode(bad, Options{}); err == nil {
