@@ -401,7 +401,7 @@ func BenchmarkInheritanceDiscovery(b *testing.B) {
 // re-verification per cell update.
 func BenchmarkMonitorUpdate(b *testing.B) {
 	ds := gen.Generate(gen.Config{Rows: 4000, Seed: 1, NumOFDs: 6})
-	m, err := NewMonitor(context.Background(), ds.Rel.Clone(), ds.FullOnt, ds.Sigma, 0, 1, nil)
+	m, err := NewMonitor(context.Background(), ds.Rel.Clone(), ds.FullOnt, ds.Sigma, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,15 +6,15 @@
 //
 //	ofddetect -data trials.csv -ontology drugs.json \
 //	          -ofd "CC -> CTRY" -ofd "SYMP,DIAG -> MED" [-sigma sigma.txt]
-//	          [-updates stream.csv] [-batch 64] [-shards 8] [-timeout 30s]
+//	          [-updates stream.csv] [-batch 64] [-workers 4] [-timeout 30s]
 //
 // With -updates, ofddetect replays a maintenance stream on top of the
 // loaded instance through the incremental monitor instead of running a
 // one-shot detection. The stream is read incrementally — memory stays
 // O(batch) however long it is — and per-batch flush latency percentiles
-// are reported at the end; -shards controls the monitor's LHS-key shard
-// fan-out (0 derives it from -workers). Each CSV record of the stream is
-// either a cell write
+// are reported at the end; -workers bounds how many dependencies a batch
+// updates at once (0 = all CPUs). Each CSV record of the stream is either
+// a cell write
 //
 //	row,attr,value       set cell (row, attr) to value (0-based row ids,
 //	                     attr by name)
@@ -29,10 +29,9 @@
 // scratch on the evolved instance — is printed as usual.
 //
 // With -discover alongside -updates, ofddetect runs the merged pipeline
-// instead: the discovery maintainer and the sharded monitor share one
-// relation, one partition cache, and one live-index substrate, so -shards
-// composes with -discover (the monitor's fan-out applies inside the
-// pipeline). -ofd/-sigma are optional here: when given, the monitor
+// instead: the discovery maintainer and the monitor share one relation,
+// one partition cache, and one live-index substrate, and -workers fans
+// both engines out inside the pipeline. -ofd/-sigma are optional here: when given, the monitor
 // watches that pinned set; when omitted, it follows the maintained cover
 // itself. Every batch that changes the minimal OFD cover prints a
 // "cover @N: +... -..." diff line to stdout; per-batch maintain and
@@ -75,10 +74,9 @@ func main() {
 		dataPath  = flag.String("data", "", "CSV file with a header row (required)")
 		ontPath   = flag.String("ontology", "", "ontology JSON file (required)")
 		sigmaFile = flag.String("sigma", "", "file with one OFD per line (alternative to -ofd)")
-		workers   = flag.Int("workers", 1, "partition-cache warm-up workers (0 = all CPUs)")
+		workers   = flag.Int("workers", 1, "workers for the partition-cache warm-up and the incremental engines (0 = all CPUs)")
 		updates   = flag.String("updates", "", "CSV update stream to replay through the incremental monitor (records: row,attr,value or +,v1,...,vk)")
 		batchSize = flag.Int("batch", 64, "cell updates per monitor batch when replaying -updates")
-		shards    = flag.Int("shards", 0, "LHS-key shards for the incremental monitor (0 = derive from -workers)")
 		discover  = flag.Bool("discover", false, "with -updates: maintain the minimal OFD cover live over the stream, printing per-batch cover diffs")
 		stats     = flag.Bool("stats", false, "print the per-stage execution table")
 		timeout   = flag.Duration("timeout", 0, "abort after this duration, printing the partial report (0 = no timeout)")
@@ -122,9 +120,9 @@ func main() {
 	var rep *fastofd.Report
 	var derr error
 	if *updates != "" && *discover {
-		rep, derr = replayPipeline(ctx, rel, ont, sigma, *updates, *batchSize, *shards, *workers, stageStats)
+		rep, derr = replayPipeline(ctx, rel, ont, sigma, *updates, *batchSize, *workers, stageStats)
 	} else if *updates != "" {
-		rep, derr = replayUpdates(ctx, rel, ont, sigma, *updates, *batchSize, *shards, *workers, stageStats)
+		rep, derr = replayUpdates(ctx, rel, ont, sigma, *updates, *batchSize, *workers, stageStats)
 	} else {
 		rep, derr = fastofd.DetectContext(ctx, rel, ont, sigma, *workers, stageStats)
 	}
@@ -158,7 +156,7 @@ func main() {
 // are summarized to stderr as percentiles when the stream ends. On
 // interrupt the report reflects the stream replayed so far: a cut batch
 // rolls back, so no half-applied batch is ever reported.
-func replayUpdates(ctx context.Context, rel *fastofd.Relation, ont *fastofd.Ontology, sigma fastofd.Set, path string, batchSize, shards, workers int, stats *fastofd.Stats) (*fastofd.Report, error) {
+func replayUpdates(ctx context.Context, rel *fastofd.Relation, ont *fastofd.Ontology, sigma fastofd.Set, path string, batchSize, workers int, stats *fastofd.Stats) (*fastofd.Report, error) {
 	if batchSize < 1 {
 		batchSize = 1
 	}
@@ -167,7 +165,7 @@ func replayUpdates(ctx context.Context, rel *fastofd.Relation, ont *fastofd.Onto
 		return nil, err
 	}
 	defer f.Close()
-	m, err := fastofd.NewMonitor(ctx, rel, ont, sigma, shards, workers, stats)
+	m, err := fastofd.NewMonitor(ctx, rel, ont, sigma, workers, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +178,7 @@ func replayUpdates(ctx context.Context, rel *fastofd.Relation, ont *fastofd.Onto
 	batch := make([]fastofd.CellUpdate, 0, batchSize)
 	var latencies []time.Duration
 	defer func() {
-		reportLatencies(os.Stderr, m.NumShards(), latencies)
+		reportLatencies(os.Stderr, latencies)
 	}()
 	flush := func() error {
 		if len(batch) == 0 {
@@ -239,11 +237,11 @@ func replayUpdates(ctx context.Context, rel *fastofd.Relation, ont *fastofd.Onto
 }
 
 // replayPipeline streams the update file through the merged
-// discover→detect pipeline: the maintainer and the sharded monitor share
-// one relation, one partition cache, and one live-index substrate, so
-// each batch is validated, deduplicated, and applied exactly once and
-// both engines absorb it from the same index — no second copy of the
-// instance, and -shards fans the detect side out inside the pipeline.
+// discover→detect pipeline: the maintainer and the monitor share one
+// relation, one partition cache, and one live-index substrate, so each
+// batch is validated, deduplicated, and applied exactly once and both
+// engines absorb it from the same index — no second copy of the
+// instance.
 // The monitored set is the user's sigma (pinned); the cover is
 // discovered at startup and maintained live, printing a diff line per
 // batch that changes it. Each batch's maintain and detect phases are
@@ -251,7 +249,7 @@ func replayUpdates(ctx context.Context, rel *fastofd.Relation, ont *fastofd.Onto
 // DetectNanos) and summarized as percentiles when the stream ends. On
 // interrupt the report reflects the stream replayed so far: a cut batch
 // rolls back in both engines, so no half-applied batch is ever reported.
-func replayPipeline(ctx context.Context, rel *fastofd.Relation, ont *fastofd.Ontology, sigma fastofd.Set, path string, batchSize, shards, workers int, stats *fastofd.Stats) (*fastofd.Report, error) {
+func replayPipeline(ctx context.Context, rel *fastofd.Relation, ont *fastofd.Ontology, sigma fastofd.Set, path string, batchSize, workers int, stats *fastofd.Stats) (*fastofd.Report, error) {
 	if batchSize < 1 {
 		batchSize = 1
 	}
@@ -262,7 +260,6 @@ func replayPipeline(ctx context.Context, rel *fastofd.Relation, ont *fastofd.Ont
 	defer f.Close()
 	p, err := fastofd.NewPipeline(ctx, rel, ont, fastofd.PipelineOptions{
 		Sigma:   sigma,
-		Shards:  shards,
 		Workers: workers,
 		Stats:   stats,
 	})
@@ -273,8 +270,8 @@ func replayPipeline(ctx context.Context, rel *fastofd.Relation, ont *fastofd.Ont
 	if monitored == 0 {
 		monitored = len(p.Cover()) // no pinned sigma: the monitor follows the cover
 	}
-	fmt.Fprintf(os.Stderr, "pipeline: maintaining a cover of %d OFDs and monitoring %d on one shared index (%d shards)\n",
-		len(p.Cover()), monitored, p.Monitor().NumShards())
+	fmt.Fprintf(os.Stderr, "pipeline: maintaining a cover of %d OFDs and monitoring %d on one shared index\n",
+		len(p.Cover()), monitored)
 
 	r := csv.NewReader(bufio.NewReaderSize(f, 1<<16))
 	r.FieldsPerRecord = -1 // cell writes and appends have different widths
@@ -285,8 +282,7 @@ func replayPipeline(ctx context.Context, rel *fastofd.Relation, ont *fastofd.Ont
 	var maintainLat, detectLat []time.Duration
 	defer func() {
 		if len(detectLat) > 0 {
-			fmt.Fprintf(os.Stderr, "replayed %d batches through the pipeline over %d shards\n",
-				len(detectLat), p.Monitor().NumShards())
+			fmt.Fprintf(os.Stderr, "replayed %d batches through the pipeline\n", len(detectLat))
 			fmt.Fprintf(os.Stderr, "detect latency %s\n", fmtLatencies(detectLat))
 		}
 		reportMaintain(os.Stderr, p.Maintainer(), maintainLat)
@@ -383,12 +379,11 @@ func reportMaintain(w io.Writer, mtn *fastofd.Maintainer, latencies []time.Durat
 
 // reportLatencies prints p50/p95/p99/max over the recorded per-batch
 // flush latencies, the live-replay health numbers an operator watches.
-func reportLatencies(w io.Writer, shards int, latencies []time.Duration) {
+func reportLatencies(w io.Writer, latencies []time.Duration) {
 	if len(latencies) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "replayed %d batches over %d shards; batch latency %s\n",
-		len(latencies), shards, fmtLatencies(latencies))
+	fmt.Fprintf(w, "replayed %d batches; batch latency %s\n", len(latencies), fmtLatencies(latencies))
 }
 
 // fmtLatencies renders a latency series as p50/p95/p99/max percentiles.

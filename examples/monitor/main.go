@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := fastofd.NewMonitor(context.Background(), rel, ont, sigma, 0, 1, nil)
+	m, err := fastofd.NewMonitor(context.Background(), rel, ont, sigma, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

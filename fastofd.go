@@ -238,23 +238,21 @@ func DetectContext(ctx context.Context, rel *Relation, ont *Ontology, sigma Set,
 // included, and updates may touch any cell — a write to a monitored
 // antecedent re-routes that dependency. The monitor runs on a live
 // substrate of its own — a byte-budgeted partition cache and a verifier,
-// exactly the substrate a Pipeline shares between its engines. Every
-// equivalence class is routed to one of `shards` independent LHS-key
-// shards (0 derives the count from workers), so ApplyBatch fans multiset
-// maintenance and re-verification out shard-locally with no shared write
-// state, and Report reads epoch-stamped
-// snapshots concurrently with ingestion. The index build and the batch
-// fan-out use up to workers goroutines (0 = all CPUs); stats, when
-// non-nil, receives the "monitor.build", "monitor.route", "monitor.apply",
-// and "monitor.merge" spans. Reports are byte-identical for every shard
-// and worker count. A cancelled build returns nil plus the wrapped context
-// error.
-func NewMonitor(ctx context.Context, rel *Relation, ont *Ontology, sigma Set, shards, workers int, stats *Stats) (*Monitor, error) {
+// exactly the substrate a Pipeline shares between its engines. Each
+// dependency keeps its own class index, so ApplyBatch updates the
+// dependencies a batch touches in parallel with no shared write state,
+// and Report reads epoch-stamped snapshots concurrently with ingestion.
+// The index build and the batch fan-out use up to workers goroutines
+// (0 = all CPUs), one dependency each; stats, when non-nil, receives the
+// "monitor.build", "monitor.apply", and "monitor.merge" spans. Reports
+// are byte-identical for every worker count. A cancelled build returns
+// nil plus the wrapped context error.
+func NewMonitor(ctx context.Context, rel *Relation, ont *Ontology, sigma Set, workers int, stats *Stats) (*Monitor, error) {
 	sub, err := core.NewSubstrate(ctx, rel, ont, workers)
 	if err != nil {
 		return nil, err
 	}
-	return core.NewMonitor(ctx, sub, sigma, shards, workers, stats)
+	return core.NewMonitor(ctx, sub, sigma, workers, stats)
 }
 
 // DefaultDiscoveryOptions returns the paper's full FastOFD configuration
@@ -316,7 +314,7 @@ type (
 // thereafter maintains the cover and the violation report together.
 // Everything observable is byte-identical to running the engines
 // separately — the cover matches a fresh Discover and reports match a
-// fresh Detect over the final instance, for any shard and worker count.
+// fresh Detect over the final instance, for any worker count.
 // With FollowCover, the monitored set tracks the cover as it drifts.
 func NewPipeline(ctx context.Context, rel *Relation, ont *Ontology, opts PipelineOptions) (*Pipeline, error) {
 	return pipeline.New(ctx, rel, ont, opts)

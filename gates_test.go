@@ -207,44 +207,42 @@ func mustJSON(t *testing.T, v any) string {
 
 // TestMonitorReportMatchesDetect: after two batches of 1 % consequent
 // updates plus batch/20 appends, the monitor's report is byte-identical
-// to a fresh Detect over the evolved instance, single-shard and sharded.
-// The 200K-row case keeps every shard under real key fan-out.
+// to a fresh Detect over the evolved instance, for every worker count.
+// The 200K-row case keeps every worker under real key fan-out.
 func TestMonitorReportMatchesDetect(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range []struct {
 		rows    int
 		workers []int
 	}{
-		{300, []int{1, 0}},
-		{200_000, []int{0}},
+		{300, []int{1, 2, 4}},
+		{200_000, []int{4}},
 	} {
 		ds := gen.Clinical(tc.rows, 1)
 		sigma := monitorSigma(ds)
 		batchSize := tc.rows / 100
 		batches := monitorStream(ds, sigma, 2, batchSize, batchSize/20, 7)
 		want := mustJSON(t, fastofd.DetectWorkers(evolve(ds.Rel.Clone(), batches), ds.FullOnt, sigma, 0))
-		for _, shards := range []int{1, 4} {
-			for _, w := range tc.workers {
-				m, err := fastofd.NewMonitor(ctx, ds.Rel.Clone(), ds.FullOnt, sigma, shards, w, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Appends apply as they come; each batch's updates flush
-				// through one ApplyBatchContext.
-				for _, ops := range batches {
-					updates, appends := splitBatch(ops)
-					for _, row := range appends {
-						if _, err := m.AppendRow(row); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := m.ApplyBatchContext(ctx, updates); err != nil {
+		for _, w := range tc.workers {
+			m, err := fastofd.NewMonitor(ctx, ds.Rel.Clone(), ds.FullOnt, sigma, w, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Appends apply as they come; each batch's updates flush
+			// through one ApplyBatchContext.
+			for _, ops := range batches {
+				updates, appends := splitBatch(ops)
+				for _, row := range appends {
+					if _, err := m.AppendRow(row); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if got := mustJSON(t, m.Report()); got != want {
-					t.Errorf("rows=%d shards=%d workers=%d: monitor report differs from fresh Detect", tc.rows, shards, w)
+				if err := m.ApplyBatchContext(ctx, updates); err != nil {
+					t.Fatal(err)
 				}
+			}
+			if got := mustJSON(t, m.Report()); got != want {
+				t.Errorf("rows=%d workers=%d: monitor report differs from fresh Detect", tc.rows, w)
 			}
 		}
 	}
@@ -311,8 +309,8 @@ func TestPipelineMatchesEngines(t *testing.T) {
 	evolved := evolve(ds.Rel.Clone(), batches)
 	wantReport := mustJSON(t, fastofd.DetectWorkers(evolved, ds.FullOnt, initial, 0))
 	wantCover := mustJSON(t, fastofd.Discover(evolved, ds.FullOnt, fastofd.DefaultDiscoveryOptions()).OFDs)
-	for _, w := range []int{1, 0} {
-		p, err := fastofd.NewPipeline(ctx, ds.Rel.Clone(), ds.FullOnt, fastofd.PipelineOptions{Shards: 4, Workers: w})
+	for _, w := range []int{1, 4} {
+		p, err := fastofd.NewPipeline(ctx, ds.Rel.Clone(), ds.FullOnt, fastofd.PipelineOptions{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +326,7 @@ func TestPipelineMatchesEngines(t *testing.T) {
 	}
 }
 
-// TestSnapshotReopenMatchesLive: a 4-shard pipeline saved and reopened
+// TestSnapshotReopenMatchesLive: a 4-worker pipeline saved and reopened
 // answers Report() and Cover() byte-identically to the live one, and
 // keeps doing so — with the same monitor epoch — after one identical
 // batch replayed through both. Reopening must beat the cold build it
@@ -337,7 +335,7 @@ func TestSnapshotReopenMatchesLive(t *testing.T) {
 	ctx := context.Background()
 	ds := gen.Clinical(5000, 1)
 	start := time.Now()
-	p, err := fastofd.NewPipeline(ctx, ds.Rel, ds.FullOnt, fastofd.PipelineOptions{Sigma: monitorSigma(ds), Shards: 4})
+	p, err := fastofd.NewPipeline(ctx, ds.Rel, ds.FullOnt, fastofd.PipelineOptions{Sigma: monitorSigma(ds), Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

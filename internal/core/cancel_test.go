@@ -48,7 +48,7 @@ func TestNewMonitorCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m, err := NewMonitor(ctx, testSubstrate(t, rel, ont), sigma, 0, 1, nil)
+	m, err := NewMonitor(ctx, testSubstrate(t, rel, ont), sigma, 1, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -90,10 +90,10 @@ func (c *cancelOnPoll) Err() error {
 	return nil
 }
 
-// monitorBatchFixture builds a monitor over table1 with the given shard
+// monitorBatchFixture builds a monitor over table1 with the given worker
 // count and a batch that would flip one class into violation, plus
 // snapshots of the pre-batch state.
-func monitorBatchFixture(t *testing.T, shards int) (m *Monitor, batch []CellUpdate, cellsBefore []string, reportBefore string) {
+func monitorBatchFixture(t *testing.T, workers int) (m *Monitor, batch []CellUpdate, cellsBefore []string, reportBefore string) {
 	t.Helper()
 	rel, ont := table1(t)
 	schema := rel.Schema()
@@ -101,7 +101,7 @@ func monitorBatchFixture(t *testing.T, shards int) (m *Monitor, batch []CellUpda
 		MustParse(schema, "CC -> CTRY"),
 		MustParse(schema, "SYMP, DIAG -> MED"),
 	}
-	m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), sigma, shards, 1, nil)
+	m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), sigma, workers, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,35 +155,32 @@ func TestApplyBatchPreCancelled(t *testing.T) {
 }
 
 func TestApplyBatchCancelledAfterWrites(t *testing.T) {
-	for _, shards := range []int{1, 4, 16} {
-		for _, workers := range []int{1, 2, 0} {
-			m, batch, cellsBefore, reportBefore := monitorBatchFixture(t, shards)
-			m.Workers = workers
-			// First Err() poll fires after the cell writes, before the shard
-			// fan-out applies any multiset delta.
-			err := m.ApplyBatchContext(newCancelOnPoll(1), batch)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("shards=%d workers=%d: want context.Canceled, got %v", shards, workers, err)
-			}
-			assertBatchRolledBack(t, m, batch, cellsBefore, reportBefore)
-			// After the rollback the report still matches a fresh Detect —
-			// the acceptance criterion "byte-identical including after
-			// cancellation rollback".
-			want, err2 := json.Marshal(Detect(m.rel, m.v.Ontology(), m.sigma))
-			if err2 != nil {
-				t.Fatal(err2)
-			}
-			if got, _ := json.Marshal(m.Report()); string(got) != string(want) {
-				t.Fatalf("shards=%d workers=%d: rolled-back report diverged from Detect\n got %s\nwant %s", shards, workers, got, want)
-			}
-			// The rolled-back monitor stays fully usable: the same batch
-			// applies cleanly afterwards.
-			if err := m.ApplyBatch(batch); err != nil {
-				t.Fatal(err)
-			}
-			if m.Satisfied() {
-				t.Fatalf("shards=%d workers=%d: re-applied batch must violate", shards, workers)
-			}
+	for _, workers := range []int{1, 2, 4} {
+		m, batch, cellsBefore, reportBefore := monitorBatchFixture(t, workers)
+		// First Err() poll fires after the cell writes, before the
+		// per-dependency fan-out applies any multiset delta.
+		err := m.ApplyBatchContext(newCancelOnPoll(1), batch)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: want context.Canceled, got %v", workers, err)
+		}
+		assertBatchRolledBack(t, m, batch, cellsBefore, reportBefore)
+		// After the rollback the report still matches a fresh Detect —
+		// the acceptance criterion "byte-identical including after
+		// cancellation rollback".
+		want, err2 := json.Marshal(Detect(m.rel, m.v.Ontology(), m.sigma))
+		if err2 != nil {
+			t.Fatal(err2)
+		}
+		if got, _ := json.Marshal(m.Report()); string(got) != string(want) {
+			t.Fatalf("workers=%d: rolled-back report diverged from Detect\n got %s\nwant %s", workers, got, want)
+		}
+		// The rolled-back monitor stays fully usable: the same batch
+		// applies cleanly afterwards.
+		if err := m.ApplyBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if m.Satisfied() {
+			t.Fatalf("workers=%d: re-applied batch must violate", workers)
 		}
 	}
 }

@@ -95,7 +95,7 @@ func FuzzCSV(f *testing.F) {
 // component-wise. The fixed 4-bytes-per-attribute layout makes keys over
 // one attribute list prefix-free — no value-id pair can bleed across a
 // cell boundary — which is exactly what the distinct-tuples-never-collide
-// guarantee of the shard LHS indexes rests on.
+// guarantee of the monitor's LHS indexes rests on.
 func FuzzLHSKey(f *testing.F) {
 	f.Add(int32(0), int32(0), int32(0), int32(0))
 	f.Add(int32(1), int32(0x100), int32(0x100), int32(1))

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
-
-	"github.com/fastofd/fastofd/internal/exec"
 )
 
 // epochRetention is how many published epochs stay readable through
@@ -14,27 +11,27 @@ import (
 // would pin every record ever published.
 const epochRetention = 8
 
-// shardSnap is one shard's frozen violation state: the materialized
+// depSnap is one dependency's frozen violation state: the materialized
 // records of its violating classes and the stable tuple lists of its
-// FD-only classes, in no particular order (the cross-shard merge imposes
-// the canonical one). A shardSnap is immutable once built.
-type shardSnap struct {
+// FD-only classes, in no particular order (the cross-dependency merge
+// imposes the canonical one). A depSnap is immutable once built.
+type depSnap struct {
 	viol     []*Violation
 	fdTuples [][]int32
 }
 
 // epochSnap is one published monitor state: the epoch stamp and every
-// shard's snapshot at that point. Immutable once published.
+// dependency's snapshot at that point. Immutable once published.
 type epochSnap struct {
-	epoch  uint64
-	shards []*shardSnap
+	epoch uint64
+	deps  []*depSnap
 }
 
 // violations returns the number of violating classes in the snapshot.
 func (es *epochSnap) violations() int {
 	n := 0
-	for _, ss := range es.shards {
-		n += len(ss.viol)
+	for _, ds := range es.deps {
+		n += len(ds.viol)
 	}
 	return n
 }
@@ -43,60 +40,48 @@ func (es *epochSnap) violations() int {
 // epochs, ordered oldest to newest and never mutated in place.
 type historyPtr = atomic.Pointer[[]*epochSnap]
 
-// rebuildSnap freezes the shard's current violation maps into a fresh
-// snapshot. The old snapshot is never mutated — epochs already published
-// keep aliasing it.
-func (sh *monitorShard) rebuildSnap() {
-	snap := &shardSnap{}
-	for i := range sh.viol {
-		for _, v := range sh.viol[i] {
-			snap.viol = append(snap.viol, v)
-		}
-		for _, ts := range sh.fdOnly[i] {
-			snap.fdTuples = append(snap.fdTuples, ts)
-		}
+// rebuildSnap freezes the dependency's current violation maps into a
+// fresh snapshot. The old snapshot is never mutated — epochs already
+// published keep aliasing it.
+func (dep *monitorDep) rebuildSnap() {
+	snap := &depSnap{
+		viol:     make([]*Violation, 0, len(dep.viol)),
+		fdTuples: make([][]int32, 0, len(dep.fdOnly)),
 	}
-	sh.snap = snap
+	for _, v := range dep.viol {
+		snap.viol = append(snap.viol, v)
+	}
+	for _, ts := range dep.fdOnly {
+		snap.fdTuples = append(snap.fdTuples, ts)
+	}
+	dep.snap = snap
 }
 
-// publishDirty rebuilds the snapshots of the shards the current operation
-// marked stale — shard-local, so over up to Workers goroutines — and
-// publishes the next epoch. Returns the number of rebuilt shards.
-func (m *Monitor) publishDirty() int {
-	var stale []int
-	for s, dirty := range m.snapDirty {
-		if dirty {
-			stale = append(stale, s)
-			m.snapDirty[s] = false
-		}
+// current stamps the dependencies' current snapshots with the monitor's
+// epoch.
+func (m *Monitor) current() *epochSnap {
+	snaps := make([]*depSnap, len(m.deps))
+	for i, dep := range m.deps {
+		snaps[i] = dep.snap
 	}
-	_ = exec.For(context.Background(), len(stale), exec.Workers(m.Workers), func(_, k int) {
-		m.shards[stale[k]].rebuildSnap()
-	})
-	m.publish()
-	return len(stale)
+	return &epochSnap{epoch: m.epoch, deps: snaps}
 }
 
-// publishInit publishes epoch 0, the state right after construction.
+// publishInit publishes the state right after construction or restore
+// as the monitor's epoch (0 for a new monitor, the saved epoch for a
+// restored one), so ReportAt of it answers and the next mutation stamps
+// the one after.
 func (m *Monitor) publishInit() {
-	snaps := make([]*shardSnap, m.nShards)
-	for s, sh := range m.shards {
-		snaps[s] = sh.snap
-	}
-	hist := []*epochSnap{{epoch: 0, shards: snaps}}
+	hist := []*epochSnap{m.current()}
 	m.history.Store(&hist)
 }
 
-// publish stamps the shards' current snapshots with the next epoch and
-// swaps them into the retention window (copy-on-write, so concurrent
+// publish stamps the dependencies' current snapshots with the next epoch
+// and swaps them into the retention window (copy-on-write, so concurrent
 // readers holding the old window are unaffected).
 func (m *Monitor) publish() {
-	snaps := make([]*shardSnap, m.nShards)
-	for s, sh := range m.shards {
-		snaps[s] = sh.snap
-	}
 	m.epoch++
-	es := &epochSnap{epoch: m.epoch, shards: snaps}
+	es := m.current()
 	hist := *m.history.Load()
 	next := make([]*epochSnap, 0, len(hist)+1)
 	next = append(next, hist...)
@@ -123,7 +108,7 @@ func (m *Monitor) Epoch() uint64 {
 // Report materializes the current violation state as a Detect-shaped
 // report: canonically sorted explained violations, distinct flagged
 // tuples, and the FD-only false-positive count. For any sequence of
-// updates, batches, and appends — and any shard and worker count — the
+// updates, batches, and appends — and any worker count — the
 // report is byte-identical to running Detect from scratch on the final
 // instance; the bench and the equivalence property test assert exactly
 // that. Report reads only the latest immutable snapshot, so it is safe to
@@ -147,23 +132,23 @@ func (m *Monitor) ReportAt(epoch uint64) (*Report, error) {
 	return nil, fmt.Errorf("core: epoch %d not retained (window [%d, %d])", epoch, hist[0].epoch, hist[len(hist)-1].epoch)
 }
 
-// reportFrom merges one epoch's shard snapshots into the canonical
-// report. Shard snapshots are unordered, but sortViolations' comparator
+// reportFrom merges one epoch's dependency snapshots into the canonical
+// report. The snapshots are unordered, but sortViolations' comparator
 // (consequent, antecedent, first tuple) is a strict total order over
 // distinct classes, and the flagged/FD-only counters are set unions — so
-// the merge result is independent of shard count and iteration order.
+// the merge result is independent of class ids and iteration order.
 func reportFrom(es *epochSnap) *Report {
 	rep := &Report{}
 	flagged := make(map[int]struct{})
 	fdOnly := make(map[int]struct{})
-	for _, ss := range es.shards {
-		for _, v := range ss.viol {
+	for _, ds := range es.deps {
+		for _, v := range ds.viol {
 			rep.Violations = append(rep.Violations, *v)
 			for _, t := range v.Tuples {
 				flagged[t] = struct{}{}
 			}
 		}
-		for _, ts := range ss.fdTuples {
+		for _, ts := range ds.fdTuples {
 			for _, t := range ts {
 				fdOnly[int(t)] = struct{}{}
 			}

@@ -15,13 +15,16 @@ import (
 )
 
 // moveStep is one monitor input of the antecedent-move tests: rows to
-// append when rows is non-nil, a batch of cell updates otherwise, and a
-// snapshot round trip of the substrate and monitor first when reopen is
-// set.
+// append when rows is non-nil, a batch of cell updates otherwise. Before
+// it, the monitor is round-tripped through a snapshot of the substrate
+// and monitor when reopen is set, and registers and unregisters the
+// given dependencies.
 type moveStep struct {
-	ups    []CellUpdate
-	rows   [][]string
-	reopen bool
+	ups        []CellUpdate
+	rows       [][]string
+	reopen     bool
+	register   []OFD
+	unregister []OFD
 }
 
 // moveSchema is the antecedent-move tests' schema: X → A, X,Y → B and
@@ -58,11 +61,11 @@ func reopenMonitor(t *testing.T, m *Monitor, workers int) *Monitor {
 }
 
 // checkMonitorState asserts the monitor's report is byte-identical to a
-// fresh Detect and that its tables are mutually consistent: the restore
-// checks, every class member routed to its shard and class, and the key
-// maps, whose every entry must hash to its shard and encode its class's
-// first member (or its lone row), one entry per non-empty class and lone
-// row.
+// fresh Detect and that each dependency's tables are mutually consistent:
+// the restore checks, every class member's row→class entry naming its
+// class, every multiset counting its members' consequents, and the key
+// map, whose every entry must encode its class's first member (or its
+// lone row), one entry per non-empty class and lone row.
 func checkMonitorState(t *testing.T, label string, m *Monitor) {
 	t.Helper()
 	got, err := json.Marshal(m.Report())
@@ -76,93 +79,109 @@ func checkMonitorState(t *testing.T, label string, m *Monitor) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s: report diverged from Detect\n got %s\nwant %s", label, got, want)
 	}
-	for i := range m.sigma {
-		if err := m.checkRestored(i); err != nil {
-			t.Fatalf("%s: %v: %v", label, m.sigma[i], err)
+	if len(m.deps) != len(m.sigma) {
+		t.Fatalf("%s: %d dependency states for %d dependencies", label, len(m.deps), len(m.sigma))
+	}
+	byVal := func(a, b live.ValCount) int { return int(a.Val) - int(b.Val) }
+	for i, dep := range m.deps {
+		if dep.d != m.sigma[i] {
+			t.Fatalf("%s: state %d is %v's, Σ holds %v there", label, i, dep.d, m.sigma[i])
 		}
-		for s, sh := range m.shards {
-			for ci, class := range sh.idx[i].Members {
-				for _, r := range class {
-					if int(m.rowShard[i][r]) != s || m.classOf[i][r] != int32(ci) {
-						t.Fatalf("%s: %v shard %d class %d lists row %d, routed to shard %d class %d", label, m.sigma[i], s, ci, r, m.rowShard[i][r], m.classOf[i][r])
-					}
+		if err := dep.checkRestored(m.rel.NumRows()); err != nil {
+			t.Fatalf("%s: %v: %v", label, dep.d, err)
+		}
+		col := m.rel.Column(dep.d.RHS)
+		for ci, class := range dep.ix.Members {
+			var counts []live.ValCount
+			for _, r := range class {
+				if dep.classOf[r] != int32(ci) {
+					t.Fatalf("%s: %v class %d lists row %d, whose entry names class %d", label, dep.d, ci, r, dep.classOf[r])
 				}
+				counts = live.Bump(counts, col.At(int(r)), 1)
+			}
+			have := slices.Clone(dep.ix.Counts[ci])
+			slices.SortFunc(have, byVal)
+			slices.SortFunc(counts, byVal)
+			if !slices.Equal(have, counts) {
+				t.Fatalf("%s: %v class %d multiset %v, its members hold %v", label, dep.d, ci, have, counts)
 			}
 		}
-		checkKeyMaps(t, label, m, i)
+		checkKeyMap(t, label, m, dep)
 	}
 }
 
-// checkKeyMaps checks dependency i's key maps against the relation. A
-// restored monitor builds its maps on its first append or antecedent
-// write, so a nil map is skipped.
-func checkKeyMaps(t *testing.T, label string, m *Monitor, i int) {
+// checkKeyMap checks a dependency's key map against the relation. A
+// restored monitor builds a dependency's map on its first append or
+// antecedent write, so a nil map is skipped.
+func checkKeyMap(t *testing.T, label string, m *Monitor, dep *monitorDep) {
 	t.Helper()
-	for s, sh := range m.shards {
-		ix := sh.idx[i]
-		if ix.Keys == nil {
-			continue
+	ix := dep.ix
+	if ix.Keys == nil {
+		return
+	}
+	want := 0
+	for _, class := range ix.Members {
+		if len(class) > 0 {
+			want++
 		}
-		want := 0
-		for _, class := range ix.Members {
-			if len(class) > 0 {
-				want++
-			}
+	}
+	for _, ci := range dep.classOf {
+		if ci < 0 {
+			want++
 		}
-		for t, ci := range m.classOf[i] {
-			if ci < 0 && int(m.rowShard[i][t]) == s {
-				want++
-			}
+	}
+	if len(ix.Keys) != want {
+		t.Fatalf("%s: %v holds %d keys for %d non-empty classes and lone rows", label, dep.d, len(ix.Keys), want)
+	}
+	for k, v := range ix.Keys {
+		row := -v - 2
+		if v >= 0 {
+			row = ix.Members[v][0]
 		}
-		if len(ix.Keys) != want {
-			t.Fatalf("%s: %v shard %d holds %d keys for %d non-empty classes and lone rows", label, m.sigma[i], s, len(ix.Keys), want)
-		}
-		for k, v := range ix.Keys {
-			row := -v - 2
-			if v >= 0 {
-				row = ix.Members[v][0]
-			}
-			if enc := string(live.EncodeKey(m.rel, m.lhsCols[i], int(row), nil)); enc != k {
-				t.Fatalf("%s: %v shard %d key %x names entry %d whose row %d encodes %x", label, m.sigma[i], s, k, v, row, enc)
-			}
-			if got := shardOfKey([]byte(k), m.nShards); int(got) != s {
-				t.Fatalf("%s: %v key %x held by shard %d hashes to %d", label, m.sigma[i], k, s, got)
-			}
+		if enc := string(live.EncodeKey(m.rel, ix.Cols, int(row), nil)); enc != k {
+			t.Fatalf("%s: %v key %x names entry %d whose row %d encodes %x", label, dep.d, k, v, row, enc)
 		}
 	}
 }
 
-// runMoveSteps replays steps on a fresh monitor over rows for every
-// shards ∈ {1, 4} × workers ∈ {1, 2} and checks the monitor after every
-// step.
-func runMoveSteps(t *testing.T, ont *ontology.Ontology, rows [][]string, steps []moveStep) {
+// runMoveSteps replays steps on a fresh monitor of sigma over rows for
+// every workers ∈ {1, 2, 4} and checks the monitor after every step.
+func runMoveSteps(t *testing.T, ont *ontology.Ontology, rows [][]string, sigma Set, steps []moveStep) {
 	t.Helper()
-	for _, shards := range []int{1, 4} {
-		for _, workers := range []int{1, 2} {
-			rel, err := relation.FromRows(moveSchema, rows)
-			if err != nil {
-				t.Fatal(err)
+	for _, workers := range []int{1, 2, 4} {
+		rel, err := relation.FromRows(moveSchema, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), sigma, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("workers=%d", workers)
+		checkMonitorState(t, label+" initial", m)
+		for k, st := range steps {
+			if st.reopen {
+				m = reopenMonitor(t, m, workers)
 			}
-			m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), moveSigma(), shards, workers, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("shards=%d workers=%d", shards, workers)
-			checkMonitorState(t, label+" initial", m)
-			for k, st := range steps {
-				if st.reopen {
-					m = reopenMonitor(t, m, workers)
-				}
-				if st.rows != nil {
-					err = m.AppendRows(st.rows)
-				} else {
-					err = m.ApplyBatch(st.ups)
-				}
-				if err != nil {
+			for _, d := range st.register {
+				if err := m.Register(d); err != nil {
 					t.Fatal(err)
 				}
-				checkMonitorState(t, fmt.Sprintf("%s step %d", label, k), m)
 			}
+			for _, d := range st.unregister {
+				if err := m.Unregister(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if st.rows != nil {
+				err = m.AppendRows(st.rows)
+			} else {
+				err = m.ApplyBatch(st.ups)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkMonitorState(t, fmt.Sprintf("%s step %d", label, k), m)
 		}
 	}
 }
@@ -171,9 +190,26 @@ func runMoveSteps(t *testing.T, ont *ontology.Ontology, rows [][]string, steps [
 // monitor's in-place antecedent moves: every batch below rewrites
 // antecedent cells, and after each one the report must equal a fresh
 // Detect and the monitor's tables must agree with each other, for every
-// shard and worker count.
+// worker count.
 func TestMonitorAntecedentMovesMatchDetect(t *testing.T) {
 	ont, _, _ := monitorStreamOntology()
+	rows, cases := moveCases()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			runMoveSteps(t, ont, rows, moveSigma(), tc.steps)
+		})
+	}
+}
+
+// moveCase is a named step program of the antecedent-move tests.
+type moveCase struct {
+	name  string
+	steps []moveStep
+}
+
+// moveCases returns the antecedent-move tests' 9-row instance and their
+// step programs.
+func moveCases() ([][]string, []moveCase) {
 	// Under X: class x0 = {0,1,2}, class x1 = {3,4}, class x4 = {7,8};
 	// rows 5 (x2) and 6 (x3) are lone.
 	rows := [][]string{
@@ -189,10 +225,7 @@ func TestMonitorAntecedentMovesMatchDetect(t *testing.T) {
 	}
 	X, Y, A, B := 0, 1, 2, 3
 	row := func(x, y, a, b string) []string { return []string{x, y, a, b} }
-	cases := []struct {
-		name  string
-		steps []moveStep
-	}{
+	return rows, []moveCase{
 		{"two rows swap antecedent values", []moveStep{
 			{ups: []CellUpdate{{0, X, "x1"}, {3, X, "x0"}}},
 			{ups: []CellUpdate{{1, A, "y4-a"}, {7, A, "y0-b"}}},
@@ -227,24 +260,96 @@ func TestMonitorAntecedentMovesMatchDetect(t *testing.T) {
 			{rows: [][]string{row("x7", "y0", "y4-b", "z4-b")}, reopen: true},
 		}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			runMoveSteps(t, ont, rows, tc.steps)
-		})
+}
+
+// TestMonitorFewerDependenciesThanWorkers runs every antecedent-move
+// program on a Σ of one and of two dependencies, so that four workers
+// outnumber the dependencies a batch can keep busy: after each step the
+// report must still equal a fresh Detect.
+func TestMonitorFewerDependenciesThanWorkers(t *testing.T) {
+	ont, _, _ := monitorStreamOntology()
+	rows, cases := moveCases()
+	for _, k := range []int{1, 2} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("deps=%d/%s", k, tc.name), func(t *testing.T) {
+				runMoveSteps(t, ont, rows, moveSigma()[:k], tc.steps)
+			})
+		}
+	}
+}
+
+// TestMonitorRegisterMidStream starts from one monitored dependency and
+// registers and unregisters others between batches of antecedent moves,
+// consequent writes and appends, across a snapshot round trip: a
+// registered dependency is indexed from the current instance, and after
+// every batch the report must equal a fresh Detect of the monitored set.
+func TestMonitorRegisterMidStream(t *testing.T) {
+	ont, _, _ := monitorStreamOntology()
+	rows, _ := moveCases()
+	sigma := moveSigma()
+	X, Y, A, B := 0, 1, 2, 3
+	runMoveSteps(t, ont, rows, sigma[:1], []moveStep{
+		{ups: []CellUpdate{{0, X, "x1"}, {3, X, "x0"}, {5, A, "y0-a"}}},
+		{register: sigma[1:2], ups: []CellUpdate{{4, Y, "y0"}, {4, B, "z0-a"}, {6, X, "x0"}}},
+		{register: sigma[2:], rows: [][]string{{"x0", "y0", "y0-a", "junk-z1"}, {"x9", "y1", "y4-a", "z4-b"}}},
+		{unregister: sigma[:1], ups: []CellUpdate{{1, A, "y4-a"}, {9, X, "x4"}}},
+		{reopen: true, register: sigma[:1], ups: []CellUpdate{{7, X, "x0"}, {2, A, "y2-a"}}},
+		{unregister: sigma[1:2], rows: [][]string{{"x4", "y1", "y4-b", "z4-a"}}},
+	})
+}
+
+// TestMonitorUnregisterPinsNoRemovedDependencies registers dependencies
+// one by one and unregisters them again, first and middle ones first:
+// after each removal the slots of Σ and of the per-dependency states past
+// their lengths must be empty, so a removed dependency's index, member
+// lists and key map become garbage instead of lingering in a backing
+// array.
+func TestMonitorUnregisterPinsNoRemovedDependencies(t *testing.T) {
+	ont, _, _ := monitorStreamOntology()
+	rows, _ := moveCases()
+	rel, err := relation.FromRows(moveSchema, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), nil, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigma := moveSigma()
+	for _, d := range sigma {
+		if err := m.Register(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, d := range []OFD{sigma[0], sigma[1], sigma[2]} {
+		if err := m.Unregister(d); err != nil {
+			t.Fatal(err)
+		}
+		for k, dep := range m.deps[len(m.deps):cap(m.deps)] {
+			if dep != nil {
+				t.Fatalf("after unregistering %v, state slot %d past the length holds %v", d, len(m.deps)+k, dep.d)
+			}
+		}
+		for k, e := range m.sigma[len(m.sigma):cap(m.sigma)] {
+			if e != (OFD{}) {
+				t.Fatalf("after unregistering %v, Σ slot %d past the length holds %v", d, len(m.sigma)+k, e)
+			}
+		}
+		checkMonitorState(t, fmt.Sprintf("after unregistering %v", d), m)
 	}
 }
 
 // FuzzMonitorBatches decodes fuzz bytes into a short program of
 // antecedent writes, consequent writes and appends over a 40-row relation
-// with a chained Σ, runs it on monitors with 1 and 3 shards, and checks
+// with a chained Σ, runs it on monitors with 1, 2 and 4 workers, and checks
 // after every batch that the report equals a fresh Detect and the
 // monitor's tables agree with each other. Each op takes three bytes: the
 // op and column, a row, and a value. A round-trip op swaps the monitor for
 // one decoded from its encoding. The decoded member lists are views of
 // that encoding, back to back, so they must read the same after every
 // later batch: a list whose append wrote in place would overwrite its
-// neighbour. (The routing tables are views too, and batches rewrite them
-// in place by design.)
+// neighbour. (The row→class tables are views too, and batches rewrite
+// them in place by design.)
 func FuzzMonitorBatches(f *testing.F) {
 	ont, yPool, zPool := monitorStreamOntology()
 	pools := [][]string{
@@ -273,12 +378,12 @@ func FuzzMonitorBatches(f *testing.F) {
 		if len(prog) > 96 {
 			prog = prog[:96]
 		}
-		for _, shards := range []int{1, 3} {
+		for _, workers := range []int{1, 2, 4} {
 			rel, err := relation.FromRows(moveSchema, rows)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), moveSigma(), shards, 2, nil)
+			m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), moveSigma(), workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,7 +396,7 @@ func FuzzMonitorBatches(f *testing.F) {
 					t.Fatal(err)
 				}
 				batch = batch[:0]
-				checkMonitorState(t, fmt.Sprintf("shards=%d op %d", shards, k), m)
+				checkMonitorState(t, fmt.Sprintf("workers=%d op %d", workers, k), m)
 			}
 			for k := 0; k+2 < len(prog); k += 3 {
 				op, r, v := prog[k], int(prog[k+1]), int(prog[k+2])
@@ -301,17 +406,15 @@ func FuzzMonitorBatches(f *testing.F) {
 				case op >= 0xe0: // round-trip the monitor body
 					var w wire.Writer
 					AppendMonitorBody(&w, m)
-					if m, err = DecodeMonitorBody(wire.NewReader(w.Bytes()), m.sub, 2, nil); err != nil {
-						t.Fatalf("shards=%d op %d: DecodeMonitorBody: %v", shards, k, err)
+					if m, err = DecodeMonitorBody(wire.NewReader(w.Bytes()), m.sub, workers, nil); err != nil {
+						t.Fatalf("workers=%d op %d: DecodeMonitorBody: %v", workers, k, err)
 					}
-					for _, sh := range m.shards {
-						for _, ix := range sh.idx {
-							for _, l := range ix.Members {
-								decoded = append(decoded, [2][]int32{l, slices.Clone(l)})
-							}
+					for _, dep := range m.deps {
+						for _, l := range dep.ix.Members {
+							decoded = append(decoded, [2][]int32{l, slices.Clone(l)})
 						}
 					}
-					checkMonitorState(t, fmt.Sprintf("shards=%d op %d", shards, k), m)
+					checkMonitorState(t, fmt.Sprintf("workers=%d op %d", workers, k), m)
 				case op >= 0x80: // append one row
 					row := make([]string, len(pools))
 					for c, pool := range pools {
@@ -320,7 +423,7 @@ func FuzzMonitorBatches(f *testing.F) {
 					if err := m.AppendRows([][]string{row}); err != nil {
 						t.Fatal(err)
 					}
-					checkMonitorState(t, fmt.Sprintf("shards=%d op %d", shards, k), m)
+					checkMonitorState(t, fmt.Sprintf("workers=%d op %d", workers, k), m)
 				default: // write one cell
 					c := int(op) % len(pools)
 					batch = append(batch, CellUpdate{Row: r % m.NumRows(), Col: c, Value: pools[c][v%len(pools[c])]})
@@ -329,7 +432,7 @@ func FuzzMonitorBatches(f *testing.F) {
 			flush(len(prog))
 			for _, d := range decoded {
 				if !slices.Equal(d[0], d[1]) {
-					t.Fatalf("shards=%d: later batches rewrote a decoded member list %v into %v", shards, d[1], d[0])
+					t.Fatalf("workers=%d: later batches rewrote a decoded member list %v into %v", workers, d[1], d[0])
 				}
 			}
 		}

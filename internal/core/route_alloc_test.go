@@ -24,15 +24,15 @@ func routeSigma(ds *gen.Dataset) core.Set {
 	return sigma
 }
 
-// TestRouteIndexAllocsFlat pins routeIndex's key build: every key of a
-// dependency is a substring of one blob and every shard map is made at
-// its key count, so quadrupling the rows adds far fewer allocations than
-// rows. What still grows is the maps' own storage (Go's maps allocate one
-// table per 1,024 slots) and the per-shard owned-class lists; a string
-// per key would add one allocation per added key.
+// TestRouteIndexAllocsFlat pins the key build of a dependency's index
+// (the build NewMonitor and Register run): every key of a dependency is a
+// substring of one blob and the map is made at its key count, so
+// quadrupling the rows adds far fewer allocations than rows. What still
+// grows is the map's own storage (Go's maps allocate one table per 1,024
+// slots); a string per key would add one allocation per added key.
 func TestRouteIndexAllocsFlat(t *testing.T) {
 	const small, large = 2000, 8000
-	for _, shards := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		allocs := map[int][]float64{}
 		var sigma core.Set
 		for _, n := range []int{small, large} {
@@ -42,17 +42,17 @@ func TestRouteIndexAllocsFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := core.NewMonitor(context.Background(), sub, sigma, shards, 1, nil)
+			m, err := core.NewMonitor(context.Background(), sub, sigma, workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range sigma {
-				allocs[n] = append(allocs[n], testing.AllocsPerRun(5, func() { m.RouteIndex(i) }))
+				allocs[n] = append(allocs[n], testing.AllocsPerRun(5, func() { m.BuildIndex(i) }))
 			}
 		}
 		for i, d := range sigma {
 			if grew := allocs[large][i] - allocs[small][i]; grew > (large-small)/64 {
-				t.Errorf("shards=%d %v: routeIndex allocations %v at %d rows → %v at %d rows", shards, d, allocs[small][i], small, allocs[large][i], large)
+				t.Errorf("workers=%d %v: index build allocations %v at %d rows → %v at %d rows", workers, d, allocs[small][i], small, allocs[large][i], large)
 			}
 		}
 	}
@@ -63,11 +63,11 @@ func TestRouteIndexAllocsFlat(t *testing.T) {
 // revert move the row between keys in place, so quadrupling the rows adds
 // fewer than one allocation per 64 added rows. What may still grow is
 // the explained record of a violating class the move dirties (its value
-// lists and maps grow with the class) and the shard snapshot's record
-// lists; re-routing a dependency allocates per class.
+// lists and maps grow with the class) and the dependency snapshot's
+// record lists; rebuilding a dependency's index allocates per class.
 func TestAntecedentWriteAllocsFlat(t *testing.T) {
 	const small, large = 2000, 8000
-	for _, shards := range []int{1, 4} {
+	for _, workers := range []int{1, 2, 4} {
 		allocs := map[int][]float64{}
 		var nc int
 		for _, n := range []int{small, large} {
@@ -77,7 +77,7 @@ func TestAntecedentWriteAllocsFlat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := core.NewMonitor(context.Background(), sub, routeSigma(ds), shards, 1, nil)
+			m, err := core.NewMonitor(context.Background(), sub, routeSigma(ds), workers, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +99,7 @@ func TestAntecedentWriteAllocsFlat(t *testing.T) {
 		}
 		for c := 0; c < nc; c++ {
 			if grew := allocs[large][c] - allocs[small][c]; grew > (large-small)/64 {
-				t.Errorf("shards=%d column %d: a write and its revert allocate %v at %d rows → %v at %d rows", shards, c, allocs[small][c], small, allocs[large][c], large)
+				t.Errorf("workers=%d column %d: a write and its revert allocate %v at %d rows → %v at %d rows", workers, c, allocs[small][c], small, allocs[large][c], large)
 			}
 		}
 	}
@@ -121,7 +121,7 @@ func BenchmarkMonitorAntecedentBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := core.NewMonitor(context.Background(), sub, cover, 2, 1, nil)
+	m, err := core.NewMonitor(context.Background(), sub, cover, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func BenchmarkMonitorAntecedentBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkMonitorReroute times the monitor's re-route of every
+// BenchmarkMonitorReroute times the monitor's index build of every
 // dependency of a discovered cover — the build Register runs for a
 // dependency it adds — on a warm partition cache over a generated
 // Clinical instance. Profile it with
@@ -166,7 +166,7 @@ func BenchmarkMonitorReroute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := core.NewMonitor(context.Background(), sub, cover, 2, 1, nil)
+	m, err := core.NewMonitor(context.Background(), sub, cover, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func BenchmarkMonitorReroute(b *testing.B) {
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
 		for i := range cover {
-			m.RouteIndex(i)
+			m.BuildIndex(i)
 		}
 	}
 }

@@ -75,8 +75,8 @@ func checkKeyEquiv(t testing.TB, rel *relation.Relation, cols []int) {
 }
 
 // TestKeyEncodingCrossEngine pins the shared key-encoding contract across
-// the engines: live.EncodeKey (monitor shard routing, class indexes,
-// overlay routers) and the tracker's sourceKey with an empty write
+// the engines: live.EncodeKey (the monitor's and the trackers' class
+// indexes) and the tracker's sourceKey with an empty write
 // segment. Any drift would silently desynchronize the merged pipeline's
 // shared indexes.
 func TestKeyEncodingCrossEngine(t *testing.T) {

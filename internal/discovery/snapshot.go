@@ -27,8 +27,8 @@ import (
 // Cover-tracker LHS-key maps are not saved: each is derivable from the
 // tracker's rowClass and the relation. The maintainer rebuilds them when
 // it mutates again (Maintainer.restoreKeys), exactly like the monitor's
-// shard maps, so a restored maintainer that only answers Cover() never
-// builds a map.
+// dependency maps, so a restored maintainer that only answers Cover()
+// never builds a map.
 
 // AppendMaintainerBody encodes the maintainer's engine state without its
 // substrate, which the pipeline section writes once for both engine
@@ -44,7 +44,7 @@ func AppendMaintainerBody(w *wire.Writer, mt *Maintainer) {
 			w.Uvarint(uint64(ct.d.LHS))
 			w.Int32s(ct.rowClass)
 			w.Int32s(ct.ix.Sizes)
-			appendVCTable(w, ct.ix.Counts)
+			live.AppendCounts(w, ct.ix.Counts)
 			sat := make([]uint8, len(ct.sat))
 			for ci, s := range ct.sat {
 				if s {
@@ -61,56 +61,6 @@ func AppendMaintainerBody(w *wire.Writer, mt *Maintainer) {
 			appendVCList(w, wt.vals)
 		}
 	}
-}
-
-// appendVCTable encodes per-class consequent multisets as three bulk
-// arrays — pairs-per-class, then the flattened values and multiplicities
-// (the monitor's counts encoding).
-func appendVCTable(w *wire.Writer, vals [][]live.ValCount) {
-	lens := make([]int32, len(vals))
-	total := 0
-	for ci, pairs := range vals {
-		lens[ci] = int32(len(pairs))
-		total += len(pairs)
-	}
-	flatV := make([]int32, 0, total)
-	flatN := make([]int32, 0, total)
-	for _, pairs := range vals {
-		for _, p := range pairs {
-			flatV = append(flatV, int32(p.Val))
-			flatN = append(flatN, p.N)
-		}
-	}
-	w.Int32s(lens)
-	w.Int32s(flatV)
-	w.Int32s(flatN)
-}
-
-// decodeVCTable is the inverse of appendVCTable. The per-class slices are
-// freshly allocated (live.Bump mutates and appends), the bulk reads
-// zero-copy.
-func decodeVCTable(r *wire.Reader) [][]live.ValCount {
-	lens := r.Int32s()
-	flatV := r.Int32s()
-	flatN := r.Int32s()
-	if len(flatV) != len(flatN) {
-		return nil
-	}
-	out := make([][]live.ValCount, len(lens))
-	pos := 0
-	for ci, l := range lens {
-		n := int(l)
-		if n < 0 || pos+n > len(flatV) {
-			return nil
-		}
-		pairs := make([]live.ValCount, n)
-		for k := 0; k < n; k++ {
-			pairs[k] = live.ValCount{Val: relation.Value(flatV[pos+k]), N: flatN[pos+k]}
-		}
-		out[ci] = pairs
-		pos += n
-	}
-	return out
 }
 
 // appendVCList encodes one class's multiset as parallel value and
@@ -191,7 +141,11 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 			}
 			ct.rowClass = r.Int32s()
 			ct.ix.Sizes = r.Int32s()
-			ct.ix.Counts = decodeVCTable(r)
+			counts, err := live.DecodeCounts(r, ct.ix.Sizes, rel.Dict(c).Size())
+			if err != nil {
+				return nil, err
+			}
+			ct.ix.Counts = counts
 			satBytes := r.Uint8s()
 			if r.Err() != nil {
 				return nil, r.Err()
@@ -199,7 +153,7 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 			if len(ct.rowClass) != nRows {
 				return nil, fmt.Errorf("discovery: snapshot tracker sized for %d rows, relation has %d", len(ct.rowClass), nRows)
 			}
-			if ct.ix.Counts == nil || len(ct.ix.Counts) != len(ct.ix.Sizes) || len(satBytes) != len(ct.ix.Sizes) {
+			if len(satBytes) != len(ct.ix.Sizes) {
 				return nil, fmt.Errorf("discovery: snapshot tracker class state inconsistent")
 			}
 			if err := checkRowClass(ct.rowClass, ct.ix.Sizes); err != nil {

@@ -43,9 +43,9 @@ type batchTracker interface {
 }
 
 // coverTracker maintains the exact equivalence-class state of one cover
-// element X → A on a live.ClassIndex — the same key index, per-class
-// consequent multisets, and size tracking the monitor's shards run on —
-// plus a per-row class assignment and per-class satisfaction flags, so a
+// element X → A on a live.ClassIndex — the same key index and per-class
+// consequent multisets the monitor's dependencies run on, with class
+// sizes in place of member lists — plus a per-row class assignment and per-class satisfaction flags, so a
 // batch's effect on the candidate's validity is known from O(touched
 // rows) work. The candidate is valid ⇔ unsat == 0. Singleton keys use the
 // shared lone-row encoding and carry no class state (they cannot
@@ -168,7 +168,7 @@ func (ct *coverTracker) scope() relation.AttrSet { return ct.colSet }
 // per class that holds a row, one per lone row. rel must hold the state
 // rowClass describes for its rows.
 func (ct *coverTracker) buildKeys(rel *relation.Relation) {
-	live.IndexKeys([]*live.ClassIndex{ct.ix}, ct.rowClass, nil, func(blob []byte, t int) []byte {
+	live.IndexKeys(ct.ix, ct.rowClass, func(blob []byte, t int) []byte {
 		return live.AppendKey(blob, rel, ct.cols, t)
 	})
 }

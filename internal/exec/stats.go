@@ -33,7 +33,6 @@ type stage struct {
 	items       int64
 	skipped     int64
 	workers     int
-	shards      int
 	cacheHits   uint64
 	cacheMisses uint64
 	spans       int64
@@ -47,7 +46,6 @@ type StageStat struct {
 	Items       int64         `json:"items,omitempty"`
 	Skipped     int64         `json:"skipped,omitempty"`
 	Workers     int           `json:"workers,omitempty"`
-	Shards      int           `json:"shards,omitempty"`
 	CacheHits   uint64        `json:"cache_hits,omitempty"`
 	CacheMisses uint64        `json:"cache_misses,omitempty"`
 	Spans       int64         `json:"spans,omitempty"`
@@ -81,7 +79,6 @@ type Span struct {
 	items   int64
 	skipped int64
 	workers int
-	shards  int
 	hits    uint64
 	misses  uint64
 	ended   bool
@@ -134,20 +131,6 @@ func (sp *Span) Workers(w int) {
 	sp.mu.Unlock()
 }
 
-// Shards records the shard fan-out the stage ran with (maximum across
-// accumulated spans, like Workers — a stage that mixed single-shard and
-// sharded phases reports its widest partitioning).
-func (sp *Span) Shards(n int) {
-	if sp == nil {
-		return
-	}
-	sp.mu.Lock()
-	if n > sp.shards {
-		sp.shards = n
-	}
-	sp.mu.Unlock()
-}
-
 // Cache adds partition-cache hit/miss deltas observed during the stage.
 func (sp *Span) Cache(hits, misses uint64) {
 	if sp == nil {
@@ -173,7 +156,7 @@ func (sp *Span) End() {
 	}
 	sp.ended = true
 	wall := time.Since(sp.start)
-	items, skipped, workers, shards, hits, misses := sp.items, sp.skipped, sp.workers, sp.shards, sp.hits, sp.misses
+	items, skipped, workers, hits, misses := sp.items, sp.skipped, sp.workers, sp.hits, sp.misses
 	sp.mu.Unlock()
 
 	s := sp.stats
@@ -184,9 +167,6 @@ func (sp *Span) End() {
 	st.skipped += skipped
 	if workers > st.workers {
 		st.workers = workers
-	}
-	if shards > st.shards {
-		st.shards = shards
 	}
 	st.cacheHits += hits
 	st.cacheMisses += misses
@@ -230,7 +210,6 @@ func (s *Stats) Snapshot() ([]StageStat, []string) {
 			Items:       st.items,
 			Skipped:     st.skipped,
 			Workers:     st.workers,
-			Shards:      st.shards,
 			CacheHits:   st.cacheHits,
 			CacheMisses: st.cacheMisses,
 			Spans:       st.spans,
@@ -294,9 +273,6 @@ func (s *Stats) Merge(other *Stats) {
 		dst.skipped += st.Skipped
 		if st.Workers > dst.workers {
 			dst.workers = st.Workers
-		}
-		if st.Shards > dst.shards {
-			dst.shards = st.Shards
 		}
 		dst.cacheHits += st.CacheHits
 		dst.cacheMisses += st.CacheMisses

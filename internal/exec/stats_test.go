@@ -193,43 +193,6 @@ func TestStatsConcurrentSpans(t *testing.T) {
 	_ = time.Microsecond
 }
 
-// TestStatsShardsCounter: the Shards span counter keeps the maximum
-// across accumulated spans (like Workers), serializes as "shards", and
-// survives Merge.
-func TestStatsShardsCounter(t *testing.T) {
-	s := NewStats()
-	sp := s.Span("monitor.apply")
-	sp.Shards(4)
-	sp.Shards(2) // max wins
-	sp.End()
-	sp2 := s.Span("monitor.apply")
-	sp2.Shards(8)
-	sp2.End()
-	stages, _ := s.Snapshot()
-	if len(stages) != 1 || stages[0].Shards != 8 {
-		t.Fatalf("stages = %+v, want one stage with shards=8", stages)
-	}
-	raw, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), `"shards":8`) {
-		t.Fatalf("JSON missing shards counter: %s", raw)
-	}
-	var nilSpan *Span
-	nilSpan.Shards(3) // nil-safe like every Span method
-
-	other := NewStats()
-	osp := other.Span("monitor.apply")
-	osp.Shards(16)
-	osp.End()
-	s.Merge(other)
-	stages, _ = s.Snapshot()
-	if stages[0].Shards != 16 {
-		t.Fatalf("merged shards = %d, want 16", stages[0].Shards)
-	}
-}
-
 // TestStatsSkippedCounter: the Skipped span counter accumulates (like
 // Items), serializes as "skipped", and survives Merge — it is the
 // incremental engines' skip-rate observability.

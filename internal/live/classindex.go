@@ -25,8 +25,8 @@ const (
 // LoneRow(t) <= -2), the per-class consequent value multisets, and either
 // per-class sizes or per-class member lists.
 //
-// The monitor's shards use one ClassIndex per (shard, OFD) with Members
-// set: certificates name a class's rows, so each class keeps them. The
+// The monitor uses one ClassIndex per dependency with Members set:
+// certificates name a class's rows, so each class keeps them. The
 // maintainer's cover trackers use one per cover element with Members nil,
 // which selects Sizes, and their own row→class array alongside.
 //
@@ -98,8 +98,8 @@ func (ix *ClassIndex) Join(rel *relation.Relation, t int32) (ci, partner int32, 
 	return ix.JoinKey(rel, ix.EncodeRow(rel, int(t)), t)
 }
 
-// JoinKey is Join with a caller-encoded key (the monitor encodes once to
-// pick the owning shard, then joins inside it).
+// JoinKey is Join with a caller-encoded key (a tracker encodes into its
+// own scratch).
 func (ix *ClassIndex) JoinKey(rel *relation.Relation, key []byte, t int32) (ci, partner int32, kind JoinKind) {
 	enc, seen := ix.Keys[string(key)]
 	switch {
@@ -167,87 +167,42 @@ func (ix *ClassIndex) Leave(ci, t int32, a relation.Value) int32 {
 	return int32(len(ix.Members[ci]))
 }
 
-// KeyBuild fills the key maps of one antecedent's indexes (a dependency's
-// shards, or a tracker's one index) from one blob: a caller appends each
-// key to Blob and Adds its entry, and Intern converts the blob to a
-// string once and fills each map, made at its final size, with
-// substrings of it — no string per key, no map growth.
-type KeyBuild struct {
-	Blob     []byte // the keys back to back, Width bytes each
-	vals     []int32
-	dest     []uint8
-	perIndex []int
-}
-
-// NewKeyBuild starts a build of about nkeys keys of the given width into
-// nIndexes indexes.
-func NewKeyBuild(width, nkeys, nIndexes int) *KeyBuild {
-	return &KeyBuild{
-		Blob:     make([]byte, 0, nkeys*width),
-		vals:     make([]int32, 0, nkeys),
-		dest:     make([]uint8, 0, nkeys),
-		perIndex: make([]int, nIndexes),
-	}
-}
-
-// Add records the key last appended to Blob with entry v (a class id, or
-// LoneRow) for index dest.
-func (kb *KeyBuild) Add(v int32, dest uint8) {
-	kb.vals = append(kb.vals, v)
-	kb.dest = append(kb.dest, dest)
-	kb.perIndex[dest]++
-}
-
-// Intern replaces the key map of every idx[k] with the keys added for
-// index k. The indexes share one antecedent, so one width.
-func (kb *KeyBuild) Intern(idx []*ClassIndex) {
-	for k, ix := range idx {
-		ix.Keys = make(map[string]int32, kb.perIndex[k])
-	}
-	width := idx[0].Width()
-	keys := string(kb.Blob)
-	for k, v := range kb.vals {
-		idx[kb.dest[k]].Keys[keys[k*width:(k+1)*width]] = v
-	}
-}
-
-// IndexKeys builds the key maps of one antecedent's indexes from a
-// row→class table: row t is in class classOf[t] (below its index's
-// len(Counts)) of index shardOf[t] (0 when shardOf is nil), or lone when
-// classOf[t] is -1. Each class is keyed by its first row, each lone row
-// by itself; appendKey appends row t's key to blob, called in ascending
-// row order. A class no row names, such as a tracker class a rollback
+// IndexKeys builds ix's key map from a row→class table: row t is in
+// class classOf[t] (below len(ix.Counts)), or lone when classOf[t] is -1.
+// Each class is keyed by its first row, each lone row by itself;
+// appendKey appends row t's key to blob, called in ascending row order.
+// The keys go into one blob that becomes one string, and the map, made at
+// its final size, holds substrings of it — no string per key, no map
+// growth. A class no row names, such as a tracker class a rollback
 // emptied, gets no key: a size-zero class is a non-class, so a later row
 // with its key births a new class instead of refilling it, which changes
 // internal ids only.
-func IndexKeys(idx []*ClassIndex, classOf []int32, shardOf []uint8, appendKey func(blob []byte, t int) []byte) {
-	seen := make([][]bool, len(idx))
-	nkeys := 0
-	for k, ix := range idx {
-		seen[k] = make([]bool, len(ix.Counts))
-		nkeys += len(ix.Counts)
-	}
+func IndexKeys(ix *ClassIndex, classOf []int32, appendKey func(blob []byte, t int) []byte) {
+	seen := make([]bool, len(ix.Counts))
+	nkeys := len(ix.Counts)
 	for _, ci := range classOf {
 		if ci < 0 {
 			nkeys++
 		}
 	}
-	kb := NewKeyBuild(idx[0].Width(), nkeys, len(idx))
+	blob := make([]byte, 0, nkeys*ix.Width())
+	vals := make([]int32, 0, nkeys)
 	for t, ci := range classOf {
-		var s uint8
-		if shardOf != nil {
-			s = shardOf[t]
-		}
 		v := LoneRow(int32(t))
 		if ci >= 0 {
-			if seen[s][ci] {
+			if seen[ci] {
 				continue
 			}
-			seen[s][ci] = true
+			seen[ci] = true
 			v = ci
 		}
-		kb.Blob = appendKey(kb.Blob, t)
-		kb.Add(v, s)
+		blob = appendKey(blob, t)
+		vals = append(vals, v)
 	}
-	kb.Intern(idx)
+	ix.Keys = make(map[string]int32, len(vals))
+	width := ix.Width()
+	keys := string(blob)
+	for k, v := range vals {
+		ix.Keys[keys[k*width:(k+1)*width]] = v
+	}
 }

@@ -1,11 +1,11 @@
 // Package live is the shared live-index substrate under the incremental
-// engines. core.Monitor's shards and discovery.Maintainer's trackers
+// engines. core.Monitor's dependencies and discovery.Maintainer's trackers
 // maintain the same three structures over the same relation — a
 // dict-encoded LHS-key hash index with lone (singleton) rows folded into
 // the id space, per-class consequent value multisets kept as small
 // linear-probed slices, and per-class sizes or, for the monitor, per-class
 // copy-on-write member lists. ClassIndex owns that machinery once for
-// both engines.
+// both engines, and AppendCounts/DecodeCounts its snapshot encoding.
 //
 // Everything here is single-writer, like the engines built on it:
 // mutating one ClassIndex from two goroutines at once is a caller bug.
@@ -14,8 +14,10 @@ package live
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"github.com/fastofd/fastofd/internal/relation"
+	"github.com/fastofd/fastofd/internal/wire"
 )
 
 // ValCount is one distinct consequent value of an equivalence class with
@@ -56,6 +58,74 @@ func Distinct(pairs []ValCount, scratch []relation.Value) []relation.Value {
 	return scratch
 }
 
+// AppendCounts encodes per-class consequent multisets as three bulk
+// arrays: pairs per class, then the flattened values and multiplicities.
+// Both engines' snapshot bodies write their multisets with it.
+func AppendCounts(w *wire.Writer, counts [][]ValCount) {
+	lens := make([]int32, len(counts))
+	total := 0
+	for ci, pairs := range counts {
+		lens[ci] = int32(len(pairs))
+		total += len(pairs)
+	}
+	vals := make([]int32, 0, total)
+	ns := make([]int32, 0, total)
+	for _, pairs := range counts {
+		for _, p := range pairs {
+			vals = append(vals, int32(p.Val))
+			ns = append(ns, p.N)
+		}
+	}
+	w.Int32s(lens)
+	w.Int32s(vals)
+	w.Int32s(ns)
+}
+
+// DecodeCounts is the inverse of AppendCounts, and fails closed on
+// multisets no engine can run on: there must be one per class of sizes,
+// every value must lie in the consequent's dictionary ([NullValue,
+// dictSize)) with a positive count, and class ci's counts must sum to
+// sizes[ci]. The per-class pair slices are freshly allocated (Bump
+// mutates and appends them); the bulk reads are zero-copy.
+func DecodeCounts(r *wire.Reader, sizes []int32, dictSize int) ([][]ValCount, error) {
+	lens := r.Int32s()
+	vals := r.Int32s()
+	ns := r.Int32s()
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	if len(lens) != len(sizes) || len(vals) != len(ns) {
+		return nil, fmt.Errorf("live: snapshot holds %d multisets of %d values and %d counts for %d classes", len(lens), len(vals), len(ns), len(sizes))
+	}
+	counts := make([][]ValCount, len(lens))
+	pos := 0
+	for ci, l := range lens {
+		n := int(l)
+		if n < 0 || n > len(vals)-pos {
+			return nil, fmt.Errorf("live: snapshot multiset of class %d has %d pairs with %d left", ci, n, len(vals)-pos)
+		}
+		pairs := make([]ValCount, n)
+		size := 0
+		for k := range pairs {
+			v, c := relation.Value(vals[pos+k]), ns[pos+k]
+			if c <= 0 || v < relation.NullValue || int(v) >= dictSize {
+				return nil, fmt.Errorf("live: snapshot multiset of class %d holds value %d ×%d", ci, v, c)
+			}
+			pairs[k] = ValCount{Val: v, N: c}
+			size += int(c)
+		}
+		if size != int(sizes[ci]) {
+			return nil, fmt.Errorf("live: snapshot multiset of class %d counts %d of %d rows", ci, size, sizes[ci])
+		}
+		counts[ci] = pairs
+		pos += n
+	}
+	if pos != len(vals) {
+		return nil, fmt.Errorf("live: snapshot multisets list %d of %d pairs", pos, len(vals))
+	}
+	return counts, nil
+}
+
 // LoneRow encodes a singleton row id for a key index (<= -2, so it cannot
 // collide with class ids >= 0 or the -1 "no class" marker). The inverse
 // is -enc-2.
@@ -67,10 +137,10 @@ func LoneRow(t int32) int32 { return -(t + 2) }
 // same attribute list are fixed-width and therefore prefix-free: two rows
 // encode equal iff their antecedent value ids are equal attribute by
 // attribute (dictionaries make equal strings id-equal). It is the one key
-// encoder of every engine: the monitor's shard routing, the class indexes
-// and the cover trackers. Index builds append every key of a dependency
-// into one blob and convert it to a string once, so the map keys are
-// substrings of one allocation. The injectivity property test and fuzz
+// encoder of every engine: the monitor's and the cover trackers' class
+// indexes. Index builds append every key of a dependency into one blob
+// and convert it to a string once, so the map keys are substrings of one
+// allocation. The injectivity property test and fuzz
 // targets pin it down, and the cross-engine key test checks the tracker's
 // source-key encoding against it.
 func AppendKey(buf []byte, rel *relation.Relation, cols []int, t int) []byte {

@@ -242,8 +242,7 @@ func TestClassIndexTrackerOps(t *testing.T) {
 }
 
 // TestIndexKeysFromRowClasses rebuilds a joined index's key map from its
-// row→class table, once as one index and once split over two shards,
-// and checks that a class emptied by Leave gets no key.
+// row→class table and checks that a class emptied by Leave gets no key.
 func TestIndexKeysFromRowClasses(t *testing.T) {
 	rel := testRel(t, []string{"X", "Y", "A"}, [][]string{
 		{"a", "1", "p"}, {"a", "1", "q"}, {"b", "2", "p"}, {"c", "1", "r"}, {"c", "1", "s"}, {"a", "1", "p"},
@@ -278,31 +277,8 @@ func TestIndexKeysFromRowClasses(t *testing.T) {
 	appendKey := func(blob []byte, tt int) []byte { return AppendKey(blob, rel, ix.Cols, tt) }
 
 	back := &ClassIndex{Cols: ix.Cols, RHS: ix.RHS, Counts: ix.Counts}
-	IndexKeys([]*ClassIndex{back}, rowClass, nil, appendKey)
+	IndexKeys(back, rowClass, appendKey)
 	if !reflect.DeepEqual(back.Keys, want) {
 		t.Fatalf("rebuilt keys = %v, want %v", back.Keys, want)
-	}
-
-	// Two shards: lone rows go to shard 1, classes to shard 0.
-	shardOf := make([]uint8, len(rowClass))
-	for tt, ci := range rowClass {
-		if ci < 0 {
-			shardOf[tt] = 1
-		}
-	}
-	s0 := &ClassIndex{Cols: ix.Cols, RHS: ix.RHS, Counts: ix.Counts}
-	s1 := &ClassIndex{Cols: ix.Cols, RHS: ix.RHS}
-	IndexKeys([]*ClassIndex{s0, s1}, rowClass, shardOf, appendKey)
-	for k, v := range want {
-		got, ok := s0.Keys[k]
-		if v < 0 {
-			got, ok = s1.Keys[k]
-		}
-		if !ok || got != v {
-			t.Fatalf("sharded rebuild: key %x → %d (present %v), want %d", k, got, ok, v)
-		}
-	}
-	if len(s0.Keys)+len(s1.Keys) != len(want) {
-		t.Fatalf("sharded rebuild holds %d+%d keys, want %d", len(s0.Keys), len(s1.Keys), len(want))
 	}
 }

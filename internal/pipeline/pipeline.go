@@ -13,8 +13,7 @@
 // Everything observable is byte-identical to running the engines
 // separately: the maintained cover matches a fresh Discover and the
 // published reports match a fresh Detect over the final instance, for any
-// shard and worker count — including after a cancelled (rolled back)
-// batch. The substrate tests pin this down.
+// worker count — including after a cancelled (rolled back) batch. The substrate tests pin this down.
 package pipeline
 
 import (
@@ -40,9 +39,6 @@ type Options struct {
 	// with the monitor and unregisters the removed ones before the batch
 	// returns. Requires Sigma == nil.
 	FollowCover bool
-	// Shards is the monitor's shard count (0 auto-sizes from Workers,
-	// exactly as core.NewMonitor).
-	Shards int
 	// Workers parallelizes both engines on the shared exec substrate.
 	Workers int
 	// Stats, when non-nil, receives both engines' stage stats.
@@ -105,7 +101,7 @@ func New(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, op
 	if sigma == nil {
 		sigma = mt.Cover()
 	}
-	m, err := core.NewMonitor(ctx, sub, sigma, opts.Shards, opts.Workers, opts.Stats)
+	m, err := core.NewMonitor(ctx, sub, sigma, opts.Workers, opts.Stats)
 	if err != nil {
 		return nil, err
 	}

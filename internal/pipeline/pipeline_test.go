@@ -118,28 +118,22 @@ func sortedSet(s core.Set) core.Set {
 // gate: for random instances and mixed update/append streams, after every
 // batch the maintained cover equals a fresh Discover and the published
 // report equals a fresh Detect over the current instance — identically
-// for every (shards, workers) combination in {1,4,16} x {1,2,0}, with the
-// monitored set tracking the cover.
+// for every worker count in {1, 2, 4, 0}, with the monitored set
+// tracking the cover.
 func TestPipelineMatchesFreshEngines(t *testing.T) {
-	type cfg struct{ shards, workers int }
-	var cfgs []cfg
-	for _, s := range []int{1, 4, 16} {
-		for _, w := range []int{1, 2, 0} {
-			cfgs = append(cfgs, cfg{s, w})
-		}
-	}
+	cfgs := []int{1, 2, 4, 0}
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 6; trial++ {
 		rel, ont := randomInstance(rng)
 		stream := randomStream(rng, rel, 4, 6)
 		ps := make([]*Pipeline, len(cfgs))
-		for k, c := range cfgs {
+		for k, workers := range cfgs {
 			var err error
 			ps[k], err = New(context.Background(), rel.Clone(), ont, Options{
-				FollowCover: true, Shards: c.shards, Workers: c.workers,
+				FollowCover: true, Workers: workers,
 			})
 			if err != nil {
-				t.Fatalf("trial %d: New(shards=%d workers=%d): %v", trial, c.shards, c.workers, err)
+				t.Fatalf("trial %d: New(workers=%d): %v", trial, workers, err)
 			}
 		}
 		for b, op := range stream {
@@ -168,12 +162,12 @@ func TestPipelineMatchesFreshEngines(t *testing.T) {
 					continue
 				}
 				if !reflect.DeepEqual(cover, firstCover) {
-					t.Fatalf("trial %d batch %d: shards=%d workers=%d cover differs from config 0\n got: %v\nwant: %v",
-						trial, b, cfgs[k].shards, cfgs[k].workers, cover, firstCover)
+					t.Fatalf("trial %d batch %d: workers=%d cover differs from config 0\n got: %v\nwant: %v",
+						trial, b, cfgs[k], cover, firstCover)
 				}
 				if rep != firstReport {
-					t.Fatalf("trial %d batch %d: shards=%d workers=%d report differs from config 0\n got: %s\nwant: %s",
-						trial, b, cfgs[k].shards, cfgs[k].workers, rep, firstReport)
+					t.Fatalf("trial %d batch %d: workers=%d report differs from config 0\n got: %s\nwant: %s",
+						trial, b, cfgs[k], rep, firstReport)
 				}
 			}
 		}
@@ -190,7 +184,7 @@ func TestPipelineCancelledBatchRollsBack(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		rel, ont := randomInstance(rng)
 		p, err := New(context.Background(), rel.Clone(), ont, Options{
-			FollowCover: true, Shards: 4, Workers: 2,
+			FollowCover: true, Workers: 4,
 		})
 		if err != nil {
 			t.Fatalf("trial %d: New: %v", trial, err)
@@ -248,7 +242,8 @@ func TestPipelineCancelledBatchRollsBack(t *testing.T) {
 // TestPipelinePinnedSigma exercises the non-following shape: an explicit
 // monitored set stays pinned while the cover drifts underneath, and both
 // stay byte-identical to their fresh counterparts after every batch —
-// including wholesale re-routing when updates touch pinned antecedents.
+// including rows moving between classes when updates touch pinned
+// antecedents.
 func TestPipelinePinnedSigma(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tested := 0
@@ -260,7 +255,7 @@ func TestPipelinePinnedSigma(t *testing.T) {
 		}
 		tested++
 		p, err := New(context.Background(), rel.Clone(), ont, Options{
-			Sigma: sigma.Clone(), Shards: 4, Workers: 2,
+			Sigma: sigma.Clone(), Workers: 4,
 		})
 		if err != nil {
 			t.Fatalf("trial %d: New: %v", trial, err)
@@ -293,7 +288,7 @@ func TestPipelineRegisterUnregister(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 8; trial++ {
 		rel, ont := randomInstance(rng)
-		p, err := New(context.Background(), rel.Clone(), ont, Options{Shards: 4, Workers: 2})
+		p, err := New(context.Background(), rel.Clone(), ont, Options{Workers: 4})
 		if err != nil {
 			t.Fatalf("trial %d: New: %v", trial, err)
 		}

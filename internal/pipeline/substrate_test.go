@@ -28,7 +28,7 @@ func TestSubstrateCacheConsistency(t *testing.T) {
 					continue
 				}
 				p, err := New(context.Background(), rel.Clone(), ont, Options{
-					Sigma: sigma.Clone(), Shards: 4, Workers: workers,
+					Sigma: sigma.Clone(), Workers: workers,
 				})
 				if err != nil {
 					t.Fatalf("trial %d: New: %v", trial, err)

@@ -25,7 +25,7 @@ func newTestPipeline(t *testing.T, seed int64) (*pipeline.Pipeline, func() []cor
 		t.Fatal(err)
 	}
 	p, err := pipeline.New(context.Background(), sub, ds.FullOnt, pipeline.Options{
-		FollowCover: true, Shards: 4, Workers: 2,
+		FollowCover: true, Workers: 4,
 	})
 	if err != nil {
 		t.Fatalf("pipeline.New: %v", err)
@@ -60,10 +60,10 @@ func newTestPipeline(t *testing.T, seed int64) (*pipeline.Pipeline, func() []cor
 // newDatasetPipeline builds a pipeline over a generated dataset's instance
 // and incomplete ontology: sigma nil follows the discovered cover, non-nil
 // pins the monitored set.
-func newDatasetPipeline(t *testing.T, ds *gen.Dataset, sigma core.Set, shards, workers int) *pipeline.Pipeline {
+func newDatasetPipeline(t *testing.T, ds *gen.Dataset, sigma core.Set, workers int) *pipeline.Pipeline {
 	t.Helper()
 	p, err := pipeline.New(context.Background(), ds.Rel, ds.Ont, pipeline.Options{
-		Sigma: sigma, FollowCover: sigma == nil, Shards: shards, Workers: workers,
+		Sigma: sigma, FollowCover: sigma == nil, Workers: workers,
 	})
 	if err != nil {
 		t.Fatalf("pipeline.New: %v", err)
@@ -123,13 +123,13 @@ func TestPipelineRoundTrip(t *testing.T) {
 		}},
 		{"FollowCover", func(t *testing.T) (*pipeline.Pipeline, core.Set, []step, []step) {
 			ds := gen.Clinical(200, 5)
-			p := newDatasetPipeline(t, ds, nil, 0, 2)
+			p := newDatasetPipeline(t, ds, nil, 2)
 			after := []step{{rows: [][]string{ds.Rel.Row(0)}}, dirtyRows(ds.Rel, 30, 3)}
 			return p, nil, nil, after
 		}},
 		{"PinnedSigma", func(t *testing.T) (*pipeline.Pipeline, core.Set, []step, []step) {
 			ds := gen.Clinical(1000, 3)
-			p := newDatasetPipeline(t, ds, ds.Sigma, 4, 2)
+			p := newDatasetPipeline(t, ds, ds.Sigma, 4)
 			rhs := ds.Sigma[0].RHS
 			// Mutate before saving so overlays, multisets, and epoch are
 			// non-trivial.
@@ -252,10 +252,10 @@ func secondSave(t *testing.T, p *pipeline.Pipeline) *pipeline.Pipeline {
 // TestMonitorSecondSaveRoundTrip saves a pipeline pinned to a dependency
 // set twice without appending: the third generation reports identically
 // at the same monitor epoch and can still append, rebuilding its key maps
-// from the twice-saved routing tables.
+// from the twice-saved row→class tables.
 func TestMonitorSecondSaveRoundTrip(t *testing.T) {
 	ds := gen.Clinical(400, 4)
-	p := newDatasetPipeline(t, ds, ds.Sigma, 2, 1)
+	p := newDatasetPipeline(t, ds, ds.Sigma, 1)
 	want := reportJSON(t, p.Report())
 	gen3 := secondSave(t, p)
 	if have := reportJSON(t, gen3.Report()); have != want {
@@ -274,7 +274,7 @@ func TestMonitorSecondSaveRoundTrip(t *testing.T) {
 // scanned no candidate, and still maintains correctly after an append.
 func TestMaintainerSecondSaveRoundTrip(t *testing.T) {
 	ds := gen.Clinical(200, 11)
-	p := newDatasetPipeline(t, ds, nil, 0, 2)
+	p := newDatasetPipeline(t, ds, nil, 2)
 	want := fmt.Sprint(p.Cover())
 	gen3 := secondSave(t, p)
 	if have := fmt.Sprint(gen3.Cover()); have != want {

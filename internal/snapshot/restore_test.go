@@ -17,20 +17,19 @@ import (
 // payload, decoded as views of that payload: writing an element rewrites
 // the payload in place, leaving every length and offset as it was.
 type monitorFields struct {
-	shards   int
-	classOf  [][]int32 // per OFD
-	rowShard [][]uint8 // per OFD
-	// Per shard, per OFD.
-	lens      [][][]int32
-	rows      [][][]int32
-	countVals [][][]int32
-	countNs   [][][]int32
+	// Per dependency.
+	classOf   [][]int32
+	lens      [][]int32
+	rows      [][]int32
+	countVals [][]int32
+	countNs   [][]int32
 }
 
 // trackerFields are one cover tracker's arrays inside a maintainer body,
 // decoded as views of the payload like monitorFields.
 type trackerFields struct {
-	rowClass, sizes []int32
+	rowClass, sizes    []int32
+	countVals, countNs []int32
 }
 
 // walkBodies decodes the engine bodies of pipeline payload, which p
@@ -44,24 +43,15 @@ func walkBodies(t *testing.T, payload []byte, p *pipeline.Pipeline) (*monitorFie
 		t.Fatalf("substrate: %v", err)
 	}
 	sigma := core.DecodeSet(r)
-	f := &monitorFields{shards: r.Int()}
+	f := &monitorFields{}
 	r.Uvarint() // epoch
 	for range sigma {
 		f.classOf = append(f.classOf, r.Int32s())
-		f.rowShard = append(f.rowShard, r.Uint8s())
-	}
-	for s := 0; s < f.shards; s++ {
-		f.lens = append(f.lens, nil)
-		f.rows = append(f.rows, nil)
-		f.countVals = append(f.countVals, nil)
-		f.countNs = append(f.countNs, nil)
-		for range sigma {
-			f.lens[s] = append(f.lens[s], r.Int32s())
-			f.rows[s] = append(f.rows[s], r.Int32s())
-			r.Int32s() // pairs per class
-			f.countVals[s] = append(f.countVals[s], r.Int32s())
-			f.countNs[s] = append(f.countNs[s], r.Int32s())
-		}
+		f.lens = append(f.lens, r.Int32s())
+		f.rows = append(f.rows, r.Int32s())
+		r.Int32s() // pairs per class
+		f.countVals = append(f.countVals, r.Int32s())
+		f.countNs = append(f.countNs, r.Int32s())
 	}
 	r.Uvarint() // maintainer epoch
 	r.Uvarint() // scans
@@ -70,10 +60,9 @@ func walkBodies(t *testing.T, payload []byte, p *pipeline.Pipeline) (*monitorFie
 		for k := r.Int(); k > 0 && r.Err() == nil; k-- {
 			r.Uvarint() // antecedent
 			tf := trackerFields{rowClass: r.Int32s(), sizes: r.Int32s()}
-			trackers = append(trackers, tf)
 			r.Int32s() // pairs per class
-			r.Int32s() // values
-			r.Int32s() // multiplicities
+			tf.countVals, tf.countNs = r.Int32s(), r.Int32s()
+			trackers = append(trackers, tf)
 			r.Uint8s() // satisfied flags
 		}
 		for k := r.Int(); k > 0 && r.Err() == nil; k-- {
@@ -90,15 +79,13 @@ func walkBodies(t *testing.T, payload []byte, p *pipeline.Pipeline) (*monitorFie
 	return f, trackers
 }
 
-// find returns the first (shard, OFD) slot whose array pick selects as
-// non-empty, and that array.
-func find[E any](t *testing.T, f *monitorFields, pick func(s, i int) []E) []E {
+// find returns the first dependency's array that pick selects as
+// non-empty.
+func find[E any](t *testing.T, f *monitorFields, pick func(i int) []E) []E {
 	t.Helper()
-	for s := 0; s < f.shards; s++ {
-		for i := range f.classOf {
-			if xs := pick(s, i); len(xs) > 0 {
-				return xs
-			}
+	for i := range f.classOf {
+		if xs := pick(i); len(xs) > 0 {
+			return xs
 		}
 	}
 	t.Fatal("no array of the requested kind in the monitor body")
@@ -114,11 +101,11 @@ func TestOpenRejectsCorruptMonitorBody(t *testing.T) {
 	n := int32(p.Relation().NumRows())
 	// class returns the member list of a class of at least two rows.
 	class := func(f *monitorFields) []int32 {
-		return find(t, f, func(s, i int) []int32 {
+		return find(t, f, func(i int) []int32 {
 			pos := int32(0)
-			for _, l := range f.lens[s][i] {
+			for _, l := range f.lens[i] {
 				if l >= 2 {
-					return f.rows[s][i][pos : pos+l]
+					return f.rows[i][pos : pos+l]
 				}
 				pos += l
 			}
@@ -127,10 +114,10 @@ func TestOpenRejectsCorruptMonitorBody(t *testing.T) {
 	}
 	// length returns the lengths array from the first non-empty class on.
 	length := func(f *monitorFields) []int32 {
-		return find(t, f, func(s, i int) []int32 {
-			for k, l := range f.lens[s][i] {
+		return find(t, f, func(i int) []int32 {
+			for k, l := range f.lens[i] {
 				if l > 0 {
-					return f.lens[s][i][k:]
+					return f.lens[i][k:]
 				}
 			}
 			return nil
@@ -166,13 +153,10 @@ func TestOpenRejectsCorruptMonitorBody(t *testing.T) {
 			c := class(f)
 			c[0], c[1] = c[1], c[0]
 		}},
-		{"row shard past the shard count", func(f *monitorFields) {
-			f.rowShard[0][0] = uint8(f.shards)
-		}},
 		{"class id below -1", func(f *monitorFields) {
 			f.classOf[0][0] = -5
 		}},
-		{"class id past the shard's classes", func(f *monitorFields) {
+		{"class id past the dependency's classes", func(f *monitorFields) {
 			f.classOf[0][0] = 1 << 20
 		}},
 		{"class member routed to no class", func(f *monitorFields) {
@@ -192,13 +176,13 @@ func TestOpenRejectsCorruptMonitorBody(t *testing.T) {
 			}
 		}},
 		{"multiset count above the class size", func(f *monitorFields) {
-			find(t, f, func(s, i int) []int32 { return f.countNs[s][i] })[0]++
+			find(t, f, func(i int) []int32 { return f.countNs[i] })[0]++
 		}},
 		{"multiset count zero", func(f *monitorFields) {
-			find(t, f, func(s, i int) []int32 { return f.countNs[s][i] })[0] = 0
+			find(t, f, func(i int) []int32 { return f.countNs[i] })[0] = 0
 		}},
 		{"multiset value past the dictionary", func(f *monitorFields) {
-			find(t, f, func(s, i int) []int32 { return f.countVals[s][i] })[0] = 1 << 29
+			find(t, f, func(i int) []int32 { return f.countVals[i] })[0] = 1 << 29
 		}},
 	}
 	for _, tc := range cases {
@@ -277,16 +261,19 @@ func openCorrupted(t *testing.T, p *pipeline.Pipeline, secs []section, pristine 
 }
 
 // TestOpenRejectsCorruptMaintainerBody re-encodes a saved pipeline with
-// one cover tracker's row→class table corrupted at a time, keeping every
-// checksum valid, and asserts Open fails with an error: the key maps are
-// rebuilt from that table on the first batch, which must never index a
-// class out of range or key a class whose size disagrees with its rows.
+// one cover tracker's row→class table or multisets corrupted at a time,
+// keeping every checksum valid, and asserts Open fails with an error: the
+// key maps are rebuilt from that table on the first batch, which must
+// never index a class out of range or key a class whose size disagrees
+// with its rows, and a multiset must count its class's rows in the
+// consequent's dictionary.
 func TestOpenRejectsCorruptMaintainerBody(t *testing.T) {
 	p, secs := savedPipeline(t)
-	// tracker returns the first tracker with a class and a lone row.
+	// tracker returns the first tracker with a class, a multiset pair and
+	// a lone row.
 	tracker := func(trackers []trackerFields) trackerFields {
 		for _, tf := range trackers {
-			if len(tf.sizes) > 0 && slices.Contains(tf.rowClass, -1) {
+			if len(tf.sizes) > 0 && len(tf.countNs) > 0 && slices.Contains(tf.rowClass, -1) {
 				return tf
 			}
 		}
@@ -312,6 +299,15 @@ func TestOpenRejectsCorruptMaintainerBody(t *testing.T) {
 		}},
 		{"class size above its rows", func(tf trackerFields) {
 			tf.sizes[0]++
+		}},
+		{"multiset count above the class size", func(tf trackerFields) {
+			tf.countNs[0]++
+		}},
+		{"multiset count zero", func(tf trackerFields) {
+			tf.countNs[0] = 0
+		}},
+		{"multiset value past the dictionary", func(tf trackerFields) {
+			tf.countVals[0] = 1 << 29
 		}},
 	}
 	for _, tc := range cases {

@@ -10,7 +10,7 @@
 //	magic (8 bytes) | version (uint32) | section count (uint32)
 //	per section: name | crc32c of payload | payload (4-byte aligned)
 //
-// Version 6 writes at most three sections, in this order: relation,
+// Version 7 writes at most three sections, in this order: relation,
 // ontology, pipeline. Each carries its own CRC-32 (Castagnoli) checksum.
 // Decode rejects a known section that repeats or arrives out of order, and
 // skips unknown names, so older readers open newer files that only add
@@ -22,8 +22,8 @@
 //
 // Open reads the whole file into one buffer and decodes zero-copy where
 // the wire layer allows: restored column blocks, partition arrays, and
-// the monitor's routing tables and class member lists are views into that
-// buffer (see internal/wire for the aliasing contract — the State keeps
+// the monitor's row→class tables and class member lists are views into
+// that buffer (see internal/wire for the aliasing contract — the State keeps
 // the buffer reachable implicitly through those views). Reopen latency
 // therefore scales with the flagged violation state, not the instance:
 // the bulk of a large snapshot is never copied, dictionaries hydrate their
@@ -57,12 +57,15 @@ const (
 	magic = uint64(0x50414e5344464f46)
 	// Version is the current format version. Bumped on any layout change
 	// inside a section; Open rejects versions outside [minVersion, Version]
-	// outright rather than guessing. Version 6: neither engine body
-	// writes its LHS-key indexes; they are rebuilt from the row→class
-	// tables (version 5 wrote them next to those tables).
-	Version = uint32(6)
+	// outright rather than guessing. Version 7: the monitor body holds one
+	// state per dependency (row→class table, member lists, multisets) and
+	// no shard count or per-row shard table (version 6 split each
+	// dependency's classes across LHS-key shards). Since version 6 neither
+	// engine body writes its LHS-key indexes; they are rebuilt from the
+	// row→class tables.
+	Version = uint32(7)
 	// minVersion is the oldest version Open reads.
-	minVersion = uint32(6)
+	minVersion = uint32(7)
 )
 
 // Section names, in file order (dependencies decode first); unknown names
@@ -250,10 +253,10 @@ func syncDir(dir string) error {
 
 // Decode reconstructs a state from a snapshot image, and the returned
 // state takes ownership of img. Decoded column blocks, partitions, the
-// monitor's routing tables and its class member lists alias it (keeping
-// it reachable via the garbage collector), and the state writes through
-// those views: cell writes rewrite the column blocks and antecedent moves
-// the routing tables, in place. The caller must therefore neither reuse
+// monitor's row→class tables and its class member lists alias it
+// (keeping it reachable via the garbage collector), and the state writes
+// through those views: cell writes rewrite the column blocks and
+// antecedent moves the row→class tables, in place. The caller must therefore neither reuse
 // nor modify img; Open passes a private buffer.
 //
 // Sections decode as they are read, so the header's section count — which

@@ -33,12 +33,12 @@ func newTestMaintainer(ds *gen.Dataset) (*discovery.Maintainer, error) {
 
 // newTestMonitor builds a standalone monitor over ds.Sigma on a fresh
 // substrate.
-func newTestMonitor(ds *gen.Dataset, shards, workers int) (*core.Monitor, error) {
+func newTestMonitor(ds *gen.Dataset, workers int) (*core.Monitor, error) {
 	sub, err := core.NewSubstrate(context.Background(), ds.Rel, ds.Ont, workers)
 	if err != nil {
 		return nil, err
 	}
-	return core.NewMonitor(context.Background(), sub, ds.Sigma, shards, workers, nil)
+	return core.NewMonitor(context.Background(), sub, ds.Sigma, workers, nil)
 }
 
 // reportJSON canonicalizes a report for byte-identity comparison.
@@ -94,7 +94,7 @@ func TestRelationRoundTrip(t *testing.T) {
 // and bytes, and every partition matches the saved one.
 func TestCacheRoundTrip(t *testing.T) {
 	ds := gen.Clinical(300, 2)
-	p := newDatasetPipeline(t, ds, ds.Sigma, 2, 1)
+	p := newDatasetPipeline(t, ds, ds.Sigma, 1)
 	pc := p.Cache()
 	for _, d := range ds.Sigma {
 		pc.Get(d.LHS)
@@ -125,7 +125,7 @@ func TestCacheRoundTrip(t *testing.T) {
 // cache and ontology.
 func TestCombinedStateSharing(t *testing.T) {
 	ds := gen.Clinical(300, 6)
-	p := newDatasetPipeline(t, ds, ds.Sigma, 2, 1)
+	p := newDatasetPipeline(t, ds, ds.Sigma, 1)
 	got := saveOpen(t, &State{Pipeline: p}, Options{})
 	rp := got.Pipeline
 	if rp.Relation() != got.Relation || rp.Monitor().Relation() != got.Relation || rp.Maintainer().Substrate().Relation() != got.Relation {
@@ -145,7 +145,7 @@ func TestCombinedStateSharing(t *testing.T) {
 func TestSaveRejectsMismatchedComponents(t *testing.T) {
 	ds1 := gen.Clinical(50, 7)
 	ds2 := gen.Clinical(50, 8)
-	p := newDatasetPipeline(t, ds2, ds2.Sigma, 0, 1)
+	p := newDatasetPipeline(t, ds2, ds2.Sigma, 1)
 	if err := Save(filepath.Join(t.TempDir(), "x.snap"), &State{Relation: ds1.Rel, Pipeline: p}); err == nil {
 		t.Fatal("Save accepted a pipeline over a different relation")
 	}
@@ -222,9 +222,10 @@ func TestCorruptionDetected(t *testing.T) {
 		}
 	})
 	// A future version, version 4, whose monitor body had another layout,
-	// and version 5, whose engine bodies carried key indexes.
+	// version 5, whose engine bodies carried key indexes, and version 6,
+	// whose monitor body split each dependency across key shards.
 	t.Run("future version", func(t *testing.T) {
-		for _, v := range []byte{0xee, 4, 5} {
+		for _, v := range []byte{0xee, 4, 5, 6} {
 			bad := append([]byte(nil), img...)
 			bad[8] = v // version field (LE uint32 right after the magic)
 			if _, err := Decode(bad, Options{}); err == nil {

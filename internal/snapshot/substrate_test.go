@@ -19,7 +19,7 @@ func checkBudget(t *testing.T, state string, pc *relation.PartitionCache) {
 // both built and reopened, carry relation.DefaultCacheBudget.
 func TestSubstrateOwnership(t *testing.T) {
 	ds := gen.Clinical(200, 5)
-	m, err := newTestMonitor(ds, 2, 2)
+	m, err := newTestMonitor(ds, 2)
 	if err != nil {
 		t.Fatalf("NewMonitor: %v", err)
 	}
