@@ -1,6 +1,7 @@
 package core
 
-// BuildIndex exposes dependency i's index build to the external test
-// package, whose tests build generated instances (internal/gen imports
-// core).
-func (m *Monitor) BuildIndex(i int) { m.indexDep(m.sigma[i]) }
+// BuildIndex exposes the class-table build of dependency i's antecedent
+// (the build Register runs for an antecedent the monitor does not index
+// yet) to the external test package, whose tests build generated
+// instances (internal/gen imports core).
+func (m *Monitor) BuildIndex(i int) { m.newTable(m.sigma[i].LHS) }

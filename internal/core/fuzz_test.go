@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -90,43 +91,137 @@ func FuzzCSV(f *testing.F) {
 	})
 }
 
-// FuzzLHSKey fuzzes the monitor's LHS-key byte encoding for injectivity:
-// two antecedent tuples encode to the same key iff they are equal
-// component-wise. The fixed 4-bytes-per-attribute layout makes keys over
-// one attribute list prefix-free — no value-id pair can bleed across a
-// cell boundary — which is exactly what the distinct-tuples-never-collide
-// guarantee of the monitor's LHS indexes rests on.
+// FuzzLHSKey fuzzes the class tables' keys (live.Table) over 1–6
+// antecedent columns, packed and byte layouts alike: two rows join one
+// class, or one row finds the other's lone-row key, iff their code tuples
+// are equal, NullValue included. The fuzz bytes choose the column count,
+// each column's dictionary size, whether the dictionaries are wide
+// (4,096 values each, which overflows 64 bits of lanes from five columns
+// on), and every cell's code. The table is then re-laid out: each column's
+// dictionary grows past its lane, one column of every third row is
+// rewritten to a code past the old lane, and Prepare rebuilds the keys
+// from the write log's source state before the rows move; the same
+// equivalence must hold after the moves.
 func FuzzLHSKey(f *testing.F) {
-	f.Add(int32(0), int32(0), int32(0), int32(0))
-	f.Add(int32(1), int32(0x100), int32(0x100), int32(1))
-	f.Add(int32(0xFF), int32(0xFFFF), int32(0xFFFFFF), int32(1<<31-1))
-	f.Add(int32(-1), int32(-1), int32(7), int32(7)) // NullValue cells
-	f.Fuzz(func(t *testing.T, a0, a1, b0, b1 int32) {
-		schema := relation.MustSchema("A", "B", "C")
-		rel, err := relation.FromRows(schema, [][]string{
-			{"x", "x", "x"},
-			{"x", "x", "x"},
-		})
-		if err != nil {
-			t.Fatal(err)
+	f.Add([]byte{0, 2, 0, 0, 1, 1, 0, 0})                      // one column, a NullValue pair
+	f.Add([]byte{1, 3, 5, 1, 2, 3, 1, 2, 3, 0, 0, 4})          // two columns
+	f.Add([]byte{0x85, 1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4, 5}) // six wide columns: byte keys
+	f.Add([]byte{0x84, 0xff, 0xfe, 0, 1, 0xff, 0xfe, 0, 1})    // five wide columns
+	f.Add([]byte{0x03, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // four columns of NullValue
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
 		}
-		rel.SetValue(0, 0, relation.Value(a0))
-		rel.SetValue(0, 1, relation.Value(a1))
-		rel.SetValue(1, 0, relation.Value(b0))
-		rel.SetValue(1, 1, relation.Value(b1))
-		cols := []int{0, 1}
-		ka := string(live.EncodeKey(rel, cols, 0, nil))
-		kb := string(live.EncodeKey(rel, cols, 1, nil))
-		equal := a0 == b0 && a1 == b1
-		if (ka == kb) != equal {
-			t.Fatalf("injectivity broken: (%d,%d) vs (%d,%d) keys %x vs %x", a0, a1, b0, b1, ka, kb)
+		ncols := 1 + int(data[0]&7)%6
+		wide := data[0]&0x80 != 0
+		names := make([]string, ncols)
+		for c := range names {
+			names[c] = fmt.Sprint("C", c)
 		}
-		if len(ka) != 8 {
-			t.Fatalf("key not fixed-width: %d bytes", len(ka))
+		rel := relation.New(relation.MustSchema(names...))
+		size := make([]int, ncols)
+		for c := range size {
+			size[c] = 1 + int(data[(1+c)%len(data)])%5
+			if wide {
+				size[c] = 4096
+			}
+			for v := 0; v < size[c]; v++ {
+				rel.Dict(c).Intern(fmt.Sprint(v))
+			}
 		}
-		// Re-encoding is deterministic and buffer-reuse-safe.
-		if again := string(live.EncodeKey(rel, cols, 0, make([]byte, 3))); again != ka {
-			t.Fatalf("re-encode differs: %x vs %x", again, ka)
+		// Each cell's code is drawn from the next two bytes: a code of the
+		// column's dictionary, or NullValue.
+		k := 0
+		code := func(c int) relation.Value {
+			x := int(data[k%len(data)])<<8 | int(data[(k+1)%len(data)])
+			k += 2
+			if x%7 == 6 {
+				return relation.NullValue
+			}
+			return relation.Value(x % size[c])
 		}
+		nrows := 2 + len(data)/ncols%16
+		for r := 0; r < nrows; r++ {
+			rel.AppendRow(make([]string, ncols))
+			for c := 0; c < ncols; c++ {
+				rel.SetValue(r, c, code(c))
+			}
+		}
+		cols := make([]int, ncols)
+		for c := range cols {
+			cols[c] = c
+		}
+		tb := live.NewTable(rel, cols, false)
+		span := 1.0
+		for c := range cols {
+			span *= float64(2 * (size[c] + 1))
+		}
+		if tb.Packed() != (span < 1<<64) {
+			t.Fatalf("%d columns of %v values: packed %v", ncols, size, tb.Packed())
+		}
+		tb.Grow(nrows)
+		for r := 0; r < nrows; r++ {
+			tb.Join(rel, int32(r))
+		}
+		checkTableKeys(t, "built", rel, tb)
+
+		// Outgrow every lane, and rewrite one fuzz-chosen column of every
+		// third row to a code the old lane cannot hold: under the old
+		// layout it would carry into the next lane and collide.
+		var writes []CellWrite
+		for c := range cols {
+			for v := size[c]; v < 2*size[c]+3; v++ {
+				rel.Dict(c).Intern(fmt.Sprint(v))
+			}
+		}
+		for r := 0; r < nrows; r += 3 {
+			c := int(data[r%len(data)]) % ncols
+			old := rel.Value(r, c)
+			nv := relation.Value(2*size[c] + 1 + int(data[(r+1)%len(data)])%2)
+			rel.SetValue(r, c, nv)
+			writes = append(writes, CellWrite{Row: r, Col: c, Old: old, New: nv})
+		}
+		tb.Prepare(rel, writes)
+		span = 1.0
+		for c := range cols {
+			span *= float64(2 * (rel.Dict(c).Size() + 1))
+		}
+		if tb.Packed() != (span < 1<<64) {
+			t.Fatalf("re-laid out over dictionaries of %v values: packed %v", size, tb.Packed())
+		}
+		for k, wr := range writes {
+			if tb.RowClass[wr.Row] >= 0 {
+				tb.Leave(int32(wr.Row))
+			} else {
+				tb.DropKey(rel, writes[k:k+1], wr.Row)
+			}
+		}
+		for _, wr := range writes {
+			tb.Join(rel, int32(wr.Row))
+		}
+		checkTableKeys(t, "moved", rel, tb)
 	})
+}
+
+// checkTableKeys asserts that rows share a class, or a lone row holds a
+// key another row maps to, exactly when their code tuples are equal.
+func checkTableKeys(t *testing.T, label string, rel *relation.Relation, tb *live.Table) {
+	t.Helper()
+	n := rel.NumRows()
+	tuple := func(r int) string { return string(live.AppendKey(nil, rel, tb.Cols, r)) }
+	for a := 0; a < n; a++ {
+		enc, ok := tb.Lookup(rel, a)
+		if !ok {
+			t.Fatalf("%s: row %d's key is missing", label, a)
+		}
+		if ca := tb.RowClass[a]; (ca >= 0 && enc != ca) || (ca < 0 && enc != live.LoneRow(int32(a))) {
+			t.Fatalf("%s: row %d in class %d, its key maps to %d", label, a, ca, enc)
+		}
+		for b := a + 1; b < n; b++ {
+			same := tb.RowClass[a] >= 0 && tb.RowClass[a] == tb.RowClass[b]
+			if equal := tuple(a) == tuple(b); same != equal {
+				t.Fatalf("%s: rows %d and %d: equal tuples %v, one class %v (%s layout)", label, a, b, equal, same, map[bool]string{true: "packed", false: "byte"}[tb.Packed()])
+			}
+		}
+	}
 }

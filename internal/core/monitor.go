@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -21,20 +22,22 @@ import (
 // of one. Any Σ is accepted — a discovered cover routinely chains
 // dependencies (A→B, B→C) — and any cell may be written.
 //
-// The state is kept per dependency, as the paper keeps it per OFD: the
-// equivalence classes of Π_X with their copy-on-write member lists, the
-// LHS-key index of those classes and of lone rows, the consequent-value
-// multisets, the row→class table, and the violation maps. Absorbing a
-// batch picks the dependencies it touches — every one when rows were
-// appended, otherwise those whose antecedent or consequent a write
-// rewrote — and fans them out over exec.For with no shared write state.
-// Each worker joins its dependency's appended rows, moves the rows whose
-// antecedent the batch rewrote (leave through the source-state key, join
-// through the target-state key), applies the consequent deltas, and
-// re-verifies each dirty class once. A batch costs what it touched, not
-// the instance: no write rebuilds a dependency's index. The trade-off is
-// that a Σ with fewer dependencies than workers keeps only that many
-// workers busy.
+// The state is kept per antecedent, as OFD verification works on the
+// classes of Π_X whatever the consequent: one class table per distinct X
+// (live.Table) holds the LHS-key map of classes and lone rows, the
+// row→class array and the classes' copy-on-write member lists, and each
+// dependency X → A keeps its consequent-value multisets and violation
+// maps on top of X's table. Absorbing a batch picks the tables it touches
+// — every one when rows were appended, otherwise those whose antecedent,
+// or a dependency's consequent, a write rewrote — and fans them out over
+// exec.For with no shared write state. Each worker joins its table's
+// appended rows and moves the rows whose antecedent the batch rewrote
+// (leave through the source-state key, join through the target-state
+// key) once for the table, folds each move and consequent write into
+// every dependency's multisets, and re-verifies each dirty class once
+// per dependency. A batch costs what it touched, not the instance: no
+// write rebuilds a table. The trade-off is that a Σ with fewer distinct
+// antecedents than workers keeps only that many workers busy.
 //
 // Violation state is published as epoch-stamped immutable snapshots:
 // every mutating operation materializes the affected classes' Violation
@@ -52,9 +55,9 @@ type Monitor struct {
 	rel   *relation.Relation // sub's relation
 	v     *Verifier          // sub's verifier
 	sigma Set
-	// Workers bounds the parallel fan-out of a batch over its dependencies
-	// and of the initial index build (0 selects all CPUs, as everywhere on
-	// the exec substrate).
+	// Workers bounds the parallel fan-out of a batch over its tables and
+	// of the initial build (0 selects all CPUs, as everywhere on the exec
+	// substrate).
 	Workers int
 	// Stats, when non-nil, receives monitor.build, monitor.apply, and
 	// monitor.merge stage spans.
@@ -62,11 +65,14 @@ type Monitor struct {
 
 	// deps[i] is sigma[i]'s live state.
 	deps []*monitorDep
-	// active lists the dependencies the current batch touches (scratch).
+	// tables holds one class table per distinct antecedent of Σ, in order
+	// of first appearance.
+	tables []*monitorTable
+	// active lists the tables the current batch touches (scratch).
 	active []int32
 
 	// absorbed is the number of rows Absorb has joined (the length of the
-	// row→class tables, kept apart so an empty Σ counts too).
+	// row→class arrays, kept apart so an empty Σ counts too).
 	absorbed int
 
 	reverified atomic.Int64 // classes re-verified since construction
@@ -83,8 +89,9 @@ const (
 )
 
 // NewMonitor builds a monitor over sub and Σ, computing the initial
-// violation state. The index build and every batch spread over up to
-// workers goroutines (0 = all CPUs), one dependency at a time, and stats,
+// violation state. The build spreads over up to workers goroutines (0 =
+// all CPUs), one table and then one dependency at a time, every batch one
+// table at a time, and stats,
 // when non-nil, receives the monitor's stage spans. Reports are
 // byte-identical for every worker count. A cancelled build returns a nil
 // Monitor — a partially indexed monitor would report wrong violation
@@ -96,9 +103,26 @@ func NewMonitor(ctx context.Context, sub *Substrate, sigma Set, workers int, sta
 	span.Items(len(sigma))
 	defer span.End()
 	m := newMonitor(sub, sigma.Clone(), workers, stats)
-	// Iteration i writes only deps[i], so the fan-out is race-free.
+	var xs []relation.AttrSet
+	for _, d := range m.sigma {
+		if !slices.Contains(xs, d.LHS) {
+			xs = append(xs, d.LHS)
+		}
+	}
+	// Iteration i writes only tables[i], then only deps[i], so both
+	// fan-outs are race-free.
+	m.tables = make([]*monitorTable, len(xs))
+	if err := exec.For(ctx, len(xs), w, func(_, i int) {
+		m.tables[i] = m.newTable(xs[i])
+	}); err != nil {
+		return nil, err
+	}
+	for i, d := range m.sigma {
+		m.deps[i] = &monitorDep{d: d}
+		m.tableOf(d.LHS).attach(m.deps[i])
+	}
 	if err := exec.For(ctx, len(m.sigma), w, func(_, i int) {
-		m.deps[i] = m.newDep(m.sigma[i])
+		m.deps[i].fill(m)
 	}); err != nil {
 		return nil, err
 	}
@@ -109,7 +133,7 @@ func NewMonitor(ctx context.Context, sub *Substrate, sigma Set, workers int, sta
 }
 
 // newMonitor allocates a monitor for sigma (taken as is) over sub; the
-// caller fills deps.
+// caller fills deps and tables.
 func newMonitor(sub *Substrate, sigma Set, workers int, stats *exec.Stats) *Monitor {
 	return &Monitor{
 		sub:      sub,
@@ -121,6 +145,16 @@ func newMonitor(sub *Substrate, sigma Set, workers int, stats *exec.Stats) *Moni
 		deps:     make([]*monitorDep, len(sigma)),
 		absorbed: sub.Relation().NumRows(),
 	}
+}
+
+// tableOf returns the table of antecedent x, or nil.
+func (m *Monitor) tableOf(x relation.AttrSet) *monitorTable {
+	for _, mt := range m.tables {
+		if mt.lhs == x {
+			return mt
+		}
+	}
+	return nil
 }
 
 // Update writes value into cell (row, col) as a batch of one, reporting
@@ -142,8 +176,8 @@ func (m *Monitor) AppendRow(row []string) (int, error) {
 
 // AppendRows appends tuples (strings in schema order) through the
 // substrate and absorbs them as one batch (Absorb): each tuple joins its
-// equivalence class under every OFD via that dependency's LHS-key index
-// — O(|X|) per dependency, no partition rebuild. A tuple whose antecedent
+// equivalence class under every antecedent via that antecedent's class
+// table — O(|X|) per table, no partition rebuild. A tuple whose antecedent
 // key matches a formerly-singleton row births a new two-tuple class; a
 // fresh key records a new singleton. Every joined class is re-verified
 // once for the whole batch, and one epoch is published. A row of the
@@ -225,7 +259,7 @@ func (m *Monitor) ViolatingClasses() map[int][][]int {
 	out := make(map[int][][]int)
 	for i, dep := range m.deps {
 		for ci := range dep.viol {
-			class := dep.ix.Members[ci]
+			class := dep.tbl.tab.Members[ci]
 			tuples := make([]int, len(class))
 			for j, t := range class {
 				tuples[j] = int(t)

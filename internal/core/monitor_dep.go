@@ -7,18 +7,37 @@ import (
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
-// monitorDep is one monitored dependency's live state. Dependencies share
-// no mutable state, so a batch's workers update every dependency it
-// touches in parallel without locks.
+// monitorTable is the live state of one antecedent X and of every
+// monitored dependency over it. Tables share no mutable state, so a
+// batch's workers update every table it touches in parallel without
+// locks, each together with its dependencies.
+type monitorTable struct {
+	lhs relation.AttrSet
+	// scope is X plus every dependency's consequent: the columns whose
+	// writes the table's state depends on.
+	scope relation.AttrSet
+	// tab is X's class table: the key map of classes and lone rows (not
+	// built on a restored monitor until a batch needs it), the row→class
+	// array, the class sizes and the copy-on-write member lists (a base
+	// class's list starts as its cached partition class).
+	tab *live.Table
+	// deps are the monitored dependencies over X, in registration order.
+	deps []*monitorDep
+
+	// Batch scratch, reused across batches. No element holds a pointer, so
+	// the slots past a reused length pin nothing.
+	moved []int32 // rows whose antecedent the batch rewrote
+	dirty []int32 // classes the batch's joins and leaves touched
+}
+
+// monitorDep is one monitored dependency's state on top of its table.
 type monitorDep struct {
-	d OFD
-	// ix is the dependency's class index: Members the copy-on-write member
-	// lists (a base class's list starts as its cached partition class),
-	// Keys the LHS-key map of classes and lone rows (nil on a restored
-	// monitor until a batch needs it), Counts the consequent multisets.
-	ix *live.ClassIndex
-	// classOf[t] is row t's class, or -1 while t is a lone row.
-	classOf []int32
+	d   OFD
+	tbl *monitorTable
+	// counts[c] is the multiset of consequent values of the table's class
+	// c. Maintained on every write, it makes re-verification
+	// O(distinct values), independent of class size.
+	counts [][]live.ValCount
 	// viol[c] holds the materialized Violation record of currently
 	// violating class c; fdOnly[c] holds the member list of a class a
 	// plain FD would flag that the ontology clears. Records are immutable
@@ -30,62 +49,42 @@ type monitorDep struct {
 	// wholesale (never mutated) when the violation maps change.
 	snap *depSnap
 
-	// Batch scratch, reused across batches. No element holds a pointer, so
-	// the slots past a reused length pin nothing.
-	moved  []int32          // rows whose antecedent the batch rewrote
-	dirty  []int32          // classes to re-verify, deduped in absorb
-	vals   []relation.Value // distinct-value scratch
-	keyBuf []byte           // source-state key scratch
+	// Batch scratch, as the table's.
+	dirty []int32          // classes its consequent writes touched
+	vals  []relation.Value // distinct-value scratch
 }
 
-// newDep builds dependency d's live state over the current instance: its
-// class index (indexDep), multisets, class states and materialized
-// violation records.
-func (m *Monitor) newDep(d OFD) *monitorDep {
-	ix, classOf := m.indexDep(d)
-	col := m.rel.Column(d.RHS)
-	for ci, class := range ix.Members {
-		pairs := make([]live.ValCount, 0, 4)
-		for _, t := range class {
-			pairs = live.Bump(pairs, col.At(int(t)), 1)
-		}
-		ix.Counts[ci] = pairs
+// newTable builds the class table of antecedent x over the current
+// instance, when the first dependency over x enters the monitor
+// (NewMonitor, Register; writes move rows in place instead): the cached
+// base partition's classes, their lists its class views, and the key map.
+func (m *Monitor) newTable(x relation.AttrSet) *monitorTable {
+	p := m.v.Partitions().Get(x)
+	return &monitorTable{lhs: x, scope: x, tab: live.FromPartition(m.rel, x.Attrs(), p, true)}
+}
+
+// attach adds dep to the table's dependencies.
+func (mt *monitorTable) attach(dep *monitorDep) {
+	dep.tbl = mt
+	mt.deps = append(mt.deps, dep)
+	mt.scope = mt.scope.With(dep.d.RHS)
+}
+
+// detach removes dep from the table's dependencies; slices.Delete clears
+// the vacated tail slot, so the removed state is not pinned.
+func (mt *monitorTable) detach(dep *monitorDep) {
+	mt.deps = slices.DeleteFunc(mt.deps, func(e *monitorDep) bool { return e == dep })
+	mt.scope = mt.lhs
+	for _, e := range mt.deps {
+		mt.scope = mt.scope.With(e.d.RHS)
 	}
-	dep := &monitorDep{d: d, ix: ix, classOf: classOf}
+}
+
+// fill computes the dependency's multisets in one pass over its table's
+// row→class array, then its class states and violation records.
+func (dep *monitorDep) fill(m *Monitor) {
+	dep.counts = live.CountClasses(dep.tbl.tab, m.rel.Column(dep.d.RHS))
 	dep.buildRecords(m)
-	return dep
-}
-
-// indexDep builds dependency d's class index and row→class table when the
-// dependency enters the monitor (NewMonitor, Register; writes move rows in
-// place instead). Each class's member list is the cached base partition's
-// class itself, which the list's copy-on-write rule never writes; the key
-// map holds one key per class and one per lone row (live.IndexKeys). The
-// multisets are left empty, one per class.
-func (m *Monitor) indexDep(d OFD) (*live.ClassIndex, []int32) {
-	base := m.v.Partitions().Get(d.LHS)
-	nc := base.NumClasses()
-	ix := &live.ClassIndex{
-		Cols:    d.LHS.Attrs(),
-		RHS:     d.RHS,
-		Members: make([][]int32, nc),
-		Counts:  make([][]live.ValCount, nc),
-	}
-	classOf := make([]int32, m.rel.NumRows())
-	for t := range classOf {
-		classOf[t] = -1
-	}
-	for ci := range ix.Members {
-		class := base.Class(ci)
-		ix.Members[ci] = class
-		for _, t := range class {
-			classOf[t] = int32(ci)
-		}
-	}
-	live.IndexKeys(ix, classOf, func(blob []byte, t int) []byte {
-		return live.AppendKey(blob, m.rel, ix.Cols, t)
-	})
-	return ix, classOf
 }
 
 // buildRecords computes the class states and materialized violation
@@ -94,7 +93,7 @@ func (m *Monitor) indexDep(d OFD) (*live.ClassIndex, []int32) {
 func (dep *monitorDep) buildRecords(m *Monitor) {
 	dep.viol = make(map[int32]*Violation)
 	dep.fdOnly = make(map[int32][]int32)
-	for ci := range dep.ix.Counts {
+	for ci := range dep.counts {
 		st := dep.classState(m, int32(ci))
 		if st == classOK {
 			continue
@@ -112,7 +111,7 @@ func (dep *monitorDep) buildRecords(m *Monitor) {
 // classState verifies class ci from its maintained consequent-value
 // multiset — O(distinct values), never a tuple scan.
 func (dep *monitorDep) classState(m *Monitor, ci int32) uint8 {
-	pairs := dep.ix.Counts[ci]
+	pairs := dep.counts[ci]
 	if len(pairs) <= 1 {
 		return classOK // syntactically constant
 	}
@@ -130,10 +129,10 @@ func (dep *monitorDep) classState(m *Monitor, ci int32) uint8 {
 func (dep *monitorDep) materialize(m *Monitor, ci int32, state uint8) (*Violation, []int32) {
 	switch state {
 	case classViolating:
-		rec := explain(m.rel, m.v.Ontology(), dep.d, dep.ix.Members[ci])
+		rec := explain(m.rel, m.v.Ontology(), dep.d, dep.tbl.tab.Members[ci])
 		return &rec, nil
 	case classFDOnly:
-		return nil, dep.ix.Members[ci]
+		return nil, dep.tbl.tab.Members[ci]
 	}
 	return nil, nil
 }
@@ -155,25 +154,29 @@ func (dep *monitorDep) commitClass(ci int32, state uint8, v *Violation, fd []int
 	return wasViol || wasFD || state != classOK
 }
 
-// absorb folds one batch into the dependency: rows [t0, end) were
-// appended, and writes is the batch's write log, sorted by row, touching
-// the columns in touched. In order, it rebuilds a restored key map the
-// batch needs (restoreKeys), joins the appended rows in ascending row
-// order, walks the log — a row whose antecedent changed leaves its class
-// (or its lone-row key, through the source-state key), a consequent write
-// of a row that stays bumps its class's multiset — and joins the moved
-// rows through their target-state keys. A class a leave empties gives up
-// its key, so the key map holds live keys only. Every dirty class is then
-// re-verified once, and the snapshot rebuilt if a violation map changed.
-// Returns the number of re-verified classes. Leaves the scratch empty.
-func (dep *monitorDep) absorb(m *Monitor, writes []CellWrite, touched relation.AttrSet, t0, end int) int {
-	ix, d, rel := dep.ix, dep.d, m.rel
-	if ix.Keys == nil && (t0 < end || !d.LHS.Intersect(touched).IsEmpty()) {
-		dep.restoreKeys(rel, writes)
+// absorb folds one batch into the table and its dependencies: rows
+// [t0, end) were appended, and writes is the batch's write log, sorted by
+// row, touching the columns in touched. In order, it readies the key map
+// when the batch needs it (live.Table.Prepare: a restored or outgrown
+// map is rebuilt from the batch's source state), joins the appended rows
+// in ascending row order, walks the log — a row whose antecedent changed
+// leaves its class (or drops its lone-row key, through the source-state
+// key), a consequent write of a row that stays bumps its class's multiset
+// under that dependency — and joins the moved rows through their
+// target-state keys. A class a leave empties gives up its key, so the key
+// map holds live keys only. Each class's member list is rewritten once
+// (Flush). Every dependency then re-verifies each class dirty for it once:
+// the classes joins and leaves touched, and those its own consequent
+// writes touched. Returns the number of re-verified (dependency, class)
+// pairs. Leaves the scratch empty.
+func (mt *monitorTable) absorb(m *Monitor, writes []CellWrite, touched relation.AttrSet, t0, end int) int {
+	tab, rel := mt.tab, m.rel
+	if t0 < end || !mt.lhs.Intersect(touched).IsEmpty() {
+		tab.Prepare(rel, writes)
 	}
+	tab.Grow(end)
 	for t := t0; t < end; t++ {
-		dep.classOf = append(dep.classOf, -1)
-		dep.join(rel, int32(t))
+		mt.join(rel, int32(t))
 	}
 	for lo := 0; lo < len(writes); {
 		t := writes[lo].Row
@@ -183,46 +186,84 @@ func (dep *monitorDep) absorb(m *Monitor, writes []CellWrite, touched relation.A
 		}
 		seg := writes[lo:hi]
 		lo = hi
-		xChanged, hadA := false, false
-		var aOld, aNew relation.Value
+		xChanged := false
 		for _, wr := range seg {
-			if wr.Col == d.RHS {
-				hadA, aOld, aNew = true, wr.Old, wr.New
-			}
-			if d.LHS.Has(wr.Col) {
+			if mt.lhs.Has(wr.Col) {
 				xChanged = true
 			}
 		}
-		ci := dep.classOf[t]
+		ci := tab.RowClass[t]
 		if !xChanged {
-			if hadA && ci >= 0 {
-				ix.BumpVal(ci, aOld, aNew)
-				dep.dirty = append(dep.dirty, ci)
+			if ci < 0 {
+				continue
+			}
+			for _, dep := range mt.deps {
+				if wr, ok := live.Written(seg, dep.d.RHS); ok {
+					dep.counts[ci] = live.Replace(dep.counts[ci], wr.Old, wr.New)
+					dep.dirty = append(dep.dirty, ci)
+				}
 			}
 			continue
 		}
-		preA := rel.Value(t, d.RHS)
-		if hadA {
-			preA = aOld
-		}
-		dep.moved = append(dep.moved, int32(t))
+		mt.moved = append(mt.moved, int32(t))
 		if ci >= 0 {
-			dep.classOf[t] = -1
-			dep.dirty = append(dep.dirty, ci)
-			if ix.Leave(ci, int32(t), preA) > 0 {
+			for _, dep := range mt.deps {
+				preA := rel.Value(t, dep.d.RHS)
+				if wr, ok := live.Written(seg, dep.d.RHS); ok {
+					preA = wr.Old
+				}
+				dep.counts[ci] = live.Bump(dep.counts[ci], preA, -1)
+			}
+			mt.dirty = append(mt.dirty, ci)
+			if _, size := tab.Leave(int32(t)); size > 0 {
 				continue
 			}
 		}
-		dep.keyBuf = AppendSourceKey(dep.keyBuf[:0], rel, ix.Cols, seg, t)
-		delete(ix.Keys, string(dep.keyBuf))
+		tab.DropKey(rel, seg, t)
 	}
-	for _, t := range dep.moved {
-		dep.join(rel, t)
+	for _, t := range mt.moved {
+		mt.join(rel, t)
 	}
-	slices.Sort(dep.dirty)
-	dep.dirty = slices.Compact(dep.dirty)
+	tab.Flush()
+	slices.Sort(mt.dirty)
+	mt.dirty = slices.Compact(mt.dirty)
+	n := 0
+	for _, dep := range mt.deps {
+		n += dep.recheck(m, mt.dirty)
+	}
+	mt.moved = mt.moved[:0]
+	mt.dirty = mt.dirty[:0]
+	return n
+}
+
+// join enters row t, which belongs to no class, through its current key,
+// folds the outcome into every dependency's multisets and marks the class
+// it joins dirty.
+func (mt *monitorTable) join(rel *relation.Relation, t int32) {
+	ci, partner, kind := mt.tab.Join(rel, t)
+	if kind == live.JoinLone {
+		return
+	}
+	for _, dep := range mt.deps {
+		dep.counts = live.Joined(dep.counts, rel.Column(dep.d.RHS), t, ci, partner, kind)
+	}
+	mt.dirty = append(mt.dirty, ci)
+}
+
+// recheck re-verifies, once each, the classes in shared (the table's
+// dirty classes, sorted and deduplicated) and in the dependency's own
+// dirty list, and rebuilds the snapshot if a violation map changed.
+// Returns the number of re-verified classes and leaves the dirty list
+// empty.
+func (dep *monitorDep) recheck(m *Monitor, shared []int32) int {
+	dirty := shared
+	if len(dep.dirty) > 0 {
+		dep.dirty = append(dep.dirty, shared...)
+		slices.Sort(dep.dirty)
+		dirty = slices.Compact(dep.dirty)
+	}
 	changed := false
-	for _, ci := range dep.dirty {
+	for _, ci := range dirty {
 		st := dep.classState(m, ci)
 		v, fd := dep.materialize(m, ci, st)
 		if dep.commitClass(ci, st, v, fd) {
@@ -232,43 +273,6 @@ func (dep *monitorDep) absorb(m *Monitor, writes []CellWrite, touched relation.A
 	if changed {
 		dep.rebuildSnap()
 	}
-	n := len(dep.dirty)
-	dep.moved = dep.moved[:0]
 	dep.dirty = dep.dirty[:0]
-	return n
-}
-
-// join enters row t, which belongs to no class, through its current key
-// and marks the class it joins dirty.
-func (dep *monitorDep) join(rel *relation.Relation, t int32) {
-	ci, partner, kind := dep.ix.Join(rel, t)
-	switch kind {
-	case live.JoinLone:
-		return
-	case live.JoinBirth:
-		dep.classOf[partner] = ci
-	}
-	dep.classOf[t] = ci
-	dep.dirty = append(dep.dirty, ci)
-}
-
-// restoreKeys rebuilds the key map of a dependency restored without one
-// (DecodeMonitorBody saves none) from its row→class table
-// (live.IndexKeys). absorb runs it before the batch moves any row, so the
-// table still describes the batch's source state. The relation already
-// holds the writes, so a written row's key is encoded from the log's Old
-// values (AppendSourceKey), found by a cursor: the log and IndexKeys's
-// requests both ascend by row.
-func (dep *monitorDep) restoreKeys(rel *relation.Relation, writes []CellWrite) {
-	lo := 0
-	live.IndexKeys(dep.ix, dep.classOf, func(blob []byte, t int) []byte {
-		for lo < len(writes) && writes[lo].Row < t {
-			lo++
-		}
-		hi := lo
-		for hi < len(writes) && writes[hi].Row == t {
-			hi++
-		}
-		return AppendSourceKey(blob, rel, dep.ix.Cols, writes[lo:hi], t)
-	})
+	return len(dirty)
 }

@@ -15,31 +15,48 @@ import (
 // reports remain byte-identical to a fresh Detect either way.
 
 // Register adds dependency d to the monitored set and builds its live
-// state — index, member lists, multisets, and violation records — exactly
-// as construction would have. The new dependency's violations appear in
-// the next published epoch.
+// state — multisets and violation records — exactly as construction
+// would have. A dependency over an antecedent the monitor already
+// indexes reuses that table: it needs no partition and no key build, only
+// one pass over the table's row→class array for its multisets. The new
+// dependency's violations appear in the next published epoch.
 func (m *Monitor) Register(d OFD) error {
 	if m.indexOf(d) >= 0 {
 		return fmt.Errorf("core: dependency already monitored")
 	}
+	mt := m.tableOf(d.LHS)
+	if mt == nil {
+		mt = m.newTable(d.LHS)
+		m.tables = append(m.tables, mt)
+	}
+	dep := &monitorDep{d: d}
+	mt.attach(dep)
+	dep.fill(m)
 	m.sigma = append(m.sigma, d)
-	m.deps = append(m.deps, m.newDep(d))
+	m.deps = append(m.deps, dep)
 	m.publish()
 	return nil
 }
 
 // Unregister removes dependency d from the monitored set, dropping its
-// live state and violation records. Epochs already published keep
+// live state and violation records, and drops its antecedent's table
+// when no other dependency is over it. Epochs already published keep
 // reporting it (snapshots are immutable); the next epoch no longer does.
 // The removed state is not pinned: slices.Delete clears the vacated tail
-// slot.
+// slots.
 func (m *Monitor) Unregister(d OFD) error {
 	at := m.indexOf(d)
 	if at < 0 {
 		return fmt.Errorf("core: dependency not monitored")
 	}
+	dep := m.deps[at]
 	m.sigma = slices.Delete(m.sigma, at, at+1)
 	m.deps = slices.Delete(m.deps, at, at+1)
+	mt := dep.tbl
+	mt.detach(dep)
+	if len(mt.deps) == 0 {
+		m.tables = slices.DeleteFunc(m.tables, func(e *monitorTable) bool { return e == mt })
+	}
 	m.publish()
 	return nil
 }
@@ -60,10 +77,11 @@ func (m *Monitor) indexOf(d OFD) int {
 // log (Substrate.Writes); Append clears the log, so one call sees new rows
 // or writes, never both. Two stages:
 //
-//   - monitor.apply: the dependencies the batch touches — every one when
-//     rows were appended, otherwise those whose antecedent or consequent
-//     the log rewrites — each absorb the batch on a worker of their own
-//     (monitorDep.absorb), claimed by work stealing.
+//   - monitor.apply: the tables the batch touches — every one when rows
+//     were appended, otherwise those whose antecedent, or the consequent
+//     of a dependency over it, the log rewrites — each absorb the batch
+//     with their dependencies on a worker of their own
+//     (monitorTable.absorb), claimed by work stealing.
 //   - monitor.merge: one epoch is published from the dependencies'
 //     snapshots.
 //
@@ -79,8 +97,8 @@ func (m *Monitor) Absorb() {
 	m.absorbed = end
 	touched := Touched(writes)
 	m.active = m.active[:0]
-	for i, dep := range m.deps {
-		if t0 < end || !dep.d.LHS.With(dep.d.RHS).Intersect(touched).IsEmpty() {
+	for i, mt := range m.tables {
+		if t0 < end || !mt.scope.Intersect(touched).IsEmpty() {
 			m.active = append(m.active, int32(i))
 		}
 	}
@@ -88,7 +106,7 @@ func (m *Monitor) Absorb() {
 	applySpan := m.Stats.Span("monitor.apply")
 	applySpan.Workers(w)
 	_ = exec.For(context.Background(), len(m.active), w, func(_, k int) {
-		n := m.deps[m.active[k]].absorb(m, writes, touched, t0, end)
+		n := m.tables[m.active[k]].absorb(m, writes, touched, t0, end)
 		applySpan.Items(n)
 		m.reverified.Add(int64(n))
 	})

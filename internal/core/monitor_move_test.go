@@ -61,11 +61,13 @@ func reopenMonitor(t *testing.T, m *Monitor, workers int) *Monitor {
 }
 
 // checkMonitorState asserts the monitor's report is byte-identical to a
-// fresh Detect and that each dependency's tables are mutually consistent:
-// the restore checks, every class member's row→class entry naming its
-// class, every multiset counting its members' consequents, and the key
-// map, whose every entry must encode its class's first member (or its
-// lone row), one entry per non-empty class and lone row.
+// fresh Detect and that its tables and dependencies are mutually
+// consistent: one table per distinct antecedent of Σ, each serving
+// exactly the dependencies over it, the restore checks, every class
+// member's row→class entry naming its class, every class size its list's
+// length, every dependency's multiset counting its members' consequents,
+// and the key map, whose every entry must be the key of its class's first
+// member (or its lone row), one entry per non-empty class and lone row.
 func checkMonitorState(t *testing.T, label string, m *Monitor) {
 	t.Helper()
 	got, err := json.Marshal(m.Report())
@@ -82,65 +84,89 @@ func checkMonitorState(t *testing.T, label string, m *Monitor) {
 	if len(m.deps) != len(m.sigma) {
 		t.Fatalf("%s: %d dependency states for %d dependencies", label, len(m.deps), len(m.sigma))
 	}
+	served := 0
+	for _, mt := range m.tables {
+		if len(mt.deps) == 0 {
+			t.Fatalf("%s: the table over %v serves no dependency", label, mt.lhs)
+		}
+		for _, dep := range mt.deps {
+			if dep.tbl != mt || dep.d.LHS != mt.lhs {
+				t.Fatalf("%s: the table over %v holds %v", label, mt.lhs, dep.d)
+			}
+		}
+		served += len(mt.deps)
+		if err := checkRestored(mt.tab, m.rel.NumRows()); err != nil {
+			t.Fatalf("%s: table over %v: %v", label, mt.lhs, err)
+		}
+		for ci, class := range mt.tab.Members {
+			if int(mt.tab.Sizes[ci]) != len(class) {
+				t.Fatalf("%s: table over %v class %d has size %d and %d members", label, mt.lhs, ci, mt.tab.Sizes[ci], len(class))
+			}
+			for _, r := range class {
+				if mt.tab.RowClass[r] != int32(ci) {
+					t.Fatalf("%s: table over %v class %d lists row %d, whose entry names class %d", label, mt.lhs, ci, r, mt.tab.RowClass[r])
+				}
+			}
+		}
+		checkKeyMap(t, label, m, mt)
+	}
+	if served != len(m.deps) {
+		t.Fatalf("%s: the tables serve %d dependencies, Σ holds %d", label, served, len(m.deps))
+	}
 	byVal := func(a, b live.ValCount) int { return int(a.Val) - int(b.Val) }
 	for i, dep := range m.deps {
 		if dep.d != m.sigma[i] {
 			t.Fatalf("%s: state %d is %v's, Σ holds %v there", label, i, dep.d, m.sigma[i])
 		}
-		if err := dep.checkRestored(m.rel.NumRows()); err != nil {
-			t.Fatalf("%s: %v: %v", label, dep.d, err)
+		if m.tableOf(dep.d.LHS) != dep.tbl {
+			t.Fatalf("%s: %v runs on a table the monitor does not hold", label, dep.d)
 		}
 		col := m.rel.Column(dep.d.RHS)
-		for ci, class := range dep.ix.Members {
+		for ci, class := range dep.tbl.tab.Members {
 			var counts []live.ValCount
 			for _, r := range class {
-				if dep.classOf[r] != int32(ci) {
-					t.Fatalf("%s: %v class %d lists row %d, whose entry names class %d", label, dep.d, ci, r, dep.classOf[r])
-				}
 				counts = live.Bump(counts, col.At(int(r)), 1)
 			}
-			have := slices.Clone(dep.ix.Counts[ci])
+			have := slices.Clone(dep.counts[ci])
 			slices.SortFunc(have, byVal)
 			slices.SortFunc(counts, byVal)
 			if !slices.Equal(have, counts) {
 				t.Fatalf("%s: %v class %d multiset %v, its members hold %v", label, dep.d, ci, have, counts)
 			}
 		}
-		checkKeyMap(t, label, m, dep)
 	}
 }
 
-// checkKeyMap checks a dependency's key map against the relation. A
-// restored monitor builds a dependency's map on its first append or
-// antecedent write, so a nil map is skipped.
-func checkKeyMap(t *testing.T, label string, m *Monitor, dep *monitorDep) {
+// checkKeyMap checks a table's key map against the relation. A restored
+// monitor builds a table's map on its first append or antecedent write,
+// so an unbuilt map is skipped.
+func checkKeyMap(t *testing.T, label string, m *Monitor, mt *monitorTable) {
 	t.Helper()
-	ix := dep.ix
-	if ix.Keys == nil {
+	tab := mt.tab
+	if !tab.Indexed() {
 		return
 	}
 	want := 0
-	for _, class := range ix.Members {
-		if len(class) > 0 {
-			want++
+	for ci, class := range tab.Members {
+		if len(class) == 0 {
+			continue
+		}
+		want++
+		if enc, ok := tab.Lookup(m.rel, int(class[0])); !ok || enc != int32(ci) {
+			t.Fatalf("%s: table over %v: the key of class %d's first row %d maps to (%d, %v)", label, mt.lhs, ci, class[0], enc, ok)
 		}
 	}
-	for _, ci := range dep.classOf {
-		if ci < 0 {
-			want++
+	for r, ci := range tab.RowClass {
+		if ci >= 0 {
+			continue
+		}
+		want++
+		if enc, ok := tab.Lookup(m.rel, r); !ok || enc != live.LoneRow(int32(r)) {
+			t.Fatalf("%s: table over %v: the key of lone row %d maps to (%d, %v)", label, mt.lhs, r, enc, ok)
 		}
 	}
-	if len(ix.Keys) != want {
-		t.Fatalf("%s: %v holds %d keys for %d non-empty classes and lone rows", label, dep.d, len(ix.Keys), want)
-	}
-	for k, v := range ix.Keys {
-		row := -v - 2
-		if v >= 0 {
-			row = ix.Members[v][0]
-		}
-		if enc := string(live.EncodeKey(m.rel, ix.Cols, int(row), nil)); enc != k {
-			t.Fatalf("%s: %v key %x names entry %d whose row %d encodes %x", label, dep.d, k, v, row, enc)
-		}
+	if n := tab.NumKeys(); n != want {
+		t.Fatalf("%s: table over %v holds %d keys for %d non-empty classes and lone rows", label, mt.lhs, n, want)
 	}
 }
 
@@ -300,10 +326,12 @@ func TestMonitorRegisterMidStream(t *testing.T) {
 
 // TestMonitorUnregisterPinsNoRemovedDependencies registers dependencies
 // one by one and unregisters them again, first and middle ones first:
-// after each removal the slots of Σ and of the per-dependency states past
-// their lengths must be empty, so a removed dependency's index, member
-// lists and key map become garbage instead of lingering in a backing
-// array.
+// after each removal the slots of Σ, of the per-dependency states, of
+// the tables and of each table's dependencies past their lengths must be
+// empty, so a removed dependency's multisets and a dropped table's
+// row→class array, member lists and key map become garbage instead of
+// lingering in a backing array; a table whose last dependency left must
+// be gone.
 func TestMonitorUnregisterPinsNoRemovedDependencies(t *testing.T) {
 	ont, _, _ := monitorStreamOntology()
 	rows, _ := moveCases()
@@ -315,13 +343,13 @@ func TestMonitorUnregisterPinsNoRemovedDependencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigma := moveSigma()
+	sigma := append(moveSigma(), MustParse(moveSchema, "X -> B"))
 	for _, d := range sigma {
 		if err := m.Register(d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, d := range []OFD{sigma[0], sigma[1], sigma[2]} {
+	for _, d := range []OFD{sigma[0], sigma[1], sigma[2], sigma[3]} {
 		if err := m.Unregister(d); err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +363,105 @@ func TestMonitorUnregisterPinsNoRemovedDependencies(t *testing.T) {
 				t.Fatalf("after unregistering %v, Σ slot %d past the length holds %v", d, len(m.sigma)+k, e)
 			}
 		}
+		for k, mt := range m.tables[len(m.tables):cap(m.tables)] {
+			if mt != nil {
+				t.Fatalf("after unregistering %v, table slot %d past the length holds the table over %v", d, len(m.tables)+k, mt.lhs)
+			}
+		}
+		for _, mt := range m.tables {
+			for k, dep := range mt.deps[len(mt.deps):cap(mt.deps)] {
+				if dep != nil {
+					t.Fatalf("after unregistering %v, the table over %v holds %v past its length at %d", d, mt.lhs, dep.d, len(mt.deps)+k)
+				}
+			}
+		}
+		if slices.IndexFunc(m.sigma, func(e OFD) bool { return e.LHS == d.LHS }) < 0 && m.tableOf(d.LHS) != nil {
+			t.Fatalf("after unregistering %v, the last dependency over its antecedent, its table remains", d)
+		}
 		checkMonitorState(t, fmt.Sprintf("after unregistering %v", d), m)
+	}
+	if len(m.tables) != 0 {
+		t.Fatalf("%d tables remain with an empty Σ", len(m.tables))
+	}
+}
+
+// TestMonitorSharedTables registers dependencies over antecedents the
+// monitor already indexes and unregisters every dependency over one,
+// between batches of antecedent moves, consequent writes and appends and
+// across reopens, for workers ∈ {1, 2, 4}: a dependency on a known
+// antecedent joins its table, with no partition lookup; the table goes
+// once its last dependency leaves; and after every op the report equals
+// a fresh Detect and the tables agree with the dependencies.
+func TestMonitorSharedTables(t *testing.T) {
+	ont, _, _ := monitorStreamOntology()
+	rows, _ := moveCases()
+	X, Y, A, B := 0, 1, 2, 3
+	xa, xb, xy := MustParse(moveSchema, "X -> A"), MustParse(moveSchema, "X -> B"), MustParse(moveSchema, "X -> Y")
+	for _, workers := range []int{1, 2, 4} {
+		rel, err := relation.FromRows(moveSchema, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), moveSigma(), workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("workers=%d", workers)
+		// register adds d over the known antecedent X and checks that it
+		// joined X's table without a partition lookup.
+		register := func(d OFD) {
+			t.Helper()
+			tab, n := m.tableOf(d.LHS), len(m.tables)
+			before := m.CacheStats()
+			if err := m.Register(d); err != nil {
+				t.Fatal(err)
+			}
+			after := m.CacheStats()
+			if tab == nil || m.tableOf(d.LHS) != tab || len(m.tables) != n {
+				t.Fatalf("%s: registering %v built a table beside the one over its antecedent", label, d)
+			}
+			if after.Hits+after.Misses != before.Hits+before.Misses {
+				t.Fatalf("%s: registering %v on a known antecedent looked up a partition", label, d)
+			}
+			checkMonitorState(t, fmt.Sprintf("%s register %v", label, d), m)
+		}
+		batch := func(k int, ups []CellUpdate, appended [][]string) {
+			t.Helper()
+			if err := m.ApplyBatch(ups); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.AppendRows(appended); err != nil {
+				t.Fatal(err)
+			}
+			checkMonitorState(t, fmt.Sprintf("%s batch %d", label, k), m)
+		}
+		register(xb)
+		batch(0, []CellUpdate{{0, X, "x1"}, {3, X, "x0"}, {4, B, "z0-a"}}, [][]string{{"x1", "y0", "y1-a", "z9"}})
+		m = reopenMonitor(t, m, workers)
+		register(xy) // on a reopened monitor, whose tables hold no keys yet
+		batch(1, []CellUpdate{{5, X, "x0"}, {1, Y, "y1"}, {2, A, "y4-a"}}, nil)
+		if err := m.Unregister(xa); err != nil {
+			t.Fatal(err)
+		}
+		if m.tableOf(xa.LHS) == nil {
+			t.Fatalf("%s: unregistering %v dropped the table X → B and X → Y still use", label, xa)
+		}
+		batch(2, []CellUpdate{{6, X, "x4"}, {7, B, "z0-b"}}, [][]string{{"x4", "y1", "y4-a", "z4-a"}})
+		for _, d := range []OFD{xb, xy} {
+			if err := m.Unregister(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m.tableOf(xa.LHS) != nil {
+			t.Fatalf("%s: the table over X outlived its last dependency", label)
+		}
+		batch(3, []CellUpdate{{0, X, "x2"}, {8, A, "y0-a"}}, [][]string{{"x2", "y0", "y2-a", "z2-a"}})
+		if err := m.Register(xa); err != nil {
+			t.Fatal(err)
+		}
+		batch(4, []CellUpdate{{1, X, "x2"}, {3, B, "z9"}}, [][]string{{"x0", "y1", "y0-b", "z0-b"}})
+		m = reopenMonitor(t, m, workers)
+		batch(5, []CellUpdate{{2, X, "x1"}}, [][]string{{"x1", "y1", "y1-b", "z1-b"}})
 	}
 }
 
@@ -409,8 +535,8 @@ func FuzzMonitorBatches(f *testing.F) {
 					if m, err = DecodeMonitorBody(wire.NewReader(w.Bytes()), m.sub, workers, nil); err != nil {
 						t.Fatalf("workers=%d op %d: DecodeMonitorBody: %v", workers, k, err)
 					}
-					for _, dep := range m.deps {
-						for _, l := range dep.ix.Members {
+					for _, mt := range m.tables {
+						for _, l := range mt.tab.Members {
 							decoded = append(decoded, [2][]int32{l, slices.Clone(l)})
 						}
 					}

@@ -2,10 +2,10 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sort"
 
+	"github.com/fastofd/fastofd/internal/live"
 	"github.com/fastofd/fastofd/internal/ontology"
 	"github.com/fastofd/fastofd/internal/relation"
 	"github.com/fastofd/fastofd/internal/wire"
@@ -21,10 +21,7 @@ type CellUpdate struct {
 // CellWrite is one effective cell write of a batch, with the pre-batch
 // value retained for undo. Substrate.Apply produces them, and both
 // incremental engines absorb the same log.
-type CellWrite struct {
-	Row, Col int
-	Old, New relation.Value
-}
+type CellWrite = live.CellWrite
 
 // Touched returns the columns a write log rewrites.
 func Touched(writes []CellWrite) relation.AttrSet {
@@ -33,25 +30,6 @@ func Touched(writes []CellWrite) relation.AttrSet {
 		touched = touched.With(wr.Col)
 	}
 	return touched
-}
-
-// AppendSourceKey appends row t's antecedent key over cols in the batch's
-// source state to buf, in live.AppendKey's encoding: a cell the row's
-// write-log segment seg wrote reads its logged Old value, any other cell
-// the relation, which holds the target state and agrees with the source
-// state on unwritten cells.
-func AppendSourceKey(buf []byte, rel *relation.Relation, cols []int, seg []CellWrite, t int) []byte {
-	for _, c := range cols {
-		val := rel.Value(t, c)
-		for _, wr := range seg {
-			if wr.Col == c {
-				val = wr.Old
-				break
-			}
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(val))
-	}
-	return buf
 }
 
 // Substrate is the live index the incremental engines answer from: one
@@ -147,7 +125,7 @@ func (s *Substrate) Apply(updates []CellUpdate) error {
 			continue
 		}
 		s.seen[key] = len(s.writes)
-		s.writes = append(s.writes, CellWrite{u.Row, u.Col, rel.Value(u.Row, u.Col), id})
+		s.writes = append(s.writes, CellWrite{Row: u.Row, Col: u.Col, Old: rel.Value(u.Row, u.Col), New: id})
 	}
 	eff := s.writes[:0]
 	for _, wr := range s.writes {

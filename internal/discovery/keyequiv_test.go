@@ -45,13 +45,12 @@ func keyRel(t testing.TB, data []byte) *relation.Relation {
 // equality (injectivity of the fixed-width encoding).
 func checkKeyEquiv(t testing.TB, rel *relation.Relation, cols []int) {
 	t.Helper()
-	ct := &coverTracker{cols: cols}
 	var buf []byte
 	keys := make([]string, rel.NumRows())
 	for r := 0; r < rel.NumRows(); r++ {
 		buf = live.EncodeKey(rel, cols, r, buf)
-		if sk := ct.sourceKey(rel, nil, r); sk != string(buf) {
-			t.Fatalf("row %d cols %v: tracker key %v != live key %v", r, cols, []byte(sk), buf)
+		if sk := string(live.AppendSourceKey(nil, rel, cols, nil, r)); sk != string(buf) {
+			t.Fatalf("row %d cols %v: source key %v != live key %v", r, cols, []byte(sk), buf)
 		}
 		if len(buf) != 4*len(cols) {
 			t.Fatalf("row %d cols %v: key width %d, want %d", r, cols, len(buf), 4*len(cols))
@@ -75,10 +74,10 @@ func checkKeyEquiv(t testing.TB, rel *relation.Relation, cols []int) {
 }
 
 // TestKeyEncodingCrossEngine pins the shared key-encoding contract across
-// the engines: live.EncodeKey (the monitor's and the trackers' class
-// indexes) and the tracker's sourceKey with an empty write
-// segment. Any drift would silently desynchronize the merged pipeline's
-// shared indexes.
+// the engines: live.EncodeKey (the byte keys of class tables that cannot
+// pack, and the witness keys) and live.AppendSourceKey with an empty
+// write segment. Any drift would silently desynchronize the byte-keyed
+// tables' moves.
 func TestKeyEncodingCrossEngine(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 40; trial++ {
@@ -101,7 +100,7 @@ func TestKeyEncodingCrossEngine(t *testing.T) {
 	}
 }
 
-// TestSourceKeySubstitutesOldValues pins the one place the tracker's key
+// TestSourceKeySubstitutesOldValues pins the one place the source-key
 // encoding intentionally differs: given a write segment, written columns
 // read the logged pre-batch value, so the key names the row's source-state
 // projection even though the relation already holds the target state.
@@ -113,10 +112,9 @@ func TestSourceKeySubstitutesOldValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	cols := []int{0, 2}
-	ct := &coverTracker{cols: cols}
 	// A write on column 0 of row 0: old value is row 1's value in column 0.
 	seg := []cellWrite{{Row: 0, Col: 0, Old: rel.Value(1, 0), New: rel.Value(0, 0)}}
-	got := ct.sourceKey(rel, seg, 0)
+	got := string(live.AppendSourceKey(nil, rel, cols, seg, 0))
 	// Expected: column 0 reads the old value, column 2 the relation.
 	var want []byte
 	for _, v := range []relation.Value{rel.Value(1, 0), rel.Value(0, 2)} {
@@ -127,7 +125,7 @@ func TestSourceKeySubstitutesOldValues(t *testing.T) {
 	}
 	// A write on a column outside cols must not affect the key.
 	segOther := []cellWrite{{Row: 0, Col: 1, Old: rel.Value(1, 1), New: rel.Value(0, 1)}}
-	if k := ct.sourceKey(rel, segOther, 0); k != string(live.EncodeKey(rel, cols, 0, nil)) {
+	if k := string(live.AppendSourceKey(nil, rel, cols, segOther, 0)); k != string(live.EncodeKey(rel, cols, 0, nil)) {
 		t.Fatalf("write outside cols changed the key: %v", []byte(k))
 	}
 }

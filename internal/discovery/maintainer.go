@@ -3,6 +3,7 @@ package discovery
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/fastofd/fastofd/internal/core"
@@ -92,10 +93,13 @@ type Maintainer struct {
 	// instead of being rebuilt per batch.
 	sub *core.Substrate
 
-	all   relation.AttrSet
-	rhs   []*rhsState
-	flat  []batchTracker // all trackers, for batch fan-out
-	epoch uint64
+	all relation.AttrSet
+	rhs []*rhsState
+	// tables holds one class table per distinct antecedent of the cover,
+	// shared by the cover trackers over it across consequents.
+	tables map[relation.AttrSet]*trackerTable
+	flat   []batchTracker // every table and witness tracker, for batch fan-out
+	epoch  uint64
 
 	scans int64 // cumulative full-candidate verifications
 	skips int64 // cumulative oracle-answered nodes (not persisted)
@@ -105,30 +109,6 @@ type Maintainer struct {
 	// Π*_X walk each (neither is persisted).
 	refines int64
 	walks   int64
-
-	// needKeys marks a snapshot-restored maintainer whose cover trackers'
-	// key maps are not built yet; the first mutating operation rebuilds
-	// them (restoreKeys; Cover and Epoch never consult them).
-	needKeys bool
-}
-
-// restoreKeys builds the key map of every cover tracker restored without
-// one (DecodeMaintainerBody saves none) from its rowClass and the
-// relation, which must hold the state rowClass describes: ApplyBatchContext
-// runs it before the substrate applies the batch, AppendRows after the
-// append, which leaves the rows rowClass covers as they were.
-func (mt *Maintainer) restoreKeys() {
-	span := mt.stats.Span("maintain.keys")
-	w := exec.Workers(mt.workers)
-	span.Workers(w)
-	defer span.End()
-	rel := mt.sub.Relation()
-	_ = exec.For(context.Background(), len(mt.flat), w, func(_, i int) {
-		if ct, ok := mt.flat[i].(*coverTracker); ok && ct.ix.Keys == nil {
-			ct.buildKeys(rel)
-		}
-	})
-	mt.needKeys = false
 }
 
 // NewMaintainer builds a maintainer over sub, running a fresh discovery
@@ -149,6 +129,7 @@ func NewMaintainer(ctx context.Context, sub *core.Substrate, opts Options) (*Mai
 		stats:   opts.Stats,
 		all:     rel.Schema().All(),
 		rhs:     make([]*rhsState, rel.NumCols()),
+		tables:  make(map[relation.AttrSet]*trackerTable),
 	}
 	w := exec.Workers(opts.Workers)
 	span := mt.stats.Span("maintain.build")
@@ -158,15 +139,11 @@ func NewMaintainer(ctx context.Context, sub *core.Substrate, opts Options) (*Mai
 		mt.rhs[c] = &rhsState{rhs: c}
 	}
 	cover := res.OFDs
-	// Full class trackers for every cover element, built in parallel (each
-	// tracker is self-contained) against the substrate's verifier — cover
-	// and border antecedents overlap heavily, so cached subset products
-	// compound across the whole build and stay warm for the first batch's
-	// repair pass.
-	trackers := make([]*coverTracker, len(cover))
-	err = exec.For(ctx, len(cover), w, func(_, i int) {
-		trackers[i] = newCoverTrackerParts(mt.sub.Verifier(), cover[i])
-	})
+	// Full class trackers for every cover element, against the
+	// substrate's verifier — cover and border antecedents overlap heavily,
+	// so cached subset products compound across the whole build and stay
+	// warm for the first batch's repair pass.
+	trackers, err := mt.addTrackers(ctx, cover)
 	if err != nil {
 		return nil, err
 	}
@@ -201,6 +178,41 @@ func CheckMaintainerOptions(opts Options) error {
 		return fmt.Errorf("discovery: maintainer requires an uncapped lattice (MaxLevel 0), got %d", opts.MaxLevel)
 	}
 	return nil
+}
+
+// addTrackers builds the cover trackers of ds, each on the table of its
+// antecedent: a table the maintainer already keeps is reused, so the
+// tracker costs one pass over its row→class array, and every other
+// antecedent gets one new table from its (typically cached) partition.
+// The new tables build in parallel, then the trackers.
+func (mt *Maintainer) addTrackers(ctx context.Context, ds []core.OFD) ([]*coverTracker, error) {
+	v := mt.sub.Verifier()
+	var xs []relation.AttrSet
+	for _, d := range ds {
+		if mt.tables[d.LHS] == nil && !slices.Contains(xs, d.LHS) {
+			xs = append(xs, d.LHS)
+		}
+	}
+	w := exec.Workers(mt.workers)
+	built := make([]*trackerTable, len(xs))
+	if err := exec.For(ctx, len(xs), w, func(_, i int) {
+		built[i] = newTrackerTable(v, xs[i])
+	}); err != nil {
+		return nil, err
+	}
+	for i, x := range xs {
+		mt.tables[x] = built[i]
+	}
+	out := make([]*coverTracker, len(ds))
+	if err := exec.For(ctx, len(ds), w, func(_, i int) {
+		out[i] = newCoverTracker(v, mt.tables[ds[i].LHS], ds[i])
+	}); err != nil {
+		return nil, err
+	}
+	for _, ct := range out {
+		ct.tt.attach(ct)
+	}
+	return out, nil
 }
 
 // sortCoverTrackers orders trackers canonically (length, then bit
@@ -255,20 +267,41 @@ func (mt *Maintainer) buildBorder(ctx context.Context, rs *rhsState, keep map[re
 	return err
 }
 
-// rebuildFlat regenerates the batch fan-out list over all trackers. The
-// old entries are cleared first, so no slot past the new length pins a
-// tracker the cover or border has replaced.
+// rebuildFlat drops the tables no cover tracker runs on any more and
+// regenerates the batch fan-out list: every table, in canonical order of
+// antecedent, then every witness tracker. The old entries are cleared
+// first, so no slot past the new length pins a table or tracker the
+// cover or border has replaced.
 func (mt *Maintainer) rebuildFlat() {
 	clear(mt.flat)
 	mt.flat = mt.flat[:0]
-	for _, rs := range mt.rhs {
-		for _, ct := range rs.cover {
-			mt.flat = append(mt.flat, ct)
+	for _, tt := range mt.sortedTables() {
+		if len(tt.cover) == 0 {
+			delete(mt.tables, tt.lhs)
+			continue
 		}
+		mt.flat = append(mt.flat, tt)
+	}
+	for _, rs := range mt.rhs {
 		for _, wt := range rs.border {
 			mt.flat = append(mt.flat, wt)
 		}
 	}
+}
+
+// sortedTables returns the tables in canonical order of antecedent
+// (relation.SortSets).
+func (mt *Maintainer) sortedTables() []*trackerTable {
+	xs := make([]relation.AttrSet, 0, len(mt.tables))
+	for x := range mt.tables {
+		xs = append(xs, x)
+	}
+	relation.SortSets(xs)
+	out := make([]*trackerTable, len(xs))
+	for i, x := range xs {
+		out[i] = mt.tables[x]
+	}
+	return out
 }
 
 // Cover returns the maintained minimal cover in canonical core.Set order.
@@ -344,9 +377,6 @@ func (mt *Maintainer) ApplyBatch(updates []core.CellUpdate) (Diff, error) {
 // snapshot and returns an error satisfying errors.Is(err, ctx.Err())
 // with a zero Diff.
 func (mt *Maintainer) ApplyBatchContext(ctx context.Context, updates []core.CellUpdate) (Diff, error) {
-	if mt.needKeys {
-		mt.restoreKeys()
-	}
 	dirtySpan := mt.stats.Span("maintain.dirty")
 	dirtySpan.Items(len(updates))
 	w := exec.Workers(mt.workers)
@@ -373,8 +403,8 @@ func (mt *Maintainer) ApplyBatchContext(ctx context.Context, updates []core.Cell
 	dirtySpan.End()
 	rollback := func() {
 		// Undo the writes, then replay the inverted log through the same
-		// trackers: applyWrites transitions are symmetric, so tracker
-		// state is restored exactly. Staged witness certificates are
+		// tables and trackers: applyWrites transitions are symmetric, so
+		// their state is restored exactly. Staged witness certificates are
 		// discarded.
 		inv := make([]cellWrite, len(writes))
 		for k, wr := range writes {
@@ -443,18 +473,13 @@ func (mt *Maintainer) AppendRows(rows [][]string) (Diff, error) {
 	if len(rows) == 0 {
 		return Diff{Epoch: mt.epoch}, nil
 	}
-	if mt.needKeys {
-		mt.restoreKeys()
-	}
 	dirtySpan := mt.stats.Span("maintain.dirty")
 	dirtySpan.Items(len(rows))
 	w := exec.Workers(mt.workers)
 	dirtySpan.Workers(w)
 	end := int32(rel.NumRows())
 	_ = exec.For(context.Background(), len(mt.flat), w, func(_, i int) {
-		for t := t0; t < end; t++ {
-			mt.flat[i].appendRow(rel, v, t)
-		}
+		mt.flat[i].appendRows(rel, v, t0, end)
 	})
 	dirtySpan.End()
 	return mt.verifyAndCommit(context.Background(), relation.EmptySet, true, nil)
@@ -576,7 +601,18 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 	// remaining effect is deterministic bookkeeping.
 	commitSpan := mt.stats.Span("maintain.commit")
 	defer commitSpan.End()
+	// New cover elements are built after every consequent's removals, so
+	// an element added on an antecedent whose last tracker just left still
+	// reuses its table; rebuildFlat then drops the tables left empty.
+	type change struct {
+		rs             *rhsState
+		newCover       []relation.AttrSet
+		added, removed []relation.AttrSet
+	}
 	var diff Diff
+	var changes []change
+	var adds []core.OFD
+	var slots []**coverTracker
 	for _, st := range staged {
 		rs := mt.rhs[st.rhs]
 		for _, wt := range st.triggered {
@@ -593,47 +629,54 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 		for _, x := range removed {
 			diff.Removed = append(diff.Removed, core.OFD{LHS: x, RHS: st.rhs})
 		}
-		// New cover tracker list: surviving elements keep their state, new
-		// elements are built fresh in parallel.
+		// New tracker list: surviving elements keep their state, removed
+		// ones leave their tables, new ones are built below.
 		prev := make(map[relation.AttrSet]*coverTracker, len(rs.cover))
 		for _, ct := range rs.cover {
 			prev[ct.d.LHS] = ct
 		}
 		next := make([]*coverTracker, len(st.newCover))
-		var buildIdx []int
 		for i, x := range st.newCover {
 			if ct := prev[x]; ct != nil {
 				next[i] = ct
-			} else {
-				buildIdx = append(buildIdx, i)
+				continue
 			}
+			adds = append(adds, core.OFD{LHS: x, RHS: st.rhs})
+			slots = append(slots, &next[i])
 		}
-		newCover := st.newCover
-		_ = exec.For(context.Background(), len(buildIdx), exec.Workers(mt.workers), func(_, k int) {
-			i := buildIdx[k]
-			next[i] = newCoverTrackerParts(mt.sub.Verifier(), core.OFD{LHS: newCover[i], RHS: st.rhs})
-		})
+		for _, x := range removed {
+			prev[x].tt.detach(prev[x])
+		}
 		rs.cover = next
+		changes = append(changes, change{rs: rs, newCover: st.newCover, added: added, removed: removed})
+	}
+	// Uncancellable by the commit contract: exec.For on a background
+	// context cannot fail.
+	built, _ := mt.addTrackers(context.Background(), adds)
+	for k, ct := range built {
+		*slots[k] = ct
+	}
+	for _, ch := range changes {
+		rs := ch.rs
 		// Transversals: pure additions extend incrementally (one Berge
 		// step per new element); any removal falls back to a fresh
 		// computation over the small antichain.
-		if len(removed) == 0 {
-			for _, x := range added {
+		if len(ch.removed) == 0 {
+			for _, x := range ch.added {
 				rs.trans = fd.ExtendTransversals(rs.trans, x)
 			}
 			relation.SortSets(rs.trans)
 		} else {
-			rs.trans = fd.MinimalHittingSets(st.newCover)
+			rs.trans = fd.MinimalHittingSets(ch.newCover)
 		}
 		keep := make(map[relation.AttrSet]*witnessTracker, len(rs.border))
 		for _, wt := range rs.border {
 			keep[wt.d.LHS] = wt
 		}
-		// Uncancellable by the same commit contract; exec.For on a
-		// background context cannot fail, and buildBorder's only error
-		// path is context cancellation.
+		// Uncancellable by the same commit contract; buildBorder's only
+		// error path is context cancellation.
 		_ = mt.buildBorder(context.Background(), rs, keep)
-		commitSpan.Items(len(added) + len(removed))
+		commitSpan.Items(len(ch.added) + len(ch.removed))
 	}
 	if len(diff.Added) > 0 || len(diff.Removed) > 0 {
 		mt.rebuildFlat()

@@ -459,8 +459,11 @@ func TestMaintainerLastWritesDedup(t *testing.T) {
 // pairs through a maintainer: each pair rewrites 20 cells on two columns
 // and then restores them, so the cover grows and shrinks back. After
 // every batch the fan-out list's backing array must be nil past its
-// length, or a slot there would keep a tracker the cover or border
-// replaced (and its key map) reachable for the maintainer's lifetime.
+// length, or a slot there would keep a table or tracker the cover or
+// border replaced reachable for the maintainer's lifetime; each table's
+// tracker list must be nil past its length too; and a table whose last
+// tracker left must be reachable from nothing: not from the table map,
+// the fan-out list or any tracker.
 func TestMaintainerFlatPinsNoReplacedTrackers(t *testing.T) {
 	ds := gen.Generate(gen.Config{Rows: 120, Seed: 9, Preset: "clinical"})
 	sub, err := ds.Rel.ProjectColumns([]int{1, 2, 3, 4, 5, 6})
@@ -475,7 +478,11 @@ func TestMaintainerFlatPinsNoReplacedTrackers(t *testing.T) {
 	}
 	rel := mt.Relation()
 	rng := rand.New(rand.NewSource(3))
-	shrank := 0
+	shrank, dropped := 0, 0
+	kept := map[*trackerTable]bool{}
+	for _, tt := range mt.tables {
+		kept[tt] = true
+	}
 	check := func(label string, before int) {
 		t.Helper()
 		if len(mt.flat) < before {
@@ -486,6 +493,38 @@ func TestMaintainerFlatPinsNoReplacedTrackers(t *testing.T) {
 				t.Fatalf("%s: fan-out slot %d past the length %d still holds a %T", label, len(mt.flat)+k, len(mt.flat), tr)
 			}
 		}
+		now := map[*trackerTable]bool{}
+		for _, tr := range mt.flat {
+			if tt, ok := tr.(*trackerTable); ok {
+				now[tt] = true
+			}
+		}
+		for x, tt := range mt.tables {
+			if !now[tt] || len(tt.cover) == 0 {
+				t.Fatalf("%s: the table over %v serves %d trackers and is in the fan-out list: %v", label, x, len(tt.cover), now[tt])
+			}
+			for k, ct := range tt.cover[len(tt.cover):cap(tt.cover)] {
+				if ct != nil {
+					t.Fatalf("%s: the table over %v holds %v past its length at %d", label, x, ct.d, len(tt.cover)+k)
+				}
+			}
+		}
+		if len(now) != len(mt.tables) {
+			t.Fatalf("%s: the fan-out list holds %d tables, the map %d", label, len(now), len(mt.tables))
+		}
+		for _, rs := range mt.rhs {
+			for _, ct := range rs.cover {
+				if !now[ct.tt] {
+					t.Fatalf("%s: %v runs on a dropped table", label, ct.d)
+				}
+			}
+		}
+		for tt := range kept {
+			if !now[tt] {
+				dropped++
+			}
+		}
+		kept = now
 	}
 	for pair := 0; pair < 12; pair++ {
 		var corrupt, revert []core.CellUpdate
@@ -504,8 +543,8 @@ func TestMaintainerFlatPinsNoReplacedTrackers(t *testing.T) {
 			check(fmt.Sprintf("pair %d batch %d", pair, k), before)
 		}
 	}
-	if shrank == 0 {
-		t.Fatal("no batch shrank the fan-out list; the test exercises nothing")
+	if shrank == 0 || dropped == 0 {
+		t.Fatalf("%d batches shrank the fan-out list and %d tables were dropped; the test exercises nothing", shrank, dropped)
 	}
 	if got, want := mt.Cover(), Discover(rel, ds.FullOnt, DefaultOptions()).OFDs; !reflect.DeepEqual(got, want) {
 		t.Fatalf("cover after the reverts diverged from fresh discovery\n got: %v\nwant: %v", got, want)

@@ -80,7 +80,7 @@ func checkRootRefiner(t *testing.T, data []byte) {
 	holds := func(x relation.AttrSet) bool {
 		return v.HoldsSynOnePass(core.OFD{LHS: x, RHS: rhs}, nil)
 	}
-	ct := newCoverTrackerParts(v, core.OFD{LHS: root, RHS: rhs})
+	ct := standaloneTracker(v, core.OFD{LHS: root, RHS: rhs})
 	if ct.valid() != holds(root) {
 		t.Fatalf("tracker for %v → %d: valid %v, HoldsSynOnePass %v", root, rhs, ct.valid(), holds(root))
 	}
@@ -249,7 +249,7 @@ func BenchmarkRootRefinerHolds(b *testing.B) {
 	v := core.NewVerifier(rel, ds.FullOnt, relation.NewPartitionCache(rel))
 	var roots []*coverTracker
 	for _, d := range cover {
-		if ct := newCoverTrackerParts(v, d); !ct.valid() && len(roots) < 16 {
+		if ct := standaloneTracker(v, d); !ct.valid() && len(roots) < 16 {
 			roots = append(roots, ct)
 		}
 	}

@@ -11,11 +11,12 @@ import (
 )
 
 // This file is the maintainer's side of the snapshot format. A maintainer
-// snapshot captures the full incremental state — the cover trackers'
-// per-row class assignments, class sizes, consequent multisets, and
-// satisfaction flags, plus every negative-border node's pinned violating
-// class — so reopening skips both the discovery lattice walk and the
-// per-cover-element tracker construction NewMaintainer pays. The
+// snapshot captures the full incremental state — each antecedent table's
+// per-row class assignments and class sizes, the cover trackers'
+// consequent multisets and satisfaction flags, plus every negative-border
+// node's pinned violating class — so reopening skips both the discovery
+// lattice walk and the per-cover-element tracker construction
+// NewMaintainer pays. The
 // transversal list is not stored: border node i is the complement of
 // transversal i by construction, so decode derives one from the other and
 // the pair can never disagree.
@@ -24,27 +25,34 @@ import (
 // substrate (partition cache and verifier tables) once, up front, and the
 // monitor and maintainer bodies after it.
 //
-// Cover-tracker LHS-key maps are not saved: each is derivable from the
-// tracker's rowClass and the relation. The maintainer rebuilds them when
-// it mutates again (Maintainer.restoreKeys), exactly like the monitor's
-// dependency maps, so a restored maintainer that only answers Cover()
-// never builds a map.
+// Table key maps are not saved: each is derivable from the table's
+// row→class array and the relation. A table rebuilds its map when a batch
+// first needs it (live.Table.Prepare), exactly like the monitor's, so a
+// restored maintainer that only answers Cover() never builds a map.
 
 // AppendMaintainerBody encodes the maintainer's engine state without its
 // substrate, which the pipeline section writes once for both engine
-// bodies. No key map is written, so save → open → save round-trips
+// bodies: the tables in canonical order of antecedent, each its
+// antecedent, row→class array and class sizes, then per consequent its
+// cover trackers (antecedent, multisets, satisfied flags) and border
+// nodes. No key map is written, so save → open → save round-trips
 // without ever building one.
 func AppendMaintainerBody(w *wire.Writer, mt *Maintainer) {
 	w.Uvarint(mt.epoch)
 	w.Uvarint(uint64(mt.scans))
 	w.Int(len(mt.rhs))
+	tables := mt.sortedTables()
+	w.Int(len(tables))
+	for _, tt := range tables {
+		w.Uvarint(uint64(tt.lhs))
+		w.Int32s(tt.tab.RowClass)
+		w.Int32s(tt.tab.Sizes)
+	}
 	for _, rs := range mt.rhs {
 		w.Int(len(rs.cover))
 		for _, ct := range rs.cover {
 			w.Uvarint(uint64(ct.d.LHS))
-			w.Int32s(ct.rowClass)
-			w.Int32s(ct.ix.Sizes)
-			live.AppendCounts(w, ct.ix.Counts)
+			live.AppendCounts(w, ct.counts)
 			sat := make([]uint8, len(ct.sat))
 			for ci, s := range ct.sat {
 				if s {
@@ -97,9 +105,11 @@ func decodeVCList(r *wire.Reader) ([]live.ValCount, error) {
 // byte-for-byte the saved trackers, so Cover() and all subsequent diffs
 // are identical to the saved maintainer's. workers and stats configure
 // the restored maintainer exactly as the construction-time options would.
-// The trackers' key maps stay nil until a batch needs them
-// (Maintainer.restoreKeys), so decode fails closed on every row→class
-// entry that rebuild would index by.
+// The tables' key maps stay unbuilt until a batch needs them
+// (live.Table.Prepare), so decode fails closed on every row→class entry
+// that rebuild would index by, and on every antecedent outside the
+// schema. Every tracker's antecedent must have a table, and every table
+// must serve a tracker.
 func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stats *exec.Stats) (*Maintainer, error) {
 	rel := sub.Relation()
 	span := stats.Span("maintain.restore")
@@ -114,16 +124,41 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 		return nil, fmt.Errorf("discovery: snapshot maintainer has %d columns, relation has %d", nCols, rel.NumCols())
 	}
 	mt := &Maintainer{
-		sub:      sub,
-		workers:  workers,
-		stats:    stats,
-		all:      rel.Schema().All(),
-		rhs:      make([]*rhsState, nCols),
-		epoch:    epoch,
-		scans:    int64(scans),
-		needKeys: true,
+		sub:     sub,
+		workers: workers,
+		stats:   stats,
+		all:     rel.Schema().All(),
+		rhs:     make([]*rhsState, nCols),
+		tables:  make(map[relation.AttrSet]*trackerTable),
+		epoch:   epoch,
+		scans:   int64(scans),
 	}
 	nRows := rel.NumRows()
+	nTables := r.Int()
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	for k := 0; k < nTables; k++ {
+		x := relation.AttrSet(r.Uvarint())
+		rowClass := r.Int32s()
+		sizes := r.Int32s()
+		if r.Err() != nil {
+			return nil, r.Err()
+		}
+		if !x.SubsetOf(mt.all) {
+			return nil, fmt.Errorf("discovery: snapshot table antecedent %#x outside the %d-column schema", uint64(x), nCols)
+		}
+		if mt.tables[x] != nil {
+			return nil, fmt.Errorf("discovery: snapshot holds two tables over one antecedent")
+		}
+		if len(rowClass) != nRows {
+			return nil, fmt.Errorf("discovery: snapshot table sized for %d rows, relation has %d", len(rowClass), nRows)
+		}
+		if err := checkRowClass(rowClass, sizes); err != nil {
+			return nil, err
+		}
+		mt.tables[x] = &trackerTable{lhs: x, colSet: x, tab: &live.Table{Cols: x.Attrs(), RowClass: rowClass, Sizes: sizes}}
+	}
 	for c := 0; c < nCols; c++ {
 		rs := &rhsState{rhs: c}
 		nCover := r.Int()
@@ -132,32 +167,25 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 		}
 		for k := 0; k < nCover; k++ {
 			lhs := relation.AttrSet(r.Uvarint())
-			d := core.OFD{LHS: lhs, RHS: c}
-			ct := &coverTracker{
-				d:      d,
-				cols:   lhs.Attrs(),
-				colSet: lhs.With(c),
-				ix:     &live.ClassIndex{Cols: lhs.Attrs(), RHS: c},
+			if r.Err() != nil {
+				return nil, r.Err()
 			}
-			ct.rowClass = r.Int32s()
-			ct.ix.Sizes = r.Int32s()
-			counts, err := live.DecodeCounts(r, ct.ix.Sizes, rel.Dict(c).Size())
+			tt := mt.tables[lhs]
+			if tt == nil {
+				return nil, fmt.Errorf("discovery: snapshot holds no table for tracker antecedent %#x", uint64(lhs))
+			}
+			ct := &coverTracker{d: core.OFD{LHS: lhs, RHS: c}}
+			counts, err := live.DecodeCounts(r, tt.tab.Sizes, rel.Dict(c).Size())
 			if err != nil {
 				return nil, err
 			}
-			ct.ix.Counts = counts
+			ct.counts = counts
 			satBytes := r.Uint8s()
 			if r.Err() != nil {
 				return nil, r.Err()
 			}
-			if len(ct.rowClass) != nRows {
-				return nil, fmt.Errorf("discovery: snapshot tracker sized for %d rows, relation has %d", len(ct.rowClass), nRows)
-			}
-			if len(satBytes) != len(ct.ix.Sizes) {
+			if len(satBytes) != len(tt.tab.Sizes) {
 				return nil, fmt.Errorf("discovery: snapshot tracker class state inconsistent")
-			}
-			if err := checkRowClass(ct.rowClass, ct.ix.Sizes); err != nil {
-				return nil, err
 			}
 			ct.sat = make([]bool, len(satBytes))
 			for ci, b := range satBytes {
@@ -166,6 +194,7 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 					ct.unsat++
 				}
 			}
+			tt.attach(ct)
 			rs.cover = append(rs.cover, ct)
 		}
 		nBorder := r.Int()
@@ -185,6 +214,9 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 				return nil, r.Err()
 			}
 			d := core.OFD{LHS: lhs, RHS: c}
+			if !lhs.SubsetOf(space) {
+				return nil, fmt.Errorf("discovery: snapshot border antecedent %#x outside the schema less its consequent", uint64(lhs))
+			}
 			if len(key) != 4*lhs.Len() {
 				return nil, fmt.Errorf("discovery: snapshot witness key of %d bytes for %d antecedent columns", len(key), lhs.Len())
 			}
@@ -199,6 +231,11 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 	}
 	if r.Err() != nil {
 		return nil, r.Err()
+	}
+	for _, tt := range mt.tables {
+		if len(tt.cover) == 0 {
+			return nil, fmt.Errorf("discovery: snapshot table serves no tracker")
+		}
 	}
 	mt.rebuildFlat()
 	return mt, nil

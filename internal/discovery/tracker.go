@@ -1,6 +1,8 @@
 package discovery
 
 import (
+	"slices"
+
 	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/live"
 	"github.com/fastofd/fastofd/internal/relation"
@@ -29,253 +31,218 @@ func forEachRowSegment(writes []cellWrite, fn func(t int, seg []cellWrite)) {
 	}
 }
 
-// batchTracker is the per-candidate incremental state the maintainer fans
-// a batch out over: cover trackers (full class state) and witness trackers
-// (one pinned violating class). Both fold a sorted effective-write log or
-// an appended row into their state with no shared writes, so the fan-out
-// parallelizes freely.
+// batchTracker is the unit the maintainer fans a batch out over: a class
+// table with the cover trackers over its antecedent (full class state),
+// or a witness tracker (one pinned violating class). Each folds a sorted
+// effective-write log or a run of appended rows into its own state with
+// no shared writes, so the fan-out parallelizes freely.
 type batchTracker interface {
 	// scope returns the attribute set whose writes can affect the tracker
-	// (LHS ∪ {RHS}); the maintainer skips trackers disjoint from a batch.
+	// (its antecedent and consequents); the maintainer skips trackers
+	// disjoint from a batch.
 	scope() relation.AttrSet
 	applyWrites(rel *relation.Relation, v *core.Verifier, writes []cellWrite)
-	appendRow(rel *relation.Relation, v *core.Verifier, t int32)
+	// appendRows folds in the rows [t0, end) the relation just gained.
+	appendRows(rel *relation.Relation, v *core.Verifier, t0, end int32)
+}
+
+// trackerTable is one antecedent X's class table (live.Table, with class
+// sizes and no member lists) shared by every cover tracker over X,
+// whatever its consequent. A batch moves each written row once per
+// table; each tracker then folds the moves and its own consequent's
+// writes into its multisets.
+type trackerTable struct {
+	lhs    relation.AttrSet
+	colSet relation.AttrSet // X ∪ every tracker's consequent
+	tab    *live.Table
+	cover  []*coverTracker
+
+	// Batch scratch; no element holds a pointer.
+	dirty    []int32 // classes the batch's joins and leaves touched
+	floating []int32 // rows between the leave and join phases
+}
+
+// newTrackerTable builds the table of antecedent x from the verifier's
+// (typically cached) partition Π*_X: only one key per class plus each
+// lone row pays an encode, and class ids follow partition order.
+func newTrackerTable(v *core.Verifier, x relation.AttrSet) *trackerTable {
+	p := v.Partitions().Get(x)
+	return &trackerTable{lhs: x, colSet: x, tab: live.FromPartition(v.Relation(), x.Attrs(), p, false)}
+}
+
+func (tt *trackerTable) scope() relation.AttrSet { return tt.colSet }
+
+// attach adds ct to the table's trackers.
+func (tt *trackerTable) attach(ct *coverTracker) {
+	ct.tt = tt
+	tt.cover = append(tt.cover, ct)
+	tt.colSet = tt.colSet.With(ct.d.RHS)
+}
+
+// detach removes ct from the table's trackers; slices.DeleteFunc clears
+// the vacated tail slot, so the removed tracker is not pinned.
+func (tt *trackerTable) detach(ct *coverTracker) {
+	tt.cover = slices.DeleteFunc(tt.cover, func(e *coverTracker) bool { return e == ct })
+	tt.colSet = tt.lhs
+	for _, e := range tt.cover {
+		tt.colSet = tt.colSet.With(e.d.RHS)
+	}
 }
 
 // coverTracker maintains the exact equivalence-class state of one cover
-// element X → A on a live.ClassIndex — the same key index and per-class
-// consequent multisets the monitor's dependencies run on, with class
-// sizes in place of member lists — plus a per-row class assignment and per-class satisfaction flags, so a
-// batch's effect on the candidate's validity is known from O(touched
-// rows) work. The candidate is valid ⇔ unsat == 0. Singleton keys use the
-// shared lone-row encoding and carry no class state (they cannot
-// violate), which keeps superkey-shaped trackers at one index entry per
-// row and nothing else.
+// element X → A on X's shared table: the per-class consequent multisets
+// and per-class satisfaction flags, indexed by the table's class ids, so
+// a batch's effect on the candidate's validity is known from O(touched
+// rows) work. The candidate is valid ⇔ unsat == 0. Lone rows carry no
+// class state (they cannot violate), which keeps superkey-shaped tables
+// at one key per row and nothing else.
 type coverTracker struct {
 	d      core.OFD
-	cols   []int
-	colSet relation.AttrSet // X ∪ {A}
+	tt     *trackerTable
+	counts [][]live.ValCount
+	sat    []bool
+	unsat  int
 
-	// ix owns the key index (≥ 0 class id; ≤ −2 lone row −(t+2)), the
-	// per-class sizes, and the consequent multisets. Members stays nil:
-	// trackers need class sizes, not member lists.
-	ix       *live.ClassIndex
-	rowClass []int32 // ≥ 0 class id; −1 lone (or floating mid-batch)
-	sat      []bool
-	unsat    int
-
-	dirty    []int32 // class ids touched by the in-flight batch
-	floating []int32 // rows between the leave and join phases
-	keyBuf   []byte
-	valBuf   []relation.Value
+	dirty  []int32 // classes its consequent writes touched
+	valBuf []relation.Value
 }
 
-// newCoverTrackerParts builds the same tracker state as newCoverTracker
-// from a partition-backed verifier over the current instance: the classes
-// of Π*_X arrive from a (typically cached) product, so only one key per
-// class plus each singleton row pays the encode-and-hash that the from-
-// scratch build pays for every row. The keys are built from the row→class
-// table by buildKeys, the pass a snapshot-restored tracker runs too.
-// Class ids follow partition order instead of second-occurrence order —
-// internal numbering only, invisible outside the tracker.
-func newCoverTrackerParts(v *core.Verifier, d core.OFD) *coverTracker {
-	rel := v.Relation()
-	ct := &coverTracker{
-		d:      d,
-		cols:   d.LHS.Attrs(),
-		colSet: d.LHS.With(d.RHS),
-		ix:     &live.ClassIndex{Cols: d.LHS.Attrs(), RHS: d.RHS},
-	}
-	p := v.Partitions().Get(d.LHS)
-	n := rel.NumRows()
-	nc := p.NumClasses()
-	ix := ct.ix
-	ct.rowClass = make([]int32, n)
-	for t := range ct.rowClass {
-		ct.rowClass[t] = -1
-	}
-	col := rel.Column(d.RHS)
-	ix.Sizes = make([]int32, nc)
-	ix.Counts = make([][]live.ValCount, nc)
-	ct.sat = make([]bool, nc)
-	// The multisets are counted in one scratch and packed back to back
-	// into one array; each class's slice is capped at its own pairs, so a
-	// later Bump that adds a value reallocates that class alone.
-	var scratch, pairs []live.ValCount
-	ends := make([]int, nc)
-	for i := 0; i < nc; i++ {
-		class := p.Class(i)
-		ix.Sizes[i] = int32(len(class))
-		scratch = scratch[:0]
-		for _, t := range class {
-			ct.rowClass[t] = int32(i)
-			scratch = live.Bump(scratch, col.At(int(t)), 1)
-		}
-		pairs = append(pairs, scratch...)
-		ends[i] = len(pairs)
-	}
-	for i, lo := 0, 0; i < nc; i++ {
-		ix.Counts[i] = pairs[lo:ends[i]:ends[i]]
-		lo = ends[i]
-	}
-	// Rows outside every stripped class become lone entries with no class
-	// state; no two of them can share a key.
-	ct.buildKeys(rel)
-	for ci := range ix.Sizes {
+// newCoverTracker builds the tracker of d on tt, the table of d's
+// antecedent, from one pass over the table's row→class array.
+func newCoverTracker(v *core.Verifier, tt *trackerTable, d core.OFD) *coverTracker {
+	ct := &coverTracker{d: d, tt: tt}
+	ct.counts = live.CountClasses(tt.tab, v.Relation().Column(d.RHS))
+	ct.sat = make([]bool, len(ct.counts))
+	for ci := range ct.sat {
 		ct.sat[ci] = ct.classSatisfied(v, int32(ci))
 		if !ct.sat[ci] {
 			ct.unsat++
 		}
 	}
 	return ct
-}
-
-func newCoverTracker(rel *relation.Relation, v *core.Verifier, d core.OFD) *coverTracker {
-	ct := &coverTracker{
-		d:      d,
-		cols:   d.LHS.Attrs(),
-		colSet: d.LHS.With(d.RHS),
-		ix:     live.NewClassIndex(d.LHS.Attrs(), d.RHS),
-	}
-	n := rel.NumRows()
-	ct.ix.Keys = make(map[string]int32, n/2+1)
-	ct.rowClass = make([]int32, 0, n)
-	for t := 0; t < n; t++ {
-		ci, partner, kind := ct.ix.Join(rel, int32(t))
-		switch kind {
-		case live.JoinLone:
-			ct.rowClass = append(ct.rowClass, -1)
-		case live.JoinBirth:
-			ct.rowClass[partner] = ci
-			ct.rowClass = append(ct.rowClass, ci)
-			ct.sat = append(ct.sat, true)
-		default:
-			ct.rowClass = append(ct.rowClass, ci)
-		}
-	}
-	for ci := range ct.ix.Sizes {
-		ct.sat[ci] = ct.classSatisfied(v, int32(ci))
-		if !ct.sat[ci] {
-			ct.unsat++
-		}
-	}
-	return ct
-}
-
-func (ct *coverTracker) scope() relation.AttrSet { return ct.colSet }
-
-// buildKeys builds the key map from rowClass (live.IndexKeys): one key
-// per class that holds a row, one per lone row. rel must hold the state
-// rowClass describes for its rows.
-func (ct *coverTracker) buildKeys(rel *relation.Relation) {
-	live.IndexKeys(ct.ix, ct.rowClass, func(blob []byte, t int) []byte {
-		return live.AppendKey(blob, rel, ct.cols, t)
-	})
 }
 
 // valid reports the tracked candidate's current validity.
 func (ct *coverTracker) valid() bool { return ct.unsat == 0 }
 
 func (ct *coverTracker) classSatisfied(v *core.Verifier, ci int32) bool {
-	if ct.ix.Sizes[ci] <= 1 || len(ct.ix.Counts[ci]) <= 1 {
+	if ct.tt.tab.Sizes[ci] <= 1 || len(ct.counts[ci]) <= 1 {
 		return true // singleton, empty, or syntactically constant (FD case)
 	}
-	ct.valBuf = live.Distinct(ct.ix.Counts[ci], ct.valBuf)
+	ct.valBuf = live.Distinct(ct.counts[ci], ct.valBuf)
 	return v.ValuesSatisfied(ct.d.RHS, ct.valBuf)
 }
 
-// sourceKey encodes row t's antecedent projection in the batch's source
-// state (core.AppendSourceKey).
-func (ct *coverTracker) sourceKey(rel *relation.Relation, seg []cellWrite, t int) string {
-	ct.keyBuf = core.AppendSourceKey(ct.keyBuf[:0], rel, ct.cols, seg, t)
-	return string(ct.keyBuf)
-}
-
-// applyWrites folds one batch of effective cell writes into the tracker.
-// The relation must already hold the target state; writes carry the source
-// value per cell and must be sorted by (row, col). Re-applying the
-// inverted log after reverting the relation rolls the batch back: the
-// transitions are symmetric, so validity state is restored exactly (a
-// class born and emptied along the way lingers at size zero, which is
-// semantically a non-class).
-func (ct *coverTracker) applyWrites(rel *relation.Relation, v *core.Verifier, writes []cellWrite) {
-	ct.dirty = ct.dirty[:0]
-	ct.floating = ct.floating[:0]
-	ix := ct.ix
+// applyWrites folds one batch of effective cell writes into the table and
+// its trackers. The relation must already hold the target state; writes
+// carry the source value per cell and must be sorted by (row, col).
+// Re-applying the inverted log after reverting the relation rolls the
+// batch back: the transitions are symmetric, so validity state is
+// restored exactly (a class born and emptied along the way lingers at
+// size zero, which is semantically a non-class).
+func (tt *trackerTable) applyWrites(rel *relation.Relation, v *core.Verifier, writes []cellWrite) {
+	tab := tt.tab
+	if !tt.lhs.Intersect(core.Touched(writes)).IsEmpty() {
+		tab.Prepare(rel, writes)
+	}
 	// Phase 1 — leave: rows whose antecedent projection changed exit their
 	// source-state key group; consequent-only changes adjust multisets in
 	// place.
 	forEachRowSegment(writes, func(t int, seg []cellWrite) {
-		xChanged, hadA := false, false
-		var aOld relation.Value
+		xChanged := false
 		for _, wr := range seg {
-			if wr.Col == ct.d.RHS {
-				hadA, aOld = true, wr.Old
-			} else if ct.d.LHS.Has(wr.Col) {
+			if tt.lhs.Has(wr.Col) {
 				xChanged = true
 			}
 		}
+		ci := tab.RowClass[t]
 		if !xChanged {
-			if !hadA {
+			if ci < 0 {
 				return
 			}
-			if ci := ct.rowClass[t]; ci >= 0 {
-				ix.BumpVal(ci, aOld, rel.Value(t, ct.d.RHS))
-				ct.dirty = append(ct.dirty, ci)
+			for _, ct := range tt.cover {
+				if wr, ok := live.Written(seg, ct.d.RHS); ok {
+					ct.counts[ci] = live.Replace(ct.counts[ci], wr.Old, rel.Value(t, wr.Col))
+					ct.dirty = append(ct.dirty, ci)
+				}
 			}
 			return
 		}
-		preA := rel.Value(t, ct.d.RHS)
-		if hadA {
-			preA = aOld
-		}
-		if ci := ct.rowClass[t]; ci >= 0 {
-			ix.Leave(ci, int32(t), preA)
-			ct.dirty = append(ct.dirty, ci)
-			ct.rowClass[t] = -1
+		if ci >= 0 {
+			for _, ct := range tt.cover {
+				preA := rel.Value(t, ct.d.RHS)
+				if wr, ok := live.Written(seg, ct.d.RHS); ok {
+					preA = wr.Old
+				}
+				ct.counts[ci] = live.Bump(ct.counts[ci], preA, -1)
+			}
+			tab.Leave(int32(t))
+			tt.dirty = append(tt.dirty, ci)
 		} else {
-			// Lone row: its index entry points at t and is now stale.
-			delete(ix.Keys, ct.sourceKey(rel, seg, t))
+			// Lone row: its key points at t and is now stale.
+			tab.DropKey(rel, seg, t)
 		}
-		ct.floating = append(ct.floating, int32(t))
+		tt.floating = append(tt.floating, int32(t))
 	})
 	// Phase 2 — join: floating rows enter their target-state key group.
 	// All reads are target-state (the relation), so ordering within the
 	// phase only affects internal ids, never class contents.
-	for _, t32 := range ct.floating {
-		ct.keyBuf = live.EncodeKey(rel, ct.cols, int(t32), ct.keyBuf)
-		ci, partner, kind := ix.JoinKey(rel, ct.keyBuf, t32)
-		switch kind {
-		case live.JoinLone:
-			continue
-		case live.JoinBirth:
-			ct.rowClass[partner] = ci
-			ct.sat = append(ct.sat, true)
-		}
-		ct.rowClass[t32] = ci
-		ct.dirty = append(ct.dirty, ci)
+	for _, t := range tt.floating {
+		tt.join(rel, t)
 	}
-	ct.recheckDirty(v)
+	tt.recheck(v)
 }
 
-// recheckDirty re-verifies the batch's dirty classes (deduplicated) and
-// maintains the unsat counter.
-func (ct *coverTracker) recheckDirty(v *core.Verifier) {
-	if len(ct.dirty) == 0 {
+// appendRows joins the appended rows [t0, end) in ascending order.
+func (tt *trackerTable) appendRows(rel *relation.Relation, v *core.Verifier, t0, end int32) {
+	tt.tab.Prepare(rel, nil)
+	tt.tab.Grow(int(end))
+	for t := t0; t < end; t++ {
+		tt.join(rel, t)
+	}
+	tt.recheck(v)
+}
+
+// join enters row t, which belongs to no class, through its current key
+// and folds the outcome into every tracker: a birth adds the new class's
+// multiset and a satisfied flag.
+func (tt *trackerTable) join(rel *relation.Relation, t int32) {
+	ci, partner, kind := tt.tab.Join(rel, t)
+	if kind == live.JoinLone {
 		return
 	}
-	// Sort + unique: a class touched several times re-verifies once.
-	for i := 1; i < len(ct.dirty); i++ {
-		for j := i; j > 0 && ct.dirty[j] < ct.dirty[j-1]; j-- {
-			ct.dirty[j], ct.dirty[j-1] = ct.dirty[j-1], ct.dirty[j]
+	for _, ct := range tt.cover {
+		ct.counts = live.Joined(ct.counts, rel.Column(ct.d.RHS), t, ci, partner, kind)
+		if kind == live.JoinBirth {
+			ct.sat = append(ct.sat, true)
 		}
 	}
-	prev := int32(-1)
-	for _, ci := range ct.dirty {
-		if ci == prev {
-			continue
-		}
-		prev = ci
+	tt.dirty = append(tt.dirty, ci)
+}
+
+// recheck has every tracker re-verify its dirty classes and leaves the
+// batch scratch empty.
+func (tt *trackerTable) recheck(v *core.Verifier) {
+	slices.Sort(tt.dirty)
+	tt.dirty = slices.Compact(tt.dirty)
+	for _, ct := range tt.cover {
+		ct.recheckDirty(v, tt.dirty)
+	}
+	tt.dirty = tt.dirty[:0]
+	tt.floating = tt.floating[:0]
+}
+
+// recheckDirty re-verifies, once each, the classes in shared (the
+// table's dirty classes, sorted and deduplicated) and in the tracker's
+// own dirty list, and maintains the unsat counter.
+func (ct *coverTracker) recheckDirty(v *core.Verifier, shared []int32) {
+	dirty := shared
+	if len(ct.dirty) > 0 {
+		ct.dirty = append(ct.dirty, shared...)
+		slices.Sort(ct.dirty)
+		dirty = slices.Compact(ct.dirty)
+	}
+	for _, ci := range dirty {
 		now := ct.classSatisfied(v, ci)
 		if now != ct.sat[ci] {
 			ct.sat[ci] = now
@@ -286,22 +253,7 @@ func (ct *coverTracker) recheckDirty(v *core.Verifier) {
 			}
 		}
 	}
-}
-
-func (ct *coverTracker) appendRow(rel *relation.Relation, v *core.Verifier, t int32) {
 	ct.dirty = ct.dirty[:0]
-	ci, partner, kind := ct.ix.Join(rel, t)
-	switch kind {
-	case live.JoinLone:
-		ct.rowClass = append(ct.rowClass, -1)
-		return
-	case live.JoinBirth:
-		ct.rowClass[partner] = ci
-		ct.sat = append(ct.sat, true)
-	}
-	ct.rowClass = append(ct.rowClass, ci)
-	ct.dirty = append(ct.dirty, ci)
-	ct.recheckDirty(v)
 }
 
 // witnessTracker pins one violating equivalence class — a certificate of
@@ -437,13 +389,15 @@ func (wt *witnessTracker) applyWrites(rel *relation.Relation, v *core.Verifier, 
 	})
 }
 
-func (wt *witnessTracker) appendRow(rel *relation.Relation, v *core.Verifier, t int32) {
-	wt.keyBuf = live.EncodeKey(rel, wt.cols, int(t), wt.keyBuf)
-	if string(wt.keyBuf) != wt.key {
-		return
+func (wt *witnessTracker) appendRows(rel *relation.Relation, v *core.Verifier, t0, end int32) {
+	for t := t0; t < end; t++ {
+		wt.keyBuf = live.EncodeKey(rel, wt.cols, int(t), wt.keyBuf)
+		if string(wt.keyBuf) != wt.key {
+			continue
+		}
+		wt.size++
+		wt.vals = live.Bump(wt.vals, rel.Value(int(t), wt.d.RHS), 1)
 	}
-	wt.size++
-	wt.vals = live.Bump(wt.vals, rel.Value(int(t), wt.d.RHS), 1)
 }
 
 // scanResult is a one-shot verification of a candidate against the

@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -19,13 +20,34 @@ func sortedVC(pairs []live.ValCount) []live.ValCount {
 	return out
 }
 
+// standaloneTracker builds d's tracker on a new table of its own, from
+// the verifier's partition of d's antecedent.
+func standaloneTracker(v *core.Verifier, d core.OFD) *coverTracker {
+	tt := newTrackerTable(v, d.LHS)
+	ct := newCoverTracker(v, tt, d)
+	tt.attach(ct)
+	return ct
+}
+
+// scanTracker builds d's tracker the from-scratch way: an empty table
+// that every row joins in row order, with the tracker folding each join
+// in as a batch of appends does.
+func scanTracker(rel *relation.Relation, v *core.Verifier, d core.OFD) *coverTracker {
+	tt := &trackerTable{lhs: d.LHS, colSet: d.LHS, tab: live.NewTable(rel, d.LHS.Attrs(), false)}
+	ct := &coverTracker{d: d}
+	tt.attach(ct)
+	tt.appendRows(rel, v, 0, int32(rel.NumRows()))
+	return ct
+}
+
 // TestPartitionBackedBuildersMatchScan pins the partition-backed fast
 // paths to the from-scratch reference implementations: the cover tracker
-// built from Π*_X must agree with the row-at-a-time build on every key
-// (class size, consequent multiset, lone rows) and on validity, and the
-// border certificate picked by witnessScanParts must be byte-identical to
-// the one scanCandidate pins — the repair's determinism depends on both
-// paths choosing the same violating class.
+// built on a table from Π*_X must group the rows as the row-at-a-time
+// build does (same classes, same lone rows, one key each) and agree on
+// every class's size, consequent multiset and satisfaction and on
+// validity, and the border certificate picked by witnessScanParts must be
+// byte-identical to the one scanCandidate pins — the repair's determinism
+// depends on both paths choosing the same violating class.
 func TestPartitionBackedBuildersMatchScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 60; trial++ {
@@ -43,41 +65,43 @@ func TestPartitionBackedBuildersMatchScan(t *testing.T) {
 				}
 				d := core.OFD{LHS: lhs, RHS: rhs}
 
-				ref := newCoverTracker(rel, v, d)
-				got := newCoverTrackerParts(pv, d)
+				ref := scanTracker(rel, v, d)
+				got := standaloneTracker(pv, d)
 				if got.valid() != ref.valid() {
 					t.Fatalf("trial %d %v: parts valid=%v, scan valid=%v", trial, d, got.valid(), ref.valid())
 				}
-				if len(got.ix.Keys) != len(ref.ix.Keys) {
-					t.Fatalf("trial %d %v: parts has %d keys, scan %d", trial, d, len(got.ix.Keys), len(ref.ix.Keys))
+				gt, rt := got.tt.tab, ref.tt.tab
+				if gt.NumKeys() != rt.NumKeys() {
+					t.Fatalf("trial %d %v: parts has %d keys, scan %d", trial, d, gt.NumKeys(), rt.NumKeys())
 				}
-				for key, refEnc := range ref.ix.Keys {
-					gotEnc, ok := got.ix.Keys[key]
-					if !ok {
-						t.Fatalf("trial %d %v: key %q missing from parts build", trial, d, key)
+				class := map[int32]int32{} // scan class → parts class
+				for r := range rt.RowClass {
+					gc, rc := gt.RowClass[r], rt.RowClass[r]
+					if (gc < 0) != (rc < 0) {
+						t.Fatalf("trial %d %v: row %d in parts class %d, scan class %d", trial, d, r, gc, rc)
 					}
-					if refEnc <= -2 || gotEnc <= -2 {
-						if refEnc != gotEnc {
-							t.Fatalf("trial %d %v: key %q lone mismatch: parts %d, scan %d", trial, d, key, gotEnc, refEnc)
-						}
+					if rc < 0 {
 						continue
 					}
-					if got.ix.Sizes[gotEnc] != ref.ix.Sizes[refEnc] {
-						t.Fatalf("trial %d %v: key %q size mismatch: parts %d, scan %d",
-							trial, d, key, got.ix.Sizes[gotEnc], ref.ix.Sizes[refEnc])
+					if prev, ok := class[rc]; ok && prev != gc {
+						t.Fatalf("trial %d %v: scan class %d splits into parts classes %d and %d", trial, d, rc, prev, gc)
 					}
-					gv, rv := sortedVC(got.ix.Counts[gotEnc]), sortedVC(ref.ix.Counts[refEnc])
-					if len(gv) != len(rv) {
-						t.Fatalf("trial %d %v: key %q multiset mismatch: parts %v, scan %v", trial, d, key, gv, rv)
+					class[rc] = gc
+				}
+				for rc, gc := range class {
+					if gt.Sizes[gc] != rt.Sizes[rc] {
+						t.Fatalf("trial %d %v: class size mismatch: parts %d, scan %d", trial, d, gt.Sizes[gc], rt.Sizes[rc])
 					}
-					for k := range gv {
-						if gv[k] != rv[k] {
-							t.Fatalf("trial %d %v: key %q multiset mismatch: parts %v, scan %v", trial, d, key, gv, rv)
-						}
+					gv, rv := sortedVC(got.counts[gc]), sortedVC(ref.counts[rc])
+					if !slices.Equal(gv, rv) {
+						t.Fatalf("trial %d %v: class multiset mismatch: parts %v, scan %v", trial, d, gv, rv)
 					}
-					if got.sat[gotEnc] != ref.sat[refEnc] {
-						t.Fatalf("trial %d %v: key %q sat mismatch", trial, d, key)
+					if got.sat[gc] != ref.sat[rc] {
+						t.Fatalf("trial %d %v: class sat mismatch", trial, d)
 					}
+				}
+				if len(class) != len(gt.Sizes) {
+					t.Fatalf("trial %d %v: parts holds %d classes, scan %d", trial, d, len(gt.Sizes), len(class))
 				}
 
 				refScan := scanCandidate(rel, v, d, true)
@@ -105,8 +129,8 @@ func TestPartitionBackedBuildersMatchScan(t *testing.T) {
 	}
 }
 
-// TestCoverTrackerPartsAllocsFlat pins the tracker build's allocations:
-// every key is a substring of one interned blob and the consequent
+// TestCoverTrackerPartsAllocsFlat pins the allocations of a tracker
+// built on a new table: keys are packed integers, and the consequent
 // multisets share one array, so quadrupling the rows adds far fewer
 // allocations than rows. What still grows is the key map's own storage
 // (Go's maps allocate one table per 1,024 slots) and the scratch the
@@ -127,13 +151,14 @@ func TestCoverTrackerPartsAllocsFlat(t *testing.T) {
 			sigma = append(sigma, core.OFD{LHS: relation.Single(c), RHS: (c + 1) % nc})
 		}
 		for _, d := range sigma {
-			newCoverTrackerParts(v, d) // warm the partition cache
-			allocs[n] = append(allocs[n], testing.AllocsPerRun(5, func() { newCoverTrackerParts(v, d) }))
+			build := func() { standaloneTracker(v, d) }
+			build() // warm the partition cache
+			allocs[n] = append(allocs[n], testing.AllocsPerRun(5, build))
 		}
 	}
 	for i, d := range sigma {
 		if grew := allocs[large][i] - allocs[small][i]; grew > (large-small)/64 {
-			t.Errorf("%v: newCoverTrackerParts allocations %v at %d rows → %v at %d rows", d, allocs[small][i], small, allocs[large][i], large)
+			t.Errorf("%v: tracker build allocations %v at %d rows → %v at %d rows", d, allocs[small][i], small, allocs[large][i], large)
 		}
 	}
 }

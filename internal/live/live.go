@@ -1,15 +1,16 @@
 // Package live is the shared live-index substrate under the incremental
-// engines. core.Monitor's dependencies and discovery.Maintainer's trackers
-// maintain the same three structures over the same relation — a
-// dict-encoded LHS-key hash index with lone (singleton) rows folded into
-// the id space, per-class consequent value multisets kept as small
-// linear-probed slices, and per-class sizes or, for the monitor, per-class
-// copy-on-write member lists. ClassIndex owns that machinery once for
-// both engines, and AppendCounts/DecodeCounts its snapshot encoding.
+// engines. core.Monitor and discovery.Maintainer group rows by antecedent
+// the same way over the same relation: one Table per distinct antecedent
+// X holds X's integer-keyed class map with lone (singleton) rows folded
+// into the id space, the row→class array, and the class sizes or, for the
+// monitor, the copy-on-write member lists. Each dependency X → A keeps its
+// consequent multisets on top of X's table, as small linear-probed slices
+// indexed by the table's class ids. AppendCounts/DecodeCounts are the
+// multisets' snapshot encoding.
 //
 // Everything here is single-writer, like the engines built on it:
-// mutating one ClassIndex from two goroutines at once is a caller bug.
-// Concurrent readers between mutations are fine.
+// mutating one Table, or one dependency's multisets, from two goroutines
+// at once is a caller bug. Concurrent readers between mutations are fine.
 package live
 
 import (
@@ -45,6 +46,13 @@ func Bump(pairs []ValCount, v relation.Value, delta int32) []ValCount {
 		}
 	}
 	return append(pairs, ValCount{v, delta})
+}
+
+// Replace replaces one occurrence of from with to in a multiset — a
+// consequent write's delta on its row's class. Replace(pairs, to, from)
+// undoes it exactly.
+func Replace(pairs []ValCount, from, to relation.Value) []ValCount {
+	return Bump(Bump(pairs, from, -1), to, 1)
 }
 
 // Distinct appends the multiset's distinct values to scratch[:0] and
@@ -136,13 +144,11 @@ func LoneRow(t int32) int32 { return -(t + 2) }
 // attribute contributes exactly 4 little-endian bytes, so keys over the
 // same attribute list are fixed-width and therefore prefix-free: two rows
 // encode equal iff their antecedent value ids are equal attribute by
-// attribute (dictionaries make equal strings id-equal). It is the one key
-// encoder of every engine: the monitor's and the cover trackers' class
-// indexes. Index builds append every key of a dependency into one blob
-// and convert it to a string once, so the map keys are substrings of one
-// allocation. The injectivity property test and fuzz
-// targets pin it down, and the cross-engine key test checks the tracker's
-// source-key encoding against it.
+// attribute (dictionaries make equal strings id-equal). It is the one
+// byte encoder of every engine: the keys of a Table whose lanes cannot
+// fit 64 bits, and the maintainer's witness keys. The injectivity
+// property test and fuzz targets pin it down, and the cross-engine key
+// test checks the source-key encoding against it.
 func AppendKey(buf []byte, rel *relation.Relation, cols []int, t int) []byte {
 	for _, c := range cols {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(rel.Value(t, c)))

@@ -92,93 +92,139 @@ func TestEncodeKeyFixedWidth(t *testing.T) {
 	}
 }
 
-// TestClassIndexJoinCases drives the three JoinKey cases on the monitor
-// shape (member lists, consequent multisets, no sizes) and checks every
-// side effect: key map transitions, class membership, multisets.
+// joinAll joins every row of rel into tb in row order and returns the
+// outcomes.
+func joinAll(tb *Table, rel *relation.Relation) {
+	tb.Grow(rel.NumRows())
+	for t := 0; t < rel.NumRows(); t++ {
+		tb.Join(rel, int32(t))
+	}
+}
+
+// TestClassIndexJoinCases drives the three Join cases on a member-list
+// table and checks every side effect: the key map's transitions, the
+// row→class array, class sizes, membership after Flush, and the
+// multisets Joined folds the outcomes into.
 func TestClassIndexJoinCases(t *testing.T) {
 	rel := testRel(t, []string{"X", "A"}, [][]string{
 		{"k1", "v1"}, {"k1", "v2"}, {"k2", "v1"}, {"k1", "v1"},
 	})
-	// Start with no classes: every class is born through the index.
-	ix := NewClassIndex([]int{0}, 1)
-	ix.Members = [][]int32{}
+	// Start with no classes: every class is born through the table.
+	tb := NewTable(rel, []int{0}, true)
+	tb.Grow(rel.NumRows())
+	col := rel.Column(1)
+	var counts [][]ValCount
+	join := func(row int32) (int32, int32, JoinKind) {
+		ci, partner, kind := tb.Join(rel, row)
+		counts = Joined(counts, col, row, ci, partner, kind)
+		return ci, partner, kind
+	}
 
-	ci, partner, kind := ix.Join(rel, 0)
-	if kind != JoinLone || ci != -1 || partner != -1 {
+	ci, partner, kind := join(0)
+	if kind != JoinLone || ci != -1 || partner != -1 || tb.RowClass[0] != -1 {
 		t.Fatalf("row 0: got (%d,%d,%v), want lone", ci, partner, kind)
 	}
-	ci, partner, kind = ix.Join(rel, 1)
+	if enc, ok := tb.Lookup(rel, 0); !ok || enc != LoneRow(0) {
+		t.Fatalf("row 0's key maps to (%d, %v), want its lone-row entry", enc, ok)
+	}
+	ci, partner, kind = join(1)
 	if kind != JoinBirth || partner != 0 {
 		t.Fatalf("row 1: got (%d,%d,%v), want birth with partner 0", ci, partner, kind)
 	}
 	born := ci
-	if got := ix.Members[born]; !reflect.DeepEqual(got, []int32{0, 1}) {
+	if got := tb.Members[born]; !reflect.DeepEqual(got, []int32{0, 1}) {
 		t.Fatalf("born class = %v", got)
 	}
-	if !reflect.DeepEqual(ix.Counts[born], []ValCount{{rel.Value(0, 1), 1}, {rel.Value(1, 1), 1}}) {
-		t.Fatalf("born multiset = %v", ix.Counts[born])
+	if tb.RowClass[0] != born || tb.RowClass[1] != born || tb.Sizes[born] != 2 {
+		t.Fatalf("born class: row→class %v, sizes %v", tb.RowClass, tb.Sizes)
 	}
-	ci, _, kind = ix.Join(rel, 2)
-	if kind != JoinLone {
+	if !reflect.DeepEqual(counts[born], []ValCount{{rel.Value(0, 1), 1}, {rel.Value(1, 1), 1}}) {
+		t.Fatalf("born multiset = %v", counts[born])
+	}
+	if _, _, kind = join(2); kind != JoinLone {
 		t.Fatalf("row 2: got %v, want lone (fresh key)", kind)
 	}
-	_ = ci
-	ci, partner, kind = ix.Join(rel, 3)
+	ci, partner, kind = join(3)
 	if kind != JoinExisting || ci != born || partner != -1 {
 		t.Fatalf("row 3: got (%d,%d,%v), want existing class %d", ci, partner, kind, born)
 	}
-	if got := ix.Members[born]; !reflect.DeepEqual(got, []int32{0, 1, 3}) {
+	tb.Flush()
+	if got := tb.Members[born]; !reflect.DeepEqual(got, []int32{0, 1, 3}) {
 		t.Fatalf("grown class = %v", got)
 	}
-	if !reflect.DeepEqual(ix.Counts[born], []ValCount{{rel.Value(0, 1), 2}, {rel.Value(1, 1), 1}}) {
-		t.Fatalf("grown multiset = %v", ix.Counts[born])
+	if tb.Sizes[born] != 3 || tb.RowClass[3] != born {
+		t.Fatalf("grown class: size %d, row 3 in class %d", tb.Sizes[born], tb.RowClass[3])
 	}
-	if len(ix.Sizes) != 0 {
-		t.Fatalf("member-list index tracked sizes %v", ix.Sizes)
+	if !reflect.DeepEqual(counts[born], []ValCount{{rel.Value(0, 1), 2}, {rel.Value(1, 1), 1}}) {
+		t.Fatalf("grown multiset = %v", counts[born])
+	}
+	if n := tb.NumKeys(); n != 2 {
+		t.Fatalf("%d keys, want one class and one lone row", n)
 	}
 }
 
 // TestClassIndexMembersCopyOnWrite pins the member lists' rules: every
-// class stays ascending whichever row joins or leaves, Leave reports the
-// list's length, and a list read before an edit never changes — not a
-// class a partition supplied with cap == len, not a list grown by
-// appends, not one edited in the middle.
+// class stays ascending whichever rows join or leave, each batch's edits
+// of one class are applied as one rewrite (Flush), and a list read before
+// a batch never changes — not a class a partition supplied with
+// cap == len, not a list grown by appends, not one edited in the middle.
 func TestClassIndexMembersCopyOnWrite(t *testing.T) {
 	rows := make([][]string, 12)
 	for r := range rows {
-		rows[r] = []string{"k", fmt.Sprint("v", r%3)}
+		rows[r] = []string{fmt.Sprint("lone", r), fmt.Sprint("v", r%3)}
+	}
+	for _, r := range []int{2, 5, 8} {
+		rows[r][0] = "k0"
+	}
+	for _, r := range []int{1, 4} {
+		rows[r][0] = "k1"
 	}
 	rel := testRel(t, []string{"X", "A"}, rows)
-	// Two classes back to back in one flat array, as a cached partition
-	// holds them.
+	// The two classes back to back in one flat array, as a cached
+	// partition holds them.
 	p := &relation.Partition{Tuples: []int32{2, 5, 8, 1, 4}, Offsets: []int32{0, 3, 5}, N: rel.NumRows(), Stripped: true}
-	ix := NewClassIndex([]int{0}, 1)
-	ix.Members = [][]int32{p.Class(0), p.Class(1)}
-	for ci, class := range ix.Members {
-		ix.Counts = append(ix.Counts, nil)
-		for _, r := range class {
-			ix.Counts[ci] = Bump(ix.Counts[ci], rel.Value(int(r), 1), 1)
-		}
-	}
-	key := string(ix.EncodeRow(rel, 0))
-	ix.Keys[key] = 0
+	tb := FromPartition(rel, []int{0}, p, true)
 
 	type read struct {
 		list, want []int32
 	}
 	var reads []read
 	keep := func() {
-		l := ix.Members[0]
+		l := tb.Members[0]
 		reads = append(reads, read{l, append([]int32(nil), l...)})
 	}
-	step := func(label string, want []int32) {
+	// move rewrites row r's key to x and moves the row as an engine does:
+	// out of its class or lone-row key, then in through its new key.
+	move := func(r int32, x string) {
+		old := rel.Value(int(r), 0)
+		rel.SetString(int(r), 0, x)
+		if tb.RowClass[r] >= 0 {
+			tb.Leave(r)
+		} else {
+			tb.DropKey(rel, []CellWrite{{Row: int(r), Col: 0, Old: old}}, int(r))
+		}
+		tb.Join(rel, r)
+	}
+	// batch moves rows out of class k0 and into it as one batch, then
+	// checks the class and every list read before.
+	batch := func(label string, join, leave []int32, want []int32) {
 		t.Helper()
-		if got := ix.Members[0]; !reflect.DeepEqual(got, want) {
+		for _, r := range leave {
+			move(r, fmt.Sprint("gone", r))
+		}
+		for _, r := range join {
+			move(r, "k0")
+		}
+		tb.Flush()
+		if got := tb.Members[0]; !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: class = %v, want %v", label, got, want)
+		}
+		if int(tb.Sizes[0]) != len(want) {
+			t.Fatalf("%s: size %d for %d members", label, tb.Sizes[0], len(want))
 		}
 		for k, r := range reads {
 			if !reflect.DeepEqual(r.list, r.want) {
-				t.Fatalf("%s: list read before edit %d changed to %v, was %v", label, k, r.list, r.want)
+				t.Fatalf("%s: list read before batch %d changed to %v, was %v", label, k, r.list, r.want)
 			}
 		}
 		if !reflect.DeepEqual(p.Tuples, []int32{2, 5, 8, 1, 4}) {
@@ -187,98 +233,138 @@ func TestClassIndexMembersCopyOnWrite(t *testing.T) {
 		keep()
 	}
 	keep()
-	ix.JoinKey(rel, []byte(key), 9) // first append copies the clipped class
-	step("append past a partition class", []int32{2, 5, 8, 9})
-	ix.JoinKey(rel, []byte(key), 11) // appends in place past the length
-	step("append in place", []int32{2, 5, 8, 9, 11})
-	ix.JoinKey(rel, []byte(key), 3)
-	step("insert in the middle", []int32{2, 3, 5, 8, 9, 11})
-	ix.JoinKey(rel, []byte(key), 0)
-	step("insert at the front", []int32{0, 2, 3, 5, 8, 9, 11})
-	if n := ix.Leave(0, 11, rel.Value(11, 1)); n != 6 {
-		t.Fatalf("Leave of the last row left %d rows, want 6", n)
-	}
-	step("remove the last row", []int32{0, 2, 3, 5, 8, 9})
-	ix.JoinKey(rel, []byte(key), 10)
-	step("append after a remove", []int32{0, 2, 3, 5, 8, 9, 10})
-	if n := ix.Leave(0, 5, rel.Value(5, 1)); n != 6 {
-		t.Fatalf("Leave of a middle row left %d rows, want 6", n)
-	}
-	step("remove in the middle", []int32{0, 2, 3, 8, 9, 10})
-	if !reflect.DeepEqual(ix.Members[1], []int32{1, 4}) {
-		t.Fatalf("the neighbouring class changed to %v", ix.Members[1])
+	batch("append past a partition class", []int32{9}, nil, []int32{2, 5, 8, 9})
+	batch("append in place", []int32{11, 10}, nil, []int32{2, 5, 8, 9, 10, 11})
+	batch("insert in the middle and at the front", []int32{3, 0}, nil, []int32{0, 2, 3, 5, 8, 9, 10, 11})
+	batch("remove the last row", nil, []int32{11}, []int32{0, 2, 3, 5, 8, 9, 10})
+	batch("append after a remove", []int32{11}, nil, []int32{0, 2, 3, 5, 8, 9, 10, 11})
+	batch("remove and insert in one batch", []int32{6}, []int32{5, 0, 11}, []int32{2, 3, 6, 8, 9, 10})
+	if !reflect.DeepEqual(tb.Members[1], []int32{1, 4}) {
+		t.Fatalf("the neighbouring class changed to %v", tb.Members[1])
 	}
 }
 
-// TestClassIndexTrackerOps drives the maintainer shape (Members nil, so
-// sizes are tracked): birth allocates sequential class ids, Leave
-// shrinks, and BumpVal(ci, to, from) exactly undoes BumpVal(ci, from, to).
+// TestClassIndexTrackerOps drives the maintainer shape (no member
+// lists): birth allocates sequential class ids, Leave shrinks, and
+// Replace(to, from) exactly undoes Replace(from, to).
 func TestClassIndexTrackerOps(t *testing.T) {
 	rel := testRel(t, []string{"X", "A"}, [][]string{
 		{"k1", "v1"}, {"k1", "v2"}, {"k2", "v3"}, {"k2", "v3"},
 	})
-	ix := NewClassIndex([]int{0}, 1)
-	for tt := int32(0); tt < 4; tt++ {
-		ix.Join(rel, tt)
+	tb := NewTable(rel, []int{0}, false)
+	joinAll(tb, rel)
+	if len(tb.Sizes) != 2 || tb.Sizes[0] != 2 || tb.Sizes[1] != 2 || tb.Members != nil {
+		t.Fatalf("sizes = %v, members %v", tb.Sizes, tb.Members)
 	}
-	if len(ix.Counts) != 2 || ix.Sizes[0] != 2 || ix.Sizes[1] != 2 {
-		t.Fatalf("classes = %d sizes = %v", len(ix.Counts), ix.Sizes)
+	counts := CountClasses(tb, rel.Column(1))
+	before := append([]ValCount(nil), counts[0]...)
+	counts[0] = Replace(counts[0], rel.Value(1, 1), rel.Value(0, 1))
+	if reflect.DeepEqual(counts[0], before) {
+		t.Fatal("Replace must change the multiset")
 	}
-	before := append([]ValCount(nil), ix.Counts[0]...)
-	ix.BumpVal(0, rel.Value(1, 1), rel.Value(0, 1))
-	if reflect.DeepEqual(ix.Counts[0], before) {
-		t.Fatal("BumpVal must change the multiset")
+	counts[0] = Replace(counts[0], rel.Value(0, 1), rel.Value(1, 1))
+	if !reflect.DeepEqual(counts[0], before) {
+		t.Fatalf("the inverse Replace does not restore: %v vs %v", counts[0], before)
 	}
-	ix.BumpVal(0, rel.Value(0, 1), rel.Value(1, 1))
-	if !reflect.DeepEqual(ix.Counts[0], before) {
-		t.Fatalf("inverse BumpVal does not restore: %v vs %v", ix.Counts[0], before)
+	if ci, size := tb.Leave(2); ci != 1 || size != 1 || tb.RowClass[2] != -1 {
+		t.Fatalf("Leave = (%d, %d), row→class %v", ci, size, tb.RowClass)
 	}
-	if sz := ix.Leave(1, 2, rel.Value(2, 1)); sz != 1 {
-		t.Fatalf("Leave size = %d, want 1", sz)
-	}
-	if !reflect.DeepEqual(ix.Counts[1], []ValCount{{rel.Value(2, 1), 1}}) {
-		t.Fatalf("after leave: %v", ix.Counts[1])
+	if !reflect.DeepEqual(CountClasses(tb, rel.Column(1))[1], []ValCount{{rel.Value(3, 1), 1}}) {
+		t.Fatalf("after leave: %v", CountClasses(tb, rel.Column(1))[1])
 	}
 }
 
-// TestIndexKeysFromRowClasses rebuilds a joined index's key map from its
-// row→class table and checks that a class emptied by Leave gets no key.
+// TestIndexKeysFromRowClasses rebuilds a joined table's key map from its
+// row→class array, from both the current and a write log's source state,
+// and checks that a class emptied by Leave gets no key.
 func TestIndexKeysFromRowClasses(t *testing.T) {
 	rel := testRel(t, []string{"X", "Y", "A"}, [][]string{
 		{"a", "1", "p"}, {"a", "1", "q"}, {"b", "2", "p"}, {"c", "1", "r"}, {"c", "1", "s"}, {"a", "1", "p"},
 	})
-	ix := NewClassIndex([]int{0, 1}, 2)
-	rowClass := make([]int32, rel.NumRows())
-	for tt := range rowClass {
-		ci, partner, _ := ix.Join(rel, int32(tt))
-		rowClass[tt] = ci
-		if partner >= 0 {
-			rowClass[partner] = ci
-		}
-	}
+	tb := NewTable(rel, []int{0, 1}, false)
+	joinAll(tb, rel)
 	// Rows 3 and 4 move out of class (c,1) to fresh keys, the way a
 	// tracker moves them: the emptied class keeps its key, which a
 	// rebuild drops.
-	emptied := rowClass[3]
+	emptied := tb.RowClass[3]
+	var writes []CellWrite
 	for k, tt := range []int32{3, 4} {
-		ix.Leave(rowClass[tt], tt, rel.Value(int(tt), 2))
+		tb.Leave(tt)
+		old := rel.Value(int(tt), 0)
 		rel.SetString(int(tt), 0, fmt.Sprintf("moved%d", k))
-		rowClass[tt], _, _ = ix.Join(rel, tt)
+		writes = append(writes, CellWrite{Row: int(tt), Col: 0, Old: old, New: rel.Value(int(tt), 0)})
+		tb.Join(rel, tt)
 	}
-	want := map[string]int32{}
-	for k, v := range ix.Keys {
-		if v != emptied {
-			want[k] = v
+	if n := tb.NumKeys(); n != 5 {
+		t.Fatalf("%d keys, want classes (a,1) and (c,1), lone (b,2) and the two moved rows", n)
+	}
+	back := &Table{Cols: tb.Cols, RowClass: tb.RowClass, Sizes: tb.Sizes}
+	back.Index(rel, nil)
+	if n := back.NumKeys(); n != 4 {
+		t.Fatalf("rebuilt %d keys, want 4: the emptied class %d keeps none", n, emptied)
+	}
+	for r := 0; r < rel.NumRows(); r++ {
+		want, _ := tb.Lookup(rel, r)
+		if got, ok := back.Lookup(rel, r); !ok || got != want {
+			t.Fatalf("row %d: rebuilt key maps to (%d, %v), want %d", r, got, ok, want)
 		}
 	}
-	if len(want) != len(ix.Keys)-1 {
-		t.Fatalf("keys %v hold no key of the emptied class %d", ix.Keys, emptied)
+	// From a write log's source state: the relation holds a batch's
+	// writes that no row has moved for yet, and a rebuild from the log
+	// keys every row as the pre-batch build did.
+	pre := &Table{Cols: back.Cols, RowClass: back.RowClass, Sizes: back.Sizes}
+	pre.Index(rel, nil)
+	writes = writes[:0]
+	for _, r := range []int{0, 2, 5} {
+		old := rel.Value(r, 1)
+		rel.SetString(r, 1, fmt.Sprint("written", r))
+		writes = append(writes, CellWrite{Row: r, Col: 1, Old: old, New: rel.Value(r, 1)})
 	}
-	appendKey := func(blob []byte, tt int) []byte { return AppendKey(blob, rel, ix.Cols, tt) }
+	src := &Table{Cols: back.Cols, RowClass: back.RowClass, Sizes: back.Sizes}
+	src.Index(rel, writes)
+	for _, wr := range writes {
+		rel.SetValue(wr.Row, wr.Col, wr.Old)
+	}
+	if src.NumKeys() != pre.NumKeys() {
+		t.Fatalf("source-state rebuild holds %d keys, the pre-batch build %d", src.NumKeys(), pre.NumKeys())
+	}
+	for r := 0; r < rel.NumRows(); r++ {
+		want, _ := pre.Lookup(rel, r)
+		if got, ok := src.Lookup(rel, r); !ok || got != want {
+			t.Fatalf("row %d: source-state key maps to (%d, %v), want %d", r, got, ok, want)
+		}
+	}
+}
 
-	back := &ClassIndex{Cols: ix.Cols, RHS: ix.RHS, Counts: ix.Counts}
-	IndexKeys(back, rowClass, appendKey)
-	if !reflect.DeepEqual(back.Keys, want) {
-		t.Fatalf("rebuilt keys = %v, want %v", back.Keys, want)
+// TestTableRelayout outgrows a packed table's lane between batches: with
+// lanes of radix 8, code 8 of the first column would carry into the
+// second, so (8, 0) would pack as (0, 1) does. Prepare must drop the keys
+// and re-index under wider lanes, reading the written row's old code from
+// the log, before the row moves.
+func TestTableRelayout(t *testing.T) {
+	rel := testRel(t, []string{"A", "B"}, [][]string{
+		{"a0", "b1"}, {"a1", "b0"}, {"a2", "b2"},
+	})
+	tb := NewTable(rel, []int{0, 1}, false)
+	joinAll(tb, rel)
+	if !tb.Packed() || tb.radix[0] != 8 {
+		t.Fatalf("laid out as packed %v with lanes %v, want radix 8 for three values", tb.Packed(), tb.radix)
+	}
+	for v := 3; v <= 8; v++ {
+		rel.Dict(0).Intern(fmt.Sprint("a", v))
+	}
+	writes := []CellWrite{{Row: 1, Col: 0, Old: rel.Value(1, 0)}}
+	rel.SetString(1, 0, "a8")
+	writes[0].New = rel.Value(1, 0)
+	tb.Prepare(rel, writes)
+	if !tb.Packed() || tb.radix[0] != 20 {
+		t.Fatalf("re-laid out as packed %v with lanes %v, want radix 20 for nine values", tb.Packed(), tb.radix)
+	}
+	tb.DropKey(rel, writes, 1)
+	if _, _, kind := tb.Join(rel, 1); kind != JoinLone {
+		t.Fatalf("row (a8, b0) joined as %v; its key collided with (a0, b1)'s", kind)
+	}
+	if n := tb.NumKeys(); n != 3 {
+		t.Fatalf("%d keys after the move, want the three lone rows", n)
 	}
 }

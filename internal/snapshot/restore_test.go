@@ -10,6 +10,7 @@ import (
 
 	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/pipeline"
+	"github.com/fastofd/fastofd/internal/relation"
 	"github.com/fastofd/fastofd/internal/wire"
 )
 
@@ -17,73 +18,125 @@ import (
 // payload, decoded as views of that payload: writing an element rewrites
 // the payload in place, leaving every length and offset as it was.
 type monitorFields struct {
+	// Per table.
+	classOf [][]int32
+	lens    [][]int32
+	rows    [][]int32
 	// Per dependency.
-	classOf   [][]int32
-	lens      [][]int32
-	rows      [][]int32
 	countVals [][]int32
 	countNs   [][]int32
+	// Antecedents: each dependency's and each table's, with the offset of
+	// its one-byte encoding in the payload.
+	sigma   core.Set
+	sigmaAt []int
+	tableX  []relation.AttrSet
+	tableAt []int
 }
 
 // trackerFields are one cover tracker's arrays inside a maintainer body,
-// decoded as views of the payload like monitorFields.
+// decoded as views of the payload like monitorFields: its table's
+// row→class array and sizes, and its own multisets. lhsAt and tableAt
+// are the payload offsets of the tracker's and its table's antecedent.
 type trackerFields struct {
 	rowClass, sizes    []int32
 	countVals, countNs []int32
+	lhsAt, tableAt     int
+}
+
+// antecedentAt reads an antecedent's uvarint from r and returns it with
+// its offset in payload.
+func antecedentAt(r *wire.Reader, payload []byte) (relation.AttrSet, int) {
+	at := len(payload) - r.Remaining()
+	return relation.AttrSet(r.Uvarint()), at
 }
 
 // walkBodies decodes the engine bodies of pipeline payload, which p
 // encoded, in the layouts core.AppendMonitorBody and
-// discovery.AppendMaintainerBody write.
-func walkBodies(t *testing.T, payload []byte, p *pipeline.Pipeline) (*monitorFields, []trackerFields) {
+// discovery.AppendMaintainerBody write. It also returns the payload
+// offsets of the border antecedents.
+func walkBodies(t *testing.T, payload []byte, p *pipeline.Pipeline) (*monitorFields, []trackerFields, []int) {
 	t.Helper()
 	r := wire.NewReader(payload)
 	r.Uvarint() // follow-cover flag
 	if _, err := core.DecodeSubstrate(r, p.Relation(), p.Verifier().Ontology()); err != nil {
 		t.Fatalf("substrate: %v", err)
 	}
-	sigma := core.DecodeSet(r)
 	f := &monitorFields{}
+	for k := r.Int(); k > 0 && r.Err() == nil; k-- {
+		x, at := antecedentAt(r, payload)
+		f.sigma = append(f.sigma, core.OFD{LHS: x, RHS: r.Int()})
+		f.sigmaAt = append(f.sigmaAt, at)
+	}
 	r.Uvarint() // epoch
-	for range sigma {
+	for k := r.Int(); k > 0 && r.Err() == nil; k-- {
+		x, at := antecedentAt(r, payload)
+		f.tableX, f.tableAt = append(f.tableX, x), append(f.tableAt, at)
 		f.classOf = append(f.classOf, r.Int32s())
 		f.lens = append(f.lens, r.Int32s())
 		f.rows = append(f.rows, r.Int32s())
+	}
+	for range f.sigma {
 		r.Int32s() // pairs per class
 		f.countVals = append(f.countVals, r.Int32s())
 		f.countNs = append(f.countNs, r.Int32s())
 	}
 	r.Uvarint() // maintainer epoch
 	r.Uvarint() // scans
+	nCols := r.Int()
+	type table struct {
+		rowClass, sizes []int32
+		at              int
+	}
+	tables := map[relation.AttrSet]table{}
+	for k := r.Int(); k > 0 && r.Err() == nil; k-- {
+		x, at := antecedentAt(r, payload)
+		tables[x] = table{r.Int32s(), r.Int32s(), at}
+	}
 	var trackers []trackerFields
-	for c := r.Int(); c > 0 && r.Err() == nil; c-- {
+	var borderAt []int
+	for c := nCols; c > 0 && r.Err() == nil; c-- {
 		for k := r.Int(); k > 0 && r.Err() == nil; k-- {
-			r.Uvarint() // antecedent
-			tf := trackerFields{rowClass: r.Int32s(), sizes: r.Int32s()}
+			x, at := antecedentAt(r, payload)
+			tb := tables[x]
+			tf := trackerFields{rowClass: tb.rowClass, sizes: tb.sizes, lhsAt: at, tableAt: tb.at}
 			r.Int32s() // pairs per class
 			tf.countVals, tf.countNs = r.Int32s(), r.Int32s()
 			trackers = append(trackers, tf)
 			r.Uint8s() // satisfied flags
 		}
 		for k := r.Int(); k > 0 && r.Err() == nil; k-- {
-			r.Uvarint() // antecedent
-			r.Blob()    // witness key
-			r.Int()     // size
-			r.Int32s()  // values
-			r.Int32s()  // multiplicities
+			_, at := antecedentAt(r, payload)
+			borderAt = append(borderAt, at)
+			r.Blob()   // witness key
+			r.Int()    // size
+			r.Int32s() // values
+			r.Int32s() // multiplicities
 		}
 	}
 	if r.Err() != nil {
 		t.Fatalf("engine bodies: %v", r.Err())
 	}
-	return f, trackers
+	return f, trackers, borderAt
 }
 
-// find returns the first dependency's array that pick selects as
-// non-empty.
+// outsideSchema rewrites the one-byte antecedent encoding at each offset
+// to also name column 6, which the six-column test relation lacks; the
+// byte must encode a set of columns below 6, so it stays one byte.
+func outsideSchema(t *testing.T, payload []byte, at ...int) {
+	t.Helper()
+	for _, k := range at {
+		if payload[k] >= 1<<6 {
+			t.Fatalf("antecedent byte %#x at %d is not a set of the first six columns", payload[k], k)
+		}
+		payload[k] |= 1 << 6
+	}
+}
+
+// find returns the first table's or dependency's array that pick selects
+// as non-empty.
 func find[E any](t *testing.T, f *monitorFields, pick func(i int) []E) []E {
 	t.Helper()
-	for i := range f.classOf {
+	for i := range max(len(f.classOf), len(f.countNs)) {
 		if xs := pick(i); len(xs) > 0 {
 			return xs
 		}
@@ -188,11 +241,27 @@ func TestOpenRejectsCorruptMonitorBody(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			openCorrupted(t, p, secs, tc.name == "pristine", func(payload []byte) {
-				f, _ := walkBodies(t, payload, p)
+				f, _, _ := walkBodies(t, payload, p)
 				tc.corrupt(f)
 			})
 		})
 	}
+	// A dependency whose antecedent, and its table's, names a column
+	// outside the schema: the first append would index the relation past
+	// its columns. The table serves that dependency alone, so the body
+	// stays consistent otherwise.
+	t.Run("antecedent outside the schema", func(t *testing.T) {
+		openCorrupted(t, p, secs, false, func(payload []byte) {
+			f, _, _ := walkBodies(t, payload, p)
+			for i, d := range f.sigma {
+				if slices.IndexFunc(f.sigma, func(e core.OFD) bool { return e.LHS == d.LHS && e != d }) < 0 {
+					outsideSchema(t, payload, f.sigmaAt[i], f.tableAt[slices.Index(f.tableX, d.LHS)])
+					return
+				}
+			}
+			t.Fatal("no dependency has a table of its own")
+		})
+	})
 }
 
 // savedPipeline returns a pipeline whose appends grew classes and whose
@@ -313,11 +382,33 @@ func TestOpenRejectsCorruptMaintainerBody(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			openCorrupted(t, p, secs, tc.name == "pristine", func(payload []byte) {
-				_, trackers := walkBodies(t, payload, p)
+				_, trackers, _ := walkBodies(t, payload, p)
 				tc.corrupt(tracker(trackers))
 			})
 		})
 	}
+	// A tracker whose antecedent, and its table's, names a column outside
+	// the schema: the first batch would index the relation past its
+	// columns. A border node's antecedent is checked too (its witness key
+	// then also has the wrong width).
+	t.Run("tracker antecedent outside the schema", func(t *testing.T) {
+		openCorrupted(t, p, secs, false, func(payload []byte) {
+			_, trackers, _ := walkBodies(t, payload, p)
+			for _, tf := range trackers {
+				if slices.IndexFunc(trackers, func(e trackerFields) bool { return e.tableAt == tf.tableAt && e.lhsAt != tf.lhsAt }) < 0 {
+					outsideSchema(t, payload, tf.lhsAt, tf.tableAt)
+					return
+				}
+			}
+			t.Fatal("no tracker has a table of its own")
+		})
+	})
+	t.Run("border antecedent outside the schema", func(t *testing.T) {
+		openCorrupted(t, p, secs, false, func(payload []byte) {
+			_, _, borderAt := walkBodies(t, payload, p)
+			outsideSchema(t, payload, borderAt[0])
+		})
+	})
 }
 
 // TestReopenedPipelineAbsorbsAntecedentMoves saves a pipeline whose

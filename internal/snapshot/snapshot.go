@@ -10,7 +10,7 @@
 //	magic (8 bytes) | version (uint32) | section count (uint32)
 //	per section: name | crc32c of payload | payload (4-byte aligned)
 //
-// Version 7 writes at most three sections, in this order: relation,
+// Version 8 writes at most three sections, in this order: relation,
 // ontology, pipeline. Each carries its own CRC-32 (Castagnoli) checksum.
 // Decode rejects a known section that repeats or arrives out of order, and
 // skips unknown names, so older readers open newer files that only add
@@ -22,14 +22,14 @@
 //
 // Open reads the whole file into one buffer and decodes zero-copy where
 // the wire layer allows: restored column blocks, partition arrays, and
-// the monitor's row→class tables and class member lists are views into
+// the engines' row→class arrays and the monitor's member lists are views into
 // that buffer (see internal/wire for the aliasing contract — the State keeps
 // the buffer reachable implicitly through those views). Reopen latency
 // therefore scales with the flagged violation state, not the instance:
 // the bulk of a large snapshot is never copied, dictionaries hydrate their
-// maps lazily, and no LHS-key map is stored at all — both engines rebuild
-// theirs from the saved row→class tables on the first append or
-// antecedent write.
+// maps lazily, and no key map is stored at all — both engines rebuild
+// their tables' maps from the saved row→class arrays on the first append
+// or antecedent write.
 //
 // Save writes to a temp file in the destination directory, syncs it,
 // renames it into place and syncs the directory, so a crashed save never
@@ -57,15 +57,15 @@ const (
 	magic = uint64(0x50414e5344464f46)
 	// Version is the current format version. Bumped on any layout change
 	// inside a section; Open rejects versions outside [minVersion, Version]
-	// outright rather than guessing. Version 7: the monitor body holds one
-	// state per dependency (row→class table, member lists, multisets) and
-	// no shard count or per-row shard table (version 6 split each
-	// dependency's classes across LHS-key shards). Since version 6 neither
-	// engine body writes its LHS-key indexes; they are rebuilt from the
-	// row→class tables.
-	Version = uint32(7)
+	// outright rather than guessing. Version 8: each engine body holds one
+	// class table per distinct antecedent (row→class array, and class
+	// sizes or member lists), then each dependency's or tracker's
+	// multisets on top of its table (version 7 wrote a row→class table
+	// per dependency). Since version 6 neither engine body writes its key
+	// maps; they are rebuilt from the row→class arrays.
+	Version = uint32(8)
 	// minVersion is the oldest version Open reads.
-	minVersion = uint32(7)
+	minVersion = uint32(8)
 )
 
 // Section names, in file order (dependencies decode first); unknown names
