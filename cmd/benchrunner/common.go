@@ -22,13 +22,15 @@ func newBenchEnv() benchEnv {
 
 // benchResult is one machine-readable benchmark row. The fields mirror what
 // `go test -bench -benchmem` prints, so regressions can be diffed by CI or
-// scripts without parsing bench output.
+// scripts without parsing bench output. FDs, on the FD-discovery curve's
+// rows, is the number of FDs the run found.
 type benchResult struct {
 	Name        string  `json:"name"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	FDs         int     `json:"fds,omitempty"`
 }
 
 // writeBenchReport marshals any report value to path and prints its rows.

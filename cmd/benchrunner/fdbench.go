@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -54,7 +55,9 @@ func runFDBench(ctx context.Context, stats *exec.Stats, path string, rows int, s
 	}
 	partial := partialWriter(path, &report, &report.Results, 28)
 
-	// Exp-1 curve: per-algorithm wall time (best of iters) at each size.
+	// Exp-1 curve: per-algorithm wall time, and the bytes and allocations
+	// the process made meanwhile (runtime.MemStats deltas), of the fastest
+	// of iters runs at each size, and the FD count found.
 	discOpts := fd.DefaultOptions()
 	discOpts.Stats = stats
 	for _, n := range sizes {
@@ -63,25 +66,25 @@ func runFDBench(ctx context.Context, stats *exec.Stats, path string, rows int, s
 		}
 		ds := gen.Clinical(n, 1)
 		for _, alg := range fd.Algorithms() {
-			var bestNs float64
-			var nFDs int
+			row := benchResult{Name: fmt.Sprintf("discover-%s-n%d", alg, n), Iterations: iters}
 			for it := 0; it < iters; it++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
 				start := time.Now()
 				res, err := fd.DiscoverContext(ctx, alg, ds.Rel, discOpts)
-				elapsed := float64(time.Since(start).Nanoseconds())
+				ns := float64(time.Since(start).Nanoseconds())
+				runtime.ReadMemStats(&after)
 				if err != nil {
 					return partial(err)
 				}
-				if it == 0 || elapsed < bestNs {
-					bestNs = elapsed
+				if it == 0 || ns < row.NsPerOp {
+					row.NsPerOp = ns
+					row.BytesPerOp = int64(after.TotalAlloc - before.TotalAlloc)
+					row.AllocsPerOp = int64(after.Mallocs - before.Mallocs)
 				}
-				nFDs = len(res.FDs)
+				row.FDs = len(res.FDs)
 			}
-			report.Results = append(report.Results, benchResult{
-				Name:       fmt.Sprintf("discover-%s-n%d", alg, n),
-				Iterations: nFDs, // FD count doubles as a sanity payload
-				NsPerOp:    bestNs,
-			})
+			report.Results = append(report.Results, row)
 		}
 	}
 

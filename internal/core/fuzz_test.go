@@ -99,9 +99,10 @@ func FuzzCSV(f *testing.F) {
 // (4,096 values each, which overflows 64 bits of lanes from five columns
 // on), and every cell's code. The table is then re-laid out: each column's
 // dictionary grows past its lane, one column of every third row is
-// rewritten to a code past the old lane, and Prepare rebuilds the keys
+// rewritten to a code past the old lane, and Apply rebuilds the keys
 // from the write log's source state before the rows move; the same
-// equivalence must hold after the moves.
+// equivalence must hold after the moves, and again after Undo and the
+// writes' revert.
 func FuzzLHSKey(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 0, 1, 1, 0, 0})                      // one column, a NullValue pair
 	f.Add([]byte{1, 3, 5, 1, 2, 3, 1, 2, 3, 0, 0, 4})          // two columns
@@ -159,10 +160,7 @@ func FuzzLHSKey(f *testing.F) {
 		if tb.Packed() != (span < 1<<64) {
 			t.Fatalf("%d columns of %v values: packed %v", ncols, size, tb.Packed())
 		}
-		tb.Grow(nrows)
-		for r := 0; r < nrows; r++ {
-			tb.Join(rel, int32(r))
-		}
+		tb.Append(rel, 0, nrows)
 		checkTableKeys(t, "built", rel, tb)
 
 		// Outgrow every lane, and rewrite one fuzz-chosen column of every
@@ -181,7 +179,7 @@ func FuzzLHSKey(f *testing.F) {
 			rel.SetValue(r, c, nv)
 			writes = append(writes, CellWrite{Row: r, Col: c, Old: old, New: nv})
 		}
-		tb.Prepare(rel, writes)
+		tb.Apply(rel, writes)
 		span = 1.0
 		for c := range cols {
 			span *= float64(2 * (rel.Dict(c).Size() + 1))
@@ -189,17 +187,14 @@ func FuzzLHSKey(f *testing.F) {
 		if tb.Packed() != (span < 1<<64) {
 			t.Fatalf("re-laid out over dictionaries of %v values: packed %v", size, tb.Packed())
 		}
-		for k, wr := range writes {
-			if tb.RowClass[wr.Row] >= 0 {
-				tb.Leave(int32(wr.Row))
-			} else {
-				tb.DropKey(rel, writes[k:k+1], wr.Row)
-			}
-		}
-		for _, wr := range writes {
-			tb.Join(rel, int32(wr.Row))
-		}
 		checkTableKeys(t, "moved", rel, tb)
+		// Undo the moves under the new layout, then the writes: the table
+		// keys every row as the build did.
+		tb.Undo(rel, writes)
+		for _, wr := range writes {
+			rel.SetValue(wr.Row, wr.Col, wr.Old)
+		}
+		checkTableKeys(t, "undone", rel, tb)
 	})
 }
 

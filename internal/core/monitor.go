@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
-	"slices"
 	"sort"
 	"sync/atomic"
 
 	"github.com/fastofd/fastofd/internal/exec"
+	"github.com/fastofd/fastofd/internal/live"
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
@@ -22,22 +22,20 @@ import (
 // of one. Any Σ is accepted — a discovered cover routinely chains
 // dependencies (A→B, B→C) — and any cell may be written.
 //
-// The state is kept per antecedent, as OFD verification works on the
-// classes of Π_X whatever the consequent: one class table per distinct X
-// (live.Table) holds the LHS-key map of classes and lone rows, the
-// row→class array and the classes' copy-on-write member lists, and each
-// dependency X → A keeps its consequent-value multisets and violation
-// maps on top of X's table. Absorbing a batch picks the tables it touches
-// — every one when rows were appended, otherwise those whose antecedent,
-// or a dependency's consequent, a write rewrote — and fans them out over
-// exec.For with no shared write state. Each worker joins its table's
-// appended rows and moves the rows whose antecedent the batch rewrote
-// (leave through the source-state key, join through the target-state
-// key) once for the table, folds each move and consequent write into
-// every dependency's multisets, and re-verifies each dirty class once
-// per dependency. A batch costs what it touched, not the instance: no
-// write rebuilds a table. The trade-off is that a Σ with fewer distinct
-// antecedents than workers keeps only that many workers busy.
+// The state is kept per dependency on top of the substrate's class
+// tables, as OFD verification works on the classes of Π_X whatever the
+// consequent: the table over X (live.Table) holds the LHS-key map of
+// classes and lone rows, the row→class array and the classes'
+// copy-on-write member lists, and each dependency X → A keeps its
+// consequent-value multisets and violation maps on top of it. The
+// substrate moves each table's rows once per batch, for both engines;
+// absorbing the batch picks the dependencies it touches — every one when
+// rows were appended, otherwise those whose antecedent or consequent a
+// write rewrote — and fans them out over exec.For with no shared write
+// state. Each worker folds its dependency's table moves and consequent
+// writes into the multisets (live.Fold) and re-verifies each dirty class
+// once. A batch costs what it touched, not the instance: no write
+// rebuilds a table.
 //
 // Violation state is published as epoch-stamped immutable snapshots:
 // every mutating operation materializes the affected classes' Violation
@@ -55,9 +53,9 @@ type Monitor struct {
 	rel   *relation.Relation // sub's relation
 	v     *Verifier          // sub's verifier
 	sigma Set
-	// Workers bounds the parallel fan-out of a batch over its tables and
-	// of the initial build (0 selects all CPUs, as everywhere on the exec
-	// substrate).
+	// Workers bounds the parallel fan-out of a batch over its
+	// dependencies and of the initial build (0 selects all CPUs, as
+	// everywhere on the exec substrate).
 	Workers int
 	// Stats, when non-nil, receives monitor.build, monitor.apply, and
 	// monitor.merge stage spans.
@@ -65,14 +63,11 @@ type Monitor struct {
 
 	// deps[i] is sigma[i]'s live state.
 	deps []*monitorDep
-	// tables holds one class table per distinct antecedent of Σ, in order
-	// of first appearance.
-	tables []*monitorTable
-	// active lists the tables the current batch touches (scratch).
+	// active lists the dependencies the current batch touches (scratch).
 	active []int32
 
-	// absorbed is the number of rows Absorb has joined (the length of the
-	// row→class arrays, kept apart so an empty Σ counts too).
+	// absorbed is the number of rows the monitor has absorbed, so Absorb
+	// tells an append from a batch of writes (an empty Σ counts too).
 	absorbed int
 
 	reverified atomic.Int64 // classes re-verified since construction
@@ -89,13 +84,14 @@ const (
 )
 
 // NewMonitor builds a monitor over sub and Σ, computing the initial
-// violation state. The build spreads over up to workers goroutines (0 =
-// all CPUs), one table and then one dependency at a time, every batch one
-// table at a time, and stats,
-// when non-nil, receives the monitor's stage spans. Reports are
-// byte-identical for every worker count. A cancelled build returns a nil
-// Monitor — a partially indexed monitor would report wrong violation
-// counts — together with an error satisfying errors.Is(err, ctx.Err()).
+// violation state. Each dependency holds the substrate's table over its
+// antecedent (Substrate.Hold: built from the cached partition unless an
+// engine holds it already) with member lists. The build spreads over up
+// to workers goroutines (0 = all CPUs), every batch too, and stats, when
+// non-nil, receives the monitor's stage spans. Reports are byte-identical
+// for every worker count. A cancelled build returns a nil Monitor — a
+// partially indexed monitor would report wrong violation counts — holds
+// no table, and returns an error satisfying errors.Is(err, ctx.Err()).
 func NewMonitor(ctx context.Context, sub *Substrate, sigma Set, workers int, stats *exec.Stats) (*Monitor, error) {
 	w := exec.Workers(workers)
 	span := stats.Span("monitor.build")
@@ -103,27 +99,17 @@ func NewMonitor(ctx context.Context, sub *Substrate, sigma Set, workers int, sta
 	span.Items(len(sigma))
 	defer span.End()
 	m := newMonitor(sub, sigma.Clone(), workers, stats)
-	var xs []relation.AttrSet
-	for _, d := range m.sigma {
-		if !slices.Contains(xs, d.LHS) {
-			xs = append(xs, d.LHS)
-		}
-	}
-	// Iteration i writes only tables[i], then only deps[i], so both
-	// fan-outs are race-free.
-	m.tables = make([]*monitorTable, len(xs))
-	if err := exec.For(ctx, len(xs), w, func(_, i int) {
-		m.tables[i] = m.newTable(xs[i])
-	}); err != nil {
+	xs := m.sigma.Antecedents()
+	tabs, err := sub.Hold(ctx, xs, true)
+	if err != nil {
 		return nil, err
 	}
-	for i, d := range m.sigma {
-		m.deps[i] = &monitorDep{d: d}
-		m.tableOf(d.LHS).attach(m.deps[i])
-	}
+	// Iteration i writes only deps[i], so the fan-out is race-free.
 	if err := exec.For(ctx, len(m.sigma), w, func(_, i int) {
+		m.deps[i] = &monitorDep{d: m.sigma[i], tab: tabs[i]}
 		m.deps[i].fill(m)
 	}); err != nil {
+		sub.Release(xs, true)
 		return nil, err
 	}
 	m.publishInit()
@@ -133,7 +119,7 @@ func NewMonitor(ctx context.Context, sub *Substrate, sigma Set, workers int, sta
 }
 
 // newMonitor allocates a monitor for sigma (taken as is) over sub; the
-// caller fills deps and tables.
+// caller fills deps.
 func newMonitor(sub *Substrate, sigma Set, workers int, stats *exec.Stats) *Monitor {
 	return &Monitor{
 		sub:      sub,
@@ -147,12 +133,11 @@ func newMonitor(sub *Substrate, sigma Set, workers int, stats *exec.Stats) *Moni
 	}
 }
 
-// tableOf returns the table of antecedent x, or nil.
-func (m *Monitor) tableOf(x relation.AttrSet) *monitorTable {
-	for _, mt := range m.tables {
-		if mt.lhs == x {
-			return mt
-		}
+// Table returns the substrate's class table dependency d runs on, or nil
+// when d is not monitored.
+func (m *Monitor) Table(d OFD) *live.Table {
+	if i := m.indexOf(d); i >= 0 {
+		return m.deps[i].tab
 	}
 	return nil
 }
@@ -175,9 +160,9 @@ func (m *Monitor) AppendRow(row []string) (int, error) {
 }
 
 // AppendRows appends tuples (strings in schema order) through the
-// substrate and absorbs them as one batch (Absorb): each tuple joins its
-// equivalence class under every antecedent via that antecedent's class
-// table — O(|X|) per table, no partition rebuild. A tuple whose antecedent
+// substrate and absorbs them as one batch (Absorb): the substrate joins
+// each tuple to its equivalence class under every antecedent via that
+// antecedent's class table — O(|X|) per table, no partition rebuild. A tuple whose antecedent
 // key matches a formerly-singleton row births a new two-tuple class; a
 // fresh key records a new singleton. Every joined class is re-verified
 // once for the whole batch, and one epoch is published. A row of the
@@ -202,8 +187,9 @@ func (m *Monitor) ApplyBatch(updates []CellUpdate) error {
 // every worker count. Updates that rewrite a cell's current value are
 // skipped and dirty no classes; an all-no-op batch publishes nothing.
 //
-// The batch is atomic: ctx is polled once, after the writes and before any
-// index moves, and a cancelled batch is undone (Substrate.Undo), leaving
+// The batch is atomic: ctx is polled once, after the substrate applied the
+// batch and before the monitor absorbs it, and a cancelled batch is
+// undone (Substrate.Undo, which also restores the tables), leaving
 // the violation state — and the published snapshot — exactly as before the
 // call, with an error satisfying errors.Is(err, ctx.Err()).
 func (m *Monitor) ApplyBatchContext(ctx context.Context, updates []CellUpdate) error {
@@ -259,7 +245,7 @@ func (m *Monitor) ViolatingClasses() map[int][][]int {
 	out := make(map[int][][]int)
 	for i, dep := range m.deps {
 		for ci := range dep.viol {
-			class := dep.tbl.tab.Members[ci]
+			class := dep.tab.Members[ci]
 			tuples := make([]int, len(class))
 			for j, t := range class {
 				tuples[j] = int(t)

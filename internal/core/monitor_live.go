@@ -6,6 +6,8 @@ import (
 	"slices"
 
 	"github.com/fastofd/fastofd/internal/exec"
+	"github.com/fastofd/fastofd/internal/live"
+	"github.com/fastofd/fastofd/internal/relation"
 )
 
 // This file is the monitor's live surface: registration of dependencies
@@ -16,21 +18,18 @@ import (
 
 // Register adds dependency d to the monitored set and builds its live
 // state — multisets and violation records — exactly as construction
-// would have. A dependency over an antecedent the monitor already
-// indexes reuses that table: it needs no partition and no key build, only
-// one pass over the table's row→class array for its multisets. The new
-// dependency's violations appear in the next published epoch.
+// would have. A dependency over an antecedent the substrate already holds
+// a table for (for either engine) reuses it: it needs no partition and no
+// key build, only one pass over the table's row→class array for its
+// multisets, plus one for the member lists if no monitored dependency
+// read them yet. The new dependency's violations appear in the next
+// published epoch.
 func (m *Monitor) Register(d OFD) error {
 	if m.indexOf(d) >= 0 {
 		return fmt.Errorf("core: dependency already monitored")
 	}
-	mt := m.tableOf(d.LHS)
-	if mt == nil {
-		mt = m.newTable(d.LHS)
-		m.tables = append(m.tables, mt)
-	}
-	dep := &monitorDep{d: d}
-	mt.attach(dep)
+	tabs, _ := m.sub.Hold(context.Background(), []relation.AttrSet{d.LHS}, true)
+	dep := &monitorDep{d: d, tab: tabs[0]}
 	dep.fill(m)
 	m.sigma = append(m.sigma, d)
 	m.deps = append(m.deps, dep)
@@ -39,24 +38,19 @@ func (m *Monitor) Register(d OFD) error {
 }
 
 // Unregister removes dependency d from the monitored set, dropping its
-// live state and violation records, and drops its antecedent's table
-// when no other dependency is over it. Epochs already published keep
-// reporting it (snapshots are immutable); the next epoch no longer does.
-// The removed state is not pinned: slices.Delete clears the vacated tail
-// slots.
+// live state and violation records, and releases its hold of the
+// substrate's table (which goes when neither engine holds it any more).
+// Epochs already published keep reporting it (snapshots are immutable);
+// the next epoch no longer does. The removed state is not pinned:
+// slices.Delete clears the vacated tail slots.
 func (m *Monitor) Unregister(d OFD) error {
 	at := m.indexOf(d)
 	if at < 0 {
 		return fmt.Errorf("core: dependency not monitored")
 	}
-	dep := m.deps[at]
 	m.sigma = slices.Delete(m.sigma, at, at+1)
 	m.deps = slices.Delete(m.deps, at, at+1)
-	mt := dep.tbl
-	mt.detach(dep)
-	if len(mt.deps) == 0 {
-		m.tables = slices.DeleteFunc(m.tables, func(e *monitorTable) bool { return e == mt })
-	}
+	m.sub.Release([]relation.AttrSet{d.LHS}, true)
 	m.publish()
 	return nil
 }
@@ -73,15 +67,17 @@ func (m *Monitor) indexOf(d OFD) int {
 
 // Absorb folds everything the substrate changed since the monitor last
 // absorbed into its live state and publishes one epoch. Its inputs are
-// the rows appended since then (Substrate.Append) and the current write
-// log (Substrate.Writes); Append clears the log, so one call sees new rows
-// or writes, never both. Two stages:
+// the substrate's current batch: the write log (Substrate.Writes) or the
+// rows appended (Substrate.Append clears the log, so one call sees new
+// rows or writes, never both), and the move logs the batch left on the
+// tables. Absorb runs once per batch, before the substrate's next one.
+// Two stages:
 //
-//   - monitor.apply: the tables the batch touches — every one when rows
-//     were appended, otherwise those whose antecedent, or the consequent
-//     of a dependency over it, the log rewrites — each absorb the batch
-//     with their dependencies on a worker of their own
-//     (monitorTable.absorb), claimed by work stealing.
+//   - monitor.apply: the dependencies the batch touches — every one when
+//     rows were appended, otherwise those whose antecedent or consequent
+//     the log rewrites — each fold the batch (live.Fold) and re-verify
+//     the classes it touched on a worker of their own, claimed by work
+//     stealing.
 //   - monitor.merge: one epoch is published from the dependencies'
 //     snapshots.
 //
@@ -97,8 +93,8 @@ func (m *Monitor) Absorb() {
 	m.absorbed = end
 	touched := Touched(writes)
 	m.active = m.active[:0]
-	for i, mt := range m.tables {
-		if t0 < end || !mt.scope.Intersect(touched).IsEmpty() {
+	for i, dep := range m.deps {
+		if t0 < end || !dep.d.LHS.With(dep.d.RHS).Intersect(touched).IsEmpty() {
 			m.active = append(m.active, int32(i))
 		}
 	}
@@ -106,7 +102,9 @@ func (m *Monitor) Absorb() {
 	applySpan := m.Stats.Span("monitor.apply")
 	applySpan.Workers(w)
 	_ = exec.For(context.Background(), len(m.active), w, func(_, k int) {
-		n := m.tables[m.active[k]].absorb(m, writes, touched, t0, end)
+		dep := m.deps[m.active[k]]
+		dep.counts, dep.dirty = live.Fold(dep.tab, m.rel, dep.d.RHS, writes, dep.counts, dep.dirty)
+		n := dep.recheck(m)
 		applySpan.Items(n)
 		m.reverified.Add(int64(n))
 	})

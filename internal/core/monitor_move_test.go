@@ -49,7 +49,7 @@ func reopenMonitor(t *testing.T, m *Monitor, workers int) *Monitor {
 	AppendSubstrate(&w, m.sub)
 	AppendMonitorBody(&w, m)
 	r := wire.NewReader(append([]byte(nil), w.Bytes()...))
-	sub, err := DecodeSubstrate(r, m.rel, m.v.Ontology())
+	sub, err := DecodeSubstrate(r, m.rel, m.v.Ontology(), workers)
 	if err != nil {
 		t.Fatalf("DecodeSubstrate: %v", err)
 	}
@@ -57,17 +57,21 @@ func reopenMonitor(t *testing.T, m *Monitor, workers int) *Monitor {
 	if err != nil {
 		t.Fatalf("DecodeMonitorBody: %v", err)
 	}
+	if err := sub.CheckHolds(); err != nil {
+		t.Fatalf("CheckHolds: %v", err)
+	}
 	return back
 }
 
 // checkMonitorState asserts the monitor's report is byte-identical to a
-// fresh Detect and that its tables and dependencies are mutually
-// consistent: one table per distinct antecedent of Σ, each serving
-// exactly the dependencies over it, the restore checks, every class
-// member's row→class entry naming its class, every class size its list's
-// length, every dependency's multiset counting its members' consequents,
-// and the key map, whose every entry must be the key of its class's first
-// member (or its lone row), one entry per non-empty class and lone row.
+// fresh Detect and that its dependencies and the substrate's tables are
+// mutually consistent: the substrate holds exactly one table per distinct
+// antecedent of Σ, which every dependency over it runs on, with member
+// lists; the restore checks; every class member's row→class entry naming
+// its class, every class size its list's length, every dependency's
+// multiset counting its members' consequents, and the key map, whose
+// every entry must be the key of its class's first member (or its lone
+// row), one entry per non-empty class and lone row.
 func checkMonitorState(t *testing.T, label string, m *Monitor) {
 	t.Helper()
 	got, err := json.Marshal(m.Report())
@@ -84,54 +88,55 @@ func checkMonitorState(t *testing.T, label string, m *Monitor) {
 	if len(m.deps) != len(m.sigma) {
 		t.Fatalf("%s: %d dependency states for %d dependencies", label, len(m.deps), len(m.sigma))
 	}
-	served := 0
-	for _, mt := range m.tables {
-		if len(mt.deps) == 0 {
-			t.Fatalf("%s: the table over %v serves no dependency", label, mt.lhs)
-		}
-		for _, dep := range mt.deps {
-			if dep.tbl != mt || dep.d.LHS != mt.lhs {
-				t.Fatalf("%s: the table over %v holds %v", label, mt.lhs, dep.d)
-			}
-		}
-		served += len(mt.deps)
-		if err := checkRestored(mt.tab, m.rel.NumRows()); err != nil {
-			t.Fatalf("%s: table over %v: %v", label, mt.lhs, err)
-		}
-		for ci, class := range mt.tab.Members {
-			if int(mt.tab.Sizes[ci]) != len(class) {
-				t.Fatalf("%s: table over %v class %d has size %d and %d members", label, mt.lhs, ci, mt.tab.Sizes[ci], len(class))
-			}
-			for _, r := range class {
-				if mt.tab.RowClass[r] != int32(ci) {
-					t.Fatalf("%s: table over %v class %d lists row %d, whose entry names class %d", label, mt.lhs, ci, r, mt.tab.RowClass[r])
-				}
-			}
-		}
-		checkKeyMap(t, label, m, mt)
-	}
-	if served != len(m.deps) {
-		t.Fatalf("%s: the tables serve %d dependencies, Σ holds %d", label, served, len(m.deps))
-	}
-	byVal := func(a, b live.ValCount) int { return int(a.Val) - int(b.Val) }
+	holds := map[relation.AttrSet]int{}
 	for i, dep := range m.deps {
 		if dep.d != m.sigma[i] {
 			t.Fatalf("%s: state %d is %v's, Σ holds %v there", label, i, dep.d, m.sigma[i])
 		}
-		if m.tableOf(dep.d.LHS) != dep.tbl {
-			t.Fatalf("%s: %v runs on a table the monitor does not hold", label, dep.d)
+		if m.sub.Table(dep.d.LHS) != dep.tab {
+			t.Fatalf("%s: %v runs on a table the substrate does not hold", label, dep.d)
 		}
+		holds[dep.d.LHS]++
+	}
+	if len(m.sub.tables) != len(holds) {
+		t.Fatalf("%s: the substrate holds %d tables for %d antecedents", label, len(m.sub.tables), len(holds))
+	}
+	for x, n := range holds {
+		h := m.sub.tables[x]
+		if h.holds != n || h.members != n {
+			t.Fatalf("%s: the table over %v has %d holds and %d member holds for %d dependencies", label, x, h.holds, h.members, n)
+		}
+		tab := h.tab
+		if tab.Members == nil {
+			t.Fatalf("%s: the table over %v has no member lists", label, x)
+		}
+		if err := checkTable(tab, m.rel.NumRows()); err != nil {
+			t.Fatalf("%s: table over %v: %v", label, x, err)
+		}
+		for ci, class := range tab.Members {
+			if int(tab.Sizes[ci]) != len(class) {
+				t.Fatalf("%s: table over %v class %d has size %d and %d members", label, x, ci, tab.Sizes[ci], len(class))
+			}
+			for _, r := range class {
+				if tab.RowClass[r] != int32(ci) {
+					t.Fatalf("%s: table over %v class %d lists row %d, whose entry names class %d", label, x, ci, r, tab.RowClass[r])
+				}
+			}
+		}
+		checkKeyMap(t, label, m, x, tab)
+	}
+	for _, dep := range m.deps {
 		col := m.rel.Column(dep.d.RHS)
-		for ci, class := range dep.tbl.tab.Members {
+		if len(dep.counts) != len(dep.tab.Sizes) {
+			t.Fatalf("%s: %v holds %d multisets for %d classes", label, dep.d, len(dep.counts), len(dep.tab.Sizes))
+		}
+		for ci, class := range dep.tab.Members {
 			var counts []live.ValCount
 			for _, r := range class {
 				counts = live.Bump(counts, col.At(int(r)), 1)
 			}
-			have := slices.Clone(dep.counts[ci])
-			slices.SortFunc(have, byVal)
-			slices.SortFunc(counts, byVal)
-			if !slices.Equal(have, counts) {
-				t.Fatalf("%s: %v class %d multiset %v, its members hold %v", label, dep.d, ci, have, counts)
+			if !slices.Equal(dep.counts[ci], counts) {
+				t.Fatalf("%s: %v class %d multiset %v, its members hold %v", label, dep.d, ci, dep.counts[ci], counts)
 			}
 		}
 	}
@@ -140,9 +145,8 @@ func checkMonitorState(t *testing.T, label string, m *Monitor) {
 // checkKeyMap checks a table's key map against the relation. A restored
 // monitor builds a table's map on its first append or antecedent write,
 // so an unbuilt map is skipped.
-func checkKeyMap(t *testing.T, label string, m *Monitor, mt *monitorTable) {
+func checkKeyMap(t *testing.T, label string, m *Monitor, x relation.AttrSet, tab *live.Table) {
 	t.Helper()
-	tab := mt.tab
 	if !tab.Indexed() {
 		return
 	}
@@ -153,7 +157,7 @@ func checkKeyMap(t *testing.T, label string, m *Monitor, mt *monitorTable) {
 		}
 		want++
 		if enc, ok := tab.Lookup(m.rel, int(class[0])); !ok || enc != int32(ci) {
-			t.Fatalf("%s: table over %v: the key of class %d's first row %d maps to (%d, %v)", label, mt.lhs, ci, class[0], enc, ok)
+			t.Fatalf("%s: table over %v: the key of class %d's first row %d maps to (%d, %v)", label, x, ci, class[0], enc, ok)
 		}
 	}
 	for r, ci := range tab.RowClass {
@@ -162,11 +166,11 @@ func checkKeyMap(t *testing.T, label string, m *Monitor, mt *monitorTable) {
 		}
 		want++
 		if enc, ok := tab.Lookup(m.rel, r); !ok || enc != live.LoneRow(int32(r)) {
-			t.Fatalf("%s: table over %v: the key of lone row %d maps to (%d, %v)", label, mt.lhs, r, enc, ok)
+			t.Fatalf("%s: table over %v: the key of lone row %d maps to (%d, %v)", label, x, r, enc, ok)
 		}
 	}
 	if n := tab.NumKeys(); n != want {
-		t.Fatalf("%s: table over %v holds %d keys for %d non-empty classes and lone rows", label, mt.lhs, n, want)
+		t.Fatalf("%s: table over %v holds %d keys for %d non-empty classes and lone rows", label, x, n, want)
 	}
 }
 
@@ -326,12 +330,11 @@ func TestMonitorRegisterMidStream(t *testing.T) {
 
 // TestMonitorUnregisterPinsNoRemovedDependencies registers dependencies
 // one by one and unregisters them again, first and middle ones first:
-// after each removal the slots of Σ, of the per-dependency states, of
-// the tables and of each table's dependencies past their lengths must be
-// empty, so a removed dependency's multisets and a dropped table's
-// row→class array, member lists and key map become garbage instead of
-// lingering in a backing array; a table whose last dependency left must
-// be gone.
+// after each removal the slots of Σ and of the per-dependency states past
+// their lengths must be empty, so a removed dependency's multisets become
+// garbage instead of lingering in a backing array, and the substrate must
+// have dropped a table whose last dependency left, with its row→class
+// array, member lists and key map.
 func TestMonitorUnregisterPinsNoRemovedDependencies(t *testing.T) {
 	ont, _, _ := monitorStreamOntology()
 	rows, _ := moveCases()
@@ -363,25 +366,13 @@ func TestMonitorUnregisterPinsNoRemovedDependencies(t *testing.T) {
 				t.Fatalf("after unregistering %v, Σ slot %d past the length holds %v", d, len(m.sigma)+k, e)
 			}
 		}
-		for k, mt := range m.tables[len(m.tables):cap(m.tables)] {
-			if mt != nil {
-				t.Fatalf("after unregistering %v, table slot %d past the length holds the table over %v", d, len(m.tables)+k, mt.lhs)
-			}
-		}
-		for _, mt := range m.tables {
-			for k, dep := range mt.deps[len(mt.deps):cap(mt.deps)] {
-				if dep != nil {
-					t.Fatalf("after unregistering %v, the table over %v holds %v past its length at %d", d, mt.lhs, dep.d, len(mt.deps)+k)
-				}
-			}
-		}
-		if slices.IndexFunc(m.sigma, func(e OFD) bool { return e.LHS == d.LHS }) < 0 && m.tableOf(d.LHS) != nil {
+		if slices.IndexFunc(m.sigma, func(e OFD) bool { return e.LHS == d.LHS }) < 0 && m.sub.Table(d.LHS) != nil {
 			t.Fatalf("after unregistering %v, the last dependency over its antecedent, its table remains", d)
 		}
 		checkMonitorState(t, fmt.Sprintf("after unregistering %v", d), m)
 	}
-	if len(m.tables) != 0 {
-		t.Fatalf("%d tables remain with an empty Σ", len(m.tables))
+	if len(m.sub.tables) != 0 {
+		t.Fatalf("%d tables remain with an empty Σ", len(m.sub.tables))
 	}
 }
 
@@ -411,13 +402,13 @@ func TestMonitorSharedTables(t *testing.T) {
 		// joined X's table without a partition lookup.
 		register := func(d OFD) {
 			t.Helper()
-			tab, n := m.tableOf(d.LHS), len(m.tables)
+			tab, n := m.sub.Table(d.LHS), len(m.sub.tables)
 			before := m.CacheStats()
 			if err := m.Register(d); err != nil {
 				t.Fatal(err)
 			}
 			after := m.CacheStats()
-			if tab == nil || m.tableOf(d.LHS) != tab || len(m.tables) != n {
+			if tab == nil || m.Table(d) != tab || len(m.sub.tables) != n {
 				t.Fatalf("%s: registering %v built a table beside the one over its antecedent", label, d)
 			}
 			if after.Hits+after.Misses != before.Hits+before.Misses {
@@ -443,7 +434,7 @@ func TestMonitorSharedTables(t *testing.T) {
 		if err := m.Unregister(xa); err != nil {
 			t.Fatal(err)
 		}
-		if m.tableOf(xa.LHS) == nil {
+		if m.sub.Table(xa.LHS) == nil {
 			t.Fatalf("%s: unregistering %v dropped the table X → B and X → Y still use", label, xa)
 		}
 		batch(2, []CellUpdate{{6, X, "x4"}, {7, B, "z0-b"}}, [][]string{{"x4", "y1", "y4-a", "z4-a"}})
@@ -452,7 +443,7 @@ func TestMonitorSharedTables(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if m.tableOf(xa.LHS) != nil {
+		if m.sub.Table(xa.LHS) != nil {
 			t.Fatalf("%s: the table over X outlived its last dependency", label)
 		}
 		batch(3, []CellUpdate{{0, X, "x2"}, {8, A, "y0-a"}}, [][]string{{"x2", "y0", "y2-a", "z2-a"}})
@@ -470,12 +461,12 @@ func TestMonitorSharedTables(t *testing.T) {
 // with a chained Σ, runs it on monitors with 1, 2 and 4 workers, and checks
 // after every batch that the report equals a fresh Detect and the
 // monitor's tables agree with each other. Each op takes three bytes: the
-// op and column, a row, and a value. A round-trip op swaps the monitor for
-// one decoded from its encoding. The decoded member lists are views of
-// that encoding, back to back, so they must read the same after every
-// later batch: a list whose append wrote in place would overwrite its
-// neighbour. (The row→class tables are views too, and batches rewrite
-// them in place by design.)
+// op and column, a row, and a value. A round-trip op swaps the monitor
+// and its substrate for ones decoded from their encoding. The decoded
+// member lists are views of that encoding, back to back, so they must
+// read the same after every later batch: a list whose append wrote in
+// place would overwrite its neighbour. (The row→class tables are views
+// too, and batches rewrite them in place by design.)
 func FuzzMonitorBatches(f *testing.F) {
 	ont, yPool, zPool := monitorStreamOntology()
 	pools := [][]string{
@@ -529,14 +520,10 @@ func FuzzMonitorBatches(f *testing.F) {
 				switch {
 				case op >= 0xf0: // end the batch
 					flush(k)
-				case op >= 0xe0: // round-trip the monitor body
-					var w wire.Writer
-					AppendMonitorBody(&w, m)
-					if m, err = DecodeMonitorBody(wire.NewReader(w.Bytes()), m.sub, workers, nil); err != nil {
-						t.Fatalf("workers=%d op %d: DecodeMonitorBody: %v", workers, k, err)
-					}
-					for _, mt := range m.tables {
-						for _, l := range mt.tab.Members {
+				case op >= 0xe0: // round-trip the substrate and the monitor body
+					m = reopenMonitor(t, m, workers)
+					for _, tab := range m.sub.tables {
+						for _, l := range tab.tab.Members {
 							decoded = append(decoded, [2][]int32{l, slices.Clone(l)})
 						}
 					}

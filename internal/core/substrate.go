@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
+	"github.com/fastofd/fastofd/internal/exec"
 	"github.com/fastofd/fastofd/internal/live"
 	"github.com/fastofd/fastofd/internal/ontology"
 	"github.com/fastofd/fastofd/internal/relation"
@@ -33,22 +36,37 @@ func Touched(writes []CellWrite) relation.AttrSet {
 }
 
 // Substrate is the live index the incremental engines answer from: one
-// relation, one partition cache and one verifier over both. Both engines
-// run on one — the merged pipeline hands the same one to its monitor and
-// its maintainer — so maintenance, detection and repair verification
-// share every partition.
+// relation, one partition cache and one verifier over both, and one class
+// table (live.Table) per antecedent any engine holds. Both engines run on
+// one — the merged pipeline hands the same one to its monitor and its
+// maintainer — so they share every partition and every table.
 //
-// The substrate is the only code that writes the relation: Apply and Undo
-// for cell writes, Append for new tuples. Each keeps the cache consistent
-// with the relation, and the engines absorb the write log Apply leaves in
-// Writes.
+// The substrate is the only code that writes the relation and the only
+// code that moves table rows: Apply and Undo for cell writes, Append for
+// new tuples. Each keeps the cache consistent with the relation and moves
+// every table the batch touches once; the engines fold the write log
+// (Writes) and the tables' move logs into their dependencies (live.Fold).
 type Substrate struct {
-	v *Verifier
+	v       *Verifier
+	workers int
 
 	// seen maps (row, col) to the cell's index in writes while Apply
 	// folds a batch; writes is the current batch's effective write log.
 	seen   map[int64]int
 	writes []CellWrite
+
+	// tables holds the class table of every antecedent an engine holds,
+	// and moved the tables the current batch moved.
+	tables map[relation.AttrSet]*heldTable
+	moved  []*live.Table
+}
+
+// heldTable is one antecedent's table and its holders: every dependency
+// of either engine over the antecedent holds it once, and every
+// monitored one also holds its member lists.
+type heldTable struct {
+	tab            *live.Table
+	holds, members int
 }
 
 // NewSubstrate builds the substrate over rel and ont: a fresh partition
@@ -61,22 +79,31 @@ func NewSubstrate(ctx context.Context, rel *relation.Relation, ont *ontology.Ont
 		return nil, err
 	}
 	pc.SetBudget(relation.DefaultCacheBudget)
-	return &Substrate{v: NewVerifier(rel, ont, pc)}, nil
+	return newSubstrate(NewVerifier(rel, ont, pc), workers), nil
+}
+
+// newSubstrate returns a substrate over v holding no tables; workers
+// bounds the fan-out of its table builds and moves.
+func newSubstrate(v *Verifier, workers int) *Substrate {
+	return &Substrate{v: v, workers: workers, tables: make(map[relation.AttrSet]*heldTable)}
 }
 
 // AppendSubstrate encodes sub as one unit: the partition cache's entries,
-// then the verifier's memoized names tables. Must not run concurrently
-// with mutations.
+// the verifier's memoized names tables, then the class tables (see
+// appendTables). Must not run concurrently with mutations.
 func AppendSubstrate(w *wire.Writer, sub *Substrate) {
 	sub.Cache().AppendTo(w)
 	appendVerifierTables(w, sub.v)
+	appendTables(w, sub)
 }
 
 // DecodeSubstrate is NewSubstrate over a payload AppendSubstrate wrote: the
 // restored cache (bounded by relation.DefaultCacheBudget, like a built
-// one) and the verifier tables, skipping partition construction and
-// per-value ontology resolution.
-func DecodeSubstrate(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology) (*Substrate, error) {
+// one), the verifier tables and the class tables, skipping partition
+// construction, per-value ontology resolution and table builds. The
+// tables come back held by nobody until the engine bodies hold theirs;
+// CheckHolds then rejects a table no engine took.
+func DecodeSubstrate(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology, workers int) (*Substrate, error) {
 	pc, err := relation.DecodePartitionCache(r, rel)
 	if err != nil {
 		return nil, err
@@ -85,7 +112,226 @@ func DecodeSubstrate(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontol
 	if err != nil {
 		return nil, err
 	}
-	return &Substrate{v: v}, nil
+	s := newSubstrate(v, workers)
+	if err := decodeTables(r, s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Hold registers one holder of the table of each antecedent in xs (an
+// antecedent listed twice is held twice) and returns the tables, aligned
+// with xs. An antecedent no engine holds yet gets a table built from its
+// (typically cached) partition, and with members each table gets member
+// lists if it has none (live.Table.BuildMembers), the builds spread over
+// the workers. A cancelled build holds nothing and returns an error
+// satisfying errors.Is(err, ctx.Err()). Every hold is paired with a
+// Release.
+func (s *Substrate) Hold(ctx context.Context, xs []relation.AttrSet, members bool) ([]*live.Table, error) {
+	var build []relation.AttrSet
+	for _, x := range xs {
+		if s.tables[x] == nil && !slices.Contains(build, x) {
+			build = append(build, x)
+		}
+	}
+	w := exec.Workers(s.workers)
+	built := make([]*live.Table, len(build))
+	if err := exec.For(ctx, len(build), w, func(_, i int) {
+		built[i] = s.buildTable(build[i])
+	}); err != nil {
+		return nil, err
+	}
+	for i, x := range build {
+		s.tables[x] = &heldTable{tab: built[i]}
+	}
+	out := make([]*live.Table, len(xs))
+	var lists []*live.Table
+	for i, x := range xs {
+		h := s.tables[x]
+		h.holds++
+		if members {
+			h.members++
+			if h.tab.Members == nil && !slices.Contains(lists, h.tab) {
+				lists = append(lists, h.tab)
+			}
+		}
+		out[i] = h.tab
+	}
+	_ = exec.For(context.Background(), len(lists), w, func(_, i int) {
+		lists[i].BuildMembers()
+	})
+	return out, nil
+}
+
+// buildTable builds the table of antecedent x over the current instance
+// from the cached partition Π*_X: its classes and the key map.
+func (s *Substrate) buildTable(x relation.AttrSet) *live.Table {
+	return live.FromPartition(s.Relation(), x.Attrs(), s.Cache().Get(x))
+}
+
+// Release drops one hold of the table of each antecedent in xs, as Hold
+// with the same members took it. A table's member lists go with its last
+// members hold, and the table with its last hold, also from the current
+// batch's moved tables, so nothing keeps a dropped table reachable.
+func (s *Substrate) Release(xs []relation.AttrSet, members bool) {
+	for _, x := range xs {
+		h := s.tables[x]
+		h.holds--
+		if members {
+			h.members--
+			if h.members == 0 {
+				h.tab.Members = nil
+			}
+		}
+		if h.holds == 0 {
+			delete(s.tables, x)
+			s.moved = slices.DeleteFunc(s.moved, func(tab *live.Table) bool { return tab == h.tab })
+		}
+	}
+}
+
+// CheckHolds fails when a restored table serves no engine, or carries
+// member lists that no monitored dependency reads: after every engine
+// body decoded, each table a snapshot holds must be one a live substrate
+// would hold.
+func (s *Substrate) CheckHolds() error {
+	for x, h := range s.tables {
+		if h.holds == 0 {
+			return fmt.Errorf("core: snapshot table over antecedent %#x serves no engine", uint64(x))
+		}
+		if h.members == 0 && h.tab.Members != nil {
+			return fmt.Errorf("core: snapshot table over antecedent %#x has member lists no dependency reads", uint64(x))
+		}
+	}
+	return nil
+}
+
+// Table returns the table of antecedent x, or nil when no engine holds
+// one.
+func (s *Substrate) Table(x relation.AttrSet) *live.Table {
+	if h := s.tables[x]; h != nil {
+		return h.tab
+	}
+	return nil
+}
+
+// appendTables encodes the held tables in canonical order of antecedent,
+// each once: its antecedent, row→class array and class sizes, then
+// whether it has member lists and, if so, every class's rows back to back
+// as one array. No key map and no move log is written.
+func appendTables(w *wire.Writer, s *Substrate) {
+	xs := make([]relation.AttrSet, 0, len(s.tables))
+	for x := range s.tables {
+		xs = append(xs, x)
+	}
+	relation.SortSets(xs)
+	w.Int(len(xs))
+	var flat []int32
+	for _, x := range xs {
+		tab := s.tables[x].tab
+		w.Uvarint(uint64(x))
+		w.Int32s(tab.RowClass)
+		w.Int32s(tab.Sizes)
+		w.Bool(tab.Members != nil)
+		if tab.Members != nil {
+			flat = flat[:0]
+			for _, l := range tab.Members {
+				flat = append(flat, l...)
+			}
+			w.Int32s(flat)
+		}
+	}
+}
+
+// decodeTables reads the tables appendTables wrote into s and checks each
+// (checkTable). The row→class arrays, sizes and member lists are views of
+// the bytes r reads, which the substrate then owns: later moves rewrite
+// them in place.
+func decodeTables(r *wire.Reader, s *Substrate) error {
+	rel := s.Relation()
+	all := rel.Schema().All()
+	n := r.Int()
+	var tabs []*live.Table
+	for k := 0; k < n && r.Err() == nil; k++ {
+		x := relation.AttrSet(r.Uvarint())
+		tab := &live.Table{Cols: x.Attrs(), RowClass: r.Int32s(), Sizes: r.Int32s()}
+		if r.Bool() {
+			// The member lists are the flat array cut by the sizes, each
+			// capped at its class so that its first append copies it out
+			// of the snapshot buffer.
+			flat, pos := r.Int32s(), 0
+			tab.Members = make([][]int32, len(tab.Sizes))
+			for ci, size := range tab.Sizes {
+				n := int(size)
+				if n < 0 || n > len(flat)-pos {
+					return fmt.Errorf("core: snapshot class %d has size %d with %d listed rows left", ci, n, len(flat)-pos)
+				}
+				tab.Members[ci] = flat[pos : pos+n : pos+n]
+				pos += n
+			}
+			if pos != len(flat) {
+				return fmt.Errorf("core: snapshot classes list %d of %d rows", pos, len(flat))
+			}
+		}
+		if r.Err() != nil {
+			break
+		}
+		if !x.SubsetOf(all) {
+			return fmt.Errorf("core: snapshot table antecedent %#x outside the %d-column schema", uint64(x), rel.NumCols())
+		}
+		if s.tables[x] != nil {
+			return fmt.Errorf("core: snapshot holds two tables over antecedent %#x", uint64(x))
+		}
+		if len(tab.RowClass) != rel.NumRows() {
+			return fmt.Errorf("core: snapshot table sized for %d rows, relation has %d", len(tab.RowClass), rel.NumRows())
+		}
+		s.tables[x] = &heldTable{tab: tab}
+		tabs = append(tabs, tab)
+	}
+	if r.Err() != nil {
+		return r.Err()
+	}
+	errs := make([]error, len(tabs))
+	_ = exec.For(context.Background(), len(tabs), exec.Workers(s.workers), func(_, i int) {
+		errs[i] = checkTable(tabs[i], rel.NumRows())
+	})
+	return errors.Join(errs...)
+}
+
+// checkTable fails closed on a restored table that no engine can run on,
+// before anything reads it: every row's class is -1 or one of the
+// table's classes, every class holds exactly as many rows as its size
+// says, and every member list lists strictly ascending row ids below n
+// (decodeTables cut the lists by the sizes). Each check reads its arrays
+// in order. That a listed row's array entry names its own class goes
+// unchecked: a wrong one costs correctness, not safety, and checking it
+// reads the array at random once per listed row.
+func checkTable(tab *live.Table, n int) error {
+	nc := int32(len(tab.Sizes))
+	counts := make([]int32, nc)
+	for t, ci := range tab.RowClass {
+		if ci < -1 || ci >= nc {
+			return fmt.Errorf("core: snapshot puts row %d in class %d of %d", t, ci, nc)
+		}
+		if ci >= 0 {
+			counts[ci]++
+		}
+	}
+	for ci, size := range tab.Sizes {
+		if counts[ci] != size {
+			return fmt.Errorf("core: snapshot class %d holds %d rows, its size is %d", ci, counts[ci], size)
+		}
+	}
+	for ci, class := range tab.Members {
+		prev := int32(-1)
+		for _, t := range class {
+			if t <= prev || int(t) >= n {
+				return fmt.Errorf("core: snapshot class %d is not ascending row ids below %d", ci, n)
+			}
+			prev = t
+		}
+	}
+	return nil
 }
 
 // Relation returns the shared relation.
@@ -103,8 +349,11 @@ func (s *Substrate) Verifier() *Verifier { return s.v }
 // to the last one (keeping the pre-batch value as Old), writes of a
 // cell's current value dropped — sorted by (row, col). The writes land in
 // the relation, and the cache entries of every attribute set they touch
-// are evicted: row stamps catch appends, not in-place updates.
-// Writes returns the log until the next Apply, Undo or Append.
+// are evicted: row stamps catch appends, not in-place updates. Last,
+// every held table whose antecedent a write rewrote moves the rows it
+// wrote (live.Table.Apply), the tables spread over the workers. Writes
+// returns the log, and each moved table its move log, until the next
+// Apply, Undo or Append.
 func (s *Substrate) Apply(updates []CellUpdate) error {
 	rel := s.v.Relation()
 	for _, u := range updates {
@@ -116,6 +365,7 @@ func (s *Substrate) Apply(updates []CellUpdate) error {
 		s.seen = make(map[int64]int, len(updates))
 	}
 	clear(s.seen)
+	s.clearMoves()
 	s.writes = s.writes[:0]
 	for _, u := range updates {
 		id := rel.Dict(u.Col).Intern(u.Value)
@@ -146,17 +396,32 @@ func (s *Substrate) Apply(updates []CellUpdate) error {
 	for _, wr := range eff {
 		rel.SetValue(wr.Row, wr.Col, wr.New)
 	}
-	s.evict(Touched(eff))
+	touched := Touched(eff)
+	s.evict(touched)
+	for x, h := range s.tables {
+		if !x.Intersect(touched).IsEmpty() {
+			s.moved = append(s.moved, h.tab)
+		}
+	}
+	s.eachMoved(func(tab *live.Table) { tab.Apply(rel, eff) })
 	return nil
 }
 
-// Undo reverses the last Apply: every write reverts to its pre-batch
-// value and the touched sets are evicted again — entries computed over
-// the cancelled batch describe a state that no longer exists. Interned
-// values stay in the dictionaries and names tables, which is harmless
-// (both are monotone). The write log is cleared.
+// Undo reverses the last Apply: every moved table restores its rows,
+// classes, member lists and keys exactly (live.Table.Undo), every write
+// reverts to its pre-batch value and the touched sets are evicted again —
+// entries computed over the cancelled batch describe a state that no
+// longer exists. Interned values stay in the dictionaries and names
+// tables, which is harmless (both are monotone). The write log is
+// cleared. An engine that folded the batch unfolds it first. After an
+// Append (appended rows stay) or an all-no-op batch it does nothing.
 func (s *Substrate) Undo() {
+	if len(s.writes) == 0 {
+		return
+	}
 	rel := s.v.Relation()
+	s.eachMoved(func(tab *live.Table) { tab.Undo(rel, s.writes) })
+	s.moved = s.moved[:0]
 	for k := len(s.writes) - 1; k >= 0; k-- {
 		wr := s.writes[k]
 		rel.SetValue(wr.Row, wr.Col, wr.Old)
@@ -165,14 +430,32 @@ func (s *Substrate) Undo() {
 	s.writes = s.writes[:0]
 }
 
+// eachMoved runs fn on every moved table, spread over the workers; the
+// tables share no state.
+func (s *Substrate) eachMoved(fn func(tab *live.Table)) {
+	_ = exec.For(context.Background(), len(s.moved), exec.Workers(s.workers), func(_, i int) {
+		fn(s.moved[i])
+	})
+}
+
+// clearMoves ends the previous batch: the tables it moved drop their move
+// logs.
+func (s *Substrate) clearMoves() {
+	for _, tab := range s.moved {
+		tab.ClearLog()
+	}
+	clear(s.moved)
+	s.moved = s.moved[:0]
+}
+
 // Append appends tuples (strings in schema order) after checking every
 // row's width. The cache then drops the entries that now trail the row
 // count — lookups already refuse them, but dead partitions would hold the
 // byte budget hostage — and the next lookup of a dropped set rebuilds it
 // over the grown relation. This is the one way appended rows reach cached
-// partitions. The write log is cleared: appends rewrite no cell. The
-// engines pick the rows up by count — the monitor's Absorb joins every
-// row past the last one it absorbed, as one batch.
+// partitions. Every held table then joins the new rows
+// (live.Table.Append), leaving its move log. The write log is cleared:
+// appends rewrite no cell.
 func (s *Substrate) Append(rows [][]string) error {
 	rel := s.v.Relation()
 	for _, row := range rows {
@@ -180,14 +463,20 @@ func (s *Substrate) Append(rows [][]string) error {
 			return fmt.Errorf("core: append of %d cells into %d attributes", len(row), rel.NumCols())
 		}
 	}
+	s.clearMoves()
 	s.writes = s.writes[:0]
 	if len(rows) == 0 {
 		return nil
 	}
+	t0 := rel.NumRows()
 	for _, row := range rows {
 		rel.AppendRow(row)
 	}
 	s.v.Partitions().InvalidateStale()
+	for _, h := range s.tables {
+		s.moved = append(s.moved, h.tab)
+	}
+	s.eachMoved(func(tab *live.Table) { tab.Append(rel, t0, rel.NumRows()) })
 	return nil
 }
 

@@ -3,12 +3,12 @@ package discovery
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/exec"
 	"github.com/fastofd/fastofd/internal/fd"
+	"github.com/fastofd/fastofd/internal/live"
 	"github.com/fastofd/fastofd/internal/ontology"
 	"github.com/fastofd/fastofd/internal/relation"
 )
@@ -93,13 +93,10 @@ type Maintainer struct {
 	// instead of being rebuilt per batch.
 	sub *core.Substrate
 
-	all relation.AttrSet
-	rhs []*rhsState
-	// tables holds one class table per distinct antecedent of the cover,
-	// shared by the cover trackers over it across consequents.
-	tables map[relation.AttrSet]*trackerTable
-	flat   []batchTracker // every table and witness tracker, for batch fan-out
-	epoch  uint64
+	all   relation.AttrSet
+	rhs   []*rhsState
+	flat  []batchTracker // every cover and witness tracker, for batch fan-out
+	epoch uint64
 
 	scans int64 // cumulative full-candidate verifications
 	skips int64 // cumulative oracle-answered nodes (not persisted)
@@ -129,7 +126,6 @@ func NewMaintainer(ctx context.Context, sub *core.Substrate, opts Options) (*Mai
 		stats:   opts.Stats,
 		all:     rel.Schema().All(),
 		rhs:     make([]*rhsState, rel.NumCols()),
-		tables:  make(map[relation.AttrSet]*trackerTable),
 	}
 	w := exec.Workers(opts.Workers)
 	span := mt.stats.Span("maintain.build")
@@ -180,37 +176,24 @@ func CheckMaintainerOptions(opts Options) error {
 	return nil
 }
 
-// addTrackers builds the cover trackers of ds, each on the table of its
-// antecedent: a table the maintainer already keeps is reused, so the
-// tracker costs one pass over its row→class array, and every other
-// antecedent gets one new table from its (typically cached) partition.
-// The new tables build in parallel, then the trackers.
+// addTrackers builds the cover trackers of ds, each on the substrate's
+// table over its antecedent (core.Substrate.Hold): a table either engine
+// already holds is reused, so the tracker costs one pass over its
+// row→class array, and every other antecedent gets one new table from its
+// (typically cached) partition. A cancelled build holds no table.
 func (mt *Maintainer) addTrackers(ctx context.Context, ds []core.OFD) ([]*coverTracker, error) {
 	v := mt.sub.Verifier()
-	var xs []relation.AttrSet
-	for _, d := range ds {
-		if mt.tables[d.LHS] == nil && !slices.Contains(xs, d.LHS) {
-			xs = append(xs, d.LHS)
-		}
-	}
-	w := exec.Workers(mt.workers)
-	built := make([]*trackerTable, len(xs))
-	if err := exec.For(ctx, len(xs), w, func(_, i int) {
-		built[i] = newTrackerTable(v, xs[i])
-	}); err != nil {
+	xs := core.Set(ds).Antecedents()
+	tabs, err := mt.sub.Hold(ctx, xs, false)
+	if err != nil {
 		return nil, err
-	}
-	for i, x := range xs {
-		mt.tables[x] = built[i]
 	}
 	out := make([]*coverTracker, len(ds))
-	if err := exec.For(ctx, len(ds), w, func(_, i int) {
-		out[i] = newCoverTracker(v, mt.tables[ds[i].LHS], ds[i])
+	if err := exec.For(ctx, len(ds), exec.Workers(mt.workers), func(_, i int) {
+		out[i] = newCoverTracker(v, tabs[i], ds[i])
 	}); err != nil {
+		mt.sub.Release(xs, false)
 		return nil, err
-	}
-	for _, ct := range out {
-		ct.tt.attach(ct)
 	}
 	return out, nil
 }
@@ -267,20 +250,17 @@ func (mt *Maintainer) buildBorder(ctx context.Context, rs *rhsState, keep map[re
 	return err
 }
 
-// rebuildFlat drops the tables no cover tracker runs on any more and
-// regenerates the batch fan-out list: every table, in canonical order of
-// antecedent, then every witness tracker. The old entries are cleared
-// first, so no slot past the new length pins a table or tracker the
-// cover or border has replaced.
+// rebuildFlat regenerates the batch fan-out list: every cover tracker,
+// then every witness tracker. The old entries are cleared first, so no
+// slot past the new length pins a tracker the cover or border has
+// replaced.
 func (mt *Maintainer) rebuildFlat() {
 	clear(mt.flat)
 	mt.flat = mt.flat[:0]
-	for _, tt := range mt.sortedTables() {
-		if len(tt.cover) == 0 {
-			delete(mt.tables, tt.lhs)
-			continue
+	for _, rs := range mt.rhs {
+		for _, ct := range rs.cover {
+			mt.flat = append(mt.flat, ct)
 		}
-		mt.flat = append(mt.flat, tt)
 	}
 	for _, rs := range mt.rhs {
 		for _, wt := range rs.border {
@@ -289,19 +269,15 @@ func (mt *Maintainer) rebuildFlat() {
 	}
 }
 
-// sortedTables returns the tables in canonical order of antecedent
-// (relation.SortSets).
-func (mt *Maintainer) sortedTables() []*trackerTable {
-	xs := make([]relation.AttrSet, 0, len(mt.tables))
-	for x := range mt.tables {
-		xs = append(xs, x)
+// Table returns the substrate's class table cover element d runs on, or
+// nil when d is not in the cover.
+func (mt *Maintainer) Table(d core.OFD) *live.Table {
+	for _, ct := range mt.rhs[d.RHS].cover {
+		if ct.d.LHS == d.LHS {
+			return ct.tab
+		}
 	}
-	relation.SortSets(xs)
-	out := make([]*trackerTable, len(xs))
-	for i, x := range xs {
-		out[i] = mt.tables[x]
-	}
-	return out
+	return nil
 }
 
 // Cover returns the maintained minimal cover in canonical core.Set order.
@@ -391,29 +367,27 @@ func (mt *Maintainer) ApplyBatchContext(ctx context.Context, updates []core.Cell
 		return Diff{Epoch: mt.epoch}, nil
 	}
 	rel, v := mt.sub.Relation(), mt.sub.Verifier()
-	// Fold the write log into every tracker the batch can affect. The
-	// fan-out is uncancellable — it is O(touched rows) per tracker and
-	// leaving it half-applied would require per-tracker undo logs;
-	// cancellation lands on the boundaries around it instead.
+	// Fold the batch — the substrate's write log and the moves it made on
+	// the tables — into every tracker it can affect. The fan-out is
+	// uncancellable — it is O(touched rows) per tracker and leaving it
+	// half-applied would require per-tracker undo logs; cancellation lands
+	// on the boundaries around it instead.
 	touched := core.Touched(writes)
 	active := mt.activeTrackers(touched)
 	_ = exec.For(context.Background(), len(active), w, func(_, i int) {
-		active[i].applyWrites(rel, v, writes)
+		active[i].fold(rel, v, writes, 0, 0)
 	})
 	dirtySpan.End()
 	rollback := func() {
-		// Undo the writes, then replay the inverted log through the same
-		// tables and trackers: applyWrites transitions are symmetric, so
-		// their state is restored exactly. Staged witness certificates are
-		// discarded.
-		inv := make([]cellWrite, len(writes))
-		for k, wr := range writes {
-			inv[k] = cellWrite{Row: wr.Row, Col: wr.Col, Old: wr.New, New: wr.Old}
-		}
-		mt.sub.Undo()
+		// Unfold the batch from every tracker while the substrate still
+		// holds it, then have the substrate undo it, tables included: the
+		// multisets are canonical and the flags are functions of them, so
+		// both read exactly as before the batch. Staged witness
+		// certificates are discarded.
 		_ = exec.For(context.Background(), len(active), w, func(_, i int) {
-			active[i].applyWrites(rel, v, inv)
+			active[i].unfold(rel, v, writes)
 		})
+		mt.sub.Undo()
 		mt.clearPendings()
 	}
 	if err := exec.Interrupted(ctx, "maintain.dirty"); err != nil {
@@ -479,7 +453,7 @@ func (mt *Maintainer) AppendRows(rows [][]string) (Diff, error) {
 	dirtySpan.Workers(w)
 	end := int32(rel.NumRows())
 	_ = exec.For(context.Background(), len(mt.flat), w, func(_, i int) {
-		mt.flat[i].appendRows(rel, v, t0, end)
+		mt.flat[i].fold(rel, v, nil, t0, end)
 	})
 	dirtySpan.End()
 	return mt.verifyAndCommit(context.Background(), relation.EmptySet, true, nil)
@@ -601,9 +575,9 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 	// remaining effect is deterministic bookkeeping.
 	commitSpan := mt.stats.Span("maintain.commit")
 	defer commitSpan.End()
-	// New cover elements are built after every consequent's removals, so
-	// an element added on an antecedent whose last tracker just left still
-	// reuses its table; rebuildFlat then drops the tables left empty.
+	// New cover elements hold their tables before the removed ones release
+	// theirs, so an element added on an antecedent whose last tracker just
+	// left still reuses its table.
 	type change struct {
 		rs             *rhsState
 		newCover       []relation.AttrSet
@@ -611,7 +585,7 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 	}
 	var diff Diff
 	var changes []change
-	var adds []core.OFD
+	var adds, removals []core.OFD
 	var slots []**coverTracker
 	for _, st := range staged {
 		rs := mt.rhs[st.rhs]
@@ -630,7 +604,7 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 			diff.Removed = append(diff.Removed, core.OFD{LHS: x, RHS: st.rhs})
 		}
 		// New tracker list: surviving elements keep their state, removed
-		// ones leave their tables, new ones are built below.
+		// ones release their tables and new ones are built below.
 		prev := make(map[relation.AttrSet]*coverTracker, len(rs.cover))
 		for _, ct := range rs.cover {
 			prev[ct.d.LHS] = ct
@@ -645,7 +619,7 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 			slots = append(slots, &next[i])
 		}
 		for _, x := range removed {
-			prev[x].tt.detach(prev[x])
+			removals = append(removals, core.OFD{LHS: x, RHS: st.rhs})
 		}
 		rs.cover = next
 		changes = append(changes, change{rs: rs, newCover: st.newCover, added: added, removed: removed})
@@ -656,6 +630,7 @@ func (mt *Maintainer) verifyAndCommit(ctx context.Context, touched relation.Attr
 	for k, ct := range built {
 		*slots[k] = ct
 	}
+	mt.sub.Release(core.Set(removals).Antecedents(), false)
 	for _, ch := range changes {
 		rs := ch.rs
 		// Transversals: pure additions extend incrementally (one Berge

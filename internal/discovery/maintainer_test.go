@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/fastofd/fastofd/internal/core"
@@ -459,11 +460,10 @@ func TestMaintainerLastWritesDedup(t *testing.T) {
 // pairs through a maintainer: each pair rewrites 20 cells on two columns
 // and then restores them, so the cover grows and shrinks back. After
 // every batch the fan-out list's backing array must be nil past its
-// length, or a slot there would keep a table or tracker the cover or
-// border replaced reachable for the maintainer's lifetime; each table's
-// tracker list must be nil past its length too; and a table whose last
-// tracker left must be reachable from nothing: not from the table map,
-// the fan-out list or any tracker.
+// length, or a slot there would keep a tracker the cover or border
+// replaced reachable for the maintainer's lifetime; the fan-out list must
+// hold exactly the cover and border trackers; and a table whose last
+// tracker left must be gone from the substrate.
 func TestMaintainerFlatPinsNoReplacedTrackers(t *testing.T) {
 	ds := gen.Generate(gen.Config{Rows: 120, Seed: 9, Preset: "clinical"})
 	sub, err := ds.Rel.ProjectColumns([]int{1, 2, 3, 4, 5, 6})
@@ -479,9 +479,9 @@ func TestMaintainerFlatPinsNoReplacedTrackers(t *testing.T) {
 	rel := mt.Relation()
 	rng := rand.New(rand.NewSource(3))
 	shrank, dropped := 0, 0
-	kept := map[*trackerTable]bool{}
-	for _, tt := range mt.tables {
-		kept[tt] = true
+	kept := map[relation.AttrSet]bool{}
+	for x := range coverTables(mt) {
+		kept[x] = true
 	}
 	check := func(label string, before int) {
 		t.Helper()
@@ -493,38 +493,31 @@ func TestMaintainerFlatPinsNoReplacedTrackers(t *testing.T) {
 				t.Fatalf("%s: fan-out slot %d past the length %d still holds a %T", label, len(mt.flat)+k, len(mt.flat), tr)
 			}
 		}
-		now := map[*trackerTable]bool{}
-		for _, tr := range mt.flat {
-			if tt, ok := tr.(*trackerTable); ok {
-				now[tt] = true
-			}
-		}
-		for x, tt := range mt.tables {
-			if !now[tt] || len(tt.cover) == 0 {
-				t.Fatalf("%s: the table over %v serves %d trackers and is in the fan-out list: %v", label, x, len(tt.cover), now[tt])
-			}
-			for k, ct := range tt.cover[len(tt.cover):cap(tt.cover)] {
-				if ct != nil {
-					t.Fatalf("%s: the table over %v holds %v past its length at %d", label, x, ct.d, len(tt.cover)+k)
-				}
-			}
-		}
-		if len(now) != len(mt.tables) {
-			t.Fatalf("%s: the fan-out list holds %d tables, the map %d", label, len(now), len(mt.tables))
-		}
+		trackers := 0
 		for _, rs := range mt.rhs {
+			trackers += len(rs.cover) + len(rs.border)
 			for _, ct := range rs.cover {
-				if !now[ct.tt] {
-					t.Fatalf("%s: %v runs on a dropped table", label, ct.d)
+				if !slices.Contains(mt.flat, batchTracker(ct)) {
+					t.Fatalf("%s: %v is not in the fan-out list", label, ct.d)
 				}
 			}
 		}
-		for tt := range kept {
-			if !now[tt] {
+		if len(mt.flat) != trackers {
+			t.Fatalf("%s: the fan-out list holds %d trackers, the cover and border %d", label, len(mt.flat), trackers)
+		}
+		now := coverTables(mt)
+		for x := range kept {
+			if now[x] == nil {
+				if mt.sub.Table(x) != nil {
+					t.Fatalf("%s: the table over %v outlived its last tracker", label, x)
+				}
 				dropped++
 			}
 		}
-		kept = now
+		kept = map[relation.AttrSet]bool{}
+		for x := range now {
+			kept[x] = true
+		}
 	}
 	for pair := 0; pair < 12; pair++ {
 		var corrupt, revert []core.CellUpdate

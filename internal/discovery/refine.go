@@ -98,7 +98,7 @@ func newRootRefiner(v *core.Verifier, ct *coverTracker) *rootRefiner {
 		}
 	}
 	base := labeling{n: next}
-	for t, ci := range ct.tt.tab.RowClass {
+	for t, ci := range ct.tab.RowClass {
 		if ci >= 0 && slot[ci] >= 0 {
 			base.idx = append(base.idx, int32(len(rf.members)))
 			base.lab = append(base.lab, slot[ci])

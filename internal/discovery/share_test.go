@@ -1,12 +1,16 @@
 package discovery
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/gen"
@@ -14,33 +18,41 @@ import (
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
-// checkTables asserts the maintainer's tables and cover trackers against
-// the relation: every cover tracker runs on the table of its antecedent,
-// which lists it, and every table serves a tracker; a table's classes
-// group exactly the rows of one antecedent tuple (a tuple of one row may
-// be lone or a class of one), with Sizes counting them; an indexed key
-// map names every row's class or lone row; and every tracker's
-// multisets count its consequent over the classes, with satisfied flags
-// and unsat counter to match.
+// coverTables returns the cover trackers grouped by antecedent.
+func coverTables(mt *Maintainer) map[relation.AttrSet][]*coverTracker {
+	out := map[relation.AttrSet][]*coverTracker{}
+	for _, rs := range mt.rhs {
+		for _, ct := range rs.cover {
+			out[ct.d.LHS] = append(out[ct.d.LHS], ct)
+		}
+	}
+	return out
+}
+
+// checkTables asserts the substrate's tables and the cover trackers
+// against the relation: every cover tracker runs on the substrate's table
+// over its antecedent, and the substrate holds no other table; a table's
+// classes group exactly the rows of one antecedent tuple (a tuple of one
+// row may be lone or a class of one), with Sizes counting them; an
+// indexed key map names every row's class or lone row; and every
+// tracker's multisets equal a fresh count of its consequent over the
+// classes, with satisfied flags and unsat counter to match.
 func checkTables(t *testing.T, label string, mt *Maintainer) {
 	t.Helper()
 	rel, v := mt.Relation(), mt.sub.Verifier()
-	trackers := 0
-	for _, rs := range mt.rhs {
-		for _, ct := range rs.cover {
-			if mt.tables[ct.d.LHS] != ct.tt || !slices.Contains(ct.tt.cover, ct) {
-				t.Fatalf("%s: %v does not run on its antecedent's table", label, ct.d)
+	byX := coverTables(mt)
+	for x := range byX {
+		if mt.sub.Table(x) == nil {
+			t.Fatalf("%s: the substrate holds no table over %v", label, x)
+		}
+	}
+	for x, cover := range byX {
+		tab := mt.sub.Table(x)
+		for _, ct := range cover {
+			if ct.tab != tab {
+				t.Fatalf("%s: %v does not run on the substrate's table over its antecedent", label, ct.d)
 			}
 		}
-		trackers += len(rs.cover)
-	}
-	byVal := func(a, b live.ValCount) int { return int(a.Val) - int(b.Val) }
-	for x, tt := range mt.tables {
-		tab := tt.tab
-		if tt.lhs != x || len(tt.cover) == 0 {
-			t.Fatalf("%s: the table filed under %v is over %v and serves %d trackers", label, x, tt.lhs, len(tt.cover))
-		}
-		trackers -= len(tt.cover)
 		if len(tab.RowClass) != rel.NumRows() {
 			t.Fatalf("%s: table over %v holds %d rows of %d", label, x, len(tab.RowClass), rel.NumRows())
 		}
@@ -78,16 +90,13 @@ func checkTables(t *testing.T, label string, mt *Maintainer) {
 				}
 			}
 		}
-		for _, ct := range tt.cover {
+		for _, ct := range cover {
 			want := live.CountClasses(tab, rel.Column(ct.d.RHS))
+			if !reflect.DeepEqual(ct.counts, want) {
+				t.Fatalf("%s: %v counts %v, its classes hold %v", label, ct.d, ct.counts, want)
+			}
 			unsat := 0
 			for ci := range want {
-				have := slices.Clone(ct.counts[ci])
-				slices.SortFunc(have, byVal)
-				slices.SortFunc(want[ci], byVal)
-				if !slices.Equal(have, want[ci]) {
-					t.Fatalf("%s: %v class %d counts %v, its rows hold %v", label, ct.d, ci, have, want[ci])
-				}
 				if ct.sat[ci] != ct.classSatisfied(v, int32(ci)) {
 					t.Fatalf("%s: %v class %d flagged satisfied=%v", label, ct.d, ci, ct.sat[ci])
 				}
@@ -95,13 +104,10 @@ func checkTables(t *testing.T, label string, mt *Maintainer) {
 					unsat++
 				}
 			}
-			if len(ct.counts) != len(tab.Sizes) || len(ct.sat) != len(tab.Sizes) || ct.unsat != unsat {
-				t.Fatalf("%s: %v holds %d multisets, %d flags and unsat %d for %d classes (%d unsatisfied)", label, ct.d, len(ct.counts), len(ct.sat), ct.unsat, len(tab.Sizes), unsat)
+			if len(ct.sat) != len(tab.Sizes) || ct.unsat != unsat {
+				t.Fatalf("%s: %v holds %d flags and unsat %d for %d classes (%d unsatisfied)", label, ct.d, len(ct.sat), ct.unsat, len(tab.Sizes), unsat)
 			}
 		}
-	}
-	if trackers != 0 {
-		t.Fatalf("%s: the tables serve %d trackers fewer than the cover holds", label, trackers)
 	}
 }
 
@@ -161,14 +167,14 @@ func TestMaintainerSharedTables(t *testing.T) {
 		}
 		checkMaintainer(t, fmt.Sprintf("workers=%d initial", workers), mt)
 		for k, op := range sharedStream(rand.New(rand.NewSource(3)), mt.Relation(), 8) {
-			before := make(map[relation.AttrSet]*trackerTable, len(mt.tables))
-			for x, tt := range mt.tables {
-				before[x] = tt
+			before := make(map[relation.AttrSet]*live.Table)
+			for x := range coverTables(mt) {
+				before[x] = mt.sub.Table(x)
 			}
 			diff := applyOp(t, mt, op)
 			for _, d := range diff.Added {
-				if tt := before[d.LHS]; tt != nil {
-					if mt.tables[d.LHS] != tt {
+				if tab := before[d.LHS]; tab != nil {
+					if mt.sub.Table(d.LHS) != tab {
 						t.Fatalf("workers=%d op %d: %v got a new table beside the live one over its antecedent", workers, k, d)
 					}
 					reused++
@@ -176,7 +182,7 @@ func TestMaintainerSharedTables(t *testing.T) {
 			}
 			for _, d := range diff.Removed {
 				if before[d.LHS] != nil && slices.IndexFunc(mt.Cover(), func(e core.OFD) bool { return e.LHS == d.LHS }) < 0 {
-					if mt.tables[d.LHS] != nil {
+					if mt.sub.Table(d.LHS) != nil {
 						t.Fatalf("workers=%d op %d: the table over %v outlived its last tracker", workers, k, d.LHS)
 					}
 					dropped++
@@ -190,60 +196,41 @@ func TestMaintainerSharedTables(t *testing.T) {
 	}
 }
 
-// rowClasses is a table's grouping as class representatives: each row's
-// smallest fellow member in a class of two or more rows, else -1. A
-// rollback may leave a row in a class of one where it was lone, which is
-// the same grouping.
-func rowClasses(tab *live.Table) []int32 {
-	rep := make(map[int32]int32)
-	for r, ci := range tab.RowClass {
-		if _, ok := rep[ci]; ci >= 0 && tab.Sizes[ci] >= 2 && !ok {
-			rep[ci] = int32(r)
-		}
-	}
-	out := make([]int32, len(tab.RowClass))
-	for r, ci := range tab.RowClass {
-		out[r] = -1
-		if ci >= 0 && tab.Sizes[ci] >= 2 {
-			out[r] = rep[ci]
-		}
-	}
-	return out
-}
-
 // TestMaintainerRollbackSharedTable cancels batches that write the
 // antecedent and both consequents of a table two cover trackers share:
-// the rollback runs the inverted log through the table once, and must
-// leave its grouping, each tracker's multisets of every class of two or
-// more rows, and its satisfied flags and unsat counter as before the
-// batch, with the cover untouched. The batch then lands for real, and the
-// cover must equal a fresh Discover.
+// the rollback unfolds the batch from both trackers and the substrate
+// undoes the table's moves, which must leave the table's row→class
+// array, sizes and key map, and each tracker's multisets, satisfied flags
+// and unsat counter exactly as before the batch, with the cover
+// untouched. The batch then lands for real, and the cover must equal a
+// fresh Discover.
 func TestMaintainerRollbackSharedTable(t *testing.T) {
 	ds := gen.Generate(gen.Config{Rows: 120, Seed: 9, Preset: "clinical"})
 	base, err := ds.Rel.ProjectColumns([]int{1, 2, 3, 4, 5, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byVal := func(a, b live.ValCount) int { return int(a.Val) - int(b.Val) }
-	// state is a table's and its trackers' contents keyed by class
-	// representative.
+	// state is a table's and its trackers' contents.
 	type state struct {
-		classes []int32
-		counts  map[string][]live.ValCount
-		unsat   map[core.OFD]int
+		rowClass, sizes, lookup []int32
+		counts                  [][][]live.ValCount
+		sat                     [][]bool
+		unsat                   []int
 	}
-	capture := func(tt *trackerTable) state {
-		st := state{classes: rowClasses(tt.tab), counts: map[string][]live.ValCount{}, unsat: map[core.OFD]int{}}
-		for _, ct := range tt.cover {
-			st.unsat[ct.d] = ct.unsat
-			for r, rep := range st.classes {
-				if rep == int32(r) {
-					ci := tt.tab.RowClass[r]
-					pairs := slices.Clone(ct.counts[ci])
-					slices.SortFunc(pairs, byVal)
-					st.counts[fmt.Sprint(ct.d, rep, ct.sat[ci])] = pairs
-				}
+	capture := func(rel *relation.Relation, tab *live.Table, cover []*coverTracker) state {
+		st := state{rowClass: slices.Clone(tab.RowClass), sizes: slices.Clone(tab.Sizes)}
+		for r := range tab.RowClass {
+			enc, _ := tab.Lookup(rel, r)
+			st.lookup = append(st.lookup, enc)
+		}
+		for _, ct := range cover {
+			counts := make([][]live.ValCount, len(ct.counts))
+			for ci, pairs := range ct.counts {
+				counts[ci] = slices.Clone(pairs)
 			}
+			st.counts = append(st.counts, counts)
+			st.sat = append(st.sat, slices.Clone(ct.sat))
+			st.unsat = append(st.unsat, ct.unsat)
 		}
 		return st
 	}
@@ -258,25 +245,33 @@ func TestMaintainerRollbackSharedTable(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
 		rolled := 0
 		for round := 0; round < 6; round++ {
-			var shared *trackerTable
-			for _, tt := range mt.sortedTables() {
-				if len(tt.cover) >= 2 && tt.cover[0].d.RHS != tt.cover[1].d.RHS {
-					shared = tt
+			byX := coverTables(mt)
+			xs := make([]relation.AttrSet, 0, len(byX))
+			for x := range byX {
+				xs = append(xs, x)
+			}
+			relation.SortSets(xs)
+			var shared []*coverTracker
+			var x relation.AttrSet
+			for _, e := range xs {
+				if c := byX[e]; len(c) >= 2 && c[0].d.RHS != c[1].d.RHS {
+					shared, x = c, e
 					break
 				}
 			}
 			if shared == nil {
 				t.Fatalf("workers=%d round %d: no table is shared by two consequents", workers, round)
 			}
-			label := fmt.Sprintf("workers=%d round %d (table over %v)", workers, round, shared.lhs)
+			label := fmt.Sprintf("workers=%d round %d (table over %v)", workers, round, x)
 			var ups []core.CellUpdate
-			x := shared.lhs.Attrs()
+			cols := x.Attrs()
 			for _, r := range rng.Perm(rel.NumRows())[:8] {
-				for _, c := range []int{x[rng.Intn(len(x))], shared.cover[0].d.RHS, shared.cover[1].d.RHS} {
+				for _, c := range []int{cols[rng.Intn(len(cols))], shared[0].d.RHS, shared[1].d.RHS} {
 					ups = append(ups, core.CellUpdate{Row: r, Col: c, Value: rel.String(rng.Intn(rel.NumRows()), c)})
 				}
 			}
-			cover, before := mt.Cover(), capture(shared)
+			tab := shared[0].tab
+			cover, before := mt.Cover(), capture(rel, tab, shared)
 			cancelled, cancel := context.WithCancel(context.Background())
 			cancel()
 			if _, err := mt.ApplyBatchContext(cancelled, ups); err == nil {
@@ -286,7 +281,7 @@ func TestMaintainerRollbackSharedTable(t *testing.T) {
 			if got := mt.Cover(); !reflect.DeepEqual(got, cover) {
 				t.Fatalf("%s: cover changed across the rollback", label)
 			}
-			if after := capture(shared); !reflect.DeepEqual(after, before) {
+			if after := capture(rel, tab, shared); !reflect.DeepEqual(after, before) {
 				t.Fatalf("%s: the rollback did not restore the shared table and its trackers", label)
 			}
 			checkTables(t, label+" rolled back", mt)
@@ -299,4 +294,162 @@ func TestMaintainerRollbackSharedTable(t *testing.T) {
 			t.Fatalf("workers=%d: no batch was rolled back", workers)
 		}
 	}
+}
+
+// TestCancelledBatchRestoresTables cancels corrupt/revert batches on a
+// maintainer whose substrate also serves a monitor that follows the
+// cover, so every table carries member lists, two ways: with a pre-cancelled context, and
+// with one that cancels on its nth poll, which for n ≥ 2 lands inside
+// the verify phase (newVerifyCancel). After either, every table's row→class array, sizes,
+// member lists and class count deep-equal their pre-batch values, every
+// row's key looks up its pre-batch class or lone row, and every cover
+// tracker's multisets, flags and unsat counter deep-equal theirs.
+func TestCancelledBatchRestoresTables(t *testing.T) {
+	ds := gen.Generate(gen.Config{Rows: 120, Seed: 9, Preset: "clinical"})
+	base, err := ds.Rel.ProjectColumns([]int{1, 2, 3, 4, 5, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type tableState struct {
+		rowClass, sizes, lookup []int32
+		members                 [][]int32
+	}
+	type trackerState struct {
+		counts [][]live.ValCount
+		sat    []bool
+		unsat  int
+	}
+	capture := func(mt *Maintainer) (map[relation.AttrSet]tableState, map[core.OFD]trackerState) {
+		rel := mt.Relation()
+		tables := map[relation.AttrSet]tableState{}
+		trackers := map[core.OFD]trackerState{}
+		for x, cover := range coverTables(mt) {
+			tab := mt.sub.Table(x)
+			if tab.Members == nil {
+				t.Fatalf("the table over %v has no member lists though the monitor reads it", x)
+			}
+			st := tableState{rowClass: slices.Clone(tab.RowClass), sizes: slices.Clone(tab.Sizes)}
+			for r := range tab.RowClass {
+				enc, ok := tab.Lookup(rel, r)
+				if !ok && tab.Indexed() {
+					t.Fatalf("row %d has no key in the table over %v", r, x)
+				}
+				st.lookup = append(st.lookup, enc)
+			}
+			for _, l := range tab.Members {
+				st.members = append(st.members, slices.Clone(l))
+			}
+			tables[x] = st
+			for _, ct := range cover {
+				ts := trackerState{sat: slices.Clone(ct.sat), unsat: ct.unsat}
+				for _, pairs := range ct.counts {
+					ts.counts = append(ts.counts, slices.Clone(pairs))
+				}
+				trackers[ct.d] = ts
+			}
+		}
+		return tables, trackers
+	}
+	opts := DefaultOptions()
+	opts.Workers = 2
+	mt, err := newMaintainer(base, ds.FullOnt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.NewMonitor(context.Background(), mt.sub, mt.Cover(), 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inVerify := 0
+	for k, op := range sharedStream(rand.New(rand.NewSource(7)), mt.Relation(), 6) {
+		for polls := 0; polls <= 8; polls++ {
+			label := fmt.Sprintf("op %d polls %d", k, polls)
+			tables, trackers := capture(mt)
+			report, _ := json.Marshal(m.Report())
+			ctx := context.Context(newVerifyCancel(polls))
+			if polls == 0 {
+				pre, cancel := context.WithCancel(context.Background())
+				cancel()
+				ctx = pre
+			}
+			if diff, err := mt.ApplyBatchContext(ctx, op.updates); err == nil {
+				// The batch committed before the nth poll; the monitor
+				// follows the cover, as a pipeline's does.
+				m.Absorb()
+				for _, d := range diff.Added {
+					if err := m.Register(d); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, d := range diff.Removed {
+					if err := m.Unregister(d); err != nil {
+						t.Fatal(err)
+					}
+				}
+				break
+			}
+			if polls >= 2 {
+				inVerify++
+			}
+			gotTables, gotTrackers := capture(mt)
+			if !reflect.DeepEqual(gotTables, tables) {
+				t.Fatalf("%s: the cancelled batch left the tables changed", label)
+			}
+			if !reflect.DeepEqual(gotTrackers, trackers) {
+				t.Fatalf("%s: the cancelled batch left the trackers changed", label)
+			}
+			if got, _ := json.Marshal(m.Report()); !bytes.Equal(got, report) {
+				t.Fatalf("%s: the cancelled batch changed the report", label)
+			}
+		}
+		checkMaintainer(t, fmt.Sprintf("op %d", k), mt)
+		if got, want := m.Report(), core.Detect(mt.Relation(), mt.Ontology(), m.Sigma()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("op %d: the monitor's report diverged from Detect", k)
+		}
+	}
+	if inVerify == 0 {
+		t.Fatal("no batch was cancelled inside the verify phase")
+	}
+}
+
+// verifyCancel is a context that is cancelled from its nth poll on, where
+// a poll is an Err call or a Done call (exec.For takes the channel once
+// per fan-out and watches it, and cancelAfterPolls counts Err calls
+// only): the maintainer polls Err once before its verify phase, so
+// n ≥ 2 cancels inside the verify phase's fan-outs.
+type verifyCancel struct {
+	mu   sync.Mutex
+	left int
+	done chan struct{}
+}
+
+func newVerifyCancel(n int) *verifyCancel {
+	return &verifyCancel{left: n, done: make(chan struct{})}
+}
+
+func (c *verifyCancel) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (c *verifyCancel) Value(key any) any           { return nil }
+
+// poll counts one poll and reports whether the context is cancelled.
+func (c *verifyCancel) poll() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.left > 0 {
+		if c.left--; c.left == 0 {
+			close(c.done)
+		}
+	}
+	return c.left == 0
+}
+
+func (c *verifyCancel) Done() <-chan struct{} {
+	c.poll()
+	return c.done
+}
+
+func (c *verifyCancel) Err() error {
+	if c.poll() {
+		return context.Canceled
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/fastofd/fastofd/internal/core"
@@ -11,43 +12,28 @@ import (
 )
 
 // This file is the maintainer's side of the snapshot format. A maintainer
-// snapshot captures the full incremental state — each antecedent table's
-// per-row class assignments and class sizes, the cover trackers'
+// snapshot captures the full incremental state — the cover trackers'
 // consequent multisets and satisfaction flags, plus every negative-border
-// node's pinned violating class — so reopening skips both the discovery
+// node's pinned violating class — on top of the class tables the
+// substrate section already holds, so reopening skips both the discovery
 // lattice walk and the per-cover-element tracker construction
-// NewMaintainer pays. The
-// transversal list is not stored: border node i is the complement of
-// transversal i by construction, so decode derives one from the other and
-// the pair can never disagree.
+// NewMaintainer pays. The transversal list is not stored: border node i
+// is the complement of transversal i by construction, so decode derives
+// one from the other and the pair can never disagree.
 //
 // Only the body is written here: the pipeline section writes the shared
-// substrate (partition cache and verifier tables) once, up front, and the
-// monitor and maintainer bodies after it.
-//
-// Table key maps are not saved: each is derivable from the table's
-// row→class array and the relation. A table rebuilds its map when a batch
-// first needs it (live.Table.Prepare), exactly like the monitor's, so a
-// restored maintainer that only answers Cover() never builds a map.
+// substrate (partition cache, verifier tables and class tables) once, up
+// front, and the monitor and maintainer bodies after it.
 
 // AppendMaintainerBody encodes the maintainer's engine state without its
 // substrate, which the pipeline section writes once for both engine
-// bodies: the tables in canonical order of antecedent, each its
-// antecedent, row→class array and class sizes, then per consequent its
-// cover trackers (antecedent, multisets, satisfied flags) and border
-// nodes. No key map is written, so save → open → save round-trips
-// without ever building one.
+// bodies: per consequent its cover trackers (antecedent, multisets,
+// satisfied flags) and border nodes (antecedent, witness key, class size
+// and multiset).
 func AppendMaintainerBody(w *wire.Writer, mt *Maintainer) {
 	w.Uvarint(mt.epoch)
 	w.Uvarint(uint64(mt.scans))
 	w.Int(len(mt.rhs))
-	tables := mt.sortedTables()
-	w.Int(len(tables))
-	for _, tt := range tables {
-		w.Uvarint(uint64(tt.lhs))
-		w.Int32s(tt.tab.RowClass)
-		w.Int32s(tt.tab.Sizes)
-	}
 	for _, rs := range mt.rhs {
 		w.Int(len(rs.cover))
 		for _, ct := range rs.cover {
@@ -66,35 +52,9 @@ func AppendMaintainerBody(w *wire.Writer, mt *Maintainer) {
 			w.Uvarint(uint64(wt.d.LHS))
 			w.Blob([]byte(wt.key))
 			w.Int(int(wt.size))
-			appendVCList(w, wt.vals)
+			live.AppendCounts(w, [][]live.ValCount{wt.vals})
 		}
 	}
-}
-
-// appendVCList encodes one class's multiset as parallel value and
-// multiplicity arrays.
-func appendVCList(w *wire.Writer, pairs []live.ValCount) {
-	flatV := make([]int32, len(pairs))
-	flatN := make([]int32, len(pairs))
-	for k, p := range pairs {
-		flatV[k] = int32(p.Val)
-		flatN[k] = p.N
-	}
-	w.Int32s(flatV)
-	w.Int32s(flatN)
-}
-
-func decodeVCList(r *wire.Reader) ([]live.ValCount, error) {
-	flatV := r.Int32s()
-	flatN := r.Int32s()
-	if len(flatV) != len(flatN) {
-		return nil, fmt.Errorf("discovery: snapshot multiset arrays disagree (%d values, %d counts)", len(flatV), len(flatN))
-	}
-	pairs := make([]live.ValCount, len(flatV))
-	for k := range flatV {
-		pairs[k] = live.ValCount{Val: relation.Value(flatV[k]), N: flatN[k]}
-	}
-	return pairs, nil
 }
 
 // DecodeMaintainerBody rebuilds a maintainer over an already-decoded
@@ -105,11 +65,8 @@ func decodeVCList(r *wire.Reader) ([]live.ValCount, error) {
 // byte-for-byte the saved trackers, so Cover() and all subsequent diffs
 // are identical to the saved maintainer's. workers and stats configure
 // the restored maintainer exactly as the construction-time options would.
-// The tables' key maps stay unbuilt until a batch needs them
-// (live.Table.Prepare), so decode fails closed on every row→class entry
-// that rebuild would index by, and on every antecedent outside the
-// schema. Every tracker's antecedent must have a table, and every table
-// must serve a tracker.
+// Each cover tracker holds the restored table over its antecedent, which
+// must exist, and every antecedent must lie in the schema.
 func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stats *exec.Stats) (*Maintainer, error) {
 	rel := sub.Relation()
 	span := stats.Span("maintain.restore")
@@ -129,35 +86,8 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 		stats:   stats,
 		all:     rel.Schema().All(),
 		rhs:     make([]*rhsState, nCols),
-		tables:  make(map[relation.AttrSet]*trackerTable),
 		epoch:   epoch,
 		scans:   int64(scans),
-	}
-	nRows := rel.NumRows()
-	nTables := r.Int()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	for k := 0; k < nTables; k++ {
-		x := relation.AttrSet(r.Uvarint())
-		rowClass := r.Int32s()
-		sizes := r.Int32s()
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if !x.SubsetOf(mt.all) {
-			return nil, fmt.Errorf("discovery: snapshot table antecedent %#x outside the %d-column schema", uint64(x), nCols)
-		}
-		if mt.tables[x] != nil {
-			return nil, fmt.Errorf("discovery: snapshot holds two tables over one antecedent")
-		}
-		if len(rowClass) != nRows {
-			return nil, fmt.Errorf("discovery: snapshot table sized for %d rows, relation has %d", len(rowClass), nRows)
-		}
-		if err := checkRowClass(rowClass, sizes); err != nil {
-			return nil, err
-		}
-		mt.tables[x] = &trackerTable{lhs: x, colSet: x, tab: &live.Table{Cols: x.Attrs(), RowClass: rowClass, Sizes: sizes}}
 	}
 	for c := 0; c < nCols; c++ {
 		rs := &rhsState{rhs: c}
@@ -170,12 +100,16 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 			if r.Err() != nil {
 				return nil, r.Err()
 			}
-			tt := mt.tables[lhs]
-			if tt == nil {
+			if !lhs.SubsetOf(mt.all.Without(c)) {
+				return nil, fmt.Errorf("discovery: snapshot tracker antecedent %#x outside the schema less its consequent", uint64(lhs))
+			}
+			if sub.Table(lhs) == nil {
 				return nil, fmt.Errorf("discovery: snapshot holds no table for tracker antecedent %#x", uint64(lhs))
 			}
-			ct := &coverTracker{d: core.OFD{LHS: lhs, RHS: c}}
-			counts, err := live.DecodeCounts(r, tt.tab.Sizes, rel.Dict(c).Size())
+			tabs, _ := sub.Hold(context.Background(), []relation.AttrSet{lhs}, false)
+			tab := tabs[0]
+			ct := &coverTracker{d: core.OFD{LHS: lhs, RHS: c}, tab: tab}
+			counts, err := live.DecodeCounts(r, tab.Sizes, rel.Dict(c).Size())
 			if err != nil {
 				return nil, err
 			}
@@ -184,7 +118,7 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 			if r.Err() != nil {
 				return nil, r.Err()
 			}
-			if len(satBytes) != len(tt.tab.Sizes) {
+			if len(satBytes) != len(tab.Sizes) {
 				return nil, fmt.Errorf("discovery: snapshot tracker class state inconsistent")
 			}
 			ct.sat = make([]bool, len(satBytes))
@@ -194,7 +128,6 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 					ct.unsat++
 				}
 			}
-			tt.attach(ct)
 			rs.cover = append(rs.cover, ct)
 		}
 		nBorder := r.Int()
@@ -205,13 +138,10 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 		for k := 0; k < nBorder; k++ {
 			lhs := relation.AttrSet(r.Uvarint())
 			key := r.Blob()
-			size := r.Int()
-			vals, err := decodeVCList(r)
+			size := int32(r.Int())
+			vals, err := live.DecodeCounts(r, []int32{size}, rel.Dict(c).Size())
 			if err != nil {
 				return nil, err
-			}
-			if r.Err() != nil {
-				return nil, r.Err()
 			}
 			d := core.OFD{LHS: lhs, RHS: c}
 			if !lhs.SubsetOf(space) {
@@ -220,7 +150,7 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 			if len(key) != 4*lhs.Len() {
 				return nil, fmt.Errorf("discovery: snapshot witness key of %d bytes for %d antecedent columns", len(key), lhs.Len())
 			}
-			rs.border = append(rs.border, newWitnessTracker(d, string(key), int32(size), vals))
+			rs.border = append(rs.border, newWitnessTracker(d, string(key), size, vals[0]))
 			// Border node i is the complement of transversal i by
 			// construction; deriving trans keeps the pair consistent and
 			// preserves the canonical order the border was saved in.
@@ -232,32 +162,6 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	for _, tt := range mt.tables {
-		if len(tt.cover) == 0 {
-			return nil, fmt.Errorf("discovery: snapshot table serves no tracker")
-		}
-	}
 	mt.rebuildFlat()
 	return mt, nil
-}
-
-// checkRowClass fails closed on a restored tracker's row→class table in
-// one sequential pass: every entry is -1 or a class id below
-// len(sizes), and every class holds exactly sizes[ci] rows.
-func checkRowClass(rowClass, sizes []int32) error {
-	counts := make([]int32, len(sizes))
-	for t, ci := range rowClass {
-		if ci < -1 || int(ci) >= len(sizes) {
-			return fmt.Errorf("discovery: snapshot tracker puts row %d in class %d of %d", t, ci, len(sizes))
-		}
-		if ci >= 0 {
-			counts[ci]++
-		}
-	}
-	for ci, n := range counts {
-		if n != sizes[ci] {
-			return fmt.Errorf("discovery: snapshot tracker class %d holds %d rows, its size is %d", ci, n, sizes[ci])
-		}
-	}
-	return nil
 }

@@ -8,110 +8,54 @@ import (
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
-// cellWrite is one deduplicated effective cell write of a maintained
-// batch: Old is the source-state value, New the target-state value. The
-// maintainer applies batches forward with the relation already in target
-// state, and rolls them back by re-applying the inverted log after
-// reverting the relation — trackers therefore read "target" values from
-// the relation and "source" values from the log, in both directions. It
-// is the monitor's CellWrite: both engines speak the same write log, so
-// the merged pipeline hands one batch from engine to engine verbatim.
+// cellWrite is one effective cell write of the substrate's write log,
+// shared by both engines: Old is the source-state value, New the
+// target-state value. Trackers fold and unfold a batch while the relation
+// holds the target state, so they read source values from the log.
 type cellWrite = core.CellWrite
 
-// forEachRowSegment calls fn once per touched row with that row's write
-// segment. writes must be sorted by (row, col).
-func forEachRowSegment(writes []cellWrite, fn func(t int, seg []cellWrite)) {
-	for i := 0; i < len(writes); {
-		j := i + 1
-		for j < len(writes) && writes[j].Row == writes[i].Row {
-			j++
-		}
-		fn(writes[i].Row, writes[i:j])
-		i = j
-	}
-}
-
-// batchTracker is the unit the maintainer fans a batch out over: a class
-// table with the cover trackers over its antecedent (full class state),
-// or a witness tracker (one pinned violating class). Each folds a sorted
-// effective-write log or a run of appended rows into its own state with
-// no shared writes, so the fan-out parallelizes freely.
+// batchTracker is the unit the maintainer fans a batch out over: a cover
+// tracker (full class state on the substrate's table over its
+// antecedent) or a witness tracker (one pinned violating class). Each
+// folds the substrate's current batch into its own state with no shared
+// writes, so the fan-out parallelizes freely.
 type batchTracker interface {
 	// scope returns the attribute set whose writes can affect the tracker
-	// (its antecedent and consequents); the maintainer skips trackers
+	// (its antecedent and consequent); the maintainer skips trackers
 	// disjoint from a batch.
 	scope() relation.AttrSet
-	applyWrites(rel *relation.Relation, v *core.Verifier, writes []cellWrite)
-	// appendRows folds in the rows [t0, end) the relation just gained.
-	appendRows(rel *relation.Relation, v *core.Verifier, t0, end int32)
-}
-
-// trackerTable is one antecedent X's class table (live.Table, with class
-// sizes and no member lists) shared by every cover tracker over X,
-// whatever its consequent. A batch moves each written row once per
-// table; each tracker then folds the moves and its own consequent's
-// writes into its multisets.
-type trackerTable struct {
-	lhs    relation.AttrSet
-	colSet relation.AttrSet // X ∪ every tracker's consequent
-	tab    *live.Table
-	cover  []*coverTracker
-
-	// Batch scratch; no element holds a pointer.
-	dirty    []int32 // classes the batch's joins and leaves touched
-	floating []int32 // rows between the leave and join phases
-}
-
-// newTrackerTable builds the table of antecedent x from the verifier's
-// (typically cached) partition Π*_X: only one key per class plus each
-// lone row pays an encode, and class ids follow partition order.
-func newTrackerTable(v *core.Verifier, x relation.AttrSet) *trackerTable {
-	p := v.Partitions().Get(x)
-	return &trackerTable{lhs: x, colSet: x, tab: live.FromPartition(v.Relation(), x.Attrs(), p, false)}
-}
-
-func (tt *trackerTable) scope() relation.AttrSet { return tt.colSet }
-
-// attach adds ct to the table's trackers.
-func (tt *trackerTable) attach(ct *coverTracker) {
-	ct.tt = tt
-	tt.cover = append(tt.cover, ct)
-	tt.colSet = tt.colSet.With(ct.d.RHS)
-}
-
-// detach removes ct from the table's trackers; slices.DeleteFunc clears
-// the vacated tail slot, so the removed tracker is not pinned.
-func (tt *trackerTable) detach(ct *coverTracker) {
-	tt.cover = slices.DeleteFunc(tt.cover, func(e *coverTracker) bool { return e == ct })
-	tt.colSet = tt.lhs
-	for _, e := range tt.cover {
-		tt.colSet = tt.colSet.With(e.d.RHS)
-	}
+	// fold folds the substrate's current batch in: the sorted effective
+	// write log writes, or, when it is empty, the rows [t0, end) the
+	// relation just gained.
+	fold(rel *relation.Relation, v *core.Verifier, writes []cellWrite, t0, end int32)
+	// unfold reverses fold of a batch of writes exactly, before the
+	// substrate undoes the batch.
+	unfold(rel *relation.Relation, v *core.Verifier, writes []cellWrite)
 }
 
 // coverTracker maintains the exact equivalence-class state of one cover
-// element X → A on X's shared table: the per-class consequent multisets
-// and per-class satisfaction flags, indexed by the table's class ids, so
-// a batch's effect on the candidate's validity is known from O(touched
-// rows) work. The candidate is valid ⇔ unsat == 0. Lone rows carry no
-// class state (they cannot violate), which keeps superkey-shaped tables
-// at one key per row and nothing else.
+// element X → A on the substrate's table over X: the per-class consequent
+// multisets and per-class satisfaction flags, indexed by the table's
+// class ids, so a batch's effect on the candidate's validity is known
+// from O(touched rows) work. The candidate is valid ⇔ unsat == 0. Lone
+// rows carry no class state (they cannot violate), which keeps
+// superkey-shaped tables at one key per row and nothing else.
 type coverTracker struct {
 	d      core.OFD
-	tt     *trackerTable
+	tab    *live.Table
 	counts [][]live.ValCount
 	sat    []bool
 	unsat  int
 
-	dirty  []int32 // classes its consequent writes touched
+	dirty  []int32 // classes the batch touched; no element holds a pointer
 	valBuf []relation.Value
 }
 
-// newCoverTracker builds the tracker of d on tt, the table of d's
-// antecedent, from one pass over the table's row→class array.
-func newCoverTracker(v *core.Verifier, tt *trackerTable, d core.OFD) *coverTracker {
-	ct := &coverTracker{d: d, tt: tt}
-	ct.counts = live.CountClasses(tt.tab, v.Relation().Column(d.RHS))
+// newCoverTracker builds the tracker of d on tab, the substrate's table
+// over d's antecedent, from one pass over the table's row→class array.
+func newCoverTracker(v *core.Verifier, tab *live.Table, d core.OFD) *coverTracker {
+	ct := &coverTracker{d: d, tab: tab}
+	ct.counts = live.CountClasses(tab, v.Relation().Column(d.RHS))
 	ct.sat = make([]bool, len(ct.counts))
 	for ci := range ct.sat {
 		ct.sat[ci] = ct.classSatisfied(v, int32(ci))
@@ -125,124 +69,50 @@ func newCoverTracker(v *core.Verifier, tt *trackerTable, d core.OFD) *coverTrack
 // valid reports the tracked candidate's current validity.
 func (ct *coverTracker) valid() bool { return ct.unsat == 0 }
 
+func (ct *coverTracker) scope() relation.AttrSet { return ct.d.LHS.With(ct.d.RHS) }
+
+// classSatisfied verifies class ci from its multiset: a class of at most
+// one row has at most one value, so only multi-value classes ask the
+// verifier.
 func (ct *coverTracker) classSatisfied(v *core.Verifier, ci int32) bool {
-	if ct.tt.tab.Sizes[ci] <= 1 || len(ct.counts[ci]) <= 1 {
-		return true // singleton, empty, or syntactically constant (FD case)
+	if len(ct.counts[ci]) <= 1 {
+		return true // empty, singleton, or syntactically constant (FD case)
 	}
 	ct.valBuf = live.Distinct(ct.counts[ci], ct.valBuf)
 	return v.ValuesSatisfied(ct.d.RHS, ct.valBuf)
 }
 
-// applyWrites folds one batch of effective cell writes into the table and
-// its trackers. The relation must already hold the target state; writes
-// carry the source value per cell and must be sorted by (row, col).
-// Re-applying the inverted log after reverting the relation rolls the
-// batch back: the transitions are symmetric, so validity state is
-// restored exactly (a class born and emptied along the way lingers at
-// size zero, which is semantically a non-class).
-func (tt *trackerTable) applyWrites(rel *relation.Relation, v *core.Verifier, writes []cellWrite) {
-	tab := tt.tab
-	if !tt.lhs.Intersect(core.Touched(writes)).IsEmpty() {
-		tab.Prepare(rel, writes)
+// fold folds the batch's moves of the tracker's table and its
+// consequent writes into the multisets (live.Fold), then re-verifies the
+// classes they touched; a born class starts satisfied.
+func (ct *coverTracker) fold(rel *relation.Relation, v *core.Verifier, writes []cellWrite, _, _ int32) {
+	ct.counts, ct.dirty = live.Fold(ct.tab, rel, ct.d.RHS, writes, ct.counts, ct.dirty)
+	for len(ct.sat) < len(ct.counts) {
+		ct.sat = append(ct.sat, true)
 	}
-	// Phase 1 — leave: rows whose antecedent projection changed exit their
-	// source-state key group; consequent-only changes adjust multisets in
-	// place.
-	forEachRowSegment(writes, func(t int, seg []cellWrite) {
-		xChanged := false
-		for _, wr := range seg {
-			if tt.lhs.Has(wr.Col) {
-				xChanged = true
-			}
-		}
-		ci := tab.RowClass[t]
-		if !xChanged {
-			if ci < 0 {
-				return
-			}
-			for _, ct := range tt.cover {
-				if wr, ok := live.Written(seg, ct.d.RHS); ok {
-					ct.counts[ci] = live.Replace(ct.counts[ci], wr.Old, rel.Value(t, wr.Col))
-					ct.dirty = append(ct.dirty, ci)
-				}
-			}
-			return
-		}
-		if ci >= 0 {
-			for _, ct := range tt.cover {
-				preA := rel.Value(t, ct.d.RHS)
-				if wr, ok := live.Written(seg, ct.d.RHS); ok {
-					preA = wr.Old
-				}
-				ct.counts[ci] = live.Bump(ct.counts[ci], preA, -1)
-			}
-			tab.Leave(int32(t))
-			tt.dirty = append(tt.dirty, ci)
-		} else {
-			// Lone row: its key points at t and is now stale.
-			tab.DropKey(rel, seg, t)
-		}
-		tt.floating = append(tt.floating, int32(t))
-	})
-	// Phase 2 — join: floating rows enter their target-state key group.
-	// All reads are target-state (the relation), so ordering within the
-	// phase only affects internal ids, never class contents.
-	for _, t := range tt.floating {
-		tt.join(rel, t)
-	}
-	tt.recheck(v)
+	ct.recheckDirty(v)
 }
 
-// appendRows joins the appended rows [t0, end) in ascending order.
-func (tt *trackerTable) appendRows(rel *relation.Relation, v *core.Verifier, t0, end int32) {
-	tt.tab.Prepare(rel, nil)
-	tt.tab.Grow(int(end))
-	for t := t0; t < end; t++ {
-		tt.join(rel, t)
-	}
-	tt.recheck(v)
-}
-
-// join enters row t, which belongs to no class, through its current key
-// and folds the outcome into every tracker: a birth adds the new class's
-// multiset and a satisfied flag.
-func (tt *trackerTable) join(rel *relation.Relation, t int32) {
-	ci, partner, kind := tt.tab.Join(rel, t)
-	if kind == live.JoinLone {
-		return
-	}
-	for _, ct := range tt.cover {
-		ct.counts = live.Joined(ct.counts, rel.Column(ct.d.RHS), t, ci, partner, kind)
-		if kind == live.JoinBirth {
-			ct.sat = append(ct.sat, true)
+// unfold reverses fold: the classes the batch bore go, with their flags,
+// the multisets are unfolded (live.Unfold), and the classes that changed
+// are re-verified, which restores their flags and the unsat counter.
+func (ct *coverTracker) unfold(rel *relation.Relation, v *core.Verifier, writes []cellWrite) {
+	born := ct.tab.Born()
+	for _, ok := range ct.sat[born:] {
+		if !ok {
+			ct.unsat--
 		}
 	}
-	tt.dirty = append(tt.dirty, ci)
+	ct.sat = ct.sat[:born]
+	ct.counts, ct.dirty = live.Unfold(ct.tab, rel, ct.d.RHS, writes, ct.counts, ct.dirty)
+	ct.recheckDirty(v)
 }
 
-// recheck has every tracker re-verify its dirty classes and leaves the
-// batch scratch empty.
-func (tt *trackerTable) recheck(v *core.Verifier) {
-	slices.Sort(tt.dirty)
-	tt.dirty = slices.Compact(tt.dirty)
-	for _, ct := range tt.cover {
-		ct.recheckDirty(v, tt.dirty)
-	}
-	tt.dirty = tt.dirty[:0]
-	tt.floating = tt.floating[:0]
-}
-
-// recheckDirty re-verifies, once each, the classes in shared (the
-// table's dirty classes, sorted and deduplicated) and in the tracker's
-// own dirty list, and maintains the unsat counter.
-func (ct *coverTracker) recheckDirty(v *core.Verifier, shared []int32) {
-	dirty := shared
-	if len(ct.dirty) > 0 {
-		ct.dirty = append(ct.dirty, shared...)
-		slices.Sort(ct.dirty)
-		dirty = slices.Compact(ct.dirty)
-	}
-	for _, ci := range dirty {
+// recheckDirty re-verifies, once each, the classes in the tracker's
+// dirty list, maintains the unsat counter, and leaves the list empty.
+func (ct *coverTracker) recheckDirty(v *core.Verifier) {
+	slices.Sort(ct.dirty)
+	for _, ci := range slices.Compact(ct.dirty) {
 		now := ct.classSatisfied(v, ci)
 		if now != ct.sat[ci] {
 			ct.sat[ci] = now
@@ -328,31 +198,35 @@ func (wt *witnessTracker) clearPending() {
 	wt.hasPending = false
 }
 
-// sourceInClass reports whether row t's source-state antecedent projection
-// matches the witness key (written cells read logged old values).
-func (wt *witnessTracker) sourceInClass(rel *relation.Relation, seg []cellWrite, t int) bool {
-	for k, c := range wt.cols {
-		val := rel.Value(t, c)
-		for _, wr := range seg {
-			if wr.Col == c {
-				val = wr.Old
-				break
-			}
-		}
-		off := k * 4
-		if wt.key[off] != byte(val) || wt.key[off+1] != byte(val>>8) ||
-			wt.key[off+2] != byte(val>>16) || wt.key[off+3] != byte(val>>24) {
-			return false
-		}
+// fold maintains the witness class's membership and consequent multiset
+// under the batch: the write log, or the appended rows [t0, end).
+func (wt *witnessTracker) fold(rel *relation.Relation, _ *core.Verifier, writes []cellWrite, t0, end int32) {
+	if len(writes) > 0 {
+		wt.applyWrites(rel, writes, 1)
+		return
 	}
-	return true
+	for t := t0; t < end; t++ {
+		wt.keyBuf = live.EncodeKey(rel, wt.cols, int(t), wt.keyBuf)
+		if string(wt.keyBuf) != wt.key {
+			continue
+		}
+		wt.size++
+		wt.vals = live.Bump(wt.vals, rel.Value(int(t), wt.d.RHS), 1)
+	}
 }
 
-// applyWrites maintains the witness class's membership and consequent
-// multiset under one effective-write log (same conventions and rollback
-// symmetry as coverTracker.applyWrites).
-func (wt *witnessTracker) applyWrites(rel *relation.Relation, v *core.Verifier, writes []cellWrite) {
-	forEachRowSegment(writes, func(t int, seg []cellWrite) {
+// unfold reverses fold of a batch of writes; the multiset is canonical
+// (see live.Bump), so it reads as before the batch.
+func (wt *witnessTracker) unfold(rel *relation.Relation, _ *core.Verifier, writes []cellWrite) {
+	wt.applyWrites(rel, writes, -1)
+}
+
+// applyWrites folds (sign 1) or unfolds (sign -1) one effective-write
+// log into the witness class, with the relation in the batch's target
+// state: a row whose source state matches the witness key leaves the
+// class, and one whose target state matches joins it.
+func (wt *witnessTracker) applyWrites(rel *relation.Relation, writes []cellWrite, sign int32) {
+	live.EachRow(writes, func(t int, seg []cellWrite) {
 		relevant := false
 		hadA := false
 		var aOld relation.Value
@@ -367,37 +241,29 @@ func (wt *witnessTracker) applyWrites(rel *relation.Relation, v *core.Verifier, 
 		if !relevant {
 			return
 		}
-		srcIn := wt.sourceInClass(rel, seg, t)
+		wt.keyBuf = live.AppendSourceKey(wt.keyBuf[:0], rel, wt.cols, seg, t)
+		srcIn := string(wt.keyBuf) == wt.key
 		wt.keyBuf = live.EncodeKey(rel, wt.cols, t, wt.keyBuf)
 		tgtIn := string(wt.keyBuf) == wt.key
-		preA := rel.Value(t, wt.d.RHS)
+		preA, postA := rel.Value(t, wt.d.RHS), rel.Value(t, wt.d.RHS)
 		if hadA {
 			preA = aOld
 		}
-		switch {
-		case srcIn && tgtIn:
+		if srcIn && tgtIn {
 			if hadA {
-				wt.vals = live.Bump(live.Bump(wt.vals, preA, -1), rel.Value(t, wt.d.RHS), 1)
+				wt.vals = live.Bump(live.Bump(wt.vals, preA, -sign), postA, sign)
 			}
-		case srcIn && !tgtIn:
-			wt.size--
-			wt.vals = live.Bump(wt.vals, preA, -1)
-		case !srcIn && tgtIn:
-			wt.size++
-			wt.vals = live.Bump(wt.vals, rel.Value(t, wt.d.RHS), 1)
+			return
+		}
+		if srcIn {
+			wt.size -= sign
+			wt.vals = live.Bump(wt.vals, preA, -sign)
+		}
+		if tgtIn {
+			wt.size += sign
+			wt.vals = live.Bump(wt.vals, postA, sign)
 		}
 	})
-}
-
-func (wt *witnessTracker) appendRows(rel *relation.Relation, v *core.Verifier, t0, end int32) {
-	for t := t0; t < end; t++ {
-		wt.keyBuf = live.EncodeKey(rel, wt.cols, int(t), wt.keyBuf)
-		if string(wt.keyBuf) != wt.key {
-			continue
-		}
-		wt.size++
-		wt.vals = live.Bump(wt.vals, rel.Value(int(t), wt.d.RHS), 1)
-	}
 }
 
 // scanResult is a one-shot verification of a candidate against the
@@ -426,10 +292,7 @@ func witnessScanParts(pv *core.Verifier, d core.OFD, buf *relation.ProductBuffer
 	var scratch []relation.Value
 	for i := 0; i < p.NumClasses(); i++ {
 		class := p.Class(i)
-		vals = vals[:0]
-		for _, t := range class {
-			vals = live.Bump(vals, col.At(int(t)), 1)
-		}
+		vals = live.ClassCounts(col, class, vals)
 		if len(vals) <= 1 {
 			continue
 		}

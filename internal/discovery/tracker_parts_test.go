@@ -21,22 +21,21 @@ func sortedVC(pairs []live.ValCount) []live.ValCount {
 }
 
 // standaloneTracker builds d's tracker on a new table of its own, from
-// the verifier's partition of d's antecedent.
+// the verifier's partition of d's antecedent, as the substrate builds a
+// table no engine holds yet.
 func standaloneTracker(v *core.Verifier, d core.OFD) *coverTracker {
-	tt := newTrackerTable(v, d.LHS)
-	ct := newCoverTracker(v, tt, d)
-	tt.attach(ct)
-	return ct
+	tab := live.FromPartition(v.Relation(), d.LHS.Attrs(), v.Partitions().Get(d.LHS))
+	return newCoverTracker(v, tab, d)
 }
 
 // scanTracker builds d's tracker the from-scratch way: an empty table
-// that every row joins in row order, with the tracker folding each join
+// that every row joins in row order, with the tracker folding the joins
 // in as a batch of appends does.
 func scanTracker(rel *relation.Relation, v *core.Verifier, d core.OFD) *coverTracker {
-	tt := &trackerTable{lhs: d.LHS, colSet: d.LHS, tab: live.NewTable(rel, d.LHS.Attrs(), false)}
-	ct := &coverTracker{d: d}
-	tt.attach(ct)
-	tt.appendRows(rel, v, 0, int32(rel.NumRows()))
+	tab := live.NewTable(rel, d.LHS.Attrs(), false)
+	tab.Append(rel, 0, rel.NumRows())
+	ct := &coverTracker{d: d, tab: tab}
+	ct.fold(rel, v, nil, 0, int32(rel.NumRows()))
 	return ct
 }
 
@@ -70,7 +69,7 @@ func TestPartitionBackedBuildersMatchScan(t *testing.T) {
 				if got.valid() != ref.valid() {
 					t.Fatalf("trial %d %v: parts valid=%v, scan valid=%v", trial, d, got.valid(), ref.valid())
 				}
-				gt, rt := got.tt.tab, ref.tt.tab
+				gt, rt := got.tab, ref.tab
 				if gt.NumKeys() != rt.NumKeys() {
 					t.Fatalf("trial %d %v: parts has %d keys, scan %d", trial, d, gt.NumKeys(), rt.NumKeys())
 				}

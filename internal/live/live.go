@@ -1,12 +1,14 @@
 // Package live is the shared live-index substrate under the incremental
 // engines. core.Monitor and discovery.Maintainer group rows by antecedent
-// the same way over the same relation: one Table per distinct antecedent
-// X holds X's integer-keyed class map with lone (singleton) rows folded
-// into the id space, the row→class array, and the class sizes or, for the
-// monitor, the copy-on-write member lists. Each dependency X → A keeps its
-// consequent multisets on top of X's table, as small linear-probed slices
-// indexed by the table's class ids. AppendCounts/DecodeCounts are the
-// multisets' snapshot encoding.
+// the same way over the same relation, so they share one Table per
+// distinct antecedent X, which core.Substrate holds and alone moves
+// (Table.Apply, Append, Undo): X's integer-keyed class map with lone
+// (singleton) rows folded into the id space, the row→class array, the
+// class sizes, member lists while a monitored dependency reads them, and
+// the last batch's move log. Each dependency X → A of either engine keeps
+// its consequent multisets on top of X's table, indexed by its class ids,
+// and folds the move log into them (Fold; Unfold on a rollback).
+// AppendCounts/DecodeCounts are the multisets' snapshot encoding.
 //
 // Everything here is single-writer, like the engines built on it:
 // mutating one Table, or one dependency's multisets, from two goroutines
@@ -16,36 +18,62 @@ package live
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"github.com/fastofd/fastofd/internal/relation"
 	"github.com/fastofd/fastofd/internal/wire"
 )
 
 // ValCount is one distinct consequent value of an equivalence class with
-// its multiplicity. Classes keep their multisets as small linear-probed
-// slices: real classes have a handful of distinct consequent values even
-// when they span thousands of tuples, so probing beats hashing.
+// its multiplicity. Classes keep their multisets as small slices in
+// ascending value order: real classes have few distinct consequent values
+// even when they span thousands of tuples, so a linear probe beats
+// hashing, and the order makes a slice a function of its contents, so an
+// undone batch restores it exactly.
 type ValCount struct {
 	Val relation.Value
 	N   int32
 }
 
-// Bump adjusts v's multiplicity by delta, dropping the entry when it
-// reaches zero (swap-remove, order is not meaningful). delta must not
-// take a count negative — the engines adjust counts only from cell writes
-// they performed, so multisets stay in sync by construction.
+// Bump adjusts v's multiplicity by delta, inserting a new value at its
+// place in value order and dropping a pair whose count reaches zero.
+// delta must not take a count negative — the engines adjust counts only
+// from cell writes they performed, so multisets stay in sync by
+// construction.
 func Bump(pairs []ValCount, v relation.Value, delta int32) []ValCount {
-	for k := range pairs {
-		if pairs[k].Val == v {
-			pairs[k].N += delta
-			if pairs[k].N == 0 {
-				pairs[k] = pairs[len(pairs)-1]
-				pairs = pairs[:len(pairs)-1]
-			}
-			return pairs
-		}
+	k := 0
+	for k < len(pairs) && pairs[k].Val < v {
+		k++
 	}
-	return append(pairs, ValCount{v, delta})
+	if k < len(pairs) && pairs[k].Val == v {
+		if pairs[k].N += delta; pairs[k].N == 0 {
+			pairs = slices.Delete(pairs, k, k+1)
+		}
+		return pairs
+	}
+	return slices.Insert(pairs, k, ValCount{v, delta})
+}
+
+// ClassCounts returns the multiset of col's values over rows in Bump's
+// value order, reusing scratch. Each row probes the few distinct values
+// seen so far, and a new value is swapped down to its place.
+func ClassCounts(col *relation.Col, rows []int32, scratch []ValCount) []ValCount {
+	scratch = scratch[:0]
+	for _, t := range rows {
+		v := col.At(int(t))
+		k := 0
+		for k < len(scratch) && scratch[k].Val != v {
+			k++
+		}
+		if k == len(scratch) {
+			scratch = append(scratch, ValCount{Val: v})
+			for ; k > 0 && scratch[k-1].Val > v; k-- {
+				scratch[k], scratch[k-1] = scratch[k-1], scratch[k]
+			}
+		}
+		scratch[k].N++
+	}
+	return scratch
 }
 
 // Replace replaces one occurrence of from with to in a multiset — a
@@ -92,9 +120,10 @@ func AppendCounts(w *wire.Writer, counts [][]ValCount) {
 // DecodeCounts is the inverse of AppendCounts, and fails closed on
 // multisets no engine can run on: there must be one per class of sizes,
 // every value must lie in the consequent's dictionary ([NullValue,
-// dictSize)) with a positive count, and class ci's counts must sum to
-// sizes[ci]. The per-class pair slices are freshly allocated (Bump
-// mutates and appends them); the bulk reads are zero-copy.
+// dictSize)) with a positive count, each multiset's values must ascend,
+// and class ci's counts must sum to sizes[ci]. The per-class pair slices
+// are freshly allocated (Bump mutates and appends them); the bulk reads
+// are zero-copy.
 func DecodeCounts(r *wire.Reader, sizes []int32, dictSize int) ([][]ValCount, error) {
 	lens := r.Int32s()
 	vals := r.Int32s()
@@ -116,7 +145,7 @@ func DecodeCounts(r *wire.Reader, sizes []int32, dictSize int) ([][]ValCount, er
 		size := 0
 		for k := range pairs {
 			v, c := relation.Value(vals[pos+k]), ns[pos+k]
-			if c <= 0 || v < relation.NullValue || int(v) >= dictSize {
+			if c <= 0 || v < relation.NullValue || int(v) >= dictSize || (k > 0 && v <= pairs[k-1].Val) {
 				return nil, fmt.Errorf("live: snapshot multiset of class %d holds value %d ×%d", ci, v, c)
 			}
 			pairs[k] = ValCount{Val: v, N: c}

@@ -2,7 +2,9 @@ package live
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/fastofd/fastofd/internal/relation"
@@ -25,7 +27,7 @@ func TestBumpMultiset(t *testing.T) {
 	if !reflect.DeepEqual(pairs, []ValCount{{3, 2}, {5, 1}}) {
 		t.Fatalf("pairs = %v", pairs)
 	}
-	// Dropping a count to zero swap-deletes the pair.
+	// Dropping a count to zero deletes the pair; the rest keep value order.
 	pairs = Bump(pairs, 3, -2)
 	if !reflect.DeepEqual(pairs, []ValCount{{5, 1}}) {
 		t.Fatalf("after zero: %v", pairs)
@@ -92,31 +94,27 @@ func TestEncodeKeyFixedWidth(t *testing.T) {
 	}
 }
 
-// joinAll joins every row of rel into tb in row order and returns the
-// outcomes.
+// joinAll joins every row of rel into tb in row order, as appended rows.
 func joinAll(tb *Table, rel *relation.Relation) {
-	tb.Grow(rel.NumRows())
-	for t := 0; t < rel.NumRows(); t++ {
-		tb.Join(rel, int32(t))
-	}
+	tb.Append(rel, 0, rel.NumRows())
 }
 
-// TestClassIndexJoinCases drives the three Join cases on a member-list
+// TestClassIndexJoinCases drives the three join cases on a member-list
 // table and checks every side effect: the key map's transitions, the
-// row→class array, class sizes, membership after Flush, and the
-// multisets Joined folds the outcomes into.
+// row→class array, class sizes, membership after a flush, and the
+// multisets Fold folds each join into.
 func TestClassIndexJoinCases(t *testing.T) {
 	rel := testRel(t, []string{"X", "A"}, [][]string{
 		{"k1", "v1"}, {"k1", "v2"}, {"k2", "v1"}, {"k1", "v1"},
 	})
 	// Start with no classes: every class is born through the table.
 	tb := NewTable(rel, []int{0}, true)
-	tb.Grow(rel.NumRows())
-	col := rel.Column(1)
+	tb.RowClass = []int32{-1, -1, -1, -1}
 	var counts [][]ValCount
 	join := func(row int32) (int32, int32, JoinKind) {
-		ci, partner, kind := tb.Join(rel, row)
-		counts = Joined(counts, col, row, ci, partner, kind)
+		tb.ClearLog()
+		ci, partner, kind := tb.join(rel, row)
+		counts, _ = Fold(tb, rel, 1, nil, counts, nil)
 		return ci, partner, kind
 	}
 
@@ -148,7 +146,7 @@ func TestClassIndexJoinCases(t *testing.T) {
 	if kind != JoinExisting || ci != born || partner != -1 {
 		t.Fatalf("row 3: got (%d,%d,%v), want existing class %d", ci, partner, kind, born)
 	}
-	tb.Flush()
+	tb.flush()
 	if got := tb.Members[born]; !reflect.DeepEqual(got, []int32{0, 1, 3}) {
 		t.Fatalf("grown class = %v", got)
 	}
@@ -165,9 +163,10 @@ func TestClassIndexJoinCases(t *testing.T) {
 
 // TestClassIndexMembersCopyOnWrite pins the member lists' rules: every
 // class stays ascending whichever rows join or leave, each batch's edits
-// of one class are applied as one rewrite (Flush), and a list read before
-// a batch never changes — not a class a partition supplied with
-// cap == len, not a list grown by appends, not one edited in the middle.
+// of one class are applied as one rewrite, and a list read before a batch
+// never changes — not a list BuildMembers cut with cap == len from the
+// array it shares with the next class, not a list grown by appends, not
+// one edited in the middle.
 func TestClassIndexMembersCopyOnWrite(t *testing.T) {
 	rows := make([][]string, 12)
 	for r := range rows {
@@ -180,10 +179,10 @@ func TestClassIndexMembersCopyOnWrite(t *testing.T) {
 		rows[r][0] = "k1"
 	}
 	rel := testRel(t, []string{"X", "A"}, rows)
-	// The two classes back to back in one flat array, as a cached
-	// partition holds them.
+	// BuildMembers lists the two classes back to back in one array.
 	p := &relation.Partition{Tuples: []int32{2, 5, 8, 1, 4}, Offsets: []int32{0, 3, 5}, N: rel.NumRows(), Stripped: true}
-	tb := FromPartition(rel, []int{0}, p, true)
+	tb := FromPartition(rel, []int{0}, p)
+	tb.BuildMembers()
 
 	type read struct {
 		list, want []int32
@@ -193,29 +192,25 @@ func TestClassIndexMembersCopyOnWrite(t *testing.T) {
 		l := tb.Members[0]
 		reads = append(reads, read{l, append([]int32(nil), l...)})
 	}
-	// move rewrites row r's key to x and moves the row as an engine does:
-	// out of its class or lone-row key, then in through its new key.
-	move := func(r int32, x string) {
-		old := rel.Value(int(r), 0)
-		rel.SetString(int(r), 0, x)
-		if tb.RowClass[r] >= 0 {
-			tb.Leave(r)
-		} else {
-			tb.DropKey(rel, []CellWrite{{Row: int(r), Col: 0, Old: old}}, int(r))
-		}
-		tb.Join(rel, r)
-	}
-	// batch moves rows out of class k0 and into it as one batch, then
-	// checks the class and every list read before.
+	// batch rewrites the keys of rows out of class k0 and into it and
+	// moves them as one batch, then checks the class and every list read
+	// before.
 	batch := func(label string, join, leave []int32, want []int32) {
 		t.Helper()
+		var writes []CellWrite
+		write := func(r int32, x string) {
+			old := rel.Value(int(r), 0)
+			rel.SetString(int(r), 0, x)
+			writes = append(writes, CellWrite{Row: int(r), Col: 0, Old: old, New: rel.Value(int(r), 0)})
+		}
 		for _, r := range leave {
-			move(r, fmt.Sprint("gone", r))
+			write(r, fmt.Sprint("gone", r))
 		}
 		for _, r := range join {
-			move(r, "k0")
+			write(r, "k0")
 		}
-		tb.Flush()
+		slices.SortFunc(writes, func(a, b CellWrite) int { return a.Row - b.Row })
+		tb.Apply(rel, writes)
 		if got := tb.Members[0]; !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: class = %v, want %v", label, got, want)
 		}
@@ -227,8 +222,8 @@ func TestClassIndexMembersCopyOnWrite(t *testing.T) {
 				t.Fatalf("%s: list read before batch %d changed to %v, was %v", label, k, r.list, r.want)
 			}
 		}
-		if !reflect.DeepEqual(p.Tuples, []int32{2, 5, 8, 1, 4}) {
-			t.Fatalf("%s: the partition's flat array changed to %v", label, p.Tuples)
+		if !reflect.DeepEqual(tb.Members[1], []int32{1, 4}) {
+			t.Fatalf("%s: the neighbouring class changed to %v", label, tb.Members[1])
 		}
 		keep()
 	}
@@ -244,9 +239,9 @@ func TestClassIndexMembersCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestClassIndexTrackerOps drives the maintainer shape (no member
-// lists): birth allocates sequential class ids, Leave shrinks, and
-// Replace(to, from) exactly undoes Replace(from, to).
+// TestClassIndexTrackerOps drives a table without member lists: birth
+// allocates sequential class ids, leave shrinks, and Replace(to, from)
+// exactly undoes Replace(from, to).
 func TestClassIndexTrackerOps(t *testing.T) {
 	rel := testRel(t, []string{"X", "A"}, [][]string{
 		{"k1", "v1"}, {"k1", "v2"}, {"k2", "v3"}, {"k2", "v3"},
@@ -266,8 +261,8 @@ func TestClassIndexTrackerOps(t *testing.T) {
 	if !reflect.DeepEqual(counts[0], before) {
 		t.Fatalf("the inverse Replace does not restore: %v vs %v", counts[0], before)
 	}
-	if ci, size := tb.Leave(2); ci != 1 || size != 1 || tb.RowClass[2] != -1 {
-		t.Fatalf("Leave = (%d, %d), row→class %v", ci, size, tb.RowClass)
+	if size := tb.leave(2); size != 1 || tb.RowClass[2] != -1 {
+		t.Fatalf("leave = %d, row→class %v", size, tb.RowClass)
 	}
 	if !reflect.DeepEqual(CountClasses(tb, rel.Column(1))[1], []ValCount{{rel.Value(3, 1), 1}}) {
 		t.Fatalf("after leave: %v", CountClasses(tb, rel.Column(1))[1])
@@ -283,23 +278,21 @@ func TestIndexKeysFromRowClasses(t *testing.T) {
 	})
 	tb := NewTable(rel, []int{0, 1}, false)
 	joinAll(tb, rel)
-	// Rows 3 and 4 move out of class (c,1) to fresh keys, the way a
-	// tracker moves them: the emptied class keeps its key, which a
-	// rebuild drops.
+	// Rows 3 and 4 move out of class (c,1) to fresh keys in one batch:
+	// the emptied class drops its key, and a rebuild keys it no more.
 	emptied := tb.RowClass[3]
 	var writes []CellWrite
-	for k, tt := range []int32{3, 4} {
-		tb.Leave(tt)
-		old := rel.Value(int(tt), 0)
-		rel.SetString(int(tt), 0, fmt.Sprintf("moved%d", k))
-		writes = append(writes, CellWrite{Row: int(tt), Col: 0, Old: old, New: rel.Value(int(tt), 0)})
-		tb.Join(rel, tt)
+	for k, tt := range []int{3, 4} {
+		old := rel.Value(tt, 0)
+		rel.SetString(tt, 0, fmt.Sprintf("moved%d", k))
+		writes = append(writes, CellWrite{Row: tt, Col: 0, Old: old, New: rel.Value(tt, 0)})
 	}
-	if n := tb.NumKeys(); n != 5 {
-		t.Fatalf("%d keys, want classes (a,1) and (c,1), lone (b,2) and the two moved rows", n)
+	tb.Apply(rel, writes)
+	if n := tb.NumKeys(); n != 4 {
+		t.Fatalf("%d keys, want class (a,1), lone (b,2) and the two moved rows", n)
 	}
 	back := &Table{Cols: tb.Cols, RowClass: tb.RowClass, Sizes: tb.Sizes}
-	back.Index(rel, nil)
+	back.index(rel, nil)
 	if n := back.NumKeys(); n != 4 {
 		t.Fatalf("rebuilt %d keys, want 4: the emptied class %d keeps none", n, emptied)
 	}
@@ -313,7 +306,7 @@ func TestIndexKeysFromRowClasses(t *testing.T) {
 	// writes that no row has moved for yet, and a rebuild from the log
 	// keys every row as the pre-batch build did.
 	pre := &Table{Cols: back.Cols, RowClass: back.RowClass, Sizes: back.Sizes}
-	pre.Index(rel, nil)
+	pre.index(rel, nil)
 	writes = writes[:0]
 	for _, r := range []int{0, 2, 5} {
 		old := rel.Value(r, 1)
@@ -321,7 +314,7 @@ func TestIndexKeysFromRowClasses(t *testing.T) {
 		writes = append(writes, CellWrite{Row: r, Col: 1, Old: old, New: rel.Value(r, 1)})
 	}
 	src := &Table{Cols: back.Cols, RowClass: back.RowClass, Sizes: back.Sizes}
-	src.Index(rel, writes)
+	src.index(rel, writes)
 	for _, wr := range writes {
 		rel.SetValue(wr.Row, wr.Col, wr.Old)
 	}
@@ -338,7 +331,7 @@ func TestIndexKeysFromRowClasses(t *testing.T) {
 
 // TestTableRelayout outgrows a packed table's lane between batches: with
 // lanes of radix 8, code 8 of the first column would carry into the
-// second, so (8, 0) would pack as (0, 1) does. Prepare must drop the keys
+// second, so (8, 0) would pack as (0, 1) does. Apply must drop the keys
 // and re-index under wider lanes, reading the written row's old code from
 // the log, before the row moves.
 func TestTableRelayout(t *testing.T) {
@@ -356,15 +349,102 @@ func TestTableRelayout(t *testing.T) {
 	writes := []CellWrite{{Row: 1, Col: 0, Old: rel.Value(1, 0)}}
 	rel.SetString(1, 0, "a8")
 	writes[0].New = rel.Value(1, 0)
-	tb.Prepare(rel, writes)
+	tb.Apply(rel, writes)
 	if !tb.Packed() || tb.radix[0] != 20 {
 		t.Fatalf("re-laid out as packed %v with lanes %v, want radix 20 for nine values", tb.Packed(), tb.radix)
 	}
-	tb.DropKey(rel, writes, 1)
-	if _, _, kind := tb.Join(rel, 1); kind != JoinLone {
+	if kind := tb.joined[0].Kind; kind != JoinLone {
 		t.Fatalf("row (a8, b0) joined as %v; its key collided with (a0, b1)'s", kind)
 	}
 	if n := tb.NumKeys(); n != 3 {
 		t.Fatalf("%d keys after the move, want the three lone rows", n)
+	}
+}
+
+// TestTableUndoRestores drives random batches of antecedent and
+// consequent writes, with appends between them, through a member-list
+// table and one dependency's multisets: after each batch the folded
+// multisets equal a fresh CountClasses, and a batch that is unfolded and
+// undone leaves the row→class array, sizes, member lists, key map and
+// multisets deep-equal to their pre-batch values.
+func TestTableUndoRestores(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		rows := make([][]string, 12+rng.Intn(12))
+		for r := range rows {
+			rows[r] = []string{fmt.Sprint("x", rng.Intn(4)), fmt.Sprint("y", rng.Intn(2)), fmt.Sprint("a", rng.Intn(3))}
+		}
+		rel := testRel(t, []string{"X", "Y", "A"}, rows)
+		tb := NewTable(rel, []int{0, 1}, true)
+		joinAll(tb, rel)
+		counts := CountClasses(tb, rel.Column(2))
+		for step := 0; step < 12; step++ {
+			label := fmt.Sprintf("trial %d step %d", trial, step)
+			if rng.Intn(4) == 0 {
+				t0 := rel.NumRows()
+				rel.AppendRow([]string{fmt.Sprint("x", rng.Intn(6)), fmt.Sprint("y", rng.Intn(2)), fmt.Sprint("a", rng.Intn(4))})
+				tb.Append(rel, t0, rel.NumRows())
+				counts, _ = Fold(tb, rel, 2, nil, counts, nil)
+			}
+			rowClass, sizes, members := slices.Clone(tb.RowClass), slices.Clone(tb.Sizes), make([][]int32, len(tb.Members))
+			for ci, l := range tb.Members {
+				members[ci] = slices.Clone(l)
+			}
+			before := make([][]ValCount, len(counts))
+			for ci, pairs := range counts {
+				before[ci] = slices.Clone(pairs)
+			}
+			lookup := make([]int32, rel.NumRows())
+			for r := range lookup {
+				lookup[r], _ = tb.Lookup(rel, r)
+			}
+			// One write per written cell, sorted by (row, col), each
+			// changing its cell: the substrate's effective write log.
+			var writes []CellWrite
+			for _, r := range rng.Perm(rel.NumRows())[:1+rng.Intn(6)] {
+				for c := 0; c < 3; c++ {
+					if rng.Intn(2) == 0 {
+						continue
+					}
+					old := rel.Value(r, c)
+					rel.SetString(r, c, fmt.Sprint([]string{"x", "y", "a"}[c], rng.Intn(6)))
+					if nv := rel.Value(r, c); nv != old {
+						writes = append(writes, CellWrite{Row: r, Col: c, Old: old, New: nv})
+					} else {
+						rel.SetValue(r, c, old)
+					}
+				}
+			}
+			slices.SortFunc(writes, func(a, b CellWrite) int { return (a.Row-b.Row)*4 + a.Col - b.Col })
+			tb.Apply(rel, writes)
+			counts, _ = Fold(tb, rel, 2, writes, counts, nil)
+			if want := CountClasses(tb, rel.Column(2)); !reflect.DeepEqual(counts, want) {
+				t.Fatalf("%s: folded multisets %v, the classes hold %v", label, counts, want)
+			}
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			counts, _ = Unfold(tb, rel, 2, writes, counts, nil)
+			tb.Undo(rel, writes)
+			for _, wr := range writes {
+				rel.SetValue(wr.Row, wr.Col, wr.Old)
+			}
+			if !reflect.DeepEqual(tb.RowClass, rowClass) || !reflect.DeepEqual(tb.Sizes, sizes) || !reflect.DeepEqual(tb.Members, members) {
+				t.Fatalf("%s: undo left row→class %v sizes %v members %v, want %v %v %v", label, tb.RowClass, tb.Sizes, tb.Members, rowClass, sizes, members)
+			}
+			if !reflect.DeepEqual(counts, before) {
+				t.Fatalf("%s: unfold left multisets %v, want %v", label, counts, before)
+			}
+			for r, want := range lookup {
+				if got, ok := tb.Lookup(rel, r); !ok || got != want {
+					t.Fatalf("%s: row %d's key maps to (%d, %v) after the undo, want %d", label, r, got, ok, want)
+				}
+			}
+			keys := slices.Clone(lookup)
+			slices.Sort(keys)
+			if n := tb.NumKeys(); n != len(slices.Compact(keys)) {
+				t.Fatalf("%s: %d keys after the undo for %v", label, n, lookup)
+			}
+		}
 	}
 }

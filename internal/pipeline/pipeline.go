@@ -2,13 +2,15 @@
 // monitor (core.Monitor) and the minimal-cover maintainer
 // (discovery.Maintainer) — onto one shared live-index substrate: one
 // relation, one verifier, and one partition cache serve maintenance,
-// detection, and repair verification together. A single ApplyBatch has the substrate validate and apply a
-// batch inside the maintainer's atomic protocol, lets the monitor absorb
-// the substrate's write log verbatim, and (optionally) keeps the
+// detection, and repair verification together, and one class table per
+// antecedent serves a dependency of either engine. A single ApplyBatch
+// has the substrate validate and apply a batch, moving each table's rows
+// once, inside the maintainer's atomic protocol, lets the monitor fold the
+// substrate's write and move logs verbatim, and (optionally) keeps the
 // monitored set following the discovered cover as it drifts — so the
 // merged pipeline answers "what does this batch do to the dependencies
 // AND to their violations" from one pass over the shared index instead of
-// two engines' private copies of the same partitions.
+// two engines' private copies of the same partitions and tables.
 //
 // Everything observable is byte-identical to running the engines
 // separately: the maintained cover matches a fresh Discover and the
@@ -111,10 +113,13 @@ func New(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, op
 // ApplyBatch runs one update batch through the merged pipeline:
 //
 //  1. The maintainer has the substrate validate, deduplicate and apply
-//     the batch, then repair-verifies it atomically (a cancelled batch is
-//     undone and leaves both engines at the pre-batch state).
-//  2. The monitor absorbs the substrate's write log — the same
-//     deduplicated cells, verbatim — and publishes one epoch.
+//     the batch, which moves the rows of every table it touches, folds
+//     it, then repair-verifies it atomically (a cancelled batch is
+//     unfolded and undone, tables included, and leaves both engines at
+//     the pre-batch state).
+//  2. The monitor folds the substrate's write log and the tables' move
+//     logs — the same deduplicated cells and moves, verbatim — and
+//     publishes one epoch.
 //  3. With FollowCover, the cover diff registers/unregisters monitored
 //     dependencies so the monitored set tracks the cover.
 //
@@ -157,18 +162,20 @@ func (p *Pipeline) run(maintain func() (discovery.Diff, error)) (BatchResult, er
 }
 
 // followDiff applies a cover diff to the monitored set (FollowCover
-// mode): removed dependencies unregister and added ones register.
+// mode): added dependencies register, then removed ones unregister, so
+// an antecedent whose removed dependency an added one replaces keeps its
+// member lists.
 func (p *Pipeline) followDiff(diff discovery.Diff) error {
 	if !p.followCover || diff.Empty() {
 		return nil
 	}
-	for _, d := range diff.Removed {
-		if err := p.m.Unregister(d); err != nil {
+	for _, d := range diff.Added {
+		if err := p.m.Register(d); err != nil {
 			return fmt.Errorf("pipeline: cover follow: %w", err)
 		}
 	}
-	for _, d := range diff.Added {
-		if err := p.m.Register(d); err != nil {
+	for _, d := range diff.Removed {
+		if err := p.m.Unregister(d); err != nil {
 			return fmt.Errorf("pipeline: cover follow: %w", err)
 		}
 	}

@@ -12,11 +12,12 @@ import (
 )
 
 // The pipeline's snapshot payload is the follow-cover flag, the shared
-// substrate (core.AppendSubstrate: the partition cache's entries, then the
-// verifier's tables), and then the monitor body and the maintainer body —
-// neither of which carries its own substrate copy. A decoded pipeline
-// provably shares one cache and one verifier: both engines point at the
-// same substrate by construction, not by deduplication.
+// substrate (core.AppendSubstrate: the partition cache's entries, the
+// verifier's tables and the class tables), and then the monitor body and
+// the maintainer body — neither of which carries its own substrate copy
+// or tables. A decoded pipeline provably shares one cache, one verifier
+// and one table per antecedent: both engines point at the same substrate
+// by construction, not by deduplication.
 
 // Append encodes the pipeline. Must not run concurrently with mutations.
 func Append(w *wire.Writer, p *Pipeline) {
@@ -32,7 +33,8 @@ func Append(w *wire.Writer, p *Pipeline) {
 
 // Decode rebuilds a pipeline over rel/ont from a payload written by
 // Append. The substrate is decoded once (core.DecodeSubstrate), warm with
-// the saved cache entries, and both engine bodies run on it; the restored
+// the saved cache entries and tables, and both engine bodies run on it,
+// which must take every table (core.Substrate.CheckHolds); the restored
 // pipeline's reports, cover, and subsequent batches are byte-identical to
 // the saved one's.
 func Decode(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology, workers int, stats *exec.Stats) (*Pipeline, error) {
@@ -43,7 +45,7 @@ func Decode(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology, work
 	if follow > 1 {
 		return nil, fmt.Errorf("pipeline: snapshot follow-cover flag %d", follow)
 	}
-	sub, err := core.DecodeSubstrate(r, rel, ont)
+	sub, err := core.DecodeSubstrate(r, rel, ont, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -53,6 +55,9 @@ func Decode(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontology, work
 	}
 	mt, err := discovery.DecodeMaintainerBody(r, sub, workers, stats)
 	if err != nil {
+		return nil, err
+	}
+	if err := sub.CheckHolds(); err != nil {
 		return nil, err
 	}
 	return &Pipeline{sub: sub, mt: mt, m: m, followCover: follow == 1}, nil

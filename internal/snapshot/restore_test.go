@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,33 +15,47 @@ import (
 	"github.com/fastofd/fastofd/internal/wire"
 )
 
-// monitorFields are the monitor body's arrays inside a pipeline section
-// payload, decoded as views of that payload: writing an element rewrites
-// the payload in place, leaving every length and offset as it was.
-type monitorFields struct {
-	// Per table.
-	classOf [][]int32
-	lens    [][]int32
-	rows    [][]int32
-	// Per dependency.
-	countVals [][]int32
-	countNs   [][]int32
-	// Antecedents: each dependency's and each table's, with the offset of
-	// its one-byte encoding in the payload.
-	sigma   core.Set
-	sigmaAt []int
-	tableX  []relation.AttrSet
-	tableAt []int
+// tableFields are one class table's arrays inside a pipeline section
+// payload's substrate, decoded as views of that payload: writing an
+// element rewrites the payload in place, leaving every length and offset
+// as it was. at is the payload offset of the table's antecedent, and
+// members the member lists back to back (nil without lists).
+type tableFields struct {
+	x                        relation.AttrSet
+	at                       int
+	rowClass, sizes, members []int32
 }
 
-// trackerFields are one cover tracker's arrays inside a maintainer body,
-// decoded as views of the payload like monitorFields: its table's
-// row→class array and sizes, and its own multisets. lhsAt and tableAt
-// are the payload offsets of the tracker's and its table's antecedent.
+// monitorFields are the monitor body's arrays: per dependency its
+// antecedent's payload offset and its multisets' values and counts.
+type monitorFields struct {
+	sigma     core.Set
+	sigmaAt   []int
+	countVals [][]int32
+	countNs   [][]int32
+}
+
+// trackerFields are one cover tracker's arrays inside the maintainer
+// body: its table (an index into the tables), its own multisets, and the
+// payload offset of its antecedent.
 type trackerFields struct {
-	rowClass, sizes    []int32
+	table, rhs         int
 	countVals, countNs []int32
-	lhsAt, tableAt     int
+	lhsAt              int
+}
+
+// pipelineFields are the substrate's tables and the engine bodies of a
+// pipeline payload, and the payload offsets of the border antecedents.
+type pipelineFields struct {
+	tables   []tableFields
+	monitor  monitorFields
+	trackers []trackerFields
+	borderAt []int
+}
+
+// tableOf returns the index of the table over x.
+func (f *pipelineFields) tableOf(x relation.AttrSet) int {
+	return slices.IndexFunc(f.tables, func(tf tableFields) bool { return tf.x == x })
 }
 
 // antecedentAt reads an antecedent's uvarint from r and returns it with
@@ -50,73 +65,73 @@ func antecedentAt(r *wire.Reader, payload []byte) (relation.AttrSet, int) {
 	return relation.AttrSet(r.Uvarint()), at
 }
 
-// walkBodies decodes the engine bodies of pipeline payload, which p
-// encoded, in the layouts core.AppendMonitorBody and
-// discovery.AppendMaintainerBody write. It also returns the payload
-// offsets of the border antecedents.
-func walkBodies(t *testing.T, payload []byte, p *pipeline.Pipeline) (*monitorFields, []trackerFields, []int) {
+// walkPipeline decodes pipeline payload, which p encoded, in the layouts
+// core.AppendSubstrate, core.AppendMonitorBody and
+// discovery.AppendMaintainerBody write.
+func walkPipeline(t *testing.T, payload []byte, p *pipeline.Pipeline) *pipelineFields {
 	t.Helper()
 	r := wire.NewReader(payload)
 	r.Uvarint() // follow-cover flag
-	if _, err := core.DecodeSubstrate(r, p.Relation(), p.Verifier().Ontology()); err != nil {
-		t.Fatalf("substrate: %v", err)
+	if _, err := relation.DecodePartitionCache(r, p.Relation()); err != nil {
+		t.Fatalf("cache: %v", err)
 	}
-	f := &monitorFields{}
+	for c := r.Int(); c > 0 && r.Err() == nil; c-- { // verifier tables
+		r.Int() // table length
+		for k := r.Int(); k > 0 && r.Err() == nil; k-- {
+			r.Int() // value id
+			for n := r.Int(); n > 0; n-- {
+				r.Uvarint() // ontology class
+			}
+		}
+		r.Bool() // covered
+	}
+	f := &pipelineFields{}
 	for k := r.Int(); k > 0 && r.Err() == nil; k-- {
 		x, at := antecedentAt(r, payload)
-		f.sigma = append(f.sigma, core.OFD{LHS: x, RHS: r.Int()})
-		f.sigmaAt = append(f.sigmaAt, at)
+		tf := tableFields{x: x, at: at, rowClass: r.Int32s(), sizes: r.Int32s()}
+		if r.Bool() {
+			tf.members = r.Int32s()
+		}
+		f.tables = append(f.tables, tf)
+	}
+	m := &f.monitor
+	for k := r.Int(); k > 0 && r.Err() == nil; k-- {
+		x, at := antecedentAt(r, payload)
+		m.sigma = append(m.sigma, core.OFD{LHS: x, RHS: r.Int()})
+		m.sigmaAt = append(m.sigmaAt, at)
 	}
 	r.Uvarint() // epoch
-	for k := r.Int(); k > 0 && r.Err() == nil; k-- {
-		x, at := antecedentAt(r, payload)
-		f.tableX, f.tableAt = append(f.tableX, x), append(f.tableAt, at)
-		f.classOf = append(f.classOf, r.Int32s())
-		f.lens = append(f.lens, r.Int32s())
-		f.rows = append(f.rows, r.Int32s())
-	}
-	for range f.sigma {
+	for range m.sigma {
 		r.Int32s() // pairs per class
-		f.countVals = append(f.countVals, r.Int32s())
-		f.countNs = append(f.countNs, r.Int32s())
+		m.countVals = append(m.countVals, r.Int32s())
+		m.countNs = append(m.countNs, r.Int32s())
 	}
 	r.Uvarint() // maintainer epoch
 	r.Uvarint() // scans
 	nCols := r.Int()
-	type table struct {
-		rowClass, sizes []int32
-		at              int
-	}
-	tables := map[relation.AttrSet]table{}
-	for k := r.Int(); k > 0 && r.Err() == nil; k-- {
-		x, at := antecedentAt(r, payload)
-		tables[x] = table{r.Int32s(), r.Int32s(), at}
-	}
-	var trackers []trackerFields
-	var borderAt []int
-	for c := nCols; c > 0 && r.Err() == nil; c-- {
+	for c := 0; c < nCols && r.Err() == nil; c++ {
 		for k := r.Int(); k > 0 && r.Err() == nil; k-- {
 			x, at := antecedentAt(r, payload)
-			tb := tables[x]
-			tf := trackerFields{rowClass: tb.rowClass, sizes: tb.sizes, lhsAt: at, tableAt: tb.at}
+			tf := trackerFields{table: f.tableOf(x), rhs: c, lhsAt: at}
 			r.Int32s() // pairs per class
 			tf.countVals, tf.countNs = r.Int32s(), r.Int32s()
-			trackers = append(trackers, tf)
+			f.trackers = append(f.trackers, tf)
 			r.Uint8s() // satisfied flags
 		}
 		for k := r.Int(); k > 0 && r.Err() == nil; k-- {
 			_, at := antecedentAt(r, payload)
-			borderAt = append(borderAt, at)
+			f.borderAt = append(f.borderAt, at)
 			r.Blob()   // witness key
 			r.Int()    // size
+			r.Int32s() // pairs per class
 			r.Int32s() // values
 			r.Int32s() // multiplicities
 		}
 	}
-	if r.Err() != nil {
-		t.Fatalf("engine bodies: %v", r.Err())
+	if r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("pipeline payload: %v with %d bytes left", r.Err(), r.Remaining())
 	}
-	return f, trackers, borderAt
+	return f
 }
 
 // outsideSchema rewrites the one-byte antecedent encoding at each offset
@@ -132,134 +147,122 @@ func outsideSchema(t *testing.T, payload []byte, at ...int) {
 	}
 }
 
-// find returns the first table's or dependency's array that pick selects
-// as non-empty.
-func find[E any](t *testing.T, f *monitorFields, pick func(i int) []E) []E {
+// memberTable returns the first table with member lists and a class of
+// at least two rows.
+func memberTable(t *testing.T, f *pipelineFields) tableFields {
 	t.Helper()
-	for i := range max(len(f.classOf), len(f.countNs)) {
+	for _, tf := range f.tables {
+		if tf.members != nil && slices.ContainsFunc(tf.sizes, func(n int32) bool { return n >= 2 }) {
+			return tf
+		}
+	}
+	t.Fatal("no table with member lists and a class of two rows")
+	return tableFields{}
+}
+
+// firstCounts returns the first dependency's non-empty multiset array
+// that pick selects.
+func firstCounts(t *testing.T, f *pipelineFields, pick func(i int) []int32) []int32 {
+	t.Helper()
+	for i := range f.monitor.sigma {
 		if xs := pick(i); len(xs) > 0 {
 			return xs
 		}
 	}
-	t.Fatal("no array of the requested kind in the monitor body")
+	t.Fatal("no multiset in the monitor body")
 	return nil
 }
 
 // TestOpenRejectsCorruptMonitorBody re-encodes a saved pipeline with one
-// monitor field corrupted at a time, keeping every checksum valid, and
-// asserts Open fails with an error instead of panicking or restoring a
-// monitor that later batches would index out of range.
+// field a monitored dependency reads corrupted at a time — its table's
+// member lists, sizes and row→class array, or its own multisets —
+// keeping every checksum valid, and asserts Open fails with an error
+// instead of panicking or restoring a monitor that later batches would
+// index out of range.
 func TestOpenRejectsCorruptMonitorBody(t *testing.T) {
 	p, secs := savedPipeline(t)
 	n := int32(p.Relation().NumRows())
 	// class returns the member list of a class of at least two rows.
-	class := func(f *monitorFields) []int32 {
-		return find(t, f, func(i int) []int32 {
-			pos := int32(0)
-			for _, l := range f.lens[i] {
-				if l >= 2 {
-					return f.rows[i][pos : pos+l]
-				}
-				pos += l
+	class := func(tf tableFields) []int32 {
+		pos := int32(0)
+		for _, l := range tf.sizes {
+			if l >= 2 {
+				return tf.members[pos : pos+l]
 			}
-			return nil
-		})
+			pos += l
+		}
+		return nil
 	}
-	// length returns the lengths array from the first non-empty class on.
-	length := func(f *monitorFields) []int32 {
-		return find(t, f, func(i int) []int32 {
-			for k, l := range f.lens[i] {
-				if l > 0 {
-					return f.lens[i][k:]
-				}
-			}
-			return nil
-		})
+	// length returns the sizes from the first non-empty class on.
+	length := func(tf tableFields) []int32 {
+		return tf.sizes[slices.IndexFunc(tf.sizes, func(l int32) bool { return l > 0 }):]
 	}
-
 	cases := []struct {
 		name    string
-		corrupt func(f *monitorFields)
+		corrupt func(f *pipelineFields)
 	}{
-		{"pristine", func(*monitorFields) {}},
-		{"class length overrunning the rows", func(f *monitorFields) {
-			length(f)[0]++
+		{"pristine", func(*pipelineFields) {}},
+		{"class length overrunning the rows", func(f *pipelineFields) {
+			length(memberTable(t, f))[0]++
 		}},
-		{"class length underrunning the rows", func(f *monitorFields) {
-			length(f)[0]--
+		{"class length underrunning the rows", func(f *pipelineFields) {
+			length(memberTable(t, f))[0]--
 		}},
-		{"negative class length", func(f *monitorFields) {
-			length(f)[0] = -1
+		{"negative class length", func(f *pipelineFields) {
+			length(memberTable(t, f))[0] = -1
 		}},
-		{"overlay tuple past the rows", func(f *monitorFields) {
-			c := class(f)
+		{"overlay tuple past the rows", func(f *pipelineFields) {
+			c := class(memberTable(t, f))
 			c[len(c)-1] = n + 5
 		}},
-		{"class row equal to the row count", func(f *monitorFields) {
-			c := class(f)
+		{"class row equal to the row count", func(f *pipelineFields) {
+			c := class(memberTable(t, f))
 			c[len(c)-1] = n
 		}},
-		{"negative overlay tuple", func(f *monitorFields) {
-			class(f)[0] = -3
+		{"negative overlay tuple", func(f *pipelineFields) {
+			class(memberTable(t, f))[0] = -3
 		}},
-		{"overlay class out of order", func(f *monitorFields) {
-			c := class(f)
+		{"overlay class out of order", func(f *pipelineFields) {
+			c := class(memberTable(t, f))
 			c[0], c[1] = c[1], c[0]
 		}},
-		{"class id below -1", func(f *monitorFields) {
-			f.classOf[0][0] = -5
+		{"class id below -1", func(f *pipelineFields) {
+			memberTable(t, f).rowClass[0] = -5
 		}},
-		{"class id past the dependency's classes", func(f *monitorFields) {
-			f.classOf[0][0] = 1 << 20
+		{"class id past the dependency's classes", func(f *pipelineFields) {
+			memberTable(t, f).rowClass[0] = 1 << 20
 		}},
-		{"class member routed to no class", func(f *monitorFields) {
-			for t, ci := range f.classOf[0] {
-				if ci >= 0 {
-					f.classOf[0][t] = -1
-					return
-				}
-			}
+		{"class member routed to no class", func(f *pipelineFields) {
+			tf := memberTable(t, f)
+			tf.rowClass[slices.IndexFunc(tf.rowClass, func(ci int32) bool { return ci >= 0 })] = -1
 		}},
-		{"lone row given a class", func(f *monitorFields) {
-			for t, ci := range f.classOf[0] {
-				if ci < 0 {
-					f.classOf[0][t] = 0
-					return
-				}
-			}
+		{"lone row given a class", func(f *pipelineFields) {
+			tf := memberTable(t, f)
+			tf.rowClass[slices.Index(tf.rowClass, -1)] = 0
 		}},
-		{"multiset count above the class size", func(f *monitorFields) {
-			find(t, f, func(i int) []int32 { return f.countNs[i] })[0]++
+		{"multiset count above the class size", func(f *pipelineFields) {
+			firstCounts(t, f, func(i int) []int32 { return f.monitor.countNs[i] })[0]++
 		}},
-		{"multiset count zero", func(f *monitorFields) {
-			find(t, f, func(i int) []int32 { return f.countNs[i] })[0] = 0
+		{"multiset count zero", func(f *pipelineFields) {
+			firstCounts(t, f, func(i int) []int32 { return f.monitor.countNs[i] })[0] = 0
 		}},
-		{"multiset value past the dictionary", func(f *monitorFields) {
-			find(t, f, func(i int) []int32 { return f.countVals[i] })[0] = 1 << 29
+		{"multiset value past the dictionary", func(f *pipelineFields) {
+			firstCounts(t, f, func(i int) []int32 { return f.monitor.countVals[i] })[0] = 1 << 29
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			openCorrupted(t, p, secs, tc.name == "pristine", func(payload []byte) {
-				f, _, _ := walkBodies(t, payload, p)
-				tc.corrupt(f)
+				tc.corrupt(walkPipeline(t, payload, p))
 			})
 		})
 	}
-	// A dependency whose antecedent, and its table's, names a column
-	// outside the schema: the first append would index the relation past
-	// its columns. The table serves that dependency alone, so the body
-	// stays consistent otherwise.
+	// A dependency whose antecedent names a column outside the schema:
+	// the first append would index the relation past its columns.
 	t.Run("antecedent outside the schema", func(t *testing.T) {
 		openCorrupted(t, p, secs, false, func(payload []byte) {
-			f, _, _ := walkBodies(t, payload, p)
-			for i, d := range f.sigma {
-				if slices.IndexFunc(f.sigma, func(e core.OFD) bool { return e.LHS == d.LHS && e != d }) < 0 {
-					outsideSchema(t, payload, f.sigmaAt[i], f.tableAt[slices.Index(f.tableX, d.LHS)])
-					return
-				}
-			}
-			t.Fatal("no dependency has a table of its own")
+			f := walkPipeline(t, payload, p)
+			outsideSchema(t, payload, f.monitor.sigmaAt[0])
 		})
 	})
 }
@@ -330,84 +333,145 @@ func openCorrupted(t *testing.T, p *pipeline.Pipeline, secs []section, pristine 
 }
 
 // TestOpenRejectsCorruptMaintainerBody re-encodes a saved pipeline with
-// one cover tracker's row→class table or multisets corrupted at a time,
-// keeping every checksum valid, and asserts Open fails with an error: the
-// key maps are rebuilt from that table on the first batch, which must
-// never index a class out of range or key a class whose size disagrees
-// with its rows, and a multiset must count its class's rows in the
+// one cover tracker's table or multisets corrupted at a time, keeping
+// every checksum valid, and asserts Open fails with an error: the key
+// maps are rebuilt from that table on the first batch, which must never
+// index a class out of range or key a class whose size disagrees with
+// its rows, and a multiset must count its class's rows in the
 // consequent's dictionary.
 func TestOpenRejectsCorruptMaintainerBody(t *testing.T) {
 	p, secs := savedPipeline(t)
 	// tracker returns the first tracker with a class, a multiset pair and
-	// a lone row.
-	tracker := func(trackers []trackerFields) trackerFields {
-		for _, tf := range trackers {
-			if len(tf.sizes) > 0 && len(tf.countNs) > 0 && slices.Contains(tf.rowClass, -1) {
-				return tf
+	// a lone row, and its table.
+	tracker := func(f *pipelineFields) (trackerFields, tableFields) {
+		for _, tf := range f.trackers {
+			tab := f.tables[tf.table]
+			if len(tab.sizes) > 0 && len(tf.countNs) > 0 && slices.Contains(tab.rowClass, -1) {
+				return tf, tab
 			}
 		}
 		t.Fatal("no tracker with a class and a lone row")
-		return trackerFields{}
+		return trackerFields{}, tableFields{}
 	}
 	cases := []struct {
 		name    string
-		corrupt func(tf trackerFields)
+		corrupt func(tf trackerFields, tab tableFields)
 	}{
-		{"pristine", func(trackerFields) {}},
-		{"row class past the classes", func(tf trackerFields) {
-			tf.rowClass[0] = int32(len(tf.sizes))
+		{"pristine", func(trackerFields, tableFields) {}},
+		{"row class past the classes", func(_ trackerFields, tab tableFields) {
+			tab.rowClass[0] = int32(len(tab.sizes))
 		}},
-		{"row class below -1", func(tf trackerFields) {
-			tf.rowClass[0] = -2
+		{"row class below -1", func(_ trackerFields, tab tableFields) {
+			tab.rowClass[0] = -2
 		}},
-		{"lone row counted into a class", func(tf trackerFields) {
-			tf.rowClass[slices.Index(tf.rowClass, -1)] = 0
+		{"lone row counted into a class", func(_ trackerFields, tab tableFields) {
+			tab.rowClass[slices.Index(tab.rowClass, -1)] = 0
 		}},
-		{"class member made lone", func(tf trackerFields) {
-			tf.rowClass[slices.Index(tf.rowClass, 0)] = -1
+		{"class member made lone", func(_ trackerFields, tab tableFields) {
+			tab.rowClass[slices.Index(tab.rowClass, 0)] = -1
 		}},
-		{"class size above its rows", func(tf trackerFields) {
-			tf.sizes[0]++
+		{"class size above its rows", func(_ trackerFields, tab tableFields) {
+			tab.sizes[0]++
 		}},
-		{"multiset count above the class size", func(tf trackerFields) {
+		{"multiset count above the class size", func(tf trackerFields, _ tableFields) {
 			tf.countNs[0]++
 		}},
-		{"multiset count zero", func(tf trackerFields) {
+		{"multiset count zero", func(tf trackerFields, _ tableFields) {
 			tf.countNs[0] = 0
 		}},
-		{"multiset value past the dictionary", func(tf trackerFields) {
+		{"multiset value past the dictionary", func(tf trackerFields, _ tableFields) {
 			tf.countVals[0] = 1 << 29
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			openCorrupted(t, p, secs, tc.name == "pristine", func(payload []byte) {
-				_, trackers, _ := walkBodies(t, payload, p)
-				tc.corrupt(tracker(trackers))
+				tc.corrupt(tracker(walkPipeline(t, payload, p)))
 			})
 		})
 	}
-	// A tracker whose antecedent, and its table's, names a column outside
-	// the schema: the first batch would index the relation past its
-	// columns. A border node's antecedent is checked too (its witness key
-	// then also has the wrong width).
+	// A tracker whose antecedent names a column outside the schema: the
+	// first batch would index the relation past its columns. A border
+	// node's antecedent is checked too (its witness key then also has the
+	// wrong width).
 	t.Run("tracker antecedent outside the schema", func(t *testing.T) {
 		openCorrupted(t, p, secs, false, func(payload []byte) {
-			_, trackers, _ := walkBodies(t, payload, p)
-			for _, tf := range trackers {
-				if slices.IndexFunc(trackers, func(e trackerFields) bool { return e.tableAt == tf.tableAt && e.lhsAt != tf.lhsAt }) < 0 {
-					outsideSchema(t, payload, tf.lhsAt, tf.tableAt)
-					return
-				}
-			}
-			t.Fatal("no tracker has a table of its own")
+			outsideSchema(t, payload, walkPipeline(t, payload, p).trackers[0].lhsAt)
 		})
 	})
 	t.Run("border antecedent outside the schema", func(t *testing.T) {
 		openCorrupted(t, p, secs, false, func(payload []byte) {
-			_, _, borderAt := walkBodies(t, payload, p)
-			outsideSchema(t, payload, borderAt[0])
+			outsideSchema(t, payload, walkPipeline(t, payload, p).borderAt[0])
 		})
+	})
+}
+
+// TestOpenRejectsCorruptTables re-encodes a saved pipeline with the
+// substrate's table section corrupted, keeping every checksum valid, and
+// asserts Open fails with an error: a table over an antecedent outside
+// the schema, a row→class entry out of range, a class size that
+// disagrees with its rows, a table no engine uses, and a dependency or
+// tracker whose antecedent has no table.
+func TestOpenRejectsCorruptTables(t *testing.T) {
+	p, secs := savedPipeline(t)
+	// unused returns the one-byte encoding of an antecedent over the
+	// first six columns, without column skip, that no table is over.
+	unused := func(f *pipelineFields, skip int) byte {
+		for x := relation.AttrSet(1); x < 1<<6; x++ {
+			if f.tableOf(x) < 0 && !x.Has(skip) {
+				return byte(x)
+			}
+		}
+		t.Fatal("every antecedent has a table")
+		return 0
+	}
+	cases := []struct {
+		name    string
+		corrupt func(payload []byte, f *pipelineFields)
+	}{
+		{"table antecedent outside the schema", func(payload []byte, f *pipelineFields) {
+			outsideSchema(t, payload, f.tables[0].at)
+		}},
+		{"row class out of range", func(_ []byte, f *pipelineFields) {
+			f.tables[len(f.tables)-1].rowClass[0] = int32(len(f.tables[len(f.tables)-1].sizes))
+		}},
+		{"class size mismatch", func(_ []byte, f *pipelineFields) {
+			tab := f.tables[len(f.tables)-1]
+			tab.sizes[slices.IndexFunc(tab.sizes, func(n int32) bool { return n > 0 })]--
+		}},
+		{"dependency with no table", func(payload []byte, f *pipelineFields) {
+			d := f.monitor.sigma[0]
+			payload[f.monitor.sigmaAt[0]] = unused(f, d.RHS)
+		}},
+		{"tracker with no table", func(payload []byte, f *pipelineFields) {
+			tr := f.trackers[0]
+			payload[tr.lhsAt] = unused(f, tr.rhs)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			openCorrupted(t, p, secs, false, func(payload []byte) {
+				tc.corrupt(payload, walkPipeline(t, payload, p))
+			})
+		})
+	}
+	// A table no engine uses: the substrate holds one more table when the
+	// pipeline is saved, and nothing takes it on Open.
+	t.Run("table no engine uses", func(t *testing.T) {
+		sub := p.Monitor().Substrate()
+		f := walkPipeline(t, secs[2].payload, p)
+		x := relation.AttrSet(unused(f, -1))
+		if _, err := sub.Hold(context.Background(), []relation.AttrSet{x}, false); err != nil {
+			t.Fatal(err)
+		}
+		defer sub.Release([]relation.AttrSet{x}, false)
+		img, err := Encode(&State{Pipeline: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(img, Options{}); err == nil {
+			t.Fatal("Open accepted a table no engine uses")
+		}
 	})
 }
 

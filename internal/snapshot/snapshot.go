@@ -10,7 +10,7 @@
 //	magic (8 bytes) | version (uint32) | section count (uint32)
 //	per section: name | crc32c of payload | payload (4-byte aligned)
 //
-// Version 8 writes at most three sections, in this order: relation,
+// Version 9 writes at most three sections, in this order: relation,
 // ontology, pipeline. Each carries its own CRC-32 (Castagnoli) checksum.
 // Decode rejects a known section that repeats or arrives out of order, and
 // skips unknown names, so older readers open newer files that only add
@@ -22,14 +22,14 @@
 //
 // Open reads the whole file into one buffer and decodes zero-copy where
 // the wire layer allows: restored column blocks, partition arrays, and
-// the engines' row→class arrays and the monitor's member lists are views into
+// the class tables' row→class arrays and member lists are views into
 // that buffer (see internal/wire for the aliasing contract — the State keeps
 // the buffer reachable implicitly through those views). Reopen latency
 // therefore scales with the flagged violation state, not the instance:
 // the bulk of a large snapshot is never copied, dictionaries hydrate their
-// maps lazily, and no key map is stored at all — both engines rebuild
-// their tables' maps from the saved row→class arrays on the first append
-// or antecedent write.
+// maps lazily, and no key map is stored at all — each table rebuilds its
+// map from the saved row→class array on its first append or antecedent
+// write.
 //
 // Save writes to a temp file in the destination directory, syncs it,
 // renames it into place and syncs the directory, so a crashed save never
@@ -57,15 +57,16 @@ const (
 	magic = uint64(0x50414e5344464f46)
 	// Version is the current format version. Bumped on any layout change
 	// inside a section; Open rejects versions outside [minVersion, Version]
-	// outright rather than guessing. Version 8: each engine body holds one
-	// class table per distinct antecedent (row→class array, and class
-	// sizes or member lists), then each dependency's or tracker's
-	// multisets on top of its table (version 7 wrote a row→class table
-	// per dependency). Since version 6 neither engine body writes its key
-	// maps; they are rebuilt from the row→class arrays.
-	Version = uint32(8)
+	// outright rather than guessing. Version 9: the substrate writes each
+	// class table once for both engines (row→class array, class sizes and,
+	// while a monitored dependency reads them, member lists), and the
+	// engine bodies hold only each dependency's or tracker's multisets and
+	// flags on top of it (version 8 wrote a table per antecedent in each
+	// engine body). Since version 6 no key map is written; the tables
+	// rebuild theirs from the row→class arrays.
+	Version = uint32(9)
 	// minVersion is the oldest version Open reads.
-	minVersion = uint32(8)
+	minVersion = uint32(9)
 )
 
 // Section names, in file order (dependencies decode first); unknown names
@@ -253,10 +254,10 @@ func syncDir(dir string) error {
 
 // Decode reconstructs a state from a snapshot image, and the returned
 // state takes ownership of img. Decoded column blocks, partitions, the
-// monitor's row→class tables and its class member lists alias it
+// class tables' row→class arrays and their member lists alias it
 // (keeping it reachable via the garbage collector), and the state writes
 // through those views: cell writes rewrite the column blocks and
-// antecedent moves the row→class tables, in place. The caller must therefore neither reuse
+// antecedent moves the row→class arrays, in place. The caller must therefore neither reuse
 // nor modify img; Open passes a private buffer.
 //
 // Sections decode as they are read, so the header's section count — which

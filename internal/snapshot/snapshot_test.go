@@ -222,10 +222,12 @@ func TestCorruptionDetected(t *testing.T) {
 		}
 	})
 	// A future version, version 4, whose monitor body had another layout,
-	// version 5, whose engine bodies carried key indexes, and version 6,
-	// whose monitor body split each dependency across key shards.
+	// version 5, whose engine bodies carried key indexes, version 6, whose
+	// monitor body split each dependency across key shards, version 7,
+	// which wrote a row→class table per dependency, and version 8, whose
+	// engine bodies each wrote their own class tables.
 	t.Run("future version", func(t *testing.T) {
-		for _, v := range []byte{0xee, 4, 5, 6} {
+		for _, v := range []byte{0xee, 4, 5, 6, 7, 8} {
 			bad := append([]byte(nil), img...)
 			bad[8] = v // version field (LE uint32 right after the magic)
 			if _, err := Decode(bad, Options{}); err == nil {
