@@ -238,13 +238,14 @@ func DetectContext(ctx context.Context, rel *Relation, ont *Ontology, sigma Set,
 // included, and updates may touch any cell — a write to a monitored
 // antecedent re-routes that dependency. The monitor runs on a live
 // substrate of its own — a byte-budgeted partition cache and a verifier,
-// exactly the substrate a Pipeline shares between its engines. Each
-// dependency keeps its own class index, so ApplyBatch updates the
+// exactly the substrate a Pipeline shares between its engines. The
+// substrate keeps one state per dependency, so ApplyBatch folds the
 // dependencies a batch touches in parallel with no shared write state,
 // and Report reads epoch-stamped snapshots concurrently with ingestion.
 // The index build and the batch fan-out use up to workers goroutines
 // (0 = all CPUs), one dependency each; stats, when non-nil, receives the
-// "monitor.build", "monitor.apply", and "monitor.merge" spans. Reports
+// "monitor.build", "monitor.fold", "monitor.apply", and "monitor.merge"
+// spans. Reports
 // are byte-identical for every worker count. A cancelled build returns
 // nil plus the wrapped context error.
 func NewMonitor(ctx context.Context, rel *Relation, ont *Ontology, sigma Set, workers int, stats *Stats) (*Monitor, error) {

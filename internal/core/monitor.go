@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"github.com/fastofd/fastofd/internal/exec"
-	"github.com/fastofd/fastofd/internal/live"
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
@@ -22,20 +21,18 @@ import (
 // of one. Any Σ is accepted — a discovered cover routinely chains
 // dependencies (A→B, B→C) — and any cell may be written.
 //
-// The state is kept per dependency on top of the substrate's class
-// tables, as OFD verification works on the classes of Π_X whatever the
-// consequent: the table over X (live.Table) holds the LHS-key map of
-// classes and lone rows, the row→class array and the classes'
-// copy-on-write member lists, and each dependency X → A keeps its
-// consequent-value multisets and violation maps on top of it. The
-// substrate moves each table's rows once per batch, for both engines;
-// absorbing the batch picks the dependencies it touches — every one when
-// rows were appended, otherwise those whose antecedent or consequent a
-// write rewrote — and fans them out over exec.For with no shared write
-// state. Each worker folds its dependency's table moves and consequent
-// writes into the multisets (live.Fold) and re-verifies each dirty class
-// once. A batch costs what it touched, not the instance: no write
-// rebuilds a table.
+// The state is kept per dependency on top of the substrate, as OFD
+// verification works on the classes of Π_X whatever the consequent: the
+// table over X (live.Table) holds the LHS-key map of classes and lone
+// rows, the row→class array and the classes' copy-on-write member lists,
+// and the substrate's state of each dependency X → A (DepState) holds
+// its consequent-value multisets and class verdicts on top of it. The
+// substrate moves each table's rows and folds each state once per batch,
+// for both engines, re-verifying each dirty class once; absorbing the
+// batch fans the dependencies whose state the batch dirtied out over
+// exec.For with no shared write state, and each worker re-materializes
+// its dirty classes' violation records. A batch costs what it touched,
+// not the instance: no write rebuilds a table or a multiset.
 //
 // Violation state is published as epoch-stamped immutable snapshots:
 // every mutating operation materializes the affected classes' Violation
@@ -57,14 +54,12 @@ type Monitor struct {
 	// dependencies and of the initial build (0 selects all CPUs, as
 	// everywhere on the exec substrate).
 	Workers int
-	// Stats, when non-nil, receives monitor.build, monitor.apply, and
-	// monitor.merge stage spans.
+	// Stats, when non-nil, receives monitor.build, monitor.fold,
+	// monitor.apply, and monitor.merge stage spans.
 	Stats *exec.Stats
 
 	// deps[i] is sigma[i]'s live state.
 	deps []*monitorDep
-	// active lists the dependencies the current batch touches (scratch).
-	active []int32
 
 	// absorbed is the number of rows the monitor has absorbed, so Absorb
 	// tells an append from a batch of writes (an empty Σ counts too).
@@ -76,22 +71,15 @@ type Monitor struct {
 	history historyPtr
 }
 
-// class verification outcome; ordered so "worse" states are larger.
-const (
-	classOK        uint8 = iota // consequent syntactically constant
-	classFDOnly                 // an FD would flag it; the ontology clears it
-	classViolating              // no common interpretation
-)
-
 // NewMonitor builds a monitor over sub and Σ, computing the initial
-// violation state. Each dependency holds the substrate's table over its
-// antecedent (Substrate.Hold: built from the cached partition unless an
-// engine holds it already) with member lists. The build spreads over up
+// violation state. Each dependency holds the substrate's state of it and
+// the table over its antecedent, with member lists (Substrate.Hold: each
+// built unless an engine holds it already). The build spreads over up
 // to workers goroutines (0 = all CPUs), every batch too, and stats, when
 // non-nil, receives the monitor's stage spans. Reports are byte-identical
 // for every worker count. A cancelled build returns a nil Monitor — a
 // partially indexed monitor would report wrong violation counts — holds
-// no table, and returns an error satisfying errors.Is(err, ctx.Err()).
+// no state, and returns an error satisfying errors.Is(err, ctx.Err()).
 func NewMonitor(ctx context.Context, sub *Substrate, sigma Set, workers int, stats *exec.Stats) (*Monitor, error) {
 	w := exec.Workers(workers)
 	span := stats.Span("monitor.build")
@@ -99,17 +87,16 @@ func NewMonitor(ctx context.Context, sub *Substrate, sigma Set, workers int, sta
 	span.Items(len(sigma))
 	defer span.End()
 	m := newMonitor(sub, sigma.Clone(), workers, stats)
-	xs := m.sigma.Antecedents()
-	tabs, err := sub.Hold(ctx, xs, true)
+	sts, err := sub.Hold(ctx, m.sigma, true)
 	if err != nil {
 		return nil, err
 	}
 	// Iteration i writes only deps[i], so the fan-out is race-free.
 	if err := exec.For(ctx, len(m.sigma), w, func(_, i int) {
-		m.deps[i] = &monitorDep{d: m.sigma[i], tab: tabs[i]}
-		m.deps[i].fill(m)
+		m.deps[i] = &monitorDep{d: m.sigma[i], st: sts[i]}
+		m.deps[i].buildRecords(m)
 	}); err != nil {
-		sub.Release(xs, true)
+		sub.Release(m.sigma, true)
 		return nil, err
 	}
 	m.publishInit()
@@ -133,11 +120,11 @@ func newMonitor(sub *Substrate, sigma Set, workers int, stats *exec.Stats) *Moni
 	}
 }
 
-// Table returns the substrate's class table dependency d runs on, or nil
-// when d is not monitored.
-func (m *Monitor) Table(d OFD) *live.Table {
+// State returns the substrate's state of dependency d, which the monitor
+// reads, or nil when d is not monitored.
+func (m *Monitor) State(d OFD) *DepState {
 	if i := m.indexOf(d); i >= 0 {
-		return m.deps[i].tab
+		return m.deps[i].st
 	}
 	return nil
 }
@@ -162,13 +149,18 @@ func (m *Monitor) AppendRow(row []string) (int, error) {
 // AppendRows appends tuples (strings in schema order) through the
 // substrate and absorbs them as one batch (Absorb): the substrate joins
 // each tuple to its equivalence class under every antecedent via that
-// antecedent's class table — O(|X|) per table, no partition rebuild. A tuple whose antecedent
-// key matches a formerly-singleton row births a new two-tuple class; a
-// fresh key records a new singleton. Every joined class is re-verified
-// once for the whole batch, and one epoch is published. A row of the
-// wrong width rejects the batch before anything is appended.
+// antecedent's class table — O(|X|) per table, no partition rebuild —
+// and folds the joins into every dependency's state, timed as
+// monitor.fold. A tuple whose antecedent key matches a formerly-singleton
+// row births a new two-tuple class; a fresh key records a new singleton.
+// Every joined class is re-verified once for the whole batch, and one
+// epoch is published. A row of the wrong width rejects the batch before
+// anything is appended.
 func (m *Monitor) AppendRows(rows [][]string) error {
-	if err := m.sub.Append(rows); err != nil {
+	span := m.Stats.Span("monitor.fold")
+	err := m.sub.Append(rows)
+	span.End()
+	if err != nil {
 		return err
 	}
 	m.Absorb()
@@ -182,18 +174,22 @@ func (m *Monitor) ApplyBatch(updates []CellUpdate) error {
 }
 
 // ApplyBatchContext has the substrate validate, fold and apply the
-// updates (Substrate.Apply), then absorbs the effective write log
+// updates, move the tables and fold the dependencies' states
+// (Substrate.Apply, timed as monitor.fold), then absorbs the batch
 // (Absorb) and publishes one epoch. The result is byte-identical for
 // every worker count. Updates that rewrite a cell's current value are
 // skipped and dirty no classes; an all-no-op batch publishes nothing.
 //
 // The batch is atomic: ctx is polled once, after the substrate applied the
 // batch and before the monitor absorbs it, and a cancelled batch is
-// undone (Substrate.Undo, which also restores the tables), leaving
-// the violation state — and the published snapshot — exactly as before the
-// call, with an error satisfying errors.Is(err, ctx.Err()).
+// undone (Substrate.Undo, which also restores the tables and states),
+// leaving the violation state — and the published snapshot — exactly as
+// before the call, with an error satisfying errors.Is(err, ctx.Err()).
 func (m *Monitor) ApplyBatchContext(ctx context.Context, updates []CellUpdate) error {
-	if err := m.sub.Apply(updates); err != nil {
+	span := m.Stats.Span("monitor.fold")
+	err := m.sub.Apply(updates)
+	span.End()
+	if err != nil {
 		return err
 	}
 	if len(m.sub.Writes()) == 0 {
@@ -245,7 +241,7 @@ func (m *Monitor) ViolatingClasses() map[int][][]int {
 	out := make(map[int][][]int)
 	for i, dep := range m.deps {
 		for ci := range dep.viol {
-			class := dep.tab.Members[ci]
+			class := dep.st.tab.Members[ci]
 			tuples := make([]int, len(class))
 			for j, t := range class {
 				tuples[j] = int(t)

@@ -6,8 +6,6 @@ import (
 	"slices"
 
 	"github.com/fastofd/fastofd/internal/exec"
-	"github.com/fastofd/fastofd/internal/live"
-	"github.com/fastofd/fastofd/internal/relation"
 )
 
 // This file is the monitor's live surface: registration of dependencies
@@ -16,21 +14,21 @@ import (
 // ApplyBatch and AppendRows, and the merged pipeline's — ends here, so
 // reports remain byte-identical to a fresh Detect either way.
 
-// Register adds dependency d to the monitored set and builds its live
-// state — multisets and violation records — exactly as construction
-// would have. A dependency over an antecedent the substrate already holds
-// a table for (for either engine) reuses it: it needs no partition and no
-// key build, only one pass over the table's row→class array for its
-// multisets, plus one for the member lists if no monitored dependency
-// read them yet. The new dependency's violations appear in the next
-// published epoch.
+// Register adds dependency d to the monitored set and builds its
+// violation records exactly as construction would have. A dependency an
+// engine already holds reuses the substrate's state of it (for either
+// engine) and needs no partition, no key build and no multiset pass, only
+// one for the member lists if no monitored dependency read its table yet;
+// one over an antecedent the substrate holds a table for costs one pass
+// over the table's row→class array for its multisets. The new
+// dependency's violations appear in the next published epoch.
 func (m *Monitor) Register(d OFD) error {
 	if m.indexOf(d) >= 0 {
 		return fmt.Errorf("core: dependency already monitored")
 	}
-	tabs, _ := m.sub.Hold(context.Background(), []relation.AttrSet{d.LHS}, true)
-	dep := &monitorDep{d: d, tab: tabs[0]}
-	dep.fill(m)
+	sts, _ := m.sub.Hold(context.Background(), []OFD{d}, true)
+	dep := &monitorDep{d: d, st: sts[0]}
+	dep.buildRecords(m)
 	m.sigma = append(m.sigma, d)
 	m.deps = append(m.deps, dep)
 	m.publish()
@@ -38,8 +36,8 @@ func (m *Monitor) Register(d OFD) error {
 }
 
 // Unregister removes dependency d from the monitored set, dropping its
-// live state and violation records, and releases its hold of the
-// substrate's table (which goes when neither engine holds it any more).
+// violation records, and releases its hold of the substrate's state and
+// table (each goes when neither engine holds it any more).
 // Epochs already published keep reporting it (snapshots are immutable);
 // the next epoch no longer does. The removed state is not pinned:
 // slices.Delete clears the vacated tail slots.
@@ -50,7 +48,7 @@ func (m *Monitor) Unregister(d OFD) error {
 	}
 	m.sigma = slices.Delete(m.sigma, at, at+1)
 	m.deps = slices.Delete(m.deps, at, at+1)
-	m.sub.Release([]relation.AttrSet{d.LHS}, true)
+	m.sub.Release([]OFD{d}, true)
 	m.publish()
 	return nil
 }
@@ -65,46 +63,36 @@ func (m *Monitor) indexOf(d OFD) int {
 	return -1
 }
 
-// Absorb folds everything the substrate changed since the monitor last
-// absorbed into its live state and publishes one epoch. Its inputs are
-// the substrate's current batch: the write log (Substrate.Writes) or the
-// rows appended (Substrate.Append clears the log, so one call sees new
-// rows or writes, never both), and the move logs the batch left on the
-// tables. Absorb runs once per batch, before the substrate's next one.
-// Two stages:
+// Absorb brings the violation records up to what the substrate changed
+// since the monitor last absorbed and publishes one epoch. Its input is
+// the substrate's current batch, which already folded into every state
+// it touches and re-verified the dirty classes: the write log
+// (Substrate.Writes) or the rows appended (Substrate.Append clears the
+// log, so one call sees new rows or writes, never both), and each state's
+// dirty classes. Absorb runs once per batch, before the substrate's next
+// one. Two stages:
 //
-//   - monitor.apply: the dependencies the batch touches — every one when
-//     rows were appended, otherwise those whose antecedent or consequent
-//     the log rewrites — each fold the batch (live.Fold) and re-verify
-//     the classes it touched on a worker of their own, claimed by work
-//     stealing.
+//   - monitor.apply: every dependency re-materializes the records of the
+//     classes the batch dirtied in its state from their verdicts, on a
+//     worker of its own, claimed by work stealing.
 //   - monitor.merge: one epoch is published from the dependencies'
 //     snapshots.
 //
-// The substrate already validated and applied the batch, so absorption
-// cannot fail; it is not cancellable — the batch's cancellation point lies
-// before this call. Nothing new is a no-op that publishes nothing.
+// The substrate already validated, applied and folded the batch, so
+// absorption cannot fail; it is not cancellable — the batch's
+// cancellation point lies before this call. Nothing new is a no-op that
+// publishes nothing.
 func (m *Monitor) Absorb() {
-	writes := m.sub.Writes()
 	t0, end := m.absorbed, m.rel.NumRows()
-	if t0 == end && len(writes) == 0 {
+	if t0 == end && len(m.sub.Writes()) == 0 {
 		return
 	}
 	m.absorbed = end
-	touched := Touched(writes)
-	m.active = m.active[:0]
-	for i, dep := range m.deps {
-		if t0 < end || !dep.d.LHS.With(dep.d.RHS).Intersect(touched).IsEmpty() {
-			m.active = append(m.active, int32(i))
-		}
-	}
 	w := exec.Workers(m.Workers)
 	applySpan := m.Stats.Span("monitor.apply")
 	applySpan.Workers(w)
-	_ = exec.For(context.Background(), len(m.active), w, func(_, k int) {
-		dep := m.deps[m.active[k]]
-		dep.counts, dep.dirty = live.Fold(dep.tab, m.rel, dep.d.RHS, writes, dep.counts, dep.dirty)
-		n := dep.recheck(m)
+	_ = exec.For(context.Background(), len(m.deps), w, func(_, i int) {
+		n := m.deps[i].recheck(m)
 		applySpan.Items(n)
 		m.reverified.Add(int64(n))
 	})

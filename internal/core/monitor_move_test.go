@@ -93,8 +93,8 @@ func checkMonitorState(t *testing.T, label string, m *Monitor) {
 		if dep.d != m.sigma[i] {
 			t.Fatalf("%s: state %d is %v's, Σ holds %v there", label, i, dep.d, m.sigma[i])
 		}
-		if m.sub.Table(dep.d.LHS) != dep.tab {
-			t.Fatalf("%s: %v runs on a table the substrate does not hold", label, dep.d)
+		if m.sub.State(dep.d) != dep.st || m.sub.Table(dep.d.LHS) != dep.st.tab {
+			t.Fatalf("%s: %v runs on a state or table the substrate does not hold", label, dep.d)
 		}
 		holds[dep.d.LHS]++
 	}
@@ -125,19 +125,38 @@ func checkMonitorState(t *testing.T, label string, m *Monitor) {
 		}
 		checkKeyMap(t, label, m, x, tab)
 	}
+	deps := map[OFD]bool{}
+	for _, d := range m.sigma {
+		deps[d] = true
+	}
+	if len(m.sub.states) != len(deps) {
+		t.Fatalf("%s: the substrate holds %d states for %d dependencies", label, len(m.sub.states), len(deps))
+	}
 	for _, dep := range m.deps {
 		col := m.rel.Column(dep.d.RHS)
-		if len(dep.counts) != len(dep.tab.Sizes) {
-			t.Fatalf("%s: %v holds %d multisets for %d classes", label, dep.d, len(dep.counts), len(dep.tab.Sizes))
+		st := dep.st
+		if len(st.counts) != len(st.tab.Sizes) || len(st.verdicts) != len(st.tab.Sizes) {
+			t.Fatalf("%s: %v holds %d multisets and %d verdicts for %d classes", label, dep.d, len(st.counts), len(st.verdicts), len(st.tab.Sizes))
 		}
-		for ci, class := range dep.tab.Members {
+		violating := 0
+		for ci, class := range st.tab.Members {
 			var counts []live.ValCount
 			for _, r := range class {
 				counts = live.Bump(counts, col.At(int(r)), 1)
 			}
-			if !slices.Equal(dep.counts[ci], counts) {
-				t.Fatalf("%s: %v class %d multiset %v, its members hold %v", label, dep.d, ci, dep.counts[ci], counts)
+			if !slices.Equal(st.counts[ci], counts) {
+				t.Fatalf("%s: %v class %d multiset %v, its members hold %v", label, dep.d, ci, st.counts[ci], counts)
 			}
+			verdict := st.classState(m.v, int32(ci))
+			if st.verdicts[ci] != verdict {
+				t.Fatalf("%s: %v class %d has verdict %d, its multiset gives %d", label, dep.d, ci, st.verdicts[ci], verdict)
+			}
+			if verdict == classViolating {
+				violating++
+			}
+		}
+		if st.violating != violating {
+			t.Fatalf("%s: %v counts %d violating classes of %d", label, dep.d, st.violating, violating)
 		}
 	}
 }
@@ -408,7 +427,7 @@ func TestMonitorSharedTables(t *testing.T) {
 				t.Fatal(err)
 			}
 			after := m.CacheStats()
-			if tab == nil || m.Table(d) != tab || len(m.sub.tables) != n {
+			if tab == nil || m.State(d).Table() != tab || len(m.sub.tables) != n {
 				t.Fatalf("%s: registering %v built a table beside the one over its antecedent", label, d)
 			}
 			if after.Hits+after.Misses != before.Hits+before.Misses {

@@ -63,15 +63,6 @@ func (s Set) Contains(o OFD) bool {
 	return false
 }
 
-// Antecedents returns each dependency's antecedent, in set order.
-func (s Set) Antecedents() []relation.AttrSet {
-	xs := make([]relation.AttrSet, len(s))
-	for i, d := range s {
-		xs[i] = d.LHS
-	}
-	return xs
-}
-
 // Clone returns a copy of the set.
 func (s Set) Clone() Set { return append(Set(nil), s...) }
 

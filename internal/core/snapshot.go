@@ -6,20 +6,18 @@ import (
 	"sync/atomic"
 
 	"github.com/fastofd/fastofd/internal/exec"
-	"github.com/fastofd/fastofd/internal/live"
 	"github.com/fastofd/fastofd/internal/ontology"
 	"github.com/fastofd/fastofd/internal/relation"
 	"github.com/fastofd/fastofd/internal/wire"
 )
 
 // This file is the monitor's side of the snapshot format, plus the
-// verifier tables AppendSubstrate writes. A monitor body captures the
-// state a rebuild would recompute from the instance — Σ, the epoch and
-// per dependency its consequent multisets — on top of the class tables
-// the substrate section already holds (each written once for both
-// engines), so reopening costs bulk array reads plus one multiset pass
-// per class to re-materialize violation records, instead of partition
-// construction and key building over every tuple.
+// verifier tables AppendSubstrate writes. A monitor body is Σ and the
+// epoch: the class tables and every dependency's multisets live in the
+// substrate section (each written once for both engines), so reopening
+// costs bulk array reads plus one verdict per class and one record per
+// flagged class, instead of partition construction and key building over
+// every tuple.
 //
 // Two deliberately lazy pieces keep reopen latency proportional to the
 // flagged state rather than the instance:
@@ -125,33 +123,24 @@ func decodeVerifier(r *wire.Reader, rel *relation.Relation, ont *ontology.Ontolo
 }
 
 // AppendMonitorBody encodes everything of m except its substrate — the
-// pipeline snapshot writes the shared substrate, its class tables
-// included, once (AppendSubstrate) and then each engine's body: Σ, the
-// epoch, then each dependency's multisets (live.AppendCounts), in Σ
-// order.
+// pipeline snapshot writes the shared substrate, its class tables and
+// dependency states included, once (AppendSubstrate) and then each
+// engine's body: Σ and the epoch.
 func AppendMonitorBody(w *wire.Writer, m *Monitor) {
 	AppendSet(w, m.sigma)
 	w.Uvarint(m.epoch)
-	for _, dep := range m.deps {
-		live.AppendCounts(w, dep.counts)
-	}
 }
 
 // DecodeMonitorBody rebuilds a monitor over an already-decoded substrate
 // (DecodeSubstrate) from a body written by AppendMonitorBody. Each
-// dependency holds the restored table over its antecedent
-// (Substrate.Hold), which must exist. Violation
+// dependency holds the restored state of it (Substrate.Hold), which must
+// exist, so its consequent and antecedent lie in the schema. Violation
 // records are re-materialized dependency-parallel — they are
-// deterministic functions of the restored multisets and member lists — so
+// deterministic functions of the restored verdicts and member lists — so
 // the first Report is byte-identical to the saved monitor's. workers and
-// stats configure the restored monitor exactly as NewMonitor's parameters
-// would.
-//
-// The restored monitor takes ownership of the bytes r reads: the
-// multisets' bulk arrays are read in place, like the substrate's tables.
+// stats configure the restored monitor exactly as NewMonitor's
+// parameters would.
 func DecodeMonitorBody(r *wire.Reader, sub *Substrate, workers int, stats *exec.Stats) (*Monitor, error) {
-	rel := sub.Relation()
-	all := rel.Schema().All()
 	sigma := DecodeSet(r)
 	epoch := r.Uvarint()
 	if r.Err() != nil {
@@ -165,25 +154,15 @@ func DecodeMonitorBody(r *wire.Reader, sub *Substrate, workers int, stats *exec.
 	m := newMonitor(sub, sigma, workers, stats)
 	m.epoch = epoch
 	for i, d := range sigma {
-		if d.RHS < 0 || d.RHS >= rel.NumCols() {
-			return nil, fmt.Errorf("core: snapshot OFD consequent %d out of range", d.RHS)
+		// A state exists only for a dependency within the schema.
+		if sub.State(d) == nil {
+			return nil, fmt.Errorf("core: snapshot holds no state for dependency %d", i)
 		}
-		if !d.LHS.SubsetOf(all) {
-			return nil, fmt.Errorf("core: snapshot OFD antecedent %#x outside the %d-column schema", uint64(d.LHS), rel.NumCols())
-		}
-		if sub.Table(d.LHS) == nil {
-			return nil, fmt.Errorf("core: snapshot holds no table for dependency %d", i)
-		}
-		tabs, _ := sub.Hold(context.Background(), []relation.AttrSet{d.LHS}, true)
-		tab := tabs[0]
-		counts, err := live.DecodeCounts(r, tab.Sizes, rel.Dict(d.RHS).Size())
-		if err != nil {
-			return nil, err
-		}
-		m.deps[i] = &monitorDep{d: d, tab: tab, counts: counts}
+		sts, _ := sub.Hold(context.Background(), []OFD{d}, true)
+		m.deps[i] = &monitorDep{d: d, st: sts[0]}
 	}
-	// Re-materialize each dependency's violation records: the maintained
-	// multiset answers OK/FD-only/violating per class without a tuple
+	// Re-materialize each dependency's violation records: the restored
+	// verdicts answer OK/FD-only/violating per class without a tuple
 	// scan, and only flagged classes pay explain().
 	_ = exec.For(context.Background(), len(sigma), w, func(_, i int) {
 		m.deps[i].buildRecords(m)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"github.com/fastofd/fastofd/internal/core"
@@ -459,11 +458,10 @@ func TestMaintainerLastWritesDedup(t *testing.T) {
 // TestMaintainerFlatPinsNoReplacedTrackers drives corrupt/revert batch
 // pairs through a maintainer: each pair rewrites 20 cells on two columns
 // and then restores them, so the cover grows and shrinks back. After
-// every batch the fan-out list's backing array must be nil past its
-// length, or a slot there would keep a tracker the cover or border
-// replaced reachable for the maintainer's lifetime; the fan-out list must
-// hold exactly the cover and border trackers; and a table whose last
-// tracker left must be gone from the substrate.
+// every batch the substrate must hold a state for exactly the cover
+// elements, each the one its tracker reads, so no state of a tracker the
+// cover replaced stays reachable for the maintainer's lifetime; and a
+// table whose last tracker left must be gone from the substrate.
 func TestMaintainerFlatPinsNoReplacedTrackers(t *testing.T) {
 	ds := gen.Generate(gen.Config{Rows: 120, Seed: 9, Preset: "clinical"})
 	sub, err := ds.Rel.ProjectColumns([]int{1, 2, 3, 4, 5, 6})
@@ -483,27 +481,27 @@ func TestMaintainerFlatPinsNoReplacedTrackers(t *testing.T) {
 	for x := range coverTables(mt) {
 		kept[x] = true
 	}
-	check := func(label string, before int) {
+	left := core.Set{}
+	check := func(label string, before core.Set) {
 		t.Helper()
-		if len(mt.flat) < before {
+		cover := mt.Cover()
+		if len(cover) < len(before) {
 			shrank++
 		}
-		for k, tr := range mt.flat[len(mt.flat):cap(mt.flat)] {
-			if tr != nil {
-				t.Fatalf("%s: fan-out slot %d past the length %d still holds a %T", label, len(mt.flat)+k, len(mt.flat), tr)
+		for _, d := range cover {
+			if st := mt.sub.State(d); st == nil || st != mt.State(d) {
+				t.Fatalf("%s: cover element %v does not read the substrate's state of it", label, d)
 			}
 		}
-		trackers := 0
-		for _, rs := range mt.rhs {
-			trackers += len(rs.cover) + len(rs.border)
-			for _, ct := range rs.cover {
-				if !slices.Contains(mt.flat, batchTracker(ct)) {
-					t.Fatalf("%s: %v is not in the fan-out list", label, ct.d)
-				}
+		for _, d := range before {
+			if !cover.Contains(d) {
+				left = append(left, d)
 			}
 		}
-		if len(mt.flat) != trackers {
-			t.Fatalf("%s: the fan-out list holds %d trackers, the cover and border %d", label, len(mt.flat), trackers)
+		for _, d := range left {
+			if !cover.Contains(d) && mt.sub.State(d) != nil {
+				t.Fatalf("%s: the substrate still holds the state of %v, which left the cover", label, d)
+			}
 		}
 		now := coverTables(mt)
 		for x := range kept {
@@ -529,15 +527,15 @@ func TestMaintainerFlatPinsNoReplacedTrackers(t *testing.T) {
 			}
 		}
 		for k, batch := range [][]core.CellUpdate{corrupt, revert} {
-			before := len(mt.flat)
+			before := mt.Cover()
 			if _, err := mt.ApplyBatch(batch); err != nil {
 				t.Fatal(err)
 			}
 			check(fmt.Sprintf("pair %d batch %d", pair, k), before)
 		}
 	}
-	if shrank == 0 || dropped == 0 {
-		t.Fatalf("%d batches shrank the fan-out list and %d tables were dropped; the test exercises nothing", shrank, dropped)
+	if shrank == 0 || dropped == 0 || len(left) == 0 {
+		t.Fatalf("%d batches shrank the cover, %d elements left it and %d tables were dropped; the test exercises nothing", shrank, len(left), dropped)
 	}
 	if got, want := mt.Cover(), Discover(rel, ds.FullOnt, DefaultOptions()).OFDs; !reflect.DeepEqual(got, want) {
 		t.Fatalf("cover after the reverts diverged from fresh discovery\n got: %v\nwant: %v", got, want)

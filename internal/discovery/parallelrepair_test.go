@@ -67,9 +67,12 @@ func TestMaintainerSerialParallelRepairEquivalence(t *testing.T) {
 // (cover, epoch, and relation exactly as before), the rolled-back state
 // must still match a fresh discovery over the restored instance, no repair
 // workers may outlive the call, and landing the same batch afterwards must
-// behave as if the cancellation never happened.
+// behave as if the cancellation never happened. The maintainer polls once
+// before its verify phase, so a batch cancelled at poll 2 or later was
+// cancelled inside it; the stream must cancel some batch there.
 func TestMaintainerMidRepairCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
+	inVerify := 0
 	for trial := 0; trial < 8; trial++ {
 		rel, ont := randomInstance(rng)
 		opts := DefaultOptions()
@@ -88,10 +91,14 @@ func TestMaintainerMidRepairCancellation(t *testing.T) {
 			epochBefore := mt.Epoch()
 			rowsBefore := mt.Relation().Rows()
 			before := runtime.NumGoroutine()
-			_, err := mt.ApplyBatchContext(newCancelAfterPolls(polls[b%len(polls)]), op.updates)
+			n := polls[b%len(polls)]
+			_, err := mt.ApplyBatchContext(newCancelAfterPolls(n), op.updates)
 			if err != nil {
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("trial %d batch %d: want context.Canceled, got %v", trial, b, err)
+				}
+				if n >= 2 {
+					inVerify++
 				}
 				if got := mt.Cover(); !reflect.DeepEqual(got, coverBefore) {
 					t.Fatalf("trial %d batch %d: cover changed across cancelled repair\n got: %v\nwant: %v",
@@ -122,5 +129,8 @@ func TestMaintainerMidRepairCancellation(t *testing.T) {
 					trial, b, got, want)
 			}
 		}
+	}
+	if inVerify == 0 {
+		t.Fatal("no batch was cancelled inside the verify phase")
 	}
 }

@@ -16,8 +16,9 @@ import (
 //	Y → A is valid ⇔ splitting each unsatisfied class of X₀ by the
 //	columns Y \ X₀ leaves every piece satisfied.
 //
-// The unsatisfied classes are exactly what the cover tracker already
-// maintains (a demotion IS unsat > 0), and in an update stream they are
+// The unsatisfied classes are exactly the violating classes of the
+// substrate's state of X₀ → A (a demotion IS a violating class), and in
+// an update stream they are
 // the handful of classes the batch corrupted — the entire climb above a
 // demotion runs off a few hundred tuples of tracked state where a
 // partition walk pays a product over all n rows.
@@ -79,8 +80,8 @@ type labeling struct {
 	n   int32
 }
 
-// newRootRefiner snapshots the tracker's unsatisfied classes (post-batch
-// state). One O(n) sweep of the row-class table per demoted root,
+// newRootRefiner snapshots the tracked state's violating classes
+// (post-batch state). One O(n) sweep of the row-class table per demoted root,
 // amortized over every climb node verified above it.
 func newRootRefiner(v *core.Verifier, ct *coverTracker) *rootRefiner {
 	rf := &rootRefiner{
@@ -88,17 +89,18 @@ func newRootRefiner(v *core.Verifier, ct *coverTracker) *rootRefiner {
 		labels: make(map[relation.AttrSet]labeling),
 		codes:  make([][]relation.Value, v.Relation().NumCols()),
 	}
-	slot := make([]int32, len(ct.sat)) // class → dense unsatisfied id, or -1
+	tab := ct.st.Table()
+	slot := make([]int32, len(tab.Sizes)) // class → dense unsatisfied id, or -1
 	next := int32(0)
-	for ci, ok := range ct.sat {
+	for ci := range slot {
 		slot[ci] = -1
-		if !ok {
+		if ct.st.Violates(int32(ci)) {
 			slot[ci] = next
 			next++
 		}
 	}
 	base := labeling{n: next}
-	for t, ci := range ct.tab.RowClass {
+	for t, ci := range tab.RowClass {
 		if ci >= 0 && slot[ci] >= 0 {
 			base.idx = append(base.idx, int32(len(rf.members)))
 			base.lab = append(base.lab, slot[ci])

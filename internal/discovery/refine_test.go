@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -69,7 +70,11 @@ func checkRootRefiner(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := core.NewVerifier(rel, refinerOntology(), nil)
+	sub, err := core.NewSubstrate(context.Background(), rel, refinerOntology(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := sub.Verifier()
 	space := rel.Schema().All().Without(rhs)
 	root := relation.EmptySet
 	for _, c := range space.Attrs() {
@@ -80,7 +85,7 @@ func checkRootRefiner(t *testing.T, data []byte) {
 	holds := func(x relation.AttrSet) bool {
 		return v.HoldsSynOnePass(core.OFD{LHS: x, RHS: rhs}, nil)
 	}
-	ct := standaloneTracker(v, core.OFD{LHS: root, RHS: rhs})
+	ct := standaloneTracker(sub, core.OFD{LHS: root, RHS: rhs})
 	if ct.valid() != holds(root) {
 		t.Fatalf("tracker for %v → %d: valid %v, HoldsSynOnePass %v", root, rhs, ct.valid(), holds(root))
 	}
@@ -246,10 +251,14 @@ func BenchmarkRootRefinerHolds(b *testing.B) {
 			rel.SetValue(t, c, relation.Value(rng.Intn(rel.Dict(c).Size())))
 		}
 	}
-	v := core.NewVerifier(rel, ds.FullOnt, relation.NewPartitionCache(rel))
+	sub, err := core.NewSubstrate(context.Background(), rel, ds.FullOnt, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := sub.Verifier()
 	var roots []*coverTracker
 	for _, d := range cover {
-		if ct := standaloneTracker(v, d); !ct.valid() && len(roots) < 16 {
+		if ct := standaloneTracker(sub, d); !ct.valid() && len(roots) < 16 {
 			roots = append(roots, ct)
 		}
 	}

@@ -8,9 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
-	"time"
 
 	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/gen"
@@ -29,14 +27,33 @@ func coverTables(mt *Maintainer) map[relation.AttrSet][]*coverTracker {
 	return out
 }
 
+// trackerState is a copy of a cover tracker's state: its multisets,
+// which classes violate, and the violating count.
+type trackerState struct {
+	counts    [][]live.ValCount
+	violates  []bool
+	violating int
+}
+
+// captureTracker copies ct's state.
+func captureTracker(ct *coverTracker) trackerState {
+	ts := trackerState{violating: ct.st.Violating()}
+	for ci, pairs := range ct.st.Counts() {
+		ts.counts = append(ts.counts, slices.Clone(pairs))
+		ts.violates = append(ts.violates, ct.st.Violates(int32(ci)))
+	}
+	return ts
+}
+
 // checkTables asserts the substrate's tables and the cover trackers
-// against the relation: every cover tracker runs on the substrate's table
-// over its antecedent, and the substrate holds no other table; a table's
-// classes group exactly the rows of one antecedent tuple (a tuple of one
-// row may be lone or a class of one), with Sizes counting them; an
-// indexed key map names every row's class or lone row; and every
-// tracker's multisets equal a fresh count of its consequent over the
-// classes, with satisfied flags and unsat counter to match.
+// against the relation: every cover tracker reads the substrate's state
+// of its dependency, on the substrate's table over its antecedent, and
+// the substrate holds no other table; a table's classes group exactly the
+// rows of one antecedent tuple (a tuple of one row may be lone or a class
+// of one), with Sizes counting them; an indexed key map names every row's
+// class or lone row; and every tracker's multisets equal a fresh count of
+// its consequent over the classes, with verdicts and violating count to
+// match.
 func checkTables(t *testing.T, label string, mt *Maintainer) {
 	t.Helper()
 	rel, v := mt.Relation(), mt.sub.Verifier()
@@ -49,8 +66,8 @@ func checkTables(t *testing.T, label string, mt *Maintainer) {
 	for x, cover := range byX {
 		tab := mt.sub.Table(x)
 		for _, ct := range cover {
-			if ct.tab != tab {
-				t.Fatalf("%s: %v does not run on the substrate's table over its antecedent", label, ct.d)
+			if ct.st != mt.sub.State(ct.d) || ct.st.Table() != tab {
+				t.Fatalf("%s: %v does not read the substrate's state on its table over its antecedent", label, ct.d)
 			}
 		}
 		if len(tab.RowClass) != rel.NumRows() {
@@ -92,20 +109,21 @@ func checkTables(t *testing.T, label string, mt *Maintainer) {
 		}
 		for _, ct := range cover {
 			want := live.CountClasses(tab, rel.Column(ct.d.RHS))
-			if !reflect.DeepEqual(ct.counts, want) {
-				t.Fatalf("%s: %v counts %v, its classes hold %v", label, ct.d, ct.counts, want)
+			if !reflect.DeepEqual(ct.st.Counts(), want) {
+				t.Fatalf("%s: %v counts %v, its classes hold %v", label, ct.d, ct.st.Counts(), want)
 			}
-			unsat := 0
-			for ci := range want {
-				if ct.sat[ci] != ct.classSatisfied(v, int32(ci)) {
-					t.Fatalf("%s: %v class %d flagged satisfied=%v", label, ct.d, ci, ct.sat[ci])
+			violating := 0
+			for ci, pairs := range want {
+				bad := len(pairs) > 1 && !v.ValuesSatisfied(ct.d.RHS, live.Distinct(pairs, nil))
+				if ct.st.Violates(int32(ci)) != bad {
+					t.Fatalf("%s: %v class %d has violates=%v", label, ct.d, ci, !bad)
 				}
-				if !ct.sat[ci] {
-					unsat++
+				if bad {
+					violating++
 				}
 			}
-			if len(ct.sat) != len(tab.Sizes) || ct.unsat != unsat {
-				t.Fatalf("%s: %v holds %d flags and unsat %d for %d classes (%d unsatisfied)", label, ct.d, len(ct.sat), ct.unsat, len(tab.Sizes), unsat)
+			if ct.st.Violating() != violating {
+				t.Fatalf("%s: %v counts %d violating classes of %d", label, ct.d, ct.st.Violating(), violating)
 			}
 		}
 	}
@@ -198,11 +216,10 @@ func TestMaintainerSharedTables(t *testing.T) {
 
 // TestMaintainerRollbackSharedTable cancels batches that write the
 // antecedent and both consequents of a table two cover trackers share:
-// the rollback unfolds the batch from both trackers and the substrate
-// undoes the table's moves, which must leave the table's row→class
-// array, sizes and key map, and each tracker's multisets, satisfied flags
-// and unsat counter exactly as before the batch, with the cover
-// untouched. The batch then lands for real, and the cover must equal a
+// the substrate unfolds the batch from both trackers' states and undoes
+// the table's moves, which must leave the table's row→class array, sizes
+// and key map, and each state's multisets, verdicts and violating count
+// exactly as before the batch, with the cover untouched. The batch then lands for real, and the cover must equal a
 // fresh Discover.
 func TestMaintainerRollbackSharedTable(t *testing.T) {
 	ds := gen.Generate(gen.Config{Rows: 120, Seed: 9, Preset: "clinical"})
@@ -213,9 +230,7 @@ func TestMaintainerRollbackSharedTable(t *testing.T) {
 	// state is a table's and its trackers' contents.
 	type state struct {
 		rowClass, sizes, lookup []int32
-		counts                  [][][]live.ValCount
-		sat                     [][]bool
-		unsat                   []int
+		trackers                []trackerState
 	}
 	capture := func(rel *relation.Relation, tab *live.Table, cover []*coverTracker) state {
 		st := state{rowClass: slices.Clone(tab.RowClass), sizes: slices.Clone(tab.Sizes)}
@@ -224,13 +239,7 @@ func TestMaintainerRollbackSharedTable(t *testing.T) {
 			st.lookup = append(st.lookup, enc)
 		}
 		for _, ct := range cover {
-			counts := make([][]live.ValCount, len(ct.counts))
-			for ci, pairs := range ct.counts {
-				counts[ci] = slices.Clone(pairs)
-			}
-			st.counts = append(st.counts, counts)
-			st.sat = append(st.sat, slices.Clone(ct.sat))
-			st.unsat = append(st.unsat, ct.unsat)
+			st.trackers = append(st.trackers, captureTracker(ct))
 		}
 		return st
 	}
@@ -270,7 +279,7 @@ func TestMaintainerRollbackSharedTable(t *testing.T) {
 					ups = append(ups, core.CellUpdate{Row: r, Col: c, Value: rel.String(rng.Intn(rel.NumRows()), c)})
 				}
 			}
-			tab := shared[0].tab
+			tab := shared[0].st.Table()
 			cover, before := mt.Cover(), capture(rel, tab, shared)
 			cancelled, cancel := context.WithCancel(context.Background())
 			cancel()
@@ -300,10 +309,11 @@ func TestMaintainerRollbackSharedTable(t *testing.T) {
 // maintainer whose substrate also serves a monitor that follows the
 // cover, so every table carries member lists, two ways: with a pre-cancelled context, and
 // with one that cancels on its nth poll, which for n ≥ 2 lands inside
-// the verify phase (newVerifyCancel). After either, every table's row→class array, sizes,
-// member lists and class count deep-equal their pre-batch values, every
-// row's key looks up its pre-batch class or lone row, and every cover
-// tracker's multisets, flags and unsat counter deep-equal theirs.
+// the verify phase (cancelAfterPolls). After either, every table's
+// row→class array, sizes, member lists and class count deep-equal their
+// pre-batch values, every row's key looks up its pre-batch class or lone
+// row, and every cover tracker's multisets, verdicts and violating count
+// deep-equal theirs.
 func TestCancelledBatchRestoresTables(t *testing.T) {
 	ds := gen.Generate(gen.Config{Rows: 120, Seed: 9, Preset: "clinical"})
 	base, err := ds.Rel.ProjectColumns([]int{1, 2, 3, 4, 5, 6})
@@ -313,11 +323,6 @@ func TestCancelledBatchRestoresTables(t *testing.T) {
 	type tableState struct {
 		rowClass, sizes, lookup []int32
 		members                 [][]int32
-	}
-	type trackerState struct {
-		counts [][]live.ValCount
-		sat    []bool
-		unsat  int
 	}
 	capture := func(mt *Maintainer) (map[relation.AttrSet]tableState, map[core.OFD]trackerState) {
 		rel := mt.Relation()
@@ -341,11 +346,7 @@ func TestCancelledBatchRestoresTables(t *testing.T) {
 			}
 			tables[x] = st
 			for _, ct := range cover {
-				ts := trackerState{sat: slices.Clone(ct.sat), unsat: ct.unsat}
-				for _, pairs := range ct.counts {
-					ts.counts = append(ts.counts, slices.Clone(pairs))
-				}
-				trackers[ct.d] = ts
+				trackers[ct.d] = captureTracker(ct)
 			}
 		}
 		return tables, trackers
@@ -366,7 +367,7 @@ func TestCancelledBatchRestoresTables(t *testing.T) {
 			label := fmt.Sprintf("op %d polls %d", k, polls)
 			tables, trackers := capture(mt)
 			report, _ := json.Marshal(m.Report())
-			ctx := context.Context(newVerifyCancel(polls))
+			ctx := context.Context(newCancelAfterPolls(polls))
 			if polls == 0 {
 				pre, cancel := context.WithCancel(context.Background())
 				cancel()
@@ -410,46 +411,4 @@ func TestCancelledBatchRestoresTables(t *testing.T) {
 	if inVerify == 0 {
 		t.Fatal("no batch was cancelled inside the verify phase")
 	}
-}
-
-// verifyCancel is a context that is cancelled from its nth poll on, where
-// a poll is an Err call or a Done call (exec.For takes the channel once
-// per fan-out and watches it, and cancelAfterPolls counts Err calls
-// only): the maintainer polls Err once before its verify phase, so
-// n ≥ 2 cancels inside the verify phase's fan-outs.
-type verifyCancel struct {
-	mu   sync.Mutex
-	left int
-	done chan struct{}
-}
-
-func newVerifyCancel(n int) *verifyCancel {
-	return &verifyCancel{left: n, done: make(chan struct{})}
-}
-
-func (c *verifyCancel) Deadline() (time.Time, bool) { return time.Time{}, false }
-func (c *verifyCancel) Value(key any) any           { return nil }
-
-// poll counts one poll and reports whether the context is cancelled.
-func (c *verifyCancel) poll() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.left > 0 {
-		if c.left--; c.left == 0 {
-			close(c.done)
-		}
-	}
-	return c.left == 0
-}
-
-func (c *verifyCancel) Done() <-chan struct{} {
-	c.poll()
-	return c.done
-}
-
-func (c *verifyCancel) Err() error {
-	if c.poll() {
-		return context.Canceled
-	}
-	return nil
 }

@@ -12,24 +12,24 @@ import (
 )
 
 // This file is the maintainer's side of the snapshot format. A maintainer
-// snapshot captures the full incremental state — the cover trackers'
-// consequent multisets and satisfaction flags, plus every negative-border
-// node's pinned violating class — on top of the class tables the
-// substrate section already holds, so reopening skips both the discovery
-// lattice walk and the per-cover-element tracker construction
-// NewMaintainer pays. The transversal list is not stored: border node i
-// is the complement of transversal i by construction, so decode derives
-// one from the other and the pair can never disagree.
+// snapshot captures the incremental state — the cover elements and every
+// negative-border node's pinned violating class — on top of the class
+// tables and dependency states the substrate section already holds, so
+// reopening skips both the discovery lattice walk and the per-cover-
+// element tracker construction NewMaintainer pays. The transversal list
+// is not stored: border node i is the complement of transversal i by
+// construction, so decode derives one from the other and the pair can
+// never disagree.
 //
 // Only the body is written here: the pipeline section writes the shared
-// substrate (partition cache, verifier tables and class tables) once, up
-// front, and the monitor and maintainer bodies after it.
+// substrate (partition cache, verifier tables, class tables and
+// dependency states) once, up front, and the monitor and maintainer
+// bodies after it.
 
 // AppendMaintainerBody encodes the maintainer's engine state without its
 // substrate, which the pipeline section writes once for both engine
-// bodies: per consequent its cover trackers (antecedent, multisets,
-// satisfied flags) and border nodes (antecedent, witness key, class size
-// and multiset).
+// bodies: per consequent its cover elements' antecedents and its border
+// nodes (antecedent, witness key, class size and multiset).
 func AppendMaintainerBody(w *wire.Writer, mt *Maintainer) {
 	w.Uvarint(mt.epoch)
 	w.Uvarint(uint64(mt.scans))
@@ -38,14 +38,6 @@ func AppendMaintainerBody(w *wire.Writer, mt *Maintainer) {
 		w.Int(len(rs.cover))
 		for _, ct := range rs.cover {
 			w.Uvarint(uint64(ct.d.LHS))
-			live.AppendCounts(w, ct.counts)
-			sat := make([]uint8, len(ct.sat))
-			for ci, s := range ct.sat {
-				if s {
-					sat[ci] = 1
-				}
-			}
-			w.Uint8s(sat)
 		}
 		w.Int(len(rs.border))
 		for _, wt := range rs.border {
@@ -65,8 +57,9 @@ func AppendMaintainerBody(w *wire.Writer, mt *Maintainer) {
 // byte-for-byte the saved trackers, so Cover() and all subsequent diffs
 // are identical to the saved maintainer's. workers and stats configure
 // the restored maintainer exactly as the construction-time options would.
-// Each cover tracker holds the restored table over its antecedent, which
-// must exist, and every antecedent must lie in the schema.
+// Each cover element holds the restored state of it, which must exist and
+// must have no violating class, and every antecedent must lie in the
+// schema.
 func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stats *exec.Stats) (*Maintainer, error) {
 	rel := sub.Relation()
 	span := stats.Span("maintain.restore")
@@ -96,37 +89,19 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 			return nil, r.Err()
 		}
 		for k := 0; k < nCover; k++ {
-			lhs := relation.AttrSet(r.Uvarint())
+			d := core.OFD{LHS: relation.AttrSet(r.Uvarint()), RHS: c}
 			if r.Err() != nil {
 				return nil, r.Err()
 			}
-			if !lhs.SubsetOf(mt.all.Without(c)) {
-				return nil, fmt.Errorf("discovery: snapshot tracker antecedent %#x outside the schema less its consequent", uint64(lhs))
+			// A state exists only over a restored table, whose antecedent
+			// lies in the schema.
+			if d.Trivial() || sub.State(d) == nil {
+				return nil, fmt.Errorf("discovery: snapshot cover element %v is trivial or has no state", d)
 			}
-			if sub.Table(lhs) == nil {
-				return nil, fmt.Errorf("discovery: snapshot holds no table for tracker antecedent %#x", uint64(lhs))
-			}
-			tabs, _ := sub.Hold(context.Background(), []relation.AttrSet{lhs}, false)
-			tab := tabs[0]
-			ct := &coverTracker{d: core.OFD{LHS: lhs, RHS: c}, tab: tab}
-			counts, err := live.DecodeCounts(r, tab.Sizes, rel.Dict(c).Size())
-			if err != nil {
-				return nil, err
-			}
-			ct.counts = counts
-			satBytes := r.Uint8s()
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			if len(satBytes) != len(tab.Sizes) {
-				return nil, fmt.Errorf("discovery: snapshot tracker class state inconsistent")
-			}
-			ct.sat = make([]bool, len(satBytes))
-			for ci, b := range satBytes {
-				ct.sat[ci] = b != 0
-				if b == 0 {
-					ct.unsat++
-				}
+			sts, _ := sub.Hold(context.Background(), []core.OFD{d}, false)
+			ct := &coverTracker{d: d, st: sts[0]}
+			if !ct.valid() {
+				return nil, fmt.Errorf("discovery: snapshot cover element %v has %d violating classes", d, ct.st.Violating())
 			}
 			rs.cover = append(rs.cover, ct)
 		}
@@ -162,6 +137,5 @@ func DecodeMaintainerBody(r *wire.Reader, sub *core.Substrate, workers int, stat
 	if r.Err() != nil {
 		return nil, r.Err()
 	}
-	mt.rebuildFlat()
 	return mt, nil
 }

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"github.com/fastofd/fastofd/internal/core"
 	"github.com/fastofd/fastofd/internal/gen"
 	"github.com/fastofd/fastofd/internal/live"
+	"github.com/fastofd/fastofd/internal/ontology"
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
@@ -20,22 +22,31 @@ func sortedVC(pairs []live.ValCount) []live.ValCount {
 	return out
 }
 
-// standaloneTracker builds d's tracker on a new table of its own, from
-// the verifier's partition of d's antecedent, as the substrate builds a
-// table no engine holds yet.
-func standaloneTracker(v *core.Verifier, d core.OFD) *coverTracker {
-	tab := live.FromPartition(v.Relation(), d.LHS.Attrs(), v.Partitions().Get(d.LHS))
-	return newCoverTracker(v, tab, d)
+// standaloneTracker builds d's tracker on sub, which builds the table
+// over d's antecedent from its cached partition and d's state from one
+// pass over the table, as it does for a dependency no engine holds yet.
+func standaloneTracker(sub *core.Substrate, d core.OFD) *coverTracker {
+	sts, err := sub.Hold(context.Background(), []core.OFD{d}, false)
+	if err != nil {
+		panic(err)
+	}
+	return &coverTracker{d: d, st: sts[0]}
 }
 
-// scanTracker builds d's tracker the from-scratch way: an empty table
-// that every row joins in row order, with the tracker folding the joins
-// in as a batch of appends does.
-func scanTracker(rel *relation.Relation, v *core.Verifier, d core.OFD) *coverTracker {
-	tab := live.NewTable(rel, d.LHS.Attrs(), false)
-	tab.Append(rel, 0, rel.NumRows())
-	ct := &coverTracker{d: d, tab: tab}
-	ct.fold(rel, v, nil, 0, int32(rel.NumRows()))
+// scanTracker builds d's tracker the from-scratch way: on a substrate
+// over an empty copy of rel's schema, whose table over d's antecedent
+// every row of rel then joins in row order, the state folding the joins
+// in as a batch of appends does. rel's dictionaries must have interned
+// its values in row order, so that both relations encode them alike.
+func scanTracker(rel *relation.Relation, ont *ontology.Ontology, d core.OFD) *coverTracker {
+	sub, err := core.NewSubstrate(context.Background(), relation.New(rel.Schema()), ont, 1)
+	if err != nil {
+		panic(err)
+	}
+	ct := standaloneTracker(sub, d)
+	if err := sub.Append(rel.Rows()); err != nil {
+		panic(err)
+	}
 	return ct
 }
 
@@ -52,7 +63,11 @@ func TestPartitionBackedBuildersMatchScan(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		rel, ont := randomInstance(rng)
 		v := core.NewVerifier(rel, ont, nil)
-		pv := core.NewVerifier(rel, ont, relation.NewPartitionCache(rel))
+		sub, err := core.NewSubstrate(context.Background(), rel, ont, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pv := sub.Verifier()
 		n := rel.NumCols()
 		all := relation.AttrSet(uint64(1)<<uint(n) - 1)
 		for rhs := 0; rhs < n; rhs++ {
@@ -64,12 +79,12 @@ func TestPartitionBackedBuildersMatchScan(t *testing.T) {
 				}
 				d := core.OFD{LHS: lhs, RHS: rhs}
 
-				ref := scanTracker(rel, v, d)
-				got := standaloneTracker(pv, d)
+				ref := scanTracker(rel, ont, d)
+				got := standaloneTracker(sub, d)
 				if got.valid() != ref.valid() {
 					t.Fatalf("trial %d %v: parts valid=%v, scan valid=%v", trial, d, got.valid(), ref.valid())
 				}
-				gt, rt := got.tab, ref.tab
+				gt, rt := got.st.Table(), ref.st.Table()
 				if gt.NumKeys() != rt.NumKeys() {
 					t.Fatalf("trial %d %v: parts has %d keys, scan %d", trial, d, gt.NumKeys(), rt.NumKeys())
 				}
@@ -91,12 +106,12 @@ func TestPartitionBackedBuildersMatchScan(t *testing.T) {
 					if gt.Sizes[gc] != rt.Sizes[rc] {
 						t.Fatalf("trial %d %v: class size mismatch: parts %d, scan %d", trial, d, gt.Sizes[gc], rt.Sizes[rc])
 					}
-					gv, rv := sortedVC(got.counts[gc]), sortedVC(ref.counts[rc])
+					gv, rv := sortedVC(got.st.Counts()[gc]), sortedVC(ref.st.Counts()[rc])
 					if !slices.Equal(gv, rv) {
 						t.Fatalf("trial %d %v: class multiset mismatch: parts %v, scan %v", trial, d, gv, rv)
 					}
-					if got.sat[gc] != ref.sat[rc] {
-						t.Fatalf("trial %d %v: class sat mismatch", trial, d)
+					if got.st.Violates(gc) != ref.st.Violates(rc) {
+						t.Fatalf("trial %d %v: class verdict mismatch", trial, d)
 					}
 				}
 				if len(class) != len(gt.Sizes) {
@@ -129,7 +144,8 @@ func TestPartitionBackedBuildersMatchScan(t *testing.T) {
 }
 
 // TestCoverTrackerPartsAllocsFlat pins the allocations of a tracker
-// built on a new table: keys are packed integers, and the consequent
+// whose hold builds a new table and state: keys are packed integers, and
+// the consequent
 // multisets share one array, so quadrupling the rows adds far fewer
 // allocations than rows. What still grows is the key map's own storage
 // (Go's maps allocate one table per 1,024 slots) and the scratch the
@@ -143,14 +159,20 @@ func TestCoverTrackerPartsAllocsFlat(t *testing.T) {
 	var sigma core.Set
 	for _, n := range []int{small, large} {
 		ds := gen.Clinical(n, 7)
-		v := core.NewVerifier(ds.Rel, ds.FullOnt, relation.NewPartitionCache(ds.Rel))
+		sub, err := core.NewSubstrate(context.Background(), ds.Rel, ds.FullOnt, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		sigma = append(core.Set(nil), ds.Sigma...)
 		nc := ds.Rel.NumCols()
 		for c := 0; c < nc; c++ {
 			sigma = append(sigma, core.OFD{LHS: relation.Single(c), RHS: (c + 1) % nc})
 		}
 		for _, d := range sigma {
-			build := func() { standaloneTracker(v, d) }
+			build := func() {
+				standaloneTracker(sub, d)
+				sub.Release([]core.OFD{d}, false)
+			}
 			build() // warm the partition cache
 			allocs[n] = append(allocs[n], testing.AllocsPerRun(5, build))
 		}

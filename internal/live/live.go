@@ -5,12 +5,13 @@
 // (Table.Apply, Append, Undo): X's integer-keyed class map with lone
 // (singleton) rows folded into the id space, the row→class array, the
 // class sizes, member lists while a monitored dependency reads them, and
-// the last batch's move log. Each dependency X → A of either engine keeps
-// its consequent multisets on top of X's table, indexed by its class ids,
-// and folds the move log into them (Fold; Unfold on a rollback).
+// the last batch's move log. The substrate's state of each dependency
+// X → A that either engine holds (core.DepState) keeps A's multisets on
+// top of X's table, indexed by its class ids, and the substrate folds
+// the move log into them once per batch (Fold; Unfold on a rollback).
 // AppendCounts/DecodeCounts are the multisets' snapshot encoding.
 //
-// Everything here is single-writer, like the engines built on it:
+// Everything here is single-writer, like the substrate built on it:
 // mutating one Table, or one dependency's multisets, from two goroutines
 // at once is a caller bug. Concurrent readers between mutations are fine.
 package live
@@ -96,7 +97,8 @@ func Distinct(pairs []ValCount, scratch []relation.Value) []relation.Value {
 
 // AppendCounts encodes per-class consequent multisets as three bulk
 // arrays: pairs per class, then the flattened values and multiplicities.
-// Both engines' snapshot bodies write their multisets with it.
+// The substrate's dependency states and the maintainer's witness
+// certificates are written with it.
 func AppendCounts(w *wire.Writer, counts [][]ValCount) {
 	lens := make([]int32, len(counts))
 	total := 0

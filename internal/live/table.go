@@ -50,11 +50,11 @@ type rowMove struct {
 //   - the move log of its last batch.
 //
 // One Table per distinct X serves every dependency X → A of both engines
-// (core.Substrate holds them), and each dependency keeps its state on
-// top of it, indexed by the table's class ids: the consequent multisets
-// (CountClasses, Fold) and whatever it verifies from them. A class id,
-// once born, never changes meaning, so every dependency over X sees the
-// same ids.
+// (core.Substrate holds them), and the substrate keeps each dependency's
+// state on top of it, indexed by the table's class ids: the consequent
+// multisets (CountClasses, Fold) and the verdicts it verifies from them.
+// A class id, once born, never changes meaning, so every dependency over
+// X sees the same ids.
 //
 // Key layout. Keys pack X's dictionary codes into one uint64 as a mixed
 // radix: column i gets a lane of radix 2·(|dict_i|+1), twice what its
@@ -67,8 +67,8 @@ type rowMove struct {
 // cannot fit 64 bits keeps exact byte keys (AppendKey) instead.
 //
 // Moves. Apply and Append move rows and log every move, Undo reverses
-// the last Apply exactly, and the dependencies fold the log (Fold) and,
-// on a rollback, unfold it (Unfold).
+// the last Apply exactly, and the substrate folds the log into each
+// dependency state (Fold) and, on a rollback, unfolds it (Unfold).
 type Table struct {
 	// Cols is the antecedent column list, ascending.
 	Cols []int

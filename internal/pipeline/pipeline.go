@@ -1,21 +1,21 @@
 // Package pipeline merges the two incremental engines — the violation
 // monitor (core.Monitor) and the minimal-cover maintainer
 // (discovery.Maintainer) — onto one shared live-index substrate: one
-// relation, one verifier, and one partition cache serve maintenance,
-// detection, and repair verification together, and one class table per
-// antecedent serves a dependency of either engine. A single ApplyBatch
-// has the substrate validate and apply a batch, moving each table's rows
-// once, inside the maintainer's atomic protocol, lets the monitor fold the
-// substrate's write and move logs verbatim, and (optionally) keeps the
-// monitored set following the discovered cover as it drifts — so the
-// merged pipeline answers "what does this batch do to the dependencies
-// AND to their violations" from one pass over the shared index instead of
-// two engines' private copies of the same partitions and tables.
+// relation, verifier and partition cache serve maintenance, detection and
+// repair verification together, one class table per antecedent and one
+// consequent state per dependency (core.DepState) serve either engine. A
+// single ApplyBatch has the substrate apply a batch, moving each table's
+// rows and folding each state once, inside the maintainer's atomic
+// protocol; the maintainer reads the verdicts, the monitor
+// re-materializes the classes they dirtied, and (optionally) the
+// monitored set follows the discovered cover as it drifts — one pass over
+// the shared index instead of two engines' private copies.
 //
 // Everything observable is byte-identical to running the engines
 // separately: the maintained cover matches a fresh Discover and the
 // published reports match a fresh Detect over the final instance, for any
-// worker count — including after a cancelled (rolled back) batch. The substrate tests pin this down.
+// worker count — including after a cancelled (rolled back) batch. The
+// substrate tests pin this down.
 package pipeline
 
 import (
@@ -59,7 +59,7 @@ type BatchResult struct {
 	// Report/ReportAt observe exactly this batch's violations.
 	Epoch uint64
 	// MaintainNanos is the wall time of the maintainer's validate + apply
-	// + repair-verify phase; DetectNanos the monitor's absorb + publish
+	// + fold + repair-verify phase; DetectNanos the monitor's absorb + publish
 	// phase (plus cover registration when FollowCover).
 	MaintainNanos int64
 	DetectNanos   int64
@@ -113,12 +113,13 @@ func New(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, op
 // ApplyBatch runs one update batch through the merged pipeline:
 //
 //  1. The maintainer has the substrate validate, deduplicate and apply
-//     the batch, which moves the rows of every table it touches, folds
-//     it, then repair-verifies it atomically (a cancelled batch is
-//     unfolded and undone, tables included, and leaves both engines at
+//     the batch, which moves the rows of every table and folds every
+//     dependency state it touches (timed under maintain.dirty), then
+//     repair-verifies it atomically (a cancelled batch is undone by the
+//     substrate, tables and states included, and leaves both engines at
 //     the pre-batch state).
-//  2. The monitor folds the substrate's write log and the tables' move
-//     logs — the same deduplicated cells and moves, verbatim — and
+//  2. The monitor re-materializes the classes the batch dirtied in its
+//     dependencies' states — the same states the maintainer read — and
 //     publishes one epoch.
 //  3. With FollowCover, the cover diff registers/unregisters monitored
 //     dependencies so the monitored set tracks the cover.

@@ -13,31 +13,37 @@ import (
 )
 
 // checkOneTablePerAntecedent asserts that both engines run on the
-// substrate's tables: every monitored dependency and every cover element
-// runs on the substrate's table over its antecedent, so an antecedent
-// both engines hold has one table they share; the substrate holds a
-// table over exactly the antecedents an engine holds; and a table has
+// substrate's tables and dependency states: every monitored dependency
+// and every cover element reads the substrate's state of it, on the
+// substrate's table over its antecedent, so a dependency both engines
+// hold has one state they share and an antecedent both engines hold has
+// one table; the substrate holds a state for exactly the dependencies of
+// Σ ∪ cover and a table over exactly their antecedents; and a table has
 // member lists exactly while a monitored dependency reads it.
 func checkOneTablePerAntecedent(t *testing.T, label string, p *Pipeline) {
 	t.Helper()
 	held := map[relation.AttrSet]bool{}
+	deps := map[core.OFD]bool{}
 	monitored := map[relation.AttrSet]*live.Table{}
 	for _, d := range p.m.Sigma() {
-		tab := p.m.Table(d)
-		if tab == nil || tab != p.sub.Table(d.LHS) {
-			t.Fatalf("%s: monitored %v does not run on the substrate's table over its antecedent", label, d)
+		st := p.m.State(d)
+		if st == nil || st != p.sub.State(d) || st.Table() != p.sub.Table(d.LHS) {
+			t.Fatalf("%s: monitored %v does not read the substrate's state of it on its table", label, d)
 		}
-		held[d.LHS], monitored[d.LHS] = true, tab
+		held[d.LHS], monitored[d.LHS], deps[d] = true, st.Table(), true
 	}
 	for _, d := range p.mt.Cover() {
-		tab := p.mt.Table(d)
-		if tab == nil || tab != p.sub.Table(d.LHS) {
-			t.Fatalf("%s: cover element %v does not run on the substrate's table over its antecedent", label, d)
+		st := p.mt.State(d)
+		if st == nil || st != p.sub.State(d) || st.Table() != p.sub.Table(d.LHS) {
+			t.Fatalf("%s: cover element %v does not read the substrate's state of it on its table", label, d)
 		}
-		if m := monitored[d.LHS]; m != nil && m != tab {
+		if ms := p.m.State(d); ms != nil && ms != st {
+			t.Fatalf("%s: the monitor and the maintainer read two states of %v", label, d)
+		}
+		if m := monitored[d.LHS]; m != nil && m != st.Table() {
 			t.Fatalf("%s: the monitor and the maintainer hold two tables over %v", label, d.LHS)
 		}
-		held[d.LHS] = true
+		held[d.LHS], deps[d] = true, true
 	}
 	all := p.Relation().Schema().All()
 	for x := relation.AttrSet(0); x <= all; x++ {
@@ -48,6 +54,12 @@ func checkOneTablePerAntecedent(t *testing.T, label string, p *Pipeline) {
 		if tab != nil && (tab.Members != nil) != (monitored[x] != nil) {
 			t.Fatalf("%s: the table over %v has member lists: %v; a monitored dependency reads it: %v", label, x, tab.Members != nil, monitored[x] != nil)
 		}
+		for a := 0; a < p.Relation().NumCols(); a++ {
+			d := core.OFD{LHS: x, RHS: a}
+			if (p.sub.State(d) != nil) != deps[d] {
+				t.Fatalf("%s: the substrate holds a state of %v: %v; an engine holds it: %v", label, d, p.sub.State(d) != nil, deps[d])
+			}
+		}
 	}
 }
 
@@ -56,11 +68,13 @@ func checkOneTablePerAntecedent(t *testing.T, label string, p *Pipeline) {
 // that pin the initial cover while the cover drifts, and registers and
 // unregisters a dependency the cover lacks between ops: after every step
 // the monitor and the maintainer run on the substrate's one table per
-// antecedent, and a table leaves the substrate once neither engine holds
-// its antecedent.
+// antecedent and one state per dependency, and a table leaves the
+// substrate once neither engine holds its antecedent. A monitored
+// dependency that left the cover and comes back must be tracked on the
+// monitor's very state, with no rebuild; the pinned streams must do that.
 func TestPipelineOneTablePerAntecedent(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	shared, dropped := 0, 0
+	shared, dropped, reused := 0, 0, 0
 	for trial := 0; trial < 12; trial++ {
 		rel, ont := randomInstance(rng)
 		stream := randomStream(rng, rel, 4, 6)
@@ -77,16 +91,32 @@ func TestPipelineOneTablePerAntecedent(t *testing.T) {
 					for _, d := range append(p.m.Sigma(), p.mt.Cover()...) {
 						before[d.LHS] = true
 					}
+					// Monitored dependencies outside the cover, by the
+					// state the monitor reads.
+					waiting := map[core.OFD]*core.DepState{}
+					for _, d := range p.m.Sigma() {
+						if p.mt.State(d) == nil {
+							waiting[d] = p.m.State(d)
+						}
+					}
 					applyOp(t, p, op)
 					step := fmt.Sprintf("%s batch %d", label, b)
 					checkOneTablePerAntecedent(t, step, p)
+					for d, st := range waiting {
+						if got := p.mt.State(d); got != nil {
+							if got != st {
+								t.Fatalf("%s: %v came back to the cover on a new state beside the monitor's", step, d)
+							}
+							reused++
+						}
+					}
 					for x := range before {
 						if p.sub.Table(x) == nil {
 							dropped++
 						}
 					}
 					for _, d := range p.m.Sigma() {
-						if p.mt.Table(d) != nil {
+						if p.mt.State(d) != nil {
 							shared++
 						}
 					}
@@ -118,7 +148,7 @@ func TestPipelineOneTablePerAntecedent(t *testing.T) {
 			}
 		}
 	}
-	if shared == 0 || dropped == 0 {
-		t.Fatalf("the streams shared %d tables between the engines and dropped %d; they must do both", shared, dropped)
+	if shared == 0 || dropped == 0 || reused == 0 {
+		t.Fatalf("the streams shared %d tables between the engines, dropped %d and brought %d monitored dependencies back to the cover; they must do all three", shared, dropped, reused)
 	}
 }

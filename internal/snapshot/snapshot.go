@@ -10,7 +10,7 @@
 //	magic (8 bytes) | version (uint32) | section count (uint32)
 //	per section: name | crc32c of payload | payload (4-byte aligned)
 //
-// Version 9 writes at most three sections, in this order: relation,
+// Version 10 writes at most three sections, in this order: relation,
 // ontology, pipeline. Each carries its own CRC-32 (Castagnoli) checksum.
 // Decode rejects a known section that repeats or arrives out of order, and
 // skips unknown names, so older readers open newer files that only add
@@ -57,16 +57,18 @@ const (
 	magic = uint64(0x50414e5344464f46)
 	// Version is the current format version. Bumped on any layout change
 	// inside a section; Open rejects versions outside [minVersion, Version]
-	// outright rather than guessing. Version 9: the substrate writes each
-	// class table once for both engines (row→class array, class sizes and,
-	// while a monitored dependency reads them, member lists), and the
-	// engine bodies hold only each dependency's or tracker's multisets and
-	// flags on top of it (version 8 wrote a table per antecedent in each
-	// engine body). Since version 6 no key map is written; the tables
-	// rebuild theirs from the row→class arrays.
-	Version = uint32(9)
+	// outright rather than guessing. Version 10: the substrate writes each
+	// class table once (row→class array, class sizes and, while a
+	// monitored dependency reads them, member lists) and each dependency
+	// state's multisets once, for both engines; the engine bodies carry
+	// no multisets and no verdicts, which decode derives from the
+	// multisets (version 9 wrote each engine's multisets, and the
+	// maintainer's satisfied flags, in its own body). Since version 6 no
+	// key map is written; the tables rebuild theirs from the row→class
+	// arrays.
+	Version = uint32(10)
 	// minVersion is the oldest version Open reads.
-	minVersion = uint32(9)
+	minVersion = uint32(10)
 )
 
 // Section names, in file order (dependencies decode first); unknown names

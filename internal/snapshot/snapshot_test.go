@@ -224,10 +224,11 @@ func TestCorruptionDetected(t *testing.T) {
 	// A future version, version 4, whose monitor body had another layout,
 	// version 5, whose engine bodies carried key indexes, version 6, whose
 	// monitor body split each dependency across key shards, version 7,
-	// which wrote a row→class table per dependency, and version 8, whose
-	// engine bodies each wrote their own class tables.
+	// which wrote a row→class table per dependency, version 8, whose
+	// engine bodies each wrote their own class tables, and version 9,
+	// whose engine bodies each wrote their own multisets.
 	t.Run("future version", func(t *testing.T) {
-		for _, v := range []byte{0xee, 4, 5, 6, 7, 8} {
+		for _, v := range []byte{0xee, 4, 5, 6, 7, 8, 9} {
 			bad := append([]byte(nil), img...)
 			bad[8] = v // version field (LE uint32 right after the magic)
 			if _, err := Decode(bad, Options{}); err == nil {
