@@ -74,7 +74,7 @@ func main() {
 		dataPath  = flag.String("data", "", "CSV file with a header row (required)")
 		ontPath   = flag.String("ontology", "", "ontology JSON file (required)")
 		sigmaFile = flag.String("sigma", "", "file with one OFD per line (alternative to -ofd)")
-		workers   = flag.Int("workers", 1, "workers for the partition-cache warm-up and the incremental engines (0 = all CPUs)")
+		workers   = flag.Int("workers", 1, "workers for detection (one antecedent per work item), its partition-cache warm-up and the incremental engines (0 = all CPUs)")
 		updates   = flag.String("updates", "", "CSV update stream to replay through the incremental monitor (records: row,attr,value or +,v1,...,vk)")
 		batchSize = flag.Int("batch", 64, "cell updates per monitor batch when replaying -updates")
 		discover  = flag.Bool("discover", false, "with -updates: maintain the minimal OFD cover live over the stream, printing per-batch cover diffs")

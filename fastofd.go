@@ -217,17 +217,19 @@ func Detect(rel *Relation, ont *Ontology, sigma Set) *Report {
 	return core.Detect(rel, ont, sigma)
 }
 
-// DetectWorkers is Detect with the partition-cache warm-up spread over up to
-// workers goroutines (0 = all CPUs). The report is identical for every
-// worker count.
+// DetectWorkers is Detect with the partition-cache warm-up and the
+// verification spread over up to workers goroutines (0 = all CPUs); each
+// distinct antecedent of Σ is one work item. The report is identical for
+// every worker count.
 func DetectWorkers(rel *Relation, ont *Ontology, sigma Set, workers int) *Report {
 	return core.DetectWorkers(rel, ont, sigma, workers)
 }
 
 // DetectContext is DetectWorkers with cooperative cancellation and optional
-// per-stage stats: a cancelled run returns the violations of the
-// dependencies examined so far plus an error satisfying
-// errors.Is(err, ctx.Err()). stats may be nil.
+// per-stage stats: a cancelled run returns the violations of whole
+// antecedent groups only (every dependency on an antecedent, or none),
+// canonically sorted, plus an error satisfying errors.Is(err, ctx.Err()).
+// stats may be nil.
 func DetectContext(ctx context.Context, rel *Relation, ont *Ontology, sigma Set, workers int, stats *Stats) (*Report, error) {
 	return core.DetectContext(ctx, rel, ont, sigma, workers, stats)
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -62,19 +65,22 @@ func Detect(rel *relation.Relation, ont *ontology.Ontology, sigma Set) *Report {
 	return DetectWorkers(rel, ont, sigma, 1)
 }
 
-// DetectWorkers is Detect with the partition-cache construction spread over
-// up to workers goroutines (0 selects runtime.NumCPU()). The report is
-// identical for every worker count; only the cache warm-up parallelizes.
+// DetectWorkers is Detect with the partition-cache warm-up and the
+// verification spread over up to workers goroutines (0 selects
+// runtime.NumCPU()): the dependencies of Σ are grouped by antecedent and
+// each group is one work item. The report is identical for every worker
+// count.
 func DetectWorkers(rel *relation.Relation, ont *ontology.Ontology, sigma Set, workers int) *Report {
 	rep, _ := DetectContext(context.Background(), rel, ont, sigma, workers, nil)
 	return rep
 }
 
 // DetectContext is DetectWorkers with cooperative cancellation and optional
-// per-stage observability. Cancellation is checked between the dependencies
-// of Σ; a cancelled run returns the sorted violations of the dependencies
-// examined so far plus an error satisfying errors.Is(err, ctx.Err()).
-// stats, when non-nil, receives a "detect.verify" span.
+// per-stage observability. Cancellation is checked between antecedent
+// groups; a cancelled run returns the sorted violations of whole groups
+// only (every dependency on an antecedent, or none) plus an error
+// satisfying errors.Is(err, ctx.Err()). stats, when non-nil, receives a
+// "detect.verify" span.
 func DetectContext(ctx context.Context, rel *relation.Relation, ont *ontology.Ontology, sigma Set, workers int, stats *exec.Stats) (*Report, error) {
 	workers = exec.Workers(workers)
 	span := stats.Span("detect.verify")
@@ -82,60 +88,144 @@ func DetectContext(ctx context.Context, rel *relation.Relation, ont *ontology.On
 	span.Items(len(sigma))
 	defer span.End()
 	pc, err := relation.NewPartitionCacheContext(ctx, rel, workers)
-	v := NewVerifier(rel, ont, pc)
 	rep := &Report{}
-	flagged := make(map[int]struct{})
-	fdOnly := make(map[int]struct{})
-	finish := func() {
-		rep.TuplesFlagged = len(flagged)
-		rep.FDOnlyFlagged = len(fdOnly)
+	if err == nil {
+		v := NewVerifier(rel, ont, pc)
+		deps, bounds := groupByAntecedent(sigma)
+		// Per-worker scratch: no two workers append to one slice or write
+		// one word.
+		scratch := make([]detectScratch, workers)
+		err = exec.For(ctx, len(bounds)-1, workers, func(w, i int) {
+			// Polled per group as well as at each claim, so a run cut
+			// between the two drops the whole group.
+			if exec.Interrupted(ctx, "detect") != nil {
+				return
+			}
+			s := &scratch[w]
+			if s.flagged == nil {
+				s.flagged, s.fdOnly = newTupleSet(rel.NumRows()), newTupleSet(rel.NumRows())
+			}
+			group := deps[bounds[i]:bounds[i+1]]
+			p := pc.Get(group[0].LHS)
+			for _, d := range group {
+				v.detectDep(p, d, s)
+			}
+		})
+		if err == nil {
+			// The last group's own poll may have cut it after For's last
+			// claim check.
+			err = exec.Interrupted(ctx, "detect")
+		}
+		// sortViolations' order is total over distinct classes, so the
+		// report does not depend on which worker found which violation.
+		all := &scratch[0]
+		for _, s := range scratch[1:] {
+			all.flagged.or(s.flagged)
+			all.fdOnly.or(s.fdOnly)
+			all.viols = append(all.viols, s.viols...)
+		}
+		rep.TuplesFlagged, rep.FDOnlyFlagged = all.flagged.count(), all.fdOnly.count()
+		rep.Violations = all.viols
 		sortViolations(rep.Violations)
-		st := pc.Stats()
-		span.Cache(st.Hits, st.Misses)
 	}
-	if err != nil {
-		finish()
-		return rep, err
-	}
-	for _, d := range sigma {
-		if err := exec.Interrupted(ctx, "detect"); err != nil {
-			finish()
-			return rep, err
-		}
-		p := v.pc.Get(d.LHS)
-		col := rel.Column(d.RHS)
-		for i := 0; i < p.NumClasses(); i++ {
-			class := p.Class(i)
-			// All-equal fast path: a syntactically constant class cannot
-			// violate and allocates nothing — on mostly-clean instances this
-			// clears almost every class, so the scan is allocation-free per
-			// class (guarded by TestDetectAllocsIndependentOfClassCount).
-			first := col.At(int(class[0]))
-			allEqual := true
-			for _, t := range class[1:] {
-				if col.At(int(t)) != first {
-					allEqual = false
-					break
-				}
-			}
-			if allEqual {
-				continue // satisfied syntactically
-			}
-			if v.classSatisfied(class, d.RHS) {
-				// An FD would flag this class; the OFD clears it.
-				for _, t := range class {
-					fdOnly[int(t)] = struct{}{}
-				}
-				continue
-			}
-			rep.Violations = append(rep.Violations, explain(rel, ont, d, class))
-			for _, t := range class {
-				flagged[int(t)] = struct{}{}
-			}
+	st := pc.Stats()
+	span.Cache(st.Hits, st.Misses)
+	return rep, err
+}
+
+// groupByAntecedent orders a copy of Σ by antecedent and returns it with
+// the start of each antecedent's run, closed by len(Σ). Each run is one
+// work item, so one worker reads each Π_X and two dependencies on one
+// antecedent never both miss on it in the partition cache.
+func groupByAntecedent(sigma Set) (Set, []int) {
+	deps := slices.Clone(sigma)
+	slices.SortStableFunc(deps, func(a, b OFD) int { return cmp.Compare(a.LHS, b.LHS) })
+	var bounds []int
+	for i := range deps {
+		if i == 0 || deps[i].LHS != deps[i-1].LHS {
+			bounds = append(bounds, i)
 		}
 	}
-	finish()
-	return rep, nil
+	return deps, append(bounds, len(deps))
+}
+
+// detectScratch is one Detect worker's findings: the explained violations
+// and the tuples of violating and FD-only classes.
+type detectScratch struct {
+	viols           []Violation
+	flagged, fdOnly tupleSet
+}
+
+// detectDep checks d class by class over p = Π_X into s.
+func (v *Verifier) detectDep(p *relation.Partition, d OFD, s *detectScratch) {
+	col := v.rel.Column(d.RHS)
+	for i := 0; i < p.NumClasses(); i++ {
+		class := p.Class(i)
+		// All-equal fast path: a syntactically constant class cannot
+		// violate and allocates nothing — on mostly-clean instances this
+		// clears almost every class, so the scan is allocation-free per
+		// class (guarded by TestDetectAllocsIndependentOfClassCount).
+		first := col.At(int(class[0]))
+		allEqual := true
+		for _, t := range class[1:] {
+			if col.At(int(t)) != first {
+				allEqual = false
+				break
+			}
+		}
+		if allEqual {
+			continue // satisfied syntactically
+		}
+		if v.classSatisfied(class, d.RHS) {
+			// An FD would flag this class; the OFD clears it.
+			s.fdOnly.addClass(class)
+			continue
+		}
+		s.viols = append(s.viols, explain(v.rel, v.ont, d, class))
+		s.flagged.addClass(class)
+	}
+}
+
+// tupleSet is a dense set of tuple ids, one bit per id. Detect and the
+// monitor's reports count their flagged and FD-only tuples in one each.
+type tupleSet []uint64
+
+// newTupleSet returns an empty set sized for the ids below n.
+func newTupleSet(n int) tupleSet { return make(tupleSet, (n+63)>>6) }
+
+// add inserts t, growing the set when t lies beyond it.
+func (s *tupleSet) add(t int) {
+	w := t >> 6
+	if w >= len(*s) {
+		*s = append(*s, make(tupleSet, w+1-len(*s))...)
+	}
+	(*s)[w] |= 1 << (uint(t) & 63)
+}
+
+// addClass inserts every tuple of a partition class.
+func (s *tupleSet) addClass(class []int32) {
+	for _, t := range class {
+		s.add(int(t))
+	}
+}
+
+// or adds every id of o to s.
+func (s *tupleSet) or(o tupleSet) {
+	if len(o) > len(*s) {
+		*s = append(*s, make(tupleSet, len(o)-len(*s))...)
+	}
+	for i, w := range o {
+		(*s)[i] |= w
+	}
+}
+
+// count returns the number of ids in s.
+func (s tupleSet) count() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // sortViolations orders a report canonically: by consequent, antecedent,

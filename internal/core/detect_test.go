@@ -87,7 +87,8 @@ func TestDetectCleanInstance(t *testing.T) {
 // detection scan: on an instance whose classes are all syntactically
 // constant, Detect must not allocate per class (no per-class distinct
 // maps), so total allocations stay bounded by the fixed setup cost
-// (verifier tables, partition cache, report) regardless of class count.
+// (verifier tables, partition cache, report, and at two workers each
+// worker's tuple sets) regardless of class count.
 func TestDetectAllocsIndependentOfClassCount(t *testing.T) {
 	schema := relation.MustSchema("X", "Y")
 	const classes = 800
@@ -105,16 +106,19 @@ func TestDetectAllocsIndependentOfClassCount(t *testing.T) {
 	}
 	ont := ontology.New()
 	ont.MustAddClass("C", "S", ontology.NoClass, "y0", "y1")
-	sigma := Set{MustParse(schema, "X -> Y")}
-	allocs := testing.AllocsPerRun(5, func() {
-		rep := Detect(rel, ont, sigma)
-		if len(rep.Violations) != 0 {
-			t.Fatal("instance is clean by construction")
+	// Two antecedents, so two workers both take a group.
+	sigma := Set{MustParse(schema, "X -> Y"), MustParse(schema, "Y -> X")}
+	for _, workers := range []int{1, 2} {
+		allocs := testing.AllocsPerRun(5, func() {
+			rep := DetectWorkers(rel, ont, sigma, workers)
+			if len(rep.Violations) != 0 {
+				t.Fatal("instance is clean by construction")
+			}
+		})
+		// The old inner loop allocated one distinct map per class (≥ 800);
+		// the fixed setup cost is far below that.
+		if allocs > 200 {
+			t.Fatalf("workers=%d: Detect allocates %.0f times for %d satisfied classes; want O(setup), not O(classes)", workers, allocs, classes)
 		}
-	})
-	// The old inner loop allocated one distinct map per class (≥ 800);
-	// the fixed setup cost is far below that.
-	if allocs > 200 {
-		t.Fatalf("Detect allocates %.0f times for %d satisfied classes; want O(setup), not O(classes)", allocs, classes)
 	}
 }

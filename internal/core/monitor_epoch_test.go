@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/fastofd/fastofd/internal/live"
+	"github.com/fastofd/fastofd/internal/ontology"
 	"github.com/fastofd/fastofd/internal/relation"
 )
 
@@ -252,6 +253,74 @@ func TestMonitorReportAtEpochs(t *testing.T) {
 	}
 	if _, err := m.ReportAt(m.Epoch()); err != nil {
 		t.Fatalf("newest epoch must stay readable: %v", err)
+	}
+}
+
+// TestMonitorReportAtWordBoundaries places flagged and FD-only tuples on
+// both sides of the tuple sets' first word boundary (ids 63 and 64) and on
+// the last row of an append that opens a third word. Every report, and
+// ReportAt of the epoch retained from before the append, must count them
+// exactly and match what was reported at its epoch.
+func TestMonitorReportAtWordBoundaries(t *testing.T) {
+	schema := relation.MustSchema("K", "V", "W")
+	ont := ontology.New()
+	ont.MustAddClass("A", "S", ontology.NoClass, "a1", "a2")
+	rows := make([][]string, 0, 65)
+	for i := 0; i < 63; i++ {
+		rows = append(rows, []string{fmt.Sprintf("k%d", i), "z", "a1"})
+	}
+	// Rows 63 and 64 form one class: V = {x, y} violates K -> V, and
+	// W = {a1, a2} is FD-only for K -> W.
+	rows = append(rows, []string{"c", "x", "a1"}, []string{"c", "y", "a2"})
+	rel, err := relation.FromRows(schema, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigma := Set{MustParse(schema, "K -> V"), MustParse(schema, "K -> W")}
+	m, err := NewMonitor(context.Background(), testSubstrate(t, rel, ont), sigma, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(flagged, fdOnly int) string {
+		t.Helper()
+		rep := m.Report()
+		if rep.TuplesFlagged != flagged || rep.FDOnlyFlagged != fdOnly {
+			t.Fatalf("epoch %d: TuplesFlagged/FDOnlyFlagged = %d/%d, want %d/%d",
+				m.Epoch(), rep.TuplesFlagged, rep.FDOnlyFlagged, flagged, fdOnly)
+		}
+		got, _ := json.Marshal(rep)
+		if want, _ := json.Marshal(Detect(rel, ont, sigma)); string(got) != string(want) {
+			t.Fatalf("epoch %d: report diverged from Detect\n got %s\nwant %s", m.Epoch(), got, want)
+		}
+		return string(got)
+	}
+	before, beforeRep := m.Epoch(), check(2, 2)
+	// Rows 65..129 are lone; row 130 joins the class of rows 63 and 64.
+	var appended [][]string
+	for i := 65; i < 130; i++ {
+		appended = append(appended, []string{fmt.Sprintf("k%d", i), "z", "a1"})
+	}
+	appended = append(appended, []string{"c", "z", "a2"})
+	if err := m.AppendRows(appended); err != nil {
+		t.Fatal(err)
+	}
+	if rel.NumRows() != 131 {
+		t.Fatalf("rows = %d, want 131", rel.NumRows())
+	}
+	after, afterRep := m.Epoch(), check(3, 3)
+	// One more epoch, so both are retained older epochs.
+	if _, err := m.Update(130, schema.MustIndex("V"), "x"); err != nil {
+		t.Fatal(err)
+	}
+	check(3, 3)
+	for epoch, want := range map[uint64]string{before: beforeRep, after: afterRep} {
+		rep, err := m.ReportAt(epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := json.Marshal(rep); string(got) != want {
+			t.Fatalf("ReportAt(%d) diverged from the report taken then\n got %s\nwant %s", epoch, got, want)
+		}
 	}
 }
 

@@ -113,8 +113,9 @@ func (m *Monitor) Epoch() uint64 {
 // instance; the bench and the equivalence property test assert exactly
 // that. Report reads only the latest immutable snapshot, so it is safe to
 // call concurrently with a subsequent ApplyBatch and never blocks the
-// writer. Cost is proportional to the flagged classes, not the instance.
-// The returned record slices alias the snapshot and must not be mutated.
+// writer. Cost is proportional to the flagged classes, plus one bit per
+// row up to the highest flagged tuple for the counts. The returned record
+// slices alias the snapshot and must not be mutated.
 func (m *Monitor) Report() *Report {
 	return reportFrom(m.latest())
 }
@@ -136,26 +137,25 @@ func (m *Monitor) ReportAt(epoch uint64) (*Report, error) {
 // report. The snapshots are unordered, but sortViolations' comparator
 // (consequent, antecedent, first tuple) is a strict total order over
 // distinct classes, and the flagged/FD-only counters are set unions — so
-// the merge result is independent of class ids and iteration order.
+// the merge result is independent of class ids and iteration order. The
+// tuple sets grow to the highest id they meet, so an epoch retained from
+// before an append counts its own rows only.
 func reportFrom(es *epochSnap) *Report {
 	rep := &Report{}
-	flagged := make(map[int]struct{})
-	fdOnly := make(map[int]struct{})
+	var flagged, fdOnly tupleSet
 	for _, ds := range es.deps {
 		for _, v := range ds.viol {
 			rep.Violations = append(rep.Violations, *v)
 			for _, t := range v.Tuples {
-				flagged[t] = struct{}{}
+				flagged.add(t)
 			}
 		}
 		for _, ts := range ds.fdTuples {
-			for _, t := range ts {
-				fdOnly[int(t)] = struct{}{}
-			}
+			fdOnly.addClass(ts)
 		}
 	}
-	rep.TuplesFlagged = len(flagged)
-	rep.FDOnlyFlagged = len(fdOnly)
+	rep.TuplesFlagged = flagged.count()
+	rep.FDOnlyFlagged = fdOnly.count()
 	sortViolations(rep.Violations)
 	return rep
 }

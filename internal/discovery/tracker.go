@@ -169,12 +169,13 @@ type scanResult struct {
 	witVals []live.ValCount
 }
 
-// witnessScanParts is scanCandidate(needWitness=true) answered from the
-// verifier's partition cache: the classes of Π*_X come from a (typically
-// cached) product instead of re-hashing every row. Partition classes are
-// ordered by smallest representative, so the first violating class found
-// is exactly the one scanCandidate pins, and the walk stops there. buf is
-// the caller's per-worker scratch for cache-miss products (nil allowed).
+// witnessScanParts verifies X → A from the verifier's partition cache and
+// returns, when it fails, the violating class with the smallest
+// representative row: the classes of Π*_X come from a (typically cached)
+// product instead of re-hashing every row, and they are ordered by
+// smallest representative, so the walk stops at the first violating class.
+// buf is the caller's per-worker scratch for cache-miss products (nil
+// allowed).
 func witnessScanParts(pv *core.Verifier, d core.OFD, buf *relation.ProductBuffer) scanResult {
 	rel := pv.Relation()
 	p := pv.Partitions().GetWith(d.LHS, buf)
@@ -197,62 +198,6 @@ func witnessScanParts(pv *core.Verifier, d core.OFD, buf *relation.ProductBuffer
 		res.witSize = int32(len(class))
 		res.witVals = append([]live.ValCount(nil), vals...)
 		return res
-	}
-	return res
-}
-
-// scanCandidate verifies X → A from scratch in one pass over the
-// relation: group rows by encoded antecedent key, then test each
-// multi-tuple, multi-value group for a common interpretation. This is the
-// maintainer's untracked-node verifier; it reads only the relation and the
-// verifier's monotone names tables, so it is safe under any sequence of
-// prior in-place mutations (no partition cache involved). The lattice
-// optimizations degenerate into it naturally: a superkey antecedent
-// produces only singleton groups (Opt-3) and an FD-satisfying class has a
-// single distinct value (Opt-4), both skipped without touching the
-// ontology.
-func scanCandidate(rel *relation.Relation, v *core.Verifier, d core.OFD, needWitness bool) scanResult {
-	type grp struct {
-		size int32
-		vals []live.ValCount
-		rep  int32
-	}
-	cols := d.LHS.Attrs()
-	groups := make(map[string]*grp, 64)
-	col := rel.Column(d.RHS)
-	n := rel.NumRows()
-	var buf []byte
-	for t := 0; t < n; t++ {
-		buf = live.EncodeKey(rel, cols, t, buf)
-		g := groups[string(buf)]
-		if g == nil {
-			g = &grp{rep: int32(t)}
-			groups[string(buf)] = g
-		}
-		g.size++
-		g.vals = live.Bump(g.vals, col.At(int(t)), 1)
-	}
-	res := scanResult{valid: true}
-	var scratch []relation.Value
-	bestRep := int32(-1)
-	for key, g := range groups {
-		if g.size <= 1 || len(g.vals) <= 1 {
-			continue
-		}
-		scratch = live.Distinct(g.vals, scratch)
-		if v.ValuesSatisfied(d.RHS, scratch) {
-			continue
-		}
-		res.valid = false
-		if !needWitness {
-			return res
-		}
-		if bestRep < 0 || g.rep < bestRep {
-			bestRep = g.rep
-			res.witKey = key
-			res.witSize = g.size
-			res.witVals = g.vals
-		}
 	}
 	return res
 }

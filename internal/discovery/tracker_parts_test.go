@@ -50,6 +50,59 @@ func scanTracker(rel *relation.Relation, ont *ontology.Ontology, d core.OFD) *co
 	return ct
 }
 
+// scanCandidate verifies X → A from scratch in one pass over the
+// relation: group rows by encoded antecedent key, then test each
+// multi-tuple, multi-value group for a common interpretation. It reads
+// only the relation and the verifier's names tables, with no partition
+// cache, so it is the reference witnessScanParts is pinned to. With
+// needWitness it reports the violating group with the smallest
+// representative row.
+func scanCandidate(rel *relation.Relation, v *core.Verifier, d core.OFD, needWitness bool) scanResult {
+	type grp struct {
+		size int32
+		vals []live.ValCount
+		rep  int32
+	}
+	cols := d.LHS.Attrs()
+	groups := make(map[string]*grp, 64)
+	col := rel.Column(d.RHS)
+	n := rel.NumRows()
+	var buf []byte
+	for t := 0; t < n; t++ {
+		buf = live.EncodeKey(rel, cols, t, buf)
+		g := groups[string(buf)]
+		if g == nil {
+			g = &grp{rep: int32(t)}
+			groups[string(buf)] = g
+		}
+		g.size++
+		g.vals = live.Bump(g.vals, col.At(int(t)), 1)
+	}
+	res := scanResult{valid: true}
+	var scratch []relation.Value
+	bestRep := int32(-1)
+	for key, g := range groups {
+		if g.size <= 1 || len(g.vals) <= 1 {
+			continue
+		}
+		scratch = live.Distinct(g.vals, scratch)
+		if v.ValuesSatisfied(d.RHS, scratch) {
+			continue
+		}
+		res.valid = false
+		if !needWitness {
+			return res
+		}
+		if bestRep < 0 || g.rep < bestRep {
+			bestRep = g.rep
+			res.witKey = key
+			res.witSize = g.size
+			res.witVals = g.vals
+		}
+	}
+	return res
+}
+
 // TestPartitionBackedBuildersMatchScan pins the partition-backed fast
 // paths to the from-scratch reference implementations: the cover tracker
 // built on a table from Π*_X must group the rows as the row-at-a-time
